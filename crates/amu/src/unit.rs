@@ -70,7 +70,7 @@ pub enum AmuEffect {
         payload: Payload,
     },
     /// Issue a fine-grained get to the local directory for `addr`,
-    /// tagged with `token`. Feed the result to [`Amu::fine_value`].
+    /// tagged with `token`. Feed the result to [`Amu::fine_value_into`].
     FineGet {
         /// Token to echo.
         token: u64,
@@ -100,7 +100,7 @@ pub enum AmuEffect {
         flow: u64,
     },
     /// Read a word from (uncached) home memory; feed the result to
-    /// [`Amu::mem_value`].
+    /// [`Amu::mem_value_into`].
     ReadMemWord {
         /// Token to echo.
         token: u64,
@@ -114,7 +114,7 @@ pub enum AmuEffect {
         /// Value.
         value: Word,
     },
-    /// The AMU wants [`Amu::advance`] called at `when` to start its next
+    /// The AMU wants [`Amu::advance_into`] called at `when` to start its next
     /// queued command.
     WakeAt {
         /// Wake-up time.
@@ -404,13 +404,7 @@ impl Amu {
 
     /// Submit a command at time `now`. Returns false (and drops the
     /// command) if the dispatch queue is full.
-    pub fn submit(&mut self, op: AmuOp, now: Cycle, stats: &mut Stats) -> (bool, Vec<AmuEffect>) {
-        let mut effects = Vec::new();
-        let ok = self.submit_into(op, now, stats, &mut effects);
-        (ok, effects)
-    }
-
-    /// Allocation-free form of [`Self::submit`]: appends to `effects`.
+    /// Effects are appended to `effects`.
     pub fn submit_into(
         &mut self,
         op: AmuOp,
@@ -477,13 +471,7 @@ impl Amu {
 
     /// The function unit finished a computation (scheduled via
     /// [`AmuEffect::WakeAt`]); start the next queued command if any.
-    pub fn advance(&mut self, now: Cycle, stats: &mut Stats) -> Vec<AmuEffect> {
-        let mut effects = Vec::new();
-        self.advance_into(now, stats, &mut effects);
-        effects
-    }
-
-    /// Allocation-free form of [`Self::advance`]: appends to `effects`.
+    /// Effects are appended to `effects`.
     pub fn advance_into(&mut self, now: Cycle, stats: &mut Stats, effects: &mut Vec<AmuEffect>) {
         if let State::Busy(until) = self.state {
             if now >= until {
@@ -629,20 +617,7 @@ impl Amu {
 
     /// A fine-grained get completed: the directory delivered the coherent
     /// word. Computes the waiting operation and closes the transaction.
-    pub fn fine_value(
-        &mut self,
-        token: u64,
-        addr: Addr,
-        value: Word,
-        now: Cycle,
-        stats: &mut Stats,
-    ) -> Result<Vec<AmuEffect>, AmuError> {
-        let mut effects = Vec::new();
-        self.fine_value_into(token, addr, value, now, stats, &mut effects)?;
-        Ok(effects)
-    }
-
-    /// Allocation-free form of [`Self::fine_value`]: appends to `effects`.
+    /// Effects are appended to `effects`.
     pub fn fine_value_into(
         &mut self,
         token: u64,
@@ -698,19 +673,7 @@ impl Amu {
     }
 
     /// An uncached memory read completed (MAO / uncached-read miss path).
-    pub fn mem_value(
-        &mut self,
-        token: u64,
-        value: Word,
-        now: Cycle,
-        stats: &mut Stats,
-    ) -> Result<Vec<AmuEffect>, AmuError> {
-        let mut effects = Vec::new();
-        self.mem_value_into(token, value, now, stats, &mut effects)?;
-        Ok(effects)
-    }
-
-    /// Allocation-free form of [`Self::mem_value`]: appends to `effects`.
+    /// Effects are appended to `effects`.
     pub fn mem_value_into(
         &mut self,
         token: u64,
@@ -805,6 +768,47 @@ impl Amu {
 mod tests {
     use super::*;
     use amo_types::NodeId;
+
+    /// Collecting forms of the `*_into` entry points, so a test can match
+    /// on what one call produced.
+    impl Amu {
+        fn submit(&mut self, op: AmuOp, now: Cycle, stats: &mut Stats) -> (bool, Vec<AmuEffect>) {
+            let mut effects = Vec::new();
+            let ok = self.submit_into(op, now, stats, &mut effects);
+            (ok, effects)
+        }
+
+        fn advance(&mut self, now: Cycle, stats: &mut Stats) -> Vec<AmuEffect> {
+            let mut effects = Vec::new();
+            self.advance_into(now, stats, &mut effects);
+            effects
+        }
+
+        fn fine_value(
+            &mut self,
+            token: u64,
+            addr: Addr,
+            value: Word,
+            now: Cycle,
+            stats: &mut Stats,
+        ) -> Result<Vec<AmuEffect>, AmuError> {
+            let mut effects = Vec::new();
+            self.fine_value_into(token, addr, value, now, stats, &mut effects)?;
+            Ok(effects)
+        }
+
+        fn mem_value(
+            &mut self,
+            token: u64,
+            value: Word,
+            now: Cycle,
+            stats: &mut Stats,
+        ) -> Result<Vec<AmuEffect>, AmuError> {
+            let mut effects = Vec::new();
+            self.mem_value_into(token, value, now, stats, &mut effects)?;
+            Ok(effects)
+        }
+    }
 
     const LAT: Cycle = 8; // 2 hub cycles x 4
 

@@ -44,17 +44,15 @@ fn drive_amo(
         operand,
         test: None,
     };
-    let (ok, mut effects) = amu.submit(op, *now, stats);
-    assert!(ok);
+    let mut effects = Vec::new();
+    assert!(amu.submit_into(op, *now, stats, &mut effects));
     let mut reply = None;
     while let Some(e) = effects.pop() {
         match e {
             AmuEffect::FineGet { token, addr, .. } => {
                 let value = memory.get(&addr.0).copied().unwrap_or(0);
-                effects.extend(
-                    amu.fine_value(token, addr, value, *now + 10, stats)
-                        .unwrap(),
-                );
+                amu.fine_value_into(token, addr, value, *now + 10, stats, &mut effects)
+                    .unwrap();
             }
             AmuEffect::FinePut { addr, value, .. } | AmuEffect::WriteMemWord { addr, value } => {
                 memory.insert(addr.0, value);
@@ -72,7 +70,7 @@ fn drive_amo(
             }
             AmuEffect::WakeAt { when } => {
                 *now = (*now).max(when);
-                effects.extend(amu.advance(*now, stats));
+                amu.advance_into(*now, stats, &mut effects);
             }
             AmuEffect::ReadMemWord { .. } => unreachable!("no MAO ops in this test"),
         }
@@ -134,12 +132,12 @@ proptest! {
                 operand: 0,
                 test: Some(target),
             };
-            let (ok, mut effects) = amu.submit(op, now, &mut stats);
-            prop_assert!(ok);
+            let mut effects = Vec::new();
+            prop_assert!(amu.submit_into(op, now, &mut stats, &mut effects));
             while let Some(e) = effects.pop() {
                 match e {
                     AmuEffect::FineGet { token, addr, .. } => {
-                        effects.extend(amu.fine_value(token, addr, 0, now + 5, &mut stats).unwrap());
+                        amu.fine_value_into(token, addr, 0, now + 5, &mut stats, &mut effects).unwrap();
                     }
                     AmuEffect::FinePut { value, .. } => {
                         puts += 1;
@@ -153,7 +151,7 @@ proptest! {
                     }
                     AmuEffect::WakeAt { when } => {
                         now = now.max(when);
-                        effects.extend(amu.advance(now, &mut stats));
+                        amu.advance_into(now, &mut stats, &mut effects);
                     }
                     AmuEffect::ReplyAt { when, .. } => now = now.max(when),
                     _ => {}

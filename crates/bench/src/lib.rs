@@ -1,15 +1,12 @@
 //! Shared helpers for the benchmark harness binaries: the
-//! dependency-free CLI parser, wall-clock timing, steady-state host
-//! profiling, and the perf-history ledger + dashboard that `perf_smoke
-//! --history` and `perfdash` are built on. The experiment profiles
-//! live in `amo_campaign::ArtifactProfile`.
+//! dependency-free CLI parser, wall-clock timing and steady-state host
+//! profiling. The experiment profiles live in
+//! `amo_campaign::ArtifactProfile`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod history;
 pub mod hostprof;
-pub mod perfdash;
 pub mod timing;
 
 pub use timing::{timed, Stopwatch};

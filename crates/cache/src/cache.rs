@@ -49,7 +49,9 @@ impl SetAssocCache {
         );
         SetAssocCache {
             cfg,
-            sets: (0..sets).map(|_| Vec::with_capacity(cfg.ways)).collect(),
+            // Empty sets own no storage: a run touches a handful of the
+            // thousands of sets, so each allocates on its first insert.
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             tick: 0,
             hits: 0,
             misses: 0,

@@ -22,17 +22,17 @@ pub enum ProcEffect {
         /// Message.
         payload: Payload,
     },
-    /// Call [`Processor::step`] at `when`.
+    /// Call [`Processor::step_into`] at `when`.
     Wake {
         /// Wake-up time.
         when: Cycle,
     },
-    /// Call [`Processor::handler_done`] at `when`.
+    /// Call [`Processor::handler_done_into`] at `when`.
     HandlerWake {
         /// Handler completion time.
         when: Cycle,
     },
-    /// Call [`Processor::timeout`] with `req` at `when` (active-message
+    /// Call [`Processor::timeout_into`] with `req` at `when` (active-message
     /// retransmission, AMU NACK backoff, or end-to-end delivery timer —
     /// `kind` says which, because their expiry actions differ).
     TimeoutAt {
@@ -379,7 +379,7 @@ impl Processor {
         &mut self.caches
     }
 
-    /// Install a kernel and arm the processor; call [`Self::step`] to
+    /// Install a kernel and arm the processor; call [`Self::step_into`] to
     /// start it.
     pub fn load_kernel(&mut self, kernel: Box<dyn Kernel>) {
         self.kernel = Some(kernel);
@@ -428,13 +428,7 @@ impl Processor {
 
     /// Advance the kernel: complete local ops whose time has come and
     /// issue the next operation.
-    pub fn step(&mut self, now: Cycle, stats: &mut Stats) -> Vec<ProcEffect> {
-        let mut eff = Vec::new();
-        self.step_into(now, stats, &mut eff);
-        eff
-    }
-
-    /// Allocation-free form of [`Self::step`]: appends effects to `eff`.
+    /// Effects are appended to `eff`.
     pub fn step_into(&mut self, now: Cycle, stats: &mut Stats, eff: &mut Vec<ProcEffect>) {
         match self.kstate {
             KState::LocalOp { until } if now >= until => {
@@ -1111,13 +1105,7 @@ impl Processor {
     }
 
     /// Handle a message delivered to this processor.
-    pub fn handle(&mut self, payload: Payload, now: Cycle, stats: &mut Stats) -> Vec<ProcEffect> {
-        let mut eff = Vec::new();
-        self.handle_into(payload, now, stats, &mut eff);
-        eff
-    }
-
-    /// Allocation-free form of [`Self::handle`]: appends effects to `eff`.
+    /// Effects are appended to `eff`.
     pub fn handle_into(
         &mut self,
         payload: Payload,
@@ -1583,19 +1571,7 @@ impl Processor {
     }
 
     /// A retransmission timer fired.
-    pub fn timeout(
-        &mut self,
-        req: ReqId,
-        kind: TimerKind,
-        now: Cycle,
-        stats: &mut Stats,
-    ) -> Vec<ProcEffect> {
-        let mut eff = Vec::new();
-        self.timeout_into(req, kind, now, stats, &mut eff);
-        eff
-    }
-
-    /// Allocation-free form of [`Self::timeout`]: appends effects to `eff`.
+    /// Effects are appended to `eff`.
     pub fn timeout_into(
         &mut self,
         req: ReqId,
@@ -1935,13 +1911,7 @@ impl Processor {
     }
 
     /// A handler finished executing: apply its semantics, ack, publish.
-    pub fn handler_done(&mut self, now: Cycle, stats: &mut Stats) -> Vec<ProcEffect> {
-        let mut eff = Vec::new();
-        self.handler_done_into(now, stats, &mut eff);
-        eff
-    }
-
-    /// Allocation-free form of [`Self::handler_done`]: appends to `eff`.
+    /// Effects are appended to `eff`.
     pub fn handler_done_into(&mut self, now: Cycle, stats: &mut Stats, eff: &mut Vec<ProcEffect>) {
         let msg = self
             .running_handler
@@ -2097,19 +2067,7 @@ impl Processor {
 
     /// A fine-grained word update arrived at this node and the machine
     /// applied it to our caches; re-check a matching spin.
-    pub fn word_update(
-        &mut self,
-        addr: Addr,
-        value: Word,
-        now: Cycle,
-        stats: &mut Stats,
-    ) -> Vec<ProcEffect> {
-        let mut eff = Vec::new();
-        self.word_update_into(addr, value, now, stats, &mut eff);
-        eff
-    }
-
-    /// Allocation-free form of [`Self::word_update`]: appends to `eff`.
+    /// Effects are appended to `eff`.
     pub fn word_update_into(
         &mut self,
         addr: Addr,
@@ -2169,6 +2127,52 @@ impl Processor {
 mod tests {
     use super::*;
     use amo_types::SystemConfig;
+
+    /// Collecting forms of the `*_into` entry points, so a test can match
+    /// on what one call produced.
+    impl Processor {
+        fn step(&mut self, now: Cycle, stats: &mut Stats) -> Vec<ProcEffect> {
+            let mut eff = Vec::new();
+            self.step_into(now, stats, &mut eff);
+            eff
+        }
+
+        fn handle(&mut self, payload: Payload, now: Cycle, stats: &mut Stats) -> Vec<ProcEffect> {
+            let mut eff = Vec::new();
+            self.handle_into(payload, now, stats, &mut eff);
+            eff
+        }
+
+        fn timeout(
+            &mut self,
+            req: ReqId,
+            kind: TimerKind,
+            now: Cycle,
+            stats: &mut Stats,
+        ) -> Vec<ProcEffect> {
+            let mut eff = Vec::new();
+            self.timeout_into(req, kind, now, stats, &mut eff);
+            eff
+        }
+
+        fn handler_done(&mut self, now: Cycle, stats: &mut Stats) -> Vec<ProcEffect> {
+            let mut eff = Vec::new();
+            self.handler_done_into(now, stats, &mut eff);
+            eff
+        }
+
+        fn word_update(
+            &mut self,
+            addr: Addr,
+            value: Word,
+            now: Cycle,
+            stats: &mut Stats,
+        ) -> Vec<ProcEffect> {
+            let mut eff = Vec::new();
+            self.word_update_into(addr, value, now, stats, &mut eff);
+            eff
+        }
+    }
 
     fn proc0() -> Processor {
         Processor::new(ProcId(0), SystemConfig::with_procs(4))

@@ -83,7 +83,7 @@ pub enum DirAction {
         /// Causal flow of the put that triggered the update (0 = none).
         flow: u64,
     },
-    /// Start a timed DRAM block read; call [`Directory::dram_done`] with
+    /// Start a timed DRAM block read; call [`Directory::dram_done_into`] with
     /// the data when it completes.
     ReadDram {
         /// Block to read.
@@ -110,7 +110,7 @@ pub enum DirAction {
         block: BlockAddr,
     },
     /// Deliver a fine-grained-get value to the AMU. The block transaction
-    /// stays open until [`Directory::fine_complete`] is called.
+    /// stays open until [`Directory::fine_complete_into`] is called.
     FineValue {
         /// Token from the originating [`DirRequest::FineGet`].
         token: u64,
@@ -357,18 +357,7 @@ impl Directory {
 
     /// Feed a request. If the block has an open transaction the request is
     /// queued; otherwise it is dispatched immediately.
-    pub fn request(
-        &mut self,
-        block: BlockAddr,
-        req: DirRequest,
-        stats: &mut Stats,
-    ) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        self.request_into(block, req, stats, &mut actions);
-        actions
-    }
-
-    /// Allocation-free form of [`Self::request`]: appends to `actions`.
+    /// Actions are appended to `actions`.
     pub fn request_into(
         &mut self,
         block: BlockAddr,
@@ -641,13 +630,7 @@ impl Directory {
     }
 
     /// An invalidation acknowledgement arrived.
-    pub fn inv_ack(&mut self, block: BlockAddr, from: ProcId, stats: &mut Stats) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        self.inv_ack_into(block, from, stats, &mut actions);
-        actions
-    }
-
-    /// Allocation-free form of [`Self::inv_ack`]: appends to `actions`.
+    /// Actions are appended to `actions`.
     pub fn inv_ack_into(
         &mut self,
         block: BlockAddr,
@@ -665,19 +648,7 @@ impl Directory {
     }
 
     /// The (former) owner answered an intervention.
-    pub fn intervention_reply(
-        &mut self,
-        block: BlockAddr,
-        from: ProcId,
-        resp: InterventionResp,
-        stats: &mut Stats,
-    ) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        self.intervention_reply_into(block, from, resp, stats, &mut actions);
-        actions
-    }
-
-    /// Allocation-free form of [`Self::intervention_reply`].
+    /// Actions are appended to `actions`.
     pub fn intervention_reply_into(
         &mut self,
         block: BlockAddr,
@@ -725,19 +696,7 @@ impl Directory {
     }
 
     /// A writeback arrived from an owner eviction.
-    pub fn writeback(
-        &mut self,
-        block: BlockAddr,
-        from: ProcId,
-        data: BlockData,
-        stats: &mut Stats,
-    ) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        self.writeback_into(block, from, data, stats, &mut actions);
-        actions
-    }
-
-    /// Allocation-free form of [`Self::writeback`]: appends to `actions`.
+    /// Actions are appended to `actions`.
     pub fn writeback_into(
         &mut self,
         block: BlockAddr,
@@ -768,18 +727,7 @@ impl Directory {
     }
 
     /// A DRAM read started by [`DirAction::ReadDram`] finished.
-    pub fn dram_done(
-        &mut self,
-        block: BlockAddr,
-        data: BlockData,
-        stats: &mut Stats,
-    ) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        self.dram_done_into(block, data, stats, &mut actions);
-        actions
-    }
-
-    /// Allocation-free form of [`Self::dram_done`]: appends to `actions`.
+    /// Actions are appended to `actions`.
     pub fn dram_done_into(
         &mut self,
         block: BlockAddr,
@@ -802,19 +750,7 @@ impl Directory {
     /// word it writes back immediately (an `amo.fetchadd`, or an `amo.inc`
     /// whose test value matched). `flow` is the causal flow of the AMU
     /// operation, echoed on any word-update fanout.
-    pub fn fine_complete(
-        &mut self,
-        block: BlockAddr,
-        put: Option<(Addr, Word)>,
-        flow: u64,
-        stats: &mut Stats,
-    ) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        self.fine_complete_into(block, put, flow, stats, &mut actions);
-        actions
-    }
-
-    /// Allocation-free form of [`Self::fine_complete`]: appends to `actions`.
+    /// Actions are appended to `actions`.
     pub fn fine_complete_into(
         &mut self,
         block: BlockAddr,
@@ -957,6 +893,74 @@ impl Directory {
 mod tests {
     use super::*;
     use amo_types::NodeId;
+
+    /// Collecting forms of the `*_into` entry points, so a test can match
+    /// on what one call produced.
+    impl Directory {
+        fn request(
+            &mut self,
+            block: BlockAddr,
+            req: DirRequest,
+            stats: &mut Stats,
+        ) -> Vec<DirAction> {
+            let mut actions = Vec::new();
+            self.request_into(block, req, stats, &mut actions);
+            actions
+        }
+
+        fn inv_ack(&mut self, block: BlockAddr, from: ProcId, stats: &mut Stats) -> Vec<DirAction> {
+            let mut actions = Vec::new();
+            self.inv_ack_into(block, from, stats, &mut actions);
+            actions
+        }
+
+        fn intervention_reply(
+            &mut self,
+            block: BlockAddr,
+            from: ProcId,
+            resp: InterventionResp,
+            stats: &mut Stats,
+        ) -> Vec<DirAction> {
+            let mut actions = Vec::new();
+            self.intervention_reply_into(block, from, resp, stats, &mut actions);
+            actions
+        }
+
+        fn writeback(
+            &mut self,
+            block: BlockAddr,
+            from: ProcId,
+            data: BlockData,
+            stats: &mut Stats,
+        ) -> Vec<DirAction> {
+            let mut actions = Vec::new();
+            self.writeback_into(block, from, data, stats, &mut actions);
+            actions
+        }
+
+        fn dram_done(
+            &mut self,
+            block: BlockAddr,
+            data: BlockData,
+            stats: &mut Stats,
+        ) -> Vec<DirAction> {
+            let mut actions = Vec::new();
+            self.dram_done_into(block, data, stats, &mut actions);
+            actions
+        }
+
+        fn fine_complete(
+            &mut self,
+            block: BlockAddr,
+            put: Option<(Addr, Word)>,
+            flow: u64,
+            stats: &mut Stats,
+        ) -> Vec<DirAction> {
+            let mut actions = Vec::new();
+            self.fine_complete_into(block, put, flow, stats, &mut actions);
+            actions
+        }
+    }
 
     const HOME: NodeId = NodeId(0);
     const LINE_WORDS: usize = 16;

@@ -10,8 +10,7 @@
 //!   amortized O(1) for the event distributions a machine simulation
 //!   produces (most events land within a few hundred cycles of now).
 //! * [`HeapQueue`] — the original `BinaryHeap` future-event list, kept
-//!   as the reference implementation for differential testing and as
-//!   the before/after baseline for `perf_smoke`.
+//!   as the reference implementation for differential testing.
 //!
 //! Both obey the same determinism contract: events pop in strictly
 //! increasing `(time, sequence)` order, where the sequence number is

@@ -7,8 +7,8 @@
 //! associated `const ENABLED`, every hook is written
 //! `if P::ENABLED { self.prof.enter(..) }`, and the default zero-sized
 //! [`NopHostProf`] folds the whole hook away at compile time — the
-//! unprofiled hot path is untouched (pinned by the `perf_smoke` floor
-//! and a passivity test). [`HostProfiler`] is the recording
+//! unprofiled hot path is untouched (pinned by a passivity test).
+//! [`HostProfiler`] is the recording
 //! implementation: a scope stack with exact parent/child nesting,
 //! per-scope [`LatHist`] of nanosecond durations, and per-edge
 //! (caller → callee) totals so a flame-style tree and a self-time table

@@ -8,10 +8,10 @@
 //! `ENABLED` is an associated `const`. With the zero-sized [`NopTracer`]
 //! the guard is a compile-time `false`, so the entire hook — including
 //! construction of the [`TraceEvent`] — is dead code the optimizer
-//! removes; the PR-1 hot path stays byte-identical in spirit (verified by
-//! the `perf_smoke` guard in CI). With [`RingTracer`] events land in a
-//! fixed-capacity ring, so a trillion-cycle run still has bounded memory
-//! and keeps the *most recent* window, with a count of what it dropped.
+//! removes (`amo-benchmark` measures its end-to-end floors on this default
+//! path). With [`RingTracer`] events land in a fixed-capacity ring, so a
+//! trillion-cycle run still has bounded memory and keeps the *most
+//! recent* window, with a count of what it dropped.
 //!
 //! Exports:
 //! * [`critpath::analyze`] — causal-DAG critical-path extraction and
@@ -26,8 +26,8 @@
 //!   link backlogs, with an ASCII timeline renderer.
 //! * [`report::metrics_json`] — one JSON document combining `Stats` and
 //!   the time series, for `--metrics-json`.
-//! * [`jsonv::Json`] — a small JSON value parser used by tests and CI to
-//!   validate everything this crate emits.
+//! * [`Json`] — `amo_types`' small JSON value parser, re-exported because
+//!   tests and CI validate everything this crate emits with it.
 //! * [`hostprof`] — *host-side* self-profiling: the same
 //!   compile-time-gated pattern applied to the simulator's own
 //!   wall-clock and allocations (`amo-hostprof-v1` reports).
@@ -40,7 +40,6 @@
 
 pub mod critpath;
 pub mod hostprof;
-pub mod jsonv;
 pub mod perfetto;
 pub mod report;
 pub mod timeseries;
@@ -54,8 +53,9 @@ pub use hostprof::{
     HostProfReport, HostProfSection, HostProfSectionSummary, HostProfiler, NopHostProf, Scope,
     ScopeReport,
 };
-pub use jsonv::Json;
 pub use perfetto::{perfetto_json, text_dump, validate_perfetto, PerfettoSummary};
 pub use report::{campaign_metrics_json, metrics_json, CampaignSummary};
 pub use timeseries::{Metric, NodeSample, Tick, TimeSeries};
 pub use tracer::{NopTracer, RingTracer, TraceBuf, TraceEvent, TraceKind, Tracer, Violation};
+
+pub use amo_types::Json;

@@ -282,7 +282,7 @@ pub fn validate_perfetto(
     json: &str,
     expected_nodes: Option<u16>,
 ) -> Result<PerfettoSummary, String> {
-    let doc = crate::jsonv::Json::parse(json)?;
+    let doc = amo_types::Json::parse(json)?;
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_arr())

@@ -104,9 +104,9 @@ pub fn campaign_metrics_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonv::Json;
     use crate::timeseries::{NodeSample, Tick};
     use amo_types::stats::{MsgClass, MsgEndpoint, OpClass};
+    use amo_types::Json;
     use amo_types::NodeId;
 
     #[test]

@@ -190,7 +190,7 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonv::Json;
+    use amo_types::Json;
 
     fn series() -> TimeSeries {
         let mut ts = TimeSeries::new(100, 2);

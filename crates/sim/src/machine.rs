@@ -53,11 +53,11 @@ define_events! {
     /// the queue through dispatch; payloads ride along by value.
     #[derive(Debug)]
     enum Event / EventKind {
-        /// Call `Processor::step`.
+        /// Call `Processor::step_into`.
         ProcWake(ProcId),
-        /// Call `Processor::handler_done`.
+        /// Call `Processor::handler_done_into`.
         ProcHandlerDone(ProcId),
-        /// Call `Processor::timeout`.
+        /// Call `Processor::timeout_into`.
         ProcTimeout(ProcId, ReqId, TimerKind),
         /// Apply a word update at a processor (bus latency included).
         ProcWordUpdate(ProcId, Addr, Word),
@@ -156,7 +156,6 @@ pub struct Machine<T: Tracer = NopTracer, P: HostProf = NopHostProf> {
     marks: Vec<(ProcId, u32, Cycle)>,
     finished: Vec<Option<Cycle>>,
     installed: Vec<bool>,
-    trace: Option<Vec<String>>,
     event_counts: [u64; Event::COUNT],
     /// Same-cycle dispatch batch: events drained from the queue but not
     /// yet dispatched, in *reverse* `(time, seq)` order so dispatch pops
@@ -168,10 +167,10 @@ pub struct Machine<T: Tracer = NopTracer, P: HostProf = NopHostProf> {
     batch: Vec<Event>,
     /// Firing time of the events in `batch`.
     batch_when: Cycle,
-    /// Batched same-cycle dispatch switch (on by default). The forced
-    /// per-event path exists for differential determinism testing; see
-    /// [`Machine::set_batched_dispatch`].
-    batched: bool,
+    /// Differential oracle for the batched drain: refill the batch one
+    /// event at a time instead.
+    #[cfg(test)]
+    per_event: bool,
     /// Reusable effect buffers: the dispatch hot path hands one to each
     /// component `*_into` call and returns it after draining, so steady
     /// state event processing performs no heap allocation. Pools (not
@@ -244,14 +243,7 @@ fn queue_capacity(cfg: &SystemConfig) -> usize {
 impl Machine {
     /// Build a machine per `cfg` (validated).
     pub fn new(cfg: SystemConfig) -> Self {
-        Self::new_with_queue(cfg, QueueKind::Calendar)
-    }
-
-    /// Build a machine with an explicit future-event-list implementation
-    /// (the heap variant exists for differential testing and perf
-    /// baselines; results are bit-identical either way).
-    pub fn new_with_queue(cfg: SystemConfig, kind: QueueKind) -> Self {
-        Machine::with_tracer(cfg, kind, NopTracer)
+        Machine::with_tracer(cfg, QueueKind::Calendar, NopTracer)
     }
 }
 
@@ -259,7 +251,7 @@ impl<T: Tracer> Machine<T> {
     /// Build a machine that records a cycle-stamped event trace through
     /// `tracer` (e.g. `amo_obs::RingTracer`). Processor op-span emission
     /// is switched on here so issue→completion spans reach the trace;
-    /// the plain constructors leave it off.
+    /// [`Machine::new`] leaves it off.
     pub fn with_tracer(cfg: SystemConfig, kind: QueueKind, tracer: T) -> Self {
         Machine::with_parts(cfg, kind, tracer, NopHostProf)
     }
@@ -301,11 +293,11 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             marks: Vec::new(),
             finished: vec![None; cfg.num_procs as usize],
             installed: vec![false; cfg.num_procs as usize],
-            trace: None,
             event_counts: [0; Event::COUNT],
             batch: Vec::new(),
             batch_when: 0,
-            batched: std::env::var_os("AMO_DISPATCH_PER_EVENT").is_none(),
+            #[cfg(test)]
+            per_event: false,
             proc_eff_pool: Vec::new(),
             amu_eff_pool: Vec::new(),
             dir_act_pool: Vec::new(),
@@ -339,16 +331,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     pub fn enable_watchdog(&mut self, window: Cycle) {
         assert!(window > 0, "watchdog window must be positive");
         self.watchdog_window = window;
-    }
-
-    /// Switch batched same-cycle dispatch on or off (on by default;
-    /// `AMO_DISPATCH_PER_EVENT=1` in the environment turns it off at
-    /// construction). The per-event path exists purely as a differential
-    /// oracle: results are bit-identical either way, and the machine
-    /// determinism tests enforce that. Call before [`run`](Self::run).
-    pub fn set_batched_dispatch(&mut self, batched: bool) {
-        assert!(self.batch.is_empty(), "cannot switch mid-batch");
-        self.batched = batched;
     }
 
     /// Mutable access to the attached tracer (e.g. to read drop counts).
@@ -471,17 +453,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             .collect()
     }
 
-    /// Enable event tracing (debugging aid; every dispatched event is
-    /// recorded as a line).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Recorded trace lines, if tracing was enabled.
-    pub fn trace(&self) -> &[String] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
     /// The machine's configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
@@ -577,16 +548,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                         None
                     }
                     Some(next) => {
-                        if self.batched {
-                            self.queue.pop_batch_into(&mut self.batch);
-                            self.batch.reverse();
-                        } else {
-                            // Forced per-event path: a one-event
-                            // "batch", kept for differential determinism
-                            // testing against the batched drain.
-                            let (_, ev) = self.queue.pop().expect("peeked event");
-                            self.batch.push(ev);
-                        }
+                        self.refill_batch();
                         Some(next)
                     }
                 };
@@ -611,9 +573,13 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             let when = self.batch_when;
             while let Some(ev) = self.batch.pop() {
                 events += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(format!("{when}: {ev:?}"));
-                }
+                // Keep the popped event whole in memory. Otherwise LLVM
+                // threads the tag tests of `pop`, `index` and the
+                // dispatch `match` into one jump and rebuilds the event
+                // in every arm as tag + payload with 16-byte copies at a
+                // 2-byte offset, whose store-forwarding stalls cost 19 %
+                // of `lock_amo_64`'s wall time.
+                let ev = std::hint::black_box(ev);
                 let idx = ev.index();
                 self.event_counts[idx] += 1;
                 if P::ENABLED {
@@ -689,6 +655,19 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             hit_limit,
             error,
         }
+    }
+
+    /// Drain every event at the earliest pending time into `batch`,
+    /// reversed so dispatch pops them from the back in `(time, seq)` order.
+    fn refill_batch(&mut self) {
+        #[cfg(test)]
+        if self.per_event {
+            let (_, ev) = self.queue.pop().expect("peeked event");
+            self.batch.push(ev);
+            return;
+        }
+        self.queue.pop_batch_into(&mut self.batch);
+        self.batch.reverse();
     }
 
     /// Like [`run`](Self::run), but folds the typed fault into the
@@ -2321,7 +2300,7 @@ mod tests {
         // counter agrees between the calendar queue and the reference
         // heap at the same seed/skew.
         let run = |kind: QueueKind| {
-            let mut m = Machine::new_with_queue(SystemConfig::with_procs(8), kind);
+            let mut m = Machine::with_tracer(SystemConfig::with_procs(8), kind, NopTracer);
             let a = var(0, 0x600);
             for p in 0..8u16 {
                 let (k, _) = Script::new(vec![
@@ -2371,8 +2350,8 @@ mod tests {
         // counter, and event tally must agree with it — for both queue
         // implementations.
         let run = |kind: QueueKind, batched: bool| {
-            let mut m = Machine::new_with_queue(SystemConfig::with_procs(8), kind);
-            m.set_batched_dispatch(batched);
+            let mut m = Machine::with_tracer(SystemConfig::with_procs(8), kind, NopTracer);
+            m.per_event = !batched;
             let a = var(0, 0x600);
             for p in 0..8u16 {
                 let (k, _) = Script::new(vec![

@@ -4,8 +4,7 @@
 //! the matching read side, used by the campaign result cache to decode
 //! stored run artifacts, by tests and the CI traced-smoke step to
 //! prove the emitted artifacts actually parse, and by tooling (the
-//! `perf_smoke` baseline guard, the campaign spec parser) to read
-//! committed JSON records. Recursive descent, strict (no trailing
+//! campaign spec parser) to read committed JSON records. Recursive descent, strict (no trailing
 //! garbage, no NaN/Infinity), and deliberately simple — numbers all
 //! become `f64` (exact for integers below 2^53, which covers every
 //! counter the simulator emits in practice).

@@ -14,6 +14,7 @@
 //! results are bit-identical to a serial run.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Worker-pool size: the `AMO_SWEEP_THREADS` environment variable if
@@ -35,13 +36,25 @@ pub fn sweep_workers() -> usize {
 ///
 /// Tasks are dealt round-robin onto per-worker queues; a worker drains
 /// its own queue from the front and steals from the back of the busiest
-/// other queue when starved. Panics in any task propagate.
+/// other queue when starved. A panicking task does not stop the others;
+/// once all have run, the panic of the lowest-indexed failed task
+/// resumes on the caller with its original payload, so which failure is
+/// reported does not depend on the worker count.
 pub fn par_run<O, F>(tasks: usize, f: F) -> Vec<O>
 where
     O: Send,
     F: Fn(usize) -> O + Sync,
 {
-    let workers = sweep_workers().min(tasks);
+    par_run_on(sweep_workers(), tasks, f)
+}
+
+/// [`par_run`] on an explicit pool size.
+fn par_run_on<O, F>(workers: usize, tasks: usize, f: F) -> Vec<O>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    let workers = workers.min(tasks);
     if workers <= 1 {
         return (0..tasks).map(f).collect();
     }
@@ -49,7 +62,8 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..tasks).step_by(workers).collect()))
         .collect();
-    let results: Vec<Mutex<Option<O>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<std::thread::Result<O>>>> =
+        (0..tasks).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|s| {
         for w in 0..workers {
@@ -66,7 +80,9 @@ where
                 };
                 match task {
                     Some(t) => {
-                        let out = f(t);
+                        // The payload is re-raised below, so no state a
+                        // panicking task left behind is ever observed.
+                        let out = catch_unwind(AssertUnwindSafe(|| f(t)));
                         *results[t].lock().expect("result poisoned") = Some(out);
                     }
                     None => break,
@@ -81,6 +97,7 @@ where
             slot.into_inner()
                 .expect("result poisoned")
                 .expect("every task ran exactly once")
+                .unwrap_or_else(|payload| resume_unwind(payload))
         })
         .collect()
 }
@@ -98,15 +115,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Pool sizes every test runs at, so no verdict depends on the
+    /// host's core count or the environment.
+    const WORKERS: [usize; 3] = [1, 2, 4];
+
     #[test]
     fn results_come_back_in_index_order() {
-        let out = par_run(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        for w in WORKERS {
+            let out = par_run_on(w, 100, |i| i * i);
+            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn empty_and_single_task_sets() {
-        assert_eq!(par_run(0, |i| i), Vec::<usize>::new());
+        for w in WORKERS {
+            assert_eq!(par_run_on(w, 0, |i| i), Vec::<usize>::new());
+            assert_eq!(par_run_on(w, 1, |i| i + 41), vec![41]);
+        }
         assert_eq!(par_run(1, |i| i + 41), vec![41]);
     }
 
@@ -114,31 +140,42 @@ mod tests {
     fn uneven_task_costs_all_complete() {
         // Front-loaded heavy tasks force stealing to finish in bounded
         // time; correctness is that every slot is filled, in order.
-        let ran = AtomicUsize::new(0);
-        let out = par_run(40, |i| {
-            let spins = if i < 4 { 200_000 } else { 100 };
-            let mut acc = i as u64;
-            for k in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+        for w in WORKERS {
+            let ran = AtomicUsize::new(0);
+            let out = par_run_on(w, 40, |i| {
+                let spins = if i < 4 { 200_000 } else { 100 };
+                let mut acc = i as u64;
+                for k in 0..spins {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                (i, acc != 0)
+            });
+            assert_eq!(ran.load(Ordering::Relaxed), 40);
+            assert_eq!(out.len(), 40);
+            for (idx, &(i, _)) in out.iter().enumerate() {
+                assert_eq!(idx, i);
             }
-            ran.fetch_add(1, Ordering::Relaxed);
-            (i, acc != 0)
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 40);
-        assert_eq!(out.len(), 40);
-        for (idx, &(i, _)) in out.iter().enumerate() {
-            assert_eq!(idx, i);
         }
     }
 
     #[test]
-    #[should_panic(expected = "task 7 exploded")]
-    fn task_panics_propagate() {
-        par_run(16, |i| {
-            if i == 7 {
-                panic!("task 7 exploded");
-            }
-            i
-        });
+    fn lowest_indexed_panic_propagates_with_its_payload() {
+        for w in WORKERS {
+            let payload = catch_unwind(|| {
+                par_run_on(w, 16, |i| {
+                    if i == 7 || i == 12 {
+                        panic!("task {i} exploded");
+                    }
+                    i
+                })
+            })
+            .expect_err("a failed task must fail the run");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("task 7 exploded"),
+                "{w} workers"
+            );
+        }
     }
 }
