@@ -1,8 +1,4 @@
-//! Wall-clock measurement shared by the harness binaries.
-//!
-//! Every binary that used to open-code `let t0 = Instant::now(); ...;
-//! t0.elapsed()` goes through [`timed`] instead, which is also the
-//! entry point the host profiler rides on (see [`crate::hostprof`]).
+//! Wall-clock measurement shared by `amo` and `amo-benchmark`.
 
 use std::time::Instant;
 
@@ -12,23 +8,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let value = f();
     (value, t0.elapsed().as_secs_f64())
-}
-
-/// A running wall clock, for the binaries that report one elapsed
-/// figure at the end of several stages rather than timing one closure.
-pub struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Start the clock.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Seconds since the clock started.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
 }
 
 #[cfg(test)]

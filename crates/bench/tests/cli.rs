@@ -1,0 +1,291 @@
+//! Drives the `amo` binary the way a shell would: every subcommand
+//! runs, malformed command lines fail loudly with exit status 2, the
+//! documented exit status 1 cases keep it, deterministic outputs are
+//! byte-identical across runs, and no committed document names a
+//! command the binary does not have.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+struct Out {
+    status: i32,
+    stdout: String,
+    stderr: String,
+}
+
+/// Run `amo` with `line` split at whitespace (no test path holds any).
+fn amo(line: &str) -> Out {
+    let out = Command::new(env!("CARGO_BIN_EXE_amo"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("the amo binary runs");
+    Out {
+        status: out.status.code().expect("amo exits, it is not killed"),
+        stdout: String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        stderr: String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    }
+}
+
+/// Run and require exit status 0; returns stdout.
+fn ok(line: &str) -> String {
+    let out = amo(line);
+    assert_eq!(out.status, 0, "amo {line}: {}", out.stderr);
+    out.stdout
+}
+
+/// A scratch path under the target directory.
+fn tmp(name: &str) -> String {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("amo-cli");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    dir.join(name).to_str().expect("utf-8 path").to_string()
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The subcommand words `amo help` lists (`experiment` once).
+fn subcommands() -> Vec<String> {
+    let mut subs: Vec<String> = ok("help")
+        .lines()
+        .filter_map(|l| l.strip_prefix("  amo "))
+        .map(|l| l.split(' ').next().expect("a name").to_string())
+        .collect();
+    subs.dedup();
+    subs
+}
+
+#[test]
+fn help_is_the_one_usage_text() {
+    let help = ok("help");
+    let subs = "tables campaign experiment ablations chaos chaos_search verify";
+    assert_eq!(subcommands(), subs.split(' ').collect::<Vec<_>>());
+    for name in amo_campaign::artifacts::ARTIFACT_NAMES {
+        assert!(help.contains(name), "help must name artefact {name}");
+    }
+    assert!(help.lines().all(|l| l.len() <= 80), "help wraps at 80");
+    for line in ["", "tabels --quick"] {
+        let out = amo(line);
+        assert_eq!(out.status, 2, "amo {line}");
+        assert!(out.stderr.ends_with(&help), "amo {line}: {}", out.stderr);
+    }
+}
+
+#[test]
+fn tables_is_campaign_with_the_cache_off() {
+    let tables = ok("tables --quick");
+    assert!(tables.contains("Table 2") && tables.contains("Figure 7"));
+    assert_eq!(tables, ok("campaign quick --no-cache"));
+    // The switch must not swallow the profile after it.
+    assert_eq!(tables, ok("campaign --no-cache quick"));
+    let csv = ok("tables --quick --csv table2 table4");
+    assert!(csv.starts_with("table,procs,mech") && csv.contains("\ntable4,"));
+}
+
+#[test]
+fn campaign_runs_specs_through_the_cache() {
+    let (spec, cache, metrics) = (tmp("grid.json"), tmp("cache"), tmp("campaign.json"));
+    std::fs::write(
+        &spec,
+        r#"{"schema": "amo-campaign-v1", "name": "cli", "kind": "grid", "workload": "lock",
+            "base": {"procs": 4, "rounds": 2, "kind": "array"},
+            "axes": {"mech": ["LL/SC", "AMO"]}}"#,
+    )
+    .unwrap();
+    let _ = std::fs::remove_dir_all(&cache);
+    let line = format!("campaign --spec {spec} --cache-dir {cache} --metrics-json {metrics}");
+    let cold = ok(&line);
+    assert!(cold.contains("cli[mech=AMO]"), "{cold}");
+    assert!(read(&metrics).contains("\"cache_misses\":2"));
+    assert_eq!(ok(&line), cold, "the warm run renders the same bytes");
+    assert!(read(&metrics).contains("\"cache_misses\":0"));
+
+    let unknown = r#"{"schema": "amo-campaign-v1", "name": "x", "kind": "artifacts",
+                      "artifacts": ["tabel2"]}"#;
+    std::fs::write(&spec, unknown).unwrap();
+    let bad = amo(&format!("campaign --spec {spec} --no-cache"));
+    assert_eq!(bad.status, 1);
+    assert!(bad.stderr.contains("\"tabel2\"") && bad.stdout.is_empty());
+}
+
+#[test]
+fn experiment_runs_and_writes_every_observability_document() {
+    let docs = [
+        ("trace-out", tmp("trace.json"), "\"traceEvents\""),
+        ("critpath-out", tmp("critpath.json"), "\"amo-critpath-v1\""),
+        ("metrics-json", tmp("metrics.json"), "\"amo-metrics-v1\""),
+        ("hostprof-out", tmp("hostprof.json"), "\"amo-hostprof-v1\""),
+    ];
+    let mut line =
+        String::from("experiment barrier --mech amo --procs 8 --episodes 3 --algo tree:2");
+    for (flag, path, _) in &docs {
+        line.push_str(&format!(" --{flag} {path}"));
+    }
+    let out = ok(&line);
+    assert!(out.starts_with("AMO barrier, 8 CPUs, Tree(2):"), "{out}");
+    for (_, path, needle) in &docs {
+        assert!(read(path).contains(needle), "{path} lacks {needle}");
+    }
+    let csv = ok("experiment lock --mech LL/SC --kind mcs --procs 4 --rounds 2 --csv");
+    assert!(csv.contains("\nlock,LL/SC,Mcs,4,"), "{csv}");
+}
+
+#[test]
+fn chaos_is_deterministic_and_plans_replay() {
+    let first = ok("chaos --quick --seed 42 --procs 8");
+    assert!(first.contains("result=ok"), "{first}");
+    assert_eq!(first, ok("chaos --quick --seed 42 --procs 8"));
+    let typed = ok("chaos --quick --procs 8 --unrecoverable");
+    assert!(typed.contains("kind=LinkFailed"), "{typed}");
+    let search = ok("chaos_search --samples 2 --procs 8 --episodes 2 --drops 0,20000");
+    assert!(search.contains("searched: sampled=2"), "{search}");
+
+    // A recorded plan replays; one whose recorded kind the run does not
+    // reproduce is exit status 1.
+    let plan = tmp("plan.json");
+    let minted = ok(&format!(
+        "chaos --quick --procs 8 --drop 20000 --plan-out {plan}"
+    ));
+    assert!(minted.contains("kind=ok"), "{minted}");
+    let replayed = ok(&format!("chaos --plan-in {plan}"));
+    assert!(
+        replayed.ends_with("replay=reproduced kind=ok\n"),
+        "{replayed}"
+    );
+    let doc = read(&plan);
+    assert!(doc.contains("\"kind\":\"ok\""));
+    std::fs::write(&plan, doc.replace("\"kind\":\"ok\"", "\"kind\":\"Stall\"")).unwrap();
+    let diverged = amo(&format!("chaos --plan-in {plan}"));
+    assert_eq!(diverged.status, 1);
+    let why = "expected Stall but observed ok";
+    assert!(diverged.stderr.contains(why), "{}", diverged.stderr);
+}
+
+#[test]
+fn verify_modes_run_and_violations_are_exit_status_1() {
+    let specs = repo_root().join("specs");
+    let specs = specs.to_str().expect("utf-8 path");
+    let clean = ok("verify --explore --workload ticket-lock");
+    assert!(clean.contains("\"violations\":0"), "{clean}");
+    let matrix = ok(&format!(
+        "verify --matrix {specs}/verify-matrix.json --no-cache"
+    ));
+    assert!(matrix.contains("\"violations\":0"), "{matrix}");
+    let replay = ok(&format!("verify --replay {specs}/verify-known-good.json"));
+    assert!(replay.starts_with("replay: ok kind=ok"), "{replay}");
+    let passive = ok("verify --passivity --procs 8");
+    assert_eq!(passive.matches("passivity: ok").count(), 2, "{passive}");
+
+    let planted = amo("verify --explore --procs 2 --dups --planted-double-apply");
+    assert_eq!(planted.status, 1);
+    assert!(planted.stdout.contains("\"violations\":1"));
+}
+
+#[test]
+fn ablations_are_deterministic() {
+    let first = ok("ablations");
+    assert_eq!(first.matches("== ablation:").count(), 8, "{first}");
+    assert_eq!(first, ok("ablations"));
+}
+
+#[test]
+fn malformed_command_lines_exit_2_naming_the_offending_token() {
+    for (line, token) in [
+        // The four silent or panicking cases of the six old binaries
+        // (the fourth, `campaign --no-cache quick`, is checked above).
+        (
+            "experiment barrier --mech amo --procs 8 --epsiodes 3",
+            "--epsiodes",
+        ),
+        ("chaos --quick --procs banana", "banana"),
+        ("tables --quick tabel2", "tabel2"),
+        // One of each remaining kind.
+        ("campaign quick paper", "paper"),
+        ("campaign --spec", "--spec"),
+        ("campaign papr", "papr"),
+        ("ablations now", "now"),
+        ("chaos_search --drops 1,x", "'x'"),
+        ("verify --explore --mech AMOO", "AMOO"),
+        ("verify --explore --workload lokc", "lokc"),
+        ("verify --explore --procs 0", "--procs"),
+        ("verify --procs 2", "--explore"),
+        (
+            "experiment barrier --mech amo --procs 8 --algo tre:4",
+            "tre:4",
+        ),
+        ("experiment barrier --mech amo --procs 7", "--procs"),
+        (
+            "experiment lock --mech amo --procs 8 --kind tikcet",
+            "tikcet",
+        ),
+        ("experiment lock --kind mcs --procs 8", "--mech"),
+        ("experiment barier --mech amo", "barier"),
+    ] {
+        let out = amo(line);
+        assert_eq!(out.status, 2, "amo {line}: {}", out.stderr);
+        assert!(out.stdout.is_empty(), "amo {line} printed a document");
+        let first = out.stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("amo") && first.contains(token),
+            "amo {line}: {first}"
+        );
+        assert!(out.stderr.contains("usage:"), "amo {line}: no usage");
+        assert!(!out.stderr.contains("panicked"), "amo {line} panicked");
+    }
+}
+
+#[test]
+fn documents_name_only_commands_the_binary_has() {
+    let old = [
+        "tables",
+        "campaign",
+        "experiment",
+        "chaos",
+        "chaos_search",
+        "verify",
+    ];
+    let subs = subcommands();
+    let mut commands = 0;
+    for file in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+        "crates/core/src/lib.rs",
+    ] {
+        let text = std::fs::read_to_string(repo_root().join(file)).expect(file);
+        // Words, without the punctuation prose and markdown wrap around
+        // a command.
+        let toks: Vec<&str> = text
+            .split_whitespace()
+            .map(|tok| tok.trim_matches(|c: char| "`'\"()[],.;:".contains(c)))
+            .collect();
+        for (i, tok) in toks.iter().enumerate() {
+            let next = |n: usize| toks.get(i + n).copied().unwrap_or("");
+            let old_bin = *tok == "--bin" && old.contains(&next(1));
+            let old_path = old
+                .iter()
+                .any(|old| tok.ends_with(&format!("target/release/{old}")));
+            let bench = *tok == "cargo" && next(1) == "bench";
+            assert!(!(old_bin || old_path || bench), "{file}: {tok} {}", next(1));
+            let sub = if tok.ends_with("target/release/amo") {
+                next(1)
+            } else if *tok == "-p" && next(1) == "amo-bench" && next(2) == "--" {
+                next(3)
+            } else {
+                continue;
+            };
+            assert!(
+                sub == "help" || subs.iter().any(|s| s == sub),
+                "{file}: `amo {sub}` is not a subcommand"
+            );
+            commands += 1;
+        }
+    }
+    assert!(commands >= 40, "only {commands} documented commands found");
+}

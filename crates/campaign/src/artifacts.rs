@@ -695,7 +695,16 @@ impl ArtifactProfile {
         }
     }
 
-    /// A fast profile for smoke tests and Criterion runs.
+    /// The profile a spec or command line names: `paper` or `quick`.
+    pub fn named(name: &str) -> Result<Self, String> {
+        match name {
+            "paper" => Ok(Self::paper()),
+            "quick" => Ok(Self::quick()),
+            other => Err(format!("unknown profile {other:?} (paper, quick)")),
+        }
+    }
+
+    /// A fast profile for smoke tests.
     pub fn quick() -> Self {
         ArtifactProfile {
             sizes: vec![4, 8, 16],
@@ -705,6 +714,40 @@ impl ArtifactProfile {
             warmup: 1,
             rounds: 4,
         }
+    }
+}
+
+/// Every artifact name [`render_artifacts`] understands, in document
+/// order.
+pub const ARTIFACT_NAMES: [&str; 14] = [
+    "table2",
+    "figure5",
+    "table3",
+    "figure6",
+    "table4",
+    "figure7",
+    "ext-locks",
+    "ext-barriers",
+    "ext-ktree",
+    "ext-app",
+    "ext-cs",
+    "ext-signal",
+    "ext-selfsched",
+    "figure1",
+];
+
+/// Reject a selection naming anything but [`ARTIFACT_NAMES`] or `all`:
+/// [`render_artifacts`] would silently render nothing for it.
+pub fn check_artifact_names(names: &[String]) -> Result<(), String> {
+    match names
+        .iter()
+        .find(|n| *n != "all" && !ARTIFACT_NAMES.contains(&n.as_str()))
+    {
+        None => Ok(()),
+        Some(bad) => Err(format!(
+            "unknown artifact {bad:?} (all, {})",
+            ARTIFACT_NAMES.join(", ")
+        )),
     }
 }
 
@@ -835,6 +878,31 @@ pub fn render_artifacts(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifact_names_are_exactly_what_render_artifacts_asks_for() {
+        let asked = std::cell::RefCell::new(Vec::new());
+        let want = |n: &str| {
+            if !asked.borrow().iter().any(|a| a == n) {
+                asked.borrow_mut().push(n.to_string());
+            }
+            false
+        };
+        let doc = render_artifacts(
+            &mut Campaign::uncached(),
+            &ArtifactProfile::quick(),
+            &want,
+            false,
+        );
+        assert_eq!(doc, "", "nothing wanted, nothing rendered");
+        assert_eq!(*asked.borrow(), ARTIFACT_NAMES);
+        assert!(check_artifact_names(&["all".into(), "figure1".into()]).is_ok());
+        let err = check_artifact_names(&["tabel2".into()]).unwrap_err();
+        assert!(
+            err.contains("\"tabel2\"") && err.contains("table2"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn table2_small_shapes() {

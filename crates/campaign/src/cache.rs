@@ -22,17 +22,12 @@
 
 use crate::run::{outcome_from_json, outcome_to_json, RunArtifacts};
 use amo_types::jsonv::Json;
-use amo_types::seed::stable_hash128;
+use amo_types::seed::{key_hex, stable_hash128};
 use amo_types::JsonWriter;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of the entry header line.
 pub const CACHE_SCHEMA: &str = "amo-cache-v1";
-
-/// Render a 128-bit key as 32 lowercase hex digits.
-pub fn key_hex(key: (u64, u64)) -> String {
-    format!("{:016x}{:016x}", key.0, key.1)
-}
 
 /// A handle on one on-disk cache directory.
 #[derive(Clone, Debug)]
@@ -67,23 +62,7 @@ impl ResultCache {
     /// passes verification; any defect (unreadable, malformed header,
     /// key/length/checksum mismatch, undecodable payload) is a miss.
     pub fn get(&self, key: (u64, u64)) -> Option<Result<RunArtifacts, String>> {
-        let raw = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let (header, payload) = raw.split_once('\n')?;
-        let payload = payload.strip_suffix('\n').unwrap_or(payload);
-        let h = Json::parse(header).ok()?;
-        if h.get("schema")?.as_str()? != CACHE_SCHEMA {
-            return None;
-        }
-        if h.get("key")?.as_str()? != key_hex(key) {
-            return None;
-        }
-        if h.get("len")?.as_u64()? != payload.len() as u64 {
-            return None;
-        }
-        if h.get("checksum")?.as_str()? != key_hex(stable_hash128(payload.as_bytes())) {
-            return None;
-        }
-        outcome_from_json(payload).ok()
+        outcome_from_json(&read_entry(&self.entry_path(key), key)?).ok()
     }
 
     /// Store `outcome` under `key`, atomically (temp file + rename).
@@ -107,34 +86,44 @@ impl ResultCache {
             .join(format!("{hex}.json"))
     }
 
-    /// Look up a derived-artifact blob (e.g. a critical-path report)
-    /// stored under `kind`/`key`. Entries use the same
+    /// Look up a derived-artifact blob (e.g. a verification-matrix cell
+    /// summary) stored under `kind`/`key`. Entries use the same
     /// header-plus-checksum envelope as run outcomes, so corruption is a
     /// miss here too.
     pub fn get_blob(&self, kind: &str, key: (u64, u64)) -> Option<String> {
-        let raw = std::fs::read_to_string(self.blob_path(kind, key)).ok()?;
-        let (header, payload) = raw.split_once('\n')?;
-        let payload = payload.strip_suffix('\n').unwrap_or(payload);
-        let h = Json::parse(header).ok()?;
-        if h.get("schema")?.as_str()? != CACHE_SCHEMA {
-            return None;
-        }
-        if h.get("key")?.as_str()? != key_hex(key) {
-            return None;
-        }
-        if h.get("len")?.as_u64()? != payload.len() as u64 {
-            return None;
-        }
-        if h.get("checksum")?.as_str()? != key_hex(stable_hash128(payload.as_bytes())) {
-            return None;
-        }
-        Some(payload.to_string())
+        read_entry(&self.blob_path(kind, key), key)
     }
 
     /// Store a derived-artifact blob under `kind`/`key`, atomically.
     pub fn put_blob(&self, kind: &str, key: (u64, u64), payload: &str) -> Result<(), String> {
         write_entry(&self.blob_path(kind, key), key, payload)
     }
+}
+
+/// Read one cache entry and return its payload if the header's schema,
+/// key, length and checksum all verify.
+fn read_entry(path: &Path, key: (u64, u64)) -> Option<String> {
+    let mut raw = std::fs::read_to_string(path).ok()?;
+    let (header, payload) = raw.split_once('\n')?;
+    let payload = payload.strip_suffix('\n').unwrap_or(payload);
+    let h = Json::parse(header).ok()?;
+    if h.get("schema")?.as_str()? != CACHE_SCHEMA {
+        return None;
+    }
+    if h.get("key")?.as_str()? != key_hex(key) {
+        return None;
+    }
+    if h.get("len")?.as_u64()? != payload.len() as u64 {
+        return None;
+    }
+    if h.get("checksum")?.as_str()? != key_hex(stable_hash128(payload.as_bytes())) {
+        return None;
+    }
+    // Keep the payload in the buffer the file was read into.
+    let (start, len) = (header.len() + 1, payload.len());
+    raw.truncate(start + len);
+    raw.drain(..start);
+    Some(raw)
 }
 
 /// Write one checksummed cache entry (header line + payload) via a temp

@@ -9,8 +9,8 @@
 //! only if the shrunk plan still fails with the *same* typed
 //! [`SimErrorKind`] discriminant. The result is the minimal
 //! deterministic reproducer, serialized as a replayable
-//! `amo-fault-plan-v1` JSON document that the `chaos` binary can
-//! `--plan-in`.
+//! `amo-fault-plan-v1` JSON document that `amo chaos --plan-in`
+//! replays.
 //!
 //! Every step is seeded: sampling derives per-sample dimension choices
 //! from `run_seed(search_seed, sample)` and the shrinker is a pure
@@ -28,7 +28,7 @@ use crate::run::RunSpec;
 use amo_sim::SimErrorKind;
 use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
-use amo_types::seed::{run_seed, splitmix64};
+use amo_types::seed::{key_hex, run_seed, splitmix64};
 use amo_types::{Cycle, JsonWriter, SystemConfig};
 use amo_workloads::runner::{try_run_barrier, BarrierBench, SkewMode};
 
@@ -137,7 +137,7 @@ impl ChaosSpec {
     }
 
     /// The benchmark a plan probes: the same arithmetic-skew barrier
-    /// the `chaos` binary drives, with the plan written into the
+    /// `amo chaos` drives, with the plan written into the
     /// machine configuration.
     pub fn bench(&self, plan: &DeliveryPlan) -> BarrierBench {
         let mut cfg = SystemConfig::with_procs(self.procs);
@@ -389,8 +389,7 @@ impl PlanDoc {
     /// the machine configuration and the campaign code fingerprint, so
     /// any drift in either breaks the match.
     pub fn current_fingerprint(&self) -> String {
-        let (a, b) = RunSpec::Barrier(self.spec().bench(&self.plan)).key();
-        format!("{a:016x}{b:016x}")
+        key_hex(RunSpec::Barrier(self.spec().bench(&self.plan)).key())
     }
 
     /// `Err` describes the drift if this plan was minted by a

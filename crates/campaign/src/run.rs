@@ -14,9 +14,7 @@
 use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
 use amo_types::{Cycle, JsonWriter, Stats, SystemConfig};
-use amo_workloads::runner::{
-    try_run_barrier, try_run_lock, BarrierAlgo, BarrierBench, LockBench, LockKind, SkewMode,
-};
+use amo_workloads::runner::{try_run_barrier, try_run_lock, BarrierBench, LockBench};
 
 /// Schema tag of a serialized run outcome.
 pub const ARTIFACTS_SCHEMA: &str = "amo-run-artifacts-v1";
@@ -77,34 +75,6 @@ pub enum RunSpec {
     },
 }
 
-fn mech_tag(m: Mechanism) -> &'static str {
-    m.label()
-}
-
-fn algo_tag(a: BarrierAlgo) -> String {
-    match a {
-        BarrierAlgo::Central => "central".into(),
-        BarrierAlgo::Tree(b) => format!("tree:{b}"),
-        BarrierAlgo::KTree(b) => format!("ktree:{b}"),
-        BarrierAlgo::Dissemination => "dissem".into(),
-    }
-}
-
-fn skew_tag(s: SkewMode) -> &'static str {
-    match s {
-        SkewMode::Random => "random",
-        SkewMode::Arithmetic => "arithmetic",
-    }
-}
-
-fn kind_tag(k: LockKind) -> &'static str {
-    match k {
-        LockKind::Ticket => "ticket",
-        LockKind::Array => "array",
-        LockKind::Mcs => "mcs",
-    }
-}
-
 impl RunSpec {
     /// The canonical JSON document this run hashes to. The document pins
     /// every input that can change the simulated outcome: workload
@@ -119,17 +89,17 @@ impl RunSpec {
         match self {
             RunSpec::Barrier(b) => {
                 w.kv_str("workload", "barrier");
-                w.kv_str("mech", mech_tag(b.mech));
+                w.kv_str("mech", b.mech.label());
                 w.kv_u64("procs", b.procs as u64);
                 w.kv_u64("episodes", b.episodes as u64);
                 w.kv_u64("warmup", b.warmup as u64);
-                w.kv_str("algo", &algo_tag(b.algo));
+                w.kv_str("algo", &b.algo.tag());
                 w.kv_str(
                     "style",
                     &b.style.map_or("default".into(), |s| format!("{s:?}")),
                 );
                 w.kv_u64("max_skew", b.max_skew);
-                w.kv_str("skew", skew_tag(b.skew));
+                w.kv_str("skew", b.skew.tag());
                 w.kv_u64("seed", b.seed);
                 w.kv_u64("watchdog", b.watchdog);
                 let cfg = b
@@ -140,8 +110,8 @@ impl RunSpec {
             }
             RunSpec::Lock(b) => {
                 w.kv_str("workload", "lock");
-                w.kv_str("mech", mech_tag(b.mech));
-                w.kv_str("kind", kind_tag(b.kind));
+                w.kv_str("mech", b.mech.label());
+                w.kv_str("kind", b.kind.tag());
                 w.kv_u64("procs", b.procs as u64);
                 w.kv_u64("rounds", b.rounds as u64);
                 w.kv_u64("cs_cycles", b.cs_cycles);
@@ -164,7 +134,7 @@ impl RunSpec {
                 warmup,
             } => {
                 w.kv_str("workload", "sync_tax");
-                w.kv_str("mech", mech_tag(*mech));
+                w.kv_str("mech", mech.label());
                 w.kv_u64("procs", *procs as u64);
                 w.kv_u64("grain", *grain);
                 w.kv_u64("steps", *steps as u64);
@@ -178,7 +148,7 @@ impl RunSpec {
                 rounds,
             } => {
                 w.kv_str("workload", "signal");
-                w.kv_str("mech", mech_tag(*mech));
+                w.kv_str("mech", mech.label());
                 w.kv_u64("pairs", *pairs as u64);
                 w.kv_u64("rounds", *rounds as u64);
                 w.key("config");
@@ -191,7 +161,7 @@ impl RunSpec {
                 grain,
             } => {
                 w.kv_str("workload", "self_sched");
-                w.kv_str("mech", mech_tag(*mech));
+                w.kv_str("mech", mech.label());
                 w.kv_u64("procs", *procs as u64);
                 w.kv_u64("tasks", *tasks as u64);
                 w.kv_u64("grain", *grain);
@@ -390,6 +360,7 @@ pub fn outcome_from_json(doc: &str) -> Result<Result<RunArtifacts, String>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_workloads::runner::{BarrierAlgo, LockKind, SkewMode};
 
     fn barrier_spec() -> RunSpec {
         RunSpec::Barrier(BarrierBench {
@@ -412,6 +383,31 @@ mod tests {
         });
         assert_eq!(implicit.canonical_doc(), explicit.canonical_doc());
         assert_eq!(implicit.key(), explicit.key());
+    }
+
+    /// The enum tags feed every cache key and every schedule / fault-plan
+    /// fingerprint: a moved byte here orphans all of them.
+    #[test]
+    fn canonical_docs_pin_every_tag_byte() {
+        let head = |spec: RunSpec| {
+            let doc = spec.canonical_doc();
+            let from = doc.find("\"workload\":").expect("follows the code tag");
+            doc[from..doc.find("\"config\":").expect("config is last")].to_string()
+        };
+        let barrier = RunSpec::Barrier(BarrierBench {
+            algo: BarrierAlgo::KTree(4),
+            skew: SkewMode::Arithmetic,
+            ..BarrierBench::paper(Mechanism::LlSc, 8)
+        });
+        assert_eq!(
+            head(barrier),
+            r#""workload":"barrier","mech":"LL/SC","procs":8,"episodes":10,"warmup":2,"algo":"ktree:4","style":"default","max_skew":800,"skew":"arithmetic","seed":171990765,"watchdog":0,"#
+        );
+        let lock = RunSpec::Lock(LockBench::paper(Mechanism::ActMsg, LockKind::Array, 8));
+        assert_eq!(
+            head(lock),
+            r#""workload":"lock","mech":"ActMsg","kind":"array","procs":8,"rounds":8,"cs_cycles":250,"max_think":1000,"seed":17587949,"watchdog":0,"check_exclusion":true,"#
+        );
     }
 
     #[test]

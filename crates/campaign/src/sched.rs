@@ -46,13 +46,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// The cache this campaign writes through, if any — shared with
-    /// derived-artifact producers (e.g. critical-path reports) so every
-    /// campaign output is addressed out of one directory.
-    pub fn cache(&self) -> Option<&ResultCache> {
-        self.cache.as_ref()
-    }
-
     /// A campaign writing through `cache` (or uncached when `None`).
     pub fn new(cache: Option<ResultCache>) -> Self {
         Campaign {

@@ -30,7 +30,7 @@
 //! }
 //! ```
 
-use crate::artifacts::ArtifactProfile;
+use crate::artifacts::{check_artifact_names, ArtifactProfile};
 use crate::run::RunSpec;
 use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
@@ -117,64 +117,12 @@ fn parse_u64(v: &Json, what: &str) -> Result<u64, String> {
     Err(format!("spec: {what} must be an unsigned integer"))
 }
 
-fn parse_mech(v: &Json, what: &str) -> Result<Mechanism, String> {
+/// Decode a string-tagged enum field through the type's own `parse`.
+fn parse_tag<T>(v: &Json, what: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
     let s = v
         .as_str()
-        .ok_or_else(|| format!("spec: {what} must be a mechanism label"))?;
-    Mechanism::ALL
-        .into_iter()
-        .find(|m| m.label() == s)
-        .ok_or_else(|| {
-            let labels: Vec<&str> = Mechanism::ALL.iter().map(|m| m.label()).collect();
-            format!(
-                "spec: unknown mechanism {s:?} (one of {})",
-                labels.join(", ")
-            )
-        })
-}
-
-fn parse_algo(v: &Json) -> Result<BarrierAlgo, String> {
-    let s = v.as_str().ok_or("spec: algo must be a string")?;
-    if s == "central" {
-        return Ok(BarrierAlgo::Central);
-    }
-    if s == "dissem" {
-        return Ok(BarrierAlgo::Dissemination);
-    }
-    if let Some(b) = s.strip_prefix("tree:") {
-        return b
-            .parse()
-            .map(BarrierAlgo::Tree)
-            .map_err(|e| format!("spec: algo {s:?}: {e}"));
-    }
-    if let Some(b) = s.strip_prefix("ktree:") {
-        return b
-            .parse()
-            .map(BarrierAlgo::KTree)
-            .map_err(|e| format!("spec: algo {s:?}: {e}"));
-    }
-    Err(format!(
-        "spec: unknown algo {s:?} (central, dissem, tree:B, ktree:B)"
-    ))
-}
-
-fn parse_skew(v: &Json) -> Result<SkewMode, String> {
-    match v.as_str() {
-        Some("random") => Ok(SkewMode::Random),
-        Some("arithmetic") => Ok(SkewMode::Arithmetic),
-        other => Err(format!("spec: unknown skew {other:?} (random, arithmetic)")),
-    }
-}
-
-fn parse_kind(v: &Json) -> Result<LockKind, String> {
-    match v.as_str() {
-        Some("ticket") => Ok(LockKind::Ticket),
-        Some("array") => Ok(LockKind::Array),
-        Some("mcs") => Ok(LockKind::Mcs),
-        other => Err(format!(
-            "spec: unknown lock kind {other:?} (ticket, array, mcs)"
-        )),
-    }
+        .ok_or_else(|| format!("spec: {what} must be a string"))?;
+    parse(s).map_err(|e| format!("spec: {e}"))
 }
 
 /// Find the last assignment of `key` (axis values come after `base`, so
@@ -194,9 +142,10 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
         lookup(assignments, "procs").ok_or("spec: grid cell missing procs")?,
         "procs",
     )? as u16;
-    let mech = parse_mech(
+    let mech = parse_tag(
         lookup(assignments, "mech").ok_or("spec: grid cell missing mech")?,
         "mech",
+        Mechanism::parse,
     )?;
     let mut cfg = SystemConfig::with_procs(procs);
     let mut cfg_touched = false;
@@ -208,9 +157,9 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
                     "mech" | "procs" => {}
                     "episodes" => b.episodes = parse_u64(v, key)? as u32,
                     "warmup" => b.warmup = parse_u64(v, key)? as u32,
-                    "algo" => b.algo = parse_algo(v)?,
+                    "algo" => b.algo = parse_tag(v, key, BarrierAlgo::parse)?,
                     "max_skew" => b.max_skew = parse_u64(v, key)?,
-                    "skew" => b.skew = parse_skew(v)?,
+                    "skew" => b.skew = parse_tag(v, key, SkewMode::parse)?,
                     "seed" => b.seed = parse_u64(v, key)?,
                     "watchdog" => b.watchdog = parse_u64(v, key)?,
                     _ if key.starts_with("config.") => {
@@ -227,7 +176,7 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
         }
         "lock" => {
             let kind = match lookup(assignments, "kind") {
-                Some(v) => parse_kind(v)?,
+                Some(v) => parse_tag(v, "kind", LockKind::parse)?,
                 None => LockKind::Ticket,
             };
             let mut b = LockBench::paper(mech, kind, procs);
@@ -399,12 +348,11 @@ fn parse_artifacts(v: &Json) -> Result<CampaignPlan, String> {
             .collect::<Result<Vec<_>, _>>()?,
         None => Vec::new(),
     };
+    check_artifact_names(&artifacts).map_err(|e| format!("spec: {e}"))?;
     let profile = match v.get("profile") {
         None => ArtifactProfile::paper(),
         Some(p) => match p.as_str() {
-            Some("paper") => ArtifactProfile::paper(),
-            Some("quick") => ArtifactProfile::quick(),
-            Some(other) => return Err(format!("spec: unknown profile {other:?}")),
+            Some(name) => ArtifactProfile::named(name).map_err(|e| format!("spec: {e}"))?,
             None => {
                 // An object overrides individual fields of the paper
                 // profile.
@@ -589,6 +537,16 @@ mod tests {
                 r#"{"schema": "amo-campaign-v1", "name": "x", "kind": "grid",
                     "workload": "barrier", "base": {"mech": "AMO"}}"#,
                 "missing procs",
+            ),
+            (
+                r#"{"schema": "amo-campaign-v1", "name": "x", "kind": "artifacts",
+                    "artifacts": ["table2", "tabel2"]}"#,
+                "unknown artefact name",
+            ),
+            (
+                r#"{"schema": "amo-campaign-v1", "name": "x", "kind": "artifacts",
+                    "profile": "papr"}"#,
+                "unknown profile",
             ),
         ] {
             assert!(CampaignSpec::parse(doc).is_err(), "{why}");

@@ -38,7 +38,8 @@
 //!
 //! The architectural parameters default to the paper's Table 1
 //! ([`types::SystemConfig::default`]); experiments reproduce Tables 2–4
-//! and Figures 5–7 (see the `amo-bench` crate's `tables` binary).
+//! and Figures 5–7 (`cargo run --release -p amo-bench -- tables`; `-- help`
+//! lists the other subcommands of the `amo` command).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -44,6 +44,21 @@ impl Mechanism {
         }
     }
 
+    /// Inverse of [`Mechanism::label`], for specs, documents and command
+    /// lines: the table label in any letter case, or `llsc`.
+    pub fn parse(s: &str) -> Result<Mechanism, String> {
+        Mechanism::ALL
+            .into_iter()
+            .find(|m| {
+                m.label().eq_ignore_ascii_case(s)
+                    || (*m == Mechanism::LlSc && s.eq_ignore_ascii_case("llsc"))
+            })
+            .ok_or_else(|| {
+                let labels: Vec<&str> = Mechanism::ALL.iter().map(|m| m.label()).collect();
+                format!("unknown mechanism {s:?} (one of {})", labels.join(", "))
+            })
+    }
+
     /// Whether this mechanism's synchronization variables live in
     /// uncached (IO) space rather than the coherent domain.
     pub fn uses_uncached_vars(self) -> bool {
@@ -610,6 +625,22 @@ mod tests {
 
     fn a() -> Addr {
         Addr::on_node(NodeId(0), 0x1000)
+    }
+
+    #[test]
+    fn mechanism_labels_round_trip_and_legacy_spellings_parse() {
+        for m in Mechanism::ALL {
+            assert_eq!(Mechanism::parse(m.label()), Ok(m));
+            assert_eq!(Mechanism::parse(&m.label().to_ascii_lowercase()), Ok(m));
+        }
+        for s in ["llsc", "ll/sc", "LLSC"] {
+            assert_eq!(Mechanism::parse(s), Ok(Mechanism::LlSc), "{s}");
+        }
+        let err = Mechanism::parse("amoo").unwrap_err();
+        assert!(
+            err.contains("\"amoo\"") && err.contains("LL/SC, ActMsg"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -71,6 +71,12 @@ pub fn stable_hash128(bytes: &[u8]) -> (u64, u64) {
     )
 }
 
+/// Render a 128-bit content key as 32 lowercase hex digits — the one
+/// spelling of cache keys, checksums and document fingerprints.
+pub fn key_hex(key: (u64, u64)) -> String {
+    format!("{:016x}{:016x}", key.0, key.1)
+}
+
 /// Per-processor arrival skew for one barrier episode, without an RNG:
 /// `100 + (p*37 + episode*13) % spread`. Used by chaos-style runs that
 /// must stay bit-identical under any seed change.

@@ -14,6 +14,7 @@
 use crate::model::{Outcome, VerifyModel, VerifyWorkload};
 use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
+use amo_types::seed::key_hex;
 use amo_types::tape::ChoiceKind;
 use amo_types::{Cycle, JsonWriter};
 
@@ -51,22 +52,21 @@ impl ScheduleDoc {
             .take(tape.len())
             .map(|c| c.kind.tag())
             .collect::<String>();
-        let (a, b) = model.key();
+        let fingerprint = key_hex(model.key());
         ScheduleDoc {
             model,
             tape,
             kinds,
             kind: outcome.kind_str().to_string(),
             monitor: outcome.monitor.unwrap_or("").to_string(),
-            fingerprint: format!("{a:016x}{b:016x}"),
+            fingerprint,
         }
     }
 
     /// The fingerprint this simulator computes for the document's
     /// model *now*.
     pub fn current_fingerprint(&self) -> String {
-        let (a, b) = self.model.key();
-        format!("{a:016x}{b:016x}")
+        key_hex(self.model.key())
     }
 
     /// `Err` describes the drift if the document was minted by a
@@ -180,11 +180,12 @@ impl ScheduleDoc {
                 .and_then(|b| b.as_bool())
                 .ok_or_else(|| format!("schedule: missing model.{k}"))
         };
-        let mech = parse_mech(
+        let mech = Mechanism::parse(
             m.get("mech")
                 .and_then(|s| s.as_str())
                 .ok_or("schedule: missing model.mech")?,
-        )?;
+        )
+        .map_err(|e| format!("schedule: {e}"))?;
         let workload = match m.get("workload").and_then(|s| s.as_str()) {
             Some("barrier") => VerifyWorkload::Barrier {
                 episodes: num("episodes")? as u32,
@@ -227,20 +228,6 @@ impl ScheduleDoc {
             fingerprint: str_field("fingerprint")?,
         })
     }
-}
-
-/// Parse a mechanism table label (`"AMO"`, `"LL/SC"`, …).
-pub fn parse_mech(s: &str) -> Result<Mechanism, String> {
-    Mechanism::ALL
-        .into_iter()
-        .find(|m| m.label() == s)
-        .ok_or_else(|| {
-            let labels: Vec<&str> = Mechanism::ALL.iter().map(|m| m.label()).collect();
-            format!(
-                "schedule: unknown mechanism {s:?} (one of {})",
-                labels.join(", ")
-            )
-        })
 }
 
 /// Tag-string → [`ChoiceKind`] sequence, for document readers that

@@ -18,7 +18,7 @@
 //!   duplication/jitter picks, deduping on outcome fingerprints.
 //! * [`doc`] — violating tapes shrink to minimal reproducers and
 //!   serialize as fingerprint-checked `amo-schedule-v1` documents the
-//!   `verify` binary replays to the identical typed error.
+//!   `amo verify --replay` re-runs to the identical typed error.
 //! * [`matrix`] — declarative verification matrices cached through
 //!   the campaign's content-addressed result store.
 //!

@@ -14,6 +14,7 @@
 use crate::explore::{explore, ExploreLimits, ExploreReport};
 use crate::model::{VerifyModel, VerifyWorkload};
 use amo_campaign::ResultCache;
+use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
 use amo_types::seed::stable_hash128;
 use amo_types::{Cycle, JsonWriter};
@@ -103,7 +104,7 @@ fn parse_cell(
     top_horizon: Option<u64>,
 ) -> Result<MatrixCell, String> {
     let num = |k: &str| c.get(k).and_then(|n| n.as_u64());
-    let mech = crate::doc::parse_mech(
+    let mech = Mechanism::parse(
         c.get("mech")
             .and_then(|s| s.as_str())
             .ok_or("missing mech")?,
@@ -226,7 +227,7 @@ pub fn run_matrix(matrix: &VerifyMatrix, cache: Option<&ResultCache>) -> Vec<Cel
         .collect()
 }
 
-/// Render matrix outcomes as the `verify` binary's JSON report. The
+/// Render matrix outcomes as `amo verify --matrix`'s JSON report. The
 /// top-level `"violations"` field is the total across cells — CI greps
 /// it for `"violations": 0`.
 pub fn render_matrix_report(outcomes: &[CellOutcome]) -> String {

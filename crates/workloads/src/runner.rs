@@ -78,6 +78,24 @@ pub enum SkewMode {
     Arithmetic,
 }
 
+impl SkewMode {
+    /// Stable tag for specs and content keys.
+    pub fn tag(self) -> &'static str {
+        match self {
+            SkewMode::Random => "random",
+            SkewMode::Arithmetic => "arithmetic",
+        }
+    }
+
+    /// Inverse of [`SkewMode::tag`].
+    pub fn parse(s: &str) -> Result<SkewMode, String> {
+        [SkewMode::Random, SkewMode::Arithmetic]
+            .into_iter()
+            .find(|m| m.tag() == s)
+            .ok_or_else(|| format!("unknown skew {s:?} (random, arithmetic)"))
+    }
+}
+
 /// Run-level facts every completed or aborted simulation reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunInfo {
@@ -170,6 +188,36 @@ pub enum BarrierAlgo {
     KTree(u16),
     /// Dissemination barrier (log-depth, no hot spot).
     Dissemination,
+}
+
+impl BarrierAlgo {
+    /// Stable tag for specs and content keys: `central`, `tree:B`,
+    /// `ktree:B`, `dissem`.
+    pub fn tag(self) -> String {
+        match self {
+            BarrierAlgo::Central => "central".into(),
+            BarrierAlgo::Tree(b) => format!("tree:{b}"),
+            BarrierAlgo::KTree(b) => format!("ktree:{b}"),
+            BarrierAlgo::Dissemination => "dissem".into(),
+        }
+    }
+
+    /// Inverse of [`BarrierAlgo::tag`]; `dissemination` is accepted too.
+    pub fn parse(s: &str) -> Result<BarrierAlgo, String> {
+        let branching = |b: &str| {
+            b.parse::<u16>()
+                .map_err(|e| format!("algo {s:?}: branching: {e}"))
+        };
+        match s.split_once(':') {
+            None if s == "central" => Ok(BarrierAlgo::Central),
+            None if s == "dissem" || s == "dissemination" => Ok(BarrierAlgo::Dissemination),
+            Some(("tree", b)) => branching(b).map(BarrierAlgo::Tree),
+            Some(("ktree", b)) => branching(b).map(BarrierAlgo::KTree),
+            _ => Err(format!(
+                "unknown algo {s:?} (central, dissem, tree:B, ktree:B)"
+            )),
+        }
+    }
 }
 
 /// A barrier benchmark description.
@@ -502,6 +550,25 @@ pub enum LockKind {
     Mcs,
 }
 
+impl LockKind {
+    /// Stable tag for specs and content keys.
+    pub fn tag(self) -> &'static str {
+        match self {
+            LockKind::Ticket => "ticket",
+            LockKind::Array => "array",
+            LockKind::Mcs => "mcs",
+        }
+    }
+
+    /// Inverse of [`LockKind::tag`].
+    pub fn parse(s: &str) -> Result<LockKind, String> {
+        [LockKind::Ticket, LockKind::Array, LockKind::Mcs]
+            .into_iter()
+            .find(|k| k.tag() == s)
+            .ok_or_else(|| format!("unknown lock kind {s:?} (ticket, array, mcs)"))
+    }
+}
+
 /// A lock benchmark description.
 #[derive(Clone, Copy, Debug)]
 pub struct LockBench {
@@ -759,6 +826,45 @@ fn run_lock_on<T: Tracer, P: HostProf>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tags_round_trip_and_legacy_spellings_parse() {
+        for a in [
+            BarrierAlgo::Central,
+            BarrierAlgo::Tree(8),
+            BarrierAlgo::KTree(2),
+            BarrierAlgo::Dissemination,
+        ] {
+            assert_eq!(BarrierAlgo::parse(&a.tag()), Ok(a));
+        }
+        assert_eq!(
+            BarrierAlgo::parse("dissemination"),
+            Ok(BarrierAlgo::Dissemination)
+        );
+        for k in [LockKind::Ticket, LockKind::Array, LockKind::Mcs] {
+            assert_eq!(LockKind::parse(k.tag()), Ok(k));
+        }
+        for m in [SkewMode::Random, SkewMode::Arithmetic] {
+            assert_eq!(SkewMode::parse(m.tag()), Ok(m));
+        }
+        for bad in [
+            "tree",
+            "tree:",
+            "tree:x",
+            "ktree:-1",
+            "central:2",
+            "Central",
+        ] {
+            let err = BarrierAlgo::parse(bad).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+        assert!(LockKind::parse("tickt")
+            .unwrap_err()
+            .contains("ticket, array, mcs"));
+        assert!(SkewMode::parse("")
+            .unwrap_err()
+            .contains("random, arithmetic"));
+    }
 
     #[test]
     fn barrier_runner_produces_measurement() {
