@@ -10,10 +10,10 @@
 
 use crate::{procs, read, write, Stop};
 use amo_bench::cli::{Args, Command};
-use amo_campaign::chaos::{kind_name, search, ChaosGrid, ChaosSpec, DeliveryPlan, PlanDoc};
+use amo_campaign::chaos::{failure_kind, search, ChaosGrid, ChaosSpec, DeliveryPlan, PlanDoc};
 use amo_types::Stats;
 use amo_types::SystemConfig;
-use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, RunInfo};
+use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, RunInfo, Scenario};
 
 pub const CHAOS: Command = Command {
     name: "chaos",
@@ -121,7 +121,7 @@ fn run_and_report(bench: BarrierBench) -> &'static str {
         Err(f) => {
             print_fault_counters(&f.info, &f.stats);
             print_abort(&f);
-            f.error.as_ref().map_or("Stall", |e| kind_name(&e.kind))
+            failure_kind(&f)
         }
     }
 }
@@ -205,6 +205,8 @@ pub fn chaos(args: &Args) -> Result<i32, Stop> {
             faults.max_link_retries = 1;
         }
     }
+    let faults = *faults;
+    bench.check()?;
     println!(
         "chaos: procs={procs} rate_ppm={} seed={seed:#x} watchdog={watchdog} \
          jitter={} episodes={episodes} unrecoverable={unrecoverable} {}",
@@ -254,6 +256,7 @@ pub fn chaos_search(args: &Args) -> Result<i32, Stop> {
             max_e2e_retries: args.list("retries", g.max_e2e_retries)?,
         },
     };
+    spec.check()?;
 
     println!(
         "chaos-search: samples={} seed={:#x} procs={} episodes={} watchdog={} max_failures={}",

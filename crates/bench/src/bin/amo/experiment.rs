@@ -11,8 +11,8 @@ use amo_sync::Mechanism;
 use amo_types::stats::ALL_OP_CLASSES;
 use amo_types::{Stats, SystemConfig};
 use amo_workloads::{
-    try_run_barrier_obs, try_run_lock_obs, BarrierAlgo, BarrierBench, LockBench, LockKind,
-    ObsReport, ObsSpec, SkewMode,
+    run_scenario, BarrierAlgo, BarrierBench, LockBench, LockKind, ObsReport, ObsSpec, Run,
+    Scenario, SkewMode,
 };
 
 /// The flags [`parse_obs`] reads, shared by both commands.
@@ -179,6 +179,29 @@ fn print_result(csv: bool, stats: &Stats, header: &str, row: String, summary: St
     println!("{summary}\n{stats}\n{latencies}");
 }
 
+/// Check `bench`, run it under the observers the flags ask for, and
+/// write the documents they name.
+fn run_observed<S: Scenario + Clone>(
+    args: &Args,
+    bench: &S,
+    meta: &[(&str, String)],
+) -> Result<Run<S>, Stop> {
+    bench.check()?;
+    let (obs, paths) = parse_obs(args)?;
+    let r = run_scenario(bench, obs).map_err(|f| Stop::Failed(f.to_string()))?;
+    let (cfg, events) = (bench.config(), r.info.events);
+    emit_obs(
+        &paths,
+        &cfg,
+        &r.stats,
+        events,
+        &r.obs,
+        bench.workload(),
+        meta,
+    )?;
+    Ok(r)
+}
+
 pub fn barrier(args: &Args) -> Result<i32, Stop> {
     let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
     let procs = procs(args, 0, 2)?;
@@ -197,9 +220,7 @@ pub fn barrier(args: &Args) -> Result<i32, Stop> {
         watchdog: args.num("watchdog", 0)?,
         config: None,
     };
-    let (obs, paths) = parse_obs(args)?;
-    let r = try_run_barrier_obs(bench, obs).map_err(|f| Stop::Failed(f.to_string()))?;
-    let (mech, algo, t) = (mech.label(), bench.algo, r.timing);
+    let (mech, algo) = (mech.label(), bench.algo);
     let meta = [
         ("workload", "barrier".into()),
         ("mech", mech.into()),
@@ -207,17 +228,8 @@ pub fn barrier(args: &Args) -> Result<i32, Stop> {
         ("algo", format!("{algo:?}")),
         ("episodes", bench.episodes.to_string()),
     ];
-    let cfg = SystemConfig::with_procs(procs);
-    let events = r.info.events;
-    emit_obs(
-        &paths,
-        &cfg,
-        &r.stats,
-        events,
-        &r.obs,
-        Workload::Barrier,
-        &meta,
-    )?;
+    let r = run_observed(args, &bench, &meta)?;
+    let t = r.timing;
     print_result(
         args.has("csv"),
         &r.stats,
@@ -251,9 +263,7 @@ pub fn lock(args: &Args) -> Result<i32, Stop> {
         check_exclusion: true,
         config: None,
     };
-    let (obs, paths) = parse_obs(args)?;
-    let r = try_run_lock_obs(bench, obs).map_err(|f| Stop::Failed(f.to_string()))?;
-    let (mech, t) = (mech.label(), r.timing);
+    let mech = mech.label();
     let meta = [
         ("workload", "lock".into()),
         ("mech", mech.into()),
@@ -261,17 +271,8 @@ pub fn lock(args: &Args) -> Result<i32, Stop> {
         ("procs", procs.to_string()),
         ("rounds", bench.rounds.to_string()),
     ];
-    let cfg = SystemConfig::with_procs(procs);
-    let events = r.info.events;
-    emit_obs(
-        &paths,
-        &cfg,
-        &r.stats,
-        events,
-        &r.obs,
-        Workload::Lock,
-        &meta,
-    )?;
+    let r = run_observed(args, &bench, &meta)?;
+    let t = r.timing;
     print_result(
         args.has("csv"),
         &r.stats,

@@ -17,7 +17,7 @@ mod verify;
 
 use amo_bench::cli::{Args, Command};
 use amo_campaign::ResultCache;
-use amo_types::bitset::MAX_PROCS;
+use amo_types::SystemConfig;
 
 /// Why a subcommand stopped before producing its result.
 pub enum Stop {
@@ -47,17 +47,16 @@ pub fn cache(args: &Args) -> Option<ResultCache> {
     Some(ResultCache::new(dir))
 }
 
-/// `--procs N`, checked against a machine of `per_node` processors per
-/// node here, where the message can name the flag, rather than by an
-/// assertion inside `SystemConfig::validate`.
+/// `--procs N` for a machine of `per_node` processors per node: the
+/// library's own geometry check, worded in terms of the flag.
 pub fn procs(args: &Args, default: u16, per_node: u16) -> Result<u16, String> {
-    let n: u16 = args.num("procs", default)?;
-    if n == 0 || !n.is_multiple_of(per_node) || n as usize > MAX_PROCS {
-        return Err(format!(
-            "--procs: {n} is not a positive multiple of {per_node}, at most {MAX_PROCS}"
-        ));
-    }
-    Ok(n)
+    let machine = SystemConfig {
+        num_procs: args.num("procs", default)?,
+        procs_per_node: per_node,
+        ..SystemConfig::default()
+    };
+    machine.check().map_err(|e| format!("--procs: {e}"))?;
+    Ok(machine.num_procs)
 }
 
 /// Read an input document.

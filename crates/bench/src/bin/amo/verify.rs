@@ -51,11 +51,9 @@ fn model(args: &Args, workload: &str, default_procs: u16) -> Result<VerifyModel,
             ))
         }
     };
-    Ok(VerifyModel::new(
-        mech,
-        workload,
-        procs(args, default_procs, 1)?,
-    ))
+    let model = VerifyModel::new(mech, workload, procs(args, default_procs, 1)?);
+    model.check()?;
+    Ok(model)
 }
 
 fn explore_report_json(model: &VerifyModel, report: &ExploreReport) -> String {

@@ -192,50 +192,146 @@ fn ablations_are_deterministic() {
     assert_eq!(first, ok("ablations"));
 }
 
+/// Every malformed input is refused in one line naming the offending
+/// token or value, never by a panic: status 2 plus the usage for a
+/// command line, status 1 for a description in a file that cannot run.
 #[test]
 fn malformed_command_lines_exit_2_naming_the_offending_token() {
-    for (line, token) in [
+    let barrier = "experiment barrier --mech amo --procs 8";
+    let command_lines = [
         // The four silent or panicking cases of the six old binaries
         // (the fourth, `campaign --no-cache quick`, is checked above).
-        (
-            "experiment barrier --mech amo --procs 8 --epsiodes 3",
-            "--epsiodes",
-        ),
-        ("chaos --quick --procs banana", "banana"),
-        ("tables --quick tabel2", "tabel2"),
+        (format!("{barrier} --epsiodes 3"), "--epsiodes"),
+        ("chaos --quick --procs banana".into(), "banana"),
+        ("tables --quick tabel2".into(), "tabel2"),
         // One of each remaining kind.
-        ("campaign quick paper", "paper"),
-        ("campaign --spec", "--spec"),
-        ("campaign papr", "papr"),
-        ("ablations now", "now"),
-        ("chaos_search --drops 1,x", "'x'"),
-        ("verify --explore --mech AMOO", "AMOO"),
-        ("verify --explore --workload lokc", "lokc"),
-        ("verify --explore --procs 0", "--procs"),
-        ("verify --procs 2", "--explore"),
+        ("campaign quick paper".into(), "paper"),
+        ("campaign --spec".into(), "--spec"),
+        ("campaign papr".into(), "papr"),
+        ("ablations now".into(), "now"),
+        ("chaos_search --drops 1,x".into(), "'x'"),
+        ("verify --explore --mech AMOO".into(), "AMOO"),
+        ("verify --explore --workload lokc".into(), "lokc"),
+        ("verify --explore --procs 0".into(), "--procs"),
+        ("verify --procs 2".into(), "--explore"),
+        (format!("{barrier} --algo tre:4"), "tre:4"),
+        ("experiment barrier --mech amo --procs 7".into(), "--procs"),
         (
-            "experiment barrier --mech amo --procs 8 --algo tre:4",
-            "tre:4",
-        ),
-        ("experiment barrier --mech amo --procs 7", "--procs"),
-        (
-            "experiment lock --mech amo --procs 8 --kind tikcet",
+            "experiment lock --mech amo --procs 8 --kind tikcet".into(),
             "tikcet",
         ),
-        ("experiment lock --kind mcs --procs 8", "--mech"),
-        ("experiment barier --mech amo", "barier"),
-    ] {
+        ("experiment lock --kind mcs --procs 8".into(), "--mech"),
+        ("experiment barier --mech amo".into(), "barier"),
+        // Descriptions that parse but cannot run: these used to reach an
+        // assertion inside the simulator (two of them after simulating).
+        (format!("{barrier} --episodes 2 --warmup 5"), "warmup = 5"),
+        (format!("{barrier} --episodes 0 --warmup 0"), "episodes = 0"),
+        (format!("{barrier} --algo tree:8"), "tree:8"),
+        (format!("{barrier} --algo tree:1"), "tree:1"),
+        (format!("{barrier} --algo ktree:1"), "ktree:1"),
+        (
+            "experiment lock --mech amo --kind ticket --procs 8 --rounds 0".into(),
+            "rounds = 0",
+        ),
+        (
+            "experiment lock --mech actmsg --kind mcs --procs 8".into(),
+            "mcs",
+        ),
+        (
+            "chaos --quick --procs 8 --episodes 0".into(),
+            "episodes = 0",
+        ),
+        ("chaos --quick --procs 8 --drop 1000000".into(), "1000000"),
+        ("chaos_search --samples 2 --drops 1000000".into(), "1000000"),
+        (
+            "verify --explore --rounds 0 --workload ticket-lock".into(),
+            "rounds = 0",
+        ),
+    ];
+
+    // The same, arriving in a file.
+    let file = |name: &str, doc: String| {
+        let path = tmp(name);
+        std::fs::write(&path, doc).unwrap();
+        path
+    };
+    let grid = |name: &str, workload: &str, base: &str| {
+        let doc = format!(
+            r#"{{"schema": "amo-campaign-v1", "name": "bad", "kind": "grid",
+                "workload": "{workload}", "base": {{"mech": "AMO", {base}}}}}"#
+        );
+        format!("campaign --no-cache --spec {}", file(name, doc))
+    };
+    let matrix = |name: &str, cell: &str| {
+        let doc = format!(
+            r#"{{"schema": "amo-verify-matrix-v1", "max_runs": 50, "cells": [
+                {{"mech": "AMO", "workload": "ticket-lock", "procs": {cell}}}]}}"#
+        );
+        format!("verify --no-cache --matrix {}", file(name, doc))
+    };
+    let array_of_one = r#""procs": 1, "kind": "array",
+        "config.procs_per_node": 1, "config.num_procs": 1"#;
+    let files = [
+        (grid("g1.json", "barrier", r#""procs": 5"#), "num_procs = 5"),
+        (
+            grid(
+                "g2.json",
+                "barrier",
+                r#""procs": 8, "config.l1.line_bytes": 48"#,
+            ),
+            "line_bytes = 48",
+        ),
+        (
+            grid(
+                "g3.json",
+                "barrier",
+                r#""procs": 8, "episodes": 3, "warmup": 5"#,
+            ),
+            "warmup = 5",
+        ),
+        (
+            grid(
+                "g4.json",
+                "barrier",
+                r#""procs": 8, "config.num_procs": 16"#,
+            ),
+            "num_procs = 16",
+        ),
+        (grid("g5.json", "lock", array_of_one), "array"),
+        // Used to run as a 4-processor machine.
+        (grid("g15.json", "barrier", r#""procs": 65540"#), "65540"),
+        // Used to be reported as `AMO ticket-lock x2`.
+        (matrix("m1.json", "65538"), "65538"),
+        // Used to explore the model without its unknown — and three of
+        // its known — knobs.
+        (matrix("m2.json", r#"2, "bogus": 7"#), "\"bogus\""),
+    ];
+
+    let rows = command_lines.iter().map(|row| (2, row));
+    for (status, (line, token)) in rows.chain(files.iter().map(|row| (1, row))) {
         let out = amo(line);
-        assert_eq!(out.status, 2, "amo {line}: {}", out.stderr);
+        assert_eq!(out.status, status, "amo {line}: {}", out.stderr);
         assert!(out.stdout.is_empty(), "amo {line} printed a document");
         let first = out.stderr.lines().next().unwrap_or_default();
         assert!(
             first.starts_with("amo") && first.contains(token),
             "amo {line}: {first}"
         );
-        assert!(out.stderr.contains("usage:"), "amo {line}: no usage");
+        let usage = out.stderr.contains("usage:");
+        assert_eq!(usage, status == 2, "amo {line}: {}", out.stderr);
         assert!(!out.stderr.contains("panicked"), "amo {line} panicked");
     }
+
+    // With the unknown key gone, the planted bug the cell asks for is
+    // explored and found: the matrix used to drop it and report clean.
+    let planted = r#"2, "explore_dups": true, "planted_double_apply": true"#;
+    let found = amo(&matrix("m3.json", planted));
+    assert_eq!(found.status, 1, "{}", found.stderr);
+    assert!(
+        found.stdout.contains("\"violations\":1"),
+        "{}",
+        found.stdout
+    );
 }
 
 #[test]

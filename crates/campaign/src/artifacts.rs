@@ -16,7 +16,8 @@ use crate::sched::Campaign;
 use amo_sync::Mechanism;
 use amo_types::Cycle;
 use amo_workloads::app::{
-    CsSensitivityRow, SelfSchedCell, SelfSchedRow, SignalResult, SyncTaxCell, SyncTaxRow,
+    CsSensitivityRow, SelfSched, SelfSchedCell, SelfSchedRow, Signal, SignalResult, SyncTax,
+    SyncTaxCell, SyncTaxRow,
 };
 use amo_workloads::runner::{BarrierBench, LockBench, LockKind};
 
@@ -502,16 +503,7 @@ pub fn ext_ktree(c: &mut Campaign, sizes: &[u16], episodes: u32, warmup: u32) ->
             let ktrees = branchings(procs)
                 .zip(&row[1..])
                 .map(|(b, art)| {
-                    let mut alloc = amo_sync::VarAlloc::new();
-                    let depth = amo_sync::KTreeSpec::build(
-                        &mut alloc,
-                        Mechanism::Amo,
-                        procs,
-                        1,
-                        b,
-                        procs / 2,
-                    )
-                    .depth();
+                    let depth = amo_sync::KTreeSpec::uniform_depth(procs, b);
                     let cycles = art.num("avg_cycles");
                     (b, depth, cycles, flat_cycles / cycles)
                 })
@@ -541,12 +533,14 @@ pub fn sync_tax(
     let specs: Vec<RunSpec> = work_grains
         .iter()
         .flat_map(|&grain| {
-            Mechanism::ALL.iter().map(move |&mech| RunSpec::SyncTax {
-                mech,
-                procs,
-                grain,
-                steps,
-                warmup,
+            Mechanism::ALL.iter().map(move |&mech| {
+                RunSpec::SyncTax(SyncTax {
+                    mech,
+                    procs,
+                    grain,
+                    steps,
+                    warmup,
+                })
             })
         })
         .collect();
@@ -608,10 +602,12 @@ pub fn cs_sensitivity(
 pub fn signal_latency(c: &mut Campaign, pairs: u16, rounds: u32) -> Vec<SignalResult> {
     let specs: Vec<RunSpec> = Mechanism::ALL
         .iter()
-        .map(|&mech| RunSpec::Signal {
-            mech,
-            pairs,
-            rounds,
+        .map(|&mech| {
+            RunSpec::Signal(Signal {
+                mech,
+                pairs,
+                rounds,
+            })
         })
         .collect();
     c.run_ok(&specs)
@@ -635,11 +631,13 @@ pub fn self_scheduling(
     let specs: Vec<RunSpec> = task_grains
         .iter()
         .flat_map(|&grain| {
-            Mechanism::ALL.iter().map(move |&mech| RunSpec::SelfSched {
-                mech,
-                procs,
-                tasks,
-                grain,
+            Mechanism::ALL.iter().map(move |&mech| {
+                RunSpec::SelfSched(SelfSched {
+                    mech,
+                    procs,
+                    tasks,
+                    grain,
+                })
             })
         })
         .collect();

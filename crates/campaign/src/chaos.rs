@@ -27,10 +27,10 @@
 use crate::run::RunSpec;
 use amo_sim::SimErrorKind;
 use amo_sync::Mechanism;
-use amo_types::jsonv::Json;
+use amo_types::jsonv::{narrow, Json};
 use amo_types::seed::{key_hex, run_seed, splitmix64};
 use amo_types::{Cycle, JsonWriter, SystemConfig};
-use amo_workloads::runner::{try_run_barrier, BarrierBench, SkewMode};
+use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, Scenario, SkewMode};
 
 /// Schema tag of a serialized fault plan.
 pub const PLAN_SCHEMA: &str = "amo-fault-plan-v1";
@@ -152,6 +152,13 @@ impl ChaosSpec {
         }
     }
 
+    /// Can every plan this search will sample run at all? (A shrunk
+    /// plan only lowers rates and windows, so it can run if its
+    /// original can.)
+    pub fn check(&self) -> Result<(), String> {
+        (0..self.samples).try_for_each(|i| self.bench(&self.sample(i)).check())
+    }
+
     /// Sample `i`'s plan: each dimension choice is an independent
     /// keyed-hash draw from `run_seed(seed, i)`, so inserting a value
     /// into one grid list does not reshuffle the other dimensions.
@@ -185,14 +192,23 @@ pub fn kind_name(kind: &SimErrorKind) -> &'static str {
     }
 }
 
-/// Run one plan to completion or abort. `Some(kind)` is the typed
-/// failure's discriminant name; `None` means the barrier finished.
-/// An untyped stall (no watchdog diagnosis) reports as `"Stall"`.
-pub fn probe(spec: &ChaosSpec, plan: &DeliveryPlan) -> Option<&'static str> {
-    match try_run_barrier(spec.bench(plan)) {
-        Ok(_) => None,
-        Err(f) => Some(f.error.as_ref().map_or("Stall", |e| kind_name(&e.kind))),
+/// The `kind` documents record for a failed run: the typed fault's
+/// discriminant name, `"Stall"` for an untyped stall (no watchdog
+/// diagnosis), `"Rejected"` for a description that was never run.
+pub fn failure_kind(f: &RunFailure) -> &'static str {
+    match (&f.rejected, &f.error) {
+        (Some(_), _) => "Rejected",
+        (None, Some(e)) => kind_name(&e.kind),
+        (None, None) => "Stall",
     }
+}
+
+/// Run one plan to completion or abort. `Some(kind)` is the failure's
+/// [`failure_kind`]; `None` means the barrier finished.
+pub fn probe(spec: &ChaosSpec, plan: &DeliveryPlan) -> Option<&'static str> {
+    try_run_barrier(spec.bench(plan))
+        .err()
+        .map(|f| failure_kind(&f))
 }
 
 /// Upper bound on shrink probes per failure; the shrinker is greedy
@@ -435,9 +451,10 @@ impl PlanDoc {
         w.finish()
     }
 
-    /// Decode an `amo-fault-plan-v1` document. Does **not** verify the
-    /// fingerprint — call [`PlanDoc::check_fingerprint`] before
-    /// trusting the plan as a reproducer.
+    /// Decode an `amo-fault-plan-v1` document whose barrier can run
+    /// (`Scenario::check`). Does **not** verify the fingerprint — call
+    /// [`PlanDoc::check_fingerprint`] before trusting the plan as a
+    /// reproducer.
     pub fn from_json(doc: &str) -> Result<PlanDoc, String> {
         let v = Json::parse(doc).map_err(|e| format!("plan: {e}"))?;
         match v.get("schema").and_then(|s| s.as_str()) {
@@ -450,11 +467,13 @@ impl PlanDoc {
                 .map(str::to_string)
                 .ok_or_else(|| format!("plan: missing {k}"))
         };
-        let num = |o: &Json, k: &str| -> Result<u64, String> {
-            o.get(k)
-                .and_then(|n| n.as_u64())
-                .ok_or_else(|| format!("plan: missing faults.{k}"))
-        };
+        /// Field `k` of `o` (named `at` + `k` in messages), narrowed to
+        /// its type.
+        fn num<T: TryFrom<u64>>(o: &Json, at: &str, k: &str) -> Result<T, String> {
+            let n = o.get(k).and_then(|n| n.as_u64());
+            let n = n.ok_or_else(|| format!("plan: missing {at}{k}"))?;
+            narrow(k, n).map_err(|e| format!("plan: {at}{e}"))
+        }
         let f = v.get("faults").ok_or("plan: missing faults")?;
         let seed = f
             .get("seed")
@@ -462,30 +481,24 @@ impl PlanDoc {
             .and_then(|s| s.strip_prefix("0x"))
             .and_then(|hex| u64::from_str_radix(&hex.replace('_', ""), 16).ok())
             .ok_or("plan: missing or malformed faults.seed (want \"0x…\")")?;
-        Ok(PlanDoc {
+        let doc = PlanDoc {
             plan: DeliveryPlan {
-                drop_ppm: num(f, "link_drop_ppm")? as u32,
-                dup_ppm: num(f, "link_dup_ppm")? as u32,
-                reorder_window: num(f, "link_reorder_window")?,
-                e2e_timeout: num(f, "e2e_timeout")?,
-                max_e2e_retries: num(f, "max_e2e_retries")? as u32,
+                drop_ppm: num(f, "faults.", "link_drop_ppm")?,
+                dup_ppm: num(f, "faults.", "link_dup_ppm")?,
+                reorder_window: num(f, "faults.", "link_reorder_window")?,
+                e2e_timeout: num(f, "faults.", "e2e_timeout")?,
+                max_e2e_retries: num(f, "faults.", "max_e2e_retries")?,
                 seed,
             },
-            procs: v
-                .get("procs")
-                .and_then(|n| n.as_u64())
-                .ok_or("plan: missing procs")? as u16,
-            episodes: v
-                .get("episodes")
-                .and_then(|n| n.as_u64())
-                .ok_or("plan: missing episodes")? as u32,
-            watchdog: v
-                .get("watchdog")
-                .and_then(|n| n.as_u64())
-                .ok_or("plan: missing watchdog")?,
+            procs: num(&v, "", "procs")?,
+            episodes: num(&v, "", "episodes")?,
+            watchdog: num(&v, "", "watchdog")?,
             kind: str_field("kind")?,
             fingerprint: str_field("fingerprint")?,
-        })
+        };
+        let bench = doc.spec().bench(&doc.plan);
+        bench.check().map_err(|e| format!("plan: {e}"))?;
+        Ok(doc)
     }
 }
 

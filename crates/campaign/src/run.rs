@@ -11,10 +11,11 @@
 //! string; both outcomes serialize (`amo-run-artifacts-v1`) so the
 //! result cache can replay them without simulating.
 
-use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
-use amo_types::{Cycle, JsonWriter, Stats, SystemConfig};
-use amo_workloads::runner::{try_run_barrier, try_run_lock, BarrierBench, LockBench};
+use amo_types::{JsonWriter, Stats, SystemConfig};
+use amo_workloads::app::{SelfSched, SelfSchedCell, Signal, SignalResult, SyncTax, SyncTaxCell};
+use amo_workloads::runner::{run_scenario, BarrierBench, LockBench, ObsSpec, Scenario};
+use amo_workloads::{BarrierMeasurement, LockMeasurement};
 
 /// Schema tag of a serialized run outcome.
 pub const ARTIFACTS_SCHEMA: &str = "amo-run-artifacts-v1";
@@ -26,53 +27,107 @@ pub const ARTIFACTS_SCHEMA: &str = "amo-run-artifacts-v1";
 /// wholesale. The crate version rides along so releases never collide.
 pub const CODE_FINGERPRINT: &str = concat!("amo-", env!("CARGO_PKG_VERSION"), "+model-2");
 
-/// One simulation run a campaign can schedule.
-///
-/// `Barrier` and `Lock` wrap the full bench descriptions (including
-/// optional `SystemConfig` overrides and fault plans) and execute
-/// through the fallible runners, so a faulted cell fails alone. The
-/// application-study variants wrap the single-cell entry points in
-/// `amo_workloads::app`.
+/// One simulation run a campaign can schedule: any of the scenarios
+/// `amo_workloads` describes. All of them execute through the one
+/// fallible driver, so a rejected, stalled or faulted cell fails alone.
 #[derive(Clone, Debug)]
 pub enum RunSpec {
-    /// A barrier benchmark cell.
+    /// A barrier benchmark cell (with its optional `SystemConfig`
+    /// override and fault plan).
     Barrier(BarrierBench),
     /// A lock benchmark cell.
     Lock(LockBench),
-    /// One synchronization-tax cell: `steps` iterations of `grain`
-    /// cycles of jittered work plus a barrier.
-    SyncTax {
-        /// Mechanism under test.
-        mech: Mechanism,
-        /// Processor count.
-        procs: u16,
-        /// Cycles of useful work per processor per step.
-        grain: Cycle,
-        /// Steps (including warm-up).
-        steps: u32,
-        /// Warm-up steps excluded from measurement.
-        warmup: u32,
-    },
+    /// One synchronization-tax cell.
+    SyncTax(SyncTax),
     /// One producer→consumer signalling cell.
-    Signal {
-        /// Mechanism under test.
-        mech: Mechanism,
-        /// Cross-node producer/consumer pairs.
-        pairs: u16,
-        /// Ping-pong rounds per pair.
-        rounds: u32,
-    },
+    Signal(Signal),
     /// One self-scheduling-loop cell.
-    SelfSched {
-        /// Mechanism under test.
-        mech: Mechanism,
-        /// Processor count.
-        procs: u16,
-        /// Tasks in the shared pool.
-        tasks: u32,
-        /// Cycles of work per task.
-        grain: Cycle,
-    },
+    SelfSched(SelfSched),
+}
+
+/// What a cell's payload records of a scenario's output.
+trait Payload {
+    /// Whether the payload carries the machine statistics. The
+    /// application studies' payloads never did, and filling them now
+    /// would change cached bytes under unchanged keys: that takes a
+    /// [`CODE_FINGERPRINT`] bump.
+    const STATS: bool = true;
+    /// The named scalars, in a fixed order.
+    fn numbers(&self) -> Vec<(&'static str, f64)>;
+}
+
+impl Payload for BarrierMeasurement {
+    fn numbers(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("avg_cycles", self.avg_cycles),
+            ("cycles_per_proc", self.cycles_per_proc),
+            ("measured", self.measured as f64),
+        ]
+    }
+}
+
+impl Payload for LockMeasurement {
+    fn numbers(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_cycles", self.total_cycles as f64),
+            ("cycles_per_acquisition", self.cycles_per_acquisition),
+            ("acquisitions", self.acquisitions as f64),
+        ]
+    }
+}
+
+impl Payload for SyncTaxCell {
+    const STATS: bool = false;
+    fn numbers(&self) -> Vec<(&'static str, f64)> {
+        vec![("step_cycles", self.step_cycles), ("tax", self.tax)]
+    }
+}
+
+impl Payload for SignalResult {
+    const STATS: bool = false;
+    fn numbers(&self) -> Vec<(&'static str, f64)> {
+        vec![("mean_latency", self.mean_latency)]
+    }
+}
+
+impl Payload for SelfSchedCell {
+    const STATS: bool = false;
+    fn numbers(&self) -> Vec<(&'static str, f64)> {
+        vec![("total_cycles", self.total_cycles as f64)]
+    }
+}
+
+/// A scenario as a campaign cell: the object-safe face of [`Scenario`].
+trait Cell {
+    fn config(&self) -> SystemConfig;
+    fn check(&self) -> Result<(), String>;
+    fn execute(&self) -> Result<RunArtifacts, String>;
+}
+
+impl<S: Scenario + Clone> Cell for S
+where
+    S::Output: Payload,
+{
+    fn config(&self) -> SystemConfig {
+        Scenario::config(self)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        Scenario::check(self)
+    }
+
+    fn execute(&self) -> Result<RunArtifacts, String> {
+        let run = run_scenario(self, ObsSpec::default()).map_err(|f| f.to_string())?;
+        let numbers = run.timing.numbers().into_iter();
+        Ok(RunArtifacts {
+            numbers: numbers.map(|(name, v)| (name.to_string(), v)).collect(),
+            stats: if S::Output::STATS {
+                run.stats
+            } else {
+                Stats::new()
+            },
+        })
+    }
 }
 
 impl RunSpec {
@@ -102,11 +157,6 @@ impl RunSpec {
                 w.kv_str("skew", b.skew.tag());
                 w.kv_u64("seed", b.seed);
                 w.kv_u64("watchdog", b.watchdog);
-                let cfg = b
-                    .config
-                    .unwrap_or_else(|| SystemConfig::with_procs(b.procs));
-                w.key("config");
-                w.raw_val(&cfg.canonical_json());
             }
             RunSpec::Lock(b) => {
                 w.kv_str("workload", "lock");
@@ -120,55 +170,31 @@ impl RunSpec {
                 w.kv_u64("watchdog", b.watchdog);
                 w.key("check_exclusion");
                 w.bool_val(b.check_exclusion);
-                let cfg = b
-                    .config
-                    .unwrap_or_else(|| SystemConfig::with_procs(b.procs));
-                w.key("config");
-                w.raw_val(&cfg.canonical_json());
             }
-            RunSpec::SyncTax {
-                mech,
-                procs,
-                grain,
-                steps,
-                warmup,
-            } => {
+            RunSpec::SyncTax(s) => {
                 w.kv_str("workload", "sync_tax");
-                w.kv_str("mech", mech.label());
-                w.kv_u64("procs", *procs as u64);
-                w.kv_u64("grain", *grain);
-                w.kv_u64("steps", *steps as u64);
-                w.kv_u64("warmup", *warmup as u64);
-                w.key("config");
-                w.raw_val(&SystemConfig::with_procs(*procs).canonical_json());
+                w.kv_str("mech", s.mech.label());
+                w.kv_u64("procs", s.procs as u64);
+                w.kv_u64("grain", s.grain);
+                w.kv_u64("steps", s.steps as u64);
+                w.kv_u64("warmup", s.warmup as u64);
             }
-            RunSpec::Signal {
-                mech,
-                pairs,
-                rounds,
-            } => {
+            RunSpec::Signal(s) => {
                 w.kv_str("workload", "signal");
-                w.kv_str("mech", mech.label());
-                w.kv_u64("pairs", *pairs as u64);
-                w.kv_u64("rounds", *rounds as u64);
-                w.key("config");
-                w.raw_val(&SystemConfig::with_procs(pairs * 2).canonical_json());
+                w.kv_str("mech", s.mech.label());
+                w.kv_u64("pairs", s.pairs as u64);
+                w.kv_u64("rounds", s.rounds as u64);
             }
-            RunSpec::SelfSched {
-                mech,
-                procs,
-                tasks,
-                grain,
-            } => {
+            RunSpec::SelfSched(s) => {
                 w.kv_str("workload", "self_sched");
-                w.kv_str("mech", mech.label());
-                w.kv_u64("procs", *procs as u64);
-                w.kv_u64("tasks", *tasks as u64);
-                w.kv_u64("grain", *grain);
-                w.key("config");
-                w.raw_val(&SystemConfig::with_procs(*procs).canonical_json());
+                w.kv_str("mech", s.mech.label());
+                w.kv_u64("procs", s.procs as u64);
+                w.kv_u64("tasks", s.tasks as u64);
+                w.kv_u64("grain", s.grain);
             }
         }
+        w.key("config");
+        w.raw_val(&self.cell().config().canonical_json());
         w.end_obj();
         w.finish()
     }
@@ -179,74 +205,28 @@ impl RunSpec {
         amo_types::seed::stable_hash128(self.canonical_doc().as_bytes())
     }
 
-    /// Execute the run. Faulted or stalled barrier/lock cells come back
-    /// as `Err(message)` — never a panic — so a campaign grid keeps its
-    /// other cells. (The application studies run fault-free machines and
-    /// keep their original panic-on-stall contract.)
-    pub fn execute(&self) -> Result<RunArtifacts, String> {
+    /// The scenario this cell runs.
+    fn cell(&self) -> &dyn Cell {
         match self {
-            RunSpec::Barrier(b) => match try_run_barrier(*b) {
-                Ok(r) => Ok(RunArtifacts {
-                    numbers: vec![
-                        ("avg_cycles".into(), r.timing.avg_cycles),
-                        ("cycles_per_proc".into(), r.timing.cycles_per_proc),
-                        ("measured".into(), r.timing.measured as f64),
-                    ],
-                    stats: r.stats,
-                }),
-                Err(f) => Err(f.to_string()),
-            },
-            RunSpec::Lock(b) => match try_run_lock(*b) {
-                Ok(r) => Ok(RunArtifacts {
-                    numbers: vec![
-                        ("total_cycles".into(), r.timing.total_cycles as f64),
-                        (
-                            "cycles_per_acquisition".into(),
-                            r.timing.cycles_per_acquisition,
-                        ),
-                        ("acquisitions".into(), r.timing.acquisitions as f64),
-                    ],
-                    stats: r.stats,
-                }),
-                Err(f) => Err(f.to_string()),
-            },
-            RunSpec::SyncTax {
-                mech,
-                procs,
-                grain,
-                steps,
-                warmup,
-            } => {
-                let c = amo_workloads::app::sync_tax_cell(*mech, *procs, *grain, *steps, *warmup);
-                Ok(RunArtifacts {
-                    numbers: vec![("step_cycles".into(), c.step_cycles), ("tax".into(), c.tax)],
-                    stats: Stats::new(),
-                })
-            }
-            RunSpec::Signal {
-                mech,
-                pairs,
-                rounds,
-            } => {
-                let r = amo_workloads::app::signal_latency(*mech, *pairs, *rounds);
-                Ok(RunArtifacts {
-                    numbers: vec![("mean_latency".into(), r.mean_latency)],
-                    stats: Stats::new(),
-                })
-            }
-            RunSpec::SelfSched {
-                mech,
-                procs,
-                tasks,
-                grain,
-            } => {
-                let c = amo_workloads::app::self_sched_cell(*mech, *procs, *tasks, *grain);
-                Ok(RunArtifacts {
-                    numbers: vec![("total_cycles".into(), c.total_cycles as f64)],
-                    stats: Stats::new(),
-                })
-            }
+            RunSpec::Barrier(b) => b,
+            RunSpec::Lock(b) => b,
+            RunSpec::SyncTax(s) => s,
+            RunSpec::Signal(s) => s,
+            RunSpec::SelfSched(s) => s,
         }
+    }
+
+    /// Can this cell run at all? Decoders call this on every cell they
+    /// build, so a bad one is refused before the campaign starts.
+    pub fn check(&self) -> Result<(), String> {
+        self.cell().check()
+    }
+
+    /// Execute the run. A rejected, faulted or stalled cell comes back
+    /// as `Err(message)` — never a panic — so a campaign grid keeps its
+    /// other cells.
+    pub fn execute(&self) -> Result<RunArtifacts, String> {
+        self.cell().execute()
     }
 }
 
@@ -360,6 +340,7 @@ pub fn outcome_from_json(doc: &str) -> Result<Result<RunArtifacts, String>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_sync::Mechanism;
     use amo_workloads::runner::{BarrierAlgo, LockKind, SkewMode};
 
     fn barrier_spec() -> RunSpec {

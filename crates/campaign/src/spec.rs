@@ -33,7 +33,7 @@
 use crate::artifacts::{check_artifact_names, ArtifactProfile};
 use crate::run::RunSpec;
 use amo_sync::Mechanism;
-use amo_types::jsonv::Json;
+use amo_types::jsonv::{narrow, Json};
 use amo_types::seed::run_seed;
 use amo_types::SystemConfig;
 use amo_workloads::runner::{BarrierAlgo, BarrierBench, LockBench, LockKind, SkewMode};
@@ -75,22 +75,28 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Parse and expand a spec document.
+    /// Parse and expand a spec document. Every grid cell is checked
+    /// (`RunSpec::check`) here, so a cell that cannot run fails the
+    /// parse with its label rather than the campaign with a panic.
     pub fn parse(doc: &str) -> Result<CampaignSpec, String> {
-        let v = Json::parse(doc).map_err(|e| format!("spec: {e}"))?;
+        Self::decode(doc).map_err(|e| format!("spec: {e}"))
+    }
+
+    fn decode(doc: &str) -> Result<CampaignSpec, String> {
+        let v = Json::parse(doc)?;
         match v.get("schema").and_then(|s| s.as_str()) {
             Some(SPEC_SCHEMA) => {}
-            other => return Err(format!("spec: bad schema {other:?}, want {SPEC_SCHEMA:?}")),
+            other => return Err(format!("bad schema {other:?}, want {SPEC_SCHEMA:?}")),
         }
         let name = v
             .get("name")
             .and_then(|s| s.as_str())
-            .ok_or("spec: missing name")?
+            .ok_or("missing name")?
             .to_string();
         let plan = match v.get("kind").and_then(|s| s.as_str()) {
             Some("grid") => CampaignPlan::Grid(expand_grid(&name, &v)?),
             Some("artifacts") => parse_artifacts(&v)?,
-            other => return Err(format!("spec: bad kind {other:?}")),
+            other => return Err(format!("bad kind {other:?}")),
         };
         Ok(CampaignSpec { name, plan })
     }
@@ -99,30 +105,31 @@ impl CampaignSpec {
 fn obj_entries<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
     match v {
         Json::Obj(m) => Ok(m),
-        _ => Err(format!("spec: {what} must be an object")),
+        _ => Err(format!("{what} must be an object")),
     }
 }
 
-fn parse_u64(v: &Json, what: &str) -> Result<u64, String> {
+/// Decode an unsigned integer field of type `T`, range-checked.
+fn parse_num<T: TryFrom<u64>>(v: &Json, what: &str) -> Result<T, String> {
     if let Some(n) = v.as_u64() {
-        return Ok(n);
+        return narrow(what, n);
     }
     // Seeds read better in hex; accept "0x..." strings too.
     if let Some(s) = v.as_str() {
         if let Some(hex) = s.strip_prefix("0x") {
-            return u64::from_str_radix(&hex.replace('_', ""), 16)
-                .map_err(|e| format!("spec: {what}: {e}"));
+            let n = u64::from_str_radix(&hex.replace('_', ""), 16);
+            return narrow(what, n.map_err(|e| format!("{what}: {e}"))?);
         }
     }
-    Err(format!("spec: {what} must be an unsigned integer"))
+    Err(format!("{what} must be an unsigned integer"))
 }
 
 /// Decode a string-tagged enum field through the type's own `parse`.
 fn parse_tag<T>(v: &Json, what: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
     let s = v
         .as_str()
-        .ok_or_else(|| format!("spec: {what} must be a string"))?;
-    parse(s).map_err(|e| format!("spec: {e}"))
+        .ok_or_else(|| format!("{what} must be a string"))?;
+    parse(s)
 }
 
 /// Find the last assignment of `key` (axis values come after `base`, so
@@ -138,12 +145,12 @@ fn lookup<'a>(assignments: &'a [(&'a str, &'a Json)], key: &str) -> Option<&'a J
 /// Build one run from an assignment list (`base` entries first, then
 /// the axis point's).
 fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, String> {
-    let procs = parse_u64(
-        lookup(assignments, "procs").ok_or("spec: grid cell missing procs")?,
+    let procs = parse_num(
+        lookup(assignments, "procs").ok_or("grid cell missing procs")?,
         "procs",
-    )? as u16;
+    )?;
     let mech = parse_tag(
-        lookup(assignments, "mech").ok_or("spec: grid cell missing mech")?,
+        lookup(assignments, "mech").ok_or("grid cell missing mech")?,
         "mech",
         Mechanism::parse,
     )?;
@@ -155,18 +162,18 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
             for &(key, v) in assignments {
                 match key {
                     "mech" | "procs" => {}
-                    "episodes" => b.episodes = parse_u64(v, key)? as u32,
-                    "warmup" => b.warmup = parse_u64(v, key)? as u32,
+                    "episodes" => b.episodes = parse_num(v, key)?,
+                    "warmup" => b.warmup = parse_num(v, key)?,
                     "algo" => b.algo = parse_tag(v, key, BarrierAlgo::parse)?,
-                    "max_skew" => b.max_skew = parse_u64(v, key)?,
+                    "max_skew" => b.max_skew = parse_num(v, key)?,
                     "skew" => b.skew = parse_tag(v, key, SkewMode::parse)?,
-                    "seed" => b.seed = parse_u64(v, key)?,
-                    "watchdog" => b.watchdog = parse_u64(v, key)?,
+                    "seed" => b.seed = parse_num(v, key)?,
+                    "watchdog" => b.watchdog = parse_num(v, key)?,
                     _ if key.starts_with("config.") => {
-                        cfg.set_field(&key["config.".len()..], parse_u64(v, key)?)?;
+                        cfg.set_field(&key["config.".len()..], parse_num(v, key)?)?;
                         cfg_touched = true;
                     }
-                    _ => return Err(format!("spec: unknown barrier parameter {key:?}")),
+                    _ => return Err(format!("unknown barrier parameter {key:?}")),
                 }
             }
             if cfg_touched {
@@ -183,16 +190,16 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
             for &(key, v) in assignments {
                 match key {
                     "mech" | "procs" | "kind" => {}
-                    "rounds" => b.rounds = parse_u64(v, key)? as u32,
-                    "cs_cycles" => b.cs_cycles = parse_u64(v, key)?,
-                    "max_think" => b.max_think = parse_u64(v, key)?,
-                    "seed" => b.seed = parse_u64(v, key)?,
-                    "watchdog" => b.watchdog = parse_u64(v, key)?,
+                    "rounds" => b.rounds = parse_num(v, key)?,
+                    "cs_cycles" => b.cs_cycles = parse_num(v, key)?,
+                    "max_think" => b.max_think = parse_num(v, key)?,
+                    "seed" => b.seed = parse_num(v, key)?,
+                    "watchdog" => b.watchdog = parse_num(v, key)?,
                     _ if key.starts_with("config.") => {
-                        cfg.set_field(&key["config.".len()..], parse_u64(v, key)?)?;
+                        cfg.set_field(&key["config.".len()..], parse_num(v, key)?)?;
                         cfg_touched = true;
                     }
-                    _ => return Err(format!("spec: unknown lock parameter {key:?}")),
+                    _ => return Err(format!("unknown lock parameter {key:?}")),
                 }
             }
             if cfg_touched {
@@ -200,7 +207,7 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
             }
             Ok(RunSpec::Lock(b))
         }
-        other => Err(format!("spec: unknown workload {other:?} (barrier, lock)")),
+        other => Err(format!("unknown workload {other:?} (barrier, lock)")),
     }
 }
 
@@ -235,20 +242,20 @@ fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
     let workload = v
         .get("workload")
         .and_then(|s| s.as_str())
-        .ok_or("spec: grid missing workload")?;
+        .ok_or("grid missing workload")?;
     let empty = Json::Obj(Vec::new());
     let base = obj_entries(v.get("base").unwrap_or(&empty), "base")?;
     let axes = obj_entries(v.get("axes").unwrap_or(&empty), "axes")?;
     let include = match v.get("include") {
-        Some(f) => Some(f.as_arr().ok_or("spec: include must be an array")?),
+        Some(f) => Some(f.as_arr().ok_or("include must be an array")?),
         None => None,
     };
     let exclude = match v.get("exclude") {
-        Some(f) => f.as_arr().ok_or("spec: exclude must be an array")?,
+        Some(f) => f.as_arr().ok_or("exclude must be an array")?,
         None => &[],
     };
     let replicas = match v.get("replicas") {
-        Some(r) => parse_u64(r, "replicas")?.max(1),
+        Some(r) => parse_num::<u64>(r, "replicas")?.max(1),
         None => 1,
     };
 
@@ -257,9 +264,9 @@ fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
     for (k, vals) in axes {
         let vals = vals
             .as_arr()
-            .ok_or_else(|| format!("spec: axis {k:?} must be an array"))?;
+            .ok_or_else(|| format!("axis {k:?} must be an array"))?;
         if vals.is_empty() {
-            return Err(format!("spec: axis {k:?} is empty"));
+            return Err(format!("axis {k:?} is empty"));
         }
         axis_values.push((k, vals));
     }
@@ -303,7 +310,6 @@ fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
             continue;
         }
 
-        let spec = build_run(workload, &assignments)?;
         let label = if point.is_empty() {
             name.to_string()
         } else {
@@ -313,6 +319,9 @@ fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
                 .collect();
             format!("{name}[{}]", parts.join(","))
         };
+        let spec = build_run(workload, &assignments)
+            .and_then(|spec| spec.check().map(|()| spec))
+            .map_err(|e| format!("{label}: {e}"))?;
 
         // Replicas repeat the cell with seeds split off the cell's own
         // seed via the workspace-wide run_seed derivation, so replica r
@@ -338,21 +347,21 @@ fn parse_artifacts(v: &Json) -> Result<CampaignPlan, String> {
     let artifacts = match v.get("artifacts") {
         Some(a) => a
             .as_arr()
-            .ok_or("spec: artifacts must be an array")?
+            .ok_or("artifacts must be an array")?
             .iter()
             .map(|s| {
                 s.as_str()
                     .map(str::to_string)
-                    .ok_or_else(|| "spec: artifact names must be strings".to_string())
+                    .ok_or_else(|| "artifact names must be strings".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?,
         None => Vec::new(),
     };
-    check_artifact_names(&artifacts).map_err(|e| format!("spec: {e}"))?;
+    check_artifact_names(&artifacts)?;
     let profile = match v.get("profile") {
         None => ArtifactProfile::paper(),
         Some(p) => match p.as_str() {
-            Some(name) => ArtifactProfile::named(name).map_err(|e| format!("spec: {e}"))?,
+            Some(name) => ArtifactProfile::named(name)?,
             None => {
                 // An object overrides individual fields of the paper
                 // profile.
@@ -360,19 +369,19 @@ fn parse_artifacts(v: &Json) -> Result<CampaignPlan, String> {
                 for (k, val) in obj_entries(p, "profile")? {
                     let sizes = |v: &Json| -> Result<Vec<u16>, String> {
                         v.as_arr()
-                            .ok_or_else(|| format!("spec: profile {k} must be an array"))?
+                            .ok_or_else(|| format!("profile {k} must be an array"))?
                             .iter()
-                            .map(|n| parse_u64(n, k).map(|n| n as u16))
+                            .map(|n| parse_num(n, k))
                             .collect()
                     };
                     match k.as_str() {
                         "sizes" => profile.sizes = sizes(val)?,
                         "tree_sizes" => profile.tree_sizes = sizes(val)?,
                         "traffic_sizes" => profile.traffic_sizes = sizes(val)?,
-                        "episodes" => profile.episodes = parse_u64(val, k)? as u32,
-                        "warmup" => profile.warmup = parse_u64(val, k)? as u32,
-                        "rounds" => profile.rounds = parse_u64(val, k)? as u32,
-                        other => return Err(format!("spec: unknown profile field {other:?}")),
+                        "episodes" => profile.episodes = parse_num(val, k)?,
+                        "warmup" => profile.warmup = parse_num(val, k)?,
+                        "rounds" => profile.rounds = parse_num(val, k)?,
+                        other => return Err(format!("unknown profile field {other:?}")),
                     }
                 }
                 profile
@@ -550,6 +559,52 @@ mod tests {
             ),
         ] {
             assert!(CampaignSpec::parse(doc).is_err(), "{why}");
+        }
+
+        // A cell that cannot run fails the parse, labelled, instead of
+        // panicking the campaign (or, for `65540`, running as 4 procs).
+        for (workload, base, why) in [
+            ("barrier", r#""procs": 5"#, "num_procs = 5"),
+            (
+                "barrier",
+                r#""procs": 8, "config.l1.line_bytes": 48"#,
+                "l1.line_bytes = 48",
+            ),
+            (
+                "barrier",
+                r#""procs": 8, "episodes": 3, "warmup": 5"#,
+                "warmup = 5",
+            ),
+            (
+                "barrier",
+                r#""procs": 8, "config.num_procs": 16"#,
+                "config.num_procs = 16, procs = 8",
+            ),
+            (
+                "lock",
+                r#""procs": 1, "kind": "array", "config.procs_per_node": 1,
+                   "config.num_procs": 1"#,
+                "kind array needs at least 2 slots",
+            ),
+            (
+                "barrier",
+                r#""procs": 65540"#,
+                "procs: 65540 does not fit u16",
+            ),
+            (
+                "barrier",
+                r#""procs": 8, "episodes": 4294967296"#,
+                "does not fit u32",
+            ),
+        ] {
+            let doc = format!(
+                r#"{{"schema": "amo-campaign-v1", "name": "x", "kind": "grid",
+                    "workload": "{workload}", "base": {{{base}}},
+                    "axes": {{"mech": ["AMO"]}}}}"#
+            );
+            let err = CampaignSpec::parse(&doc).unwrap_err();
+            assert!(err.starts_with("spec: x[mech=AMO]: "), "{err}");
+            assert!(err.contains(why), "{err} lacks {why:?}");
         }
     }
 }

@@ -26,9 +26,9 @@
 //!
 //! | layer | crate | contents |
 //! |---|---|---|
-//! | experiments | [`workloads`] | runners, sweeps, table/figure generators |
+//! | experiments | [`workloads`] | the one run driver and its scenarios: barrier and lock benchmarks, application studies |
 //! | observability | [`obs`] | event tracing, Perfetto export, occupancy time series |
-//! | algorithms | [`sync`] | barriers (centralized, combining tree), ticket & array locks |
+//! | algorithms | [`sync`] | barriers (centralized, combining tree, dissemination), ticket, array & MCS locks, and the installers that put them on a machine |
 //! | machine | [`sim`] | the `Machine`: hubs, fabric, event loop |
 //! | processor | [`cpu`] | kernels, memory ops, LL/SC, spinning, handlers |
 //! | home node | [`directory`], [`amu`], [`dram`] | coherence protocol, AMU, memory |
@@ -64,13 +64,14 @@ pub mod prelude {
     pub use amo_sync::{
         ArrayLockKernel, ArrayLockSpec, BarrierKernel, BarrierSpec, BarrierStyle,
         DisseminationKernel, DisseminationSpec, KTreeKernel, KTreeSpec, McsLockKernel, McsLockSpec,
-        Mechanism, TicketLockKernel, TicketLockSpec, TreeBarrierKernel, TreeBarrierSpec, VarAlloc,
+        Mechanism, ProcPlan, TicketLockKernel, TicketLockSpec, VarAlloc,
     };
     pub use amo_types::{Addr, Cycle, FaultConfig, NodeId, ProcId, SystemConfig, Word};
     pub use amo_workloads::{
-        run_barrier, run_barrier_obs, run_lock, run_lock_obs, try_run_barrier, try_run_barrier_obs,
-        try_run_lock, try_run_lock_obs, BarrierAlgo, BarrierBench, BarrierResult, LockBench,
-        LockKind, LockResult, ObsReport, ObsSpec, RunFailure, SkewMode,
+        run_barrier, run_barrier_obs, run_lock, run_lock_obs, run_scenario, try_run_barrier,
+        try_run_barrier_obs, try_run_lock, try_run_lock_obs, BarrierAlgo, BarrierBench,
+        BarrierResult, LockBench, LockKind, LockResult, ObsReport, ObsSpec, RunFailure, Scenario,
+        SkewMode,
     };
 }
 

@@ -363,51 +363,18 @@ impl Kernel for BarrierKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::install::testkit;
+    use crate::BarrierAlgo;
     use amo_sim::Machine;
-    use amo_types::{ProcId, SystemConfig};
 
-    /// Run one barrier configuration to completion on a small machine
-    /// and sanity-check it synchronized: for every episode, every
-    /// processor's exit is at or after every processor's enter.
+    /// The centralized barrier in its default style, through the
+    /// installer (which also checks that it synchronized).
     fn run_barrier(mech: Mechanism, procs: u16, episodes: u32) -> (Machine, u64) {
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = BarrierSpec::build(&mut alloc, mech, NodeId(0), procs, episodes);
-        for p in 0..procs {
-            let work: Vec<Cycle> = (0..episodes)
-                .map(|e| 100 + (p as u64 * 37 + e as u64 * 13) % 400)
-                .collect();
-            machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
-        }
-        let res = machine.run(500_000_000);
-        assert!(res.all_finished, "{mech:?}: {:?}", res.finished);
-        let end = res.last_finish();
-        // Barrier semantics: within each episode, no exit before every
-        // enter.
-        for e in 1..=episodes {
-            let enters: Vec<Cycle> = machine
-                .marks()
-                .iter()
-                .filter(|(_, id, _)| *id == BarrierSpec::enter_mark(e))
-                .map(|&(_, _, t)| t)
-                .collect();
-            let exits: Vec<Cycle> = machine
-                .marks()
-                .iter()
-                .filter(|(_, id, _)| *id == BarrierSpec::exit_mark(e))
-                .map(|&(_, _, t)| t)
-                .collect();
-            assert_eq!(enters.len(), procs as usize);
-            assert_eq!(exits.len(), procs as usize);
-            let last_enter = *enters.iter().max().unwrap();
-            let first_exit = *exits.iter().min().unwrap();
-            assert!(
-                first_exit >= last_enter,
-                "{mech:?} episode {e}: exit {first_exit} before last enter {last_enter}"
-            );
-        }
-        (machine, end)
+        testkit::run_barrier(BarrierAlgo::Central, mech, None, procs, episodes)
+    }
+
+    fn run_styled(mech: Mechanism, style: BarrierStyle, episodes: u32) -> (Machine, u64) {
+        testkit::run_barrier(BarrierAlgo::Central, mech, Some(style), 4, episodes)
     }
 
     #[test]
@@ -473,18 +440,7 @@ mod tests {
             BarrierStyle::SenseReversing,
         ] {
             for mech in Mechanism::ALL {
-                let cfg = SystemConfig::with_procs(4);
-                let mut machine = Machine::new(cfg);
-                let mut alloc = VarAlloc::new();
-                let spec = BarrierSpec::build_styled(&mut alloc, mech, style, NodeId(0), 4, 2);
-                for p in 0..4u16 {
-                    let work: Vec<Cycle> = (0..2)
-                        .map(|e| 100 + (p as u64 * 37 + e * 13) % 400)
-                        .collect();
-                    machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
-                }
-                let res = machine.run(500_000_000);
-                assert!(res.all_finished, "{mech:?} {style:?}: {:?}", res.finished);
+                run_styled(mech, style, 2);
             }
         }
     }
@@ -492,46 +448,11 @@ mod tests {
     #[test]
     fn sense_reversing_synchronizes_all_mechanisms() {
         for mech in Mechanism::ALL {
-            let cfg = SystemConfig::with_procs(4);
-            let mut machine = Machine::new(cfg);
-            let mut alloc = VarAlloc::new();
-            let spec = BarrierSpec::build_styled(
-                &mut alloc,
-                mech,
-                BarrierStyle::SenseReversing,
-                NodeId(0),
-                4,
-                3,
-            );
-            for p in 0..4u16 {
-                let work: Vec<Cycle> = (0..3)
-                    .map(|e| 100 + (p as u64 * 37 + e * 13) % 400)
-                    .collect();
-                machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
-            }
-            let res = machine.run(500_000_000);
-            assert!(res.all_finished, "{mech:?}: {:?}", res.finished);
-            for e in 1..=3u32 {
-                let last_enter = machine
-                    .marks()
-                    .iter()
-                    .filter(|(_, id, _)| *id == BarrierSpec::enter_mark(e))
-                    .map(|&(_, _, t)| t)
-                    .max()
-                    .unwrap();
-                let first_exit = machine
-                    .marks()
-                    .iter()
-                    .filter(|(_, id, _)| *id == BarrierSpec::exit_mark(e))
-                    .map(|&(_, _, t)| t)
-                    .min()
-                    .unwrap();
-                assert!(first_exit >= last_enter, "{mech:?} episode {e}");
-            }
             // Completing episodes 2 and 3 *is* the reset working: with a
             // stale counter the per-episode target P would never be hit
             // again. (Home memory may lag the reset — the zero lives in
             // the resetter's Modified line.)
+            run_styled(mech, BarrierStyle::SenseReversing, 3);
         }
     }
 
@@ -541,26 +462,7 @@ mod tests {
         // the AMU; the reset's exclusive grant must flush it. Episode 2
         // would count wrong otherwise, so finishing IS the proof; check
         // the flush-visible effect explicitly too.
-        let cfg = SystemConfig::with_procs(4);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = BarrierSpec::build_styled(
-            &mut alloc,
-            Mechanism::Amo,
-            BarrierStyle::SenseReversing,
-            NodeId(0),
-            4,
-            2,
-        );
-        for p in 0..4u16 {
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(BarrierKernel::new(spec, vec![100 + p as u64 * 50; 2])),
-                0,
-            );
-        }
-        let res = machine.run(500_000_000);
-        assert!(res.all_finished, "{:?}", res.finished);
+        let (machine, _) = run_styled(Mechanism::Amo, BarrierStyle::SenseReversing, 2);
         // 8 increments plus 2 pushing releases of the spin variable.
         assert_eq!(machine.stats().amo_ops, 10);
         assert_eq!(machine.stats().puts, 2, "only the releases push");
@@ -572,22 +474,8 @@ mod tests {
 
     #[test]
     fn naive_llsc_barrier_also_works_but_slower() {
-        let cfg = SystemConfig::with_procs(4);
-        let run = |style| {
-            let mut machine = Machine::new(cfg);
-            let mut alloc = VarAlloc::new();
-            let spec =
-                BarrierSpec::build_styled(&mut alloc, Mechanism::LlSc, style, NodeId(0), 4, 3);
-            for p in 0..4u16 {
-                let work = vec![200; 3];
-                machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
-            }
-            let res = machine.run(500_000_000);
-            assert!(res.all_finished);
-            res.last_finish()
-        };
-        let naive = run(BarrierStyle::Naive);
-        let optimized = run(BarrierStyle::SpinVariable);
+        let (_, naive) = run_styled(Mechanism::LlSc, BarrierStyle::Naive, 3);
+        let (_, optimized) = run_styled(Mechanism::LlSc, BarrierStyle::SpinVariable, 3);
         // Tiny configs may not show a large gap, but naive must at least
         // not be dramatically faster — it suffers spin/increment
         // interference.

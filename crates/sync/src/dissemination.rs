@@ -186,45 +186,12 @@ impl Kernel for DisseminationKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::install::testkit::run_barrier;
+    use crate::BarrierAlgo;
     use amo_sim::Machine;
-    use amo_types::SystemConfig;
 
     fn run_dissemination(mech: Mechanism, procs: u16, episodes: u32) -> (Machine, u64) {
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = DisseminationSpec::build(&mut alloc, mech, procs, cfg.procs_per_node, episodes);
-        for p in 0..procs {
-            let work: Vec<Cycle> = (0..episodes)
-                .map(|e| 100 + (p as u64 * 37 + e as u64 * 13) % 400)
-                .collect();
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(DisseminationKernel::new(spec.clone(), p, work)),
-                0,
-            );
-        }
-        let res = machine.run(2_000_000_000);
-        assert!(res.all_finished, "{mech:?}: {:?}", res.finished);
-        // Barrier property.
-        for e in 1..=episodes {
-            let last_enter = machine
-                .marks()
-                .iter()
-                .filter(|(_, id, _)| *id == BarrierSpec::enter_mark(e))
-                .map(|&(_, _, t)| t)
-                .max()
-                .unwrap();
-            let first_exit = machine
-                .marks()
-                .iter()
-                .filter(|(_, id, _)| *id == BarrierSpec::exit_mark(e))
-                .map(|&(_, _, t)| t)
-                .min()
-                .unwrap();
-            assert!(first_exit >= last_enter, "{mech:?} episode {e} violated");
-        }
-        (machine, res.last_finish())
+        run_barrier(BarrierAlgo::Dissemination, mech, None, procs, episodes)
     }
 
     #[test]
@@ -271,33 +238,11 @@ mod tests {
 
     #[test]
     fn beats_centralized_llsc_at_scale() {
-        use crate::BarrierKernel;
-        let procs = 32u16;
-        let episodes = 4;
-        let (_, diss) = run_dissemination(Mechanism::LlSc, procs, episodes);
-        // Centralized LL/SC for comparison.
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = BarrierSpec::build(
-            &mut alloc,
-            Mechanism::LlSc,
-            amo_types::NodeId(0),
-            procs,
-            episodes,
-        );
-        for p in 0..procs {
-            let work: Vec<Cycle> = (0..episodes)
-                .map(|e| 100 + (p as u64 * 37 + e as u64 * 13) % 400)
-                .collect();
-            machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
-        }
-        let res = machine.run(2_000_000_000);
-        assert!(res.all_finished);
-        let central = res.last_finish();
+        let (_, diss) = run_dissemination(Mechanism::LlSc, 32, 4);
+        let (_, central) = run_barrier(BarrierAlgo::Central, Mechanism::LlSc, None, 32, 4);
         assert!(
             diss < central,
-            "dissemination {diss} should beat centralized LL/SC {central} at {procs} CPUs"
+            "dissemination {diss} should beat centralized LL/SC {central} at 32 CPUs"
         );
     }
 }

@@ -1,13 +1,22 @@
-//! K-level software combining-tree barriers — the generalization the
-//! paper leaves as future work: "determining whether or not tree-based
-//! AMO barriers can provide extra benefits on very large-scale systems".
+//! Software combining-tree barriers (Yew, Tzeng & Lawrie; paper
+//! Sec. 4.2.2), of any depth.
 //!
-//! The two-level tree of [`crate::tree`] is the paper's evaluated
-//! configuration; this module builds arbitrarily deep trees with a
-//! uniform branching factor. The last arriver of each group climbs one
-//! level; the last arriver at the root starts a downward release wave,
-//! with every climber releasing the groups it climbed out of, top-down.
-//! Counts are cumulative per episode as everywhere else in this crate.
+//! Processors are partitioned into groups; the last arriver of each
+//! group climbs one level; the last arriver at the root starts a
+//! downward release wave, with every climber releasing the groups it
+//! climbed out of, top-down. Group counters are spread across home
+//! nodes, which is the whole point of the tree — spreading the hot spot.
+//! Counts are cumulative per episode as everywhere else in this crate
+//! (episode `e` completes a group of size `s` at `e × s`), so no resets
+//! are needed.
+//!
+//! Two shapes are built from the one state machine. The paper's
+//! evaluated configuration ([`KTreeSpec::build_two_level`]) has groups
+//! of `B` leaves under one root of fan-in `⌈P/B⌉`. The generalization
+//! the paper leaves as future work — "determining whether or not
+//! tree-based AMO barriers can provide extra benefits on very
+//! large-scale systems" — is [`KTreeSpec::build`]: a uniform fan-in at
+//! every level, as deep as the processor count requires.
 
 use crate::barrier::BarrierSpec;
 use crate::layout::cumulative_target;
@@ -15,6 +24,7 @@ use crate::mechanism::{FetchAddSub, Mechanism, ReleaseSub, SpinSub, Step};
 use crate::VarAlloc;
 use amo_cpu::{Kernel, Op, Outcome};
 use amo_types::{Addr, Cycle, NodeId, SpinPred, Word};
+use std::rc::Rc;
 
 /// One group at one level of the tree.
 #[derive(Clone, Copy, Debug)]
@@ -29,7 +39,7 @@ pub struct KGroup {
     pub size: u16,
 }
 
-/// Shared description of a k-level combining tree.
+/// Shared description of a combining tree.
 #[derive(Clone, Debug)]
 pub struct KTreeSpec {
     /// Mechanism implementing the increments.
@@ -38,17 +48,18 @@ pub struct KTreeSpec {
     pub participants: u16,
     /// Episodes to run.
     pub episodes: u32,
-    /// Uniform branching factor.
-    pub branching: u16,
+    /// `fanins[l]` — the group size at level `l` (the last group of a
+    /// level may be smaller).
+    pub fanins: Vec<u16>,
     /// `levels[l]` — the groups at level `l`; the last level has one
     /// group (the root).
     pub levels: Vec<Vec<KGroup>>,
 }
 
 impl KTreeSpec {
-    /// Build a tree of the depth implied by `participants` and
-    /// `branching`; group variables distribute round-robin across nodes,
-    /// the root lives on node 0.
+    /// Build a tree of uniform fan-in `branching`, as deep as
+    /// `participants` requires; group variables are strided across the
+    /// nodes, the root lives on node 0.
     pub fn build(
         alloc: &mut VarAlloc,
         mech: Mechanism,
@@ -57,38 +68,84 @@ impl KTreeSpec {
         branching: u16,
         num_nodes: u16,
     ) -> Self {
+        let fanins = vec![branching; Self::uniform_depth(participants, branching)];
+        let root = fanins.len() - 1;
+        Self::with_fanins(alloc, mech, participants, episodes, fanins, |l, g| {
+            if l == root {
+                NodeId(0)
+            } else {
+                NodeId((g * 7 + l as u16 * 3) % num_nodes)
+            }
+        })
+    }
+
+    /// Build the paper's two-level tree: groups of `branching` leaves,
+    /// homed round-robin across the nodes, under one root on node 0
+    /// whose fan-in is the number of groups.
+    pub fn build_two_level(
+        alloc: &mut VarAlloc,
+        mech: Mechanism,
+        participants: u16,
+        episodes: u32,
+        branching: u16,
+        num_nodes: u16,
+    ) -> Self {
+        let fanins = vec![branching, participants.div_ceil(branching)];
+        Self::with_fanins(alloc, mech, participants, episodes, fanins, |l, g| {
+            NodeId(if l == 0 { g % num_nodes } else { 0 })
+        })
+    }
+
+    /// Levels of a uniform tree of fan-in `branching` over
+    /// `participants` (what [`build`](Self::build) produces).
+    pub fn uniform_depth(participants: u16, branching: u16) -> usize {
         assert!(branching >= 2);
         assert!(participants > 1);
-        let mut levels = Vec::new();
-        let mut members = participants;
-        loop {
-            let num_groups = members.div_ceil(branching);
-            let level: Vec<KGroup> = (0..num_groups)
-                .map(|g| {
-                    let home = if num_groups == 1 {
-                        NodeId(0)
-                    } else {
-                        NodeId((g * 7 + levels.len() as u16 * 3) % num_nodes)
-                    };
-                    KGroup {
-                        counter: alloc.counter_for(mech, home),
-                        release: alloc.word(home),
-                        ctr_id: alloc.ctr(home),
-                        size: branching.min(members - g * branching),
-                    }
-                })
-                .collect();
-            levels.push(level);
-            if num_groups == 1 {
-                break;
-            }
-            members = num_groups;
+        let (mut depth, mut members) = (1, participants.div_ceil(branching));
+        while members > 1 {
+            members = members.div_ceil(branching);
+            depth += 1;
         }
+        depth
+    }
+
+    /// Allocate the groups level by level, group by group (the root
+    /// last), homing group `g` of level `l` on `home(l, g)`.
+    fn with_fanins(
+        alloc: &mut VarAlloc,
+        mech: Mechanism,
+        participants: u16,
+        episodes: u32,
+        fanins: Vec<u16>,
+        home: impl Fn(usize, u16) -> NodeId,
+    ) -> Self {
+        let mut members = participants;
+        let levels = fanins
+            .iter()
+            .enumerate()
+            .map(|(l, &fanin)| {
+                let num_groups = members.div_ceil(fanin);
+                let level = (0..num_groups)
+                    .map(|g| {
+                        let home = home(l, g);
+                        KGroup {
+                            counter: alloc.counter_for(mech, home),
+                            release: alloc.word(home),
+                            ctr_id: alloc.ctr(home),
+                            size: fanin.min(members - g * fanin),
+                        }
+                    })
+                    .collect();
+                members = num_groups;
+                level
+            })
+            .collect();
+        assert_eq!(members, 1, "the last level is the root");
         KTreeSpec {
             mech,
             participants,
             episodes,
-            branching,
+            fanins,
             levels,
         }
     }
@@ -100,11 +157,8 @@ impl KTreeSpec {
 
     /// The group index of member `m` at level `l` (member = processor at
     /// level 0, child-group index above).
-    pub fn group_at(&self, mut m: u16, l: usize) -> u16 {
-        for _ in 0..l {
-            m /= self.branching;
-        }
-        m / self.branching
+    pub fn group_at(&self, m: u16, l: usize) -> u16 {
+        self.fanins[..=l].iter().fold(m, |m, fanin| m / fanin)
     }
 }
 
@@ -123,9 +177,9 @@ enum KState {
     Done,
 }
 
-/// One participant's k-level tree-barrier kernel.
+/// One participant's tree-barrier kernel.
 pub struct KTreeKernel {
-    spec: KTreeSpec,
+    spec: Rc<KTreeSpec>,
     me: u16,
     work: Vec<Cycle>,
     e: u32,
@@ -137,8 +191,10 @@ pub struct KTreeKernel {
 }
 
 impl KTreeKernel {
-    /// Build the kernel for participant `me`.
-    pub fn new(spec: KTreeSpec, me: u16, work: Vec<Cycle>) -> Self {
+    /// Build the kernel for participant `me`. The participants of one
+    /// barrier can share one `Rc` of its description.
+    pub fn new(spec: impl Into<Rc<KTreeSpec>>, me: u16, work: Vec<Cycle>) -> Self {
+        let spec = spec.into();
         assert_eq!(work.len(), spec.episodes as usize);
         KTreeKernel {
             spec,
@@ -162,6 +218,8 @@ impl KTreeKernel {
 
     fn release_sub(&self, l: usize) -> ReleaseSub {
         let g = self.group(l);
+        // Tree release words are coherent even under MAO (optimized
+        // spin-variable discipline), so MAO releases are plain stores.
         if self.spec.mech == Mechanism::Mao {
             ReleaseSub::coherent_store(g.release, self.e as Word)
         } else {
@@ -261,50 +319,8 @@ impl Kernel for KTreeKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amo_sim::Machine;
-    use amo_types::{ProcId, SystemConfig};
-
-    fn run_ktree(mech: Mechanism, procs: u16, branching: u16, episodes: u32) -> (Machine, u64) {
-        let cfg = SystemConfig::with_procs(procs);
-        let nodes = cfg.num_nodes();
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = KTreeSpec::build(&mut alloc, mech, procs, episodes, branching, nodes);
-        for p in 0..procs {
-            let work: Vec<Cycle> = (0..episodes)
-                .map(|e| 100 + (p as u64 * 31 + e as u64 * 7) % 300)
-                .collect();
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(KTreeKernel::new(spec.clone(), p, work)),
-                0,
-            );
-        }
-        let res = machine.run(4_000_000_000);
-        assert!(
-            res.all_finished,
-            "{mech:?} b={branching}: {:?}",
-            res.finished
-        );
-        for e in 1..=episodes {
-            let last_enter = machine
-                .marks()
-                .iter()
-                .filter(|(_, id, _)| *id == BarrierSpec::enter_mark(e))
-                .map(|&(_, _, t)| t)
-                .max()
-                .unwrap();
-            let first_exit = machine
-                .marks()
-                .iter()
-                .filter(|(_, id, _)| *id == BarrierSpec::exit_mark(e))
-                .map(|&(_, _, t)| t)
-                .min()
-                .unwrap();
-            assert!(first_exit >= last_enter, "{mech:?} episode {e} violated");
-        }
-        (machine, res.last_finish())
-    }
+    use crate::install::testkit::run_barrier;
+    use crate::BarrierAlgo::{KTree, Tree};
 
     #[test]
     fn depth_and_grouping() {
@@ -312,6 +328,7 @@ mod tests {
         let spec = KTreeSpec::build(&mut alloc, Mechanism::LlSc, 16, 1, 2, 8);
         // 16 -> 8 -> 4 -> 2 -> 1 groups: 4 levels of grouping.
         assert_eq!(spec.depth(), 4);
+        assert_eq!(KTreeSpec::uniform_depth(16, 2), 4);
         assert_eq!(spec.levels[0].len(), 8);
         assert_eq!(spec.levels[3].len(), 1);
         assert_eq!(spec.group_at(5, 0), 2);
@@ -333,53 +350,57 @@ mod tests {
     #[test]
     fn deep_trees_synchronize_all_mechanisms() {
         for mech in Mechanism::ALL {
-            run_ktree(mech, 16, 2, 2); // depth 4
+            run_barrier(KTree(2), mech, None, 16, 2); // depth 4
         }
     }
 
     #[test]
     fn wider_tree_is_shallower_and_works() {
-        run_ktree(Mechanism::Atomic, 16, 4, 3); // 16 -> 4 -> 1: depth 2
-        run_ktree(Mechanism::Amo, 32, 8, 2); // 32 -> 4 -> 1: depth 2
+        run_barrier(KTree(4), Mechanism::Atomic, None, 16, 3); // 16 -> 4 -> 1: depth 2
+        run_barrier(KTree(8), Mechanism::Amo, None, 32, 2); // 32 -> 4 -> 1: depth 2
     }
 
     #[test]
-    fn two_level_ktree_matches_tree_module_shape() {
-        // A ktree with branching b over b^2 procs has the same structure
-        // as the paper's two-level tree; sanity-check relative timing is
-        // in the same ballpark (within 2x) for LL/SC.
-        use crate::{TreeBarrierKernel, TreeBarrierSpec};
-        let procs = 16u16;
-        let episodes = 3;
-        let (_, kt) = run_ktree(Mechanism::LlSc, procs, 4, episodes);
-
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = TreeBarrierSpec::build(
-            &mut alloc,
-            Mechanism::LlSc,
-            procs,
-            episodes,
-            4,
-            cfg.num_nodes(),
-        );
-        for p in 0..procs {
-            let work: Vec<Cycle> = (0..episodes)
-                .map(|e| 100 + (p as u64 * 31 + e as u64 * 7) % 300)
-                .collect();
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(TreeBarrierKernel::new(spec.clone(), p, work)),
-                0,
-            );
+    fn two_level_tree_all_mechanisms_8_procs() {
+        for mech in Mechanism::ALL {
+            run_barrier(Tree(4), mech, None, 8, 3);
         }
-        let res = machine.run(2_000_000_000);
-        assert!(res.all_finished);
-        let two = res.last_finish();
-        assert!(
-            kt < two * 2 && two < kt * 2,
-            "ktree {kt} vs two-level {two}"
-        );
+    }
+
+    #[test]
+    fn two_level_uneven_group_sizes_work() {
+        // 10 procs with branching 4: groups of 4, 4, 2.
+        run_barrier(Tree(4), Mechanism::Atomic, None, 10, 2);
+    }
+
+    #[test]
+    fn two_level_group_assignment() {
+        let mut alloc = VarAlloc::new();
+        // A root wider than its groups: 8 groups of 2.
+        let spec = KTreeSpec::build_two_level(&mut alloc, Mechanism::LlSc, 16, 1, 2, 8);
+        assert_eq!(spec.fanins, [2, 8]);
+        assert_eq!(spec.group_at(15, 0), 7);
+        assert_eq!(spec.group_at(15, 1), 0);
+        let spec = KTreeSpec::build_two_level(&mut alloc, Mechanism::LlSc, 16, 1, 4, 8);
+        assert_eq!(spec.depth(), 2);
+        assert_eq!(spec.levels[0].len(), 4);
+        assert_eq!(spec.group_at(0, 0), 0);
+        assert_eq!(spec.group_at(3, 0), 0);
+        assert_eq!(spec.group_at(4, 0), 1);
+        assert_eq!(spec.group_at(15, 0), 3);
+        assert_eq!(spec.levels[0][3].size, 4);
+        assert_eq!(spec.levels[1][0].size, 4);
+        // Group homes are distributed; the root is on node 0.
+        let homes = |l: usize| spec.levels[l].iter().map(|g| g.counter.home().0);
+        assert_eq!(homes(0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(homes(1).collect::<Vec<_>>(), [0]);
+    }
+
+    /// End cycles of the separate two-level kernel this shape replaced
+    /// (`tree.rs`, removed), taken from it before it went.
+    #[test]
+    fn two_level_ktree_matches_tree_module_shape() {
+        assert_eq!(run_barrier(Tree(4), Mechanism::LlSc, None, 16, 3).1, 22_614);
+        assert_eq!(run_barrier(Tree(8), Mechanism::Amo, None, 64, 3).1, 12_113);
     }
 }

@@ -590,76 +590,13 @@ impl Kernel for ArrayLockKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::install::testkit::run_lock;
+    use crate::LockKind;
     use amo_sim::Machine;
-    use amo_types::{ProcId, SystemConfig};
+    use amo_types::ProcId;
 
     fn run_ticket(mech: Mechanism, procs: u16, rounds: u32) -> (Machine, u64) {
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = TicketLockSpec::build(&mut alloc, mech, NodeId(0), rounds, 200);
-        let check = ExclusionCheck {
-            addr: alloc.word(NodeId(0)),
-            violations: Rc::new(Cell::new(0)),
-        };
-        for p in 0..procs {
-            let think: Vec<Cycle> = (0..rounds)
-                .map(|r| 100 + (p as u64 * 41 + r as u64 * 17) % 500)
-                .collect();
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(TicketLockKernel::new(
-                    spec,
-                    think,
-                    p as Word + 1,
-                    Some(check.clone()),
-                )),
-                0,
-            );
-        }
-        let res = machine.run(2_000_000_000);
-        assert!(res.all_finished, "{mech:?}: {:?}", res.finished);
-        assert_eq!(
-            check.violations.get(),
-            0,
-            "{mech:?} violated mutual exclusion"
-        );
-        (machine, res.last_finish())
-    }
-
-    fn run_array(mech: Mechanism, procs: u16, rounds: u32) -> (Machine, u64) {
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = ArrayLockSpec::build(&mut alloc, mech, NodeId(0), procs, rounds, 200);
-        spec.init(&mut machine);
-        let check = ExclusionCheck {
-            addr: alloc.word(NodeId(0)),
-            violations: Rc::new(Cell::new(0)),
-        };
-        for p in 0..procs {
-            let think: Vec<Cycle> = (0..rounds)
-                .map(|r| 100 + (p as u64 * 43 + r as u64 * 19) % 500)
-                .collect();
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(ArrayLockKernel::new(
-                    spec.clone(),
-                    think,
-                    p as Word + 1,
-                    Some(check.clone()),
-                )),
-                0,
-            );
-        }
-        let res = machine.run(2_000_000_000);
-        assert!(res.all_finished, "{mech:?}: {:?}", res.finished);
-        assert_eq!(
-            check.violations.get(),
-            0,
-            "{mech:?} violated mutual exclusion"
-        );
-        (machine, res.last_finish())
+        run_lock(LockKind::Ticket, mech, procs, rounds)
     }
 
     #[test]
@@ -672,7 +609,7 @@ mod tests {
     #[test]
     fn array_lock_mutual_exclusion_all_mechanisms() {
         for mech in Mechanism::ALL {
-            run_array(mech, 4, 3);
+            run_lock(LockKind::Array, mech, 4, 3);
         }
     }
 

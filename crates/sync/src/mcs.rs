@@ -315,52 +315,12 @@ impl Kernel for McsLockKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::install::testkit::run_lock;
+    use crate::LockKind;
     use amo_sim::Machine;
-    use amo_types::{ProcId, SystemConfig};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn run_mcs(mech: Mechanism, procs: u16, rounds: u32) -> (Machine, u64) {
-        let cfg = SystemConfig::with_procs(procs);
-        let mut machine = Machine::new(cfg);
-        let mut alloc = VarAlloc::new();
-        let spec = McsLockSpec::build(
-            &mut alloc,
-            mech,
-            NodeId(0),
-            procs,
-            cfg.procs_per_node,
-            rounds,
-            200,
-        );
-        let check = ExclusionCheck {
-            addr: alloc.word(NodeId(0)),
-            violations: Rc::new(Cell::new(0)),
-        };
-        for p in 0..procs {
-            let think: Vec<Cycle> = (0..rounds)
-                .map(|r| 100 + (p as u64 * 53 + r as u64 * 23) % 700)
-                .collect();
-            machine.install_kernel(
-                ProcId(p),
-                Box::new(McsLockKernel::new(
-                    spec.clone(),
-                    p,
-                    think,
-                    p as Word + 1,
-                    Some(check.clone()),
-                )),
-                0,
-            );
-        }
-        let res = machine.run(4_000_000_000);
-        assert!(res.all_finished, "{mech:?}: {:?}", res.finished);
-        assert_eq!(
-            check.violations.get(),
-            0,
-            "{mech:?} violated mutual exclusion"
-        );
-        (machine, res.last_finish())
+        run_lock(LockKind::Mcs, mech, procs, rounds)
     }
 
     #[test]

@@ -330,142 +330,96 @@ impl SystemConfig {
         self.num_procs / self.procs_per_node
     }
 
-    /// Validate internal consistency; panics with a description otherwise.
-    pub fn validate(&self) {
-        assert!(self.num_procs > 0, "need at least one processor");
-        assert!(
-            (self.num_procs as usize) <= crate::bitset::MAX_PROCS,
-            "directory supports at most {} processors",
+    /// Internal consistency, as a value: `Err` names the offending field
+    /// and says why. Every description of a run checks its
+    /// configuration with this before a machine is built.
+    pub fn check(&self) -> Result<(), String> {
+        macro_rules! ensure {
+            ($holds:expr, $($why:tt)+) => {
+                if !$holds {
+                    return Err(format!($($why)+));
+                }
+            };
+        }
+        let (procs, per_node, f) = (self.num_procs, self.procs_per_node, &self.faults);
+        ensure!(procs > 0, "need at least one processor");
+        ensure!(
+            procs as usize <= crate::bitset::MAX_PROCS,
+            "num_procs = {procs}: directory supports at most {} processors",
             crate::bitset::MAX_PROCS
         );
-        assert!(self.procs_per_node > 0);
-        assert_eq!(
-            self.num_procs % self.procs_per_node,
-            0,
-            "num_procs must be a multiple of procs_per_node"
+        ensure!(
+            per_node > 0 && procs.is_multiple_of(per_node),
+            "num_procs = {procs} must be a multiple of procs_per_node = {per_node}"
         );
-        assert!(self.l1.line_bytes.is_power_of_two());
-        assert!(self.l2.line_bytes.is_power_of_two());
-        assert!(
+        for (name, cache) in [("l1", &self.l1), ("l2", &self.l2)] {
+            ensure!(
+                cache.line_bytes.is_power_of_two(),
+                "{name}.line_bytes = {} must be a power of two",
+                cache.line_bytes
+            );
+            ensure!(
+                cache.ways > 0 && cache.sets() > 0,
+                "{name} must hold at least one set of at least one way"
+            );
+        }
+        ensure!(
             self.l1.line_bytes <= self.l2.line_bytes,
             "L1 lines must not exceed L2 lines (inclusive hierarchy)"
         );
-        assert!(self.l1.sets() > 0 && self.l2.sets() > 0);
-        assert!(self.network.router_radix >= 2);
-        assert!(self.amu.cache_words >= 1);
-        if self.faults.burst_period > 0 {
-            assert!(
-                self.faults.burst_len <= self.faults.burst_period,
-                "burst window must fit inside its period"
-            );
-        }
-        if self.faults.amu_brownout_period > 0 {
-            assert!(
-                self.faults.amu_brownout_len < self.faults.amu_brownout_period,
-                "brown-out window must leave the AMU some uptime"
-            );
-        }
-        assert!(
-            self.faults.burst_multiplier >= 1,
+        ensure!(
+            self.network.router_radix >= 2,
+            "network.router_radix = {} must be at least 2",
+            self.network.router_radix
+        );
+        ensure!(
+            self.amu.cache_words >= 1,
+            "amu.cache_words must be at least 1"
+        );
+        ensure!(
+            f.burst_period == 0 || f.burst_len <= f.burst_period,
+            "faults.burst_len = {}: burst window must fit inside its period of {}",
+            f.burst_len,
+            f.burst_period
+        );
+        ensure!(
+            f.amu_brownout_period == 0 || f.amu_brownout_len < f.amu_brownout_period,
+            "faults.amu_brownout_len = {}: brown-out window must leave the AMU some uptime \
+             in its period of {}",
+            f.amu_brownout_len,
+            f.amu_brownout_period
+        );
+        ensure!(
+            f.burst_multiplier >= 1,
             "burst multiplier of 0 would disable errors inside bursts"
         );
-        if self.faults.delivery_enabled() {
-            assert!(
-                self.faults.e2e_timeout > 0,
+        if f.delivery_enabled() {
+            ensure!(
+                f.e2e_timeout > 0,
                 "delivery faults need a nonzero end-to-end timeout to recover"
             );
-            assert!(
-                self.faults.dedup_window >= self.num_procs as u32,
-                "faults.dedup_window = {} is below the required minimum of {} \
-                 (num_procs = {}; the window needs one slot per requester): \
+            ensure!(
+                f.dedup_window >= procs as u32,
+                "faults.dedup_window = {} is below the required minimum of {procs} \
+                 (num_procs = {procs}; the window needs one slot per requester): \
                  an evicted slot lets a retransmission double-apply",
-                self.faults.dedup_window,
-                self.num_procs,
-                self.num_procs
+                f.dedup_window
             );
-            assert!(
-                self.faults.link_drop_ppm < 1_000_000,
-                "dropping every delivery can never complete"
+            ensure!(
+                f.link_drop_ppm < 1_000_000,
+                "faults.link_drop_ppm = {}: dropping every delivery can never complete",
+                f.link_drop_ppm
             );
         }
+        Ok(())
     }
 
-    /// Every scalar field of the configuration as `(dotted path, value)`
-    /// pairs, in a frozen declaration order. This is the single source
-    /// for both [`canonical_json`](Self::canonical_json) (cache keys) and
-    /// [`set_field`](Self::set_field) (campaign spec overrides): a field
-    /// added here is automatically normalized, hashed, and overridable.
-    fn visit_fields(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        let b = |v: bool| v as u64;
-        f("num_procs", self.num_procs as u64);
-        f("procs_per_node", self.procs_per_node as u64);
-        f("l1.size_bytes", self.l1.size_bytes);
-        f("l1.line_bytes", self.l1.line_bytes);
-        f("l1.ways", self.l1.ways as u64);
-        f("l1.hit_latency", self.l1.hit_latency);
-        f("l2.size_bytes", self.l2.size_bytes);
-        f("l2.line_bytes", self.l2.line_bytes);
-        f("l2.ways", self.l2.ways as u64);
-        f("l2.hit_latency", self.l2.hit_latency);
-        f("max_outstanding_misses", self.max_outstanding_misses as u64);
-        f("llsc_pair_overhead", self.llsc_pair_overhead);
-        f("min_residence", self.min_residence);
-        f("bus_latency", self.bus_latency);
-        f("hub_cycle", self.hub_cycle);
-        f("dir_occupancy_hub_cycles", self.dir_occupancy_hub_cycles);
-        f("dram_latency", self.dram_latency);
-        f("dram_channels", self.dram_channels as u64);
-        f("dram_occupancy", self.dram_occupancy);
-        f("network.hop_latency", self.network.hop_latency);
-        f("network.router_radix", self.network.router_radix as u64);
-        f("network.min_packet_bytes", self.network.min_packet_bytes);
-        f("network.header_bytes", self.network.header_bytes);
-        f(
-            "network.ni_bytes_per_cycle",
-            self.network.ni_bytes_per_cycle,
-        );
-        f(
-            "network.model_router_contention",
-            b(self.network.model_router_contention),
-        );
-        f("amu.cache_words", self.amu.cache_words as u64);
-        f("amu.op_hub_cycles", self.amu.op_hub_cycles);
-        f("amu.queue_cap", self.amu.queue_cap as u64);
-        f("amu.max_retries", self.amu.max_retries as u64);
-        f("amu.nack_backoff", self.amu.nack_backoff);
-        f("actmsg.invoke_cycles", self.actmsg.invoke_cycles);
-        f("actmsg.handler_cycles", self.actmsg.handler_cycles);
-        f("actmsg.queue_cap", self.actmsg.queue_cap as u64);
-        f("actmsg.timeout", self.actmsg.timeout);
-        f("actmsg.max_retries", self.actmsg.max_retries as u64);
-        f("faults.link_error_ppm", self.faults.link_error_ppm as u64);
-        f(
-            "faults.burst_multiplier",
-            self.faults.burst_multiplier as u64,
-        );
-        f("faults.burst_period", self.faults.burst_period);
-        f("faults.burst_len", self.faults.burst_len);
-        f("faults.jitter_max", self.faults.jitter_max);
-        f(
-            "faults.max_link_retries",
-            self.faults.max_link_retries as u64,
-        );
-        f("faults.link_retry_backoff", self.faults.link_retry_backoff);
-        f(
-            "faults.amu_brownout_period",
-            self.faults.amu_brownout_period,
-        );
-        f("faults.amu_brownout_len", self.faults.amu_brownout_len);
-        f("faults.link_drop_ppm", self.faults.link_drop_ppm as u64);
-        f("faults.link_dup_ppm", self.faults.link_dup_ppm as u64);
-        f(
-            "faults.link_reorder_window",
-            self.faults.link_reorder_window,
-        );
-        f("faults.e2e_timeout", self.faults.e2e_timeout);
-        f("faults.max_e2e_retries", self.faults.max_e2e_retries as u64);
-        f("faults.dedup_window", self.faults.dedup_window as u64);
-        f("faults.seed", self.faults.seed);
+    /// The panicking form of [`check`](Self::check), for code that
+    /// builds a machine from a configuration it takes to be sound.
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 
     /// Canonical normalized form: one flat JSON object, every field by
@@ -479,92 +433,124 @@ impl SystemConfig {
         w.end_obj();
         w.finish()
     }
+}
 
-    /// Set one scalar field by its dotted path (the same names
-    /// [`canonical_json`](Self::canonical_json) emits). Booleans take
-    /// 0/1. Used by campaign specs to express config axes like
-    /// `"faults.link_error_ppm": [0, 1000, 10000]`.
-    pub fn set_field(&mut self, path: &str, value: u64) -> Result<(), String> {
-        let narrow = |what: &str, max: u64| {
-            if value > max {
-                Err(format!("{what} out of range: {value} > {max}"))
-            } else {
-                Ok(value)
+/// A configuration scalar read back from the `u64` form
+/// [`SystemConfig::canonical_json`] writes it in, range-checked against
+/// its own type for [`SystemConfig::set_field`].
+trait Scalar: Sized {
+    fn set(path: &str, value: u64) -> Result<Self, String>;
+}
+
+macro_rules! int_scalars {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn set(path: &str, value: u64) -> Result<Self, String> {
+                <$t>::try_from(value)
+                    .map_err(|_| format!("{path} out of range: {value} > {}", <$t>::MAX))
             }
-        };
-        match path {
-            "num_procs" => self.num_procs = narrow(path, u16::MAX as u64)? as u16,
-            "procs_per_node" => self.procs_per_node = narrow(path, u16::MAX as u64)? as u16,
-            "l1.size_bytes" => self.l1.size_bytes = value,
-            "l1.line_bytes" => self.l1.line_bytes = value,
-            "l1.ways" => self.l1.ways = value as usize,
-            "l1.hit_latency" => self.l1.hit_latency = value,
-            "l2.size_bytes" => self.l2.size_bytes = value,
-            "l2.line_bytes" => self.l2.line_bytes = value,
-            "l2.ways" => self.l2.ways = value as usize,
-            "l2.hit_latency" => self.l2.hit_latency = value,
-            "max_outstanding_misses" => self.max_outstanding_misses = value as usize,
-            "llsc_pair_overhead" => self.llsc_pair_overhead = value,
-            "min_residence" => self.min_residence = value,
-            "bus_latency" => self.bus_latency = value,
-            "hub_cycle" => self.hub_cycle = value,
-            "dir_occupancy_hub_cycles" => self.dir_occupancy_hub_cycles = value,
-            "dram_latency" => self.dram_latency = value,
-            "dram_channels" => self.dram_channels = value as usize,
-            "dram_occupancy" => self.dram_occupancy = value,
-            "network.hop_latency" => self.network.hop_latency = value,
-            "network.router_radix" => self.network.router_radix = value as usize,
-            "network.min_packet_bytes" => self.network.min_packet_bytes = value,
-            "network.header_bytes" => self.network.header_bytes = value,
-            "network.ni_bytes_per_cycle" => self.network.ni_bytes_per_cycle = value,
-            "network.model_router_contention" => {
-                self.network.model_router_contention = narrow(path, 1)? != 0
-            }
-            "amu.cache_words" => self.amu.cache_words = value as usize,
-            "amu.op_hub_cycles" => self.amu.op_hub_cycles = value,
-            "amu.queue_cap" => self.amu.queue_cap = value as usize,
-            "amu.max_retries" => self.amu.max_retries = narrow(path, u32::MAX as u64)? as u32,
-            "amu.nack_backoff" => self.amu.nack_backoff = value,
-            "actmsg.invoke_cycles" => self.actmsg.invoke_cycles = value,
-            "actmsg.handler_cycles" => self.actmsg.handler_cycles = value,
-            "actmsg.queue_cap" => self.actmsg.queue_cap = value as usize,
-            "actmsg.timeout" => self.actmsg.timeout = value,
-            "actmsg.max_retries" => self.actmsg.max_retries = narrow(path, u32::MAX as u64)? as u32,
-            "faults.link_error_ppm" => {
-                self.faults.link_error_ppm = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.burst_multiplier" => {
-                self.faults.burst_multiplier = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.burst_period" => self.faults.burst_period = value,
-            "faults.burst_len" => self.faults.burst_len = value,
-            "faults.jitter_max" => self.faults.jitter_max = value,
-            "faults.max_link_retries" => {
-                self.faults.max_link_retries = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.link_retry_backoff" => self.faults.link_retry_backoff = value,
-            "faults.amu_brownout_period" => self.faults.amu_brownout_period = value,
-            "faults.amu_brownout_len" => self.faults.amu_brownout_len = value,
-            "faults.link_drop_ppm" => {
-                self.faults.link_drop_ppm = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.link_dup_ppm" => {
-                self.faults.link_dup_ppm = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.link_reorder_window" => self.faults.link_reorder_window = value,
-            "faults.e2e_timeout" => self.faults.e2e_timeout = value,
-            "faults.max_e2e_retries" => {
-                self.faults.max_e2e_retries = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.dedup_window" => {
-                self.faults.dedup_window = narrow(path, u32::MAX as u64)? as u32
-            }
-            "faults.seed" => self.faults.seed = value,
-            other => return Err(format!("unknown SystemConfig field `{other}`")),
         }
-        Ok(())
+    )*};
+}
+int_scalars!(u16, u32, u64, usize);
+
+/// Booleans take 0/1.
+impl Scalar for bool {
+    fn set(path: &str, value: u64) -> Result<Self, String> {
+        match value {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(format!("{path} out of range: {value} > 1")),
+        }
     }
 }
+
+/// The one list of [`SystemConfig`]'s scalar fields, in a frozen order:
+/// it generates both the visitor behind `canonical_json` (cache keys)
+/// and `set_field` (campaign spec overrides), so a field added here is
+/// automatically normalized, hashed, and overridable — and cannot be in
+/// one without the other. A field's dotted path is its Rust path.
+macro_rules! config_fields {
+    ($($head:ident $(. $tail:ident)*),* $(,)?) => {
+        impl SystemConfig {
+            fn visit_fields(&self, f: &mut dyn FnMut(&'static str, u64)) {
+                $(f(
+                    concat!(stringify!($head) $(, ".", stringify!($tail))*),
+                    self.$head $(.$tail)* as u64,
+                );)*
+            }
+
+            /// Set one scalar field by its dotted path (the same names
+            /// [`canonical_json`](Self::canonical_json) emits), range-checked
+            /// against the field's type. Booleans take 0/1. Used by campaign
+            /// specs to express config axes like
+            /// `"faults.link_error_ppm": [0, 1000, 10000]`.
+            pub fn set_field(&mut self, path: &str, value: u64) -> Result<(), String> {
+                match path {
+                    $(concat!(stringify!($head) $(, ".", stringify!($tail))*) => {
+                        self.$head $(.$tail)* = Scalar::set(path, value)?
+                    })*
+                    other => return Err(format!("unknown SystemConfig field `{other}`")),
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+config_fields!(
+    num_procs,
+    procs_per_node,
+    l1.size_bytes,
+    l1.line_bytes,
+    l1.ways,
+    l1.hit_latency,
+    l2.size_bytes,
+    l2.line_bytes,
+    l2.ways,
+    l2.hit_latency,
+    max_outstanding_misses,
+    llsc_pair_overhead,
+    min_residence,
+    bus_latency,
+    hub_cycle,
+    dir_occupancy_hub_cycles,
+    dram_latency,
+    dram_channels,
+    dram_occupancy,
+    network.hop_latency,
+    network.router_radix,
+    network.min_packet_bytes,
+    network.header_bytes,
+    network.ni_bytes_per_cycle,
+    network.model_router_contention,
+    amu.cache_words,
+    amu.op_hub_cycles,
+    amu.queue_cap,
+    amu.max_retries,
+    amu.nack_backoff,
+    actmsg.invoke_cycles,
+    actmsg.handler_cycles,
+    actmsg.queue_cap,
+    actmsg.timeout,
+    actmsg.max_retries,
+    faults.link_error_ppm,
+    faults.burst_multiplier,
+    faults.burst_period,
+    faults.burst_len,
+    faults.jitter_max,
+    faults.max_link_retries,
+    faults.link_retry_backoff,
+    faults.amu_brownout_period,
+    faults.amu_brownout_len,
+    faults.link_drop_ppm,
+    faults.link_dup_ppm,
+    faults.link_reorder_window,
+    faults.e2e_timeout,
+    faults.max_e2e_retries,
+    faults.dedup_window,
+    faults.seed,
+);
 
 #[cfg(test)]
 mod tests {
@@ -639,18 +625,41 @@ mod tests {
         let mut c = SystemConfig::with_procs(8);
         c.faults.link_drop_ppm = 1_000;
         c.faults.dedup_window = 3;
-        let err = std::panic::catch_unwind(|| c.validate()).unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a message");
         assert_eq!(
-            msg,
+            c.check().unwrap_err(),
             "faults.dedup_window = 3 is below the required minimum of 8 \
              (num_procs = 8; the window needs one slot per requester): \
              an evicted slot lets a retransmission double-apply"
         );
+    }
+
+    /// `check` reports what `validate` panics with, naming the value.
+    #[test]
+    fn check_names_the_offending_field_and_value() {
+        let bad = |edit: fn(&mut SystemConfig)| {
+            let mut c = SystemConfig::with_procs(8);
+            edit(&mut c);
+            c.check().unwrap_err()
+        };
+        for (why, needle) in [
+            (bad(|c| c.num_procs = 0), "at least one processor"),
+            (bad(|c| c.num_procs = 5), "num_procs = 5 must be a multiple"),
+            (bad(|c| c.procs_per_node = 0), "procs_per_node = 0"),
+            (bad(|c| c.num_procs = 512), "num_procs = 512"),
+            (bad(|c| c.l1.line_bytes = 48), "l1.line_bytes = 48"),
+            (bad(|c| c.l2.line_bytes = 0), "l2.line_bytes = 0"),
+            (bad(|c| c.l2.ways = 0), "l2 must hold"),
+            (bad(|c| c.l1.line_bytes = 256), "L1 lines must not exceed"),
+            (bad(|c| c.network.router_radix = 1), "router_radix = 1"),
+            (bad(|c| c.faults.burst_multiplier = 0), "burst multiplier"),
+            (
+                bad(|c| c.faults.link_drop_ppm = 1_000_000),
+                "link_drop_ppm = 1000000",
+            ),
+        ] {
+            assert!(why.contains(needle), "{why:?} lacks {needle:?}");
+        }
+        assert_eq!(SystemConfig::with_procs(256).check(), Ok(()));
     }
 
     #[test]

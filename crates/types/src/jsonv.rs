@@ -99,6 +99,16 @@ impl Json {
     }
 }
 
+/// Narrow an integer decoded by [`Json::as_u64`] to the type of the
+/// field it is for. A decoder must not cast instead: `65540 as u16` is
+/// a 4-processor machine nobody asked for.
+pub fn narrow<T: TryFrom<u64>>(field: &str, value: u64) -> Result<T, String> {
+    T::try_from(value).map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        format!("{field}: {value} does not fit {ty}")
+    })
+}
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
@@ -299,6 +309,9 @@ mod tests {
         );
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[3], Json::Null);
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
+        assert_eq!(narrow::<u16>("procs", 65_535), Ok(65_535));
+        let wide = narrow::<u16>("procs", 65_540).unwrap_err();
+        assert_eq!(wide, "procs: 65540 does not fit u16");
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! silently "reproducing" something else, exactly like the chaos
 //! subsystem's `amo-fault-plan-v1`.
 
-use crate::model::{Outcome, VerifyModel, VerifyWorkload};
-use amo_sync::Mechanism;
-use amo_types::jsonv::Json;
+use crate::model::{Outcome, VerifyModel};
+use amo_types::jsonv::{narrow, Json};
 use amo_types::seed::key_hex;
 use amo_types::tape::ChoiceKind;
-use amo_types::{Cycle, JsonWriter};
+use amo_types::JsonWriter;
 
 /// Schema tag of a serialized schedule.
 pub const SCHEDULE_SCHEMA: &str = "amo-schedule-v1";
@@ -121,23 +120,7 @@ impl ScheduleDoc {
         w.kv_str("monitor", &self.monitor);
         w.key("model");
         w.begin_obj();
-        w.kv_str("mech", self.model.mech.label());
-        w.kv_str("workload", self.model.workload.tag());
-        match self.model.workload {
-            VerifyWorkload::Barrier { episodes } => w.kv_u64("episodes", episodes as u64),
-            VerifyWorkload::TicketLock { rounds } => w.kv_u64("rounds", rounds as u64),
-        }
-        w.kv_u64("procs", self.model.procs as u64);
-        w.kv_u64("skew_choices", self.model.skew_choices as u64);
-        w.kv_u64("skew_step", self.model.skew_step);
-        w.kv_u64("reorder_window", self.model.reorder_window);
-        w.key("explore_dups");
-        w.bool_val(self.model.explore_dups);
-        w.kv_u64("jitter_choices", self.model.jitter_choices as u64);
-        w.kv_u64("max_choice_points", self.model.max_choice_points as u64);
-        w.kv_u64("watchdog", self.model.watchdog);
-        w.key("planted_double_apply");
-        w.bool_val(self.model.planted_double_apply);
+        self.model.write_fields(&mut w);
         w.end_obj();
         w.kv_str("tape_kinds", &self.kinds);
         w.key("tape");
@@ -150,7 +133,8 @@ impl ScheduleDoc {
         w.finish()
     }
 
-    /// Decode an `amo-schedule-v1` document. Does **not** verify the
+    /// Decode an `amo-schedule-v1` document (its model through
+    /// [`VerifyModel::from_json`]). Does **not** verify the
     /// fingerprint — call [`ScheduleDoc::check_fingerprint`] (or just
     /// [`ScheduleDoc::replay`], which does) before trusting it.
     pub fn from_json(doc: &str) -> Result<ScheduleDoc, String> {
@@ -170,53 +154,15 @@ impl ScheduleDoc {
                 .ok_or_else(|| format!("schedule: missing {k}"))
         };
         let m = v.get("model").ok_or("schedule: missing model")?;
-        let num = |k: &str| -> Result<u64, String> {
-            m.get(k)
-                .and_then(|n| n.as_u64())
-                .ok_or_else(|| format!("schedule: missing model.{k}"))
-        };
-        let flag = |k: &str| -> Result<bool, String> {
-            m.get(k)
-                .and_then(|b| b.as_bool())
-                .ok_or_else(|| format!("schedule: missing model.{k}"))
-        };
-        let mech = Mechanism::parse(
-            m.get("mech")
-                .and_then(|s| s.as_str())
-                .ok_or("schedule: missing model.mech")?,
-        )
-        .map_err(|e| format!("schedule: {e}"))?;
-        let workload = match m.get("workload").and_then(|s| s.as_str()) {
-            Some("barrier") => VerifyWorkload::Barrier {
-                episodes: num("episodes")? as u32,
-            },
-            Some("ticket-lock") => VerifyWorkload::TicketLock {
-                rounds: num("rounds")? as u32,
-            },
-            other => return Err(format!("schedule: unknown workload {other:?}")),
-        };
-        let model = VerifyModel {
-            mech,
-            workload,
-            procs: num("procs")? as u16,
-            skew_choices: num("skew_choices")? as u16,
-            skew_step: num("skew_step")? as Cycle,
-            reorder_window: num("reorder_window")? as Cycle,
-            explore_dups: flag("explore_dups")?,
-            jitter_choices: num("jitter_choices")? as u16,
-            max_choice_points: num("max_choice_points")? as u32,
-            watchdog: num("watchdog")? as Cycle,
-            planted_double_apply: flag("planted_double_apply")?,
-        };
+        let model = VerifyModel::from_json(m, &[]).map_err(|e| format!("schedule: model: {e}"))?;
         let tape = v
             .get("tape")
             .and_then(|t| t.as_arr())
             .ok_or("schedule: missing tape")?
             .iter()
             .map(|e| {
-                e.as_u64()
-                    .map(|n| n as u16)
-                    .ok_or_else(|| "schedule: tape entries must be numbers".to_string())
+                let n = e.as_u64().ok_or("schedule: tape entries must be numbers")?;
+                narrow("tape entry", n).map_err(|e| format!("schedule: {e}"))
             })
             .collect::<Result<Vec<u16>, String>>()?;
         Ok(ScheduleDoc {
@@ -247,6 +193,8 @@ pub fn parse_kinds(tags: &str) -> Result<Vec<ChoiceKind>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::VerifyWorkload;
+    use amo_sync::Mechanism;
 
     fn model() -> VerifyModel {
         VerifyModel::new(Mechanism::Amo, VerifyWorkload::TicketLock { rounds: 1 }, 2)
@@ -267,6 +215,49 @@ mod tests {
         drifted.model.procs = 4;
         let err = drifted.check_fingerprint().expect_err("drift detected");
         assert!(err.contains("fingerprint mismatch"), "{err}");
+    }
+
+    /// Every knob survives the document, set away from its default;
+    /// unknown, misplaced and out-of-range members are refused by name.
+    #[test]
+    fn every_model_knob_round_trips_and_bad_members_are_named() {
+        let m = VerifyModel {
+            mech: Mechanism::Mao,
+            workload: VerifyWorkload::Barrier { episodes: 3 },
+            procs: 4,
+            skew_choices: 3,
+            skew_step: 17,
+            reorder_window: 5,
+            explore_dups: true,
+            jitter_choices: 2,
+            max_choice_points: 7,
+            watchdog: 12_345,
+            planted_double_apply: true,
+        };
+        let json = ScheduleDoc::new(m, vec![2, 1], &m.run_once(&[2, 1])).to_json();
+        assert_eq!(ScheduleDoc::from_json(&json).expect("decodes").model, m);
+
+        for (from, to, needle) in [
+            ("\"procs\":4", "\"procs\":4,\"bogus\":7", "\"bogus\""),
+            ("\"episodes\":3", "\"rounds\":3", "\"rounds\""),
+            ("\"procs\":4", "\"procs\":65538", "65538 does not fit u16"),
+            ("\"episodes\":3", "\"episodes\":0", "episodes = 0"),
+            ("\"procs\":4", "\"procs\":300", "num_procs = 300"),
+            (
+                "\"tape\":[2,1]",
+                "\"tape\":[70000]",
+                "70000 does not fit u16",
+            ),
+            (
+                "\"explore_dups\":true",
+                "\"explore_dups\":1",
+                "explore_dups must be",
+            ),
+        ] {
+            assert!(json.contains(from), "{from} not in {json}");
+            let err = ScheduleDoc::from_json(&json.replace(from, to)).unwrap_err();
+            assert!(err.contains(needle), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! explores nothing.
 
 use crate::explore::{explore, ExploreLimits, ExploreReport};
-use crate::model::{VerifyModel, VerifyWorkload};
+use crate::model::VerifyModel;
 use amo_campaign::ResultCache;
-use amo_sync::Mechanism;
-use amo_types::jsonv::Json;
+use amo_types::jsonv::{narrow, Json};
 use amo_types::seed::stable_hash128;
-use amo_types::{Cycle, JsonWriter};
+use amo_types::JsonWriter;
 
 /// Schema tag of a matrix spec.
 pub const MATRIX_SCHEMA: &str = "amo-verify-matrix-v1";
@@ -98,45 +97,23 @@ impl VerifyMatrix {
     }
 }
 
+/// One cell: every [`VerifyModel`] field (through the model's own
+/// reader, so an unknown key is an error) plus `max_runs`.
 fn parse_cell(
     c: &Json,
     top_runs: Option<u64>,
     top_horizon: Option<u64>,
 ) -> Result<MatrixCell, String> {
-    let num = |k: &str| c.get(k).and_then(|n| n.as_u64());
-    let mech = Mechanism::parse(
-        c.get("mech")
-            .and_then(|s| s.as_str())
-            .ok_or("missing mech")?,
-    )?;
-    let procs = num("procs").ok_or("missing procs")? as u16;
-    let workload = match c.get("workload").and_then(|s| s.as_str()) {
-        Some("barrier") => VerifyWorkload::Barrier {
-            episodes: num("episodes").unwrap_or(2) as u32,
-        },
-        Some("ticket-lock") => VerifyWorkload::TicketLock {
-            rounds: num("rounds").unwrap_or(1) as u32,
-        },
-        other => return Err(format!("unknown workload {other:?}")),
-    };
-    let mut model = VerifyModel::new(mech, workload, procs);
-    if let Some(n) = num("skew_choices") {
-        model.skew_choices = n as u16;
-    }
-    if let Some(n) = num("skew_step") {
-        model.skew_step = n as Cycle;
-    }
-    if let Some(n) = num("reorder_window") {
-        model.reorder_window = n as Cycle;
-    }
-    if let Some(n) = num("max_choice_points").or(top_horizon) {
-        model.max_choice_points = n as u32;
-    }
-    if let Some(n) = num("watchdog") {
-        model.watchdog = n as Cycle;
+    let mut model = VerifyModel::from_json(c, &["max_runs"])?;
+    if let (None, Some(n)) = (c.get("max_choice_points"), top_horizon) {
+        model.max_choice_points = narrow("max_choice_points", n)?;
     }
     let mut limits = ExploreLimits::default();
-    if let Some(n) = num("max_runs").or(top_runs) {
+    if let Some(runs) = c.get("max_runs") {
+        limits.max_runs = runs
+            .as_u64()
+            .ok_or("max_runs must be an unsigned integer")?;
+    } else if let Some(n) = top_runs {
         limits.max_runs = n;
     }
     Ok(MatrixCell { model, limits })
@@ -256,4 +233,75 @@ pub fn render_matrix_report(outcomes: &[CellOutcome]) -> String {
     w.end_arr();
     w.end_obj();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amo_sync::Mechanism;
+
+    fn matrix(cell: &str) -> Result<VerifyMatrix, String> {
+        VerifyMatrix::from_json(&format!(
+            r#"{{"schema":"amo-verify-matrix-v1","max_runs":50,"max_choice_points":6,
+                "cells":[{{"mech":"AMO","workload":"ticket-lock","procs":2{cell}}}]}}"#
+        ))
+    }
+
+    /// A cell sets every model field (the matrix used to drop three of
+    /// them silently), top-level defaults fill only what it leaves out,
+    /// and unknown or out-of-range members are refused by name.
+    #[test]
+    fn cells_accept_every_model_field_and_reject_unknown_ones() {
+        let plain = &matrix("").unwrap().cells[0];
+        assert_eq!(plain.limits.max_runs, 50);
+        assert_eq!(plain.model.max_choice_points, 6);
+        assert_eq!(plain.label(), "AMO ticket-lock x2");
+
+        let cell = &matrix(
+            r#","rounds":2,"skew_choices":3,"skew_step":9,"reorder_window":1,
+               "explore_dups":true,"jitter_choices":2,"max_choice_points":4,
+               "watchdog":99999,"planted_double_apply":true,"max_runs":7"#,
+        )
+        .unwrap()
+        .cells[0];
+        let want = VerifyModel {
+            mech: Mechanism::Amo,
+            workload: crate::VerifyWorkload::TicketLock { rounds: 2 },
+            procs: 2,
+            skew_choices: 3,
+            skew_step: 9,
+            reorder_window: 1,
+            explore_dups: true,
+            jitter_choices: 2,
+            max_choice_points: 4,
+            watchdog: 99_999,
+            planted_double_apply: true,
+        };
+        assert_eq!((cell.model, cell.limits.max_runs), (want, 7));
+
+        for (cell, needle) in [
+            (r#","bogus":7"#, "\"bogus\""),
+            (r#","episodes":2"#, "\"episodes\""),
+            (r#","skew_choices":70000"#, "70000 does not fit u16"),
+            (r#","rounds":0"#, "rounds = 0"),
+            (r#","max_runs":"many""#, "max_runs"),
+        ] {
+            let err = matrix(cell).unwrap_err();
+            assert!(err.starts_with("cell 0: "), "{err}");
+            assert!(err.contains(needle), "{cell}: {err}");
+        }
+        let wide = VerifyMatrix::from_json(
+            r#"{"schema":"amo-verify-matrix-v1","cells":[{"mech":"AMO","workload":"barrier","procs":65538}]}"#,
+        );
+        assert!(wide.unwrap_err().contains("procs: 65538 does not fit u16"));
+    }
+
+    /// The soundness bug: a planted double apply used to be parsed away
+    /// and the cell reported clean.
+    #[test]
+    fn a_planted_bug_in_a_cell_is_explored_not_dropped() {
+        let m = matrix(r#","rounds":1,"explore_dups":true,"planted_double_apply":true"#).unwrap();
+        let outcomes = run_matrix(&m, None);
+        assert_eq!(outcomes[0].violations, 1, "{outcomes:?}");
+    }
 }

@@ -17,22 +17,21 @@
 use crate::monitor::{
     AtMostOnce, BarrierEpoch, DirSanity, Monitor, MonitorTracer, MutualExclusion, TicketFifo,
 };
-use amo_campaign::chaos::kind_name;
+use amo_campaign::chaos::failure_kind;
 use amo_campaign::run::CODE_FINGERPRINT;
-use amo_obs::Tracer;
+use amo_obs::critpath::Workload;
+use amo_obs::{HostProf, Tracer};
 use amo_sim::{Machine, QueueKind, SimErrorKind};
-use amo_sync::{BarrierKernel, BarrierSpec, Mechanism, TicketLockKernel, TicketLockSpec, VarAlloc};
+use amo_sync::{BarrierAlgo, LockKind, Mechanism, ProcPlan};
+use amo_types::jsonv::{narrow, Json};
 use amo_types::seed::stable_hash128;
 use amo_types::tape::{ChoiceKind, ChoiceRec, SharedTape, TapeConfig, TapeState};
-use amo_types::{Cycle, JsonWriter, NodeId, ProcId, SystemConfig};
+use amo_types::{Addr, Cycle, JsonWriter, ProcId, SystemConfig};
+use amo_workloads::runner::{run_on, Finished, RunFailure, Scenario};
 
 /// Retained trace events per run (diagnostic bundles only; the
 /// monitors themselves are streaming and unbounded-safe).
 const TRACE_CAP: usize = 4096;
-
-/// Hard event-loop bound per probe; the watchdog fires far earlier on
-/// any real stall.
-const MAX_VERIFY_CYCLES: Cycle = 1_000_000_000;
 
 /// Which kernel a model runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -144,13 +143,10 @@ impl VerifyModel {
         }
     }
 
-    /// Canonical JSON document: every field that can change a run's
-    /// outcome, the normalized machine configuration, and the campaign
-    /// code fingerprint.
-    pub fn canonical_doc(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.kv_str("code", CODE_FINGERPRINT);
+    /// Write every field as members of the currently open JSON object:
+    /// the one model writer, shared by [`canonical_doc`](Self::canonical_doc)
+    /// (keys, fingerprints) and schedule documents.
+    pub fn write_fields(&self, w: &mut JsonWriter) {
         w.kv_str("mech", self.mech.label());
         w.kv_str("workload", self.workload.tag());
         match self.workload {
@@ -168,6 +164,82 @@ impl VerifyModel {
         w.kv_u64("watchdog", self.watchdog);
         w.key("planted_double_apply");
         w.bool_val(self.planted_double_apply);
+    }
+
+    /// The one model reader, inverse of [`write_fields`](Self::write_fields):
+    /// decode a model from the members of `obj`. `mech`, `workload` and
+    /// `procs` are required; every other field defaults as in
+    /// [`VerifyModel::new`] (two barrier episodes, one lock round).
+    /// Members named in `also` belong to the caller; any other unknown
+    /// member is an error naming it, and so is a model that fails
+    /// [`check`](Self::check) — a verifier must not quietly check
+    /// something narrower than it was asked to.
+    pub fn from_json(obj: &Json, also: &[&str]) -> Result<VerifyModel, String> {
+        let Json::Obj(members) = obj else {
+            return Err("a model must be an object".into());
+        };
+        let text = |k: &str| {
+            let v = obj.get(k).and_then(Json::as_str);
+            v.ok_or_else(|| format!("missing {k}"))
+        };
+        let mech = Mechanism::parse(text("mech")?)?;
+        let workload = match text("workload")? {
+            "barrier" => VerifyWorkload::Barrier { episodes: 2 },
+            "ticket-lock" => VerifyWorkload::TicketLock { rounds: 1 },
+            other => return Err(format!("unknown workload {other:?} (barrier, ticket-lock)")),
+        };
+        obj.get("procs").ok_or("missing procs")?;
+        let mut m = VerifyModel::new(mech, workload, 0);
+        for (key, v) in members {
+            let num = || {
+                let n = v.as_u64();
+                n.ok_or_else(|| format!("{key} must be an unsigned integer"))
+            };
+            let flag = || {
+                let b = v.as_bool();
+                b.ok_or_else(|| format!("{key} must be true or false"))
+            };
+            match (key.as_str(), &mut m.workload) {
+                ("mech" | "workload", _) => {}
+                ("episodes", VerifyWorkload::Barrier { episodes }) => {
+                    *episodes = narrow(key, num()?)?
+                }
+                ("rounds", VerifyWorkload::TicketLock { rounds }) => *rounds = narrow(key, num()?)?,
+                ("procs", _) => m.procs = narrow(key, num()?)?,
+                ("skew_choices", _) => m.skew_choices = narrow(key, num()?)?,
+                ("skew_step", _) => m.skew_step = num()?,
+                ("reorder_window", _) => m.reorder_window = num()?,
+                ("explore_dups", _) => m.explore_dups = flag()?,
+                ("jitter_choices", _) => m.jitter_choices = narrow(key, num()?)?,
+                ("max_choice_points", _) => m.max_choice_points = narrow(key, num()?)?,
+                ("watchdog", _) => m.watchdog = num()?,
+                ("planted_double_apply", _) => m.planted_double_apply = flag()?,
+                (k, _) if also.contains(&k) => {}
+                (k, w) => return Err(format!("unknown field {k:?} for a {} model", w.tag())),
+            }
+        }
+        m.check()?;
+        Ok(m)
+    }
+
+    /// Can this model run? `Err` names the offending value.
+    pub fn check(&self) -> Result<(), String> {
+        match self.workload {
+            VerifyWorkload::Barrier { episodes: 0 } => Err("episodes = 0: need at least one"),
+            VerifyWorkload::TicketLock { rounds: 0 } => Err("rounds = 0: need at least one"),
+            _ => Ok(()),
+        }?;
+        self.config().check()
+    }
+
+    /// Canonical JSON document: every field that can change a run's
+    /// outcome, the normalized machine configuration, and the campaign
+    /// code fingerprint.
+    pub fn canonical_doc(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        w.kv_str("code", CODE_FINGERPRINT);
+        self.write_fields(&mut w);
         w.key("config");
         w.raw_val(&self.config().canonical_json());
         w.end_obj();
@@ -184,56 +256,42 @@ impl VerifyModel {
     /// same prefix, same [`Outcome`].
     pub fn run_once(&self, prefix: &[u16]) -> Outcome {
         let tape = TapeState::with_prefix(self.tape_config(), prefix.to_vec()).shared();
-        let mut alloc = VarAlloc::new();
-        let built = self.build_spec(&mut alloc);
-
         let mut monitors: Vec<Box<dyn Monitor>> =
             vec![Box::new(AtMostOnce::new()), Box::new(DirSanity::new())];
-        match &built {
-            Built::Barrier(_) => monitors.push(Box::new(BarrierEpoch::new(self.procs))),
-            Built::Lock(spec) => {
-                monitors.push(Box::new(MutualExclusion::new()));
-                // LL/SC and plain atomics grab tickets coherently — no
-                // AMU applies to order against (soundness boundary,
-                // DESIGN.md §12).
-                if matches!(self.mech, Mechanism::Amo | Mechanism::Mao) {
-                    monitors.push(Box::new(TicketFifo::new(spec.next_ticket.0)));
-                }
-            }
-        }
-
+        monitors.push(match self.workload {
+            VerifyWorkload::Barrier { .. } => Box::new(BarrierEpoch::new(self.procs)),
+            VerifyWorkload::TicketLock { .. } => Box::new(MutualExclusion::new()),
+        });
         let mut machine = Machine::with_tracer(
             self.config(),
             QueueKind::Calendar,
             MonitorTracer::new(TRACE_CAP, monitors),
         );
-        self.prepare(&mut machine, &tape, &built);
-        let res = machine.run(MAX_VERIFY_CYCLES);
-
-        let kind = match (&res.error, res.all_finished) {
-            (Some(e), _) => Some(kind_name(&e.kind)),
-            (None, false) => Some("Stall"),
-            (None, true) => None,
-        };
-        let monitor = res.error.as_ref().and_then(|e| match e.kind {
-            SimErrorKind::MonitorViolation { monitor } => Some(monitor),
-            _ => None,
+        let probe = Probe { model: self, tape };
+        let (end, fingerprint, failure) = probe.drive(&mut machine, |tracer, sequencer| {
+            // LL/SC and plain atomics grab tickets coherently — no
+            // AMU applies to order against (soundness boundary,
+            // DESIGN.md §12).
+            if let (Some(ticket), Mechanism::Amo | Mechanism::Mao) = (sequencer, self.mech) {
+                tracer.push(Box::new(TicketFifo::new(ticket.0)));
+            }
         });
-        let detail = res.error.as_ref().map(|e| {
-            e.bundle
-                .violation
-                .clone()
-                .unwrap_or_else(|| e.kind.to_string())
-        });
-        let fingerprint = outcome_fingerprint(res.end, kind, machine.marks());
-
-        let log = tape.borrow().log().to_vec();
+        let error = failure.as_ref().and_then(|f| f.error.as_deref());
+        let log = probe.tape.borrow().log().to_vec();
         Outcome {
             log,
-            end: res.end,
-            kind,
-            monitor,
-            detail,
+            end,
+            kind: failure.as_deref().map(failure_kind),
+            monitor: error.and_then(|e| match e.kind {
+                SimErrorKind::MonitorViolation { monitor } => Some(monitor),
+                _ => None,
+            }),
+            detail: error.map(|e| {
+                e.bundle
+                    .violation
+                    .clone()
+                    .unwrap_or_else(|| e.kind.to_string())
+            }),
             fingerprint,
         }
     }
@@ -246,81 +304,96 @@ impl VerifyModel {
     /// equality check.
     pub fn run_unmonitored(&self, prefix: &[u16]) -> (Cycle, (u64, u64)) {
         let tape = TapeState::with_prefix(self.tape_config(), prefix.to_vec()).shared();
-        let mut alloc = VarAlloc::new();
-        let built = self.build_spec(&mut alloc);
-        let mut machine = Machine::new(self.config());
-        self.prepare(&mut machine, &tape, &built);
-        let res = machine.run(MAX_VERIFY_CYCLES);
-        let kind = match (&res.error, res.all_finished) {
-            (Some(e), _) => Some(kind_name(&e.kind)),
-            (None, false) => Some("Stall"),
-            (None, true) => None,
-        };
-        (res.end, outcome_fingerprint(res.end, kind, machine.marks()))
+        let probe = Probe { model: self, tape };
+        let (end, fingerprint, _) = probe.drive(&mut Machine::new(self.config()), |_, _| {});
+        (end, fingerprint)
     }
+}
 
-    fn build_spec(&self, alloc: &mut VarAlloc) -> Built {
-        match self.workload {
-            VerifyWorkload::Barrier { episodes } => Built::Barrier(BarrierSpec::build(
-                alloc,
-                self.mech,
-                NodeId(0),
-                self.procs,
-                episodes,
-            )),
-            VerifyWorkload::TicketLock { rounds } => Built::Lock(TicketLockSpec::build(
-                alloc,
-                self.mech,
-                NodeId(0),
-                rounds,
-                50,
-            )),
-        }
-    }
+/// One execution of a model under one tape: what the shared driver
+/// runs. The tape, the planted bug and the tape-chosen arrival skew are
+/// the model's extra set-up around the ordinary installers.
+#[derive(Debug)]
+struct Probe<'a> {
+    model: &'a VerifyModel,
+    tape: SharedTape,
+}
 
-    /// Attach the tape, arm the planted bug and watchdog, and install
-    /// one kernel per proc — arrival skew is one tape choice per proc,
-    /// consumed here in proc order before the run starts.
-    fn prepare<T: Tracer>(&self, machine: &mut Machine<T>, tape: &SharedTape, built: &Built) {
-        machine.set_schedule_tape(tape.clone());
-        if self.planted_double_apply {
-            machine.plant_amu_double_apply();
-        }
-        if self.watchdog > 0 {
-            machine.enable_watchdog(self.watchdog);
-        }
-        for p in 0..self.procs {
-            let pick = tape
-                .borrow_mut()
-                .choose(ChoiceKind::ArrivalSkew, self.skew_choices);
-            let start = pick as Cycle * self.skew_step;
-            match built {
-                Built::Barrier(spec) => {
-                    let work = vec![100; spec.episodes as usize];
-                    machine.install_kernel(
-                        ProcId(p),
-                        Box::new(BarrierKernel::new(*spec, work)),
-                        start,
-                    );
-                }
-                Built::Lock(spec) => {
-                    let think = vec![100; spec.rounds as usize];
-                    machine.install_kernel(
-                        ProcId(p),
-                        Box::new(TicketLockKernel::new(*spec, think, p as u64 + 1, None)),
-                        start,
-                    );
-                }
+impl Probe<'_> {
+    /// Run on `machine` through the shared driver: the end cycle, the
+    /// outcome fingerprint, and the failure if the run did not finish
+    /// clean.
+    fn drive<T: Tracer>(
+        &self,
+        machine: &mut Machine<T>,
+        attach: impl FnOnce(&mut T, &Option<Addr>),
+    ) -> (Cycle, (u64, u64), Option<Box<RunFailure>>) {
+        match run_on(self, machine, attach) {
+            Ok((fingerprint, info)) => (info.end, fingerprint, None),
+            Err(f) => {
+                let end = f.info.end;
+                let fingerprint = outcome_fingerprint(end, Some(failure_kind(&f)), &f.marks);
+                (end, fingerprint, Some(f))
             }
         }
     }
 }
 
-/// The allocated workload spec (the FIFO monitor needs the ticket
-/// sequencer's address, so specs are built before the machine).
-enum Built {
-    Barrier(BarrierSpec),
-    Lock(TicketLockSpec),
+impl Scenario for Probe<'_> {
+    /// The ticket sequencer, for the FIFO monitor.
+    type Installed = Option<Addr>;
+    /// The outcome fingerprint of a clean finish.
+    type Output = (u64, u64);
+
+    fn check(&self) -> Result<(), String> {
+        self.model.check()
+    }
+
+    fn config(&self) -> SystemConfig {
+        self.model.config()
+    }
+
+    fn watchdog(&self) -> Cycle {
+        self.model.watchdog
+    }
+
+    fn workload(&self) -> Workload {
+        match self.model.workload {
+            VerifyWorkload::Barrier { .. } => Workload::Barrier,
+            VerifyWorkload::TicketLock { .. } => Workload::Lock,
+        }
+    }
+
+    /// Attach the tape, arm the planted bug, and install one kernel
+    /// per proc — arrival skew is one tape choice per proc, consumed
+    /// here in proc order before the run starts.
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) -> Option<Addr> {
+        let m = self.model;
+        machine.set_schedule_tape(self.tape.clone());
+        if m.planted_double_apply {
+            machine.plant_amu_double_apply();
+        }
+        let mut tape = self.tape.borrow_mut();
+        let mut plan = |len: u32| ProcPlan {
+            work: vec![100; len as usize],
+            start: tape.choose(ChoiceKind::ArrivalSkew, m.skew_choices) as Cycle * m.skew_step,
+        };
+        match m.workload {
+            VerifyWorkload::Barrier { episodes } => {
+                BarrierAlgo::Central.install(machine, m.mech, None, episodes, |_| plan(episodes));
+                None
+            }
+            VerifyWorkload::TicketLock { rounds } => {
+                let lock =
+                    LockKind::Ticket.install(machine, m.mech, rounds, 50, false, |_| plan(rounds));
+                Some(lock.sequencer)
+            }
+        }
+    }
+
+    fn reduce(&self, _: Option<Addr>, run: &Finished) -> (u64, u64) {
+        outcome_fingerprint(run.info.end, None, run.marks)
+    }
 }
 
 /// Reduce a finished run to its observable outcome and hash it: end

@@ -56,6 +56,13 @@ impl MonitorTracer {
             violation: None,
         }
     }
+
+    /// Add a monitor that could only be built once the workload was on
+    /// the machine (it watches an address the installer chose). Checked
+    /// after every monitor already on the stack.
+    pub fn push(&mut self, monitor: Box<dyn Monitor>) {
+        self.monitors.push(monitor);
+    }
 }
 
 impl Tracer for MonitorTracer {

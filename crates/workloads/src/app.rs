@@ -4,26 +4,44 @@
 //! The paper's introduction motivates AMOs with a "synchronization tax"
 //! argument: a 32-processor barrier on an Origin 3000 costs ~90,000
 //! cycles, time in which the machine could have executed 5.76 MFLOPS.
-//! [`sync_tax`] measures exactly that: an iterative bulk-synchronous
+//! [`SyncTax`] measures exactly that: an iterative bulk-synchronous
 //! computation (work, then barrier, repeated) across work grains, and
 //! how much of the wall time each mechanism's barrier eats.
 //!
 //! [`cs_sensitivity`] is the lock-side analogue: as critical sections
 //! grow, lock overhead amortizes and every mechanism converges — the
 //! AMO advantage is a *short-critical-section* phenomenon.
+//!
+//! Each study's cell is a [`Scenario`] ([`SyncTax`], [`Signal`],
+//! [`SelfSched`]) run by the same driver as every barrier and lock
+//! benchmark, so a cell can be rejected, can fail alone, and can be
+//! traced, sampled and profiled like any other run.
 
 use crate::measure::barrier_measurement;
-use crate::runner::{run_lock, BarrierBench, LockBench, LockKind};
+use crate::runner::{
+    check_machine, check_measured, run_lock, run_scenario, BarrierAlgo, BarrierBench, Finished,
+    LockBench, LockKind, ObsSpec, Scenario,
+};
+use amo_cpu::{Kernel, Op, Outcome};
+use amo_obs::{HostProf, Tracer};
 use amo_sim::Machine;
-use amo_sync::{BarrierKernel, BarrierSpec, Mechanism, VarAlloc};
+use amo_sync::mechanism::{FetchAddSub, Step};
+use amo_sync::{Mechanism, ProcPlan, VarAlloc};
 use amo_types::seed::run_seed;
-use amo_types::{Cycle, NodeId, ProcId, SystemConfig};
+use amo_types::{Addr, AmoKind, Cycle, NodeId, ProcId, SpinPred, SystemConfig, Word};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Base seed of the sync-tax work-jitter stream; the per-grain stream is
 /// `run_seed(SYNC_TAX_SEED, grain)`.
 pub const SYNC_TAX_SEED: u64 = 0x7_AEED;
+
+/// Run a study cell on a fault-free machine, where an abort is a bug.
+fn run_ok<S: Scenario + Clone>(cell: &S) -> S::Output {
+    run_scenario(cell, ObsSpec::default())
+        .unwrap_or_else(|f| panic!("{f}"))
+        .timing
+}
 
 /// One mechanism's result at one work grain.
 #[derive(Clone, Debug)]
@@ -46,36 +64,58 @@ pub struct SyncTaxRow {
 }
 
 /// One cell of the synchronization-tax study: `steps` iterations of
-/// `grain` cycles of local work followed by a barrier, one mechanism.
-/// Important detail: the work-jitter stream is seeded per *grain*
+/// `grain` cycles of local work followed by a barrier, one mechanism —
+/// the centralized barrier with a jittered work plan. Important detail:
+/// the work-jitter stream is seeded per *grain*
 /// (`run_seed(SYNC_TAX_SEED, grain)`), not per mechanism, so every
 /// mechanism sees the identical imbalance pattern.
-pub fn sync_tax_cell(
-    mech: Mechanism,
-    procs: u16,
-    grain: Cycle,
-    steps: u32,
-    warmup: u32,
-) -> SyncTaxCell {
-    let cfg = SystemConfig::with_procs(procs);
-    let mut machine = Machine::new(cfg);
-    let mut alloc = VarAlloc::new();
-    let spec = BarrierSpec::build(&mut alloc, mech, NodeId(0), procs, steps);
-    let mut rng = StdRng::seed_from_u64(run_seed(SYNC_TAX_SEED, grain));
-    for p in 0..procs {
-        // Work with ±5% jitter: realistic imbalance.
-        let work: Vec<Cycle> = (0..steps)
-            .map(|_| grain - grain / 20 + rng.gen_range(0..=grain / 10))
-            .collect();
-        machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
+#[derive(Clone, Copy, Debug)]
+pub struct SyncTax {
+    /// Mechanism under test.
+    pub mech: Mechanism,
+    /// Processor count.
+    pub procs: u16,
+    /// Cycles of useful work per processor per step.
+    pub grain: Cycle,
+    /// Steps (including warm-up).
+    pub steps: u32,
+    /// Warm-up steps excluded from measurement.
+    pub warmup: u32,
+}
+
+impl Scenario for SyncTax {
+    type Installed = ();
+    type Output = SyncTaxCell;
+
+    fn check(&self) -> Result<(), String> {
+        check_machine(self.procs, None)?;
+        check_measured("steps", self.steps, self.warmup)
     }
-    let res = machine.run(1_000_000_000_000);
-    assert!(res.all_finished, "{mech:?} stalled");
-    let m = barrier_measurement(machine.marks(), procs, steps, warmup);
-    SyncTaxCell {
-        mech,
-        step_cycles: m.avg_cycles,
-        tax: 1.0 - grain as f64 / m.avg_cycles,
+
+    fn config(&self) -> SystemConfig {
+        SystemConfig::with_procs(self.procs)
+    }
+
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
+        let (grain, steps) = (self.grain, self.steps);
+        let mut rng = StdRng::seed_from_u64(run_seed(SYNC_TAX_SEED, grain));
+        // Work with ±5% jitter: realistic imbalance.
+        let plan = |_| ProcPlan {
+            work: (0..steps)
+                .map(|_| grain - grain / 20 + rng.gen_range(0..=grain / 10))
+                .collect(),
+            start: 0,
+        };
+        BarrierAlgo::Central.install(machine, self.mech, None, steps, plan);
+    }
+
+    fn reduce(&self, (): (), run: &Finished) -> SyncTaxCell {
+        let m = barrier_measurement(run.marks, self.procs, self.steps, self.warmup);
+        SyncTaxCell {
+            mech: self.mech,
+            step_cycles: m.avg_cycles,
+            tax: 1.0 - self.grain as f64 / m.avg_cycles,
+        }
     }
 }
 
@@ -83,13 +123,20 @@ pub fn sync_tax_cell(
 /// `work_grain` cycles of local work followed by a barrier — and report
 /// each mechanism's synchronization tax.
 pub fn sync_tax(procs: u16, work_grains: &[Cycle], steps: u32, warmup: u32) -> Vec<SyncTaxRow> {
+    let cell = |mech, grain| SyncTax {
+        mech,
+        procs,
+        grain,
+        steps,
+        warmup,
+    };
     work_grains
         .iter()
         .map(|&grain| SyncTaxRow {
             work_grain: grain,
             cells: Mechanism::ALL
                 .iter()
-                .map(|&mech| sync_tax_cell(mech, procs, grain, steps, warmup))
+                .map(|&mech| run_ok(&cell(mech, grain)))
                 .collect(),
         })
         .collect()
@@ -162,142 +209,138 @@ pub struct SignalResult {
 /// write" — the primitive underneath every release — isolating the AMO
 /// word-update push against the conventional invalidate-then-reload
 /// wake-up.
-pub fn signal_latency(mech: Mechanism, pairs: u16, rounds: u32) -> SignalResult {
-    use amo_cpu::{Kernel, Op, Outcome};
-    use amo_types::{Addr, SpinPred, Word};
+#[derive(Clone, Copy, Debug)]
+pub struct Signal {
+    /// Mechanism under test.
+    pub mech: Mechanism,
+    /// Cross-node producer/consumer pairs.
+    pub pairs: u16,
+    /// Ping-pong rounds per pair.
+    pub rounds: u32,
+}
 
-    struct PingPong {
-        /// Flag I set (homed at my peer).
-        out: Addr,
-        /// Flag I wait on (homed at me).
-        inn: Addr,
-        /// True: I signal first each round.
-        initiator: bool,
-        mech: Mechanism,
-        rounds: u32,
-        r: u32,
-        phase: u8,
-    }
+/// One end of a [`Signal`] pair.
+struct PingPong {
+    /// Flag I set (homed at my peer).
+    out: Addr,
+    /// Flag I wait on (homed at me).
+    inn: Addr,
+    /// True: I signal first each round.
+    initiator: bool,
+    mech: Mechanism,
+    rounds: u32,
+    r: u32,
+    phase: u8,
+}
 
-    impl PingPong {
-        fn release_op(&self) -> Op {
-            // Same discipline as ReleaseSub: AMO pushes, the rest store.
-            match self.mech {
-                Mechanism::Amo => Op::Amo {
-                    kind: amo_types::AmoKind::FetchAdd,
-                    addr: self.out,
-                    operand: 1,
-                    test: None,
-                },
-                _ => Op::Store {
-                    addr: self.out,
-                    value: self.r as Word + 1,
-                },
-            }
+impl PingPong {
+    fn release_op(&self) -> Op {
+        // Same discipline as ReleaseSub: AMO pushes, the rest store.
+        match self.mech {
+            Mechanism::Amo => Op::Amo {
+                kind: AmoKind::FetchAdd,
+                addr: self.out,
+                operand: 1,
+                test: None,
+            },
+            _ => Op::Store {
+                addr: self.out,
+                value: self.r as Word + 1,
+            },
         }
     }
+}
 
-    impl Kernel for PingPong {
-        fn next(&mut self, _l: Option<Outcome>) -> Op {
-            {
-                if self.r >= self.rounds {
-                    return Op::Done;
-                }
-                let target = self.r as Word + 1;
-                let op = match (self.initiator, self.phase) {
-                    // Initiator: mark, signal, await the echo.
-                    (true, 0) => Op::Mark { id: self.r * 2 + 2 },
-                    (true, 1) => self.release_op(),
-                    (true, 2) => Op::SpinUntil {
-                        addr: self.inn,
-                        pred: SpinPred::Ge(target),
-                    },
-                    // Responder: await the signal, mark, echo.
-                    (false, 0) => Op::SpinUntil {
-                        addr: self.inn,
-                        pred: SpinPred::Ge(target),
-                    },
-                    (false, 1) => Op::Mark { id: self.r * 2 + 3 },
-                    (false, 2) => self.release_op(),
-                    _ => unreachable!(),
+impl Kernel for PingPong {
+    fn next(&mut self, _l: Option<Outcome>) -> Op {
+        if self.r >= self.rounds {
+            return Op::Done;
+        }
+        let await_peer = Op::SpinUntil {
+            addr: self.inn,
+            pred: SpinPred::Ge(self.r as Word + 1),
+        };
+        let op = match (self.initiator, self.phase) {
+            // Initiator: mark, signal, await the echo.
+            (true, 0) => Op::Mark { id: self.r * 2 + 2 },
+            (true, 1) => self.release_op(),
+            (true, 2) => await_peer,
+            // Responder: await the signal, mark, echo.
+            (false, 0) => await_peer,
+            (false, 1) => Op::Mark { id: self.r * 2 + 3 },
+            (false, 2) => self.release_op(),
+            _ => unreachable!(),
+        };
+        self.phase += 1;
+        if self.phase == 3 {
+            self.phase = 0;
+            self.r += 1;
+        }
+        op
+    }
+}
+
+impl Scenario for Signal {
+    type Installed = ();
+    type Output = SignalResult;
+
+    fn check(&self) -> Result<(), String> {
+        if self.pairs == 0 || self.rounds == 0 {
+            return Err(format!(
+                "need at least one pair and one round: pairs = {}, rounds = {}",
+                self.pairs, self.rounds
+            ));
+        }
+        self.config().check()
+    }
+
+    fn config(&self) -> SystemConfig {
+        SystemConfig::with_procs(self.pairs.saturating_mul(2))
+    }
+
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
+        let per_node = machine.config().procs_per_node;
+        let mut alloc = VarAlloc::new();
+        for pair in 0..self.pairs {
+            // Initiators occupy the first half of the machine, responders
+            // the second, so every pair crosses the network.
+            let (a, b) = (ProcId(pair), ProcId(self.pairs + pair));
+            let flag_at_a = alloc.word(a.node(per_node));
+            let flag_at_b = alloc.word(b.node(per_node));
+            for (me, out, inn) in [(a, flag_at_b, flag_at_a), (b, flag_at_a, flag_at_b)] {
+                let kernel = PingPong {
+                    out,
+                    inn,
+                    initiator: me == a,
+                    mech: self.mech,
+                    rounds: self.rounds,
+                    r: 0,
+                    phase: 0,
                 };
-                self.phase += 1;
-                if self.phase == 3 {
-                    self.phase = 0;
-                    self.r += 1;
-                }
-                op
+                machine.install_kernel(me, Box::new(kernel), 0);
             }
         }
     }
 
-    let procs = pairs * 2;
-    let cfg = SystemConfig::with_procs(procs);
-    let mut machine = Machine::new(cfg);
-    let mut alloc = VarAlloc::new();
-    for pair in 0..pairs {
-        // Initiators occupy the first half of the machine, responders
-        // the second, so every pair crosses the network.
-        let a = pair; // initiator
-        let b = pairs + pair; // responder
-        let flag_at_a = alloc.word(ProcId(a).node(cfg.procs_per_node));
-        let flag_at_b = alloc.word(ProcId(b).node(cfg.procs_per_node));
-        machine.install_kernel(
-            ProcId(a),
-            Box::new(PingPong {
-                out: flag_at_b,
-                inn: flag_at_a,
-                initiator: true,
-                mech,
-                rounds,
-                r: 0,
-                phase: 0,
-            }),
-            0,
-        );
-        machine.install_kernel(
-            ProcId(b),
-            Box::new(PingPong {
-                out: flag_at_a,
-                inn: flag_at_b,
-                initiator: false,
-                mech,
-                rounds,
-                r: 0,
-                phase: 0,
-            }),
-            0,
-        );
-    }
-    let res = machine.run(10_000_000_000);
-    assert!(res.all_finished, "{mech:?} signalling stalled");
-    // Mean latency: initiator's send mark (2r+2) to responder's receive
-    // mark (2r+3), per pair; pairs share round ids so collect per proc.
-    let mut sum = 0u64;
-    let mut n = 0u64;
-    for pair in 0..pairs {
-        let a = ProcId(pair);
-        let b = ProcId(pairs + pair);
-        for r in 0..rounds {
-            let sent = machine
-                .marks()
-                .iter()
-                .find(|&&(p, id, _)| p == a && id == r * 2 + 2)
-                .map(|&(_, _, t)| t)
-                .expect("send mark");
-            let recv = machine
-                .marks()
-                .iter()
-                .find(|&&(p, id, _)| p == b && id == r * 2 + 3)
-                .map(|&(_, _, t)| t)
-                .expect("receive mark");
-            sum += recv.saturating_sub(sent);
-            n += 1;
+    /// Mean latency: initiator's send mark (2r+2) to responder's receive
+    /// mark (2r+3), per pair; pairs share round ids so collect per proc.
+    fn reduce(&self, (): (), run: &Finished) -> SignalResult {
+        let at = |p: ProcId, id: u32, what: &str| {
+            let mark = run.marks.iter().find(|&&(q, i, _)| q == p && i == id);
+            mark.unwrap_or_else(|| panic!("{what} mark")).2
+        };
+        let mut sum = 0u64;
+        for pair in 0..self.pairs {
+            for r in 0..self.rounds {
+                let sent = at(ProcId(pair), r * 2 + 2, "send");
+                let recv = at(ProcId(self.pairs + pair), r * 2 + 3, "receive");
+                sum += recv.saturating_sub(sent);
+            }
         }
-    }
-    SignalResult {
-        mech,
-        mean_latency: sum as f64 / n as f64,
+        SignalResult {
+            mech: self.mech,
+            mean_latency: sum as f64 / (self.pairs as u64 * self.rounds as u64) as f64,
+        }
     }
 }
 
@@ -326,13 +369,19 @@ pub struct SelfSchedRow {
 /// grains the fetch-add is the bottleneck — precisely where shipping it
 /// to the memory controller pays.
 pub fn self_scheduling(procs: u16, tasks: u32, task_grains: &[Cycle]) -> Vec<SelfSchedRow> {
+    let cell = |mech, grain| SelfSched {
+        mech,
+        procs,
+        tasks,
+        grain,
+    };
     task_grains
         .iter()
         .map(|&grain| SelfSchedRow {
             task_grain: grain,
             cells: Mechanism::ALL
                 .iter()
-                .map(|&mech| self_sched_cell(mech, procs, tasks, grain))
+                .map(|&mech| run_ok(&cell(mech, grain)))
                 .collect(),
         })
         .collect()
@@ -340,70 +389,89 @@ pub fn self_scheduling(procs: u16, tasks: u32, task_grains: &[Cycle]) -> Vec<Sel
 
 /// One cell of the self-scheduling study: one mechanism draining the
 /// task pool at one task grain.
-pub fn self_sched_cell(mech: Mechanism, procs: u16, tasks: u32, grain: Cycle) -> SelfSchedCell {
-    use amo_cpu::{Kernel, Op, Outcome};
-    use amo_sync::mechanism::{FetchAddSub, Step};
-    use amo_types::Word;
+#[derive(Clone, Copy, Debug)]
+pub struct SelfSched {
+    /// Mechanism under test.
+    pub mech: Mechanism,
+    /// Processor count.
+    pub procs: u16,
+    /// Tasks in the shared pool.
+    pub tasks: u32,
+    /// Cycles of work per task.
+    pub grain: Cycle,
+}
 
-    struct Worker {
-        mech: Mechanism,
-        index: amo_types::Addr,
-        ctr_id: u16,
-        tasks: Word,
-        grain: Cycle,
-        fa: Option<FetchAddSub>,
-        computing: bool,
-    }
+/// One [`SelfSched`] participant.
+struct Worker {
+    mech: Mechanism,
+    index: Addr,
+    ctr_id: u16,
+    tasks: Word,
+    grain: Cycle,
+    fa: Option<FetchAddSub>,
+    computing: bool,
+}
 
-    impl Kernel for Worker {
-        fn next(&mut self, mut last: Option<Outcome>) -> Op {
-            if self.computing {
-                // Finished a task's compute; grab the next.
-                self.computing = false;
-                last = None;
-            }
-            let fa = self
-                .fa
-                .get_or_insert_with(|| FetchAddSub::new(self.mech, self.index, 1, self.ctr_id));
-            match fa.poll(last.take()) {
-                Step::Issue(op) => op,
-                Step::Ready(idx) => {
-                    self.fa = None;
-                    if idx >= self.tasks {
-                        return Op::Done;
-                    }
-                    self.computing = true;
-                    Op::Delay { cycles: self.grain }
+impl Kernel for Worker {
+    fn next(&mut self, mut last: Option<Outcome>) -> Op {
+        if self.computing {
+            // Finished a task's compute; grab the next.
+            self.computing = false;
+            last = None;
+        }
+        let fa = self
+            .fa
+            .get_or_insert_with(|| FetchAddSub::new(self.mech, self.index, 1, self.ctr_id));
+        match fa.poll(last.take()) {
+            Step::Issue(op) => op,
+            Step::Ready(idx) => {
+                self.fa = None;
+                if idx >= self.tasks {
+                    return Op::Done;
                 }
+                self.computing = true;
+                Op::Delay { cycles: self.grain }
             }
         }
     }
+}
 
-    let cfg = SystemConfig::with_procs(procs);
-    let mut machine = Machine::new(cfg);
-    let mut alloc = VarAlloc::new();
-    let index = alloc.counter_for(mech, NodeId(0));
-    let ctr_id = alloc.ctr(NodeId(0));
-    for p in 0..procs {
-        machine.install_kernel(
-            ProcId(p),
-            Box::new(Worker {
-                mech,
+impl Scenario for SelfSched {
+    type Installed = ();
+    type Output = SelfSchedCell;
+
+    fn check(&self) -> Result<(), String> {
+        check_machine(self.procs, None)
+    }
+
+    fn config(&self) -> SystemConfig {
+        SystemConfig::with_procs(self.procs)
+    }
+
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
+        let mut alloc = VarAlloc::new();
+        let index = alloc.counter_for(self.mech, NodeId(0));
+        let ctr_id = alloc.ctr(NodeId(0));
+        for p in 0..self.procs {
+            let worker = Worker {
+                mech: self.mech,
                 index,
                 ctr_id,
-                tasks: tasks as Word,
-                grain,
+                tasks: self.tasks as Word,
+                grain: self.grain,
                 fa: None,
                 computing: false,
-            }),
-            (p as Cycle) * 7, // slight stagger
-        );
+            };
+            // Slight stagger.
+            machine.install_kernel(ProcId(p), Box::new(worker), (p as Cycle) * 7);
+        }
     }
-    let res = machine.run(1_000_000_000_000);
-    assert!(res.all_finished, "{mech:?} self-scheduling stalled");
-    SelfSchedCell {
-        mech,
-        total_cycles: res.last_finish(),
+
+    fn reduce(&self, (): (), run: &Finished) -> SelfSchedCell {
+        SelfSchedCell {
+            mech: self.mech,
+            total_cycles: run.info.last_finish,
+        }
     }
 }
 
@@ -500,9 +568,17 @@ mod tests {
     fn amo_signalling_beats_invalidate_reload() {
         // One-way producer→consumer latency: the AMO word-update push
         // must beat every invalidate-then-reload mechanism.
-        let amo = signal_latency(Mechanism::Amo, 4, 4).mean_latency;
+        let latency = |mech| {
+            let cell = Signal {
+                mech,
+                pairs: 4,
+                rounds: 4,
+            };
+            run_ok(&cell).mean_latency
+        };
+        let amo = latency(Mechanism::Amo);
         for mech in [Mechanism::LlSc, Mechanism::Atomic] {
-            let conv = signal_latency(mech, 4, 4).mean_latency;
+            let conv = latency(mech);
             assert!(amo < conv, "AMO signal {amo} should beat {mech:?} {conv}");
         }
         assert!(amo > 100.0, "a cross-node signal costs real cycles: {amo}");

@@ -1,29 +1,39 @@
-//! Build machines, install kernels, run, and collect results.
+//! The one run path: check a description, build its machine, observe
+//! it, bound it, run it, and hand back its result or its failure.
 //!
-//! Two entry-point families per workload: the infallible `run_*`
-//! (panics on a stalled or faulted run — right for paper-table
-//! generation where an abort is a bug) and the fallible `try_run_*`
-//! (returns a [`RunFailure`] carrying the typed [`SimError`], the
-//! machine statistics, and the stall report — right for campaign grids
-//! and chaos studies where one faulted cell must not kill the sweep).
+//! Everything that can be simulated is a [`Scenario`]: it says which
+//! machine it needs, how to put its kernels on one (through the
+//! `amo_sync::install` installers, or with kernels of its own), and how
+//! to reduce the recorded marks to its result. [`run_scenario`] does
+//! the rest, once, for every scenario: it rejects a description that
+//! cannot run *before* anything is simulated, picks the tracer ×
+//! host-profiler machine the [`ObsSpec`] asks for, arms sampling and
+//! the watchdog, runs to the one cycle limit, and packages a stall or a
+//! typed fault as a [`RunFailure`] (with the critical-path breakdown of
+//! a traced abort attached). [`BarrierBench`], [`LockBench`] and the
+//! application studies in [`crate::app`] are its scenarios; the
+//! schedule explorer runs its models through the inner half,
+//! [`run_on`], on machines it builds itself.
+//!
+//! The `run_*` / `try_run_*` families are the barrier and lock
+//! shorthands over it: the infallible forms panic on a rejected,
+//! stalled or faulted run (right for paper-table generation, where an
+//! abort is a bug), the fallible forms return the [`RunFailure`] (right
+//! for campaign grids and chaos studies, where one bad cell must not
+//! kill the sweep).
 
 use crate::measure::{barrier_measurement, lock_measurement, BarrierMeasurement, LockMeasurement};
 use amo_obs::critpath::{self, Workload};
 use amo_obs::hostprof::{HostProf, HostProfReport, HostProfiler};
 use amo_obs::{NopTracer, RingTracer, TimeSeries, TraceBuf, Tracer};
 use amo_sim::{Machine, QueueKind, RunResult, SimError};
-use amo_sync::lock::ExclusionCheck;
-use amo_sync::{
-    ArrayLockKernel, ArrayLockSpec, BarrierKernel, BarrierSpec, BarrierStyle, DisseminationKernel,
-    DisseminationSpec, KTreeKernel, KTreeSpec, McsLockKernel, McsLockSpec, Mechanism,
-    TicketLockKernel, TicketLockSpec, TreeBarrierKernel, TreeBarrierSpec, VarAlloc,
-};
+use amo_sync::{BarrierStyle, LockInstalled, Mechanism, ProcPlan};
 use amo_types::seed::{arithmetic_skew, run_seed};
-use amo_types::{Cycle, NodeId, ProcId, Stats, SystemConfig, Word};
+use amo_types::{Cycle, ProcId, Stats, SystemConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
-use std::rc::Rc;
+
+pub use amo_sync::{BarrierAlgo, LockKind};
 
 /// Safety limit for any single simulation (a run that hits it is a bug).
 const MAX_CYCLES: Cycle = 40_000_000_000;
@@ -120,14 +130,17 @@ impl RunInfo {
     }
 }
 
-/// Why a fallible run did not produce a measurement. Carries everything
-/// the infallible runners used to fold into a panic message, plus the
-/// machine statistics — a faulted chaos run still reports its fault
-/// counters.
+/// Why a run did not produce a result: its description was rejected
+/// before anything was simulated, or the machine stalled or faulted.
+/// Carries everything known at the abort — a faulted chaos run still
+/// reports its fault counters.
 #[derive(Clone, Debug)]
 pub struct RunFailure {
     /// What was running, e.g. `"barrier Amo at 64 procs"`.
     pub what: String,
+    /// Why the description cannot run at all ([`Scenario::check`]);
+    /// nothing was simulated and every other field is empty.
+    pub rejected: Option<String>,
     /// The typed fault, if the machine detected one ( `None` for a
     /// plain stall: the event queue drained, or the cycle limit hit,
     /// with kernels unfinished and no watchdog armed).
@@ -136,6 +149,8 @@ pub struct RunFailure {
     pub stall_report: String,
     /// Machine-wide statistics up to the abort.
     pub stats: Stats,
+    /// Every `Op::Mark` recorded up to the abort.
+    pub marks: Vec<(ProcId, u32, Cycle)>,
     /// Run-level facts at the abort.
     pub info: RunInfo,
     /// True if the run hit the cycle safety limit.
@@ -144,9 +159,10 @@ pub struct RunFailure {
 
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.error {
-            Some(e) => write!(f, "{} aborted: {e}", self.what),
-            None => write!(
+        match (&self.rejected, &self.error) {
+            (Some(why), _) => write!(f, "{} rejected: {why}", self.what),
+            (None, Some(e)) => write!(f, "{} aborted: {e}", self.what),
+            (None, None) => write!(
                 f,
                 "{} stalled (hit_limit={})\n{}",
                 self.what, self.hit_limit, self.stall_report
@@ -175,49 +191,203 @@ fn attach_critpath(error: &mut Option<Box<SimError>>, workload: Workload) {
     }
 }
 
-/// Which barrier algorithm a [`BarrierBench`] runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BarrierAlgo {
-    /// Centralized barrier (paper Fig. 3).
-    Central,
-    /// Two-level combining tree with the given branching (paper
-    /// Sec. 4.2.2).
-    Tree(u16),
-    /// K-level combining tree with uniform branching (the paper's
-    /// future-work generalization).
-    KTree(u16),
-    /// Dissemination barrier (log-depth, no hot spot).
-    Dissemination,
+/// What a finished machine shows the scenario that ran on it.
+pub struct Finished<'a> {
+    /// Every `Op::Mark` the kernels recorded: (processor, id, cycle).
+    pub marks: &'a [(ProcId, u32, Cycle)],
+    /// Run-level facts (end cycle, events, last finish).
+    pub info: RunInfo,
 }
 
-impl BarrierAlgo {
-    /// Stable tag for specs and content keys: `central`, `tree:B`,
-    /// `ktree:B`, `dissem`.
-    pub fn tag(self) -> String {
-        match self {
-            BarrierAlgo::Central => "central".into(),
-            BarrierAlgo::Tree(b) => format!("tree:{b}"),
-            BarrierAlgo::KTree(b) => format!("ktree:{b}"),
-            BarrierAlgo::Dissemination => "dissem".into(),
-        }
+/// One simulation, described: the machine it needs, the kernels it puts
+/// on it, and what its marks reduce to.
+pub trait Scenario: std::fmt::Debug {
+    /// What [`install`](Self::install) hands on: to observers attached
+    /// after it (the ticket sequencer's address) and to
+    /// [`reduce`](Self::reduce) (the exclusion-check counter).
+    type Installed;
+    /// What a finished run reduces to.
+    type Output;
+
+    /// Can this run at all? `Err` names the offending value. Called by
+    /// the driver, and by every decoder and command line that builds a
+    /// description, before anything is simulated.
+    fn check(&self) -> Result<(), String>;
+
+    /// The machine to build.
+    fn config(&self) -> SystemConfig;
+
+    /// Progress-watchdog window in cycles; 0 leaves it off. Armed,
+    /// stalls surface as typed `NoProgress` / `Deadlock` errors instead
+    /// of running to the cycle limit.
+    fn watchdog(&self) -> Cycle {
+        0
     }
 
-    /// Inverse of [`BarrierAlgo::tag`]; `dissemination` is accepted too.
-    pub fn parse(s: &str) -> Result<BarrierAlgo, String> {
-        let branching = |b: &str| {
-            b.parse::<u16>()
-                .map_err(|e| format!("algo {s:?}: branching: {e}"))
-        };
-        match s.split_once(':') {
-            None if s == "central" => Ok(BarrierAlgo::Central),
-            None if s == "dissem" || s == "dissemination" => Ok(BarrierAlgo::Dissemination),
-            Some(("tree", b)) => branching(b).map(BarrierAlgo::Tree),
-            Some(("ktree", b)) => branching(b).map(BarrierAlgo::KTree),
-            _ => Err(format!(
-                "unknown algo {s:?} (central, dissem, tree:B, ktree:B)"
-            )),
-        }
+    /// What is running, for failure reports.
+    fn label(&self) -> String {
+        format!("{self:?}")
     }
+
+    /// The mark scheme of its episodes, for the critical-path
+    /// breakdown of a traced abort (one without such marks gets none).
+    fn workload(&self) -> Workload {
+        Workload::Barrier
+    }
+
+    /// Load one kernel per participating processor.
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) -> Self::Installed;
+
+    /// Reduce a run in which every kernel finished.
+    fn reduce(&self, installed: Self::Installed, run: &Finished) -> Self::Output;
+}
+
+/// Outcome of [`run_scenario`].
+#[derive(Clone, Debug)]
+pub struct Run<S: Scenario> {
+    /// The scenario that ran.
+    pub bench: S,
+    /// Its reduction of the run.
+    pub timing: S::Output,
+    /// Machine-wide statistics for the whole run.
+    pub stats: Stats,
+    /// Run-level facts (end cycle, events, last finish).
+    pub info: RunInfo,
+    /// Trace / time-series / host profile captured per the [`ObsSpec`].
+    pub obs: ObsReport,
+}
+
+/// Outcome of a barrier benchmark.
+pub type BarrierResult = Run<BarrierBench>;
+/// Outcome of a lock benchmark. (It has no violation count: a run that
+/// violates mutual exclusion panics in [`Scenario::reduce`].)
+pub type LockResult = Run<LockBench>;
+
+/// The machine a description of `procs` processors runs on: its
+/// override if it has one, else the paper's Table 1.
+fn machine_for(procs: u16, config: Option<SystemConfig>) -> SystemConfig {
+    config.unwrap_or_else(|| SystemConfig::with_procs(procs))
+}
+
+/// The conditions on [`machine_for`]'s machine.
+pub(crate) fn check_machine(procs: u16, config: Option<SystemConfig>) -> Result<(), String> {
+    let cfg = machine_for(procs, config);
+    if cfg.num_procs != procs {
+        return Err(format!(
+            "config override must match procs: config.num_procs = {}, procs = {procs}",
+            cfg.num_procs
+        ));
+    }
+    cfg.check()
+}
+
+/// A reduction over episodes needs one left after the warm-up.
+pub(crate) fn check_measured(what: &str, total: u32, warmup: u32) -> Result<(), String> {
+    if warmup < total {
+        return Ok(());
+    }
+    Err(format!(
+        "need at least one measured episode: warmup = {warmup} leaves none of {what} = {total}"
+    ))
+}
+
+/// Run one scenario: reject it if it cannot run, otherwise simulate it
+/// on the machine `obs` asks for. A zero `trace_cap` without `hostprof`
+/// keeps the `NopTracer` machine, so an unobserved run pays nothing for
+/// observability.
+pub fn run_scenario<S: Scenario + Clone>(
+    scenario: &S,
+    obs: ObsSpec,
+) -> Result<Run<S>, Box<RunFailure>> {
+    if let Err(why) = scenario.check() {
+        return Err(Box::new(RunFailure {
+            what: scenario.label(),
+            rejected: Some(why),
+            error: None,
+            stall_report: String::new(),
+            stats: Stats::new(),
+            marks: Vec::new(),
+            info: RunInfo::default(),
+            hit_limit: false,
+        }));
+    }
+    let (cfg, queue) = (scenario.config(), QueueKind::Calendar);
+    let ring = || RingTracer::new(obs.trace_cap);
+    match (obs.trace_cap > 0, obs.hostprof) {
+        (true, true) => {
+            let machine = Machine::with_parts(cfg, queue, ring(), HostProfiler::new());
+            observe(scenario, machine, obs)
+        }
+        (true, false) => observe(scenario, Machine::with_tracer(cfg, queue, ring()), obs),
+        (false, true) => {
+            let machine = Machine::with_parts(cfg, queue, NopTracer, HostProfiler::new());
+            observe(scenario, machine, obs)
+        }
+        (false, false) => observe(scenario, Machine::new(cfg), obs),
+    }
+}
+
+/// Run on the chosen machine and collect what it observed.
+fn observe<S: Scenario + Clone, T: Tracer, P: HostProf>(
+    scenario: &S,
+    mut machine: Machine<T, P>,
+    obs: ObsSpec,
+) -> Result<Run<S>, Box<RunFailure>> {
+    if obs.sample_interval > 0 {
+        machine.enable_sampling(obs.sample_interval);
+    }
+    let (timing, info) = run_on(scenario, &mut machine, |_, _| {})?;
+    Ok(Run {
+        bench: scenario.clone(),
+        timing,
+        stats: machine.stats().clone(),
+        info,
+        obs: ObsReport {
+            trace: machine.take_trace_buf(),
+            timeseries: machine.take_timeseries(),
+            hostprof: machine.take_hostprof(),
+        },
+    })
+}
+
+/// The driver's inner half, for a caller that brings its own machine
+/// (built for `scenario.config()`, with whatever tracer and extra
+/// set-up it wants): arm the watchdog, install the scenario, let
+/// `attach` hook observers that need to know what was installed onto
+/// the tracer, run to the cycle limit, and reduce — or package the
+/// stall or fault. Does not call [`Scenario::check`]; allocates nothing
+/// per run beyond what the scenario does.
+pub fn run_on<S: Scenario, T: Tracer, P: HostProf>(
+    scenario: &S,
+    machine: &mut Machine<T, P>,
+    attach: impl FnOnce(&mut T, &S::Installed),
+) -> Result<(S::Output, RunInfo), Box<RunFailure>> {
+    if scenario.watchdog() > 0 {
+        machine.enable_watchdog(scenario.watchdog());
+    }
+    let installed = scenario.install(machine);
+    attach(machine.tracer_mut(), &installed);
+    let res = machine.run(MAX_CYCLES);
+    let info = RunInfo::from_result(&res);
+    if !res.all_finished || res.error.is_some() {
+        let mut error = res.error.map(Box::new);
+        attach_critpath(&mut error, scenario.workload());
+        return Err(Box::new(RunFailure {
+            what: scenario.label(),
+            rejected: None,
+            error,
+            stall_report: machine.stall_report(),
+            stats: machine.stats().clone(),
+            marks: machine.marks().to_vec(),
+            info,
+            hit_limit: res.hit_limit,
+        }));
+    }
+    let run = Finished {
+        marks: machine.marks(),
+        info,
+    };
+    Ok((scenario.reduce(installed, &run), info))
 }
 
 /// A barrier benchmark description.
@@ -293,21 +463,6 @@ impl BarrierBench {
     }
 }
 
-/// Outcome of a barrier benchmark.
-#[derive(Clone, Debug)]
-pub struct BarrierResult {
-    /// The benchmark that ran.
-    pub bench: BarrierBench,
-    /// Timing reduction.
-    pub timing: BarrierMeasurement,
-    /// Machine-wide statistics for the whole run.
-    pub stats: Stats,
-    /// Run-level facts (end cycle, events, last finish).
-    pub info: RunInfo,
-    /// Trace / time-series captured per the run's [`ObsSpec`].
-    pub obs: ObsReport,
-}
-
 /// One processor's per-episode arrival-skew plan. `Random` draws come
 /// sequentially from the bench's one RNG stream (call order = proc
 /// order); `Arithmetic` ignores the RNG entirely.
@@ -328,21 +483,57 @@ fn skew_plan(
     }
 }
 
-/// Run one barrier benchmark to completion; panics on a stall or fault.
+impl Scenario for BarrierBench {
+    type Installed = ();
+    type Output = BarrierMeasurement;
+
+    fn check(&self) -> Result<(), String> {
+        check_machine(self.procs, self.config)?;
+        check_measured("episodes", self.episodes, self.warmup)?;
+        self.algo.check(self.procs)
+    }
+
+    fn config(&self) -> SystemConfig {
+        machine_for(self.procs, self.config)
+    }
+
+    fn watchdog(&self) -> Cycle {
+        self.watchdog
+    }
+
+    fn label(&self) -> String {
+        format!("barrier {:?} at {} procs", self.mech, self.procs)
+    }
+
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
+        let mut rng = StdRng::seed_from_u64(run_seed(self.seed, self.procs as u64));
+        let plan = |p| ProcPlan {
+            work: skew_plan(self.skew, &mut rng, p, self.episodes, self.max_skew),
+            start: 0,
+        };
+        self.algo
+            .install(machine, self.mech, self.style, self.episodes, plan);
+    }
+
+    fn reduce(&self, (): (), run: &Finished) -> BarrierMeasurement {
+        barrier_measurement(run.marks, self.procs, self.episodes, self.warmup)
+    }
+}
+
+/// Run one barrier benchmark to completion; panics on a rejected,
+/// stalled or faulted run.
 pub fn run_barrier(bench: BarrierBench) -> BarrierResult {
     run_barrier_obs(bench, ObsSpec::default())
 }
 
-/// Run one barrier benchmark, optionally tracing and sampling. A zero
-/// `trace_cap` keeps the `NopTracer` machine so the hot path is
-/// identical to [`run_barrier`].
+/// Run one barrier benchmark, optionally tracing and sampling.
 pub fn run_barrier_obs(bench: BarrierBench, obs: ObsSpec) -> BarrierResult {
-    try_run_barrier_obs(bench, obs).unwrap_or_else(|f| panic!("barrier run stalled: {f}"))
+    try_run_barrier_obs(bench, obs).unwrap_or_else(|f| panic!("{f}"))
 }
 
-/// Fallible barrier run: a stalled or faulted machine comes back as a
-/// [`RunFailure`] instead of a panic, so a campaign grid cell can fail
-/// alone.
+/// Fallible barrier run: a rejected description or a stalled or faulted
+/// machine comes back as a [`RunFailure`] instead of a panic, so a
+/// campaign grid cell can fail alone.
 pub fn try_run_barrier(bench: BarrierBench) -> Result<BarrierResult, Box<RunFailure>> {
     try_run_barrier_obs(bench, ObsSpec::default())
 }
@@ -352,163 +543,7 @@ pub fn try_run_barrier_obs(
     bench: BarrierBench,
     obs: ObsSpec,
 ) -> Result<BarrierResult, Box<RunFailure>> {
-    let cfg = bench
-        .config
-        .unwrap_or_else(|| SystemConfig::with_procs(bench.procs));
-    assert_eq!(
-        cfg.num_procs, bench.procs,
-        "config override must match procs"
-    );
-    match (obs.trace_cap > 0, obs.hostprof) {
-        (true, true) => run_barrier_on(
-            bench,
-            cfg,
-            Machine::with_parts(
-                cfg,
-                QueueKind::Calendar,
-                RingTracer::new(obs.trace_cap),
-                HostProfiler::new(),
-            ),
-            obs,
-        ),
-        (true, false) => run_barrier_on(
-            bench,
-            cfg,
-            Machine::with_tracer(cfg, QueueKind::Calendar, RingTracer::new(obs.trace_cap)),
-            obs,
-        ),
-        (false, true) => run_barrier_on(
-            bench,
-            cfg,
-            Machine::with_parts(cfg, QueueKind::Calendar, NopTracer, HostProfiler::new()),
-            obs,
-        ),
-        (false, false) => run_barrier_on(bench, cfg, Machine::new(cfg), obs),
-    }
-}
-
-fn run_barrier_on<T: Tracer, P: HostProf>(
-    bench: BarrierBench,
-    cfg: SystemConfig,
-    mut machine: Machine<T, P>,
-    obs: ObsSpec,
-) -> Result<BarrierResult, Box<RunFailure>> {
-    if obs.sample_interval > 0 {
-        machine.enable_sampling(obs.sample_interval);
-    }
-    if bench.watchdog > 0 {
-        machine.enable_watchdog(bench.watchdog);
-    }
-    let nodes = cfg.num_nodes();
-    let mut alloc = VarAlloc::new();
-    let mut rng = StdRng::seed_from_u64(run_seed(bench.seed, bench.procs as u64));
-
-    match bench.algo {
-        BarrierAlgo::Central => {
-            let spec = match bench.style {
-                None => BarrierSpec::build(
-                    &mut alloc,
-                    bench.mech,
-                    NodeId(0),
-                    bench.procs,
-                    bench.episodes,
-                ),
-                Some(style) => BarrierSpec::build_styled(
-                    &mut alloc,
-                    bench.mech,
-                    style,
-                    NodeId(0),
-                    bench.procs,
-                    bench.episodes,
-                ),
-            };
-            for p in 0..bench.procs {
-                let work = skew_plan(bench.skew, &mut rng, p, bench.episodes, bench.max_skew);
-                machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
-            }
-        }
-        BarrierAlgo::Tree(branching) => {
-            let spec = TreeBarrierSpec::build(
-                &mut alloc,
-                bench.mech,
-                bench.procs,
-                bench.episodes,
-                branching,
-                nodes,
-            );
-            for p in 0..bench.procs {
-                let work = skew_plan(bench.skew, &mut rng, p, bench.episodes, bench.max_skew);
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(TreeBarrierKernel::new(spec.clone(), p, work)),
-                    0,
-                );
-            }
-        }
-        BarrierAlgo::KTree(branching) => {
-            let spec = KTreeSpec::build(
-                &mut alloc,
-                bench.mech,
-                bench.procs,
-                bench.episodes,
-                branching,
-                nodes,
-            );
-            for p in 0..bench.procs {
-                let work = skew_plan(bench.skew, &mut rng, p, bench.episodes, bench.max_skew);
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(KTreeKernel::new(spec.clone(), p, work)),
-                    0,
-                );
-            }
-        }
-        BarrierAlgo::Dissemination => {
-            let spec = DisseminationSpec::build(
-                &mut alloc,
-                bench.mech,
-                bench.procs,
-                cfg.procs_per_node,
-                bench.episodes,
-            );
-            for p in 0..bench.procs {
-                let work = skew_plan(bench.skew, &mut rng, p, bench.episodes, bench.max_skew);
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(DisseminationKernel::new(spec.clone(), p, work)),
-                    0,
-                );
-            }
-        }
-    }
-
-    let res = machine.run(MAX_CYCLES);
-    if !res.all_finished || res.error.is_some() {
-        let info = RunInfo::from_result(&res);
-        let mut error = res.error.map(Box::new);
-        attach_critpath(&mut error, Workload::Barrier);
-        return Err(Box::new(RunFailure {
-            what: format!("barrier {:?} at {} procs", bench.mech, bench.procs),
-            stall_report: machine.stall_report(),
-            stats: machine.stats().clone(),
-            info,
-            hit_limit: res.hit_limit,
-            error,
-        }));
-    }
-    let timing = barrier_measurement(machine.marks(), bench.procs, bench.episodes, bench.warmup);
-    let stats = machine.stats().clone();
-    Ok(BarrierResult {
-        bench,
-        timing,
-        stats,
-        info: RunInfo::from_result(&res),
-        obs: ObsReport {
-            trace: machine.take_trace_buf(),
-            timeseries: machine.take_timeseries(),
-            hostprof: machine.take_hostprof(),
-        },
-    })
+    run_scenario(&bench, obs)
 }
 
 /// Search tree branching factors and return the best-performing result,
@@ -536,37 +571,6 @@ pub fn best_tree_barrier(base: BarrierBench) -> (u16, BarrierResult) {
         }
     }
     best.expect("at least one branching factor")
-}
-
-/// Which lock algorithm to benchmark.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LockKind {
-    /// Ticket lock (Mellor-Crummey & Scott formulation).
-    Ticket,
-    /// Anderson array-based queuing lock.
-    Array,
-    /// MCS list-based queue lock (extension; needs swap/cas, so it is
-    /// unavailable under the active-message mechanism).
-    Mcs,
-}
-
-impl LockKind {
-    /// Stable tag for specs and content keys.
-    pub fn tag(self) -> &'static str {
-        match self {
-            LockKind::Ticket => "ticket",
-            LockKind::Array => "array",
-            LockKind::Mcs => "mcs",
-        }
-    }
-
-    /// Inverse of [`LockKind::tag`].
-    pub fn parse(s: &str) -> Result<LockKind, String> {
-        [LockKind::Ticket, LockKind::Array, LockKind::Mcs]
-            .into_iter()
-            .find(|k| k.tag() == s)
-            .ok_or_else(|| format!("unknown lock kind {s:?} (ticket, array, mcs)"))
-    }
 }
 
 /// A lock benchmark description.
@@ -614,213 +618,87 @@ impl LockBench {
     }
 }
 
-/// Outcome of a lock benchmark.
-#[derive(Clone, Debug)]
-pub struct LockResult {
-    /// The benchmark that ran.
-    pub bench: LockBench,
-    /// Timing reduction.
-    pub timing: LockMeasurement,
-    /// Machine-wide statistics.
-    pub stats: Stats,
-    /// Mutual-exclusion violations observed (must be zero).
-    pub violations: u64,
-    /// Run-level facts (end cycle, events, last finish).
-    pub info: RunInfo,
-    /// Trace / time-series captured per the run's [`ObsSpec`].
-    pub obs: ObsReport,
+impl Scenario for LockBench {
+    type Installed = LockInstalled;
+    type Output = LockMeasurement;
+
+    fn check(&self) -> Result<(), String> {
+        check_machine(self.procs, self.config)?;
+        if self.rounds == 0 {
+            return Err("rounds = 0: need at least one acquisition per processor".into());
+        }
+        self.kind.check(self.mech, self.procs)
+    }
+
+    fn config(&self) -> SystemConfig {
+        machine_for(self.procs, self.config)
+    }
+
+    fn watchdog(&self) -> Cycle {
+        self.watchdog
+    }
+
+    fn label(&self) -> String {
+        format!(
+            "lock {:?} {:?} at {} procs",
+            self.mech, self.kind, self.procs
+        )
+    }
+
+    fn workload(&self) -> Workload {
+        Workload::Lock
+    }
+
+    fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) -> LockInstalled {
+        let mut rng = StdRng::seed_from_u64(run_seed(self.seed, self.procs as u64));
+        let plan = |_| ProcPlan {
+            work: (0..self.rounds)
+                .map(|_| 100 + rng.gen_range(0..self.max_think.max(1)))
+                .collect(),
+            start: 0,
+        };
+        self.kind.install(
+            machine,
+            self.mech,
+            self.rounds,
+            self.cs_cycles,
+            self.check_exclusion,
+            plan,
+        )
+    }
+
+    /// A mutual-exclusion violation is a simulator bug, not a result.
+    fn reduce(&self, lock: LockInstalled, run: &Finished) -> LockMeasurement {
+        assert_eq!(
+            lock.check.map_or(0, |c| c.violations.get()),
+            0,
+            "{:?} {:?} violated mutual exclusion",
+            self.mech,
+            self.kind
+        );
+        lock_measurement(run.marks, self.procs, self.rounds)
+    }
 }
 
-/// Run one lock benchmark to completion; panics on a stall or fault.
+/// Run one lock benchmark to completion; panics on a rejected, stalled
+/// or faulted run.
 pub fn run_lock(bench: LockBench) -> LockResult {
     run_lock_obs(bench, ObsSpec::default())
 }
 
 /// Run one lock benchmark, optionally tracing and sampling.
 pub fn run_lock_obs(bench: LockBench, obs: ObsSpec) -> LockResult {
-    try_run_lock_obs(bench, obs).unwrap_or_else(|f| panic!("lock run stalled: {f}"))
+    try_run_lock_obs(bench, obs).unwrap_or_else(|f| panic!("{f}"))
 }
 
-/// Fallible lock run; see [`try_run_barrier`]. A mutual-exclusion
-/// violation counts as a failure.
+/// Fallible lock run; see [`try_run_barrier`].
 pub fn try_run_lock(bench: LockBench) -> Result<LockResult, Box<RunFailure>> {
     try_run_lock_obs(bench, ObsSpec::default())
 }
 
 /// Fallible lock run with observation; see [`try_run_lock`].
 pub fn try_run_lock_obs(bench: LockBench, obs: ObsSpec) -> Result<LockResult, Box<RunFailure>> {
-    let cfg = bench
-        .config
-        .unwrap_or_else(|| SystemConfig::with_procs(bench.procs));
-    assert_eq!(
-        cfg.num_procs, bench.procs,
-        "config override must match procs"
-    );
-    match (obs.trace_cap > 0, obs.hostprof) {
-        (true, true) => run_lock_on(
-            bench,
-            cfg,
-            Machine::with_parts(
-                cfg,
-                QueueKind::Calendar,
-                RingTracer::new(obs.trace_cap),
-                HostProfiler::new(),
-            ),
-            obs,
-        ),
-        (true, false) => run_lock_on(
-            bench,
-            cfg,
-            Machine::with_tracer(cfg, QueueKind::Calendar, RingTracer::new(obs.trace_cap)),
-            obs,
-        ),
-        (false, true) => run_lock_on(
-            bench,
-            cfg,
-            Machine::with_parts(cfg, QueueKind::Calendar, NopTracer, HostProfiler::new()),
-            obs,
-        ),
-        (false, false) => run_lock_on(bench, cfg, Machine::new(cfg), obs),
-    }
-}
-
-fn run_lock_on<T: Tracer, P: HostProf>(
-    bench: LockBench,
-    cfg: SystemConfig,
-    mut machine: Machine<T, P>,
-    obs: ObsSpec,
-) -> Result<LockResult, Box<RunFailure>> {
-    if obs.sample_interval > 0 {
-        machine.enable_sampling(obs.sample_interval);
-    }
-    if bench.watchdog > 0 {
-        machine.enable_watchdog(bench.watchdog);
-    }
-    let mut alloc = VarAlloc::new();
-    let mut rng = StdRng::seed_from_u64(run_seed(bench.seed, bench.procs as u64));
-    let check = bench.check_exclusion.then(|| ExclusionCheck {
-        addr: alloc.word(NodeId(0)),
-        violations: Rc::new(Cell::new(0)),
-    });
-
-    match bench.kind {
-        LockKind::Ticket => {
-            let spec = TicketLockSpec::build(
-                &mut alloc,
-                bench.mech,
-                NodeId(0),
-                bench.rounds,
-                bench.cs_cycles,
-            );
-            for p in 0..bench.procs {
-                let think: Vec<Cycle> = (0..bench.rounds)
-                    .map(|_| 100 + rng.gen_range(0..bench.max_think.max(1)))
-                    .collect();
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(TicketLockKernel::new(
-                        spec,
-                        think,
-                        p as Word + 1,
-                        check.clone(),
-                    )),
-                    0,
-                );
-            }
-        }
-        LockKind::Mcs => {
-            let spec = McsLockSpec::build(
-                &mut alloc,
-                bench.mech,
-                NodeId(0),
-                bench.procs,
-                cfg.procs_per_node,
-                bench.rounds,
-                bench.cs_cycles,
-            );
-            for p in 0..bench.procs {
-                let think: Vec<Cycle> = (0..bench.rounds)
-                    .map(|_| 100 + rng.gen_range(0..bench.max_think.max(1)))
-                    .collect();
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(McsLockKernel::new(
-                        spec.clone(),
-                        p,
-                        think,
-                        p as Word + 1,
-                        check.clone(),
-                    )),
-                    0,
-                );
-            }
-        }
-        LockKind::Array => {
-            let spec = ArrayLockSpec::build(
-                &mut alloc,
-                bench.mech,
-                NodeId(0),
-                bench.procs,
-                bench.rounds,
-                bench.cs_cycles,
-            );
-            spec.init(&mut machine);
-            for p in 0..bench.procs {
-                let think: Vec<Cycle> = (0..bench.rounds)
-                    .map(|_| 100 + rng.gen_range(0..bench.max_think.max(1)))
-                    .collect();
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(ArrayLockKernel::new(
-                        spec.clone(),
-                        think,
-                        p as Word + 1,
-                        check.clone(),
-                    )),
-                    0,
-                );
-            }
-        }
-    }
-
-    let res = machine.run(MAX_CYCLES);
-    let what = format!(
-        "lock {:?} {:?} at {} procs",
-        bench.mech, bench.kind, bench.procs
-    );
-    if !res.all_finished || res.error.is_some() {
-        let info = RunInfo::from_result(&res);
-        let mut error = res.error.map(Box::new);
-        attach_critpath(&mut error, Workload::Lock);
-        return Err(Box::new(RunFailure {
-            what,
-            stall_report: machine.stall_report(),
-            stats: machine.stats().clone(),
-            info,
-            hit_limit: res.hit_limit,
-            error,
-        }));
-    }
-    let violations = check.map_or(0, |c| c.violations.get());
-    assert_eq!(
-        violations, 0,
-        "{:?} {:?} violated mutual exclusion",
-        bench.mech, bench.kind
-    );
-    let timing = lock_measurement(machine.marks(), bench.procs, bench.rounds);
-    let stats = machine.stats().clone();
-    Ok(LockResult {
-        bench,
-        timing,
-        stats,
-        violations,
-        info: RunInfo::from_result(&res),
-        obs: ObsReport {
-            trace: machine.take_trace_buf(),
-            timeseries: machine.take_timeseries(),
-            hostprof: machine.take_hostprof(),
-        },
-    })
+    run_scenario(&bench, obs)
 }
 
 #[cfg(test)]
@@ -899,7 +777,6 @@ mod tests {
                 ..LockBench::paper(Mechanism::Atomic, kind, 4)
             });
             assert_eq!(r.timing.acquisitions, 12);
-            assert_eq!(r.violations, 0);
         }
     }
 
@@ -948,6 +825,94 @@ mod tests {
         assert!(err.stats.link_crc_errors > 0, "fault counters must survive");
         assert!(err.to_string().contains("aborted"), "{err}");
         assert!(err.info.events > 0);
+    }
+
+    /// A description that cannot run comes back from the driver as a
+    /// rejection naming the offending value, before anything is
+    /// simulated (the warm-up ones used to assert after the whole run).
+    #[test]
+    fn descriptions_that_cannot_run_are_rejected_not_simulated() {
+        use crate::app::{Signal, SyncTax};
+        fn why<S: Scenario + Clone>(scenario: S) -> String {
+            let f = run_scenario(&scenario, ObsSpec::default()).map(|_| ());
+            let f = f.unwrap_err();
+            assert_eq!(f.info.events, 0, "nothing may be simulated: {f}");
+            let text = f.to_string();
+            assert!(text.contains(" rejected: ") && !text.contains("stalled"));
+            f.rejected.expect("a rejection")
+        }
+        let (mech, procs) = (Mechanism::Amo, 8);
+        let barrier = BarrierBench::paper(mech, procs);
+        let tax = SyncTax {
+            mech,
+            procs,
+            grain: 1_000,
+            steps: 3,
+            warmup: 3,
+        };
+        let no_pairs = Signal {
+            mech,
+            pairs: 0,
+            rounds: 4,
+        };
+        let no_rounds = LockBench {
+            rounds: 0,
+            ..LockBench::paper(mech, LockKind::Ticket, procs)
+        };
+        let override_16 = BarrierBench {
+            config: Some(SystemConfig::with_procs(16)),
+            ..barrier
+        };
+        for (why, needle) in [
+            (why(tax), "warmup = 3 leaves none of steps = 3"),
+            (why(no_pairs), "pairs = 0"),
+            (why(no_rounds), "rounds = 0"),
+            (why(override_16), "config.num_procs = 16, procs = 8"),
+            (why(barrier.with_tree(8)), "tree:8"),
+            (why(barrier.with_ktree(1)), "ktree:1"),
+        ] {
+            assert!(why.contains(needle), "{why:?} lacks {needle:?}");
+        }
+    }
+
+    /// The application studies run through the same driver: observable
+    /// without perturbation, and a failed one is a value carrying its
+    /// label and statistics.
+    #[test]
+    fn app_studies_are_observable_and_fail_as_values() {
+        use crate::app::SyncTax;
+        let tax = SyncTax {
+            mech: Mechanism::Amo,
+            procs: 8,
+            grain: 2_000,
+            steps: 4,
+            warmup: 1,
+        };
+        let plain = run_scenario(&tax, ObsSpec::default()).unwrap();
+        let observed = run_scenario(
+            &tax,
+            ObsSpec {
+                trace_cap: 1 << 16,
+                sample_interval: 200,
+                hostprof: false,
+            },
+        )
+        .unwrap();
+        assert_eq!(plain.timing.step_cycles, observed.timing.step_cycles);
+        assert!(plain.stats.total_msgs() > 0 && plain.obs.trace.is_none());
+        assert!(!observed.obs.trace.expect("traced").events.is_empty());
+        assert!(!observed.obs.timeseries.expect("sampled").ticks.is_empty());
+
+        // The study on a machine whose links fail for good.
+        let mut cfg = tax.config();
+        cfg.faults.link_error_ppm = 1_000_000;
+        cfg.faults.max_link_retries = 1;
+        let failed = run_on(&tax, &mut Machine::new(cfg), |_, _| {}).unwrap_err();
+        assert!(failed
+            .what
+            .starts_with("SyncTax { mech: Amo, procs: 8, grain: 2000"));
+        assert!(failed.error.is_some() && failed.stats.link_crc_errors > 0);
+        assert!(failed.to_string().contains("aborted"), "{failed}");
     }
 
     #[test]
