@@ -17,8 +17,8 @@ pub const TABLES: Command = Command {
     about: "Regenerate the paper's tables and figures, simulating every cell.
         ARTEFACT: all (the default), table2, figure5, table3, figure6, table4,
         figure7, ext-locks, ext-barriers, ext-ktree, ext-app, ext-cs,
-        ext-signal, ext-selfsched, figure1. --quick: smoke sizes; --csv: CSV
-        renderers for Tables 2-4 and Figure 7.",
+        ext-signal, ext-selfsched, figure1. --quick: smoke sizes; --csv: every
+        artefact as `table,row,column,value`, one line per cell.",
 };
 
 pub const CAMPAIGN: Command = Command {

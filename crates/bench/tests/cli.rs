@@ -83,7 +83,15 @@ fn tables_is_campaign_with_the_cache_off() {
     // The switch must not swallow the profile after it.
     assert_eq!(tables, ok("campaign --no-cache quick"));
     let csv = ok("tables --quick --csv table2 table4");
-    assert!(csv.starts_with("table,procs,mech") && csv.contains("\ntable4,"));
+    assert!(csv.starts_with("table,row,column,value\ntable2,4,") && csv.contains("\ntable4,"));
+    // Every artefact has the one CSV form, and nothing else is printed.
+    let csv = ok("tables --quick --csv");
+    for name in amo_campaign::artifacts::ARTIFACT_NAMES {
+        assert!(csv.contains(&format!("\n{name},")), "{name} missing");
+    }
+    for line in csv.lines() {
+        assert_eq!(line.split(',').count(), 4, "not a CSV line: {line}");
+    }
 }
 
 #[test]

@@ -1,51 +1,53 @@
-//! Generators for every table and figure of the paper's evaluation,
-//! expressed as campaign batches.
+//! Every table and figure of the paper's evaluation as a *table
+//! function*: code that builds [`Table`]s and asks for each number by
+//! describing the run that produces it.
 //!
-//! Each generator expands its table into a flat list of [`RunSpec`]
-//! cells — one simulator run each, including every tree-branching
-//! candidate of a "best branching" search — hands the whole batch to
-//! the [`Campaign`] scheduler (work-stealing pool + result cache), and
-//! reduces the index-ordered artifacts into structured rows.
-//! [`crate::render`] turns rows into text. Absolute cycle counts come
-//! from our simulator, not the authors' testbed — the claims to check
-//! are the *shapes*: orderings, approximate factors, and crossover
-//! points (see EXPERIMENTS.md).
+//! A table function receives a [`Cells`] handle and is written as if
+//! every cell were simulated on demand:
+//! `base / cells.num(RunSpec::Barrier(p.barrier(mech, procs)), "avg_cycles")`.
+//! It never builds a run list and never indexes into one. [`evaluate`]
+//! is the one planner behind that illusion: it calls the function with
+//! nothing known (every answer NaN or 0) to record what it asks for,
+//! hands the recorded runs — deduplicated by content key, in
+//! first-asked order — to the [`Campaign`] scheduler as **one batch**
+//! (work-stealing pool + result cache), and calls the function again
+//! with the results, until a call asks for nothing new. Every candidate
+//! of a "best branching" tree search is its own cell, so the search
+//! parallelizes and caches per run.
+//!
+//! `GENERATORS` lists the twelve table functions in document order;
+//! artefacts that share their cells (Table 2 / Figure 5, Table 3 /
+//! Figure 6) share a function, and each function's cells are one batch.
+//! [`tables`] evaluates the selected ones and [`render_artifacts`]
+//! formats what it returns. Ten artefacts are grids and print through
+//! [`Table::text`]; four are not — two numbers per cell, a ragged list,
+//! a transposed list, a sentence — and keep a short layout function
+//! beside their table function instead of bending the grid around
+//! them. Their numbers are a [`Table`] all the same, so CSV output and
+//! [`Table::value`] cover all fourteen.
+//!
+//! Absolute cycle counts come from our simulator, not the authors'
+//! testbed — the claims to check are the *shapes*: orderings,
+//! approximate factors, and crossover points (see EXPERIMENTS.md, and
+//! `tests/campaign.rs` where each is a checked predicate).
 
 use crate::run::{RunArtifacts, RunSpec};
 use crate::sched::Campaign;
-use amo_sync::Mechanism;
-use amo_types::Cycle;
-use amo_workloads::app::{
-    CsSensitivityRow, SelfSched, SelfSchedCell, SelfSchedRow, Signal, SignalResult, SyncTax,
-    SyncTaxCell, SyncTaxRow,
-};
+use crate::table::{Table, CSV_HEADER};
+use amo_sync::{KTreeSpec, Mechanism};
+use amo_types::Stats;
+use amo_workloads::app::{SelfSched, Signal, SyncTax};
 use amo_workloads::runner::{BarrierBench, LockBench, LockKind};
+use std::collections::HashMap;
 
 /// Processor counts used by the paper for non-tree experiments.
 pub const PAPER_SIZES: [u16; 7] = [4, 8, 16, 32, 64, 128, 256];
 /// Processor counts used by the paper for tree experiments.
 pub const TREE_SIZES: [u16; 5] = [16, 32, 64, 128, 256];
 
-/// Mechanisms in the column order of Tables 2 and 3.
+/// Mechanisms in the column order of Table 2 (every one but the LL/SC
+/// baseline).
 pub const TABLE_MECHS: [Mechanism; 4] = [
-    Mechanism::ActMsg,
-    Mechanism::Atomic,
-    Mechanism::Mao,
-    Mechanism::Amo,
-];
-
-/// Tree-table mechanism order (the paper's columns).
-pub const TREE_MECHS: [Mechanism; 5] = [
-    Mechanism::LlSc,
-    Mechanism::ActMsg,
-    Mechanism::Atomic,
-    Mechanism::Mao,
-    Mechanism::Amo,
-];
-
-/// Lock-table mechanism order (the paper's columns).
-pub const LOCK_MECHS: [Mechanism; 5] = [
-    Mechanism::LlSc,
     Mechanism::ActMsg,
     Mechanism::Atomic,
     Mechanism::Mao,
@@ -66,268 +68,232 @@ pub const MCS_MECHS: [Mechanism; 4] = [
 /// machine size are skipped.
 pub const TREE_CANDIDATES: [u16; 6] = [2, 4, 8, 16, 32, 64];
 
-fn tree_candidates(procs: u16) -> impl Iterator<Item = u16> {
-    TREE_CANDIDATES.into_iter().filter(move |&b| b < procs)
+/// Fan-ins the deep-tree study tries.
+const KTREE_BRANCHINGS: [u16; 4] = [2, 4, 8, 16];
+
+// ---------------------------------------------------------------------
+// Ask by description: `Cells` and the planner
+// ---------------------------------------------------------------------
+
+/// What a table function asks its numbers from. Each question names the
+/// run that answers it; the same run asked twice — even through two
+/// `RunSpec` values that canonicalize to one document — is one cell.
+#[derive(Default)]
+pub struct Cells {
+    /// Content key → position in `known` followed by `asked`.
+    index: HashMap<(u64, u64), usize>,
+    /// Results of the batches run so far, in the order they were asked.
+    known: Vec<RunArtifacts>,
+    /// Runs asked for since the last batch, first-asked order.
+    asked: Vec<RunSpec>,
 }
 
-/// First strict minimum of `avg_cycles` over `(candidate, artifact)`
-/// pairs — identical to running the candidates serially and keeping a
-/// strictly-better result, so the campaign form reproduces the old
-/// `best_tree_barrier` choice bit-for-bit.
-fn best_branching<'a>(
-    pairs: impl Iterator<Item = (u16, &'a RunArtifacts)>,
-) -> (u16, &'a RunArtifacts) {
-    let mut best: Option<(u16, &RunArtifacts)> = None;
-    for (b, art) in pairs {
-        let better = match &best {
-            None => true,
-            Some((_, cur)) => art.num("avg_cycles") < cur.num("avg_cycles"),
+impl Cells {
+    fn find(&mut self, spec: RunSpec) -> Option<&RunArtifacts> {
+        let next = self.known.len() + self.asked.len();
+        let at = *self.index.entry(spec.key()).or_insert(next);
+        if at == next {
+            self.asked.push(spec);
+        }
+        self.known.get(at)
+    }
+
+    /// The named scalar of the run `spec` describes; NaN while the run
+    /// is only planned.
+    pub fn num(&mut self, spec: RunSpec, name: &str) -> f64 {
+        self.find(spec).map_or(f64::NAN, |art| art.num(name))
+    }
+
+    /// A counter of the run's machine statistics; 0 while the run is
+    /// only planned.
+    pub fn stat(&mut self, spec: RunSpec, of: fn(&Stats) -> u64) -> u64 {
+        self.find(spec).map_or(0, |art| of(&art.stats))
+    }
+}
+
+/// Evaluate a table function: run what it asks for, one campaign batch
+/// per round of questions, until it has every answer. A function whose
+/// questions do not depend on earlier answers — all of this module's —
+/// costs exactly one batch.
+pub fn evaluate<T>(c: &mut Campaign, table: impl Fn(&mut Cells) -> T) -> T {
+    let mut cells = Cells::default();
+    loop {
+        let out = table(&mut cells);
+        if cells.asked.is_empty() {
+            return out;
+        }
+        let batch = std::mem::take(&mut cells.asked);
+        let fresh = c.run_ok(&batch);
+        // Keep the first batch — the only one, for this module's
+        // functions — as the campaign returned it: at 2.7 KB a result,
+        // copying it into place shows in the warm render's peak memory.
+        if cells.known.is_empty() {
+            cells.known = fresh;
+        } else {
+            cells.known.extend(fresh);
+        }
+    }
+}
+
+/// Best tree barrier over [`TREE_CANDIDATES`]: the first strict minimum
+/// of `avg_cycles`, exactly what running the candidates serially and
+/// keeping a strictly better result chooses (`best_tree_barrier`).
+/// Returns the winning branching and its bench.
+fn best_tree(cells: &mut Cells, flat: BarrierBench) -> (u16, BarrierBench) {
+    let mut best: Option<(u16, f64)> = None;
+    for b in TREE_CANDIDATES.into_iter().filter(|&b| b < flat.procs) {
+        let cycles = cells.num(RunSpec::Barrier(flat.with_tree(b)), "avg_cycles");
+        if best.is_none_or(|(_, least)| cycles < least) {
+            best = Some((b, cycles));
+        }
+    }
+    let (b, _) = best.expect("at least one branching candidate");
+    (b, flat.with_tree(b))
+}
+
+// ---------------------------------------------------------------------
+// The paper's tables and figures
+// ---------------------------------------------------------------------
+
+const CPUS: (&str, usize) = ("CPUs", 5);
+
+/// Table 2 and Figure 5: centralized barriers, as speedup over the
+/// LL/SC baseline and as cycles per processor.
+fn table2_figure5(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Table 2. Performance of different barriers.";
+    let mut t2 = Table::new("table2", title, CPUS, 60);
+    for m in TABLE_MECHS {
+        t2.column(m.label(), 8, 2).bar = m == Mechanism::Amo;
+    }
+    t2.column("LL/SC cycles", 12, 0);
+    let title = "Figure 5. Cycles-per-processor of different barriers.";
+    let mut f5 = Table::new("figure5", title, CPUS, 58);
+    for m in Mechanism::ALL {
+        f5.column(m.label(), 9, 1);
+    }
+    for &procs in &p.sizes {
+        let run = |m| RunSpec::Barrier(p.barrier(m, procs));
+        let base = cells.num(run(Mechanism::LlSc), "avg_cycles");
+        let mut speedups: Vec<f64> = TABLE_MECHS
+            .iter()
+            .map(|&m| base / cells.num(run(m), "avg_cycles"))
+            .collect();
+        speedups.push(base);
+        t2.rows.push((procs.into(), speedups));
+        let per_proc = Mechanism::ALL
+            .iter()
+            .map(|&m| cells.num(run(m), "cycles_per_proc"))
+            .collect();
+        f5.rows.push((procs.into(), per_proc));
+    }
+    vec![t2, f5]
+}
+
+/// Table 3 and Figure 6: two-level combining-tree barriers at their best
+/// branching, against the flat LL/SC baseline, with the flat AMO
+/// barrier as the paper's last column.
+fn table3_figure6(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Table 3. Performance of tree-based barriers.";
+    let mut t3 = Table::new("table3", title, CPUS, 80);
+    let title = "Figure 6. Cycles-per-processor of tree-based barriers.";
+    let mut f6 = Table::new("figure6", title, CPUS, 62);
+    let widths = [(11, 10), (12, 10), (12, 11), (9, 9), (9, 9)];
+    for (m, (w3, w6)) in Mechanism::ALL.into_iter().zip(widths) {
+        t3.column(format!("{}+tree", m.label()), w3, 2).bar = m == Mechanism::Amo;
+        f6.column(format!("{}+tr", m.label()), w6, 1);
+    }
+    t3.column("AMO", 7, 2);
+    let mut note = String::from("(best branching factors: ");
+    for &procs in &p.tree_sizes {
+        let flat = |m| RunSpec::Barrier(p.barrier(m, procs));
+        let base = cells.num(flat(Mechanism::LlSc), "avg_cycles");
+        let (mut speedups, mut per_proc, mut chosen) = (Vec::new(), Vec::new(), Vec::new());
+        for m in Mechanism::ALL {
+            let (b, best) = best_tree(cells, p.barrier(m, procs));
+            speedups.push(base / cells.num(RunSpec::Barrier(best), "avg_cycles"));
+            per_proc.push(cells.num(RunSpec::Barrier(best), "cycles_per_proc"));
+            chosen.push(format!("{}={b}", m.label()));
+        }
+        speedups.push(base / cells.num(flat(Mechanism::Amo), "avg_cycles"));
+        t3.rows.push((procs.into(), speedups));
+        f6.rows.push((procs.into(), per_proc));
+        note += &format!("[{procs} CPUs: {}] ", chosen.join(" "));
+    }
+    t3.note = Some(note + ")");
+    vec![t3, f6]
+}
+
+/// Table 4: ticket (`t`) and array (`a`) locks, as speedup over the
+/// LL/SC ticket lock.
+fn table4(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Table 4. Speedups of different locks over the LL/SC-based ticket lock.";
+    let mut t = Table::new("table4", title, CPUS, 101);
+    for m in Mechanism::ALL {
+        t.column(format!("{}t", m.label()), 8, 2);
+        t.column(format!("{}a", m.label()), 8, 2).bar = true;
+    }
+    for &procs in &p.sizes {
+        let mut cycles = |m, kind| cells.num(RunSpec::Lock(p.lock(m, kind, procs)), "total_cycles");
+        let base = cycles(Mechanism::LlSc, LockKind::Ticket);
+        let mut row = Vec::new();
+        for m in Mechanism::ALL {
+            row.push(base / cycles(m, LockKind::Ticket));
+            row.push(base / cycles(m, LockKind::Array));
+        }
+        t.rows.push((procs.into(), row));
+    }
+    vec![t]
+}
+
+/// Figure 7: ticket-lock network traffic in bytes, normalized to LL/SC.
+fn figure7(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Figure 7. Network traffic for ticket locks (normalized to LL/SC).";
+    let mut t = Table::new("figure7", title, CPUS, 54);
+    for m in Mechanism::ALL {
+        t.column(m.label(), 8, 2);
+    }
+    for &procs in &p.traffic_sizes {
+        let mut bytes = |m| {
+            let ticket = RunSpec::Lock(p.lock(m, LockKind::Ticket, procs));
+            cells.stat(ticket, Stats::total_bytes) as f64
         };
-        if better {
-            best = Some((b, art));
-        }
+        let base = bytes(Mechanism::LlSc);
+        let row = Mechanism::ALL.iter().map(|&m| bytes(m) / base).collect();
+        t.rows.push((procs.into(), row));
     }
-    best.expect("at least one branching candidate")
+    vec![t]
 }
 
-/// One row of Table 2 (plus the Figure 5 series for the same runs).
-#[derive(Clone, Debug)]
-pub struct Table2Row {
-    /// Processor count.
-    pub procs: u16,
-    /// LL/SC baseline barrier time (cycles per episode).
-    pub base_cycles: f64,
-    /// Speedup over the baseline, per mechanism in [`TABLE_MECHS`] order.
-    pub speedups: Vec<(Mechanism, f64)>,
-    /// Figure 5: cycles-per-processor, for LL/SC then [`TABLE_MECHS`].
-    pub cycles_per_proc: Vec<(Mechanism, f64)>,
-}
-
-/// Generate Table 2 and Figure 5: centralized barriers.
-pub fn table2(c: &mut Campaign, sizes: &[u16], episodes: u32, warmup: u32) -> Vec<Table2Row> {
-    // One cell per (size, mechanism), LL/SC baseline first in each row.
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .flat_map(|&procs| {
-            std::iter::once(Mechanism::LlSc)
-                .chain(TABLE_MECHS)
-                .map(move |mech| {
-                    RunSpec::Barrier(BarrierBench {
-                        episodes,
-                        warmup,
-                        ..BarrierBench::paper(mech, procs)
-                    })
-                })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    sizes
-        .iter()
-        .zip(results.chunks(1 + TABLE_MECHS.len()))
-        .map(|(&procs, row)| {
-            let base = row[0].num("avg_cycles");
-            let mut speedups = Vec::new();
-            let mut cpp = vec![(Mechanism::LlSc, row[0].num("cycles_per_proc"))];
-            for (&mech, r) in TABLE_MECHS.iter().zip(&row[1..]) {
-                speedups.push((mech, base / r.num("avg_cycles")));
-                cpp.push((mech, r.num("cycles_per_proc")));
-            }
-            Table2Row {
-                procs,
-                base_cycles: base,
-                speedups,
-                cycles_per_proc: cpp,
-            }
-        })
-        .collect()
-}
-
-/// One row of Table 3 (plus Figure 6 series).
-#[derive(Clone, Debug)]
-pub struct Table3Row {
-    /// Processor count.
-    pub procs: u16,
-    /// Flat LL/SC baseline barrier time (denominator of all speedups).
-    pub base_cycles: f64,
-    /// Tree-barrier speedups over the flat LL/SC baseline, one per
-    /// mechanism (LL/SC, ActMsg, Atomic, MAO, AMO), with the best
-    /// branching factor found.
-    pub tree_speedups: Vec<(Mechanism, u16, f64)>,
-    /// Flat AMO speedup (the paper's last column).
-    pub amo_flat_speedup: f64,
-    /// Figure 6: cycles-per-processor of each tree barrier.
-    pub cycles_per_proc: Vec<(Mechanism, f64)>,
-}
-
-/// Generate Table 3 and Figure 6: two-level combining-tree barriers.
-/// Every branching candidate of every mechanism's tree search is its
-/// own campaign cell, so the search parallelizes and caches per run.
-pub fn table3(c: &mut Campaign, sizes: &[u16], episodes: u32, warmup: u32) -> Vec<Table3Row> {
-    let mk = |mech, procs| BarrierBench {
-        episodes,
-        warmup,
-        ..BarrierBench::paper(mech, procs)
-    };
-    // Per size: flat LL/SC baseline, every (mechanism, branching)
-    // candidate, and the flat AMO barrier. Rows have a variable cell
-    // count (candidates depend on the size), so results are re-sliced
-    // by per-row counts.
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &procs in sizes {
-        specs.push(RunSpec::Barrier(mk(Mechanism::LlSc, procs)));
-        for mech in TREE_MECHS {
-            for b in tree_candidates(procs) {
-                specs.push(RunSpec::Barrier(mk(mech, procs).with_tree(b)));
-            }
-        }
-        specs.push(RunSpec::Barrier(mk(Mechanism::Amo, procs)));
-    }
-    let results = c.run_ok(&specs);
-    let mut at = 0;
-    sizes
-        .iter()
-        .map(|&procs| {
-            let ncand = tree_candidates(procs).count();
-            let n = 2 + TREE_MECHS.len() * ncand;
-            let row = &results[at..at + n];
-            at += n;
-            let base = row[0].num("avg_cycles");
-            let amo_flat = &row[n - 1];
-            let mut tree_speedups = Vec::new();
-            let mut cpp = Vec::new();
-            for (i, &mech) in TREE_MECHS.iter().enumerate() {
-                let arts = &row[1 + i * ncand..1 + (i + 1) * ncand];
-                let (b, best) = best_branching(tree_candidates(procs).zip(arts));
-                tree_speedups.push((mech, b, base / best.num("avg_cycles")));
-                cpp.push((mech, best.num("cycles_per_proc")));
-            }
-            Table3Row {
-                procs,
-                base_cycles: base,
-                tree_speedups,
-                amo_flat_speedup: base / amo_flat.num("avg_cycles"),
-                cycles_per_proc: cpp,
-            }
-        })
-        .collect()
-}
-
-/// One row of Table 4.
-#[derive(Clone, Debug)]
-pub struct Table4Row {
-    /// Processor count.
-    pub procs: u16,
-    /// LL/SC ticket-lock baseline time.
-    pub base_cycles: f64,
-    /// Per mechanism (paper order LL/SC, ActMsg, Atomic, MAO, AMO):
-    /// (mechanism, ticket speedup, array speedup) over the LL/SC ticket
-    /// lock.
-    pub speedups: Vec<(Mechanism, f64, f64)>,
-}
-
-/// Generate Table 4: ticket and array locks.
-pub fn table4(c: &mut Campaign, sizes: &[u16], rounds: u32) -> Vec<Table4Row> {
-    // Per size: every (mechanism, kind) pair; the LL/SC ticket cell
-    // doubles as the row's baseline.
-    let per_row: Vec<(Mechanism, LockKind)> = LOCK_MECHS
-        .iter()
-        .flat_map(|&m| [(m, LockKind::Ticket), (m, LockKind::Array)])
-        .collect();
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .flat_map(|&procs| {
-            per_row.iter().map(move |&(mech, kind)| {
-                RunSpec::Lock(LockBench {
-                    rounds,
-                    ..LockBench::paper(mech, kind, procs)
-                })
-            })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    sizes
-        .iter()
-        .zip(results.chunks(per_row.len()))
-        .map(|(&procs, row)| {
-            let base = row[0].num("total_cycles");
-            let speedups = LOCK_MECHS
-                .iter()
-                .enumerate()
-                .map(|(i, &mech)| {
-                    (
-                        mech,
-                        base / row[2 * i].num("total_cycles"),
-                        base / row[2 * i + 1].num("total_cycles"),
-                    )
-                })
-                .collect();
-            Table4Row {
-                procs,
-                base_cycles: base,
-                speedups,
-            }
-        })
-        .collect()
-}
-
-/// Figure 7: ticket-lock network traffic, normalized to LL/SC.
-#[derive(Clone, Debug)]
-pub struct Figure7Row {
-    /// Processor count (paper: 128 and 256).
-    pub procs: u16,
-    /// (mechanism, traffic bytes, normalized to LL/SC).
-    pub traffic: Vec<(Mechanism, u64, f64)>,
-}
-
-/// Generate Figure 7 for the given sizes.
-pub fn figure7(c: &mut Campaign, sizes: &[u16], rounds: u32) -> Vec<Figure7Row> {
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .flat_map(|&procs| {
-            LOCK_MECHS.iter().map(move |&mech| {
-                RunSpec::Lock(LockBench {
-                    rounds,
-                    ..LockBench::paper(mech, LockKind::Ticket, procs)
-                })
-            })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    sizes
-        .iter()
-        .zip(results.chunks(LOCK_MECHS.len()))
-        .map(|(&procs, row)| {
-            let base_bytes = row[0].stats.total_bytes();
-            let traffic = LOCK_MECHS
-                .iter()
-                .zip(row)
-                .map(|(&mech, art)| {
-                    let bytes = art.stats.total_bytes();
-                    (mech, bytes, bytes as f64 / base_bytes as f64)
-                })
-                .collect();
-            Figure7Row { procs, traffic }
-        })
-        .collect()
-}
-
-/// Figure 1 message census: one barrier episode on four processors,
-/// LL/SC vs AMO. Returns (llsc one-way messages, amo one-way messages).
-pub fn figure1(c: &mut Campaign) -> (u64, u64) {
-    let mk = |mech| {
-        RunSpec::Barrier(BarrierBench {
+/// Figure 1's message census: one-way messages of one warm barrier
+/// episode on four processors, LL/SC against AMO.
+fn figure1(cells: &mut Cells, _: &ArtifactProfile) -> Vec<Table> {
+    let title = "Figure 1 census (4 CPUs, one warm episode):";
+    let mut t = Table::new("figure1", title, CPUS, 0);
+    let mut row = Vec::new();
+    for m in [Mechanism::LlSc, Mechanism::Amo] {
+        t.column(m.label(), 8, 0);
+        let two_episodes = RunSpec::Barrier(BarrierBench {
             episodes: 2,
             warmup: 1,
             max_skew: 200,
-            ..BarrierBench::paper(mech, 4)
-        })
-    };
-    let results = c.run_ok(&[mk(Mechanism::LlSc), mk(Mechanism::Amo)]);
-    // Messages for the measured (warm) episode ≈ total − cold episode;
-    // report the per-episode steady-state count.
-    (
-        results[0].stats.total_msgs() / 2,
-        results[1].stats.total_msgs() / 2,
+            ..BarrierBench::paper(m, 4)
+        });
+        // Messages of the measured (warm) episode ≈ total − cold
+        // episode; report the per-episode steady-state count.
+        row.push((cells.stat(two_episodes, Stats::total_msgs) / 2) as f64);
+    }
+    t.rows.push((4, row));
+    vec![t]
+}
+
+/// Figure 1 is a sentence, not a grid.
+fn figure1_text(t: &Table) -> String {
+    let msgs = |label| t.value(4, label).expect("figure1 has the column");
+    format!(
+        "{}\n  LL/SC barrier: ~{} one-way messages\n  AMO barrier:   ~{} one-way messages\n",
+        t.heading,
+        msgs("LL/SC"),
+        msgs("AMO")
     )
 }
 
@@ -335,328 +301,239 @@ pub fn figure1(c: &mut Campaign) -> (u64, u64) {
 // Extension experiments (beyond the paper's tables; see EXPERIMENTS.md)
 // ---------------------------------------------------------------------
 
-/// One row of the MCS-lock extension table.
-#[derive(Clone, Debug)]
-pub struct ExtLocksRow {
-    /// Processor count.
-    pub procs: u16,
-    /// LL/SC ticket-lock baseline time (the same denominator Table 4
-    /// uses).
-    pub base_cycles: f64,
-    /// MCS speedup over that baseline, per mechanism in [`MCS_MECHS`]
-    /// order.
-    pub mcs_speedups: Vec<(Mechanism, f64)>,
-}
-
 /// Extension: the MCS list-based queue lock across mechanisms,
 /// normalized like Table 4.
-pub fn ext_locks(c: &mut Campaign, sizes: &[u16], rounds: u32) -> Vec<ExtLocksRow> {
-    // Per size: the LL/SC ticket baseline, then one MCS run per
-    // mechanism.
-    let per_row: Vec<(Mechanism, LockKind)> = std::iter::once((Mechanism::LlSc, LockKind::Ticket))
-        .chain(MCS_MECHS.iter().map(|&m| (m, LockKind::Mcs)))
-        .collect();
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .flat_map(|&procs| {
-            per_row.iter().map(move |&(mech, kind)| {
-                RunSpec::Lock(LockBench {
-                    rounds,
-                    ..LockBench::paper(mech, kind, procs)
-                })
-            })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    sizes
-        .iter()
-        .zip(results.chunks(per_row.len()))
-        .map(|(&procs, row)| {
-            let base = row[0].num("total_cycles");
-            let mcs_speedups = MCS_MECHS
-                .iter()
-                .zip(&row[1..])
-                .map(|(&mech, art)| (mech, base / art.num("total_cycles")))
-                .collect();
-            ExtLocksRow {
-                procs,
-                base_cycles: base,
-                mcs_speedups,
-            }
-        })
-        .collect()
+fn ext_locks(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Extension: MCS queue locks (speedup over the LL/SC ticket lock).";
+    let mut t = Table::new("ext-locks", title, CPUS, 52);
+    for m in MCS_MECHS {
+        t.column(m.label(), 9, 2);
+    }
+    for &procs in &p.sizes {
+        let mut cycles = |m, kind| cells.num(RunSpec::Lock(p.lock(m, kind, procs)), "total_cycles");
+        let base = cycles(Mechanism::LlSc, LockKind::Ticket);
+        let row = MCS_MECHS
+            .iter()
+            .map(|&m| base / cycles(m, LockKind::Mcs))
+            .collect();
+        t.rows.push((procs.into(), row));
+    }
+    vec![t]
 }
-
-/// One row of the barrier-algorithm extension table.
-#[derive(Clone, Debug)]
-pub struct ExtBarriersRow {
-    /// Processor count.
-    pub procs: u16,
-    /// (label, cycles/episode, speedup over centralized LL/SC).
-    pub entries: Vec<(&'static str, f64, f64)>,
-}
-
-/// Column labels of the barrier-algorithm extension table.
-const EXT_BARRIER_LABELS: [&str; 5] = [
-    "LL/SC central",
-    "LL/SC dissem",
-    "LL/SC tree*",
-    "AMO central",
-    "AMO dissem",
-];
 
 /// Extension: dissemination barriers against the paper's algorithms,
-/// for the baseline and AMO mechanisms.
-pub fn ext_barriers(
-    c: &mut Campaign,
-    sizes: &[u16],
-    episodes: u32,
-    warmup: u32,
-) -> Vec<ExtBarriersRow> {
-    let mk = |mech, procs| BarrierBench {
-        episodes,
-        warmup,
-        ..BarrierBench::paper(mech, procs)
-    };
-    // Per size: the five variants in label order, with the LL/SC tree*
-    // search expanded to one cell per branching candidate.
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &procs in sizes {
-        specs.push(RunSpec::Barrier(mk(Mechanism::LlSc, procs)));
-        specs.push(RunSpec::Barrier(
-            mk(Mechanism::LlSc, procs).with_dissemination(),
-        ));
-        for b in tree_candidates(procs) {
-            specs.push(RunSpec::Barrier(mk(Mechanism::LlSc, procs).with_tree(b)));
-        }
-        specs.push(RunSpec::Barrier(mk(Mechanism::Amo, procs)));
-        specs.push(RunSpec::Barrier(
-            mk(Mechanism::Amo, procs).with_dissemination(),
-        ));
+/// for the baseline and AMO mechanisms, in cycles per episode.
+fn ext_barriers(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Extension: dissemination barriers vs the paper's algorithms\n\
+                 (cycles/episode, speedup over centralized LL/SC; tree* = best branching).";
+    let mut t = Table::new("ext-barriers", title, CPUS, 121);
+    for label in [
+        "LL/SC central",
+        "LL/SC dissem",
+        "LL/SC tree*",
+        "AMO central",
+        "AMO dissem",
+    ] {
+        t.column(label, 20, 0).bar = true;
     }
-    let results = c.run_ok(&specs);
-    let mut at = 0;
-    sizes
-        .iter()
-        .map(|&procs| {
-            let ncand = tree_candidates(procs).count();
-            let n = 4 + ncand;
-            let row = &results[at..at + n];
-            at += n;
-            let tree_best = best_branching(tree_candidates(procs).zip(&row[2..2 + ncand])).1;
-            let cycles: [f64; 5] = [
-                row[0].num("avg_cycles"),
-                row[1].num("avg_cycles"),
-                tree_best.num("avg_cycles"),
-                row[2 + ncand].num("avg_cycles"),
-                row[3 + ncand].num("avg_cycles"),
-            ];
-            let base = cycles[0];
-            let entries = EXT_BARRIER_LABELS
-                .iter()
-                .zip(cycles)
-                .map(|(&label, cyc)| (label, cyc, base / cyc))
-                .collect();
-            ExtBarriersRow { procs, entries }
-        })
-        .collect()
+    for &procs in &p.tree_sizes {
+        let (llsc, amo) = (
+            p.barrier(Mechanism::LlSc, procs),
+            p.barrier(Mechanism::Amo, procs),
+        );
+        let cycles = |cells: &mut Cells, b| cells.num(RunSpec::Barrier(b), "avg_cycles");
+        let mut row = vec![
+            cycles(cells, llsc),
+            cycles(cells, llsc.with_dissemination()),
+        ];
+        let (_, tree) = best_tree(cells, llsc);
+        for bench in [tree, amo, amo.with_dissemination()] {
+            row.push(cycles(cells, bench));
+        }
+        t.rows.push((procs.into(), row));
+    }
+    vec![t]
 }
 
-/// One row of the k-level-tree extension study (the paper's future-work
-/// question).
-#[derive(Clone, Debug)]
-pub struct ExtKtreeRow {
-    /// Processor count.
-    pub procs: u16,
-    /// Flat AMO barrier cycles/episode.
-    pub flat_cycles: f64,
-    /// (branching, tree depth, cycles/episode, ratio flat/ktree — above
-    /// 1 means the deep tree *helps*).
-    pub ktrees: Vec<(u16, usize, f64, f64)>,
+/// ext-barriers prints two numbers per cell: the cycles, and the speedup
+/// over the first column.
+fn ext_barriers_text(t: &Table) -> String {
+    let mut out = t.head();
+    for (procs, cycles) in &t.rows {
+        out += &format!("{procs:>5} |");
+        for c in cycles {
+            out += &format!(" {c:>11.0} ({:>5.2}x) |", cycles[0] / c);
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Extension: can deep AMO combining trees beat the flat AMO barrier at
-/// scale? (Paper Sec. 4.2.2: "part of our future work".)
-pub fn ext_ktree(c: &mut Campaign, sizes: &[u16], episodes: u32, warmup: u32) -> Vec<ExtKtreeRow> {
-    let branchings = |procs: u16| [2u16, 4, 8, 16].into_iter().filter(move |&b| b < procs);
-    let mk = |procs| BarrierBench {
-        episodes,
-        warmup,
-        ..BarrierBench::paper(Mechanism::Amo, procs)
-    };
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &procs in sizes {
-        specs.push(RunSpec::Barrier(mk(procs)));
-        for b in branchings(procs) {
-            specs.push(RunSpec::Barrier(mk(procs).with_ktree(b)));
+/// scale? (Paper Sec. 4.2.2: "part of our future work".) Cycles per
+/// episode; NaN where a fan-in does not fit the machine.
+fn ext_ktree(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let title = "Extension: deep AMO combining trees vs the flat AMO barrier\n\
+                 (the paper's future-work question; ratio >1 means the tree helps).";
+    let mut t = Table::new("ext-ktree", title, CPUS, 78);
+    t.column("flat cycles", 12, 0).bar = true;
+    for b in KTREE_BRANCHINGS {
+        t.column(format!("b={b}"), 12, 0);
+    }
+    for &procs in p.tree_sizes.iter().filter(|&&s| s >= 16) {
+        let flat = p.barrier(Mechanism::Amo, procs);
+        let mut row = vec![cells.num(RunSpec::Barrier(flat), "avg_cycles")];
+        for b in KTREE_BRANCHINGS {
+            row.push(if b < procs {
+                cells.num(RunSpec::Barrier(flat.with_ktree(b)), "avg_cycles")
+            } else {
+                f64::NAN
+            });
+        }
+        t.rows.push((procs.into(), row));
+    }
+    vec![t]
+}
+
+/// ext-ktree is ragged: each size lists the fan-ins it admits, with the
+/// tree's depth and the flat/tree ratio (above 1 the deep tree helps).
+fn ext_ktree_text(t: &Table) -> String {
+    let mut out = format!(
+        "{}\n{:>5} | {:>12} | per branching: b -> depth, cycles (ratio)\n{}\n",
+        t.heading,
+        "CPUs",
+        "flat cycles",
+        "-".repeat(t.rule)
+    );
+    for (procs, cycles) in &t.rows {
+        let flat = cycles[0];
+        out += &format!("{procs:>5} | {flat:>12.0} |");
+        for (b, tree) in KTREE_BRANCHINGS.into_iter().zip(&cycles[1..]) {
+            if !tree.is_nan() {
+                let procs = u16::try_from(*procs).expect("row keys are processor counts");
+                let depth = KTreeSpec::uniform_depth(procs, b);
+                out += &format!(" b={b}: d{depth}, {tree:.0} ({:.2}x);", flat / tree);
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Extension: the synchronization tax — the share of each work+barrier
+/// step of a bulk-synchronous application spent synchronizing.
+fn ext_app(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let procs = *p.sizes.last().unwrap_or(&16).min(&64);
+    let title = format!(
+        "Extension: synchronization tax of a bulk-synchronous app at {procs} CPUs\n\
+         (fraction of each work+barrier step spent synchronizing)."
+    );
+    let mut t = Table::new("ext-app", title, ("work/step", 10), 57);
+    for m in Mechanism::ALL {
+        t.column(m.label(), 8, 1).unit = "%";
+    }
+    for grain in [1_000, 10_000, 100_000] {
+        let row = Mechanism::ALL.iter().map(|&mech| {
+            let cell = SyncTax {
+                mech,
+                procs,
+                grain,
+                steps: 8,
+                warmup: 2,
+            };
+            cells.num(RunSpec::SyncTax(cell), "tax") * 100.0
+        });
+        t.rows.push((grain, row.collect()));
+    }
+    vec![t]
+}
+
+/// Extension: ticket-lock sensitivity to critical-section length, each
+/// row normalized to its LL/SC time.
+fn ext_cs(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let procs = *p.sizes.last().unwrap_or(&16).min(&32);
+    let title = format!(
+        "Extension: ticket-lock sensitivity to critical-section length at {procs} CPUs\n\
+         (benchmark time normalized to LL/SC per row)."
+    );
+    let mut t = Table::new("ext-cs", title, ("CS cycles", 9), 56);
+    for m in Mechanism::ALL {
+        t.column(m.label(), 8, 2).unit = "x";
+    }
+    for cs_cycles in [0, 250, 1_000, 5_000] {
+        let mut cycles = |m| {
+            let ticket = LockBench {
+                cs_cycles,
+                ..p.lock(m, LockKind::Ticket, procs)
+            };
+            cells.num(RunSpec::Lock(ticket), "total_cycles")
+        };
+        let base = cycles(Mechanism::LlSc);
+        let row = Mechanism::ALL.iter().map(|&m| base / cycles(m)).collect();
+        t.rows.push((cs_cycles, row));
+    }
+    vec![t]
+}
+
+/// Extension: one-way producer→consumer signal latency per mechanism.
+fn ext_signal(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let pairs = 8;
+    let title = format!(
+        "Extension: producer→consumer signal latency ({pairs} cross-node pairs)\n\
+         (one-way cycles from the producer's release to the consumer's wake-up)."
+    );
+    let mut t = Table::new("ext-signal", title, ("pairs", 5), 0);
+    let mut row = Vec::new();
+    for mech in Mechanism::ALL {
+        t.column(mech.label(), 8, 0);
+        let cell = Signal {
+            mech,
+            pairs,
+            rounds: p.rounds,
+        };
+        row.push(cells.num(RunSpec::Signal(cell), "mean_latency"));
+    }
+    t.rows.push((pairs.into(), row));
+    vec![t]
+}
+
+/// ext-signal is transposed: one line per mechanism.
+fn ext_signal_text(t: &Table) -> String {
+    let mut out = format!("{}\n", t.heading);
+    for (_, latencies) in &t.rows {
+        for (c, cycles) in t.columns.iter().zip(latencies) {
+            out += &format!("  {:>8}: {cycles:>7.0} cycles\n", c.label);
         }
     }
-    let results = c.run_ok(&specs);
-    let mut at = 0;
-    sizes
-        .iter()
-        .map(|&procs| {
-            let n = 1 + branchings(procs).count();
-            let row = &results[at..at + n];
-            at += n;
-            let flat_cycles = row[0].num("avg_cycles");
-            let ktrees = branchings(procs)
-                .zip(&row[1..])
-                .map(|(b, art)| {
-                    let depth = amo_sync::KTreeSpec::uniform_depth(procs, b);
-                    let cycles = art.num("avg_cycles");
-                    (b, depth, cycles, flat_cycles / cycles)
-                })
-                .collect();
-            ExtKtreeRow {
-                procs,
-                flat_cycles,
-                ktrees,
-            }
-        })
-        .collect()
+    out
 }
 
-// ---------------------------------------------------------------------
-// Application studies as campaign batches
-// ---------------------------------------------------------------------
-
-/// The synchronization-tax study as one campaign batch (rows match
-/// `amo_workloads::app::sync_tax`).
-pub fn sync_tax(
-    c: &mut Campaign,
-    procs: u16,
-    work_grains: &[Cycle],
-    steps: u32,
-    warmup: u32,
-) -> Vec<SyncTaxRow> {
-    let specs: Vec<RunSpec> = work_grains
-        .iter()
-        .flat_map(|&grain| {
-            Mechanism::ALL.iter().map(move |&mech| {
-                RunSpec::SyncTax(SyncTax {
-                    mech,
-                    procs,
-                    grain,
-                    steps,
-                    warmup,
-                })
-            })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    work_grains
-        .iter()
-        .zip(results.chunks(Mechanism::ALL.len()))
-        .map(|(&grain, row)| SyncTaxRow {
-            work_grain: grain,
-            cells: Mechanism::ALL
-                .iter()
-                .zip(row)
-                .map(|(&mech, art)| SyncTaxCell {
-                    mech,
-                    step_cycles: art.num("step_cycles"),
-                    tax: art.num("tax"),
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// The critical-section sensitivity study as one campaign batch (rows
-/// match `amo_workloads::app::cs_sensitivity`).
-pub fn cs_sensitivity(
-    c: &mut Campaign,
-    procs: u16,
-    cs_lengths: &[Cycle],
-    rounds: u32,
-) -> Vec<CsSensitivityRow> {
-    let specs: Vec<RunSpec> = cs_lengths
-        .iter()
-        .flat_map(|&cs| {
-            Mechanism::ALL.iter().map(move |&mech| {
-                RunSpec::Lock(LockBench {
-                    rounds,
-                    cs_cycles: cs,
-                    ..LockBench::paper(mech, LockKind::Ticket, procs)
-                })
-            })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    cs_lengths
-        .iter()
-        .zip(results.chunks(Mechanism::ALL.len()))
-        .map(|(&cs, row)| CsSensitivityRow {
-            cs_cycles: cs,
-            times: Mechanism::ALL
-                .iter()
-                .zip(row)
-                .map(|(&mech, art)| (mech, art.num("total_cycles") as u64))
-                .collect(),
-        })
-        .collect()
-}
-
-/// The signalling study as one campaign batch, all mechanisms.
-pub fn signal_latency(c: &mut Campaign, pairs: u16, rounds: u32) -> Vec<SignalResult> {
-    let specs: Vec<RunSpec> = Mechanism::ALL
-        .iter()
-        .map(|&mech| {
-            RunSpec::Signal(Signal {
+/// Extension: dynamic loop self-scheduling — wall cycles to drain a
+/// pool of tasks handed out by fetch-add on a shared index.
+fn ext_selfsched(cells: &mut Cells, p: &ArtifactProfile) -> Vec<Table> {
+    let procs = *p.sizes.last().unwrap_or(&16).min(&64);
+    let tasks = 256;
+    let title = format!(
+        "Extension: dynamic loop self-scheduling ({tasks} tasks on {procs} CPUs)\n\
+         (wall cycles to drain the pool; the shared index is a fetch-add)."
+    );
+    let mut t = Table::new("ext-selfsched", title, ("task grain", 10), 62);
+    for m in Mechanism::ALL {
+        t.column(m.label(), 9, 0);
+    }
+    for grain in [50, 500, 5_000] {
+        let row = Mechanism::ALL.iter().map(|&mech| {
+            let cell = SelfSched {
                 mech,
-                pairs,
-                rounds,
-            })
-        })
-        .collect();
-    c.run_ok(&specs)
-        .iter()
-        .zip(Mechanism::ALL)
-        .map(|(art, mech)| SignalResult {
-            mech,
-            mean_latency: art.num("mean_latency"),
-        })
-        .collect()
-}
-
-/// The self-scheduling study as one campaign batch (rows match
-/// `amo_workloads::app::self_scheduling`).
-pub fn self_scheduling(
-    c: &mut Campaign,
-    procs: u16,
-    tasks: u32,
-    task_grains: &[Cycle],
-) -> Vec<SelfSchedRow> {
-    let specs: Vec<RunSpec> = task_grains
-        .iter()
-        .flat_map(|&grain| {
-            Mechanism::ALL.iter().map(move |&mech| {
-                RunSpec::SelfSched(SelfSched {
-                    mech,
-                    procs,
-                    tasks,
-                    grain,
-                })
-            })
-        })
-        .collect();
-    let results = c.run_ok(&specs);
-    task_grains
-        .iter()
-        .zip(results.chunks(Mechanism::ALL.len()))
-        .map(|(&grain, row)| SelfSchedRow {
-            task_grain: grain,
-            cells: Mechanism::ALL
-                .iter()
-                .zip(row)
-                .map(|(&mech, art)| SelfSchedCell {
-                    mech,
-                    total_cycles: art.num("total_cycles") as u64,
-                })
-                .collect(),
-        })
-        .collect()
+                procs,
+                tasks,
+                grain,
+            };
+            cells.num(RunSpec::SelfSched(cell), "total_cycles")
+        });
+        t.rows.push((grain, row.collect()));
+    }
+    vec![t]
 }
 
 // ---------------------------------------------------------------------
@@ -713,6 +590,23 @@ impl ArtifactProfile {
             rounds: 4,
         }
     }
+
+    /// The paper's flat barrier benchmark at this profile's episode counts.
+    fn barrier(&self, mech: Mechanism, procs: u16) -> BarrierBench {
+        BarrierBench {
+            episodes: self.episodes,
+            warmup: self.warmup,
+            ..BarrierBench::paper(mech, procs)
+        }
+    }
+
+    /// The paper's lock benchmark at this profile's round count.
+    fn lock(&self, mech: Mechanism, kind: LockKind, procs: u16) -> LockBench {
+        LockBench {
+            rounds: self.rounds,
+            ..LockBench::paper(mech, kind, procs)
+        }
+    }
 }
 
 /// Every artifact name [`render_artifacts`] understands, in document
@@ -749,133 +643,101 @@ pub fn check_artifact_names(names: &[String]) -> Result<(), String> {
     }
 }
 
-/// Regenerate the selected artifacts (`want` filters by name, e.g.
-/// `"table2"`; pass `|_| true` for everything) and return the rendered
-/// document — the exact bytes of the committed `tables_output.txt` when
-/// run with the paper profile and every artifact selected. `csv`
-/// switches Tables 2–4 and Figure 7 to their CSV renderers.
+/// A table function: builds the tables of the artefacts that share its
+/// cells, asking [`Cells`] for every number.
+type TableFn = fn(&mut Cells, &ArtifactProfile) -> Vec<Table>;
+
+/// The table functions in document order, each with the artefacts it
+/// produces. One function's cells are one campaign batch.
+pub(crate) const GENERATORS: [(&[&str], TableFn); 12] = [
+    (&["table2", "figure5"], table2_figure5),
+    (&["table3", "figure6"], table3_figure6),
+    (&["table4"], table4),
+    (&["figure7"], figure7),
+    (&["ext-locks"], ext_locks),
+    (&["ext-barriers"], ext_barriers),
+    (&["ext-ktree"], ext_ktree),
+    (&["ext-app"], ext_app),
+    (&["ext-cs"], ext_cs),
+    (&["ext-signal"], ext_signal),
+    (&["ext-selfsched"], ext_selfsched),
+    (&["figure1"], figure1),
+];
+
+/// Regenerate the artefacts `want` selects by name (`|_| true` for all
+/// of them), in document order. `want` is asked about every name; a
+/// table function runs if any of its artefacts is wanted.
+pub fn tables(
+    c: &mut Campaign,
+    profile: &ArtifactProfile,
+    want: &dyn Fn(&str) -> bool,
+) -> Vec<Table> {
+    let mut out = Vec::new();
+    for (names, generate) in GENERATORS {
+        let wanted: Vec<&str> = names.iter().copied().filter(|n| want(n)).collect();
+        if !wanted.is_empty() {
+            let made = evaluate(c, |cells| generate(cells, profile));
+            out.extend(made.into_iter().filter(|t| wanted.contains(&t.name)));
+        }
+    }
+    out
+}
+
+/// The paper layout of `t`: the grid, unless it is one of the four that
+/// are not grids.
+pub(crate) fn layout(t: &Table) -> String {
+    match t.name {
+        "ext-barriers" => ext_barriers_text(t),
+        "ext-ktree" => ext_ktree_text(t),
+        "ext-signal" => ext_signal_text(t),
+        "figure1" => figure1_text(t),
+        _ => t.text(),
+    }
+}
+
+/// Regenerate the selected artifacts (see [`tables`]) and return the
+/// rendered document — the exact bytes of the committed
+/// `tables_output.txt` when run with the paper profile and every
+/// artifact selected. `csv` switches every artefact to the one CSV form:
+/// [`CSV_HEADER`], then a line per cell.
 pub fn render_artifacts(
     c: &mut Campaign,
     profile: &ArtifactProfile,
     want: &dyn Fn(&str) -> bool,
     csv: bool,
 ) -> String {
-    use crate::render;
-    let mut out = String::new();
-    // A text section is followed by a blank line (the shell bins used
-    // `println!("{section}")` on strings already ending in '\n').
-    fn text(out: &mut String, s: String) {
-        out.push_str(&s);
-        out.push('\n');
+    let tables = tables(c, profile, want);
+    if csv {
+        let cells: String = tables.iter().map(Table::cell_lines).collect();
+        return format!("{CSV_HEADER}{cells}");
     }
-
-    if want("table2") || want("figure5") {
-        let rows = table2(c, &profile.sizes, profile.episodes, profile.warmup);
-        if csv {
-            out.push_str(&render::csv_table2(&rows));
-        } else {
-            if want("table2") {
-                text(&mut out, render::render_table2(&rows));
-            }
-            if want("figure5") {
-                text(&mut out, render::render_figure5(&rows));
-            }
-        }
-    }
-
-    if want("table3") || want("figure6") {
-        let rows = table3(c, &profile.tree_sizes, profile.episodes, profile.warmup);
-        if csv {
-            out.push_str(&render::csv_table3(&rows));
-        } else {
-            if want("table3") {
-                text(&mut out, render::render_table3(&rows));
-            }
-            if want("figure6") {
-                text(&mut out, render::render_figure6(&rows));
-            }
-        }
-    }
-
-    if want("table4") {
-        let rows = table4(c, &profile.sizes, profile.rounds);
-        if csv {
-            out.push_str(&render::csv_table4(&rows));
-        } else {
-            text(&mut out, render::render_table4(&rows));
-        }
-    }
-
-    if want("figure7") {
-        let rows = figure7(c, &profile.traffic_sizes, profile.rounds);
-        if csv {
-            out.push_str(&render::csv_figure7(&rows));
-        } else {
-            text(&mut out, render::render_figure7(&rows));
-        }
-    }
-
-    if want("ext-locks") {
-        let rows = ext_locks(c, &profile.sizes, profile.rounds);
-        text(&mut out, render::render_ext_locks(&rows));
-    }
-
-    if want("ext-barriers") {
-        let rows = ext_barriers(c, &profile.tree_sizes, profile.episodes, profile.warmup);
-        text(&mut out, render::render_ext_barriers(&rows));
-    }
-
-    if want("ext-ktree") {
-        let sizes: Vec<u16> = profile
-            .tree_sizes
-            .iter()
-            .copied()
-            .filter(|&s| s >= 16)
-            .collect();
-        let rows = ext_ktree(c, &sizes, profile.episodes, profile.warmup);
-        text(&mut out, render::render_ext_ktree(&rows));
-    }
-
-    if want("ext-app") {
-        let procs = *profile.sizes.last().unwrap_or(&16).min(&64);
-        let rows = sync_tax(c, procs, &[1_000, 10_000, 100_000], 8, 2);
-        text(&mut out, render::render_sync_tax(procs, &rows));
-    }
-
-    if want("ext-cs") {
-        let procs = *profile.sizes.last().unwrap_or(&16).min(&32);
-        let rows = cs_sensitivity(c, procs, &[0, 250, 1_000, 5_000], profile.rounds);
-        text(&mut out, render::render_cs_sensitivity(procs, &rows));
-    }
-
-    if want("ext-signal") {
-        let pairs = 8u16;
-        let results = signal_latency(c, pairs, profile.rounds);
-        text(&mut out, render::render_signal(pairs, &results));
-    }
-
-    if want("ext-selfsched") {
-        let procs = *profile.sizes.last().unwrap_or(&16).min(&64);
-        let tasks = 256;
-        let rows = self_scheduling(c, procs, tasks, &[50, 500, 5_000]);
-        text(&mut out, render::render_self_sched(procs, tasks, &rows));
-    }
-
-    if want("figure1") {
-        let (llsc, amo) = figure1(c);
-        out.push_str(&format!(
-            "Figure 1 census (4 CPUs, one warm episode):\n  \
-             LL/SC barrier: ~{llsc} one-way messages\n  \
-             AMO barrier:   ~{amo} one-way messages\n\n"
-        ));
-    }
-
-    out
+    // A section is followed by a blank line.
+    tables.iter().map(|t| layout(t) + "\n").collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_types::SystemConfig;
+
+    /// A small profile with the given overrides.
+    fn small(sizes: &[u16], episodes: u32, warmup: u32, rounds: u32) -> ArtifactProfile {
+        ArtifactProfile {
+            sizes: sizes.to_vec(),
+            tree_sizes: sizes.to_vec(),
+            traffic_sizes: sizes.to_vec(),
+            episodes,
+            warmup,
+            rounds,
+        }
+    }
+
+    /// The one table `name` selects.
+    fn table(c: &mut Campaign, profile: &ArtifactProfile, name: &str) -> Table {
+        let mut made = tables(c, profile, &|n| n == name);
+        assert_eq!(made.len(), 1, "{name}");
+        made.remove(0)
+    }
 
     #[test]
     fn artifact_names_are_exactly_what_render_artifacts_asks_for() {
@@ -905,34 +767,15 @@ mod tests {
     #[test]
     fn table2_small_shapes() {
         let mut c = Campaign::uncached();
-        let rows = table2(&mut c, &[4, 8], 4, 1);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            let amo = row
-                .speedups
-                .iter()
-                .find(|(m, _)| *m == Mechanism::Amo)
-                .unwrap()
-                .1;
-            assert!(
-                amo > 1.0,
-                "AMO must beat LL/SC at {} procs: {amo}",
-                row.procs
-            );
+        let t2 = table(&mut c, &small(&[4, 8], 4, 1, 4), "table2");
+        assert_eq!(t2.rows.len(), 2);
+        for procs in [4, 8] {
+            let amo = t2.value(procs, "AMO").unwrap();
+            assert!(amo > 1.0, "AMO must beat LL/SC at {procs} procs: {amo}");
         }
         // Scaling: AMO's advantage grows with the machine.
-        let amo4 = rows[0]
-            .speedups
-            .iter()
-            .find(|(m, _)| *m == Mechanism::Amo)
-            .unwrap()
-            .1;
-        let amo8 = rows[1]
-            .speedups
-            .iter()
-            .find(|(m, _)| *m == Mechanism::Amo)
-            .unwrap()
-            .1;
+        let amo4 = t2.value(4, "AMO").unwrap();
+        let amo8 = t2.value(8, "AMO").unwrap();
         assert!(amo8 > amo4, "AMO speedup should grow: {amo4} -> {amo8}");
         // Cell accounting: 2 sizes × 5 mechanisms, no duplicates.
         assert_eq!(c.counters.requested, 10);
@@ -942,87 +785,148 @@ mod tests {
     #[test]
     fn table4_small_shapes() {
         let mut c = Campaign::uncached();
-        let rows = table4(&mut c, &[4], 4);
-        let amo = rows[0]
-            .speedups
-            .iter()
-            .find(|(m, ..)| *m == Mechanism::Amo)
-            .unwrap();
-        assert!(amo.1 > 1.0, "AMO ticket lock must beat LL/SC: {}", amo.1);
+        let t4 = table(&mut c, &small(&[4], 4, 1, 4), "table4");
+        let amo = t4.value(4, "AMOt").unwrap();
+        assert!(amo > 1.0, "AMO ticket lock must beat LL/SC: {amo}");
     }
 
     #[test]
     fn ext_generators_smoke() {
         let mut c = Campaign::uncached();
-        let locks = ext_locks(&mut c, &[4], 2);
-        assert_eq!(locks[0].mcs_speedups.len(), 4);
-        assert!(locks[0].mcs_speedups.iter().all(|&(_, s)| s > 0.0));
+        let locks = table(&mut c, &small(&[4], 3, 1, 2), "ext-locks");
+        assert_eq!(locks.columns.len(), 4);
+        assert!(locks.rows[0].1.iter().all(|&s| s > 0.0));
 
-        let barriers = ext_barriers(&mut c, &[8], 3, 1);
-        assert_eq!(barriers[0].entries.len(), 5);
-        let amo = barriers[0]
-            .entries
-            .iter()
-            .find(|(l, ..)| *l == "AMO central")
-            .unwrap();
-        assert!(amo.2 > 1.0, "AMO central beats the baseline");
+        let barriers = table(&mut c, &small(&[8], 3, 1, 2), "ext-barriers");
+        assert_eq!(barriers.columns.len(), 5);
+        let cycles = |label| barriers.value(8, label).unwrap();
+        assert!(
+            cycles("LL/SC central") / cycles("AMO central") > 1.0,
+            "AMO central beats the baseline"
+        );
 
-        let ktrees = ext_ktree(&mut c, &[8], 3, 1);
-        assert!(!ktrees[0].ktrees.is_empty());
-        for &(b, depth, _, ratio) in &ktrees[0].ktrees {
-            assert!(depth >= 1, "b={b}");
-            assert!(ratio > 0.0);
+        let ktrees = table(&mut c, &small(&[16], 3, 1, 2), "ext-ktree");
+        let flat = ktrees.value(16, "flat cycles").unwrap();
+        for b in [2, 4, 8] {
+            let tree = ktrees.value(16, &format!("b={b}")).unwrap();
+            assert!(KTreeSpec::uniform_depth(16, b) >= 1, "b={b}");
+            assert!(flat / tree > 0.0);
         }
+        assert!(
+            ktrees.value(16, "b=16").unwrap().is_nan(),
+            "16 does not fit"
+        );
     }
 
     #[test]
     fn renderers_cover_extensions() {
-        use crate::render;
         let mut c = Campaign::uncached();
-        let locks = ext_locks(&mut c, &[4], 2);
-        assert!(render::render_ext_locks(&locks).contains("MCS"));
-        let barriers = ext_barriers(&mut c, &[8], 3, 1);
-        assert!(render::render_ext_barriers(&barriers).contains("dissem"));
-        let ktrees = ext_ktree(&mut c, &[8], 3, 1);
-        assert!(render::render_ext_ktree(&ktrees).contains("flat"));
-        // CSV renderers emit headers and one line per cell.
-        let t2 = table2(&mut c, &[4], 3, 1);
-        let csv = render::csv_table2(&t2);
-        assert!(csv.starts_with("table,procs,mech"));
+        let locks = table(&mut c, &small(&[4], 3, 1, 2), "ext-locks");
+        assert!(layout(&locks).contains("MCS"));
+        let barriers = table(&mut c, &small(&[8], 3, 1, 2), "ext-barriers");
+        assert!(layout(&barriers).contains("dissem"));
+        let ktrees = table(&mut c, &small(&[16], 3, 1, 2), "ext-ktree");
+        assert!(layout(&ktrees).contains("flat"));
+        // CSV is the one header and one line per cell.
+        let t2 = table(&mut c, &small(&[4], 3, 1, 2), "table2");
+        let csv = t2.csv();
+        assert!(csv.starts_with("table,row,column,value\n"));
         assert_eq!(csv.lines().count(), 1 + 5);
-        let t4 = table4(&mut c, &[4], 2);
-        assert_eq!(render::csv_table4(&t4).lines().count(), 1 + 10);
+        let t4 = table(&mut c, &small(&[4], 3, 1, 2), "table4");
+        assert_eq!(t4.csv().lines().count(), 1 + 10);
     }
 
     #[test]
     fn figure7_small() {
         let mut c = Campaign::uncached();
-        let rows = figure7(&mut c, &[8], 3);
-        let amo = rows[0]
-            .traffic
-            .iter()
-            .find(|(m, ..)| *m == Mechanism::Amo)
-            .unwrap();
-        assert!(amo.2 < 1.0, "AMO traffic must be below LL/SC: {}", amo.2);
+        let f7 = table(&mut c, &small(&[8], 3, 1, 3), "figure7");
+        let amo = f7.value(8, "AMO").unwrap();
+        assert!(amo < 1.0, "AMO traffic must be below LL/SC: {amo}");
     }
 
     #[test]
     fn tree_search_matches_serial_best_tree_barrier() {
-        // The campaign's per-candidate expansion must pick the same
-        // branching and cycles as the retained serial search.
+        // The per-candidate cells must pick the same branching and
+        // cycles as the retained serial search.
         let base = BarrierBench {
             episodes: 3,
             warmup: 1,
             ..BarrierBench::paper(Mechanism::Atomic, 16)
         };
         let (serial_b, serial_r) = amo_workloads::runner::best_tree_barrier(base);
-        let mut c = Campaign::uncached();
-        let specs: Vec<RunSpec> = tree_candidates(16)
-            .map(|b| RunSpec::Barrier(base.with_tree(b)))
-            .collect();
-        let arts = c.run_ok(&specs);
-        let (b, best) = best_branching(tree_candidates(16).zip(arts.iter()));
+        let (b, cycles) = evaluate(&mut Campaign::uncached(), |cells| {
+            let (b, best) = best_tree(cells, base);
+            (b, cells.num(RunSpec::Barrier(best), "avg_cycles"))
+        });
         assert_eq!(b, serial_b);
-        assert_eq!(best.num("avg_cycles"), serial_r.timing.avg_cycles);
+        assert_eq!(cycles, serial_r.timing.avg_cycles);
+    }
+
+    #[test]
+    fn evaluate_runs_each_distinct_cell_once() {
+        let bench = |mech| BarrierBench {
+            episodes: 3,
+            warmup: 1,
+            ..BarrierBench::paper(mech, 4)
+        };
+        let amo = RunSpec::Barrier(bench(Mechanism::Amo));
+        // The same machine spelled out: another value, the same cell.
+        let explicit = RunSpec::Barrier(BarrierBench {
+            config: Some(SystemConfig::with_procs(4)),
+            ..bench(Mechanism::Amo)
+        });
+        let llsc = RunSpec::Barrier(bench(Mechanism::LlSc));
+        let mut c = Campaign::uncached();
+        let answers = evaluate(&mut c, |cells| {
+            [&amo, &amo, &llsc, &amo, &explicit].map(|s| cells.num(s.clone(), "avg_cycles"))
+        });
+        assert!(answers.iter().all(|a| a.is_finite()), "{answers:?}");
+        assert_eq!(answers[0], answers[4]);
+        assert!(answers[2] > answers[0], "each answer is its own cell's");
+        assert_eq!(c.counters.requested, 2);
+        assert_eq!(c.counters.unique, 2);
+    }
+
+    #[test]
+    fn evaluate_answers_a_question_that_depends_on_an_answer() {
+        let cycles = |cells: &mut Cells, procs| {
+            let bench = BarrierBench {
+                episodes: 3,
+                warmup: 1,
+                ..BarrierBench::paper(Mechanism::Amo, procs)
+            };
+            cells.num(RunSpec::Barrier(bench), "avg_cycles")
+        };
+        let mut c = Campaign::uncached();
+        let (first, second) = evaluate(&mut c, |cells| {
+            let first = cycles(cells, 4);
+            // Which machine comes second is not known until the first
+            // answer is: while it is NaN the planner is told 16.
+            let second = cycles(cells, if first > 0.0 { 8 } else { 16 });
+            (first, second)
+        });
+        assert!(first > 0.0 && second > first, "{first} {second}");
+        assert_eq!(
+            c.counters.requested, 3,
+            "4 and the guess 16, then 8 once 4 is known"
+        );
+    }
+
+    /// The benchmark's pins (`expected.json`: 405 cells, 71 of them
+    /// repeats across generators) at unit-test speed: a planning-only
+    /// pass computes keys and simulates nothing.
+    #[test]
+    fn paper_profile_plans_the_pinned_cells_per_generator() {
+        let pinned = [35, 130, 70, 10, 35, 44, 24, 15, 20, 5, 15, 2];
+        let mut distinct = std::collections::HashSet::new();
+        for ((names, generate), cells_pinned) in GENERATORS.iter().zip(pinned) {
+            let mut cells = Cells::default();
+            generate(&mut cells, &ArtifactProfile::paper());
+            assert_eq!(cells.asked.len(), cells_pinned, "{names:?}");
+            assert!(cells.known.is_empty());
+            distinct.extend(cells.index.into_keys());
+        }
+        assert_eq!(pinned.iter().sum::<usize>(), 405);
+        assert_eq!(distinct.len(), 334);
     }
 }

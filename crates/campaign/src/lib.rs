@@ -16,10 +16,17 @@
 //!   address).
 //! * [`spec`] — the `amo-campaign-v1` JSON spec format: parameter grids
 //!   with axes, filters, and replicas, or named paper-artifact sets.
+//! * [`table`] — [`table::Table`], what an artefact *is*: labelled
+//!   columns and keyed rows of numbers with one paper layout, one CSV
+//!   form, and lookup by row key and column label.
 //! * [`artifacts`] — every table/figure of the paper's evaluation as a
-//!   campaign batch, plus [`artifacts::render_artifacts`] which
+//!   *table function* that asks an [`artifacts::Cells`] handle for each
+//!   number by describing the run that produces it;
+//!   [`artifacts::evaluate`], the planner that turns what a function
+//!   asks for into one campaign batch per generator;
+//!   [`artifacts::tables`], and [`artifacts::render_artifacts`] which
 //!   regenerates the committed `tables_output.txt` byte-for-byte.
-//! * [`render`] — plain-text and CSV renderers for the artifact rows.
+//! * [`render`] — the plain-text renderer of a grid campaign.
 //! * [`chaos`] — chaos search: sample seeded delivery-fault plans from
 //!   a grid, shrink each failure to a minimal reproducer, and emit it
 //!   as a replayable `amo-fault-plan-v1` document.
@@ -38,6 +45,7 @@ pub mod render;
 pub mod run;
 pub mod sched;
 pub mod spec;
+pub mod table;
 
 pub use artifacts::ArtifactProfile;
 pub use cache::ResultCache;

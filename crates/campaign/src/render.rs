@@ -1,392 +1,5 @@
-//! Plain-text rendering of the regenerated tables and figures, in the
-//! layout of the paper.
-
-use crate::artifacts::{Figure7Row, Table2Row, Table3Row, Table4Row};
-
-fn hline(width: usize) -> String {
-    "-".repeat(width)
-}
-
-/// Render Table 2: speedups of centralized barriers over LL/SC.
-pub fn render_table2(rows: &[Table2Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Table 2. Performance of different barriers.\n");
-    out.push_str(&format!(
-        "{:>5} | {:>8} {:>8} {:>8} {:>8} | {:>12}\n",
-        "CPUs", "ActMsg", "Atomic", "MAO", "AMO", "LL/SC cycles"
-    ));
-    out.push_str(&hline(60));
-    out.push('\n');
-    for r in rows {
-        let s: Vec<f64> = r.speedups.iter().map(|&(_, v)| v).collect();
-        out.push_str(&format!(
-            "{:>5} | {:>8.2} {:>8.2} {:>8.2} {:>8.2} | {:>12.0}\n",
-            r.procs, s[0], s[1], s[2], s[3], r.base_cycles
-        ));
-    }
-    out
-}
-
-/// Render Figure 5: cycles-per-processor of centralized barriers.
-pub fn render_figure5(rows: &[Table2Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 5. Cycles-per-processor of different barriers.\n");
-    out.push_str(&format!(
-        "{:>5} | {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-        "CPUs", "LL/SC", "ActMsg", "Atomic", "MAO", "AMO"
-    ));
-    out.push_str(&hline(58));
-    out.push('\n');
-    for r in rows {
-        let v: Vec<f64> = r.cycles_per_proc.iter().map(|&(_, v)| v).collect();
-        out.push_str(&format!(
-            "{:>5} | {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}\n",
-            r.procs, v[0], v[1], v[2], v[3], v[4]
-        ));
-    }
-    out
-}
-
-/// Render Table 3: tree-barrier speedups over the flat LL/SC baseline.
-pub fn render_table3(rows: &[Table3Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Table 3. Performance of tree-based barriers.\n");
-    out.push_str(&format!(
-        "{:>5} | {:>11} {:>12} {:>12} {:>9} {:>9} | {:>7}\n",
-        "CPUs", "LL/SC+tree", "ActMsg+tree", "Atomic+tree", "MAO+tree", "AMO+tree", "AMO"
-    ));
-    out.push_str(&hline(80));
-    out.push('\n');
-    for r in rows {
-        let s: Vec<f64> = r.tree_speedups.iter().map(|&(_, _, v)| v).collect();
-        out.push_str(&format!(
-            "{:>5} | {:>11.2} {:>12.2} {:>12.2} {:>9.2} {:>9.2} | {:>7.2}\n",
-            r.procs, s[0], s[1], s[2], s[3], s[4], r.amo_flat_speedup
-        ));
-    }
-    out.push_str("(best branching factors: ");
-    for r in rows {
-        let b: Vec<String> = r
-            .tree_speedups
-            .iter()
-            .map(|&(m, b, _)| format!("{}={b}", m.label()))
-            .collect();
-        out.push_str(&format!("[{} CPUs: {}] ", r.procs, b.join(" ")));
-    }
-    out.push_str(")\n");
-    out
-}
-
-/// Render Figure 6: cycles-per-processor of tree barriers.
-pub fn render_figure6(rows: &[Table3Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 6. Cycles-per-processor of tree-based barriers.\n");
-    out.push_str(&format!(
-        "{:>5} | {:>10} {:>10} {:>11} {:>9} {:>9}\n",
-        "CPUs", "LL/SC+tr", "ActMsg+tr", "Atomic+tr", "MAO+tr", "AMO+tr"
-    ));
-    out.push_str(&hline(62));
-    out.push('\n');
-    for r in rows {
-        let v: Vec<f64> = r.cycles_per_proc.iter().map(|&(_, v)| v).collect();
-        out.push_str(&format!(
-            "{:>5} | {:>10.1} {:>10.1} {:>11.1} {:>9.1} {:>9.1}\n",
-            r.procs, v[0], v[1], v[2], v[3], v[4]
-        ));
-    }
-    out
-}
-
-/// Render Table 4: lock speedups over the LL/SC ticket lock.
-pub fn render_table4(rows: &[Table4Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Table 4. Speedups of different locks over the LL/SC-based ticket lock.\n");
-    out.push_str(&format!("{:>5} |", "CPUs"));
-    for (m, _, _) in &rows[0].speedups {
-        out.push_str(&format!(" {:>7}t {:>7}a |", m.label(), m.label()));
-    }
-    out.push('\n');
-    out.push_str(&hline(6 + rows[0].speedups.len() * 19));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!("{:>5} |", r.procs));
-        for &(_, t, a) in &r.speedups {
-            out.push_str(&format!(" {:>8.2} {:>8.2} |", t, a));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render Figure 7: normalized ticket-lock network traffic.
-pub fn render_figure7(rows: &[Figure7Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 7. Network traffic for ticket locks (normalized to LL/SC).\n");
-    out.push_str(&format!(
-        "{:>5} | {:>8} {:>8} {:>8} {:>8} {:>8}\n",
-        "CPUs", "LL/SC", "ActMsg", "Atomic", "MAO", "AMO"
-    ));
-    out.push_str(&hline(54));
-    out.push('\n');
-    for r in rows {
-        let v: Vec<f64> = r.traffic.iter().map(|&(_, _, n)| n).collect();
-        out.push_str(&format!(
-            "{:>5} | {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
-            r.procs, v[0], v[1], v[2], v[3], v[4]
-        ));
-    }
-    out
-}
-
-/// Render the MCS-lock extension table.
-pub fn render_ext_locks(rows: &[crate::artifacts::ExtLocksRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Extension: MCS queue locks (speedup over the LL/SC ticket lock).\n");
-    out.push_str(&format!(
-        "{:>5} | {:>9} {:>9} {:>9} {:>9}\n",
-        "CPUs", "LL/SC", "Atomic", "MAO", "AMO"
-    ));
-    out.push_str(&hline(52));
-    out.push('\n');
-    for r in rows {
-        let v: Vec<f64> = r.mcs_speedups.iter().map(|&(_, s)| s).collect();
-        out.push_str(&format!(
-            "{:>5} | {:>9.2} {:>9.2} {:>9.2} {:>9.2}\n",
-            r.procs, v[0], v[1], v[2], v[3]
-        ));
-    }
-    out
-}
-
-/// Render the barrier-algorithm extension table.
-pub fn render_ext_barriers(rows: &[crate::artifacts::ExtBarriersRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Extension: dissemination barriers vs the paper's algorithms\n\
-         (cycles/episode, speedup over centralized LL/SC; tree* = best branching).\n",
-    );
-    out.push_str(&format!("{:>5} |", "CPUs"));
-    for (label, _, _) in &rows[0].entries {
-        out.push_str(&format!(" {label:>20} |"));
-    }
-    out.push('\n');
-    out.push_str(&hline(6 + rows[0].entries.len() * 23));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!("{:>5} |", r.procs));
-        for &(_, cycles, speedup) in &r.entries {
-            out.push_str(&format!(" {cycles:>11.0} ({speedup:>5.2}x) |"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the k-level AMO tree study.
-pub fn render_ext_ktree(rows: &[crate::artifacts::ExtKtreeRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Extension: deep AMO combining trees vs the flat AMO barrier\n\
-         (the paper's future-work question; ratio >1 means the tree helps).\n",
-    );
-    out.push_str(&format!(
-        "{:>5} | {:>12} | {}\n",
-        "CPUs", "flat cycles", "per branching: b -> depth, cycles (ratio)"
-    ));
-    out.push_str(&hline(78));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!("{:>5} | {:>12.0} |", r.procs, r.flat_cycles));
-        for &(b, depth, cycles, ratio) in &r.ktrees {
-            out.push_str(&format!(" b={b}: d{depth}, {cycles:.0} ({ratio:.2}x);"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// CSV renderers (machine-readable output for the `tables --csv` mode)
-// ---------------------------------------------------------------------
-
-/// Table 2 as CSV: `procs,mech,speedup,cycles_per_proc`.
-pub fn csv_table2(rows: &[Table2Row]) -> String {
-    let mut out = String::from("table,procs,mech,speedup,cycles_per_proc\n");
-    for r in rows {
-        for (i, &(mech, cpp)) in r.cycles_per_proc.iter().enumerate() {
-            let speedup = if i == 0 { 1.0 } else { r.speedups[i - 1].1 };
-            out.push_str(&format!(
-                "table2,{},{},{:.4},{:.2}\n",
-                r.procs,
-                mech.label(),
-                speedup,
-                cpp
-            ));
-        }
-    }
-    out
-}
-
-/// Table 3 as CSV: `procs,mech,branching,tree_speedup` plus the flat
-/// AMO row per size.
-pub fn csv_table3(rows: &[Table3Row]) -> String {
-    let mut out = String::from("table,procs,mech,branching,speedup,cycles_per_proc\n");
-    for r in rows {
-        for (i, &(mech, b, s)) in r.tree_speedups.iter().enumerate() {
-            out.push_str(&format!(
-                "table3,{},{}+tree,{},{:.4},{:.2}\n",
-                r.procs,
-                mech.label(),
-                b,
-                s,
-                r.cycles_per_proc[i].1
-            ));
-        }
-        out.push_str(&format!(
-            "table3,{},AMO,,{:.4},\n",
-            r.procs, r.amo_flat_speedup
-        ));
-    }
-    out
-}
-
-/// Table 4 as CSV: `procs,mech,kind,speedup`.
-pub fn csv_table4(rows: &[Table4Row]) -> String {
-    let mut out = String::from("table,procs,mech,kind,speedup\n");
-    for r in rows {
-        for &(mech, t, a) in &r.speedups {
-            out.push_str(&format!(
-                "table4,{},{},ticket,{:.4}\n",
-                r.procs,
-                mech.label(),
-                t
-            ));
-            out.push_str(&format!(
-                "table4,{},{},array,{:.4}\n",
-                r.procs,
-                mech.label(),
-                a
-            ));
-        }
-    }
-    out
-}
-
-/// Figure 7 as CSV: `procs,mech,bytes,normalized`.
-pub fn csv_figure7(rows: &[Figure7Row]) -> String {
-    let mut out = String::from("table,procs,mech,bytes,normalized\n");
-    for r in rows {
-        for &(mech, bytes, norm) in &r.traffic {
-            out.push_str(&format!(
-                "figure7,{},{},{},{:.4}\n",
-                r.procs,
-                mech.label(),
-                bytes,
-                norm
-            ));
-        }
-    }
-    out
-}
-
-/// Render the synchronization-tax study.
-pub fn render_sync_tax(procs: u16, rows: &[amo_workloads::app::SyncTaxRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Extension: synchronization tax of a bulk-synchronous app at {procs} CPUs\n\
-         (fraction of each work+barrier step spent synchronizing).\n"
-    ));
-    out.push_str(&format!("{:>10} |", "work/step"));
-    for c in &rows[0].cells {
-        out.push_str(&format!(" {:>8}", c.mech.label()));
-    }
-    out.push('\n');
-    out.push_str(&hline(12 + rows[0].cells.len() * 9));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!("{:>10} |", r.work_grain));
-        for c in &r.cells {
-            out.push_str(&format!(" {:>7.1}%", c.tax * 100.0));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the critical-section sensitivity study.
-pub fn render_cs_sensitivity(procs: u16, rows: &[amo_workloads::app::CsSensitivityRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Extension: ticket-lock sensitivity to critical-section length at {procs} CPUs\n\
-         (benchmark time normalized to LL/SC per row).\n"
-    ));
-    out.push_str(&format!("{:>9} |", "CS cycles"));
-    for (m, _) in &rows[0].times {
-        out.push_str(&format!(" {:>8}", m.label()));
-    }
-    out.push('\n');
-    out.push_str(&hline(11 + rows[0].times.len() * 9));
-    out.push('\n');
-    for r in rows {
-        let llsc = r
-            .times
-            .iter()
-            .find(|(m, _)| *m == amo_sync::Mechanism::LlSc)
-            .expect("LL/SC measured")
-            .1 as f64;
-        out.push_str(&format!("{:>9} |", r.cs_cycles));
-        for &(_, t) in &r.times {
-            out.push_str(&format!(" {:>7.2}x", llsc / t as f64));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the point-to-point signalling study.
-pub fn render_signal(pairs: u16, results: &[amo_workloads::app::SignalResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Extension: producer→consumer signal latency ({pairs} cross-node pairs)\n"
-    ));
-    out.push_str("(one-way cycles from the producer's release to the consumer's wake-up).\n");
-    for r in results {
-        out.push_str(&format!(
-            "  {:>8}: {:>7.0} cycles\n",
-            r.mech.label(),
-            r.mean_latency
-        ));
-    }
-    out
-}
-
-/// Render the self-scheduling-loop study.
-pub fn render_self_sched(
-    procs: u16,
-    tasks: u32,
-    rows: &[amo_workloads::app::SelfSchedRow],
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Extension: dynamic loop self-scheduling ({tasks} tasks on {procs} CPUs)\n"
-    ));
-    out.push_str("(wall cycles to drain the pool; the shared index is a fetch-add).\n");
-    out.push_str(&format!("{:>10} |", "task grain"));
-    for c in &rows[0].cells {
-        out.push_str(&format!(" {:>9}", c.mech.label()));
-    }
-    out.push('\n');
-    out.push_str(&hline(12 + rows[0].cells.len() * 10));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!("{:>10} |", r.task_grain));
-        for c in &r.cells {
-            out.push_str(&format!(" {:>9}", c.total_cycles));
-        }
-        out.push('\n');
-    }
-    out
-}
+//! Plain-text rendering of a grid campaign's outcomes. (The paper's
+//! tables and figures lay themselves out: [`crate::table::Table::text`].)
 
 /// Render the outcomes of a grid campaign, one line per cell:
 /// `label: name=value ...` for successful runs (the run's artifact
@@ -418,94 +31,54 @@ pub fn render_grid(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::artifacts::*;
-    use amo_sync::Mechanism;
+    use crate::artifacts::{ArtifactProfile, Cells, GENERATORS};
+    use crate::table::Table;
+
+    /// The shape of artefact `name` — heading, columns, row keys — from
+    /// a planning-only pass: nothing is simulated, every value is NaN.
+    fn shape(name: &str) -> Table {
+        let profile = ArtifactProfile::quick();
+        GENERATORS
+            .iter()
+            .flat_map(|(_, generate)| generate(&mut Cells::default(), &profile))
+            .find(|t| t.name == name)
+            .expect("an artefact name")
+    }
+
+    /// `shape(name)` laid out with every value replaced by `value`.
+    fn text_of(name: &str, value: f64) -> String {
+        let mut t = shape(name);
+        for (_, values) in &mut t.rows {
+            values.fill(value);
+        }
+        crate::artifacts::layout(&t)
+    }
 
     #[test]
     fn app_renderers_cover_their_studies() {
-        use amo_workloads::app::{
-            CsSensitivityRow, SelfSchedCell, SelfSchedRow, SignalResult, SyncTaxCell, SyncTaxRow,
-        };
-        let tax = vec![SyncTaxRow {
-            work_grain: 1000,
-            cells: Mechanism::ALL
-                .iter()
-                .map(|&mech| SyncTaxCell {
-                    mech,
-                    step_cycles: 2000.0,
-                    tax: 0.5,
-                })
-                .collect(),
-        }];
-        let s = render_sync_tax(16, &tax);
+        let s = text_of("ext-app", 50.0);
         assert!(s.contains("synchronization tax") && s.contains("50.0%"));
 
-        let cs = vec![CsSensitivityRow {
-            cs_cycles: 250,
-            times: Mechanism::ALL.iter().map(|&m| (m, 1000)).collect(),
-        }];
-        let s = render_cs_sensitivity(16, &cs);
+        let s = text_of("ext-cs", 1.0);
         assert!(s.contains("critical-section") && s.contains("1.00x"));
 
-        let sig: Vec<SignalResult> = Mechanism::ALL
-            .iter()
-            .map(|&mech| SignalResult {
-                mech,
-                mean_latency: 500.0,
-            })
-            .collect();
-        assert!(render_signal(8, &sig).contains("500 cycles"));
+        assert!(text_of("ext-signal", 500.0).contains("500 cycles"));
 
-        let ss = vec![SelfSchedRow {
-            task_grain: 50,
-            cells: Mechanism::ALL
-                .iter()
-                .map(|&mech| SelfSchedCell {
-                    mech,
-                    total_cycles: 4242,
-                })
-                .collect(),
-        }];
-        assert!(render_self_sched(16, 256, &ss).contains("4242"));
+        assert!(text_of("ext-selfsched", 4242.0).contains("4242"));
     }
 
     #[test]
     fn renderers_do_not_panic_on_synthetic_data() {
-        let t2 = vec![Table2Row {
-            procs: 4,
-            base_cycles: 1000.0,
-            speedups: TABLE_MECHS.iter().map(|&m| (m, 2.0)).collect(),
-            cycles_per_proc: std::iter::once((Mechanism::LlSc, 250.0))
-                .chain(TABLE_MECHS.iter().map(|&m| (m, 100.0)))
-                .collect(),
-        }];
-        assert!(render_table2(&t2).contains("Table 2"));
-        assert!(render_figure5(&t2).contains("Figure 5"));
+        assert!(text_of("table2", 2.0).contains("Table 2"));
+        assert!(text_of("figure5", 100.0).contains("Figure 5"));
 
-        let t3 = vec![Table3Row {
-            procs: 16,
-            base_cycles: 5000.0,
-            tree_speedups: TREE_MECHS.iter().map(|&m| (m, 4, 3.0)).collect(),
-            amo_flat_speedup: 9.0,
-            cycles_per_proc: TREE_MECHS.iter().map(|&m| (m, 120.0)).collect(),
-        }];
-        assert!(render_table3(&t3).contains("Table 3"));
-        assert!(render_figure6(&t3).contains("Figure 6"));
+        assert!(text_of("table3", 3.0).contains("Table 3"));
+        assert!(text_of("figure6", 120.0).contains("Figure 6"));
 
-        let t4 = vec![Table4Row {
-            procs: 4,
-            base_cycles: 8000.0,
-            speedups: LOCK_MECHS.iter().map(|&m| (m, 1.0, 0.5)).collect(),
-        }];
-        let s = render_table4(&t4);
+        let s = text_of("table4", 0.5);
         assert!(s.contains("Table 4"));
         assert!(s.contains("AMO"));
 
-        let f7 = vec![Figure7Row {
-            procs: 128,
-            traffic: LOCK_MECHS.iter().map(|&m| (m, 1000, 1.0)).collect(),
-        }];
-        assert!(render_figure7(&f7).contains("Figure 7"));
+        assert!(text_of("figure7", 1.0).contains("Figure 7"));
     }
 }

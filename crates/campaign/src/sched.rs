@@ -67,11 +67,10 @@ impl Campaign {
 
         // Dedup by content key, preserving first-appearance order so
         // scheduling stays deterministic.
-        let mut unique: Vec<(u128, usize)> = Vec::new(); // (key, spec index)
+        let mut unique: Vec<((u64, u64), usize)> = Vec::new(); // (key, spec index)
         let mut slot_of: Vec<usize> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            let (hi, lo) = spec.key();
-            let key = (hi as u128) << 64 | lo as u128;
+            let key = spec.key();
             match unique.iter().position(|&(k, _)| k == key) {
                 Some(slot) => slot_of.push(slot),
                 None => {
@@ -86,8 +85,8 @@ impl Campaign {
         let mut outcomes: Vec<Option<Result<RunArtifacts, String>>> = vec![None; unique.len()];
         let mut cold: Vec<usize> = Vec::new(); // slots to simulate
         if let Some(cache) = &self.cache {
-            for (slot, &(_, i)) in unique.iter().enumerate() {
-                match cache.get(specs[i].key()) {
+            for (slot, &(key, _)) in unique.iter().enumerate() {
+                match cache.get(key) {
                     Some(outcome) => {
                         self.counters.cache_hits += 1;
                         outcomes[slot] = Some(outcome);
@@ -105,7 +104,7 @@ impl Campaign {
         let fresh = par_run(cold.len(), |j| specs[unique[cold[j]].1].execute());
         for (&slot, outcome) in cold.iter().zip(fresh) {
             if let Some(cache) = &self.cache {
-                if let Err(e) = cache.put(specs[unique[slot].1].key(), &outcome) {
+                if let Err(e) = cache.put(unique[slot].0, &outcome) {
                     eprintln!("campaign cache: write failed: {e}");
                 }
             }
@@ -121,7 +120,13 @@ impl Campaign {
             self.aggregate.merge(&outcome.stats);
         }
 
-        // Fan unique outcomes back out to every requesting index.
+        // Fan unique outcomes back out to every requesting index. A
+        // batch without duplicates (every `artifacts::evaluate` batch) is
+        // already in request order: hand it over rather than copy it,
+        // which would hold the batch in memory twice.
+        if unique.len() == specs.len() {
+            return outcomes;
+        }
         slot_of.iter().map(|&slot| outcomes[slot].clone()).collect()
     }
 

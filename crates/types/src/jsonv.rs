@@ -181,49 +181,47 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.b.get(self.i) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self.b.get(self.i).copied().ok_or("truncated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00))
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(cp).ok_or("bad \\u escape")?);
+            // Everything up to the next quote or backslash is copied as
+            // one run. Both delimiters are ASCII and the input was a
+            // `&str`, so a run is whole characters.
+            let rest = &self.b[self.i..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8")?);
+            self.i += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.b.get(self.i).copied().ok_or("truncated escape")?;
+            self.i += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let cp = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair.
+                        self.expect(b'\\')?;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err("bad \\u escape".into());
                         }
-                        c => return Err(format!("bad escape `\\{}`", c as char)),
-                    }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        hi
+                    };
+                    out.push(char::from_u32(cp).ok_or("bad \\u escape")?);
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
+                c => return Err(format!("bad escape `\\{}`", c as char)),
             }
         }
     }
@@ -327,6 +325,82 @@ mod tests {
     fn unicode_escapes() {
         let v = Json::parse(r#""Aé😀""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé😀"));
+    }
+
+    #[test]
+    fn escapes_adjoin_multibyte_characters_and_the_end_of_input() {
+        let v = Json::parse(r#""é\n😀\u00e9\\é\"""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\n😀é\\é\""));
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("😀")
+        );
+        assert_eq!(Json::parse(r#""\u0001""#).unwrap().as_str(), Some("\u{1}"));
+        // A string is the whole document: it ends where the input does.
+        assert_eq!(Json::parse("\"é\"").unwrap().as_str(), Some("é"));
+        assert_eq!(Json::parse("\"\"").unwrap().as_str(), Some(""));
+    }
+
+    #[test]
+    fn every_bad_string_is_rejected() {
+        for (doc, why) in [
+            ("\"abc", "unterminated string"),
+            ("\"é", "unterminated string"),
+            ("\"abc\\", "truncated escape"),
+            (r#""\q""#, "bad escape `\\q`"),
+            (r#""\U0041""#, "bad escape `\\U`"),
+            (r#""\u00""#, "truncated \\u escape"),
+            (r#""\u00"#, "truncated \\u escape"),
+            (r#""\u00zz""#, "bad \\u escape"),
+            (r#""\udc00""#, "bad \\u escape"),
+            (r#""\ud800""#, "expected `\\` at byte 7, found Some('\"')"),
+            (r#""\ud800x""#, "expected `\\` at byte 7, found Some('x')"),
+            (r#""\ud800\n""#, "expected `u` at byte 8, found Some('n')"),
+            (r#""\ud800\u0041""#, "bad \\u escape"),
+            (r#""\ud800\ud800""#, "bad \\u escape"),
+            (r#""\ud800\ue000""#, "bad \\u escape"),
+        ] {
+            assert_eq!(Json::parse(doc), Err(why.to_string()), "{doc}");
+        }
+    }
+
+    /// A megabyte of short strings. Milliseconds while a string costs
+    /// its own length to scan; minutes if every character ever again
+    /// costs the rest of the document.
+    #[test]
+    fn a_large_document_of_short_strings_parses() {
+        let mut w = JsonWriter::new();
+        w.begin_arr();
+        for i in 0..100_000 {
+            w.str_val(&format!("key{i:05}é"));
+        }
+        w.end_arr();
+        let doc = w.finish();
+        assert!(doc.len() > 1_000_000);
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.as_arr().unwrap().len(), 100_000);
+        assert_eq!(v.as_arr().unwrap()[99_999].as_str(), Some("key99999é"));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Whatever the writer escapes, the parser reads back.
+        #[test]
+        fn any_string_round_trips_through_the_writer(
+            points in proptest::collection::vec(
+                // ASCII (controls, quote and backslash included) as often
+                // as each wider encoding length.
+                prop_oneof![0u32..0x80, 0x80u32..0x800, 0x800u32..0x1_0000, 0x1_0000u32..0x11_0000],
+                0..40,
+            )
+        ) {
+            // The surrogate range holds no characters.
+            let s: String = points.into_iter().filter_map(char::from_u32).collect();
+            let mut w = JsonWriter::new();
+            w.str_val(&s);
+            prop_assert_eq!(Json::parse(&w.finish()), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

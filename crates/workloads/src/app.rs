@@ -8,20 +8,20 @@
 //! computation (work, then barrier, repeated) across work grains, and
 //! how much of the wall time each mechanism's barrier eats.
 //!
-//! [`cs_sensitivity`] is the lock-side analogue: as critical sections
-//! grow, lock overhead amortizes and every mechanism converges — the
-//! AMO advantage is a *short-critical-section* phenomenon.
+//! The lock-side analogue needs no scenario of its own: a ticket
+//! [`LockBench`](crate::runner::LockBench) at growing `cs_cycles` shows
+//! lock overhead amortizing and every mechanism converging — the AMO
+//! advantage is a *short-critical-section* phenomenon.
 //!
 //! Each study's cell is a [`Scenario`] ([`SyncTax`], [`Signal`],
 //! [`SelfSched`]) run by the same driver as every barrier and lock
 //! benchmark, so a cell can be rejected, can fail alone, and can be
-//! traced, sampled and profiled like any other run.
+//! traced, sampled and profiled like any other run. The sweeps over
+//! cells — grains × mechanisms — are campaign batches
+//! (`amo_campaign::artifacts`), not loops here.
 
 use crate::measure::barrier_measurement;
-use crate::runner::{
-    check_machine, check_measured, run_lock, run_scenario, BarrierAlgo, BarrierBench, Finished,
-    LockBench, LockKind, ObsSpec, Scenario,
-};
+use crate::runner::{check_machine, check_measured, BarrierAlgo, BarrierBench, Finished, Scenario};
 use amo_cpu::{Kernel, Op, Outcome};
 use amo_obs::{HostProf, Tracer};
 use amo_sim::Machine;
@@ -36,13 +36,6 @@ use rand::{Rng, SeedableRng};
 /// `run_seed(SYNC_TAX_SEED, grain)`.
 pub const SYNC_TAX_SEED: u64 = 0x7_AEED;
 
-/// Run a study cell on a fault-free machine, where an abort is a bug.
-fn run_ok<S: Scenario + Clone>(cell: &S) -> S::Output {
-    run_scenario(cell, ObsSpec::default())
-        .unwrap_or_else(|f| panic!("{f}"))
-        .timing
-}
-
 /// One mechanism's result at one work grain.
 #[derive(Clone, Debug)]
 pub struct SyncTaxCell {
@@ -52,15 +45,6 @@ pub struct SyncTaxCell {
     pub step_cycles: f64,
     /// Fraction of the step spent synchronizing (1 − work/step).
     pub tax: f64,
-}
-
-/// One row of the synchronization-tax study.
-#[derive(Clone, Debug)]
-pub struct SyncTaxRow {
-    /// Cycles of useful work per processor per step.
-    pub work_grain: Cycle,
-    /// Per-mechanism results.
-    pub cells: Vec<SyncTaxCell>,
 }
 
 /// One cell of the synchronization-tax study: `steps` iterations of
@@ -117,80 +101,6 @@ impl Scenario for SyncTax {
             tax: 1.0 - self.grain as f64 / m.avg_cycles,
         }
     }
-}
-
-/// Run a bulk-synchronous computation — `steps` iterations of
-/// `work_grain` cycles of local work followed by a barrier — and report
-/// each mechanism's synchronization tax.
-pub fn sync_tax(procs: u16, work_grains: &[Cycle], steps: u32, warmup: u32) -> Vec<SyncTaxRow> {
-    let cell = |mech, grain| SyncTax {
-        mech,
-        procs,
-        grain,
-        steps,
-        warmup,
-    };
-    work_grains
-        .iter()
-        .map(|&grain| SyncTaxRow {
-            work_grain: grain,
-            cells: Mechanism::ALL
-                .iter()
-                .map(|&mech| run_ok(&cell(mech, grain)))
-                .collect(),
-        })
-        .collect()
-}
-
-/// One row of the critical-section sensitivity study.
-#[derive(Clone, Debug)]
-pub struct CsSensitivityRow {
-    /// Critical-section length in cycles.
-    pub cs_cycles: Cycle,
-    /// (mechanism, ticket-lock benchmark time, AMO speedup over it is
-    /// derived by the caller).
-    pub times: Vec<(Mechanism, u64)>,
-}
-
-/// Sweep critical-section lengths for the ticket lock.
-pub fn cs_sensitivity(procs: u16, cs_lengths: &[Cycle], rounds: u32) -> Vec<CsSensitivityRow> {
-    cs_lengths
-        .iter()
-        .map(|&cs| {
-            let times = Mechanism::ALL
-                .iter()
-                .map(|&mech| {
-                    let r = run_lock(LockBench {
-                        rounds,
-                        cs_cycles: cs,
-                        ..LockBench::paper(mech, LockKind::Ticket, procs)
-                    });
-                    (mech, r.timing.total_cycles)
-                })
-                .collect();
-            CsSensitivityRow {
-                cs_cycles: cs,
-                times,
-            }
-        })
-        .collect()
-}
-
-/// Convenience used by renderers: AMO-over-LL/SC speedup of a row.
-pub fn row_amo_speedup(row: &CsSensitivityRow) -> f64 {
-    let llsc = row
-        .times
-        .iter()
-        .find(|(m, _)| *m == Mechanism::LlSc)
-        .expect("LL/SC measured")
-        .1 as f64;
-    let amo = row
-        .times
-        .iter()
-        .find(|(m, _)| *m == Mechanism::Amo)
-        .expect("AMO measured")
-        .1 as f64;
-    llsc / amo
 }
 
 /// Result of the producer→consumer signalling study.
@@ -353,42 +263,15 @@ pub struct SelfSchedCell {
     pub total_cycles: u64,
 }
 
-/// One row of the self-scheduling study.
-#[derive(Clone, Debug)]
-pub struct SelfSchedRow {
-    /// Cycles of work per task.
-    pub task_grain: Cycle,
-    /// Per-mechanism results.
-    pub cells: Vec<SelfSchedCell>,
-}
-
+/// One cell of the self-scheduling study: one mechanism draining the
+/// task pool at one task grain.
+///
 /// Dynamic loop self-scheduling (the NYU Ultracomputer's motivating
 /// fetch-and-add workload, paper Sec. 2): `tasks` loop iterations are
 /// handed out by an atomic fetch-add on a shared index; each worker
 /// loops "grab next index, compute" until the pool drains. At fine task
 /// grains the fetch-add is the bottleneck — precisely where shipping it
 /// to the memory controller pays.
-pub fn self_scheduling(procs: u16, tasks: u32, task_grains: &[Cycle]) -> Vec<SelfSchedRow> {
-    let cell = |mech, grain| SelfSched {
-        mech,
-        procs,
-        tasks,
-        grain,
-    };
-    task_grains
-        .iter()
-        .map(|&grain| SelfSchedRow {
-            task_grain: grain,
-            cells: Mechanism::ALL
-                .iter()
-                .map(|&mech| run_ok(&cell(mech, grain)))
-                .collect(),
-        })
-        .collect()
-}
-
-/// One cell of the self-scheduling study: one mechanism draining the
-/// task pool at one task grain.
 #[derive(Clone, Copy, Debug)]
 pub struct SelfSched {
     /// Mechanism under test.
@@ -489,38 +372,35 @@ pub fn barrier_cost_cycles(mech: Mechanism, procs: u16) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_lock, run_scenario, LockBench, LockKind, ObsSpec};
+
+    /// Run a study cell on a fault-free machine, where an abort is a bug.
+    fn run_ok<S: Scenario + Clone>(cell: &S) -> S::Output {
+        run_scenario(cell, ObsSpec::default())
+            .unwrap_or_else(|f| panic!("{f}"))
+            .timing
+    }
 
     #[test]
     fn sync_tax_decreases_with_work_grain() {
-        let rows = sync_tax(8, &[1_000, 50_000], 4, 1);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            let llsc = row
-                .cells
-                .iter()
-                .find(|c| c.mech == Mechanism::LlSc)
-                .unwrap();
-            let amo = row.cells.iter().find(|c| c.mech == Mechanism::Amo).unwrap();
-            assert!(
-                amo.tax < llsc.tax,
-                "AMO tax below LL/SC at grain {}",
-                row.work_grain
-            );
-            assert!(amo.tax > 0.0 && amo.tax < 1.0);
+        let tax = |mech, grain| {
+            let cell = SyncTax {
+                mech,
+                procs: 8,
+                grain,
+                steps: 4,
+                warmup: 1,
+            };
+            run_ok(&cell).tax
+        };
+        for grain in [1_000, 50_000] {
+            let (llsc, amo) = (tax(Mechanism::LlSc, grain), tax(Mechanism::Amo, grain));
+            assert!(amo < llsc, "AMO tax below LL/SC at grain {grain}");
+            assert!(amo > 0.0 && amo < 1.0);
         }
         // Bigger work grain → smaller tax for everyone.
-        let small = rows[0]
-            .cells
-            .iter()
-            .find(|c| c.mech == Mechanism::LlSc)
-            .unwrap()
-            .tax;
-        let big = rows[1]
-            .cells
-            .iter()
-            .find(|c| c.mech == Mechanism::LlSc)
-            .unwrap()
-            .tax;
+        let small = tax(Mechanism::LlSc, 1_000);
+        let big = tax(Mechanism::LlSc, 50_000);
         assert!(
             big < small,
             "tax must shrink with work grain: {small} -> {big}"
@@ -529,9 +409,19 @@ mod tests {
 
     #[test]
     fn amo_advantage_shrinks_with_critical_section_length() {
-        let rows = cs_sensitivity(8, &[50, 5_000], 4);
-        let short = row_amo_speedup(&rows[0]);
-        let long = row_amo_speedup(&rows[1]);
+        let amo_speedup = |cs_cycles| {
+            let cycles = |mech| {
+                let ticket = LockBench {
+                    rounds: 4,
+                    cs_cycles,
+                    ..LockBench::paper(mech, LockKind::Ticket, 8)
+                };
+                run_lock(ticket).timing.total_cycles as f64
+            };
+            cycles(Mechanism::LlSc) / cycles(Mechanism::Amo)
+        };
+        let short = amo_speedup(50);
+        let long = amo_speedup(5_000);
         assert!(
             long < short,
             "AMO speedup should shrink as critical sections grow: {short} -> {long}"
@@ -541,24 +431,23 @@ mod tests {
 
     #[test]
     fn self_scheduling_completes_every_task_and_amo_wins_fine_grains() {
-        let rows = self_scheduling(8, 64, &[50, 20_000]);
+        let cycles = |mech, grain| {
+            let cell = SelfSched {
+                mech,
+                procs: 8,
+                tasks: 64,
+                grain,
+            };
+            run_ok(&cell).total_cycles
+        };
         // Fine grain: the shared index is the bottleneck; AMO must win.
-        let fine = &rows[0].cells;
-        let llsc = fine
-            .iter()
-            .find(|c| c.mech == Mechanism::LlSc)
-            .unwrap()
-            .total_cycles;
-        let amo = fine
-            .iter()
-            .find(|c| c.mech == Mechanism::Amo)
-            .unwrap()
-            .total_cycles;
+        let llsc = cycles(Mechanism::LlSc, 50);
+        let amo = cycles(Mechanism::Amo, 50);
         assert!(amo < llsc, "fine-grain AMO {amo} vs LL/SC {llsc}");
         // Coarse grain: compute dominates; mechanisms converge within 20%.
-        let coarse = &rows[1].cells;
-        let min = coarse.iter().map(|c| c.total_cycles).min().unwrap() as f64;
-        let max = coarse.iter().map(|c| c.total_cycles).max().unwrap() as f64;
+        let coarse = Mechanism::ALL.map(|mech| cycles(mech, 20_000));
+        let min = *coarse.iter().min().unwrap() as f64;
+        let max = *coarse.iter().max().unwrap() as f64;
         assert!(max / min < 1.2, "coarse grain converges: {min} vs {max}");
         // Work conservation: coarse runs take at least tasks*grain/procs.
         assert!(max >= (64u64 * 20_000 / 8) as f64);

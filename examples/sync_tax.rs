@@ -12,7 +12,7 @@
 //! ```
 
 use amo::prelude::*;
-use amo::workloads::app::{barrier_cost_cycles, sync_tax};
+use amo::workloads::app::{barrier_cost_cycles, SyncTax};
 
 fn main() {
     let procs = 32u16;
@@ -36,10 +36,18 @@ fn main() {
         "{:>12} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "work/step", "LL/SC", "ActMsg", "Atomic", "MAO", "AMO"
     );
-    for row in sync_tax(procs, &[1_000, 10_000, 100_000], 8, 2) {
-        print!("{:>12}", row.work_grain);
-        for cell in &row.cells {
-            print!(" {:>8.1}%", cell.tax * 100.0);
+    for grain in [1_000, 10_000, 100_000] {
+        print!("{grain:>12}");
+        for mech in Mechanism::ALL {
+            let cell = SyncTax {
+                mech,
+                procs,
+                grain,
+                steps: 8,
+                warmup: 2,
+            };
+            let run = run_scenario(&cell, ObsSpec::default()).unwrap_or_else(|f| panic!("{f}"));
+            print!(" {:>8.1}%", run.timing.tax * 100.0);
         }
         println!();
     }
