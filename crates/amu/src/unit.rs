@@ -742,8 +742,9 @@ impl Amu {
         dirty
     }
 
-    /// Number of cached words (diagnostics).
-    pub fn cached_words(&self) -> usize {
+    /// Number of cached words.
+    #[cfg(test)]
+    fn cached_words(&self) -> usize {
         self.cache.len()
     }
 
@@ -751,11 +752,6 @@ impl Amu {
     /// flight (observability sampling).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether an operation is currently executing or waiting on memory.
-    pub fn in_flight(&self) -> bool {
-        !matches!(self.state, State::Idle)
     }
 
     /// Current cached value of `addr`, if present (diagnostics/tests).

@@ -2,9 +2,9 @@
 
 use crate::error::{DiagBundle, NodeDepths, SimError, SimErrorKind};
 use crate::hub::Hub;
-use amo_amu::AmuEffect;
+use amo_amu::{AmuEffect, AmuError};
 use amo_cpu::{Kernel, ProcEffect, ProcFault, Processor, TimerKind};
-use amo_directory::{DirAction, DirRequest};
+use amo_directory::{DirAction, DirRequest, Directory};
 use amo_engine::{Clock, EventQueue, QueueKind};
 use amo_faults::FaultPlan;
 use amo_noc::fabric::NodeTraffic;
@@ -109,15 +109,6 @@ impl RunResult {
             .iter()
             .map(|f| f.expect("kernel did not finish"))
             .max()
-            .expect("at least one kernel")
-    }
-
-    /// Earliest kernel completion time.
-    pub fn first_finish(&self) -> Cycle {
-        self.finished
-            .iter()
-            .map(|f| f.expect("kernel did not finish"))
-            .min()
             .expect("at least one kernel")
     }
 }
@@ -414,23 +405,35 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         self.timeseries.take()
     }
 
+    /// One node's occupancy right now: directory queue, AMU queue, and
+    /// the outstanding misses of its processors (sampler and abort
+    /// diagnostics).
+    fn node_depths(&self, node: NodeId) -> NodeDepths {
+        let hub = &self.hubs[node.index()];
+        let misses: usize = node
+            .procs(self.cfg.procs_per_node)
+            .map(|p| self.procs[p.index()].outstanding_misses())
+            .sum();
+        NodeDepths {
+            dir_queue: hub.directory.queued_requests() as u32,
+            amu_queue: hub.amu.queue_len() as u32,
+            outstanding_misses: misses as u32,
+        }
+    }
+
     fn sample_now(&mut self, when: Cycle) {
         let interval = self.sample_interval;
         let boundary = (when / interval) * interval;
         let mut per_node = Vec::with_capacity(self.hubs.len());
-        for (n, hub) in self.hubs.iter().enumerate() {
-            let node = NodeId(n as u16);
-            let misses: usize = node
-                .procs(self.cfg.procs_per_node)
-                .map(|p| self.procs[p.index()].outstanding_misses())
-                .sum();
+        for node in (0..self.hubs.len() as u16).map(NodeId) {
+            let depths = self.node_depths(node);
             per_node.push(NodeSample {
-                dir_queue: hub.directory.queued_requests() as u32,
-                amu_queue: hub.amu.queue_len() as u32,
+                dir_queue: depths.dir_queue,
+                amu_queue: depths.amu_queue,
                 egress_backlog: self.fabric.egress_backlog(node, when).min(u32::MAX as u64) as u32,
                 ingress_backlog: self.fabric.ingress_backlog(node, when).min(u32::MAX as u64)
                     as u32,
-                outstanding_misses: misses as u32,
+                outstanding_misses: depths.outstanding_misses,
             });
         }
         if let Some(ts) = self.timeseries.as_mut() {
@@ -518,14 +521,21 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     /// typed fault aborts the run (reported in [`RunResult::error`],
     /// never a panic). Returns timing and completion information.
     pub fn run(&mut self, max_cycles: Cycle) -> RunResult {
+        self.scoped(Scope::Run, |m| m.run_inner(max_cycles))
+    }
+
+    /// Run `f` inside host-profiling scope `scope`; under
+    /// [`NopHostProf`] this is `f(self)`.
+    #[inline(always)]
+    fn scoped<R>(&mut self, scope: Scope, f: impl FnOnce(&mut Self) -> R) -> R {
         if P::ENABLED {
-            self.prof.enter(Scope::Run);
+            self.prof.enter(scope);
         }
-        let res = self.run_inner(max_cycles);
+        let r = f(self);
         if P::ENABLED {
-            self.prof.exit(Scope::Run);
+            self.prof.exit(scope);
         }
-        res
+        r
     }
 
     fn run_inner(&mut self, max_cycles: Cycle) -> RunResult {
@@ -670,16 +680,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         self.batch.reverse();
     }
 
-    /// Like [`run`](Self::run), but folds the typed fault into the
-    /// return value: `Err` on an aborted run, `Ok` otherwise.
-    pub fn try_run(&mut self, max_cycles: Cycle) -> Result<RunResult, Box<SimError>> {
-        let mut res = self.run(max_cycles);
-        match res.error.take() {
-            Some(e) => Err(Box::new(e)),
-            None => Ok(res),
-        }
-    }
-
     /// Monotone per-run progress indicator the watchdog watches: kernel
     /// operations retired plus active-message handlers run. Delays,
     /// spins, and in-flight coherence traffic do not count — a machine
@@ -694,19 +694,9 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             self.tracer
                 .record(TraceEvent::instant(TraceKind::Fault, 0, self.clock.now()).args(at, 0));
         }
-        let mut queue_depths = Vec::with_capacity(self.hubs.len());
-        for (n, hub) in self.hubs.iter().enumerate() {
-            let node = NodeId(n as u16);
-            let misses: usize = node
-                .procs(self.cfg.procs_per_node)
-                .map(|p| self.procs[p.index()].outstanding_misses())
-                .sum();
-            queue_depths.push(NodeDepths {
-                dir_queue: hub.directory.queued_requests() as u32,
-                amu_queue: hub.amu.queue_len() as u32,
-                outstanding_misses: misses as u32,
-            });
-        }
+        let queue_depths = (0..self.hubs.len() as u16)
+            .map(|n| self.node_depths(NodeId(n)))
+            .collect();
         SimError {
             kind,
             at,
@@ -805,41 +795,99 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         }
     }
 
+    /// Call one `Processor` entry point of `p` with a pooled effect buffer,
+    /// then execute the effects it appended.
+    #[inline(always)]
+    fn on_proc(&mut self, p: ProcId, now: Cycle, f: impl FnOnce(&mut Self, &mut Vec<ProcEffect>)) {
+        let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
+        f(self, &mut eff);
+        self.run_proc_effects(p, &mut eff, now);
+        self.proc_eff_pool.push(eff);
+    }
+
+    /// Call into `node`'s hub for its AMU (inside the `AmuExec` scope)
+    /// with a pooled effect buffer, then execute the effects.
+    #[inline(always)]
+    fn on_amu<R>(
+        &mut self,
+        node: NodeId,
+        now: Cycle,
+        f: impl FnOnce(&mut Hub, &mut Stats, &mut Vec<AmuEffect>) -> R,
+    ) -> R {
+        let mut eff = self.amu_eff_pool.pop().unwrap_or_default();
+        let r = self.scoped(Scope::AmuExec, |m| {
+            f(&mut m.hubs[node.index()], &mut m.stats, &mut eff)
+        });
+        self.run_amu_effects(node, &mut eff, now);
+        self.amu_eff_pool.push(eff);
+        r
+    }
+
+    /// Call one entry point of `node`'s directory with a pooled action
+    /// buffer, then execute the actions. The call itself is timed under
+    /// `scope`; `None` leaves its time with the caller's scope.
+    #[inline(always)]
+    fn on_dir<R>(
+        &mut self,
+        node: NodeId,
+        now: Cycle,
+        scope: Option<Scope>,
+        f: impl FnOnce(&mut Directory, &mut Stats, &mut Vec<DirAction>) -> R,
+    ) -> R {
+        let mut actions = self.dir_act_pool.pop().unwrap_or_default();
+        let call = |m: &mut Self| {
+            f(
+                &mut m.hubs[node.index()].directory,
+                &mut m.stats,
+                &mut actions,
+            )
+        };
+        let r = match scope {
+            Some(scope) => self.scoped(scope, call),
+            None => call(self),
+        };
+        self.run_dir_actions(node, &mut actions, now);
+        self.dir_act_pool.push(actions);
+        r
+    }
+
+    /// An AMU completion the unit was not waiting for is a bug in the
+    /// model, not in the simulated program: abort with a typed error.
+    fn amu_protocol(&mut self, node: NodeId, now: Cycle, res: Result<(), AmuError>) {
+        if let Err(err) = res {
+            self.pending_fault
+                .get_or_insert((SimErrorKind::AmuProtocol { node, err }, now));
+        }
+    }
+
     fn dispatch_inner(&mut self, ev: Event, now: Cycle) {
         match ev {
-            Event::ProcWake(p) => {
-                let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
-                self.procs[p.index()].step_into(now, &mut self.stats, &mut eff);
-                self.run_proc_effects(p, &mut eff, now);
-                self.proc_eff_pool.push(eff);
-            }
+            Event::ProcWake(p) => self.on_proc(p, now, |m, eff| {
+                m.procs[p.index()].step_into(now, &mut m.stats, eff)
+            }),
             Event::ProcHandlerDone(p) => {
-                let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
-                self.procs[p.index()].handler_done_into(now, &mut self.stats, &mut eff);
-                self.run_proc_effects(p, &mut eff, now);
-                self.proc_eff_pool.push(eff);
+                self.on_proc(p, now, |m, eff| {
+                    m.procs[p.index()].handler_done_into(now, &mut m.stats, eff)
+                });
                 // The kernel may have been blocked behind the handler.
                 self.queue.schedule(now, Event::ProcWake(p));
             }
-            Event::ProcTimeout(p, req, kind) => {
-                let fired_before = self.stats.e2e_timeouts;
-                let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
-                self.procs[p.index()].timeout_into(req, kind, now, &mut self.stats, &mut eff);
-                if T::ENABLED && self.stats.e2e_timeouts > fired_before {
+            Event::ProcTimeout(p, req, kind) => self.on_proc(p, now, |m, eff| {
+                let fired_before = m.stats.e2e_timeouts;
+                m.procs[p.index()].timeout_into(req, kind, now, &mut m.stats, eff);
+                if T::ENABLED && m.stats.e2e_timeouts > fired_before {
                     let attempt = match kind {
                         TimerKind::E2e { attempt } => attempt as u64,
                         TimerKind::Retry => 0,
                     };
-                    self.tracer.record(
-                        TraceEvent::instant(TraceKind::E2eTimeout, self.node_of(p).0, now)
+                    m.tracer.record(
+                        TraceEvent::instant(TraceKind::E2eTimeout, m.node_of(p).0, now)
                             .on_proc(p.0)
                             .args(p.0 as u64, attempt)
                             .flow(req.flow()),
                     );
                 }
-                self.run_proc_effects(p, &mut eff, now);
-                self.proc_eff_pool.push(eff);
-            }
+            }),
             Event::ProcWordUpdate(p, addr, value) => {
                 if T::ENABLED {
                     self.tracer.record(
@@ -848,10 +896,9 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                             .class(MsgClass::WordUpdate.index()),
                     );
                 }
-                let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
-                self.procs[p.index()].word_update_into(addr, value, now, &mut self.stats, &mut eff);
-                self.run_proc_effects(p, &mut eff, now);
-                self.proc_eff_pool.push(eff);
+                self.on_proc(p, now, |m, eff| {
+                    m.procs[p.index()].word_update_into(addr, value, now, &mut m.stats, eff)
+                });
             }
             Event::ToHub(node, payload) => {
                 if T::ENABLED {
@@ -867,57 +914,22 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             Event::DramDone(node, block) => {
                 let words = self.cfg.l2.line_words();
                 let data = self.hubs[node.index()].memory.read_block(block, words);
-                let mut actions = self.dir_act_pool.pop().unwrap_or_default();
-                if P::ENABLED {
-                    self.prof.enter(Scope::DirProtocol);
-                }
-                self.hubs[node.index()].directory.dram_done_into(
-                    block,
-                    data,
-                    &mut self.stats,
-                    &mut actions,
-                );
-                if P::ENABLED {
-                    self.prof.exit(Scope::DirProtocol);
-                }
-                self.run_dir_actions(node, &mut actions, now);
-                self.dir_act_pool.push(actions);
-            }
-            Event::AmuWake(node) => {
-                let mut eff = self.amu_eff_pool.pop().unwrap_or_default();
-                if P::ENABLED {
-                    self.prof.enter(Scope::AmuExec);
-                }
-                self.hubs[node.index()]
-                    .amu
-                    .advance_into(now, &mut self.stats, &mut eff);
-                if P::ENABLED {
-                    self.prof.exit(Scope::AmuExec);
-                }
-                self.run_amu_effects(node, &mut eff, now);
-                self.amu_eff_pool.push(eff);
-            }
-            Event::AmuMemValue(node, token, addr) => {
-                if P::ENABLED {
-                    self.prof.enter(Scope::AmuExec);
-                }
-                let value = self.hubs[node.index()].memory.read_word(addr);
-                let mut eff = self.amu_eff_pool.pop().unwrap_or_default();
-                if let Err(err) = self.hubs[node.index()].amu.mem_value_into(
-                    token,
-                    value,
+                self.on_dir(
+                    node,
                     now,
-                    &mut self.stats,
-                    &mut eff,
-                ) {
-                    self.pending_fault
-                        .get_or_insert((SimErrorKind::AmuProtocol { node, err }, now));
-                }
-                if P::ENABLED {
-                    self.prof.exit(Scope::AmuExec);
-                }
-                self.run_amu_effects(node, &mut eff, now);
-                self.amu_eff_pool.push(eff);
+                    Some(Scope::DirProtocol),
+                    |dir, stats, actions| dir.dram_done_into(block, data, stats, actions),
+                );
+            }
+            Event::AmuWake(node) => self.on_amu(node, now, |hub, stats, eff| {
+                hub.amu.advance_into(now, stats, eff)
+            }),
+            Event::AmuMemValue(node, token, addr) => {
+                let res = self.on_amu(node, now, |hub, stats, eff| {
+                    let value = hub.memory.read_word(addr);
+                    hub.amu.mem_value_into(token, value, now, stats, eff)
+                });
+                self.amu_protocol(node, now, res);
             }
             Event::AmuSend(node, proc, payload) => {
                 self.send_to_proc(node, proc, payload, now);
@@ -931,10 +943,9 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                             .flow(flow_of(&payload)),
                     );
                 }
-                let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
-                self.procs[p.index()].handle_into(payload, now, &mut self.stats, &mut eff);
-                self.run_proc_effects(p, &mut eff, now);
-                self.proc_eff_pool.push(eff);
+                self.on_proc(p, now, |m, eff| {
+                    m.procs[p.index()].handle_into(payload, now, &mut m.stats, eff)
+                });
             }
         }
     }
@@ -954,21 +965,10 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         now: Cycle,
     ) {
         let browned = self.faults.brownouts_enabled() && self.faults.amu_browned_out(node.0, now);
-        let ok = !browned && {
-            let mut eff = self.amu_eff_pool.pop().unwrap_or_default();
-            if P::ENABLED {
-                self.prof.enter(Scope::AmuExec);
-            }
-            let ok = self.hubs[node.index()]
-                .amu
-                .submit_into(op, now, &mut self.stats, &mut eff);
-            if P::ENABLED {
-                self.prof.exit(Scope::AmuExec);
-            }
-            self.run_amu_effects(node, &mut eff, now);
-            self.amu_eff_pool.push(eff);
-            ok
-        };
+        let ok = !browned
+            && self.on_amu(node, now, |hub, stats, eff| {
+                hub.amu.submit_into(op, now, stats, eff)
+            });
         if !ok {
             if browned {
                 self.stats.amu_brownout_nacks += 1;
@@ -1081,9 +1081,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 );
             }
             Payload::ActMsgAck { req, .. } => {
-                // The requester's id is encoded in the high bits of the
-                // request tag it allocated.
-                let proc = ProcId((req.0 >> 48) as u16);
+                // The ack goes back to whoever allocated the request tag.
+                let proc = req.proc();
                 assert_eq!(self.node_of(proc), node, "ack misrouted");
                 self.queue
                     .schedule(now + self.cfg.bus_latency, Event::ToProc(proc, payload));
@@ -1107,72 +1106,61 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
 
     /// A directory-bound message cleared the occupancy pipeline.
     fn dir_process(&mut self, node: NodeId, payload: Payload, now: Cycle) {
-        let mut actions = self.dir_act_pool.pop().unwrap_or_default();
-        if P::ENABLED {
-            self.prof.enter(Scope::DirProtocol);
+        let expected = self.on_dir(
+            node,
+            now,
+            Some(Scope::DirProtocol),
+            |dir, stats, actions| {
+                match payload {
+                    Payload::GetS {
+                        req,
+                        requester,
+                        block,
+                    } => {
+                        dir.request_into(block, DirRequest::GetS { req, requester }, stats, actions)
+                    }
+                    Payload::GetX {
+                        req,
+                        requester,
+                        block,
+                    } => {
+                        dir.request_into(block, DirRequest::GetX { req, requester }, stats, actions)
+                    }
+                    Payload::Upgrade {
+                        req,
+                        requester,
+                        block,
+                    } => dir.request_into(
+                        block,
+                        DirRequest::Upgrade { req, requester },
+                        stats,
+                        actions,
+                    ),
+                    Payload::Writeback {
+                        requester,
+                        block,
+                        data,
+                    } => dir.writeback_into(block, requester, data, stats, actions),
+                    Payload::InvAck { block, from } => {
+                        dir.inv_ack_into(block, from, stats, actions)
+                    }
+                    Payload::InterventionReply { block, from, resp } => {
+                        dir.intervention_reply_into(block, from, resp, stats, actions)
+                    }
+                    _ => return false,
+                }
+                true
+            },
+        );
+        if !expected {
+            self.pending_fault.get_or_insert((
+                SimErrorKind::UnexpectedPayload {
+                    at: "directory",
+                    node,
+                },
+                now,
+            ));
         }
-        let hub = &mut self.hubs[node.index()];
-        match payload {
-            Payload::GetS {
-                req,
-                requester,
-                block,
-            } => hub.directory.request_into(
-                block,
-                DirRequest::GetS { req, requester },
-                &mut self.stats,
-                &mut actions,
-            ),
-            Payload::GetX {
-                req,
-                requester,
-                block,
-            } => hub.directory.request_into(
-                block,
-                DirRequest::GetX { req, requester },
-                &mut self.stats,
-                &mut actions,
-            ),
-            Payload::Upgrade {
-                req,
-                requester,
-                block,
-            } => hub.directory.request_into(
-                block,
-                DirRequest::Upgrade { req, requester },
-                &mut self.stats,
-                &mut actions,
-            ),
-            Payload::Writeback {
-                requester,
-                block,
-                data,
-            } => {
-                hub.directory
-                    .writeback_into(block, requester, data, &mut self.stats, &mut actions)
-            }
-            Payload::InvAck { block, from } => {
-                hub.directory
-                    .inv_ack_into(block, from, &mut self.stats, &mut actions)
-            }
-            Payload::InterventionReply { block, from, resp } => hub
-                .directory
-                .intervention_reply_into(block, from, resp, &mut self.stats, &mut actions),
-            _ => {
-                self.pending_fault.get_or_insert((
-                    SimErrorKind::UnexpectedPayload {
-                        at: "directory",
-                        node,
-                    },
-                    now,
-                ));
-            }
-        }
-        if P::ENABLED {
-            self.prof.exit(Scope::DirProtocol);
-        }
-        self.run_dir_actions(node, &mut actions, now);
-        self.dir_act_pool.push(actions);
     }
 
     fn run_dir_actions(&mut self, node: NodeId, actions: &mut Vec<DirAction>, now: Cycle) {
@@ -1191,42 +1179,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                     flow,
                 } => {
                     let payload = Payload::WordUpdate { addr, value };
-                    let retx = if T::ENABLED {
-                        (
-                            self.stats.link_retransmissions,
-                            self.stats.link_replay_cycles,
-                        )
-                    } else {
-                        (0, 0)
-                    };
-                    if P::ENABLED {
-                        self.prof.enter(Scope::NocSend);
-                    }
-                    let arrival = self.fabric.send(
-                        now,
-                        node,
-                        dst,
-                        &payload,
-                        MsgEndpoint::Hub,
-                        &mut self.stats,
-                    );
-                    if P::ENABLED {
-                        self.prof.exit(Scope::NocSend);
-                    }
-                    if T::ENABLED {
-                        self.trace_link_retry(node, now, retx);
-                        let bytes = payload.size_bytes(&self.cfg.network);
-                        self.tracer.record(
-                            TraceEvent::span(TraceKind::MsgSend, node.0, now, arrival)
-                                .class(payload.class().index())
-                                .args(
-                                    dst.0 as u64,
-                                    self.fabric.zero_load_latency(node, dst, bytes),
-                                )
-                                .flow(flow),
-                        );
-                    }
-                    self.queue.schedule(arrival, Event::ToHub(dst, payload));
+                    self.inject(now, node, dst, payload, None, None, flow);
                 }
                 DirAction::ReadDram { block } => {
                     let done = self.hubs[node.index()].dram.access(now, block);
@@ -1249,26 +1202,10 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                     }
                 }
                 DirAction::FineValue { token, addr, value } => {
-                    let mut eff = self.amu_eff_pool.pop().unwrap_or_default();
-                    if P::ENABLED {
-                        self.prof.enter(Scope::AmuExec);
-                    }
-                    if let Err(err) = self.hubs[node.index()].amu.fine_value_into(
-                        token,
-                        addr,
-                        value,
-                        now,
-                        &mut self.stats,
-                        &mut eff,
-                    ) {
-                        self.pending_fault
-                            .get_or_insert((SimErrorKind::AmuProtocol { node, err }, now));
-                    }
-                    if P::ENABLED {
-                        self.prof.exit(Scope::AmuExec);
-                    }
-                    self.run_amu_effects(node, &mut eff, now);
-                    self.amu_eff_pool.push(eff);
+                    let res = self.on_amu(node, now, |hub, stats, eff| {
+                        hub.amu.fine_value_into(token, addr, value, now, stats, eff)
+                    });
+                    self.amu_protocol(node, now, res);
                 }
             }
         }
@@ -1281,6 +1218,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         if P::ENABLED {
             self.prof.enter(Scope::AmuExec);
         }
+        // Directory calls made from here are the AMU's fine-grained
+        // accesses: their time stays in `AmuExec`, not `DirProtocol`.
         for eff in effects.drain(..) {
             match eff {
                 AmuEffect::ReplyAt {
@@ -1303,39 +1242,21 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 }
                 AmuEffect::FineGet { token, addr, .. } => {
                     let block = addr.block(self.cfg.l2.line_bytes);
-                    let mut actions = self.dir_act_pool.pop().unwrap_or_default();
-                    self.hubs[node.index()].directory.request_into(
-                        block,
-                        DirRequest::FineGet { token, addr },
-                        &mut self.stats,
-                        &mut actions,
-                    );
-                    self.run_dir_actions(node, &mut actions, now);
-                    self.dir_act_pool.push(actions);
+                    self.on_dir(node, now, None, |dir, stats, actions| {
+                        dir.request_into(block, DirRequest::FineGet { token, addr }, stats, actions)
+                    });
                 }
                 AmuEffect::FinePut { addr, value, flow } => {
                     let block = addr.block(self.cfg.l2.line_bytes);
-                    let mut actions = self.dir_act_pool.pop().unwrap_or_default();
-                    self.hubs[node.index()].directory.request_into(
-                        block,
-                        DirRequest::FinePut { addr, value, flow },
-                        &mut self.stats,
-                        &mut actions,
-                    );
-                    self.run_dir_actions(node, &mut actions, now);
-                    self.dir_act_pool.push(actions);
+                    let put = DirRequest::FinePut { addr, value, flow };
+                    self.on_dir(node, now, None, |dir, stats, actions| {
+                        dir.request_into(block, put, stats, actions)
+                    });
                 }
                 AmuEffect::FineComplete { block, put, flow } => {
-                    let mut actions = self.dir_act_pool.pop().unwrap_or_default();
-                    self.hubs[node.index()].directory.fine_complete_into(
-                        block,
-                        put,
-                        flow,
-                        &mut self.stats,
-                        &mut actions,
-                    );
-                    self.run_dir_actions(node, &mut actions, now);
-                    self.dir_act_pool.push(actions);
+                    self.on_dir(node, now, None, |dir, stats, actions| {
+                        dir.fine_complete_into(block, put, flow, stats, actions)
+                    });
                 }
                 AmuEffect::ReadMemWord { token, addr } => {
                     let done = self.hubs[node.index()]
@@ -1359,86 +1280,99 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         }
     }
 
-    /// Emit a [`TraceKind::LinkRetry`] instant if the send that just
-    /// completed consumed link replays, detected by the counter delta
-    /// against `before` = `(link_retransmissions, link_replay_cycles)`
-    /// sampled before the send. Traced-build only.
-    fn trace_link_retry(&mut self, node: NodeId, now: Cycle, before: (u64, u64)) {
-        let retx = self.stats.link_retransmissions - before.0;
-        if retx > 0 {
-            let cycles = self.stats.link_replay_cycles - before.1;
-            self.tracer
-                .record(TraceEvent::instant(TraceKind::LinkRetry, node.0, now).args(retx, cycles));
+    /// The one way onto the fabric: send `payload` from `src`'s hub at
+    /// cycle `at` to `dst`, where it is handed to processor `to` across
+    /// the bus or, with no `to`, to the hub itself. Times the transfer,
+    /// traces it (on `sender`'s track when a processor sent it) and
+    /// schedules the one, zero or two arrivals the delivery-fault layer
+    /// decides on.
+    #[allow(clippy::too_many_arguments)]
+    fn inject(
+        &mut self,
+        at: Cycle,
+        src: NodeId,
+        dst: NodeId,
+        payload: Payload,
+        sender: Option<ProcId>,
+        to: Option<ProcId>,
+        flow: u64,
+    ) {
+        let far_end = match sender.or(to) {
+            Some(_) => MsgEndpoint::Proc,
+            None => MsgEndpoint::Hub,
+        };
+        let retx_before = (
+            self.stats.link_retransmissions,
+            self.stats.link_replay_cycles,
+        );
+        let delivery = self.scoped(Scope::NocSend, |m| {
+            m.fabric
+                .send_delivery(at, src, dst, &payload, far_end, &mut m.stats)
+        });
+        let class = payload.class().index();
+        if T::ENABLED {
+            // Link replays the send consumed, by the counter delta.
+            let retx = self.stats.link_retransmissions - retx_before.0;
+            if retx > 0 {
+                let cycles = self.stats.link_replay_cycles - retx_before.1;
+                self.tracer.record(
+                    TraceEvent::instant(TraceKind::LinkRetry, src.0, at).args(retx, cycles),
+                );
+            }
+            let bytes = payload.size_bytes(&self.cfg.network);
+            let mut span = TraceEvent::span(TraceKind::MsgSend, src.0, at, delivery.primary())
+                .class(class)
+                .args(dst.0 as u64, self.fabric.zero_load_latency(src, dst, bytes))
+                .flow(flow);
+            if let Some(p) = sender {
+                span = span
+                    .on_proc(p.0)
+                    .parent(self.procs[p.index()].flow_parent(&payload));
+            }
+            self.tracer.record(span);
+        }
+        let arrive = |m: &mut Self, when: Cycle, payload: Payload| match to {
+            Some(p) => m
+                .queue
+                .schedule(when + m.cfg.bus_latency, Event::ToProc(p, payload)),
+            None => m.queue.schedule(when, Event::ToHub(dst, payload)),
+        };
+        let fault = |kind: TraceKind, when: Cycle| {
+            TraceEvent::instant(kind, dst.0, when)
+                .class(class)
+                .args(src.0 as u64, 0)
+                .flow(flow)
+        };
+        match delivery {
+            Delivery::One(when) => arrive(self, when, payload),
+            Delivery::Dropped(when) => {
+                if T::ENABLED {
+                    self.tracer.record(fault(TraceKind::MsgDrop, when));
+                }
+            }
+            Delivery::Dup(first, second) => {
+                if T::ENABLED {
+                    self.tracer.record(fault(TraceKind::MsgDup, second));
+                }
+                arrive(self, first, payload.clone());
+                arrive(self, second, payload);
+            }
         }
     }
 
     /// Send a hub-originated message to a processor: fabric to its node,
     /// then the bus.
     fn send_to_proc(&mut self, from: NodeId, proc: ProcId, payload: Payload, now: Cycle) {
-        let dst = self.node_of(proc);
-        let retx = if T::ENABLED {
-            (
-                self.stats.link_retransmissions,
-                self.stats.link_replay_cycles,
-            )
-        } else {
-            (0, 0)
-        };
-        if P::ENABLED {
-            self.prof.enter(Scope::NocSend);
-        }
-        let delivery =
-            self.fabric
-                .send_delivery(now, from, dst, &payload, MsgEndpoint::Proc, &mut self.stats);
-        if P::ENABLED {
-            self.prof.exit(Scope::NocSend);
-        }
-        let arrival = delivery.primary();
-        if T::ENABLED {
-            self.trace_link_retry(from, now, retx);
-            let bytes = payload.size_bytes(&self.cfg.network);
-            self.tracer.record(
-                TraceEvent::span(TraceKind::MsgSend, from.0, now, arrival)
-                    .class(payload.class().index())
-                    .args(
-                        dst.0 as u64,
-                        self.fabric.zero_load_latency(from, dst, bytes),
-                    )
-                    .flow(flow_of(&payload)),
-            );
-        }
-        match delivery {
-            Delivery::One(arrival) => {
-                self.queue
-                    .schedule(arrival + self.cfg.bus_latency, Event::ToProc(proc, payload));
-            }
-            Delivery::Dropped(arrival) => {
-                if T::ENABLED {
-                    self.tracer.record(
-                        TraceEvent::instant(TraceKind::MsgDrop, dst.0, arrival)
-                            .class(payload.class().index())
-                            .args(from.0 as u64, 0)
-                            .flow(flow_of(&payload)),
-                    );
-                }
-            }
-            Delivery::Dup(first, second) => {
-                if T::ENABLED {
-                    self.tracer.record(
-                        TraceEvent::instant(TraceKind::MsgDup, dst.0, second)
-                            .class(payload.class().index())
-                            .args(from.0 as u64, 0)
-                            .flow(flow_of(&payload)),
-                    );
-                }
-                self.queue.schedule(
-                    first + self.cfg.bus_latency,
-                    Event::ToProc(proc, payload.clone()),
-                );
-                self.queue
-                    .schedule(second + self.cfg.bus_latency, Event::ToProc(proc, payload));
-            }
-        }
+        let flow = flow_of(&payload);
+        self.inject(
+            now,
+            from,
+            self.node_of(proc),
+            payload,
+            None,
+            Some(proc),
+            flow,
+        );
     }
 
     fn run_proc_effects(&mut self, p: ProcId, effects: &mut Vec<ProcEffect>, now: Cycle) {
@@ -1446,70 +1380,9 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         for eff in effects.drain(..) {
             match eff {
                 ProcEffect::Send { dst, payload } => {
-                    let t = now + self.cfg.bus_latency;
-                    let retx = if T::ENABLED {
-                        (
-                            self.stats.link_retransmissions,
-                            self.stats.link_replay_cycles,
-                        )
-                    } else {
-                        (0, 0)
-                    };
-                    if P::ENABLED {
-                        self.prof.enter(Scope::NocSend);
-                    }
-                    let delivery = self.fabric.send_delivery(
-                        t,
-                        src,
-                        dst,
-                        &payload,
-                        MsgEndpoint::Proc,
-                        &mut self.stats,
-                    );
-                    if P::ENABLED {
-                        self.prof.exit(Scope::NocSend);
-                    }
-                    let arrival = delivery.primary();
-                    if T::ENABLED {
-                        self.trace_link_retry(src, t, retx);
-                        let bytes = payload.size_bytes(&self.cfg.network);
-                        self.tracer.record(
-                            TraceEvent::span(TraceKind::MsgSend, src.0, t, arrival)
-                                .on_proc(p.0)
-                                .class(payload.class().index())
-                                .args(dst.0 as u64, self.fabric.zero_load_latency(src, dst, bytes))
-                                .flow(flow_of(&payload))
-                                .parent(self.procs[p.index()].flow_parent(&payload)),
-                        );
-                    }
-                    match delivery {
-                        Delivery::One(arrival) => {
-                            self.queue.schedule(arrival, Event::ToHub(dst, payload));
-                        }
-                        Delivery::Dropped(arrival) => {
-                            if T::ENABLED {
-                                self.tracer.record(
-                                    TraceEvent::instant(TraceKind::MsgDrop, dst.0, arrival)
-                                        .class(payload.class().index())
-                                        .args(src.0 as u64, 0)
-                                        .flow(flow_of(&payload)),
-                                );
-                            }
-                        }
-                        Delivery::Dup(first, second) => {
-                            if T::ENABLED {
-                                self.tracer.record(
-                                    TraceEvent::instant(TraceKind::MsgDup, dst.0, second)
-                                        .class(payload.class().index())
-                                        .args(src.0 as u64, 0)
-                                        .flow(flow_of(&payload)),
-                                );
-                            }
-                            self.queue
-                                .schedule(first, Event::ToHub(dst, payload.clone()));
-                            self.queue.schedule(second, Event::ToHub(dst, payload));
-                        }
-                    }
+                    // The message crosses the sender's bus first.
+                    let (at, flow) = (now + self.cfg.bus_latency, flow_of(&payload));
+                    self.inject(at, src, dst, payload, Some(p), None, flow);
                 }
                 ProcEffect::Wake { when } => {
                     self.queue.schedule(when, Event::ProcWake(p));
@@ -1697,6 +1570,68 @@ mod tests {
             RingTracer::new(1 << 12),
         ));
         assert_eq!(plain, traced, "tracing must not perturb timing");
+    }
+
+    #[test]
+    fn every_message_is_sent_and_traced_once() {
+        use amo_obs::RingTracer;
+        // One delivery in five of the faultable classes arrives twice.
+        let mut cfg = SystemConfig::with_procs(8);
+        cfg.faults.link_dup_ppm = 200_000;
+        let mut m = Machine::with_tracer(cfg, QueueKind::Calendar, RingTracer::new(1 << 16));
+        // Four AMO barrier episodes, each on its own counter: amo.inc
+        // with the delayed put at 8, then spin on the pushed update.
+        let counters = [0x300, 0x380, 0x400, 0x480].map(|off| var(0, off));
+        for p in 0..8u16 {
+            let ops = counters.iter().flat_map(|&addr| {
+                [
+                    Op::Amo {
+                        kind: AmoKind::Inc,
+                        addr,
+                        operand: 0,
+                        test: Some(8),
+                    },
+                    Op::SpinUntil {
+                        addr,
+                        pred: SpinPred::Eq(8),
+                    },
+                ]
+            });
+            let (k, _) = Script::new(ops.collect());
+            m.install_kernel(ProcId(p), Box::new(k), (p as u64) * 50);
+        }
+        let res = m.run(10_000_000);
+        assert!(res.all_finished && res.error.is_none(), "{:?}", res.error);
+        for ctr in counters {
+            assert_eq!(m.memory(NodeId(0)).read_word(ctr), 8, "barrier count");
+        }
+        assert_eq!(m.stats().amo_ops, 32, "a duplicate must not apply twice");
+        // Every send went through the one `inject`: one span per message
+        // the fabric counted, in every class.
+        let buf = m.take_trace_buf().expect("ring tracer keeps a buffer");
+        assert_eq!(buf.dropped, 0);
+        let of_kind = |kind: TraceKind| buf.events.iter().filter(move |e| e.kind == kind);
+        for class in amo_types::stats::ALL_MSG_CLASSES {
+            let spans = of_kind(TraceKind::MsgSend)
+                .filter(|e| e.class as usize == class.index())
+                .count() as u64;
+            assert_eq!(spans, m.stats().msgs[class.index()], "{class:?}");
+        }
+        assert_eq!(
+            of_kind(TraceKind::MsgSend).count() as u64,
+            m.stats().total_msgs()
+        );
+        // Only the AMO request/reply channel is duplicated; word updates
+        // and coherence traffic share the path and are never touched.
+        assert!(m.stats().msgs_duplicated > 0);
+        assert_eq!(
+            of_kind(TraceKind::MsgDup).count() as u64,
+            m.stats().msgs_duplicated
+        );
+        assert!(of_kind(TraceKind::MsgDup).all(|e| e.class as usize == MsgClass::Amo.index()));
+        for class in [MsgClass::WordUpdate, MsgClass::Request, MsgClass::Data] {
+            assert!(m.stats().msgs[class.index()] > 0, "{class:?} never sent");
+        }
     }
 
     #[test]
@@ -2224,7 +2159,7 @@ mod tests {
             value: 1,
         }]);
         m.install_kernel(ProcId(0), Box::new(k), 0);
-        let err = m.try_run(1_000_000).unwrap_err();
+        let err = m.run(1_000_000).error.expect("typed abort");
         assert!(
             matches!(err.kind, SimErrorKind::LinkFailed { attempts: 2, .. }),
             "{err}"
@@ -2268,7 +2203,7 @@ mod tests {
             pred: SpinPred::Eq(1),
         }]);
         m.install_kernel(ProcId(2), Box::new(k), 0);
-        let err = m.try_run(10_000_000).unwrap_err();
+        let err = m.run(10_000_000).error.expect("typed abort");
         assert!(
             matches!(err.kind, SimErrorKind::Deadlock { unfinished: 1 }),
             "{err}"
@@ -2288,7 +2223,7 @@ mod tests {
             value: 1,
         }]);
         m.install_kernel(ProcId(0), Box::new(k), 0);
-        let err = m.try_run(1_000_000).unwrap_err();
+        let err = m.run(1_000_000).error.expect("typed abort");
         let buf = err.bundle.trace.as_ref().expect("ring tail attached");
         assert!(buf.events.iter().any(|e| e.kind == TraceKind::Fault));
         assert!(buf.events.iter().any(|e| e.kind == TraceKind::LinkRetry));

@@ -56,10 +56,23 @@ impl fmt::Display for NodeId {
 
 /// Tag matching a reply to the request that caused it. Unique within a run;
 /// allocated monotonically by whoever issues requests (processors, AMUs).
+/// The layout — allocating processor in the top 16 bits, its sequence
+/// number in the low 48 — is owned here: build with [`ReqId::new`], take
+/// apart with [`ReqId::proc`] and [`ReqId::seq`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ReqId(pub u64);
 
 impl ReqId {
+    const SEQ_BITS: u32 = 48;
+
+    /// The `seq`-th tag allocated by `proc`. Sequences start at 1, so no
+    /// tag maps to flow id 0.
+    #[inline]
+    pub fn new(proc: ProcId, seq: u64) -> Self {
+        debug_assert!(seq >> Self::SEQ_BITS == 0, "request sequence overflow");
+        ReqId(((proc.0 as u64) << Self::SEQ_BITS) | seq)
+    }
+
     /// The causal flow identity of this request: every trace event that
     /// participates in the request's life (injection, hub receipt,
     /// directory service, AMU execution, NACKs, retries, the reply, and
@@ -72,11 +85,18 @@ impl ReqId {
         self.0
     }
 
-    /// The processor that allocated this tag (encoded in the high bits
-    /// by [`ReqId`] allocation — see `Processor::alloc_req`).
+    /// The processor that allocated this tag.
     #[inline]
     pub fn proc(self) -> ProcId {
-        ProcId((self.0 >> 48) as u16)
+        ProcId((self.0 >> Self::SEQ_BITS) as u16)
+    }
+
+    /// Position of this tag in its processor's allocation order. Tags are
+    /// monotonic per processor, so of two tags from one processor the
+    /// smaller `seq` is the older request.
+    #[inline]
+    pub fn seq(self) -> u64 {
+        self.0 & ((1 << Self::SEQ_BITS) - 1)
     }
 }
 
@@ -104,6 +124,19 @@ mod tests {
     fn node_lists_its_processors() {
         let procs: Vec<_> = NodeId(3).procs(2).collect();
         assert_eq!(procs, vec![ProcId(6), ProcId(7)]);
+    }
+
+    #[test]
+    fn req_id_round_trips_proc_and_seq() {
+        let max_seq = (1u64 << 48) - 1;
+        for p in [ProcId(0), ProcId(u16::MAX)] {
+            for s in [0, 1, max_seq] {
+                let r = ReqId::new(p, s);
+                assert_eq!((r.proc(), r.seq()), (p, s), "{r:?}");
+                assert!(s == 0 || r.flow() != 0, "flow 0 means no flow: {r:?}");
+            }
+        }
+        assert_eq!(ReqId::new(ProcId(3), 1), ReqId((3 << 48) | 1));
     }
 
     #[test]
