@@ -2,8 +2,8 @@
 //!
 //! The interesting hostprof question is "what does the *steady* hot
 //! path cost" — not the first run, which pays one-time container
-//! growth (calendar-queue buckets, mark sinks, effect pools). So the
-//! harness profiles in two passes over the same machine: a warm-up run
+//! growth (the event queue's buffer pool, mark sinks, effect pools). So
+//! the harness profiles in two passes over the same machine: a warm-up run
 //! that sizes every container, then a reset of the profiler's
 //! counters and an identical re-run whose profile is the steady state.
 //! With [`amo_obs::CountingAlloc`] installed as the global allocator,

@@ -1,9 +1,10 @@
 //! The runtime checks behind two allocation claims, with
 //! [`amo_obs::CountingAlloc`] installed as this test binary's global
 //! allocator: a warmed-up run's dispatch scopes report zero allocations
-//! — the calendar queue recycles slab slots, effect buffers are pooled,
-//! and L1 fills are tag-only — and building a machine does not allocate
-//! per cache set.
+//! — the event queue's per-cycle buffers come from a pool that reached
+//! its high-water mark during warm-up, effect buffers are pooled, and
+//! L1 fills are tag-only — and building a machine does not allocate per
+//! cache set.
 
 use amo_bench::hostprof::{profile_steady, ProfiledRun};
 use amo_obs::{
@@ -98,17 +99,24 @@ fn steady_state_dispatch_allocates_nothing() {
 #[test]
 fn machine_construction_does_not_allocate_per_cache_set() {
     // A 64-processor machine has 64 x (4096 L2 + 512 L1) cache sets and
-    // a run fills a handful of them; eager per-set storage was ~295k
-    // allocations here, lazy sets leave a few hundred; the bound leaves
-    // room for whatever the test harness allocates meanwhile.
+    // a run fills a handful of them. Eager per-set storage was ~295k
+    // allocations here; an empty `Vec` header per set was still 7.5 MB;
+    // sets indexed on first touch leave a few hundred allocations and
+    // ≈ 1.3 MB. The bounds leave room for whatever the test harness
+    // allocates meanwhile.
     let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    let (before, _) = alloc_counters();
+    let (before, before_bytes) = alloc_counters();
     let m = Machine::new(SystemConfig::with_procs(PROCS));
-    let (after, _) = alloc_counters();
+    let (after, after_bytes) = alloc_counters();
     drop(m);
     assert!(
         after - before < 20_000,
         "Machine::new performed {} allocations",
         after - before
+    );
+    assert!(
+        after_bytes - before_bytes < 2 << 20,
+        "Machine::new allocated {} bytes",
+        after_bytes - before_bytes
     );
 }

@@ -33,6 +33,12 @@ pub struct Evicted {
 /// hierarchy wires two of these together.
 pub struct SetAssocCache {
     cfg: CacheConfig,
+    /// Per set index: 0 = never touched, else 1 + its position in
+    /// `sets`. A run touches a handful of the thousands of sets, so only
+    /// those get a `Vec` — building and dropping a cache writes one
+    /// zeroed array instead of a header per set.
+    set_of: Vec<u32>,
+    /// The lines of every set touched so far, in first-touch order.
     sets: Vec<Vec<Line>>,
     tick: u64,
     hits: u64,
@@ -49,9 +55,8 @@ impl SetAssocCache {
         );
         SetAssocCache {
             cfg,
-            // Empty sets own no storage: a run touches a handful of the
-            // thousands of sets, so each allocates on its first insert.
-            sets: (0..sets).map(|_| Vec::new()).collect(),
+            set_of: vec![0; sets],
+            sets: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -70,12 +75,28 @@ impl SetAssocCache {
 
     #[inline]
     fn set_index(&self, block: u64) -> usize {
-        ((block / self.cfg.line_bytes) as usize) & (self.sets.len() - 1)
+        ((block / self.cfg.line_bytes) as usize) & (self.set_of.len() - 1)
+    }
+
+    /// Position in `sets` of `block`'s set, if it was ever touched.
+    #[inline]
+    fn touched(&self, block: u64) -> Option<usize> {
+        (self.set_of[self.set_index(block)] as usize).checked_sub(1)
+    }
+
+    /// The lines of `block`'s set, giving it storage on first touch.
+    fn set_mut(&mut self, block: u64) -> &mut Vec<Line> {
+        let idx = self.set_index(block);
+        if self.set_of[idx] == 0 {
+            self.sets.push(Vec::new());
+            self.set_of[idx] = self.sets.len() as u32;
+        }
+        &mut self.sets[self.set_of[idx] as usize - 1]
     }
 
     fn find(&mut self, block: u64) -> Option<&mut Line> {
-        let idx = self.set_index(block);
-        self.sets[idx].iter_mut().find(|l| l.block == block)
+        let i = self.touched(block)?;
+        self.sets[i].iter_mut().find(|l| l.block == block)
     }
 
     /// Look up a block, updating LRU and hit statistics. Returns its state.
@@ -95,8 +116,8 @@ impl SetAssocCache {
 
     /// State of a block without touching LRU or statistics.
     pub fn peek_state(&self, block: u64) -> Option<LineState> {
-        let idx = self.set_index(block);
-        self.sets[idx]
+        let i = self.touched(block)?;
+        self.sets[i]
             .iter()
             .find(|l| l.block == block)
             .map(|l| l.state)
@@ -161,8 +182,7 @@ impl SetAssocCache {
             return None;
         }
         let ways = self.cfg.ways;
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
+        let set = self.set_mut(block);
         let mut victim = None;
         if set.len() == ways {
             let v = set
@@ -190,8 +210,8 @@ impl SetAssocCache {
     /// Remove a block entirely (invalidation). Returns its state and data
     /// if it was present.
     pub fn invalidate(&mut self, block: u64) -> Option<(LineState, BlockData)> {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
+        let i = self.touched(block)?;
+        let set = &mut self.sets[i];
         let pos = set.iter().position(|l| l.block == block)?;
         let line = set.swap_remove(pos);
         Some((line.state, line.data))

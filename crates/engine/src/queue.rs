@@ -2,26 +2,28 @@
 //!
 //! Two interchangeable implementations live here:
 //!
-//! * [`CalendarQueue`] — a two-level calendar/ladder queue: an array of
-//!   timing-wheel buckets covers a sliding "near" window of simulated
-//!   time, an unsorted overflow list holds far-future events, and a
-//!   small sorted list catches events scheduled before the window
-//!   (allowed by the API, exercised by tests). Schedule and pop are
-//!   amortized O(1) for the event distributions a machine simulation
-//!   produces (most events land within a few hundred cycles of now).
-//! * [`HeapQueue`] — the original `BinaryHeap` future-event list, kept
+//! * `BucketQueue` — one FIFO buffer per cycle of a sliding
+//!   power-of-two window, found through an occupancy bitmap. An event
+//!   inside the window is one `Vec::push` onto its cycle's buffer, and
+//!   the earliest buffer is handed to the run loop whole
+//!   ([`EventQueue::swap_batch`]). Events at or beyond the window wait
+//!   in an `overflow` heap; events behind it (allowed by the API, never
+//!   done by the machine) in an `early` heap.
+//! * `KeyedHeap` — the original `BinaryHeap` future-event list, kept
 //!   as the reference implementation for differential testing.
 //!
-//! Both obey the same determinism contract: events pop in strictly
-//! increasing `(time, sequence)` order, where the sequence number is
-//! assigned at schedule time — so equal-time events pop FIFO, never in
-//! heap-internal or bucket-internal order.
+//! Both obey the same determinism contract: events come out in
+//! increasing time, and equal-time events in the order they were
+//! scheduled (FIFO), never in heap-internal order. The heap keys every
+//! entry by `(time, sequence)`; the bucket list needs sequence numbers
+//! only in its two heaps, because a cycle's buffer is FIFO by
+//! construction (see `BucketQueue::advance`).
 
 use amo_types::Cycle;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One scheduled entry: firing time, tie-break sequence, payload.
+/// One heap entry: firing time, tie-break sequence, payload.
 struct Entry<E> {
     when: Cycle,
     seq: u64,
@@ -56,55 +58,44 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Which future-event-list implementation an [`EventQueue`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The calendar/ladder queue (default; fast path).
-    Calendar,
-    /// The reference binary heap (differential testing, perf baseline).
-    Heap,
-}
-
-// ---------------------------------------------------------------------
-// Reference implementation: binary heap.
-// ---------------------------------------------------------------------
-
-/// The original `BinaryHeap`-based future-event list.
-struct HeapQueue<E> {
+/// A min-heap of events by `(when, seq)`, numbering its own entries.
+struct KeyedHeap<E> {
     heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
 }
 
-impl<E> HeapQueue<E> {
+impl<E> KeyedHeap<E> {
     fn with_capacity(cap: usize) -> Self {
-        HeapQueue {
+        KeyedHeap {
             heap: BinaryHeap::with_capacity(cap),
+            next_seq: 0,
         }
     }
 
-    #[inline]
-    fn schedule(&mut self, when: Cycle, seq: u64, event: E) {
+    fn push(&mut self, when: Cycle, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.heap.push(Entry { when, seq, event });
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.heap.pop().map(|e| (e.when, e.event))
     }
 
     fn peek_time(&self) -> Option<Cycle> {
         self.heap.peek().map(|e| e.when)
     }
 
-    /// Drain every event at the earliest pending time into `out`, in
-    /// `(when, seq)` order; returns that time.
-    fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
-        let first = self.heap.pop()?;
-        let when = first.when;
-        out.push(first.event);
-        while self.heap.peek().is_some_and(|e| e.when == when) {
+    fn pop(&mut self) -> Option<(Cycle, E)> {
+        self.heap.pop().map(|e| (e.when, e.event))
+    }
+
+    /// Move every event at the earliest time into `out`, in `(when,
+    /// seq)` order; returns that time and how many moved.
+    fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(Cycle, usize)> {
+        let when = self.peek_time()?;
+        let mut n = 0;
+        while self.peek_time() == Some(when) {
             out.push(self.heap.pop().expect("peeked entry").event);
+            n += 1;
         }
-        Some(when)
+        Some((when, n))
     }
 
     fn len(&self) -> usize {
@@ -112,386 +103,258 @@ impl<E> HeapQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Calendar/ladder queue.
-// ---------------------------------------------------------------------
-
-/// Cycles per bucket, as a shift: bucket width is `1 << WIDTH_SHIFT`.
-/// Sixteen cycles sits between the machine's shortest latencies (bus:
-/// ~10 cycles) and its common ones (hop: 100, DRAM: ~60), so a typical
-/// dispatch schedules into a nearby — but usually distinct — bucket.
-const WIDTH_SHIFT: u32 = 4;
-
-/// Default bucket count (power of two). With 16-cycle buckets this
-/// covers an 8192-cycle near window — beyond the machine's end-to-end
-/// round trips, so the overflow list stays cold except for timeouts.
-const DEFAULT_BUCKETS: usize = 512;
-
-/// Sentinel slab index: end of a chain / empty bucket / empty free list.
-const NIL: u32 = u32::MAX;
-
-/// One slab slot: a scheduled entry threaded into a bucket chain, or —
-/// when `event` is `None` — a recycled slot threaded into the free list.
-struct Slot<E> {
-    when: Cycle,
-    seq: u64,
-    /// Next slot in this bucket's chain (or in the free list).
-    next: u32,
-    event: Option<E>,
+/// Which future-event-list implementation an [`EventQueue`] uses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueueKind {
+    /// The per-cycle bucket list (default; fast path). The name is the
+    /// calendar queue's it replaced.
+    Calendar,
+    /// The reference binary heap (differential testing, perf baseline).
+    Heap,
 }
 
-impl<E> Slot<E> {
-    #[inline]
-    fn key(&self) -> (Cycle, u64) {
-        (self.when, self.seq)
-    }
-}
+/// Smallest and largest window, in cycles. The machine sizes its window
+/// from its pending-event bound; 8,192 cycles covers the directory
+/// backlog of a 256-processor LL/SC lock, which schedules up to that far
+/// ahead.
+const MIN_WINDOW: usize = 1 << 10;
+const MAX_WINDOW: usize = 1 << 13;
 
-/// A two-level calendar/ladder future-event list.
+/// One FIFO buffer per cycle of the window `base .. base + window`.
 ///
-/// In-window entries live in one shared slab and each bucket is an
-/// intrusive singly-linked chain of slab indices (head/tail per bucket).
-/// The slab's length tracks the *peak* pending-event count and freed
-/// slots recycle through a free list, so once a workload has warmed the
-/// queue, steady-state schedule/pop traffic never touches the
-/// allocator — per-bucket growable storage would instead re-grow
-/// whenever the window's tick→bucket mapping shifted load onto a
-/// previously cold bucket.
-struct CalendarQueue<E> {
-    /// Entry slab; bucket chains and the free list index into it.
-    slots: Vec<Slot<E>>,
-    /// Head of the free-slot list (`NIL` when empty).
-    free: u32,
-    /// Per-bucket chain head (slab index, `NIL` when the bucket is
-    /// empty). Chains are sorted ascending by `(when, seq)`.
-    head: Vec<u32>,
-    /// Per-bucket chain tail, for O(1) appends (the common case:
-    /// sequence numbers grow monotonically).
-    tail: Vec<u32>,
-    /// One bit per bucket: set while the bucket has live entries. Pop
-    /// finds the earliest bucket with a wrapped find-next-set scan
-    /// (≤ `buckets/64` word reads) instead of walking empty buckets.
+/// Buffers come from a pool and go back to it when their cycle is
+/// taken, so a warmed-up queue neither allocates nor frees. The pool
+/// hands a buffer to a new cycle with at least the capacity of the
+/// widest batch taken so far, so a steady run never grows one either.
+struct BucketQueue<E> {
+    /// Per window cycle (`when & mask`): 0 = no bucket, else 1 + the
+    /// index of its buffer in `bufs`.
+    slot: Vec<u32>,
+    /// One bit per window cycle, set while it has a bucket.
     occupied: Vec<u64>,
-    /// `nbuckets - 1`; bucket count is a power of two.
+    /// Window length − 1 (the window is a power of two).
     mask: usize,
-    /// First tick (`when >> WIDTH_SHIFT`) of the near window.
-    win_start_tick: u64,
-    /// Offset (in buckets) of the lowest possibly-occupied bucket —
-    /// a scan-start hint so the common pop reads one bitmap word.
-    /// Pops move it forward; an insert behind it rewinds it.
-    cursor: usize,
-    /// Events before the window, sorted *descending* by `(when, seq)`
-    /// so the earliest is `last()`. Rare: only API users scheduling
-    /// behind an already-advanced window land here.
-    early: Vec<Entry<E>>,
-    /// Events at or beyond the window end, unsorted.
-    far: Vec<Entry<E>>,
-    /// Minimum `when` in `far` (`Cycle::MAX` when empty).
-    far_min_when: Cycle,
-    /// Live entries across all three regions.
+    /// First cycle of the window.
+    base: Cycle,
+    /// Every buffer ever made; a bucket or the pool holds each.
+    bufs: Vec<Vec<E>>,
+    /// Indices into `bufs` of the buffers no bucket holds.
+    pool: Vec<u32>,
+    /// Largest batch taken so far.
+    widest: usize,
+    /// Events at or beyond the window's end.
+    overflow: KeyedHeap<E>,
+    /// Events before the window's start.
+    early: KeyedHeap<E>,
+    /// Events that were scheduled into `overflow` (a diagnostic).
+    overflowed: u64,
+    /// Pending events in all three places.
     len: usize,
 }
 
-impl<E> CalendarQueue<E> {
-    fn with_buckets(nbuckets: usize) -> Self {
-        assert!(nbuckets.is_power_of_two() && nbuckets >= 64);
-        CalendarQueue {
-            slots: Vec::new(),
-            free: NIL,
-            head: vec![NIL; nbuckets],
-            tail: vec![NIL; nbuckets],
-            occupied: vec![0; nbuckets / 64],
-            mask: nbuckets - 1,
-            win_start_tick: 0,
-            cursor: 0,
-            early: Vec::new(),
-            far: Vec::new(),
-            far_min_when: Cycle::MAX,
+impl<E> BucketQueue<E> {
+    fn with_window(window: usize) -> Self {
+        assert!(window.is_power_of_two() && window >= 64);
+        BucketQueue {
+            slot: vec![0; window],
+            occupied: vec![0; window / 64],
+            mask: window - 1,
+            base: 0,
+            bufs: Vec::new(),
+            pool: Vec::new(),
+            widest: 0,
+            overflow: KeyedHeap::with_capacity(0),
+            early: KeyedHeap::with_capacity(0),
+            overflowed: 0,
             len: 0,
         }
     }
 
-    /// Claim a slab slot for `entry`, recycling a freed one if possible.
     #[inline]
-    fn alloc_slot(&mut self, entry: Entry<E>) -> u32 {
-        let Entry { when, seq, event } = entry;
-        if self.free != NIL {
-            let i = self.free;
-            let s = &mut self.slots[i as usize];
-            self.free = s.next;
-            s.when = when;
-            s.seq = seq;
-            s.next = NIL;
-            s.event = Some(event);
-            i
+    fn schedule(&mut self, when: Cycle, event: E) {
+        self.len += 1;
+        // `when - base` wraps for a time behind the window, so the common
+        // case is one compare.
+        if when.wrapping_sub(self.base) <= self.mask as u64 {
+            self.bucket(when).push(event);
+        } else if when > self.base {
+            self.overflowed += 1;
+            self.overflow.push(when, event);
+        } else if self.len == 1 {
+            // Nothing else is pending, so the window may move back.
+            self.base = when;
+            self.bucket(when).push(event);
         } else {
-            let i = u32::try_from(self.slots.len()).expect("slab indices fit in u32");
-            self.slots.push(Slot {
-                when,
-                seq,
-                next: NIL,
-                event: Some(event),
+            self.early.push(when, event);
+        }
+    }
+
+    /// The buffer of window cycle `when`, drawn from the pool if the
+    /// cycle has none yet.
+    #[inline]
+    fn bucket(&mut self, when: Cycle) -> &mut Vec<E> {
+        let s = when as usize & self.mask;
+        if self.slot[s] == 0 {
+            let b = self.pool.pop().unwrap_or_else(|| {
+                self.bufs.push(Vec::new());
+                (self.bufs.len() - 1) as u32
             });
-            i
+            self.bufs[b as usize].reserve(self.widest);
+            self.slot[s] = b + 1;
+            self.occupied[s >> 6] |= 1 << (s & 63);
         }
+        &mut self.bufs[self.slot[s] as usize - 1]
     }
 
-    /// Release slot `i` to the free list, returning its event.
-    #[inline]
-    fn free_slot(&mut self, i: u32) -> E {
-        let s = &mut self.slots[i as usize];
-        let event = s.event.take().expect("freeing an occupied slot");
-        s.next = self.free;
-        self.free = i;
-        event
-    }
-
-    /// Thread slot `i` into bucket `idx`'s chain, preserving `(when,
-    /// seq)` order. The common schedule-at-now case appends at the tail.
-    fn chain_insert(&mut self, idx: usize, i: u32) {
-        let key = self.slots[i as usize].key();
-        let t = self.tail[idx];
-        if t == NIL {
-            self.head[idx] = i;
-            self.tail[idx] = i;
-            return;
-        }
-        if self.slots[t as usize].key() < key {
-            self.slots[t as usize].next = i;
-            self.tail[idx] = i;
-            return;
-        }
-        // Out-of-order within the bucket (an earlier in-tick time
-        // arriving after a later one): walk to the insertion point.
-        let mut prev = NIL;
-        let mut cur = self.head[idx];
-        while cur != NIL && self.slots[cur as usize].key() < key {
-            prev = cur;
-            cur = self.slots[cur as usize].next;
-        }
-        self.slots[i as usize].next = cur;
-        if prev == NIL {
-            self.head[idx] = i;
-        } else {
-            self.slots[prev as usize].next = i;
-        }
-        // The tail is unchanged: the tail key compared >= `key`, so the
-        // walk stopped at or before it.
-    }
-
-    /// Unlink and free bucket `idx`'s earliest entry.
-    #[inline]
-    fn chain_take_front(&mut self, idx: usize) -> (Cycle, E) {
-        let i = self.head[idx];
-        debug_assert_ne!(i, NIL, "take_front on an empty bucket");
-        let next = self.slots[i as usize].next;
-        self.head[idx] = next;
-        if next == NIL {
-            self.tail[idx] = NIL;
-        }
-        let when = self.slots[i as usize].when;
-        (when, self.free_slot(i))
-    }
-
-    #[inline]
-    fn tick_of(when: Cycle) -> u64 {
-        when >> WIDTH_SHIFT
-    }
-
-    #[inline]
-    fn bucket_index(&self, tick: u64) -> usize {
-        (tick as usize) & self.mask
-    }
-
-    #[inline]
-    fn set_occupied(&mut self, idx: usize) {
-        self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-    }
-
-    #[inline]
-    fn clear_occupied(&mut self, idx: usize) {
-        self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-    }
-
-    /// First occupied bucket at or after `start` in wrapped bucket
-    /// order. Because the window maps ticks to buckets bijectively and
-    /// all occupied buckets belong to the window, scanning from the
-    /// window's own start position yields the earliest-tick bucket.
-    fn next_occupied_from(&self, start: usize) -> Option<usize> {
-        let words = self.occupied.len();
-        let sw = start >> 6;
+    /// First occupied window slot in time order: the wrapped scan from
+    /// `base`'s slot, since every bucket lies in `base .. base + window`.
+    fn next_occupied(&self) -> Option<usize> {
+        let start = self.base as usize & self.mask;
+        let (sw, words) = (start >> 6, self.occupied.len());
         let high = self.occupied[sw] & (!0u64 << (start & 63));
         if high != 0 {
-            return Some((sw << 6) | high.trailing_zeros() as usize);
+            return Some(sw << 6 | high.trailing_zeros() as usize);
         }
-        for step in 1..words {
+        // The last step revisits `sw` whole: its low bits are the
+        // window's final cycles.
+        (1..=words).find_map(|step| {
             let wi = (sw + step) % words;
             let w = self.occupied[wi];
-            if w != 0 {
-                return Some((wi << 6) | w.trailing_zeros() as usize);
-            }
-        }
-        let low = self.occupied[sw] & !(!0u64 << (start & 63));
-        if low != 0 {
-            return Some((sw << 6) | low.trailing_zeros() as usize);
-        }
-        None
+            (w != 0).then(|| wi << 6 | w.trailing_zeros() as usize)
+        })
     }
 
-    fn schedule(&mut self, when: Cycle, seq: u64, event: E) {
-        let tick = Self::tick_of(when);
-        if self.len == 0 {
-            // Empty queue: snap the window to the new event so a drain
-            // between workload phases never forces a far-list detour.
-            self.win_start_tick = tick;
-            self.cursor = 0;
-        }
-        self.len += 1;
-        let entry = Entry { when, seq, event };
-        if tick < self.win_start_tick {
-            let key = entry.key();
-            let pos = self.early.partition_point(|e| e.key() > key);
-            self.early.insert(pos, entry);
-        } else if tick - self.win_start_tick <= self.mask as u64 {
-            let off = (tick - self.win_start_tick) as usize;
-            if off < self.cursor {
-                self.cursor = off;
-            }
-            let idx = self.bucket_index(tick);
-            let slot = self.alloc_slot(entry);
-            self.chain_insert(idx, slot);
-            self.set_occupied(idx);
-        } else {
-            self.far_min_when = self.far_min_when.min(when);
-            self.far.push(entry);
-        }
+    /// The cycle window slot `s` stands for.
+    #[inline]
+    fn time_of(&self, s: usize) -> Cycle {
+        self.base + (s.wrapping_sub(self.base as usize) & self.mask) as u64
     }
 
-    fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.len == 0 {
+    /// Time and slot of the earliest bucket, first moving the window to
+    /// the overflow when every bucket is empty.
+    fn earliest(&mut self) -> Option<(Cycle, usize)> {
+        if self.len == self.early.len() {
             return None;
         }
-        if let Some(e) = self.early.pop() {
-            self.len -= 1;
-            return Some((e.when, e.event));
-        }
-        loop {
-            let start = self.bucket_index(self.win_start_tick + self.cursor as u64);
-            if let Some(idx) = self.next_occupied_from(start) {
-                self.cursor = idx.wrapping_sub(self.bucket_index(self.win_start_tick)) & self.mask;
-                let (when, event) = self.chain_take_front(idx);
-                if self.head[idx] == NIL {
-                    self.clear_occupied(idx);
-                }
-                self.len -= 1;
-                return Some((when, event));
+        let s = match self.next_occupied() {
+            Some(s) => s,
+            None => {
+                let first = self.overflow.peek_time().expect("pending events");
+                self.advance(first);
+                self.next_occupied()
+                    .expect("the overflow's head has a bucket")
             }
-            // Near window exhausted: jump it to the earliest far event
-            // and redistribute whatever now fits.
-            debug_assert!(!self.far.is_empty(), "len > 0 but every region empty");
-            self.advance_window();
-        }
+        };
+        Some((self.time_of(s), s))
     }
 
-    /// Batched variant of [`pop`](Self::pop): drain *every* event at the
-    /// earliest pending time into `out` (in `(when, seq)` order) and
-    /// return that time. One bitmap scan serves the whole batch instead
-    /// of one scan per event.
+    /// Start the window at `to` and move every overflow event it now
+    /// covers into its bucket.
     ///
-    /// Correctness of the single-bucket drain: a tick maps to exactly one
-    /// bucket, so all in-window entries sharing a `when` live in the same
-    /// bucket, contiguously at its sorted head once the head entry is the
-    /// minimum. The early list holds only strictly-earlier times than any
-    /// bucket (its ticks precede the window) and the far list only
-    /// strictly-later ones, so neither can split a same-time batch.
-    fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(last) = self.early.last() {
-            let when = last.when;
-            while self.early.last().is_some_and(|e| e.when == when) {
-                out.push(self.early.pop().expect("checked early entry").event);
-                self.len -= 1;
-            }
-            return Some(when);
-        }
-        loop {
-            let start = self.bucket_index(self.win_start_tick + self.cursor as u64);
-            if let Some(idx) = self.next_occupied_from(start) {
-                self.cursor = idx.wrapping_sub(self.bucket_index(self.win_start_tick)) & self.mask;
-                let (when, event) = self.chain_take_front(idx);
-                out.push(event);
-                self.len -= 1;
-                while self.head[idx] != NIL && self.slots[self.head[idx] as usize].when == when {
-                    out.push(self.chain_take_front(idx).1);
-                    self.len -= 1;
-                }
-                if self.head[idx] == NIL {
-                    self.clear_occupied(idx);
-                }
-                return Some(when);
-            }
-            debug_assert!(!self.far.is_empty(), "len > 0 but every region empty");
-            self.advance_window();
+    /// This is what keeps each bucket FIFO without sequence numbers. An
+    /// event is in the overflow only if its cycle was beyond the window
+    /// when it was scheduled, so it precedes every event scheduled
+    /// straight into that cycle's bucket — and those can only be
+    /// scheduled once the cycle is inside the window, i.e. after this
+    /// move, which runs before the queue returns to its caller. The
+    /// overflow yields its events in `(when, seq)` order, so the moved
+    /// ones keep theirs. The window never moves back while events are
+    /// pending, so a cycle enters it once.
+    fn advance(&mut self, to: Cycle) {
+        self.base = to;
+        let span = self.mask as u64;
+        while self.overflow.peek_time().is_some_and(|t| t - to <= span) {
+            let (when, event) = self.overflow.pop().expect("peeked entry");
+            self.bucket(when).push(event);
         }
     }
 
-    /// Jump the window to the earliest far event and move newly-near
-    /// events into buckets. `swap_remove` visits entries in arbitrary
-    /// order, but bucket insertion sorts by the full `(when, seq)` key,
-    /// so the resulting pop order is deterministic regardless.
-    fn advance_window(&mut self) {
-        self.win_start_tick = Self::tick_of(self.far_min_when);
-        self.cursor = 0;
-        let win_start = self.win_start_tick;
-        let span = self.mask as u64;
-        let mut next_min = Cycle::MAX;
-        let mut i = 0;
-        while i < self.far.len() {
-            let tick = Self::tick_of(self.far[i].when);
-            debug_assert!(tick >= win_start, "far entry earlier than far_min_when");
-            if tick - win_start <= span {
-                let entry = self.far.swap_remove(i);
-                let idx = self.bucket_index(tick);
-                let slot = self.alloc_slot(entry);
-                self.chain_insert(idx, slot);
-                self.set_occupied(idx);
-            } else {
-                next_min = next_min.min(self.far[i].when);
-                i += 1;
+    /// Take the earliest cycle if it is no later than `until`: the early
+    /// heap's head time moves into `out` and `None` comes back with it,
+    /// or the earliest bucket leaves the window (the window then starts
+    /// at its cycle) and the index of its buffer comes back — the caller
+    /// empties it and calls [`release`](Self::release).
+    fn take(&mut self, out: &mut Vec<E>, until: Cycle) -> Option<(Cycle, Option<usize>)> {
+        if let Some(when) = self.early.peek_time() {
+            if when > until {
+                return None;
             }
+            let (_, n) = self.early.pop_batch_into(out)?;
+            self.len -= n;
+            return Some((when, None));
         }
-        self.far_min_when = next_min;
+        let (when, s) = self.earliest()?;
+        if when > until {
+            return None;
+        }
+        let b = self.slot[s] as usize - 1;
+        self.slot[s] = 0;
+        self.occupied[s >> 6] &= !(1 << (s & 63));
+        self.advance(when);
+        Some((when, Some(b)))
+    }
+
+    /// Return buffer `b` to the pool after its `n` events left.
+    fn release(&mut self, b: usize, n: usize) {
+        self.len -= n;
+        self.widest = self.widest.max(n);
+        self.pool.push(b as u32);
+    }
+
+    fn swap_batch(&mut self, out: &mut Vec<E>, until: Cycle) -> Option<Cycle> {
+        let (when, b) = self.take(out, until)?;
+        if let Some(b) = b {
+            std::mem::swap(out, &mut self.bufs[b]);
+            self.release(b, out.len());
+        }
+        Some(when)
+    }
+
+    fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
+        let (when, b) = self.take(out, Cycle::MAX)?;
+        if let Some(b) = b {
+            let n = self.bufs[b].len();
+            out.append(&mut self.bufs[b]);
+            self.release(b, n);
+        }
+        Some(when)
+    }
+
+    /// One event at a time: the front of the earliest bucket, which
+    /// leaves the window once its last event is gone.
+    fn pop(&mut self) -> Option<(Cycle, E)> {
+        if let Some(first) = self.early.pop() {
+            self.len -= 1;
+            return Some(first);
+        }
+        let (when, s) = self.earliest()?;
+        self.advance(when);
+        let b = self.slot[s] as usize - 1;
+        let event = self.bufs[b].remove(0);
+        self.len -= 1;
+        if self.bufs[b].is_empty() {
+            self.slot[s] = 0;
+            self.occupied[s >> 6] &= !(1 << (s & 63));
+            self.pool.push(b as u32);
+        }
+        Some((when, event))
     }
 
     fn peek_time(&self) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
+        if let Some(when) = self.early.peek_time() {
+            return Some(when);
         }
-        if let Some(e) = self.early.last() {
-            return Some(e.when);
+        match self.next_occupied() {
+            Some(s) => Some(self.time_of(s)),
+            None => self.overflow.peek_time(),
         }
-        let start = self.bucket_index(self.win_start_tick + self.cursor as u64);
-        if let Some(idx) = self.next_occupied_from(start) {
-            return Some(self.slots[self.head[idx] as usize].when);
-        }
-        debug_assert!(self.far_min_when != Cycle::MAX);
-        Some(self.far_min_when)
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
-// ---------------------------------------------------------------------
-// Public wrapper.
-// ---------------------------------------------------------------------
-
 enum Imp<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(HeapQueue<E>),
+    Bucket(BucketQueue<E>),
+    /// The reference implementation: every event in one keyed heap.
+    Heap(KeyedHeap<E>),
 }
 
 /// A deterministic future-event list.
@@ -509,7 +372,6 @@ enum Imp<E> {
 /// ```
 pub struct EventQueue<E> {
     imp: Imp<E>,
-    next_seq: u64,
     scheduled_total: u64,
 }
 
@@ -520,7 +382,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue using the default (calendar) implementation.
+    /// An empty queue using the default (bucket-list) implementation.
     pub fn new() -> Self {
         Self::with_kind(QueueKind::Calendar)
     }
@@ -530,52 +392,36 @@ impl<E> EventQueue<E> {
         Self::with_capacity_and_kind(0, kind)
     }
 
-    /// An empty queue pre-sized for `cap` concurrently pending events,
-    /// so steady-state operation never reallocates.
+    /// An empty queue sized for `cap` concurrently pending events.
     pub fn with_capacity(cap: usize) -> Self {
         Self::with_capacity_and_kind(cap, QueueKind::Calendar)
     }
 
-    /// Pre-sized queue with an explicit implementation choice.
+    /// An empty queue sized for `cap` concurrently pending events, with
+    /// an explicit implementation choice. The bucket list's window is
+    /// `cap` cycles rounded up to a power of two, clamped to
+    /// 1,024 ..= 8,192: a machine with more pending events schedules
+    /// further ahead.
     pub fn with_capacity_and_kind(cap: usize, kind: QueueKind) -> Self {
         let imp = match kind {
-            QueueKind::Calendar => {
-                // More pending events want more buckets so bucket
-                // chains stay short; clamp to keep per-machine memory
-                // bounded during wide parallel sweeps.
-                let nbuckets = (cap / 4).next_power_of_two().clamp(DEFAULT_BUCKETS, 4096);
-                let mut q = CalendarQueue::with_buckets(nbuckets);
-                // Pre-size the slab for the expected pending-event peak
-                // so even the first pass through a workload rarely grows.
-                q.slots.reserve(cap);
-                Imp::Calendar(q)
-            }
-            QueueKind::Heap => Imp::Heap(HeapQueue::with_capacity(cap)),
+            QueueKind::Calendar => Imp::Bucket(BucketQueue::with_window(
+                cap.next_power_of_two().clamp(MIN_WINDOW, MAX_WINDOW),
+            )),
+            QueueKind::Heap => Imp::Heap(KeyedHeap::with_capacity(cap)),
         };
         EventQueue {
             imp,
-            next_seq: 0,
             scheduled_total: 0,
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            Imp::Calendar(_) => QueueKind::Calendar,
-            Imp::Heap(_) => QueueKind::Heap,
         }
     }
 
     /// Schedule `event` to fire at absolute cycle `when`.
     #[inline]
     pub fn schedule(&mut self, when: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.scheduled_total += 1;
         match &mut self.imp {
-            Imp::Calendar(q) => q.schedule(when, seq, event),
-            Imp::Heap(q) => q.schedule(when, seq, event),
+            Imp::Bucket(q) => q.schedule(when, event),
+            Imp::Heap(q) => q.push(when, event),
         }
     }
 
@@ -583,32 +429,52 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         match &mut self.imp {
-            Imp::Calendar(q) => q.pop(),
+            Imp::Bucket(q) => q.pop(),
             Imp::Heap(q) => q.pop(),
         }
     }
 
-    /// Remove every event at the earliest pending time, appending them
-    /// to `out` in exactly the order a sequence of [`pop`](Self::pop)
-    /// calls would yield them (`(when, seq)` FIFO); returns that time,
-    /// or `None` when the queue is empty. `out` is *appended to*, not
-    /// cleared, so the caller can reuse one buffer across batches.
+    /// Take every event at the earliest pending time, if that time is
+    /// no later than `until`, into `out` — which must be empty — in
+    /// exactly the order a sequence of [`pop`](Self::pop) calls would
+    /// yield them; returns that time. `None` when the queue is empty or
+    /// its earliest event lies after `until`.
     ///
-    /// Events scheduled *during* batch processing — even at the same
-    /// time — get later sequence numbers and therefore land in a later
+    /// On the bucket list this moves no event: `out` and the cycle's
+    /// buffer trade places, and `out`'s old buffer goes to the pool for
+    /// a later cycle. Events scheduled while the batch is out — even at
+    /// its time — go into a fresh bucket and come back as the next
     /// batch, which is exactly where per-event popping would see them.
+    #[inline]
+    pub fn swap_batch(&mut self, out: &mut Vec<E>, until: Cycle) -> Option<Cycle> {
+        debug_assert!(out.is_empty(), "swap_batch takes an empty buffer");
+        match &mut self.imp {
+            Imp::Bucket(q) => q.swap_batch(out, until),
+            Imp::Heap(q) => {
+                if q.peek_time()? > until {
+                    return None;
+                }
+                q.pop_batch_into(out).map(|(when, _)| when)
+            }
+        }
+    }
+
+    /// Remove every event at the earliest pending time, appending them
+    /// to `out` in [`pop`](Self::pop) order; returns that time, or
+    /// `None` when the queue is empty. `out` is *appended to*, not
+    /// cleared, so the caller can reuse one buffer across batches.
     #[inline]
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
         match &mut self.imp {
-            Imp::Calendar(q) => q.pop_batch_into(out),
-            Imp::Heap(q) => q.pop_batch_into(out),
+            Imp::Bucket(q) => q.pop_batch_into(out),
+            Imp::Heap(q) => q.pop_batch_into(out).map(|(when, _)| when),
         }
     }
 
     /// Firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
         match &self.imp {
-            Imp::Calendar(q) => q.peek_time(),
+            Imp::Bucket(q) => q.peek_time(),
             Imp::Heap(q) => q.peek_time(),
         }
     }
@@ -616,7 +482,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.imp {
-            Imp::Calendar(q) => q.len(),
+            Imp::Bucket(q) => q.len,
             Imp::Heap(q) => q.len(),
         }
     }
@@ -630,6 +496,16 @@ impl<E> EventQueue<E> {
     /// the machine's run loop).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Events the bucket list scheduled beyond its window, into the
+    /// overflow heap (0 on the reference heap). A diagnostic: tests use
+    /// it to show an input exercised the overflow move.
+    pub fn overflowed(&self) -> u64 {
+        match &self.imp {
+            Imp::Bucket(q) => q.overflowed,
+            Imp::Heap(_) => 0,
+        }
     }
 }
 
@@ -692,11 +568,13 @@ mod tests {
         let mut q = EventQueue::with_kind(QueueKind::Calendar);
         q.schedule(1_000_000, "far");
         assert_eq!(q.pop(), Some((1_000_000, "far")));
-        q.schedule(999_000, "behind"); // snaps window (queue was empty)
-        q.schedule(1_000_500, "near");
+        q.schedule(999_000, "behind"); // moves the window back (queue was empty)
+        q.schedule(1_000_500, "near"); // beyond the 1,024-cycle window
         q.schedule(5, "way-behind");
+        q.schedule(5, "way-behind-2");
         assert_eq!(q.peek_time(), Some(5));
         assert_eq!(q.pop(), Some((5, "way-behind")));
+        assert_eq!(q.pop(), Some((5, "way-behind-2")));
         assert_eq!(q.pop(), Some((999_000, "behind")));
         assert_eq!(q.pop(), Some((1_000_500, "near")));
         assert_eq!(q.pop(), None);
@@ -705,7 +583,7 @@ mod tests {
     #[test]
     fn far_events_cross_multiple_windows() {
         let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        // Spread events far beyond a single near window (8192 cycles).
+        // Spread events far beyond a single window.
         let times: Vec<u64> = (0..50).map(|i| i * 100_000).collect();
         for (i, &t) in times.iter().enumerate().rev() {
             q.schedule(t, i);
@@ -746,6 +624,22 @@ mod tests {
     }
 
     #[test]
+    fn windows_are_sized_from_capacity_and_clamped() {
+        // (capacity, window): the last in-window cycle stays in a
+        // bucket, the next one goes to the overflow.
+        for (cap, window) in [(0, 1024), (1500, 2048), (3072, 4096), (1 << 20, 8192)] {
+            let mut q = EventQueue::with_capacity(cap);
+            q.schedule(0, 0);
+            q.schedule(window - 1, 1);
+            assert_eq!(q.overflowed(), 0, "capacity {cap}");
+            q.schedule(window, 2);
+            assert_eq!(q.overflowed(), 1, "capacity {cap}");
+            let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(popped, [(0, 0), (window - 1, 1), (window, 2)]);
+        }
+    }
+
+    #[test]
     fn batch_drains_exactly_the_tied_run() {
         for kind in kinds() {
             let mut q = EventQueue::with_kind(kind);
@@ -769,8 +663,8 @@ mod tests {
     fn batch_crosses_window_advances_and_early_inserts() {
         for kind in kinds() {
             let mut q = EventQueue::with_kind(kind);
-            // Two ties far beyond the near window force advance_window,
-            // then a behind-window insert exercises the early list.
+            // Two ties far beyond the window force a window move, then a
+            // behind-window insert exercises the early heap.
             q.schedule(1_000_000, 1);
             q.schedule(1_000_000, 2);
             q.schedule(2_000_000, 3);
@@ -785,6 +679,60 @@ mod tests {
             out.clear();
             assert_eq!(q.pop_batch_into(&mut out), Some(2_000_000));
             assert_eq!(out, vec![3]);
+        }
+    }
+
+    #[test]
+    fn a_batch_out_takes_same_time_schedules_as_the_next_batch() {
+        for kind in kinds() {
+            let mut q = EventQueue::with_kind(kind);
+            q.schedule(10, 1);
+            q.schedule(10, 2);
+            q.schedule(11, 3);
+            let mut batch = Vec::new();
+            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(10));
+            assert_eq!(batch, [1, 2]);
+            assert_eq!(q.len(), 1, "the batch out is not pending");
+            // Dispatching the batch schedules at its own cycle.
+            q.schedule(10, 4);
+            q.schedule(10, 5);
+            batch.clear();
+            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(10));
+            assert_eq!(batch, [4, 5]);
+            batch.clear();
+            assert_eq!(q.swap_batch(&mut batch, 10), None, "11 is after the limit");
+            assert!(batch.is_empty() && q.len() == 1);
+            assert_eq!(q.swap_batch(&mut batch, 11), Some(11));
+            assert_eq!(batch, [3]);
+        }
+    }
+
+    #[test]
+    fn overflow_events_precede_direct_schedules_at_their_cycle() {
+        for kind in kinds() {
+            // Window 1,024: cycle 1,500 is beyond it until cycle 600 is
+            // taken; the two overflow events were scheduled first, so
+            // they lead the bucket the direct schedule lands in.
+            let mut q = EventQueue::with_kind(kind);
+            q.schedule(0, "start");
+            q.schedule(1_500, "o1");
+            q.schedule(1_500, "o2");
+            let mut batch = Vec::new();
+            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(0));
+            q.schedule(600, "mid");
+            batch.clear();
+            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(600));
+            q.schedule(1_500, "direct");
+            q.schedule(700, "between");
+            batch.clear();
+            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(700));
+            batch.clear();
+            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(1_500));
+            assert_eq!(batch, ["o1", "o2", "direct"]);
+            assert_eq!(
+                q.overflowed(),
+                if kind == QueueKind::Calendar { 2 } else { 0 }
+            );
         }
     }
 
@@ -836,36 +784,65 @@ mod tests {
             }
         }
 
-        /// Differential test: the calendar queue and the reference heap
-        /// must agree on every pop across randomized schedule/pop
-        /// interleavings that mix near, far-future, and behind-window
-        /// times — including runs of equal times (FIFO stability).
+        /// Differential test: the bucket list and the reference heap must
+        /// agree on every output across randomized interleavings of
+        /// `schedule`, `pop`, `swap_batch` (with and without a limit) and
+        /// appending `pop_batch_into`, at the smallest and the largest
+        /// window. Times are drawn relative to the last cycle taken out:
+        /// that very cycle (the batch is out), near, straddling the
+        /// window's end, just beyond it (the overflow moves in while
+        /// direct schedules keep arriving), far future, and behind.
         #[test]
         fn calendar_matches_heap_differentially(
-            ops in proptest::collection::vec(
-                // (action, time-class, offset): action 0..3 schedules,
-                // 3.. pops; time classes pick near / equal / far / huge.
-                (0u8..5, 0u8..4, 0u64..100_000),
-                1..400,
-            ),
+            largest in any::<bool>(),
+            ops in proptest::collection::vec((0u8..9, 0u8..6, 0u64..100_000), 1..400),
         ) {
-            let mut cal = EventQueue::with_kind(QueueKind::Calendar);
+            let window: u64 = if largest { 8192 } else { 1024 };
+            let mut cal = EventQueue::with_capacity_and_kind(window as usize, QueueKind::Calendar);
             let mut heap = EventQueue::with_kind(QueueKind::Heap);
-            let mut tag = 0u64;
+            let (mut tag, mut now) = (0u64, 0u64);
             for (action, class, off) in ops {
-                if action < 3 {
-                    let when = match class {
-                        0 => off % 512,              // near, dense
-                        1 => 64,                     // equal-time pile-up
-                        2 => 8_192 + off,            // just past the window
-                        _ => 1_000_000_000 + off,    // far future
-                    };
-                    tag += 1;
-                    cal.schedule(when, tag);
-                    heap.schedule(when, tag);
-                } else {
-                    prop_assert_eq!(cal.pop(), heap.pop());
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                match action {
+                    0..=3 => {
+                        let when = match class {
+                            0 => now,
+                            1 => now + off % 512,
+                            2 => now + window - 16 + off % 32,
+                            3 => now + window + off % 4096,
+                            4 => 1_000_000_000 + off,
+                            _ => now.saturating_sub(1 + off % 2_000),
+                        };
+                        tag += 1;
+                        cal.schedule(when, tag);
+                        heap.schedule(when, tag);
+                    }
+                    4 => {
+                        let (a, b) = (cal.pop(), heap.pop());
+                        prop_assert_eq!(a, b);
+                        if let Some((t, _)) = a {
+                            now = t;
+                        }
+                    }
+                    5 | 6 => {
+                        let until = if class == 0 { now + off % 64 } else { Cycle::MAX };
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        let t = cal.swap_batch(&mut a, until);
+                        prop_assert_eq!(t, heap.swap_batch(&mut b, until));
+                        prop_assert_eq!(&a, &b);
+                        if let Some(t) = t {
+                            now = t;
+                        }
+                    }
+                    7 => {
+                        let (mut a, mut b) = (vec![0], vec![0]);
+                        let t = cal.pop_batch_into(&mut a);
+                        prop_assert_eq!(t, heap.pop_batch_into(&mut b));
+                        prop_assert_eq!(&a, &b);
+                        if let Some(t) = t {
+                            now = t;
+                        }
+                    }
+                    _ => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
                 }
                 prop_assert_eq!(cal.len(), heap.len());
             }
@@ -878,6 +855,56 @@ mod tests {
                     break;
                 }
             }
+        }
+
+        /// The run loop's pattern: take a batch whole, and while it is
+        /// out schedule each event's successors — at the batch's own
+        /// cycle, nearby, across the window's end, and beyond it. The
+        /// bucket list must hand out exactly the heap's batches, and a
+        /// successor at the batch's own cycle must come back as the very
+        /// next batch.
+        #[test]
+        fn dispatch_loop_batches_match_heap(
+            largest in any::<bool>(),
+            fanout in proptest::collection::vec((0u8..5, 0u64..10_000), 8..64),
+        ) {
+            let window: u64 = if largest { 8192 } else { 1024 };
+            let mut cal = EventQueue::with_capacity_and_kind(window as usize, QueueKind::Calendar);
+            let mut heap = EventQueue::with_kind(QueueKind::Heap);
+            for (i, &(_, off)) in fanout.iter().enumerate() {
+                cal.schedule(off % 100, i as u64);
+                heap.schedule(off % 100, i as u64);
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut budget = 4_000u64;
+            while let Some(now) = cal.swap_batch(&mut a, Cycle::MAX) {
+                prop_assert_eq!(heap.swap_batch(&mut b, Cycle::MAX), Some(now));
+                prop_assert_eq!(&a, &b);
+                let mut same_cycle = false;
+                for &ev in &a {
+                    if budget == 0 {
+                        break;
+                    }
+                    let (class, off) = fanout[(ev as usize) % fanout.len()];
+                    let when = now + match class {
+                        0 => 0,
+                        1 => off % 300,
+                        2 => window - 2 + off % 4,
+                        3 => window + off,
+                        _ => 100 * (off % 3),
+                    };
+                    same_cycle |= when == now;
+                    budget -= 1;
+                    cal.schedule(when, ev + 1);
+                    heap.schedule(when, ev + 1);
+                }
+                if same_cycle {
+                    prop_assert_eq!(cal.peek_time(), Some(now));
+                }
+                a.clear();
+                b.clear();
+            }
+            prop_assert!(heap.is_empty());
         }
     }
 }

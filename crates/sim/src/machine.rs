@@ -81,7 +81,8 @@ define_events! {
 /// Size of one queued event in bytes. The event type itself is private
 /// (its variants are the machine's internals); the size is exported so
 /// the layout-guard tests can pin the hot-path memory budget — every
-/// queue push/pop memcpys exactly this many bytes.
+/// schedule copies exactly this many bytes into its cycle's buffer, and
+/// dispatch reads them from there.
 pub const EVENT_SIZE: usize = std::mem::size_of::<Event>();
 
 /// Result of [`Machine::run`].
@@ -148,13 +149,13 @@ pub struct Machine<T: Tracer = NopTracer, P: HostProf = NopHostProf> {
     finished: Vec<Option<Cycle>>,
     installed: Vec<bool>,
     event_counts: [u64; Event::COUNT],
-    /// Same-cycle dispatch batch: events drained from the queue but not
-    /// yet dispatched, in *reverse* `(time, seq)` order so dispatch pops
-    /// from the back. One queue drain (a single calendar bitmap scan)
-    /// serves every event at the current cycle. Normally empty between
-    /// `run` calls; non-empty only if a run aborted on a fault mid-batch,
-    /// in which case the remainder is dispatched first on resume —
-    /// exactly where per-event popping would have left them.
+    /// Same-cycle dispatch batch: the earliest cycle's buffer, swapped
+    /// out of the queue whole and reversed so dispatch pops from the
+    /// back in schedule order. One bitmap scan serves every event at the
+    /// current cycle. Normally empty between `run` calls; non-empty only
+    /// if a run aborted on a fault mid-batch, in which case the remainder
+    /// is dispatched first on resume — exactly where per-event popping
+    /// would have left them.
     batch: Vec<Event>,
     /// Firing time of the events in `batch`.
     batch_when: Cycle,
@@ -216,16 +217,18 @@ pub struct Machine<T: Tracer = NopTracer, P: HostProf = NopHostProf> {
     wd_last_progress_at: Cycle,
 }
 
-/// Upper bound on concurrently pending events, from the config: every
-/// processor can hold its outstanding-miss limit in flight (each miss is
-/// at most one queued event at a time), plus per-node slack for AMU
-/// queues and update fanout.
 /// Causal flow id carried by a payload's request tag (0 = none).
 #[inline]
 fn flow_of(payload: &Payload) -> u64 {
     payload.req().map_or(0, |r| r.flow())
 }
 
+/// Upper bound on concurrently pending events, from the config: every
+/// processor can hold its outstanding-miss limit in flight (each miss is
+/// at most one queued event at a time), plus per-node slack for AMU
+/// queues and update fanout. It sizes the event queue's window (see
+/// [`EventQueue::with_capacity_and_kind`]): a bigger machine schedules
+/// further ahead.
 fn queue_capacity(cfg: &SystemConfig) -> usize {
     cfg.num_procs as usize * cfg.max_outstanding_misses
         + cfg.num_nodes() as usize * cfg.amu.queue_cap.min(64)
@@ -544,28 +547,19 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         // Outer loop refills the same-cycle batch; the inner loop
         // dispatches it back-to-front (the batch is stored reversed).
         // Events scheduled during the batch — even at the current time —
-        // get later sequence numbers and drain in a later batch, so the
+        // go into a fresh bucket and come back as a later batch, so the
         // dispatch order is bit-identical to per-event popping.
         'run: loop {
             if self.batch.is_empty() {
                 if P::ENABLED {
                     self.prof.enter(Scope::Drain);
                 }
-                let refilled = match self.queue.peek_time() {
-                    None => None,
-                    Some(next) if next > max_cycles => {
-                        hit_limit = true;
-                        None
-                    }
-                    Some(next) => {
-                        self.refill_batch();
-                        Some(next)
-                    }
-                };
+                let refilled = self.refill_batch(max_cycles);
                 if P::ENABLED {
                     self.prof.exit(Scope::Drain);
                 }
                 let Some(next) = refilled else {
+                    hit_limit = !self.queue.is_empty();
                     break;
                 };
                 self.batch_when = next;
@@ -667,17 +661,20 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         }
     }
 
-    /// Drain every event at the earliest pending time into `batch`,
-    /// reversed so dispatch pops them from the back in `(time, seq)` order.
-    fn refill_batch(&mut self) {
+    /// Take every event at the earliest pending time into `batch`, if
+    /// that time is no later than `until`, reversed so dispatch pops them
+    /// from the back in schedule order; returns that time.
+    fn refill_batch(&mut self, until: Cycle) -> Option<Cycle> {
         #[cfg(test)]
         if self.per_event {
+            let next = self.queue.peek_time().filter(|&t| t <= until)?;
             let (_, ev) = self.queue.pop().expect("peeked event");
             self.batch.push(ev);
-            return;
+            return Some(next);
         }
-        self.queue.pop_batch_into(&mut self.batch);
+        let next = self.queue.swap_batch(&mut self.batch, until)?;
         self.batch.reverse();
+        Some(next)
     }
 
     /// Monotone per-run progress indicator the watchdog watches: kernel
@@ -2229,53 +2226,166 @@ mod tests {
         assert!(buf.events.iter().any(|e| e.kind == TraceKind::LinkRetry));
     }
 
+    /// What a queue or dispatch change must not move: completion times,
+    /// event count, stats and event histogram.
+    type Fingerprint = (Vec<Option<Cycle>>, u64, String, Vec<(&'static str, u64)>);
+
+    /// Installs one input's kernels on a machine of the given size.
+    type Install = fn(&mut Machine, u16);
+
+    /// Run `install`'s kernels to completion on a `procs`-processor
+    /// machine over `kind`, batched or per event; also returns how many
+    /// events the queue scheduled beyond its window.
+    fn fingerprint(
+        procs: u16,
+        kind: QueueKind,
+        batched: bool,
+        install: Install,
+    ) -> (Fingerprint, u64) {
+        let mut m = Machine::with_tracer(SystemConfig::with_procs(procs), kind, NopTracer);
+        m.per_event = !batched;
+        install(&mut m, procs);
+        let res = m.run(1_000_000_000);
+        assert!(res.all_finished, "{}", m.stall_report());
+        let fp = (
+            res.finished.clone(),
+            res.events,
+            format!("{:?}", m.stats()),
+            m.event_histogram(),
+        );
+        (fp, m.queue.overflowed())
+    }
+
+    /// Staggered starts, a processor-side fetch-add on one word, then an
+    /// AMO barrier.
+    fn rmw_then_amo_barrier(m: &mut Machine, procs: u16) {
+        let a = var(0, 0x600);
+        for p in 0..procs {
+            let (k, _) = Script::new(vec![
+                Op::AtomicRmw {
+                    kind: AmoKind::FetchAdd,
+                    addr: a,
+                    operand: 1,
+                },
+                Op::Amo {
+                    kind: AmoKind::Inc,
+                    addr: var(1, 0x700),
+                    operand: 0,
+                    test: Some(procs as Word),
+                },
+                Op::SpinUntil {
+                    addr: var(1, 0x700),
+                    pred: SpinPred::Eq(procs as Word),
+                },
+            ]);
+            m.install_kernel(ProcId(p), Box::new(k), (p as u64) * 37);
+        }
+    }
+
+    /// Remote stores and AMOs between 100,000-cycle delays: every wake-up
+    /// after a delay lands far beyond the window, in the overflow, while
+    /// the other processors' traffic keeps scheduling straight into
+    /// buckets.
+    fn long_delays(m: &mut Machine, procs: u16) {
+        for p in 0..procs {
+            let (k, _) = Script::new(vec![
+                Op::Delay {
+                    cycles: 100_000 + p as Cycle * 7,
+                },
+                Op::Store {
+                    addr: var(1, 0x100 + 0x80 * p as u64),
+                    value: p as Word,
+                },
+                Op::Delay { cycles: 100_000 },
+                Op::Amo {
+                    kind: AmoKind::FetchAdd,
+                    addr: var(0, 0x700),
+                    operand: 1,
+                    test: None,
+                },
+            ]);
+            m.install_kernel(ProcId(p), Box::new(k), p as u64 * 13);
+        }
+    }
+
+    /// A ticket lock over LL/SC, two acquisitions per processor: take a
+    /// ticket with an LL/SC fetch-increment (again on a failed SC), spin
+    /// until `serving` shows it, hold it 150 cycles, pass it on with a
+    /// store.
+    struct LlscTicket {
+        rounds: u32,
+        ticket: Word,
+    }
+
+    impl Kernel for LlscTicket {
+        fn next(&mut self, last: Option<Outcome>) -> Op {
+            let (next, serving) = (var(0, 0x100), var(0, 0x200));
+            match last {
+                None | Some(Outcome::ScResult(false)) => Op::LoadLinked { addr: next },
+                Some(Outcome::Value(t)) => {
+                    self.ticket = t;
+                    Op::StoreConditional {
+                        addr: next,
+                        value: t + 1,
+                    }
+                }
+                Some(Outcome::ScResult(true)) => Op::SpinUntil {
+                    addr: serving,
+                    pred: SpinPred::Eq(self.ticket),
+                },
+                Some(Outcome::SpinDone(_)) => Op::Delay { cycles: 150 },
+                Some(Outcome::Delayed) => Op::Store {
+                    addr: serving,
+                    value: self.ticket + 1,
+                },
+                Some(Outcome::Stored) if self.rounds > 1 => {
+                    self.rounds -= 1;
+                    Op::LoadLinked { addr: next }
+                }
+                Some(Outcome::Stored) => Op::Done,
+                Some(other) => unreachable!("{other:?}"),
+            }
+        }
+    }
+
+    fn llsc_ticket_lock(m: &mut Machine, procs: u16) {
+        for p in 0..procs {
+            let k = LlscTicket {
+                rounds: 2,
+                ticket: 0,
+            };
+            m.install_kernel(ProcId(p), Box::new(k), (p as u64 * 41) % 500);
+        }
+    }
+
+    /// The queue swap must be invisible: every timing and every counter
+    /// agrees between the bucket list and the reference heap on `input`.
+    /// Returns the bucket list's overflow count.
+    fn assert_queues_agree(name: &str, procs: u16, input: Install) -> u64 {
+        let (cal, overflowed) = fingerprint(procs, QueueKind::Calendar, true, input);
+        let (heap, _) = fingerprint(procs, QueueKind::Heap, true, input);
+        assert_eq!(cal.0, heap.0, "{name}: completion times differ");
+        assert_eq!(cal.1, heap.1, "{name}: event counts differ");
+        assert_eq!(cal.3, heap.3, "{name}: event histograms differ");
+        assert_eq!(cal.2, heap.2, "{name}: stats differ");
+        overflowed
+    }
+
     #[test]
     fn calendar_and_heap_queues_give_identical_machines() {
-        // The engine swap must be invisible: every timing and every
-        // counter agrees between the calendar queue and the reference
-        // heap at the same seed/skew.
-        let run = |kind: QueueKind| {
-            let mut m = Machine::with_tracer(SystemConfig::with_procs(8), kind, NopTracer);
-            let a = var(0, 0x600);
-            for p in 0..8u16 {
-                let (k, _) = Script::new(vec![
-                    Op::AtomicRmw {
-                        kind: AmoKind::FetchAdd,
-                        addr: a,
-                        operand: 1,
-                    },
-                    Op::Amo {
-                        kind: AmoKind::Inc,
-                        addr: var(1, 0x700),
-                        operand: 0,
-                        test: Some(8),
-                    },
-                    Op::SpinUntil {
-                        addr: var(1, 0x700),
-                        pred: SpinPred::Eq(8),
-                    },
-                ]);
-                m.install_kernel(ProcId(p), Box::new(k), (p as u64) * 37);
-            }
-            let res = m.run(10_000_000);
-            assert!(res.all_finished);
-            (
-                res.finished.clone(),
-                res.events,
-                m.stats().clone(),
-                m.event_histogram(),
-            )
-        };
-        let cal = run(QueueKind::Calendar);
-        let heap = run(QueueKind::Heap);
-        assert_eq!(cal.0, heap.0, "completion times differ");
-        assert_eq!(cal.1, heap.1, "event counts differ");
-        assert_eq!(cal.3, heap.3, "event histograms differ");
-        assert_eq!(
-            format!("{:?}", cal.2),
-            format!("{:?}", heap.2),
-            "stats differ"
-        );
+        assert_queues_agree("rmw + amo barrier", 8, rmw_then_amo_barrier);
+        // Four processors size the window to 1,024 cycles.
+        let overflowed = assert_queues_agree("long delays", 4, long_delays);
+        assert!(overflowed > 0, "the delays must reach past the window");
+    }
+
+    #[test]
+    #[ignore = "256 processors: slow in debug builds; CI runs it with --release"]
+    fn calendar_and_heap_queues_agree_on_a_256_processor_llsc_lock() {
+        // The directory backlog of 256 LL/SC contenders schedules
+        // directory work 2,048 – 8,192 cycles ahead: the edge of the
+        // largest window.
+        assert_queues_agree("llsc ticket lock", 256, llsc_ticket_lock);
     }
 
     #[test]
@@ -2283,47 +2393,17 @@ mod tests {
         // Batched same-cycle dispatch must be invisible: the forced
         // per-event path is the oracle, and every completion time,
         // counter, and event tally must agree with it — for both queue
-        // implementations.
-        let run = |kind: QueueKind, batched: bool| {
-            let mut m = Machine::with_tracer(SystemConfig::with_procs(8), kind, NopTracer);
-            m.per_event = !batched;
-            let a = var(0, 0x600);
-            for p in 0..8u16 {
-                let (k, _) = Script::new(vec![
-                    Op::AtomicRmw {
-                        kind: AmoKind::FetchAdd,
-                        addr: a,
-                        operand: 1,
-                    },
-                    Op::Amo {
-                        kind: AmoKind::Inc,
-                        addr: var(1, 0x700),
-                        operand: 0,
-                        test: Some(8),
-                    },
-                    Op::SpinUntil {
-                        addr: var(1, 0x700),
-                        pred: SpinPred::Eq(8),
-                    },
-                ]);
-                m.install_kernel(ProcId(p), Box::new(k), (p as u64) * 37);
+        // implementations, inside the window and across it.
+        let inputs: [(u16, Install); 2] = [(8, rmw_then_amo_barrier), (4, long_delays)];
+        for (procs, input) in inputs {
+            for kind in [QueueKind::Calendar, QueueKind::Heap] {
+                let (batched, _) = fingerprint(procs, kind, true, input);
+                let (per_event, _) = fingerprint(procs, kind, false, input);
+                assert_eq!(batched.0, per_event.0, "{kind:?}: completion times differ");
+                assert_eq!(batched.1, per_event.1, "{kind:?}: event counts differ");
+                assert_eq!(batched.3, per_event.3, "{kind:?}: event histograms differ");
+                assert_eq!(batched.2, per_event.2, "{kind:?}: stats differ");
             }
-            let res = m.run(10_000_000);
-            assert!(res.all_finished);
-            (
-                res.finished.clone(),
-                res.events,
-                format!("{:?}", m.stats()),
-                m.event_histogram(),
-            )
-        };
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let batched = run(kind, true);
-            let per_event = run(kind, false);
-            assert_eq!(batched.0, per_event.0, "{kind:?}: completion times differ");
-            assert_eq!(batched.1, per_event.1, "{kind:?}: event counts differ");
-            assert_eq!(batched.3, per_event.3, "{kind:?}: event histograms differ");
-            assert_eq!(batched.2, per_event.2, "{kind:?}: stats differ");
         }
     }
 }
