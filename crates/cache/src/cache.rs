@@ -2,28 +2,46 @@
 //! coherence-state bookkeeping.
 
 use crate::line::LineState;
+use crate::runs::{Runs, NONE};
 use amo_types::{BlockData, CacheConfig, Word};
 
-/// One resident line.
-#[derive(Clone, Debug)]
-struct Line {
-    /// Block-aligned base address (full address bits, acts as the tag).
+/// One way of a touched set.
+#[derive(Clone, Copy, Debug)]
+struct Way {
+    /// Block-aligned base address (full address bits, acts as the tag);
+    /// [`FREE`] when the way holds nothing.
     block: u64,
-    state: LineState,
-    data: BlockData,
     lru: u64,
+    state: LineState,
+    /// The line's run of words, or [`NONE`] for a line placed by
+    /// [`SetAssocCache::insert_tag`].
+    run: u32,
 }
 
+/// Tag of an empty way: blocks are aligned, so no block has it.
+const FREE: u64 = u64::MAX;
+
+const EMPTY: Way = Way {
+    block: FREE,
+    lru: 0,
+    state: LineState::Invalid,
+    run: NONE,
+};
+
+/// Size in bytes of one way record; referenced by the layout-guard tests.
+pub const WAY_SIZE: usize = std::mem::size_of::<Way>();
+
 /// A line pushed out by [`SetAssocCache::insert`]. The caller must write
-/// back `data` if `state` was `Modified`.
+/// back `data` if `state` was writable.
 #[derive(Clone, Debug)]
 pub struct Evicted {
     /// Block-aligned base address of the victim.
     pub block: u64,
     /// Victim's state at eviction.
     pub state: LineState,
-    /// Victim's data.
-    pub data: BlockData,
+    /// Victim's data if it was Exclusive or Modified (the home needs it
+    /// back) and was inserted with data.
+    pub data: Option<BlockData>,
 }
 
 /// Set-associative cache, addressed by block-aligned base addresses.
@@ -33,13 +51,17 @@ pub struct Evicted {
 /// hierarchy wires two of these together.
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    /// Per set index: 0 = never touched, else 1 + its position in
-    /// `sets`. A run touches a handful of the thousands of sets, so only
-    /// those get a `Vec` — building and dropping a cache writes one
-    /// zeroed array instead of a header per set.
+    /// log2 of the line size: a block's set is `block >> shift`, masked.
+    shift: u32,
+    /// Per set index: 0 = never touched, else 1 + its chunk. A run
+    /// touches a handful of the thousands of sets, so only those get
+    /// storage — building and dropping a cache writes one zeroed array.
     set_of: Vec<u32>,
-    /// The lines of every set touched so far, in first-touch order.
-    sets: Vec<Vec<Line>>,
+    /// Chunk `c`'s ways are `ways[c * cfg.ways..][..cfg.ways]`.
+    ways: Vec<Way>,
+    /// The words of the lines inserted with data (a tag-only cache has
+    /// none).
+    runs: Runs,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -50,22 +72,19 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(
-            sets > 0 && sets.is_power_of_two(),
-            "set count must be a power of two"
+            sets > 0 && sets.is_power_of_two() && cfg.line_bytes.is_power_of_two(),
+            "set count and line size must be powers of two"
         );
         SetAssocCache {
+            shift: cfg.line_bytes.trailing_zeros(),
+            runs: Runs::new(cfg.line_words()),
             cfg,
             set_of: vec![0; sets],
-            sets: Vec::new(),
+            ways: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Geometry of this cache.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// (hits, misses) observed by [`Self::probe`].
@@ -75,57 +94,39 @@ impl SetAssocCache {
 
     #[inline]
     fn set_index(&self, block: u64) -> usize {
-        ((block / self.cfg.line_bytes) as usize) & (self.set_of.len() - 1)
+        (block >> self.shift) as usize & (self.set_of.len() - 1)
     }
 
-    /// Position in `sets` of `block`'s set, if it was ever touched.
+    /// Position in `ways` of `block`'s way, if it is resident.
     #[inline]
-    fn touched(&self, block: u64) -> Option<usize> {
-        (self.set_of[self.set_index(block)] as usize).checked_sub(1)
-    }
-
-    /// The lines of `block`'s set, giving it storage on first touch.
-    fn set_mut(&mut self, block: u64) -> &mut Vec<Line> {
-        let idx = self.set_index(block);
-        if self.set_of[idx] == 0 {
-            self.sets.push(Vec::new());
-            self.set_of[idx] = self.sets.len() as u32;
-        }
-        &mut self.sets[self.set_of[idx] as usize - 1]
-    }
-
-    fn find(&mut self, block: u64) -> Option<&mut Line> {
-        let i = self.touched(block)?;
-        self.sets[i].iter_mut().find(|l| l.block == block)
+    fn find(&self, block: u64) -> Option<usize> {
+        let n = self.cfg.ways;
+        let base = (self.set_of[self.set_index(block)] as usize).checked_sub(1)? * n;
+        let set = &self.ways[base..base + n];
+        set.iter().position(|w| w.block == block).map(|i| base + i)
     }
 
     /// Look up a block, updating LRU and hit statistics. Returns its state.
     pub fn probe(&mut self, block: u64) -> Option<LineState> {
         self.tick += 1;
-        let tick = self.tick;
-        let state = self.find(block).map(|line| {
-            line.lru = tick;
-            line.state
-        });
-        match state {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        state
+        let Some(i) = self.find(block) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.ways[i].lru = self.tick;
+        Some(self.ways[i].state)
     }
 
     /// State of a block without touching LRU or statistics.
     pub fn peek_state(&self, block: u64) -> Option<LineState> {
-        let i = self.touched(block)?;
-        self.sets[i]
-            .iter()
-            .find(|l| l.block == block)
-            .map(|l| l.state)
+        self.find(block).map(|i| self.ways[i].state)
     }
 
     /// Read a word from a resident block. `word` indexes into the block.
     pub fn read_word(&mut self, block: u64, word: usize) -> Option<Word> {
-        self.find(block).map(|l| l.data.word(word))
+        self.find(block)
+            .map(|i| self.runs.word(self.ways[i].run, word))
     }
 
     /// Write a word into a resident block, transitioning
@@ -133,9 +134,9 @@ impl SetAssocCache {
     /// writable.
     pub fn write_word(&mut self, block: u64, word: usize, value: Word) -> bool {
         match self.find(block) {
-            Some(line) if line.state.can_write() => {
-                line.data.set_word(word, value);
-                line.state = LineState::Modified;
+            Some(i) if self.ways[i].state.can_write() => {
+                self.runs.set_word(self.ways[i].run, word, value);
+                self.ways[i].state = LineState::Modified;
                 true
             }
             _ => false,
@@ -145,102 +146,104 @@ impl SetAssocCache {
     /// Apply a pushed word update in place (fine-grained "put" landing).
     /// Does not change the coherence state. Returns true if applied.
     pub fn apply_word_update(&mut self, block: u64, word: usize, value: Word) -> bool {
-        match self.find(block) {
-            Some(line) => {
-                line.data.set_word(word, value);
-                true
-            }
-            None => false,
-        }
+        let run = self.find(block).map(|i| self.ways[i].run);
+        run.map(|run| self.runs.set_word(run, word, value))
+            .is_some()
     }
 
-    /// Insert (or replace) a block. Returns the victim if one was evicted.
+    /// Insert (or replace) a block, copying its words into the cache.
+    /// Returns the victim if one was evicted.
     pub fn insert(&mut self, block: u64, state: LineState, data: BlockData) -> Option<Evicted> {
-        assert_eq!(
-            data.len() as u64 * 8,
-            self.cfg.line_bytes,
-            "data size must match line size"
-        );
-        self.insert_line(block, state, data)
+        self.place(block, state, Some(data))
     }
 
     /// Insert (or replace) a block with no data — for tag-only levels
     /// (the L1 latency filter) whose values always come from the level
-    /// below. Allocation-free: an empty [`BlockData`] owns no storage.
+    /// below. Writes no words and allocates nothing once the set exists.
     pub fn insert_tag(&mut self, block: u64, state: LineState) -> Option<Evicted> {
-        self.insert_line(block, state, BlockData::empty())
+        self.place(block, state, None)
     }
 
-    fn insert_line(&mut self, block: u64, state: LineState, data: BlockData) -> Option<Evicted> {
+    /// Give `block` a way of its set — its own if resident, else a free
+    /// one, else the least recently used, whose line is returned as the
+    /// victim — stamped most recently used.
+    fn place(&mut self, block: u64, state: LineState, data: Option<BlockData>) -> Option<Evicted> {
         assert!(state.is_valid(), "cannot insert an Invalid line");
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(line) = self.find(block) {
-            line.state = state;
-            line.data = data;
-            line.lru = tick;
-            return None;
-        }
-        let ways = self.cfg.ways;
-        let set = self.set_mut(block);
-        let mut victim = None;
-        if set.len() == ways {
-            let v = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("full set has a victim");
-            let line = set.swap_remove(v);
-            victim = Some(Evicted {
-                block: line.block,
-                state: line.state,
-                data: line.data,
-            });
-        }
-        set.push(Line {
+        let i = match self.find(block) {
+            Some(i) => i,
+            None => {
+                let n = self.cfg.ways;
+                let base = self.touch(block) * n;
+                let set = &self.ways[base..base + n];
+                // A free way's tick is 0, below every stamped one, so it
+                // goes first; stamped ticks are unique, so a full set has
+                // exactly one least recently used way.
+                let lru = (0..n).min_by_key(|&j| set[j].lru);
+                base + lru.expect("a set has ways")
+            }
+        };
+        let old = self.ways[i];
+        let evicted = old.block != FREE && old.block != block;
+        let surrendered = self.release(old, evicted && old.state.can_write());
+        self.ways[i] = Way {
             block,
+            lru: self.tick,
             state,
-            data,
-            lru: tick,
-        });
-        victim
+            run: data.map_or(NONE, |data| self.runs.put(data)),
+        };
+        evicted.then_some(Evicted {
+            block: old.block,
+            state: old.state,
+            data: surrendered,
+        })
     }
 
-    /// Remove a block entirely (invalidation). Returns its state and data
-    /// if it was present.
-    pub fn invalidate(&mut self, block: u64) -> Option<(LineState, BlockData)> {
-        let i = self.touched(block)?;
-        let set = &mut self.sets[i];
-        let pos = set.iter().position(|l| l.block == block)?;
-        let line = set.swap_remove(pos);
-        Some((line.state, line.data))
+    /// The chunk of `block`'s set, giving the set its ways on first touch.
+    fn touch(&mut self, block: u64) -> usize {
+        let idx = self.set_index(block);
+        if self.set_of[idx] == 0 {
+            self.ways.resize(self.ways.len() + self.cfg.ways, EMPTY);
+            self.set_of[idx] = (self.ways.len() / self.cfg.ways) as u32;
+        }
+        self.set_of[idx] as usize - 1
+    }
+
+    /// The line `way` left the cache: vacate its run, if it has one, and
+    /// hand back its words if it must `surrender` them.
+    fn release(&mut self, way: Way, surrender: bool) -> Option<BlockData> {
+        (way.run != NONE).then(|| self.runs.take(way.run, surrender))?
+    }
+
+    /// Remove a block entirely (invalidation). Returns its state if it
+    /// was present, with its data if it was Modified.
+    pub fn invalidate(&mut self, block: u64) -> Option<(LineState, Option<BlockData>)> {
+        let i = self.find(block)?;
+        let way = std::mem::replace(&mut self.ways[i], EMPTY);
+        let data = self.release(way, way.state == LineState::Modified);
+        Some((way.state, data))
     }
 
     /// Downgrade Exclusive/Modified to Shared (intervention for a reader).
     /// Returns the block data if the line was dirty (home needs it).
     pub fn downgrade(&mut self, block: u64) -> Option<Option<BlockData>> {
-        let line = self.find(block)?;
-        let dirty = matches!(line.state, LineState::Modified);
-        line.state = LineState::Shared;
-        Some(if dirty { Some(line.data.clone()) } else { None })
+        let i = self.find(block)?;
+        let way = self.ways[i];
+        self.ways[i].state = LineState::Shared;
+        let dirty = way.state == LineState::Modified && way.run != NONE;
+        Some(dirty.then(|| BlockData(self.runs.get(way.run).into())))
     }
 
     /// Change the state of a resident line (e.g. upgrade Shared→Exclusive
     /// when an UpgradeAck arrives). Returns false if the line is absent.
     pub fn set_state(&mut self, block: u64, state: LineState) -> bool {
-        match self.find(block) {
-            Some(line) => {
-                line.state = state;
-                true
-            }
-            None => false,
-        }
+        let i = self.find(block);
+        i.map(|i| self.ways[i].state = state).is_some()
     }
 
     /// Number of resident lines (diagnostics).
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.ways.iter().filter(|w| w.block != FREE).count()
     }
 }
 
@@ -315,7 +318,12 @@ mod tests {
         // write_word touches via find without lru bump, so victim is 0.
         assert_eq!(ev.block, 0);
         assert_eq!(ev.state, LineState::Modified);
-        assert_eq!(ev.data.word(1), 77);
+        assert_eq!(ev.data.expect("owned victim").word(1), 77);
+        // A Shared victim has nothing the home needs.
+        c.insert(1024, LineState::Shared, blk(&[]));
+        let ev = c.insert(0, LineState::Shared, blk(&[])).expect("eviction");
+        assert_eq!((ev.block, ev.state), (512, LineState::Shared));
+        assert!(ev.data.is_none());
     }
 
     #[test]
@@ -324,9 +332,47 @@ mod tests {
         c.insert(0, LineState::Modified, blk(&[(0, 5)]));
         let (st, data) = c.invalidate(0).expect("was present");
         assert_eq!(st, LineState::Modified);
-        assert_eq!(data.word(0), 5);
+        assert_eq!(data.expect("dirty data").word(0), 5);
         assert_eq!(c.probe(0), None);
         assert!(c.invalidate(0).is_none());
+        // Only a Modified line surrenders its words.
+        c.insert(0, LineState::Exclusive, blk(&[(0, 5)]));
+        assert_eq!(c.invalidate(0), Some((LineState::Exclusive, None)));
+    }
+
+    #[test]
+    fn set_fills_evicts_in_lru_order_and_reuses_freed_ways() {
+        // Blocks 0, 256, 512, 768 all map to set 0 of the 2-way cache.
+        let mut c = small();
+        assert!(c.insert(0, LineState::Shared, blk(&[(0, 1)])).is_none());
+        assert!(c.insert(256, LineState::Shared, blk(&[(0, 2)])).is_none());
+        assert_eq!(c.resident(), 2, "the set is full");
+        c.probe(0);
+        let ev = c.insert(512, LineState::Shared, blk(&[(0, 3)]));
+        assert_eq!(ev.map(|e| e.block), Some(256), "least recently used");
+        let ev = c.insert(768, LineState::Shared, blk(&[(0, 4)]));
+        assert_eq!(ev.map(|e| e.block), Some(0), "next least recently used");
+        // An interleaved invalidate frees a way: the next insert takes
+        // it and evicts nothing, and no line's words are disturbed.
+        assert!(c.invalidate(512).is_some());
+        assert!(c.insert(0, LineState::Shared, blk(&[(0, 5)])).is_none());
+        assert_eq!(c.read_word(768, 0), Some(4));
+        assert_eq!(c.read_word(0, 0), Some(5));
+        assert_eq!(c.resident(), 2);
+        // The other set was never touched.
+        assert_eq!(c.peek_state(128), None);
+    }
+
+    #[test]
+    fn tag_only_lines_hold_no_words() {
+        let mut c = small();
+        c.insert_tag(0, LineState::Modified);
+        assert_eq!(c.peek_state(0), Some(LineState::Modified));
+        c.insert_tag(256, LineState::Exclusive);
+        let ev = c.insert_tag(512, LineState::Shared).expect("eviction");
+        assert_eq!((ev.block, ev.state), (0, LineState::Modified));
+        assert!(ev.data.is_none(), "a tag-only victim has no data");
+        assert_eq!(c.invalidate(256), Some((LineState::Exclusive, None)));
     }
 
     #[test]

@@ -152,9 +152,10 @@ impl CacheHierarchy {
         }
     }
 
-    /// Invalidate a whole L2 block (home sent Inv). Returns `(state, data)`
-    /// if it was present — data matters when the line was Modified.
-    pub fn invalidate_block(&mut self, block: BlockAddr) -> Option<(LineState, BlockData)> {
+    /// Invalidate a whole L2 block (home sent Inv). Returns its state if
+    /// it was present, with its data if it was Modified (the home needs
+    /// it).
+    pub fn invalidate_block(&mut self, block: BlockAddr) -> Option<(LineState, Option<BlockData>)> {
         self.drop_l1_range(block.0);
         self.l2.invalidate(block.0)
     }
@@ -317,7 +318,7 @@ mod tests {
         h.probe_store(a, 1);
         let (st, data) = h.invalidate_block(blk).expect("present");
         assert_eq!(st, LineState::Modified);
-        assert_eq!(data.word(0), 1);
+        assert_eq!(data.expect("dirty data").word(0), 1);
         assert_eq!(h.probe_load(a), Probe::Miss);
     }
 

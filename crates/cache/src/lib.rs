@@ -16,8 +16,9 @@ pub mod hierarchy;
 pub mod line;
 pub mod llsc;
 pub mod rac;
+mod runs;
 
-pub use cache::{Evicted, SetAssocCache};
+pub use cache::{Evicted, SetAssocCache, WAY_SIZE};
 pub use hierarchy::{CacheHierarchy, Probe};
 pub use line::LineState;
 pub use llsc::LlReservation;

@@ -5,7 +5,7 @@
 use amo_cache::{CacheHierarchy, LineState, Probe};
 use amo_types::{Addr, BlockData, NodeId, SystemConfig, Word};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 #[derive(Clone, Debug)]
 enum CacheOp {
@@ -40,10 +40,11 @@ fn arb_op() -> impl Strategy<Value = CacheOp> {
 }
 
 /// Word-accurate reference: which blocks are resident (and writable),
-/// and every resident word's value.
+/// which were stored to since their fill, and every resident word's value.
 #[derive(Default)]
 struct Reference {
     resident: HashMap<u8, bool>, // block -> writable
+    dirty: HashSet<u8>,
     words: HashMap<(u8, u8), Word>,
 }
 
@@ -83,6 +84,7 @@ proptest! {
                     );
                     prop_assert!(victim.is_none(), "working set must not evict");
                     model.resident.insert(b, exclusive);
+                    model.dirty.remove(&b);
                 }
                 CacheOp::Load { b, w } => {
                     let got = h.read_word(word_addr(b, w));
@@ -99,22 +101,28 @@ proptest! {
                     prop_assert_eq!(ok, writable, "stores only hit writable lines");
                     if writable {
                         model.words.insert((b, w), v);
+                        model.dirty.insert(b);
                     }
                 }
                 CacheOp::Invalidate { b } => {
                     let out = h.invalidate_block(h.l2_block(block_addr(b)));
                     prop_assert_eq!(out.is_some(), model.resident.contains_key(&b));
-                    if let Some((_, data)) = out {
-                        // The surrendered data must carry our latest values.
-                        for w in 0..16u8 {
+                    if let Some((state, data)) = out {
+                        // Only a dirty line surrenders data, and it must
+                        // carry our latest values.
+                        let dirty = model.dirty.contains(&b);
+                        prop_assert_eq!(state == LineState::Modified, dirty);
+                        prop_assert_eq!(data.is_some(), dirty);
+                        for (w, &got) in data.iter().flat_map(|d| d.0.iter()).enumerate() {
                             prop_assert_eq!(
-                                data.word(w as usize),
-                                model.words[&(b, w)],
+                                got,
+                                model.words[&(b, w as u8)],
                                 "invalidation data mismatch at word {}", w
                             );
                         }
                     }
                     model.resident.remove(&b);
+                    model.dirty.remove(&b);
                 }
                 CacheOp::Downgrade { b } => {
                     let out = h.downgrade_block(h.l2_block(block_addr(b)));
@@ -124,6 +132,7 @@ proptest! {
                     {
                         e.insert(false);
                         // A dirty downgrade must surrender current values.
+                        prop_assert_eq!(matches!(out, Some(Some(_))), model.dirty.remove(&b));
                         if let Some(Some(data)) = out {
                             for w in 0..16u8 {
                                 prop_assert_eq!(data.word(w as usize), model.words[&(b, w)]);

@@ -301,6 +301,11 @@ impl Processor {
         self.finished_at
     }
 
+    /// True once a kernel was loaded.
+    pub fn has_kernel(&self) -> bool {
+        self.kernel.is_some()
+    }
+
     /// Emit [`ProcEffect::OpDone`] spans for completed kernel operations
     /// (tracing support; off by default).
     pub fn set_op_tracing(&mut self, on: bool) {
@@ -820,7 +825,7 @@ impl Processor {
                     Payload::Writeback {
                         requester: self.id,
                         block: vblock,
-                        data: vd,
+                        data: vd.expect("an owned victim surrenders its data"),
                     },
                     eff,
                 );
@@ -1032,7 +1037,7 @@ impl Processor {
             InterventionKind::Exclusive => {
                 self.reservation.lose(block);
                 match self.caches.invalidate_block(block) {
-                    Some((LineState::Modified, data)) => InterventionResp::Dirty(data),
+                    Some((_, Some(data))) => InterventionResp::Dirty(data),
                     Some(_) => InterventionResp::Clean,
                     None => InterventionResp::Gone,
                 }

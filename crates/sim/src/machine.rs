@@ -14,7 +14,7 @@ use amo_obs::timeseries::{NodeSample, Tick, TimeSeries};
 use amo_obs::{NopTracer, TraceBuf, TraceEvent, TraceKind, Tracer};
 use amo_types::{
     Addr, BlockAddr, Cycle, MsgClass, MsgEndpoint, NodeId, Payload, ProcId, ReqId, SharedTape,
-    Stats, SystemConfig, Word,
+    Slab, SlotId, Stats, SystemConfig, Word,
 };
 
 /// Declares the event enum together with a fieldless mirror enum whose
@@ -50,7 +50,8 @@ macro_rules! define_events {
 
 define_events! {
     /// Everything that can happen. Events are moved (never cloned) from
-    /// the queue through dispatch; payloads ride along by value.
+    /// the queue through dispatch; a message's payload is parked in the
+    /// machine's payload slab and the event carries its slot.
     #[derive(Debug)]
     enum Event / EventKind {
         /// Call `Processor::step_into`.
@@ -62,9 +63,9 @@ define_events! {
         /// Apply a word update at a processor (bus latency included).
         ProcWordUpdate(ProcId, Addr, Word),
         /// A message arrived at a hub's network interface.
-        ToHub(NodeId, Payload),
+        ToHub(NodeId, SlotId),
         /// A directory-bound message cleared the service pipeline.
-        DirProcess(NodeId, Payload),
+        DirProcess(NodeId, SlotId),
         /// A DRAM block read completed for the directory.
         DramDone(NodeId, BlockAddr),
         /// The AMU function unit becomes free.
@@ -72,9 +73,9 @@ define_events! {
         /// An uncached memory word read completed for the AMU.
         AmuMemValue(NodeId, u64, Addr),
         /// An AMU reply is ready to inject into the fabric.
-        AmuSend(NodeId, ProcId, Payload),
+        AmuSend(NodeId, ProcId, SlotId),
         /// A message is delivered to a processor (bus latency included).
-        ToProc(ProcId, Payload),
+        ToProc(ProcId, SlotId),
     }
 }
 
@@ -82,7 +83,8 @@ define_events! {
 /// (its variants are the machine's internals); the size is exported so
 /// the layout-guard tests can pin the hot-path memory budget — every
 /// schedule copies exactly this many bytes into its cycle's buffer, and
-/// dispatch reads them from there.
+/// dispatch reads them from there. Payloads are not part of it: they are
+/// written into the payload slab once and taken out once.
 pub const EVENT_SIZE: usize = std::mem::size_of::<Event>();
 
 /// Result of [`Machine::run`].
@@ -146,9 +148,12 @@ pub struct Machine<T: Tracer = NopTracer, P: HostProf = NopHostProf> {
     hubs: Vec<Hub>,
     stats: Stats,
     marks: Vec<(ProcId, u32, Cycle)>,
-    finished: Vec<Option<Cycle>>,
-    installed: Vec<bool>,
     event_counts: [u64; Event::COUNT],
+    /// Payloads of the queued message events, each inserted when its
+    /// event is scheduled and removed when it is dispatched. Slot ids
+    /// never reach simulated state, and the slab is empty whenever the
+    /// queue and `batch` are.
+    payloads: Slab<Payload>,
     /// Same-cycle dispatch batch: the earliest cycle's buffer, swapped
     /// out of the queue whole and reversed so dispatch pops from the
     /// back in schedule order. One bitmap scan serves every event at the
@@ -228,7 +233,8 @@ fn flow_of(payload: &Payload) -> u64 {
 /// at most one queued event at a time), plus per-node slack for AMU
 /// queues and update fanout. It sizes the event queue's window (see
 /// [`EventQueue::with_capacity_and_kind`]): a bigger machine schedules
-/// further ahead.
+/// further ahead. It also sizes the payload slab, so a run fills it
+/// without regrowing.
 fn queue_capacity(cfg: &SystemConfig) -> usize {
     cfg.num_procs as usize * cfg.max_outstanding_misses
         + cfg.num_nodes() as usize * cfg.amu.queue_cap.min(64)
@@ -285,9 +291,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             queue: EventQueue::with_capacity_and_kind(queue_capacity(&cfg), kind),
             stats: Stats::new(),
             marks: Vec::new(),
-            finished: vec![None; cfg.num_procs as usize],
-            installed: vec![false; cfg.num_procs as usize],
             event_counts: [0; Event::COUNT],
+            payloads: Slab::with_capacity(queue_capacity(&cfg)),
             batch: Vec::new(),
             batch_when: 0,
             #[cfg(test)]
@@ -488,8 +493,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     /// the first thing to look at when a custom kernel stalls.
     pub fn stall_report(&self) -> String {
         let mut out = String::new();
-        for (i, (p, inst)) in self.procs.iter().zip(&self.installed).enumerate() {
-            if *inst && p.finished_at().is_none() {
+        for (i, p) in self.procs.iter().enumerate() {
+            if p.has_kernel() && p.finished_at().is_none() {
                 out.push_str(&format!("P{i}: {}\n", p.kstate_debug()));
             }
         }
@@ -516,7 +521,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     /// (arrival skew goes here).
     pub fn install_kernel(&mut self, p: ProcId, kernel: Box<dyn Kernel>, start: Cycle) {
         self.procs[p.index()].load_kernel(kernel);
-        self.installed[p.index()] = true;
         self.queue.schedule(start, Event::ProcWake(p));
     }
 
@@ -577,13 +581,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             let when = self.batch_when;
             while let Some(ev) = self.batch.pop() {
                 events += 1;
-                // Keep the popped event whole in memory. Otherwise LLVM
-                // threads the tag tests of `pop`, `index` and the
-                // dispatch `match` into one jump and rebuilds the event
-                // in every arm as tag + payload with 16-byte copies at a
-                // 2-byte offset, whose store-forwarding stalls cost 19 %
-                // of `lock_amo_64`'s wall time.
-                let ev = std::hint::black_box(ev);
+                // No `black_box(ev)`: the 24-byte event dispatches faster
+                // without one (see DESIGN.md §7, packed events).
                 let idx = ev.index();
                 self.event_counts[idx] += 1;
                 if P::ENABLED {
@@ -638,9 +637,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         finished.extend(
             self.procs
                 .iter()
-                .zip(&self.installed)
-                .filter(|(_, inst)| **inst)
-                .map(|(p, _)| p.finished_at()),
+                .filter(|p| p.has_kernel())
+                .map(Processor::finished_at),
         );
         let all_finished = finished.iter().all(|f| f.is_some());
         if self.watchdog_window > 0 && self.pending_fault.is_none() && !hit_limit && !all_finished {
@@ -726,6 +724,19 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
 
     fn node_of(&self, p: ProcId) -> NodeId {
         p.node(self.cfg.procs_per_node)
+    }
+
+    /// Schedule the message event `ev` at `when` with `payload` parked.
+    #[inline]
+    fn park(&mut self, when: Cycle, payload: Payload, ev: impl FnOnce(SlotId) -> Event) {
+        let id = self.payloads.insert(payload);
+        self.queue.schedule(when, ev(id));
+    }
+
+    /// Take a dispatched message event's parked payload.
+    #[inline]
+    fn unpark(&mut self, id: SlotId) -> Payload {
+        self.payloads.remove(id).expect("payload parked once")
     }
 
     fn dispatch(&mut self, ev: Event, now: Cycle) {
@@ -897,7 +908,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                     m.procs[p.index()].word_update_into(addr, value, now, &mut m.stats, eff)
                 });
             }
-            Event::ToHub(node, payload) => {
+            Event::ToHub(node, id) => {
+                let payload = self.unpark(id);
                 if T::ENABLED {
                     self.tracer.record(
                         TraceEvent::instant(TraceKind::MsgRecv, node.0, now)
@@ -907,7 +919,10 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 }
                 self.hub_receive(node, payload, now)
             }
-            Event::DirProcess(node, payload) => self.dir_process(node, payload, now),
+            Event::DirProcess(node, id) => {
+                let payload = self.unpark(id);
+                self.dir_process(node, payload, now)
+            }
             Event::DramDone(node, block) => {
                 let words = self.cfg.l2.line_words();
                 let data = self.hubs[node.index()].memory.read_block(block, words);
@@ -928,10 +943,12 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 });
                 self.amu_protocol(node, now, res);
             }
-            Event::AmuSend(node, proc, payload) => {
+            Event::AmuSend(node, proc, id) => {
+                let payload = self.unpark(id);
                 self.send_to_proc(node, proc, payload, now);
             }
-            Event::ToProc(p, payload) => {
+            Event::ToProc(p, id) => {
+                let payload = self.unpark(id);
                 if T::ENABLED {
                     self.tracer.record(
                         TraceEvent::instant(TraceKind::ProcRecv, self.node_of(p).0, now)
@@ -1005,8 +1022,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                             .flow(flow_of(&payload)),
                     );
                 }
-                self.queue
-                    .schedule(start + occ, Event::DirProcess(node, payload));
+                self.park(start + occ, payload, |id| Event::DirProcess(node, id));
             }
             // AMU-bound traffic.
             Payload::AmoReq {
@@ -1072,17 +1088,15 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             // Processor-bound traffic crossing this hub.
             Payload::ActiveMsg { target_proc, .. } => {
                 assert_eq!(self.node_of(target_proc), node, "active message misrouted");
-                self.queue.schedule(
-                    now + self.cfg.bus_latency,
-                    Event::ToProc(target_proc, payload),
-                );
+                let when = now + self.cfg.bus_latency;
+                self.park(when, payload, |id| Event::ToProc(target_proc, id));
             }
             Payload::ActMsgAck { req, .. } => {
                 // The ack goes back to whoever allocated the request tag.
                 let proc = req.proc();
                 assert_eq!(self.node_of(proc), node, "ack misrouted");
-                self.queue
-                    .schedule(now + self.cfg.bus_latency, Event::ToProc(proc, payload));
+                let when = now + self.cfg.bus_latency;
+                self.park(when, payload, |id| Event::ToProc(proc, id));
             }
             // Fine-grained update fanout landing on this node.
             Payload::WordUpdate { addr, value } => {
@@ -1234,8 +1248,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                                 .flow(flow_of(&payload)),
                         );
                     }
-                    self.queue
-                        .schedule(when, Event::AmuSend(node, proc, payload));
+                    self.park(when, payload, |id| Event::AmuSend(node, proc, id));
                 }
                 AmuEffect::FineGet { token, addr, .. } => {
                     let block = addr.block(self.cfg.l2.line_bytes);
@@ -1329,10 +1342,8 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             self.tracer.record(span);
         }
         let arrive = |m: &mut Self, when: Cycle, payload: Payload| match to {
-            Some(p) => m
-                .queue
-                .schedule(when + m.cfg.bus_latency, Event::ToProc(p, payload)),
-            None => m.queue.schedule(when, Event::ToHub(dst, payload)),
+            Some(p) => m.park(when + m.cfg.bus_latency, payload, |id| Event::ToProc(p, id)),
+            None => m.park(when, payload, |id| Event::ToHub(dst, id)),
         };
         let fault = |kind: TraceKind, when: Cycle| {
             TraceEvent::instant(kind, dst.0, when)
@@ -1396,7 +1407,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                             TraceEvent::instant(TraceKind::KernelDone, src.0, when).on_proc(p.0),
                         );
                     }
-                    self.finished[p.index()] = Some(when);
                 }
                 ProcEffect::Mark { id, when } => {
                     if T::ENABLED {
@@ -1409,7 +1419,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                     self.marks.push((p, id, when));
                 }
                 ProcEffect::Defer { payload, when } => {
-                    self.queue.schedule(when, Event::ToProc(p, payload));
+                    self.park(when, payload, |id| Event::ToProc(p, id));
                 }
                 ProcEffect::Fault { kind, when } => {
                     let kind = match kind {
@@ -2226,34 +2236,81 @@ mod tests {
         assert!(buf.events.iter().any(|e| e.kind == TraceKind::LinkRetry));
     }
 
-    /// What a queue or dispatch change must not move: completion times,
-    /// event count, stats and event histogram.
-    type Fingerprint = (Vec<Option<Cycle>>, u64, String, Vec<(&'static str, u64)>);
+    /// How a differential run drives the machine.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Drive {
+        /// One `run`, dispatching each same-cycle batch whole.
+        Batched,
+        /// One `run`, refilling the batch one event at a time.
+        PerEvent,
+        /// A `run(until)` call every 997 cycles, so queued events and
+        /// their parked payloads carry over from one call to the next.
+        Sliced,
+    }
+
+    /// What a queue, dispatch or run-loop change must not move.
+    #[derive(Debug)]
+    struct Fingerprint {
+        finished: Vec<Option<Cycle>>,
+        end: Cycle,
+        events: u64,
+        stats: String,
+        histogram: Vec<(&'static str, u64)>,
+        marks: Vec<(ProcId, u32, Cycle)>,
+    }
 
     /// Installs one input's kernels on a machine of the given size.
     type Install = fn(&mut Machine, u16);
 
     /// Run `install`'s kernels to completion on a `procs`-processor
-    /// machine over `kind`, batched or per event; also returns how many
+    /// machine over `kind`, driven as `drive` says; also returns how many
     /// events the queue scheduled beyond its window.
     fn fingerprint(
         procs: u16,
         kind: QueueKind,
-        batched: bool,
+        drive: Drive,
         install: Install,
     ) -> (Fingerprint, u64) {
         let mut m = Machine::with_tracer(SystemConfig::with_procs(procs), kind, NopTracer);
-        m.per_event = !batched;
+        m.per_event = drive == Drive::PerEvent;
         install(&mut m, procs);
-        let res = m.run(1_000_000_000);
+        let mut until = if drive == Drive::Sliced {
+            0
+        } else {
+            1_000_000_000
+        };
+        let mut events = 0;
+        let res = loop {
+            let res = m.run(until);
+            events += res.events;
+            if !res.hit_limit {
+                break res;
+            }
+            // Every parked payload belongs to a queued event.
+            assert!(m.batch.is_empty() && m.payloads.len() <= m.queue.len());
+            until += 997;
+        };
         assert!(res.all_finished, "{}", m.stall_report());
-        let fp = (
-            res.finished.clone(),
-            res.events,
-            format!("{:?}", m.stats()),
-            m.event_histogram(),
-        );
+        assert!(m.payloads.is_empty(), "a drained machine parks no payload");
+        let fp = Fingerprint {
+            finished: res.finished.clone(),
+            end: res.end,
+            events,
+            stats: format!("{:?}", m.stats()),
+            histogram: m.event_histogram(),
+            marks: m.marks().to_vec(),
+        };
         (fp, m.queue.overflowed())
+    }
+
+    /// Every timing and every counter of two runs of one input agrees.
+    fn assert_same(name: &str, a: &Fingerprint, b: &Fingerprint) {
+        assert_eq!(a.finished, b.finished, "{name}: completion times differ");
+        assert_eq!(a.end, b.end, "{name}: end cycles differ");
+        assert_eq!(a.events, b.events, "{name}: event counts differ");
+        assert_eq!(a.histogram, b.histogram, "{name}: event histograms differ");
+        assert_eq!(a.marks, b.marks, "{name}: marks differ");
+        assert_eq!(a.stats, b.stats, "{name}: stats differ");
     }
 
     /// Staggered starts, a processor-side fetch-add on one word, then an
@@ -2277,6 +2334,7 @@ mod tests {
                     addr: var(1, 0x700),
                     pred: SpinPred::Eq(procs as Word),
                 },
+                Op::Mark { id: 1 },
             ]);
             m.install_kernel(ProcId(p), Box::new(k), (p as u64) * 37);
         }
@@ -2296,6 +2354,7 @@ mod tests {
                     addr: var(1, 0x100 + 0x80 * p as u64),
                     value: p as Word,
                 },
+                Op::Mark { id: 2 },
                 Op::Delay { cycles: 100_000 },
                 Op::Amo {
                     kind: AmoKind::FetchAdd,
@@ -2362,12 +2421,9 @@ mod tests {
     /// agrees between the bucket list and the reference heap on `input`.
     /// Returns the bucket list's overflow count.
     fn assert_queues_agree(name: &str, procs: u16, input: Install) -> u64 {
-        let (cal, overflowed) = fingerprint(procs, QueueKind::Calendar, true, input);
-        let (heap, _) = fingerprint(procs, QueueKind::Heap, true, input);
-        assert_eq!(cal.0, heap.0, "{name}: completion times differ");
-        assert_eq!(cal.1, heap.1, "{name}: event counts differ");
-        assert_eq!(cal.3, heap.3, "{name}: event histograms differ");
-        assert_eq!(cal.2, heap.2, "{name}: stats differ");
+        let (cal, overflowed) = fingerprint(procs, QueueKind::Calendar, Drive::Batched, input);
+        let (heap, _) = fingerprint(procs, QueueKind::Heap, Drive::Batched, input);
+        assert_same(name, &cal, &heap);
         overflowed
     }
 
@@ -2390,19 +2446,20 @@ mod tests {
 
     #[test]
     fn batched_and_per_event_dispatch_give_identical_machines() {
-        // Batched same-cycle dispatch must be invisible: the forced
-        // per-event path is the oracle, and every completion time,
-        // counter, and event tally must agree with it — for both queue
-        // implementations, inside the window and across it.
+        // Batched same-cycle dispatch must be invisible, and so must
+        // cutting a run into many `run(until)` calls, across which queued
+        // events and their parked payloads wait: the forced per-event
+        // path and the sliced run agree with one batched `run` on every
+        // completion time, counter, event tally and mark — for both
+        // queue implementations, inside the window and across it.
         let inputs: [(u16, Install); 2] = [(8, rmw_then_amo_barrier), (4, long_delays)];
         for (procs, input) in inputs {
             for kind in [QueueKind::Calendar, QueueKind::Heap] {
-                let (batched, _) = fingerprint(procs, kind, true, input);
-                let (per_event, _) = fingerprint(procs, kind, false, input);
-                assert_eq!(batched.0, per_event.0, "{kind:?}: completion times differ");
-                assert_eq!(batched.1, per_event.1, "{kind:?}: event counts differ");
-                assert_eq!(batched.3, per_event.3, "{kind:?}: event histograms differ");
-                assert_eq!(batched.2, per_event.2, "{kind:?}: stats differ");
+                let (batched, _) = fingerprint(procs, kind, Drive::Batched, input);
+                for drive in [Drive::PerEvent, Drive::Sliced] {
+                    let (other, _) = fingerprint(procs, kind, drive, input);
+                    assert_same(&format!("{kind:?} {drive:?}"), &batched, &other);
+                }
             }
         }
     }

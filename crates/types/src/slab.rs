@@ -5,9 +5,10 @@
 //! tracking) is bounded and churns fast: entries are allocated and
 //! freed millions of times per run, but only a handful are live at
 //! once. A slab gives that pattern O(1) id→slot access with no hashing
-//! and no steady-state allocation: freed slots go on a free list and
-//! are reused, and each reuse bumps the slot's generation so a stale
-//! [`SlotId`] from a previous occupant can never alias the new one.
+//! and no steady-state allocation: freed slots go on a free list,
+//! threaded through the vacant slots themselves, and are reused, and
+//! each reuse bumps the slot's generation so a stale [`SlotId`] from a
+//! previous occupant can never alias the new one.
 //!
 //! Determinism note: slot allocation order depends only on the
 //! insert/remove call sequence (LIFO free-list reuse), so two runs
@@ -40,14 +41,20 @@ impl SlotId {
 /// [`Slab::slot_size`].
 struct Slot<T> {
     gen: u32,
+    /// While vacant: the next vacant slot's index, or [`NONE`].
+    next_free: u32,
     val: Option<T>,
 }
+
+/// End of the free list.
+const NONE: u32 = u32::MAX;
 
 /// A generation-indexed slab arena. See the module docs.
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
-    /// Indices of vacant slots, reused LIFO.
-    free: Vec<u32>,
+    /// The most recently vacated slot, head of the free list threaded
+    /// through `Slot::next_free` (vacant slots are reused LIFO).
+    free: u32,
     len: usize,
 }
 
@@ -62,7 +69,7 @@ impl<T> Slab<T> {
     pub fn new() -> Self {
         Slab {
             slots: Vec::new(),
-            free: Vec::new(),
+            free: NONE,
             len: 0,
         }
     }
@@ -71,7 +78,7 @@ impl<T> Slab<T> {
     pub fn with_capacity(cap: usize) -> Self {
         Slab {
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            free: NONE,
             len: 0,
         }
     }
@@ -94,9 +101,9 @@ impl<T> Slab<T> {
         self.slots.len()
     }
 
-    /// Size in bytes of one slot (generation tag + value storage);
-    /// referenced by the layout-guard tests so arena slots have a
-    /// named budget just like events.
+    /// Size in bytes of one slot (generation tag, free-list link and
+    /// value storage); referenced by the layout-guard tests so arena
+    /// slots have a named budget just like events.
     pub const fn slot_size() -> usize {
         std::mem::size_of::<Slot<T>>()
     }
@@ -105,15 +112,19 @@ impl<T> Slab<T> {
     /// allocation-free once the slab has reached its high-water mark.
     pub fn insert(&mut self, val: T) -> SlotId {
         self.len += 1;
-        if let Some(idx) = self.free.pop() {
+        if self.free != NONE {
+            let idx = self.free;
             let slot = &mut self.slots[idx as usize];
             debug_assert!(slot.val.is_none(), "free-listed slot is occupied");
+            self.free = slot.next_free;
             slot.val = Some(val);
             return SlotId { idx, gen: slot.gen };
         }
-        let idx = u32::try_from(self.slots.len()).expect("slab exceeds u32 slots");
+        let idx = u32::try_from(self.slots.len()).ok().filter(|&i| i != NONE);
+        let idx = idx.expect("slab exceeds u32 slots");
         self.slots.push(Slot {
             gen: 0,
+            next_free: NONE,
             val: Some(val),
         });
         SlotId { idx, gen: 0 }
@@ -154,7 +165,8 @@ impl<T> Slab<T> {
         }
         let val = slot.val.take();
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(id.idx);
+        slot.next_free = self.free;
+        self.free = id.idx;
         self.len -= 1;
         val
     }

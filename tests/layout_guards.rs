@@ -1,24 +1,32 @@
 //! Size-regression guards for the hot-path memory layout.
 //!
-//! Every queued event is moved by value through the calendar queue and
-//! the dispatch loop, so type growth is a throughput regression that no
-//! functional test catches. These `const` assertions pin the budgets
-//! negotiated by the layout overhaul: adding a fat enum variant (or an
-//! inline array) fails the build here with a named number to renegotiate
+//! Every scheduled event is written by value into its cycle's buffer in
+//! the event queue and read back from there by the dispatch loop, and
+//! every cache access scans a set's way records, so type growth is a
+//! throughput regression that no functional test catches. These `const`
+//! assertions pin the budgets: adding a fat enum variant (or an inline
+//! array) fails the build here with a named number to renegotiate
 //! rather than silently taxing every simulated message.
 
 use amo_types::{Payload, Slab, SlotId};
 
-/// `Payload` rides inside every network message event. The widest
-/// variants carry a `ReqId` + `BlockAddr` + `BlockData` (8+8+16 plus
-/// tag); the once-fattest variant, `ActiveMsg`, now boxes its 64-byte
-/// `HandlerKind` instead of doubling every other message's footprint.
+/// `Payload` is parked once per message in the machine's payload slab.
+/// The widest variants carry a `ReqId` + `BlockAddr` + `BlockData`
+/// (8+8+16 plus tag); the once-fattest variant, `ActiveMsg`, boxes its
+/// 64-byte `HandlerKind` instead of doubling every other message's
+/// footprint.
 const _: () = assert!(std::mem::size_of::<Payload>() <= 64);
 
-/// The machine's event type: tag + ids + inline `Payload`. One event is
-/// exactly one queue-slot memcpy, so this is the number the calendar
-/// queue moves per push/pop.
-const _: () = assert!(amo_sim::EVENT_SIZE <= 80);
+/// The machine's event type: tag + ids, with a message's payload behind
+/// a `SlotId`. One event is one write into its cycle's buffer and one
+/// read at dispatch; the widest variants (`ProcTimeout`,
+/// `ProcWordUpdate`, `AmuMemValue`) set this number.
+const _: () = assert!(amo_sim::EVENT_SIZE <= 24);
+
+/// One way record of a set-associative cache: tag, LRU tick, state and
+/// the index of the line's run of words. A set's ways are contiguous, so
+/// a lookup scans `ways` of these.
+const _: () = assert!(amo_cache::WAY_SIZE <= 24);
 
 /// A directory-entry slab slot: protocol state + sharer bitmap +
 /// optional open transaction (the `Txn` dominates: block data handle,
@@ -31,8 +39,8 @@ const _: () = assert!(amo_directory::ENTRY_SLOT_SIZE <= 144);
 /// encoding regressed.
 const _: () = assert!(Slab::<u64>::slot_size() <= 24);
 
-/// Slot ids are handed around instead of hash keys; they must stay
-/// register-sized.
+/// Slot ids are handed around instead of hash keys and ride inside
+/// events; they must stay register-sized.
 const _: () = assert!(std::mem::size_of::<SlotId>() == 8);
 
 /// `Option<SlotId>` must use a niche (no extra discriminant word) so
@@ -50,7 +58,12 @@ fn report_layout_sizes() {
         "Payload            = {:>3} bytes",
         std::mem::size_of::<Payload>()
     );
+    println!(
+        "Slab<Payload> slot = {:>3} bytes",
+        Slab::<Payload>::slot_size()
+    );
     println!("sim Event          = {:>3} bytes", amo_sim::EVENT_SIZE);
+    println!("cache way          = {:>3} bytes", amo_cache::WAY_SIZE);
     println!(
         "dir Entry slot     = {:>3} bytes",
         amo_directory::ENTRY_SLOT_SIZE

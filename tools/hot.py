@@ -8,10 +8,12 @@ lets it go again. Run the binary itself, not `cargo run`: only the
 command's own main thread is sampled. At exit it symbolizes the samples with
 `addr2line -f -i -C` (release builds carry line tables) and prints the
 share of samples per outermost symbol (the function the code was
-compiled into) and per innermost inlined frame (the source function the
-instruction came from). `--match REGEX` also prints the share of samples
-with any frame, inlined or not, matching REGEX — e.g.
-`--match amo_engine::queue` for the event queue's share.
+compiled into), per innermost inlined frame (the source function the
+instruction came from) and per innermost inlined frame together with
+its `file:line`, which tells two hot spots inside one function apart.
+`--match REGEX` also prints the share of samples with any frame, inlined
+or not, matching REGEX — e.g. `--match amo_engine::queue` for the event
+queue's share.
 
     tools/hot.py --match amo_engine::queue -- \\
         ./target/release/amo-benchmark --workload barrier_amo_64 --seconds 3
@@ -83,9 +85,9 @@ def read_maps(pid):
 
 
 def symbolize(rips, maps):
-    """{rip: [innermost frame, ..., outermost frame]}."""
+    """{rip: [innermost frame, ..., outermost frame]}, {rip: innermost frame at file:line}."""
     by_file = collections.defaultdict(dict)
-    frames = {}
+    frames, lines_at = {}, {}
     for rip in set(rips):
         hit = next((m for m in maps if m[0] <= rip < m[1]), None)
         if hit is None:
@@ -109,7 +111,9 @@ def symbolize(rips, maps):
         for rip, lines in zip(addrs, chains):
             funcs = [n for n in lines[0::2] if n != "??"] or [f"[{os.path.basename(path)}]"]
             frames[rip] = funcs
-    return frames
+            loc = lines[1].split(" ")[0] if len(lines) > 1 else "??"
+            lines_at[rip] = f"{funcs[0]}  {'/'.join(loc.split('/')[-3:])}"
+    return frames, lines_at
 
 
 def main():
@@ -125,11 +129,14 @@ def main():
     rips, maps = sample(cmd, a.interval_us / 1e6)
     if not rips:
         sys.exit("hot.py: no samples")
-    frames = symbolize(rips, maps)
+    frames, lines_at = symbolize(rips, maps)
     n = len(rips)
     print(f"{n} samples every {a.interval_us} us of {' '.join(cmd)}")
-    for title, pick in (("outermost symbol", -1), ("innermost inlined frame", 0)):
-        counts = collections.Counter(frames[r][pick] for r in rips)
+    views = [("outermost symbol", lambda r: frames[r][-1]),
+             ("innermost inlined frame", lambda r: frames[r][0]),
+             ("innermost inlined frame and line", lambda r: lines_at.get(r, frames[r][0]))]
+    for title, key in views:
+        counts = collections.Counter(key(r) for r in rips)
         print(f"\n share  per {title}")
         for name, c in counts.most_common(a.top):
             print(f"{100 * c / n:5.1f}%  {name[:150]}")
