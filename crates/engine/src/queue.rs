@@ -2,13 +2,14 @@
 //!
 //! Two interchangeable implementations live here:
 //!
-//! * `BucketQueue` — one FIFO buffer per cycle of a sliding
-//!   power-of-two window, found through an occupancy bitmap. An event
-//!   inside the window is one `Vec::push` onto its cycle's buffer, and
-//!   the earliest buffer is handed to the run loop whole
-//!   ([`EventQueue::swap_batch`]). Events at or beyond the window wait
-//!   in an `overflow` heap; events behind it (allowed by the API, never
-//!   done by the machine) in an `early` heap.
+//! * `BucketQueue` — one FIFO chain per cycle of a sliding
+//!   power-of-two window, found through an occupancy bitmap, over one
+//!   arena of nodes that holds every pending event. An event inside the
+//!   window is one node appended at its cycle's tail, and
+//!   [`EventQueue::pop_until`] takes the head of the earliest chain. The
+//!   nodes of events at or beyond the window wait in an `overflow` heap;
+//!   those of events behind it (allowed by the API, never done by the
+//!   machine) in an `early` heap.
 //! * `KeyedHeap` — the original `BinaryHeap` future-event list, kept
 //!   as the reference implementation for differential testing.
 //!
@@ -16,7 +17,7 @@
 //! increasing time, and equal-time events in the order they were
 //! scheduled (FIFO), never in heap-internal order. The heap keys every
 //! entry by `(time, sequence)`; the bucket list needs sequence numbers
-//! only in its two heaps, because a cycle's buffer is FIFO by
+//! only in its two heaps, because a cycle's chain is FIFO by
 //! construction (see `BucketQueue::advance`).
 
 use amo_types::Cycle;
@@ -72,6 +73,10 @@ impl<E> KeyedHeap<E> {
         }
     }
 
+    /// Inlined into [`EventQueue::schedule`] beside the bucket list's
+    /// path: were the event's address passed to a call on either arm, an
+    /// inlined caller could not build it in place.
+    #[inline(always)]
     fn push(&mut self, when: Cycle, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -86,16 +91,9 @@ impl<E> KeyedHeap<E> {
         self.heap.pop().map(|e| (e.when, e.event))
     }
 
-    /// Move every event at the earliest time into `out`, in `(when,
-    /// seq)` order; returns that time and how many moved.
-    fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(Cycle, usize)> {
-        let when = self.peek_time()?;
-        let mut n = 0;
-        while self.peek_time() == Some(when) {
-            out.push(self.heap.pop().expect("peeked entry").event);
-            n += 1;
-        }
-        Some((when, n))
+    /// Entries at `when` (a scan of the whole heap).
+    fn count_at(&self, when: Cycle) -> usize {
+        self.heap.iter().filter(|e| e.when == when).count()
     }
 
     fn len(&self) -> usize {
@@ -120,32 +118,56 @@ pub enum QueueKind {
 const MIN_WINDOW: usize = 1 << 10;
 const MAX_WINDOW: usize = 1 << 13;
 
-/// One FIFO buffer per cycle of the window `base .. base + window`.
+/// End of a chain, and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena node: full, holding a pending event, or free. `next` is
+/// the following node of the event's chain, or of the free list.
+/// `repr(u8)` lays a node out as tag, `next`, event, so an event is
+/// stored and taken out aligned and whole (an `Option`'s niche would
+/// split it from its tag).
+#[repr(u8)]
+enum Node<E> {
+    Free { next: u32 },
+    Full { next: u32, event: E },
+}
+
+impl<E> Node<E> {
+    #[inline(always)]
+    fn next(&mut self) -> &mut u32 {
+        match self {
+            Node::Free { next } | Node::Full { next, .. } => next,
+        }
+    }
+}
+
+/// One FIFO chain per cycle of the window `base .. base + window`.
 ///
-/// Buffers come from a pool and go back to it when their cycle is
-/// taken, so a warmed-up queue neither allocates nor frees. The pool
-/// hands a buffer to a new cycle with at least the capacity of the
-/// widest batch taken so far, so a steady run never grows one either.
+/// Every pending event sits in a node of one arena: the chains link the
+/// nodes of the window's cycles, and the two heaps hold the indices of
+/// the rest. A node freed by a pop joins a LIFO free list threaded
+/// through `next`, so a queue sized for its peak number of pending
+/// events allocates nothing after construction.
 struct BucketQueue<E> {
-    /// Per window cycle (`when & mask`): 0 = no bucket, else 1 + the
-    /// index of its buffer in `bufs`.
-    slot: Vec<u32>,
-    /// One bit per window cycle, set while it has a bucket.
+    /// Per window cycle (`when & mask`): the first node of its chain.
+    head: Vec<u32>,
+    /// Per window cycle: the last node of its chain.
+    tail: Vec<u32>,
+    /// One bit per window cycle, set while it has a chain; `head` and
+    /// `tail` are stale while it is clear (zeroed pages stay untouched).
     occupied: Vec<u64>,
     /// Window length − 1 (the window is a power of two).
     mask: usize,
     /// First cycle of the window.
     base: Cycle,
-    /// Every buffer ever made; a bucket or the pool holds each.
-    bufs: Vec<Vec<E>>,
-    /// Indices into `bufs` of the buffers no bucket holds.
-    pool: Vec<u32>,
-    /// Largest batch taken so far.
-    widest: usize,
-    /// Events at or beyond the window's end.
-    overflow: KeyedHeap<E>,
-    /// Events before the window's start.
-    early: KeyedHeap<E>,
+    /// Every node ever made; a chain, a heap or the free list holds each.
+    nodes: Vec<Node<E>>,
+    /// The most recently freed node: head of the free list.
+    free: u32,
+    /// Nodes of the events at or beyond the window's end.
+    overflow: KeyedHeap<u32>,
+    /// Nodes of the events before the window's start.
+    early: KeyedHeap<u32>,
     /// Events that were scheduled into `overflow` (a diagnostic).
     overflowed: u64,
     /// Pending events in all three places.
@@ -153,16 +175,16 @@ struct BucketQueue<E> {
 }
 
 impl<E> BucketQueue<E> {
-    fn with_window(window: usize) -> Self {
+    fn with_window(window: usize, nodes: usize) -> Self {
         assert!(window.is_power_of_two() && window >= 64);
         BucketQueue {
-            slot: vec![0; window],
+            head: vec![0; window],
+            tail: vec![0; window],
             occupied: vec![0; window / 64],
             mask: window - 1,
             base: 0,
-            bufs: Vec::new(),
-            pool: Vec::new(),
-            widest: 0,
+            nodes: Vec::with_capacity(nodes),
+            free: NIL,
             overflow: KeyedHeap::with_capacity(0),
             early: KeyedHeap::with_capacity(0),
             overflowed: 0,
@@ -170,44 +192,98 @@ impl<E> BucketQueue<E> {
         }
     }
 
-    #[inline]
+    /// The event goes into a node first, wherever it then waits: its only
+    /// use is that one store, so an inlined caller can build it in place.
+    #[inline(always)]
     fn schedule(&mut self, when: Cycle, event: E) {
         self.len += 1;
+        let n = self.store(event);
         // `when - base` wraps for a time behind the window, so the common
         // case is one compare.
         if when.wrapping_sub(self.base) <= self.mask as u64 {
-            self.bucket(when).push(event);
-        } else if when > self.base {
+            self.link(when, n);
+        } else {
+            self.schedule_outside(when, n);
+        }
+    }
+
+    /// [`schedule`](Self::schedule) at a time outside the window.
+    #[inline(never)]
+    fn schedule_outside(&mut self, when: Cycle, n: u32) {
+        if when > self.base {
             self.overflowed += 1;
-            self.overflow.push(when, event);
+            self.overflow.push(when, n);
         } else if self.len == 1 {
             // Nothing else is pending, so the window may move back.
             self.base = when;
-            self.bucket(when).push(event);
+            self.link(when, n);
         } else {
-            self.early.push(when, event);
+            self.early.push(when, n);
         }
     }
 
-    /// The buffer of window cycle `when`, drawn from the pool if the
-    /// cycle has none yet.
-    #[inline]
-    fn bucket(&mut self, when: Cycle) -> &mut Vec<E> {
+    /// Put `event` in a node — the free list's head, or a new one.
+    #[inline(always)]
+    fn store(&mut self, event: E) -> u32 {
+        let n = if self.free == NIL {
+            self.nodes.push(Node::Free { next: NIL });
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = *self.nodes[n as usize].next();
+            n
+        };
+        self.nodes[n as usize] = Node::Full { next: NIL, event };
+        n
+    }
+
+    /// Link node `n` in at the tail of window cycle `when`'s chain.
+    #[inline(always)]
+    fn link(&mut self, when: Cycle, n: u32) {
         let s = when as usize & self.mask;
-        if self.slot[s] == 0 {
-            let b = self.pool.pop().unwrap_or_else(|| {
-                self.bufs.push(Vec::new());
-                (self.bufs.len() - 1) as u32
-            });
-            self.bufs[b as usize].reserve(self.widest);
-            self.slot[s] = b + 1;
+        if self.is_occupied(s) {
+            *self.nodes[self.tail[s] as usize].next() = n;
+        } else {
+            self.head[s] = n;
             self.occupied[s >> 6] |= 1 << (s & 63);
         }
-        &mut self.bufs[self.slot[s] as usize - 1]
+        self.tail[s] = n;
+    }
+
+    /// True while window slot `s` has a chain.
+    #[inline(always)]
+    fn is_occupied(&self, s: usize) -> bool {
+        self.occupied[s >> 6] >> (s & 63) & 1 != 0
+    }
+
+    /// Free node `n`, returning the `next` it held and its event.
+    #[inline(always)]
+    fn release(&mut self, n: u32) -> (u32, E) {
+        let free = Node::Free { next: self.free };
+        let Node::Full { next, event } = std::mem::replace(&mut self.nodes[n as usize], free)
+        else {
+            unreachable!("only a full node is released")
+        };
+        self.free = n;
+        (next, event)
+    }
+
+    /// Take the event at the head of window slot `s`'s (non-empty)
+    /// chain. The node's successor comes back from its release; the
+    /// slot's bit clears with its last event.
+    #[inline(always)]
+    fn unlink(&mut self, s: usize) -> E {
+        let (next, event) = self.release(self.head[s]);
+        self.head[s] = next;
+        if next == NIL {
+            self.occupied[s >> 6] &= !(1 << (s & 63));
+        }
+        event
     }
 
     /// First occupied window slot in time order: the wrapped scan from
-    /// `base`'s slot, since every bucket lies in `base .. base + window`.
+    /// `base`'s slot, since every chain lies in `base .. base + window`.
+    #[inline(always)]
     fn next_occupied(&self) -> Option<usize> {
         let start = self.base as usize & self.mask;
         let (sw, words) = (start >> 6, self.occupied.len());
@@ -216,9 +292,9 @@ impl<E> BucketQueue<E> {
             return Some(sw << 6 | high.trailing_zeros() as usize);
         }
         // The last step revisits `sw` whole: its low bits are the
-        // window's final cycles.
+        // window's final cycles. `words` is a power of two.
         (1..=words).find_map(|step| {
-            let wi = (sw + step) % words;
+            let wi = (sw + step) & (words - 1);
             let w = self.occupied[wi];
             (w != 0).then(|| wi << 6 | w.trailing_zeros() as usize)
         })
@@ -230,8 +306,9 @@ impl<E> BucketQueue<E> {
         self.base + (s.wrapping_sub(self.base as usize) & self.mask) as u64
     }
 
-    /// Time and slot of the earliest bucket, first moving the window to
-    /// the overflow when every bucket is empty.
+    /// Time and slot of the earliest chain, first moving the window to
+    /// the overflow when every chain is empty.
+    #[inline(always)]
     fn earliest(&mut self) -> Option<(Cycle, usize)> {
         if self.len == self.early.len() {
             return None;
@@ -242,102 +319,59 @@ impl<E> BucketQueue<E> {
                 let first = self.overflow.peek_time().expect("pending events");
                 self.advance(first);
                 self.next_occupied()
-                    .expect("the overflow's head has a bucket")
+                    .expect("the overflow's head has a chain")
             }
         };
         Some((self.time_of(s), s))
     }
 
-    /// Start the window at `to` and move every overflow event it now
-    /// covers into its bucket.
+    /// Start the window at `to` and link every overflow node it now
+    /// covers in at the tail of its chain.
     ///
-    /// This is what keeps each bucket FIFO without sequence numbers. An
+    /// This is what keeps each chain FIFO without sequence numbers. An
     /// event is in the overflow only if its cycle was beyond the window
-    /// when it was scheduled, so it precedes every event scheduled
-    /// straight into that cycle's bucket — and those can only be
-    /// scheduled once the cycle is inside the window, i.e. after this
-    /// move, which runs before the queue returns to its caller. The
-    /// overflow yields its events in `(when, seq)` order, so the moved
-    /// ones keep theirs. The window never moves back while events are
-    /// pending, so a cycle enters it once.
+    /// when it was scheduled, so it precedes every event appended
+    /// straight to that cycle's chain — and those can only be scheduled
+    /// once the cycle is inside the window, i.e. after this move, which
+    /// runs before the queue returns to its caller. The overflow yields
+    /// its events in `(when, seq)` order, so the moved ones keep theirs.
+    /// A pop takes a chain's head and a schedule appends at its tail, so
+    /// an event scheduled at the cycle being popped — even right after
+    /// its last event left — comes out behind every event already there.
+    /// The window never moves back while events are pending, so a cycle
+    /// enters it once.
+    #[inline(always)]
     fn advance(&mut self, to: Cycle) {
         self.base = to;
         let span = self.mask as u64;
         while self.overflow.peek_time().is_some_and(|t| t - to <= span) {
-            let (when, event) = self.overflow.pop().expect("peeked entry");
-            self.bucket(when).push(event);
+            let (when, n) = self.overflow.pop().expect("peeked entry");
+            self.link(when, n);
         }
     }
 
-    /// Take the earliest cycle if it is no later than `until`: the early
-    /// heap's head time moves into `out` and `None` comes back with it,
-    /// or the earliest bucket leaves the window (the window then starts
-    /// at its cycle) and the index of its buffer comes back — the caller
-    /// empties it and calls [`release`](Self::release).
-    fn take(&mut self, out: &mut Vec<E>, until: Cycle) -> Option<(Cycle, Option<usize>)> {
+    /// The earliest event if it fires no later than `until`: the early
+    /// heap's head, or the head of the earliest chain, the window first
+    /// moving to that chain's cycle.
+    #[inline(always)]
+    fn pop_until(&mut self, until: Cycle) -> Option<(Cycle, E)> {
         if let Some(when) = self.early.peek_time() {
             if when > until {
                 return None;
             }
-            let (_, n) = self.early.pop_batch_into(out)?;
-            self.len -= n;
-            return Some((when, None));
+            self.len -= 1;
+            let (_, n) = self.early.pop().expect("peeked entry");
+            return Some((when, self.release(n).1));
         }
         let (when, s) = self.earliest()?;
         if when > until {
             return None;
         }
-        let b = self.slot[s] as usize - 1;
-        self.slot[s] = 0;
-        self.occupied[s >> 6] &= !(1 << (s & 63));
-        self.advance(when);
-        Some((when, Some(b)))
-    }
-
-    /// Return buffer `b` to the pool after its `n` events left.
-    fn release(&mut self, b: usize, n: usize) {
-        self.len -= n;
-        self.widest = self.widest.max(n);
-        self.pool.push(b as u32);
-    }
-
-    fn swap_batch(&mut self, out: &mut Vec<E>, until: Cycle) -> Option<Cycle> {
-        let (when, b) = self.take(out, until)?;
-        if let Some(b) = b {
-            std::mem::swap(out, &mut self.bufs[b]);
-            self.release(b, out.len());
+        if when != self.base {
+            self.advance(when);
         }
-        Some(when)
-    }
-
-    fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
-        let (when, b) = self.take(out, Cycle::MAX)?;
-        if let Some(b) = b {
-            let n = self.bufs[b].len();
-            out.append(&mut self.bufs[b]);
-            self.release(b, n);
-        }
-        Some(when)
-    }
-
-    /// One event at a time: the front of the earliest bucket, which
-    /// leaves the window once its last event is gone.
-    fn pop(&mut self) -> Option<(Cycle, E)> {
-        if let Some(first) = self.early.pop() {
-            self.len -= 1;
-            return Some(first);
-        }
-        let (when, s) = self.earliest()?;
-        self.advance(when);
-        let b = self.slot[s] as usize - 1;
-        let event = self.bufs[b].remove(0);
         self.len -= 1;
-        if self.bufs[b].is_empty() {
-            self.slot[s] = 0;
-            self.occupied[s >> 6] &= !(1 << (s & 63));
-            self.pool.push(b as u32);
-        }
-        Some((when, event))
+        Some((when, self.unlink(s)))
     }
 
     fn peek_time(&self) -> Option<Cycle> {
@@ -348,6 +382,23 @@ impl<E> BucketQueue<E> {
             Some(s) => Some(self.time_of(s)),
             None => self.overflow.peek_time(),
         }
+    }
+
+    /// Pending events at `when`: its chain's length while it is inside
+    /// the window, plus any in the two heaps.
+    fn len_at(&self, when: Cycle) -> usize {
+        let mut n = self.early.count_at(when) + self.overflow.count_at(when);
+        let s = when as usize & self.mask;
+        if when.wrapping_sub(self.base) <= self.mask as u64 && self.is_occupied(s) {
+            let mut i = self.head[s];
+            while i != NIL {
+                n += 1;
+                i = match self.nodes[i as usize] {
+                    Node::Free { next } | Node::Full { next, .. } => next,
+                };
+            }
+        }
+        n
     }
 }
 
@@ -398,14 +449,16 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue sized for `cap` concurrently pending events, with
-    /// an explicit implementation choice. The bucket list's window is
-    /// `cap` cycles rounded up to a power of two, clamped to
-    /// 1,024 ..= 8,192: a machine with more pending events schedules
-    /// further ahead.
+    /// an explicit implementation choice. The bucket list reserves `cap`
+    /// nodes, so it allocates only at construction while no more are
+    /// pending, and its window is `cap` cycles rounded up to a power of
+    /// two, clamped to 1,024 ..= 8,192: a machine with more pending
+    /// events schedules further ahead.
     pub fn with_capacity_and_kind(cap: usize, kind: QueueKind) -> Self {
         let imp = match kind {
             QueueKind::Calendar => Imp::Bucket(BucketQueue::with_window(
                 cap.next_power_of_two().clamp(MIN_WINDOW, MAX_WINDOW),
+                cap,
             )),
             QueueKind::Heap => Imp::Heap(KeyedHeap::with_capacity(cap)),
         };
@@ -416,7 +469,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` to fire at absolute cycle `when`.
-    #[inline]
+    #[inline(always)]
     pub fn schedule(&mut self, when: Cycle, event: E) {
         self.scheduled_total += 1;
         match &mut self.imp {
@@ -428,33 +481,21 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, with its firing time.
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        match &mut self.imp {
-            Imp::Bucket(q) => q.pop(),
-            Imp::Heap(q) => q.pop(),
-        }
+        self.pop_until(Cycle::MAX)
     }
 
-    /// Take every event at the earliest pending time, if that time is
-    /// no later than `until`, into `out` — which must be empty — in
-    /// exactly the order a sequence of [`pop`](Self::pop) calls would
-    /// yield them; returns that time. `None` when the queue is empty or
-    /// its earliest event lies after `until`.
-    ///
-    /// On the bucket list this moves no event: `out` and the cycle's
-    /// buffer trade places, and `out`'s old buffer goes to the pool for
-    /// a later cycle. Events scheduled while the batch is out — even at
-    /// its time — go into a fresh bucket and come back as the next
-    /// batch, which is exactly where per-event popping would see them.
-    #[inline]
-    pub fn swap_batch(&mut self, out: &mut Vec<E>, until: Cycle) -> Option<Cycle> {
-        debug_assert!(out.is_empty(), "swap_batch takes an empty buffer");
+    /// Remove and return the earliest event, with its firing time, if
+    /// that time is no later than `until`; `None` when the queue is
+    /// empty or its earliest event lies after `until`. An event
+    /// scheduled at the time just popped comes out after every event
+    /// already pending at that time.
+    #[inline(always)]
+    pub fn pop_until(&mut self, until: Cycle) -> Option<(Cycle, E)> {
         match &mut self.imp {
-            Imp::Bucket(q) => q.swap_batch(out, until),
+            Imp::Bucket(q) => q.pop_until(until),
             Imp::Heap(q) => {
-                if q.peek_time()? > until {
-                    return None;
-                }
-                q.pop_batch_into(out).map(|(when, _)| when)
+                q.peek_time().filter(|&t| t <= until)?;
+                q.pop()
             }
         }
     }
@@ -463,12 +504,13 @@ impl<E> EventQueue<E> {
     /// to `out` in [`pop`](Self::pop) order; returns that time, or
     /// `None` when the queue is empty. `out` is *appended to*, not
     /// cleared, so the caller can reuse one buffer across batches.
-    #[inline]
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
-        match &mut self.imp {
-            Imp::Bucket(q) => q.pop_batch_into(out),
-            Imp::Heap(q) => q.pop_batch_into(out).map(|(when, _)| when),
+        let (when, first) = self.pop()?;
+        out.push(first);
+        while let Some((_, event)) = self.pop_until(when) {
+            out.push(event);
         }
+        Some(when)
     }
 
     /// Firing time of the earliest pending event, if any.
@@ -484,6 +526,15 @@ impl<E> EventQueue<E> {
         match &self.imp {
             Imp::Bucket(q) => q.len,
             Imp::Heap(q) => q.len(),
+        }
+    }
+
+    /// Number of pending events that fire at `when`. It walks a chain or
+    /// scans a heap: meant for occasional use, such as sampling.
+    pub fn len_at(&self, when: Cycle) -> usize {
+        match &self.imp {
+            Imp::Bucket(q) => q.len_at(when),
+            Imp::Heap(q) => q.count_at(when),
         }
     }
 
@@ -625,8 +676,8 @@ mod tests {
 
     #[test]
     fn windows_are_sized_from_capacity_and_clamped() {
-        // (capacity, window): the last in-window cycle stays in a
-        // bucket, the next one goes to the overflow.
+        // (capacity, window): the last in-window cycle is linked into
+        // its chain, the next one goes to the overflow.
         for (cap, window) in [(0, 1024), (1500, 2048), (3072, 4096), (1 << 20, 8192)] {
             let mut q = EventQueue::with_capacity(cap);
             q.schedule(0, 0);
@@ -690,20 +741,42 @@ mod tests {
             q.schedule(10, 2);
             q.schedule(11, 3);
             let mut batch = Vec::new();
-            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(10));
+            assert_eq!(q.pop_batch_into(&mut batch), Some(10));
             assert_eq!(batch, [1, 2]);
             assert_eq!(q.len(), 1, "the batch out is not pending");
             // Dispatching the batch schedules at its own cycle.
             q.schedule(10, 4);
             q.schedule(10, 5);
             batch.clear();
-            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(10));
+            assert_eq!(q.pop_batch_into(&mut batch), Some(10));
             assert_eq!(batch, [4, 5]);
-            batch.clear();
-            assert_eq!(q.swap_batch(&mut batch, 10), None, "11 is after the limit");
-            assert!(batch.is_empty() && q.len() == 1);
-            assert_eq!(q.swap_batch(&mut batch, 11), Some(11));
-            assert_eq!(batch, [3]);
+            assert_eq!(q.pop_until(10), None, "11 is after the limit");
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop_until(11), Some((11, 3)));
+        }
+    }
+
+    #[test]
+    fn a_schedule_at_the_popped_cycle_lands_behind_its_remaining_events() {
+        for kind in kinds() {
+            let mut q = EventQueue::with_kind(kind);
+            q.schedule(10, 1);
+            q.schedule(10, 2);
+            q.schedule(12, 9);
+            assert_eq!(q.pop_until(10), Some((10, 1)));
+            q.schedule(10, 3); // behind 2, which is still pending
+            assert_eq!(q.len_at(10), 2);
+            assert_eq!(q.pop_until(10), Some((10, 2)));
+            assert_eq!(q.pop_until(10), Some((10, 3)));
+            // The cycle's last event has left; a schedule at it reopens it.
+            q.schedule(10, 4);
+            q.schedule(10, 5);
+            assert_eq!(q.peek_time(), Some(10));
+            assert_eq!(q.pop_until(10), Some((10, 4)));
+            assert_eq!(q.pop_until(10), Some((10, 5)));
+            assert_eq!(q.pop_until(11), None, "12 is after the limit");
+            assert_eq!((q.len(), q.len_at(10), q.len_at(12)), (1, 0, 1));
+            assert_eq!(q.pop(), Some((12, 9)));
         }
     }
 
@@ -712,28 +785,47 @@ mod tests {
         for kind in kinds() {
             // Window 1,024: cycle 1,500 is beyond it until cycle 600 is
             // taken; the two overflow events were scheduled first, so
-            // they lead the bucket the direct schedule lands in.
+            // they lead the chain the direct schedule lands in.
             let mut q = EventQueue::with_kind(kind);
             q.schedule(0, "start");
             q.schedule(1_500, "o1");
             q.schedule(1_500, "o2");
-            let mut batch = Vec::new();
-            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(0));
+            assert_eq!(q.pop(), Some((0, "start")));
             q.schedule(600, "mid");
-            batch.clear();
-            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(600));
+            assert_eq!(q.pop(), Some((600, "mid")));
             q.schedule(1_500, "direct");
             q.schedule(700, "between");
-            batch.clear();
-            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(700));
-            batch.clear();
-            assert_eq!(q.swap_batch(&mut batch, Cycle::MAX), Some(1_500));
+            assert_eq!(q.pop(), Some((700, "between")));
+            assert_eq!(q.len_at(1_500), 3);
+            let mut batch = Vec::new();
+            assert_eq!(q.pop_batch_into(&mut batch), Some(1_500));
             assert_eq!(batch, ["o1", "o2", "direct"]);
             assert_eq!(
                 q.overflowed(),
                 if kind == QueueKind::Calendar { 2 } else { 0 }
             );
         }
+    }
+
+    #[test]
+    fn freed_nodes_are_reused_before_the_arena_grows() {
+        // Sixty-four pending at most, in many rounds: the arena reserved
+        // at construction serves them all.
+        let mut q = EventQueue::with_capacity(64);
+        for round in 0..100u64 {
+            for i in 0..64 {
+                q.schedule(round * 10 + i % 7, i);
+            }
+            let mut last = None;
+            while let Some((t, i)) = q.pop_until(round * 10 + 6) {
+                assert!(last < Some((t, i)), "({t}, {i}) after {last:?}");
+                last = Some((t, i));
+            }
+        }
+        let Imp::Bucket(b) = &q.imp else {
+            unreachable!()
+        };
+        assert_eq!(b.nodes.len(), 64);
     }
 
     proptest! {
@@ -786,51 +878,65 @@ mod tests {
 
         /// Differential test: the bucket list and the reference heap must
         /// agree on every output across randomized interleavings of
-        /// `schedule`, `pop`, `swap_batch` (with and without a limit) and
-        /// appending `pop_batch_into`, at the smallest and the largest
-        /// window. Times are drawn relative to the last cycle taken out:
-        /// that very cycle (the batch is out), near, straddling the
-        /// window's end, just beyond it (the overflow moves in while
+        /// `schedule`, `pop`, `pop_until` (with and without a limit),
+        /// appending `pop_batch_into`, `peek_time` and `len_at`, at the
+        /// smallest and the largest window. Times are drawn relative to
+        /// the last cycle taken out: that very cycle (behind its
+        /// remaining events, or reopening it once its last event left),
+        /// near, the window's last cycle and the first one beyond it
+        /// (the window starts at the cycle taken, so only the second
+        /// overflows), further beyond (the overflow moves in while
         /// direct schedules keep arriving), far future, and behind.
         #[test]
         fn calendar_matches_heap_differentially(
             largest in any::<bool>(),
-            ops in proptest::collection::vec((0u8..9, 0u8..6, 0u64..100_000), 1..400),
+            ops in proptest::collection::vec((0u8..10, 0u8..8, 0u64..100_000), 1..400),
         ) {
             let window: u64 = if largest { 8192 } else { 1024 };
             let mut cal = EventQueue::with_capacity_and_kind(window as usize, QueueKind::Calendar);
             let mut heap = EventQueue::with_kind(QueueKind::Heap);
             let (mut tag, mut now) = (0u64, 0u64);
+            // True while the window starts behind `now`: a schedule into
+            // an empty queue moved it back, and no pop has moved it on.
+            let mut moved_back = false;
             for (action, class, off) in ops {
                 match action {
                     0..=3 => {
                         let when = match class {
                             0 => now,
                             1 => now + off % 512,
-                            2 => now + window - 16 + off % 32,
-                            3 => now + window + off % 4096,
-                            4 => 1_000_000_000 + off,
+                            2 => now + window - 1,
+                            3 => now + window,
+                            4 => now + window + off % 4096,
+                            5 => 1_000_000_000 + off,
                             _ => now.saturating_sub(1 + off % 2_000),
                         };
                         tag += 1;
+                        moved_back |= heap.is_empty() && when < now;
+                        let overflowed = cal.overflowed();
                         cal.schedule(when, tag);
                         heap.schedule(when, tag);
+                        if class == 2 && !moved_back {
+                            prop_assert_eq!(cal.overflowed(), overflowed, "the window's last cycle");
+                        }
                     }
-                    4 => {
+                    4 | 5 => {
                         let (a, b) = (cal.pop(), heap.pop());
                         prop_assert_eq!(a, b);
                         if let Some((t, _)) = a {
-                            now = t;
+                            (now, moved_back) = (t, false);
                         }
                     }
-                    5 | 6 => {
-                        let until = if class == 0 { now + off % 64 } else { Cycle::MAX };
-                        let (mut a, mut b) = (Vec::new(), Vec::new());
-                        let t = cal.swap_batch(&mut a, until);
-                        prop_assert_eq!(t, heap.swap_batch(&mut b, until));
-                        prop_assert_eq!(&a, &b);
-                        if let Some(t) = t {
-                            now = t;
+                    6 => {
+                        let until = match class {
+                            0 => now,
+                            1 | 2 => now + off % 64,
+                            _ => Cycle::MAX,
+                        };
+                        let (a, b) = (cal.pop_until(until), heap.pop_until(until));
+                        prop_assert_eq!(a, b);
+                        if let Some((t, _)) = a {
+                            (now, moved_back) = (t, false);
                         }
                     }
                     7 => {
@@ -839,8 +945,12 @@ mod tests {
                         prop_assert_eq!(t, heap.pop_batch_into(&mut b));
                         prop_assert_eq!(&a, &b);
                         if let Some(t) = t {
-                            now = t;
+                            (now, moved_back) = (t, false);
                         }
+                    }
+                    8 => {
+                        let when = if class == 0 { now + off % 4 } else { now + window };
+                        prop_assert_eq!(cal.len_at(when), heap.len_at(when));
                     }
                     _ => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
                 }
@@ -857,12 +967,11 @@ mod tests {
             }
         }
 
-        /// The run loop's pattern: take a batch whole, and while it is
-        /// out schedule each event's successors — at the batch's own
-        /// cycle, nearby, across the window's end, and beyond it. The
-        /// bucket list must hand out exactly the heap's batches, and a
-        /// successor at the batch's own cycle must come back as the very
-        /// next batch.
+        /// The run loop's pattern: pop one event, schedule its
+        /// successors — at its own cycle, nearby, across the window's
+        /// end, and beyond it — and pop the next. The bucket list must
+        /// pop exactly the heap's events, and a successor at the popped
+        /// cycle must keep that cycle earliest.
         #[test]
         fn dispatch_loop_batches_match_heap(
             largest in any::<bool>(),
@@ -875,34 +984,26 @@ mod tests {
                 cal.schedule(off % 100, i as u64);
                 heap.schedule(off % 100, i as u64);
             }
-            let (mut a, mut b) = (Vec::new(), Vec::new());
             let mut budget = 4_000u64;
-            while let Some(now) = cal.swap_batch(&mut a, Cycle::MAX) {
-                prop_assert_eq!(heap.swap_batch(&mut b, Cycle::MAX), Some(now));
-                prop_assert_eq!(&a, &b);
-                let mut same_cycle = false;
-                for &ev in &a {
-                    if budget == 0 {
-                        break;
-                    }
-                    let (class, off) = fanout[(ev as usize) % fanout.len()];
-                    let when = now + match class {
-                        0 => 0,
-                        1 => off % 300,
-                        2 => window - 2 + off % 4,
-                        3 => window + off,
-                        _ => 100 * (off % 3),
-                    };
-                    same_cycle |= when == now;
-                    budget -= 1;
-                    cal.schedule(when, ev + 1);
-                    heap.schedule(when, ev + 1);
+            while let Some((now, ev)) = cal.pop_until(Cycle::MAX) {
+                prop_assert_eq!(heap.pop_until(Cycle::MAX), Some((now, ev)));
+                if budget == 0 {
+                    continue;
                 }
-                if same_cycle {
+                budget -= 1;
+                let (class, off) = fanout[(ev as usize) % fanout.len()];
+                let when = now + match class {
+                    0 => 0,
+                    1 => off % 300,
+                    2 => window - 2 + off % 4,
+                    3 => window + off,
+                    _ => 100 * (off % 3),
+                };
+                cal.schedule(when, ev + 1);
+                heap.schedule(when, ev + 1);
+                if when == now {
                     prop_assert_eq!(cal.peek_time(), Some(now));
                 }
-                a.clear();
-                b.clear();
             }
             prop_assert!(heap.is_empty());
         }

@@ -49,7 +49,9 @@ pub const DISPATCH_SCOPES: usize = 11;
 pub enum Scope {
     /// The whole `Machine::run` call (root of every profile).
     Run,
-    /// Event-queue batch refill: `peek`/`pop_batch`/`pop`.
+    /// Event-queue batch refill. The machine's run loop pops one event
+    /// at a time under `Run`'s self time and never enters this scope; it
+    /// stays because `amo-benchmark`'s loop-cost metric names it.
     Drain,
     /// Dispatch of one `ProcWake` event.
     DispatchProcWake,

@@ -82,9 +82,10 @@ define_events! {
 /// Size of one queued event in bytes. The event type itself is private
 /// (its variants are the machine's internals); the size is exported so
 /// the layout-guard tests can pin the hot-path memory budget — every
-/// schedule copies exactly this many bytes into its cycle's buffer, and
-/// dispatch reads them from there. Payloads are not part of it: they are
-/// written into the payload slab once and taken out once.
+/// schedule writes exactly this many bytes into a node of the event
+/// queue's arena, and the pop that hands the event to dispatch reads
+/// them from there. Payloads are not part of it: they are written into
+/// the payload slab once and taken out once.
 pub const EVENT_SIZE: usize = std::mem::size_of::<Event>();
 
 /// Result of [`Machine::run`].
@@ -152,22 +153,8 @@ pub struct Machine<T: Tracer = NopTracer, P: HostProf = NopHostProf> {
     /// Payloads of the queued message events, each inserted when its
     /// event is scheduled and removed when it is dispatched. Slot ids
     /// never reach simulated state, and the slab is empty whenever the
-    /// queue and `batch` are.
+    /// queue is.
     payloads: Slab<Payload>,
-    /// Same-cycle dispatch batch: the earliest cycle's buffer, swapped
-    /// out of the queue whole and reversed so dispatch pops from the
-    /// back in schedule order. One bitmap scan serves every event at the
-    /// current cycle. Normally empty between `run` calls; non-empty only
-    /// if a run aborted on a fault mid-batch, in which case the remainder
-    /// is dispatched first on resume — exactly where per-event popping
-    /// would have left them.
-    batch: Vec<Event>,
-    /// Firing time of the events in `batch`.
-    batch_when: Cycle,
-    /// Differential oracle for the batched drain: refill the batch one
-    /// event at a time instead.
-    #[cfg(test)]
-    per_event: bool,
     /// Reusable effect buffers: the dispatch hot path hands one to each
     /// component `*_into` call and returns it after draining, so steady
     /// state event processing performs no heap allocation. Pools (not
@@ -233,8 +220,8 @@ fn flow_of(payload: &Payload) -> u64 {
 /// at most one queued event at a time), plus per-node slack for AMU
 /// queues and update fanout. It sizes the event queue's window (see
 /// [`EventQueue::with_capacity_and_kind`]): a bigger machine schedules
-/// further ahead. It also sizes the payload slab, so a run fills it
-/// without regrowing.
+/// further ahead. It also sizes the queue's node arena and the payload
+/// slab, so a run fills both without regrowing.
 fn queue_capacity(cfg: &SystemConfig) -> usize {
     cfg.num_procs as usize * cfg.max_outstanding_misses
         + cfg.num_nodes() as usize * cfg.amu.queue_cap.min(64)
@@ -293,10 +280,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             marks: Vec::new(),
             event_counts: [0; Event::COUNT],
             payloads: Slab::with_capacity(queue_capacity(&cfg)),
-            batch: Vec::new(),
-            batch_when: 0,
-            #[cfg(test)]
-            per_event: false,
             proc_eff_pool: Vec::new(),
             amu_eff_pool: Vec::new(),
             dir_act_pool: Vec::new(),
@@ -447,7 +430,9 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         if let Some(ts) = self.timeseries.as_mut() {
             ts.push(Tick {
                 when: boundary,
-                events_queued: self.queue.len() as u64,
+                // Pending after this cycle: the events still queued at it
+                // are not counted.
+                events_queued: (self.queue.len() - self.queue.len_at(when)) as u64,
                 per_node,
             });
         }
@@ -548,87 +533,61 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     fn run_inner(&mut self, max_cycles: Cycle) -> RunResult {
         let mut events = 0u64;
         let mut hit_limit = false;
-        // Outer loop refills the same-cycle batch; the inner loop
-        // dispatches it back-to-front (the batch is stored reversed).
-        // Events scheduled during the batch — even at the current time —
-        // go into a fresh bucket and come back as a later batch, so the
-        // dispatch order is bit-identical to per-event popping.
-        'run: loop {
-            if self.batch.is_empty() {
-                if P::ENABLED {
-                    self.prof.enter(Scope::Drain);
-                }
-                let refilled = self.refill_batch(max_cycles);
-                if P::ENABLED {
-                    self.prof.exit(Scope::Drain);
-                }
-                let Some(next) = refilled else {
-                    hit_limit = !self.queue.is_empty();
-                    break;
-                };
-                self.batch_when = next;
-                self.clock.advance_to(next);
-                if next >= self.next_sample {
-                    if P::ENABLED {
-                        self.prof.enter(Scope::Sample);
-                    }
-                    self.sample_now(next);
-                    if P::ENABLED {
-                        self.prof.exit(Scope::Sample);
-                    }
+        // One event at a time. An event scheduled at the current cycle
+        // joins the tail of that cycle's chain, behind every event
+        // already there; a fault abort leaves the rest queued for the
+        // resumed run.
+        loop {
+            let Some((when, ev)) = self.queue.pop_until(max_cycles) else {
+                hit_limit = !self.queue.is_empty();
+                break;
+            };
+            self.clock.advance_to(when);
+            if when >= self.next_sample {
+                self.scoped(Scope::Sample, |m| m.sample_now(when));
+            }
+            events += 1;
+            // No `black_box(ev)`: the 24-byte event dispatches faster
+            // without one (see DESIGN.md §7, packed events).
+            let idx = ev.index();
+            self.event_counts[idx] += 1;
+            self.scoped(Scope::dispatch(idx), |m| m.dispatch(ev, when));
+            if T::ENABLED {
+                if let Some(v) = self.tracer.take_violation() {
+                    self.pending_violation = Some(v.detail);
+                    self.pending_fault.get_or_insert((
+                        SimErrorKind::MonitorViolation { monitor: v.monitor },
+                        v.at,
+                    ));
                 }
             }
-            let when = self.batch_when;
-            while let Some(ev) = self.batch.pop() {
-                events += 1;
-                // No `black_box(ev)`: the 24-byte event dispatches faster
-                // without one (see DESIGN.md §7, packed events).
-                let idx = ev.index();
-                self.event_counts[idx] += 1;
-                if P::ENABLED {
-                    self.prof.enter(Scope::dispatch(idx));
+            if self.pending_fault.is_some() || self.fabric.has_failure() {
+                if let Some(f) = self.fabric.take_failure() {
+                    self.pending_fault.get_or_insert((
+                        SimErrorKind::LinkFailed {
+                            src: f.src,
+                            dst: f.dst,
+                            attempts: f.attempts,
+                        },
+                        f.at,
+                    ));
                 }
-                self.dispatch(ev, when);
-                if P::ENABLED {
-                    self.prof.exit(Scope::dispatch(idx));
-                }
-                if T::ENABLED {
-                    if let Some(v) = self.tracer.take_violation() {
-                        self.pending_violation = Some(v.detail);
-                        self.pending_fault.get_or_insert((
-                            SimErrorKind::MonitorViolation { monitor: v.monitor },
-                            v.at,
-                        ));
-                    }
-                }
-                if self.pending_fault.is_some() || self.fabric.has_failure() {
-                    if let Some(f) = self.fabric.take_failure() {
-                        self.pending_fault.get_or_insert((
-                            SimErrorKind::LinkFailed {
-                                src: f.src,
-                                dst: f.dst,
-                                attempts: f.attempts,
-                            },
-                            f.at,
-                        ));
-                    }
-                    break 'run;
-                }
-                if self.watchdog_window > 0 {
-                    let progress = self.progress_metric();
-                    if progress != self.wd_last_progress {
-                        self.wd_last_progress = progress;
-                        self.wd_last_progress_at = when;
-                    } else if when - self.wd_last_progress_at >= self.watchdog_window {
-                        self.pending_fault = Some((
-                            SimErrorKind::NoProgress {
-                                window: self.watchdog_window,
-                                last_progress_at: self.wd_last_progress_at,
-                            },
-                            when,
-                        ));
-                        break 'run;
-                    }
+                break;
+            }
+            if self.watchdog_window > 0 {
+                let progress = self.progress_metric();
+                if progress != self.wd_last_progress {
+                    self.wd_last_progress = progress;
+                    self.wd_last_progress_at = when;
+                } else if when - self.wd_last_progress_at >= self.watchdog_window {
+                    self.pending_fault = Some((
+                        SimErrorKind::NoProgress {
+                            window: self.watchdog_window,
+                            last_progress_at: self.wd_last_progress_at,
+                        },
+                        when,
+                    ));
+                    break;
                 }
             }
         }
@@ -657,22 +616,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             hit_limit,
             error,
         }
-    }
-
-    /// Take every event at the earliest pending time into `batch`, if
-    /// that time is no later than `until`, reversed so dispatch pops them
-    /// from the back in schedule order; returns that time.
-    fn refill_batch(&mut self, until: Cycle) -> Option<Cycle> {
-        #[cfg(test)]
-        if self.per_event {
-            let next = self.queue.peek_time().filter(|&t| t <= until)?;
-            let (_, ev) = self.queue.pop().expect("peeked event");
-            self.batch.push(ev);
-            return Some(next);
-        }
-        let next = self.queue.swap_batch(&mut self.batch, until)?;
-        self.batch.reverse();
-        Some(next)
     }
 
     /// Monotone per-run progress indicator the watchdog watches: kernel
@@ -2239,10 +2182,8 @@ mod tests {
     /// How a differential run drives the machine.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Drive {
-        /// One `run`, dispatching each same-cycle batch whole.
-        Batched,
-        /// One `run`, refilling the batch one event at a time.
-        PerEvent,
+        /// One `run` to completion.
+        Whole,
         /// A `run(until)` call every 997 cycles, so queued events and
         /// their parked payloads carry over from one call to the next.
         Sliced,
@@ -2272,7 +2213,6 @@ mod tests {
         install: Install,
     ) -> (Fingerprint, u64) {
         let mut m = Machine::with_tracer(SystemConfig::with_procs(procs), kind, NopTracer);
-        m.per_event = drive == Drive::PerEvent;
         install(&mut m, procs);
         let mut until = if drive == Drive::Sliced {
             0
@@ -2287,7 +2227,7 @@ mod tests {
                 break res;
             }
             // Every parked payload belongs to a queued event.
-            assert!(m.batch.is_empty() && m.payloads.len() <= m.queue.len());
+            assert!(m.payloads.len() <= m.queue.len());
             until += 997;
         };
         assert!(res.all_finished, "{}", m.stall_report());
@@ -2421,8 +2361,8 @@ mod tests {
     /// agrees between the bucket list and the reference heap on `input`.
     /// Returns the bucket list's overflow count.
     fn assert_queues_agree(name: &str, procs: u16, input: Install) -> u64 {
-        let (cal, overflowed) = fingerprint(procs, QueueKind::Calendar, Drive::Batched, input);
-        let (heap, _) = fingerprint(procs, QueueKind::Heap, Drive::Batched, input);
+        let (cal, overflowed) = fingerprint(procs, QueueKind::Calendar, Drive::Whole, input);
+        let (heap, _) = fingerprint(procs, QueueKind::Heap, Drive::Whole, input);
         assert_same(name, &cal, &heap);
         overflowed
     }
@@ -2446,20 +2386,17 @@ mod tests {
 
     #[test]
     fn batched_and_per_event_dispatch_give_identical_machines() {
-        // Batched same-cycle dispatch must be invisible, and so must
-        // cutting a run into many `run(until)` calls, across which queued
-        // events and their parked payloads wait: the forced per-event
-        // path and the sliced run agree with one batched `run` on every
-        // completion time, counter, event tally and mark — for both
-        // queue implementations, inside the window and across it.
+        // Cutting a run into many `run(until)` calls, across which queued
+        // events and their parked payloads wait, must be invisible: the
+        // sliced run agrees with one whole `run` on every completion
+        // time, counter, event tally and mark — for both queue
+        // implementations, inside the window and across it.
         let inputs: [(u16, Install); 2] = [(8, rmw_then_amo_barrier), (4, long_delays)];
         for (procs, input) in inputs {
             for kind in [QueueKind::Calendar, QueueKind::Heap] {
-                let (batched, _) = fingerprint(procs, kind, Drive::Batched, input);
-                for drive in [Drive::PerEvent, Drive::Sliced] {
-                    let (other, _) = fingerprint(procs, kind, drive, input);
-                    assert_same(&format!("{kind:?} {drive:?}"), &batched, &other);
-                }
+                let (whole, _) = fingerprint(procs, kind, Drive::Whole, input);
+                let (sliced, _) = fingerprint(procs, kind, Drive::Sliced, input);
+                assert_same(&format!("{kind:?} sliced"), &whole, &sliced);
             }
         }
     }

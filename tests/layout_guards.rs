@@ -1,12 +1,12 @@
 //! Size-regression guards for the hot-path memory layout.
 //!
-//! Every scheduled event is written by value into its cycle's buffer in
-//! the event queue and read back from there by the dispatch loop, and
-//! every cache access scans a set's way records, so type growth is a
-//! throughput regression that no functional test catches. These `const`
-//! assertions pin the budgets: adding a fat enum variant (or an inline
-//! array) fails the build here with a named number to renegotiate
-//! rather than silently taxing every simulated message.
+//! Every scheduled event is written by value into a node of the event
+//! queue's arena and read back from there by the pop that hands it to
+//! dispatch, and every cache access scans a set's way records, so type
+//! growth is a throughput regression that no functional test catches.
+//! These `const` assertions pin the budgets: adding a fat enum variant
+//! (or an inline array) fails the build here with a named number to
+//! renegotiate rather than silently taxing every simulated message.
 
 use amo_types::{Payload, Slab, SlotId};
 
@@ -18,9 +18,9 @@ use amo_types::{Payload, Slab, SlotId};
 const _: () = assert!(std::mem::size_of::<Payload>() <= 64);
 
 /// The machine's event type: tag + ids, with a message's payload behind
-/// a `SlotId`. One event is one write into its cycle's buffer and one
-/// read at dispatch; the widest variants (`ProcTimeout`,
-/// `ProcWordUpdate`, `AmuMemValue`) set this number.
+/// a `SlotId`. One event is one write into a queue node and one read at
+/// its pop; the widest variants (`ProcTimeout`, `ProcWordUpdate`,
+/// `AmuMemValue`) set this number.
 const _: () = assert!(amo_sim::EVENT_SIZE <= 24);
 
 /// One way record of a set-associative cache: tag, LRU tick, state and

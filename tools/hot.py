@@ -12,13 +12,22 @@ compiled into), per innermost inlined frame (the source function the
 instruction came from) and per innermost inlined frame together with
 its `file:line`, which tells two hot spots inside one function apart.
 `--match REGEX` also prints the share of samples with any frame, inlined
-or not, matching REGEX — e.g. `--match amo_engine::queue` for the event
-queue's share.
+or not, whose function name or source file matches REGEX — e.g.
+`--match engine/src/queue.rs` for the event queue's share (an inlined
+frame is named without its module path, so `amo_engine::queue` would
+miss the queue code inlined into its callers).
 
-    tools/hot.py --match amo_engine::queue -- \\
+An object without a `.symtab` (a stripped library, such as a glibc that
+ships only `.dynsym`) names its local functions nowhere, and addr2line
+would name each of their samples after the nearest export before it. A
+sample there is printed as `<object>+0x<offset> (after <export>)`
+instead: in the symbol views the offset is that export's, so samples
+group per gap between exports; in the line view it is the sample's own.
+
+    tools/hot.py --match engine/src/queue.rs -- \\
         ./target/release/amo-benchmark --workload barrier_amo_64 --seconds 3
 """
-import argparse, collections, ctypes, os, re, subprocess, sys, time
+import argparse, bisect, collections, ctypes, os, re, struct, subprocess, sys, time
 
 PTRACE_CONT, PTRACE_GETREGS = 7, 12
 PTRACE_SEIZE, PTRACE_INTERRUPT = 0x4206, 0x4207
@@ -84,20 +93,54 @@ def read_maps(pid):
     return out
 
 
+def has_symtab(path):
+    """True if the ELF64 object at path has a SHT_SYMTAB section."""
+    with open(path, "rb") as f:
+        head = f.read(64)
+        shoff, = struct.unpack_from("<Q", head, 0x28)
+        entsize, count = struct.unpack_from("<HH", head, 0x3A)
+        f.seek(shoff)
+        table = f.read(entsize * count)
+    return any(struct.unpack_from("<I", table, i * entsize + 4)[0] == 2 for i in range(count))
+
+
+def exports(path):
+    """Sorted [(address, name)] of the functions path exports."""
+    out = subprocess.run(["nm", "-D", "--defined-only", path], capture_output=True, text=True).stdout
+    syms = (line.split() for line in out.splitlines())
+    return sorted({(int(s[0], 16), s[2].split("@")[0]) for s in syms if len(s) == 3 and s[1] in "TtWi"})
+
+
+def after_export(path, addrs):
+    """{rip: (symbol-view name, line-view name)} for an object without .symtab."""
+    syms, obj = exports(path), os.path.basename(path)
+    named = {}
+    for rip, off in addrs.items():
+        i = bisect.bisect_right(syms, (off, chr(0x10FFFF))) - 1
+        start, name = syms[i] if i >= 0 else (0, "start")
+        named[rip] = (f"{obj}+0x{start:x} (after {name})", f"{obj}+0x{off:x} (after {name})")
+    return named
+
+
 def symbolize(rips, maps):
-    """{rip: [innermost frame, ..., outermost frame]}, {rip: innermost frame at file:line}."""
+    """{rip: [innermost frame, ..., outermost frame]}, {rip: innermost frame at
+    file:line}, {rip: ["frame file:line" for each frame]}."""
     by_file = collections.defaultdict(dict)
-    frames, lines_at = {}, {}
+    frames, lines_at, sites = {}, {}, {}
     for rip in set(rips):
         hit = next((m for m in maps if m[0] <= rip < m[1]), None)
         if hit is None:
-            frames[rip] = ["[unknown]"]
+            frames[rip] = sites[rip] = ["[unknown]"]
             continue
         _, _, base, path = hit
         with open(path, "rb") as f:
             pie = f.read(18)[16] == 3  # ET_DYN: addresses are load-relative
         by_file[path][rip] = rip - base if pie else rip
     for path, addrs in by_file.items():
+        if not has_symtab(path):
+            for rip, (symbol, line) in after_export(path, addrs).items():
+                frames[rip], lines_at[rip], sites[rip] = [symbol], line, [line]
+            continue
         args = ["addr2line", "-a", "-f", "-i", "-C", "-e", path]
         args += [hex(a) for a in addrs.values()]
         text = subprocess.run(args, capture_output=True, text=True).stdout.splitlines()
@@ -113,7 +156,8 @@ def symbolize(rips, maps):
             frames[rip] = funcs
             loc = lines[1].split(" ")[0] if len(lines) > 1 else "??"
             lines_at[rip] = f"{funcs[0]}  {'/'.join(loc.split('/')[-3:])}"
-    return frames, lines_at
+            sites[rip] = [f"{n} {at}" for n, at in zip(lines[0::2], lines[1::2])] or funcs
+    return frames, lines_at, sites
 
 
 def main():
@@ -129,7 +173,7 @@ def main():
     rips, maps = sample(cmd, a.interval_us / 1e6)
     if not rips:
         sys.exit("hot.py: no samples")
-    frames, lines_at = symbolize(rips, maps)
+    frames, lines_at, sites = symbolize(rips, maps)
     n = len(rips)
     print(f"{n} samples every {a.interval_us} us of {' '.join(cmd)}")
     views = [("outermost symbol", lambda r: frames[r][-1]),
@@ -142,7 +186,7 @@ def main():
             print(f"{100 * c / n:5.1f}%  {name[:150]}")
     for pattern in a.match:
         rx = re.compile(pattern)
-        c = sum(1 for r in rips if any(rx.search(f) for f in frames[r]))
+        c = sum(1 for r in rips if any(rx.search(f) for f in sites[r]))
         print(f"\n{100 * c / n:5.1f}%  of samples have a frame matching /{pattern}/")
 
 
