@@ -135,14 +135,6 @@ impl Outcome {
             other => panic!("outcome {other:?} carries no value"),
         }
     }
-
-    /// The SC result (panics if this wasn't an SC completion).
-    pub fn sc_ok(self) -> bool {
-        match self {
-            Outcome::ScResult(ok) => ok,
-            other => panic!("outcome {other:?} is not an SC result"),
-        }
-    }
 }
 
 /// A synchronization algorithm instance bound to one processor.
@@ -233,8 +225,6 @@ mod tests {
         assert_eq!(Outcome::Value(5).value(), 5);
         assert_eq!(Outcome::SpinDone(7).value(), 7);
         assert_eq!(Outcome::Acked(9).value(), 9);
-        assert!(Outcome::ScResult(true).sc_ok());
-        assert!(!Outcome::ScResult(false).sc_ok());
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl Entry {
     }
 }
 
-/// Size of one directory-entry slab slot in bytes. [`Entry`] is
+/// Size of one directory-entry slab slot in bytes. `Entry` is
 /// private; the slot size is exported so the layout-guard tests can pin
 /// the arena's per-block memory budget.
 pub const ENTRY_SLOT_SIZE: usize = amo_types::Slab::<Entry>::slot_size();

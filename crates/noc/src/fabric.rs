@@ -353,7 +353,7 @@ impl Fabric {
     /// skew overtakes this one — bounded reordering within
     /// `link_reorder_window` cycles. Node-local loopback is exempt
     /// (it never crosses a network interface), as is every class the
-    /// protocol cannot heal end to end (see [`delivery_faultable`]).
+    /// protocol cannot heal end to end (see `delivery_faultable`).
     pub fn send_delivery(
         &mut self,
         now: Cycle,

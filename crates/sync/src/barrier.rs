@@ -16,10 +16,11 @@
 //! Per mechanism, the default style follows the paper: AMO uses the
 //! naive coding (Fig. 3(c)); everything else uses the spin variable.
 
+use crate::frame::{EpisodeAlgo, EpisodeKernel};
 use crate::layout::cumulative_target;
-use crate::mechanism::{BackoffCfg, FetchAddSub, Mechanism, ReleaseSub, SpinSub, Step};
+use crate::mechanism::{release, Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::{Kernel, Op, Outcome};
+use amo_cpu::Op;
 use amo_types::{Addr, Cycle, NodeId, Publish, SpinPred, Word};
 
 /// Which word the processors spin on.
@@ -111,19 +112,13 @@ impl BarrierSpec {
     }
 }
 
-#[derive(Debug)]
-enum BState {
-    StartEpisode,
-    WorkWait,
-    EnterMarkWait,
-    FaRun(FetchAddSub),
-    /// Sense-reversing only: the last arriver zeroes the counter before
-    /// releasing.
-    ResetWait,
-    RelRun(ReleaseSub),
-    SpinRun(SpinSub),
-    ExitMarkWait,
-    Done,
+/// The centralized barrier's algorithm: count the arrival, then wait
+/// for the release — or, last to arrive, give it.
+pub struct CentralBarrier {
+    spec: BarrierSpec,
+    /// Sense-reversing only: this participant arrived last and zeroes the
+    /// counter before releasing.
+    resets: bool,
 }
 
 /// One participant's barrier kernel.
@@ -143,219 +138,110 @@ enum BState {
 /// assert!(machine.run(10_000_000).all_finished);
 /// assert_eq!(machine.stats().puts, 2, "one delayed put per episode");
 /// ```
-pub struct BarrierKernel {
-    spec: BarrierSpec,
-    /// Pre-episode local work (arrival skew), one entry per episode.
-    work: Vec<Cycle>,
-    e: u32,
-    state: BState,
-}
+pub type BarrierKernel = EpisodeKernel<CentralBarrier>;
 
 impl BarrierKernel {
     /// Build the kernel for one participant. `work[i]` is the local
     /// computation time before episode `i+1`.
     pub fn new(spec: BarrierSpec, work: Vec<Cycle>) -> Self {
-        assert_eq!(
-            work.len(),
-            spec.episodes as usize,
-            "one work entry per episode"
-        );
-        BarrierKernel {
+        let algo = CentralBarrier {
             spec,
-            work,
-            e: 1,
-            state: BState::StartEpisode,
-        }
+            resets: false,
+        };
+        EpisodeKernel::frame(algo, spec.episodes, work)
     }
+}
 
-    fn make_fa(&self) -> FetchAddSub {
+impl CentralBarrier {
+    fn increment(&self, e: u32) -> Sub {
         let s = &self.spec;
-        let target = cumulative_target(self.e, s.participants);
-        let fa = FetchAddSub::new(s.mech, s.counter, 1, s.ctr_id);
+        let target = cumulative_target(e, s.participants);
+        let publish = |when_count, reset| Publish {
+            addr: s.spin,
+            when_count: Some(when_count),
+            value: Some(e as Word),
+            reset,
+        };
+        let fa = Sub::fetch_inc(s.mech, s.counter, s.ctr_id);
         match (s.mech, s.style) {
             // The AMO barrier's delayed put fires at the target count.
-            (Mechanism::Amo, BarrierStyle::Naive) => fa.with_test(target),
+            (Mechanism::Amo, BarrierStyle::Naive) => fa.amo_inc(Some(target)),
             // Sense-reversing counters reset each episode; the AMU cache
             // just accumulates (dirty) until the reset flushes it.
-            (Mechanism::Amo, BarrierStyle::SenseReversing) => fa.as_inc(),
+            (Mechanism::Amo, BarrierStyle::SenseReversing) => fa.amo_inc(None),
+            // The handler publishes the release at the per-episode
+            // target and resets its service counter itself — the
+            // closest active-message analogue.
             (Mechanism::ActMsg, BarrierStyle::SenseReversing) => {
-                // The handler publishes the release at the per-episode
-                // target and resets its service counter itself — the
-                // closest active-message analogue.
-                fa.with_publish(Publish {
-                    addr: s.spin,
-                    when_count: Some(s.participants as Word),
-                    value: Some(self.e as Word),
-                    reset: true,
-                })
+                fa.publishing(publish(s.participants as Word, true))
             }
-            // Eager ablation: push after every increment. `FetchAddSub`
-            // emits amo.fetchadd (no test) which puts unconditionally.
-            (Mechanism::Amo, BarrierStyle::EagerUpdates) => fa,
-            // An AMO driving a separate spin variable doesn't test; the
-            // release below pushes the spin variable instead.
-            (Mechanism::Amo, BarrierStyle::SpinVariable) => fa,
             // The active-message handler publishes the release when the
             // count reaches the target.
-            (Mechanism::ActMsg, _) => fa.with_publish(Publish {
-                addr: s.spin,
-                when_count: Some(target),
-                value: Some(self.e as Word),
-                reset: false,
-            }),
+            (Mechanism::ActMsg, _) => fa.publishing(publish(target, false)),
+            // Eager ablation: `amo.fetchadd` without a test value puts
+            // after every increment. An AMO driving a separate spin
+            // variable doesn't test either; its release pushes instead.
             _ => fa,
         }
     }
 
-    fn after_increment(&self, old: Word) -> BState {
+    fn after_increment(&mut self, e: u32, old: Word) -> Sub {
         let s = &self.spec;
-        let target = cumulative_target(self.e, s.participants);
+        let target = cumulative_target(e, s.participants);
+        let release_val = e as Word;
+        let wait = Sub::spin(s.spin, SpinPred::Ge(release_val));
+        // An active-message "counter" is a service counter at the home
+        // processor, not a coherent word: the handler publishes the
+        // release and everyone (the last arriver too) spins on the spin
+        // variable, whatever the style.
+        if s.mech == Mechanism::ActMsg {
+            return wait;
+        }
         match s.style {
+            // Everyone spins on the counter itself — under MAO uncached,
+            // polling its home with backoff.
+            BarrierStyle::Naive | BarrierStyle::EagerUpdates if s.mech == Mechanism::Mao => {
+                Sub::uncached(s.counter, SpinPred::Ge(target), target)
+            }
             BarrierStyle::Naive | BarrierStyle::EagerUpdates => {
-                // An active-message "counter" is a service counter at the
-                // home processor, not a coherent word — there is nothing
-                // to spin on directly, so ActMsg always uses the
-                // handler-published spin variable regardless of style.
-                if s.mech == Mechanism::ActMsg {
-                    return BState::SpinRun(SpinSub::coherent(
-                        s.spin,
-                        SpinPred::Ge(self.e as Word),
-                    ));
-                }
-                // Everyone spins on the counter itself.
-                if s.mech == Mechanism::Mao {
-                    BState::SpinRun(SpinSub::uncached(
-                        s.counter,
-                        SpinPred::Ge(target),
-                        BackoffCfg {
-                            target,
-                            ..BackoffCfg::default()
-                        },
-                    ))
-                } else {
-                    BState::SpinRun(SpinSub::coherent(s.counter, SpinPred::Ge(target)))
-                }
+                Sub::spin(s.counter, SpinPred::Ge(target))
             }
-            BarrierStyle::SenseReversing => {
-                let release_val = self.e as Word;
-                if s.mech == Mechanism::ActMsg {
-                    // The handler resets and publishes; everyone spins.
-                    return BState::SpinRun(SpinSub::coherent(s.spin, SpinPred::Ge(release_val)));
-                }
-                // Per-episode (non-cumulative) target: the counter was
-                // reset to zero by the previous episode's last arriver.
-                if old + 1 == s.participants as Word {
-                    BState::ResetWait
+            // Per-episode (non-cumulative) target: the counter was reset
+            // to zero by the previous episode's last arriver. Zero it
+            // before releasing: MAO counters live in uncached space;
+            // coherent ones are reset with an ordinary store whose
+            // exclusive grant flushes any dirty AMU copy.
+            BarrierStyle::SenseReversing if old + 1 == s.participants as Word => {
+                self.resets = true;
+                let (addr, value) = (s.counter, 0);
+                Sub::once(if s.mech == Mechanism::Mao {
+                    Op::UncachedStore { addr, value }
                 } else {
-                    BState::SpinRun(SpinSub::coherent(s.spin, SpinPred::Ge(release_val)))
-                }
+                    Op::Store { addr, value }
+                })
             }
-            BarrierStyle::SpinVariable => {
-                let release_val = self.e as Word;
-                if s.mech == Mechanism::ActMsg {
-                    // The handler publishes; everyone (including the last
-                    // arriver) just spins.
-                    return BState::SpinRun(SpinSub::coherent(s.spin, SpinPred::Ge(release_val)));
-                }
-                if old + 1 == target {
-                    // The spin variable is always coherent — under MAO
-                    // this is the paper's "optimized" variant: the MC
-                    // counts arrivals, the release is an ordinary store.
-                    let rel = if s.mech == Mechanism::Mao {
-                        ReleaseSub::coherent_store(s.spin, release_val)
-                    } else {
-                        ReleaseSub::new(s.mech, s.spin, release_val)
-                    };
-                    BState::RelRun(rel)
-                } else {
-                    BState::SpinRun(SpinSub::coherent(s.spin, SpinPred::Ge(release_val)))
-                }
+            // The spin variable is always coherent — under MAO this is
+            // the paper's "optimized" variant: the MC counts arrivals,
+            // the release is an ordinary store.
+            BarrierStyle::SpinVariable if old + 1 == target => {
+                Sub::once(release(s.mech, s.spin, release_val))
             }
+            BarrierStyle::SenseReversing | BarrierStyle::SpinVariable => wait,
         }
     }
 }
 
-impl Kernel for BarrierKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        loop {
-            match &mut self.state {
-                BState::StartEpisode => {
-                    if self.e > self.spec.episodes {
-                        self.state = BState::Done;
-                        continue;
-                    }
-                    self.state = BState::WorkWait;
-                    return Op::Delay {
-                        cycles: self.work[(self.e - 1) as usize],
-                    };
-                }
-                BState::WorkWait => {
-                    self.state = BState::EnterMarkWait;
-                    return Op::Mark {
-                        id: BarrierSpec::enter_mark(self.e),
-                    };
-                }
-                BState::EnterMarkWait => {
-                    self.state = BState::FaRun(self.make_fa());
-                    last = None;
-                }
-                BState::FaRun(fa) => match fa.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(old) => {
-                        self.state = self.after_increment(old);
-                        if matches!(self.state, BState::ResetWait) {
-                            // Zero the counter before releasing. MAO
-                            // counters live in uncached space; coherent
-                            // ones are reset with an ordinary store whose
-                            // exclusive grant flushes any dirty AMU copy.
-                            return if self.spec.mech == Mechanism::Mao {
-                                Op::UncachedStore {
-                                    addr: self.spec.counter,
-                                    value: 0,
-                                }
-                            } else {
-                                Op::Store {
-                                    addr: self.spec.counter,
-                                    value: 0,
-                                }
-                            };
-                        }
-                    }
-                },
-                BState::ResetWait => {
-                    let rel = if self.spec.mech == Mechanism::Mao {
-                        ReleaseSub::coherent_store(self.spec.spin, self.e as Word)
-                    } else {
-                        ReleaseSub::new(self.spec.mech, self.spec.spin, self.e as Word)
-                    };
-                    self.state = BState::RelRun(rel);
-                    last = None;
-                }
-                BState::RelRun(rel) => match rel.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.state = BState::ExitMarkWait;
-                        return Op::Mark {
-                            id: BarrierSpec::exit_mark(self.e),
-                        };
-                    }
-                },
-                BState::SpinRun(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.state = BState::ExitMarkWait;
-                        return Op::Mark {
-                            id: BarrierSpec::exit_mark(self.e),
-                        };
-                    }
-                },
-                BState::ExitMarkWait => {
-                    self.e += 1;
-                    self.state = BState::StartEpisode;
-                    last = None;
-                }
-                BState::Done => return Op::Done,
+impl EpisodeAlgo for CentralBarrier {
+    fn arrive(&mut self, e: u32, step: u32, ready: Word) -> Option<Sub> {
+        match step {
+            0 => Some(self.increment(e)),
+            1 => Some(self.after_increment(e, ready)),
+            2 if self.resets => {
+                self.resets = false;
+                let s = &self.spec;
+                Some(Sub::once(release(s.mech, s.spin, e as Word)))
             }
+            _ => None,
         }
     }
 }

@@ -15,10 +15,9 @@
 //! `amo.fetchadd` whose put lands the count directly in the waiting
 //! cache.
 
-use crate::barrier::BarrierSpec;
-use crate::mechanism::{Mechanism, ReleaseSub, SpinSub, Step};
+use crate::frame::{EpisodeAlgo, EpisodeKernel};
+use crate::mechanism::{release, Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::{Kernel, Op, Outcome};
 use amo_types::{Addr, Cycle, ProcId, SpinPred, Word};
 
 /// Shared description of a dissemination barrier.
@@ -71,115 +70,39 @@ impl DisseminationSpec {
     }
 }
 
-#[derive(Debug)]
-enum DState {
-    StartEpisode,
-    WorkWait,
-    EnterMarkWait,
-    Notify(ReleaseSub),
-    Wait(SpinSub),
-    ExitMarkWait,
-    Done,
+/// The dissemination barrier's algorithm: per round, notify the peer,
+/// then wait for the notification.
+pub struct Dissemination {
+    spec: DisseminationSpec,
+    me: u16,
 }
 
 /// One participant's dissemination-barrier kernel.
-pub struct DisseminationKernel {
-    spec: DisseminationSpec,
-    me: u16,
-    work: Vec<Cycle>,
-    e: u32,
-    round: u32,
-    state: DState,
-}
+pub type DisseminationKernel = EpisodeKernel<Dissemination>;
 
 impl DisseminationKernel {
     /// Build the kernel for participant `me`.
     pub fn new(spec: DisseminationSpec, me: u16, work: Vec<Cycle>) -> Self {
-        assert_eq!(work.len(), spec.episodes as usize);
         assert!((me as usize) < spec.flags.len());
-        DisseminationKernel {
-            spec,
-            me,
-            work,
-            e: 1,
-            round: 0,
-            state: DState::StartEpisode,
-        }
-    }
-
-    fn notify_sub(&self) -> ReleaseSub {
-        let peer = self.spec.notify_target(self.me, self.round);
-        let addr = self.spec.flags[peer as usize][self.round as usize];
-        // One writer per flag: conventional mechanisms store, AMO pushes.
-        match self.spec.mech {
-            Mechanism::Amo => ReleaseSub::new(Mechanism::Amo, addr, self.e as Word),
-            _ => ReleaseSub::coherent_store(addr, self.e as Word),
-        }
-    }
-
-    fn wait_sub(&self) -> SpinSub {
-        let addr = self.spec.flags[self.me as usize][self.round as usize];
-        SpinSub::coherent(addr, SpinPred::Ge(self.e as Word))
-    }
-
-    fn rounds(&self) -> u32 {
-        self.spec.flags[0].len() as u32
+        let episodes = spec.episodes;
+        EpisodeKernel::frame(Dissemination { spec, me }, episodes, work)
     }
 }
 
-impl Kernel for DisseminationKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        loop {
-            match &mut self.state {
-                DState::StartEpisode => {
-                    if self.e > self.spec.episodes {
-                        self.state = DState::Done;
-                        continue;
-                    }
-                    self.state = DState::WorkWait;
-                    return Op::Delay {
-                        cycles: self.work[(self.e - 1) as usize],
-                    };
-                }
-                DState::WorkWait => {
-                    self.state = DState::EnterMarkWait;
-                    return Op::Mark {
-                        id: BarrierSpec::enter_mark(self.e),
-                    };
-                }
-                DState::EnterMarkWait => {
-                    self.round = 0;
-                    self.state = DState::Notify(self.notify_sub());
-                    last = None;
-                }
-                DState::Notify(rel) => match rel.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.state = DState::Wait(self.wait_sub());
-                    }
-                },
-                DState::Wait(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.round += 1;
-                        if self.round < self.rounds() {
-                            self.state = DState::Notify(self.notify_sub());
-                        } else {
-                            self.state = DState::ExitMarkWait;
-                            return Op::Mark {
-                                id: BarrierSpec::exit_mark(self.e),
-                            };
-                        }
-                    }
-                },
-                DState::ExitMarkWait => {
-                    self.e += 1;
-                    self.state = DState::StartEpisode;
-                    last = None;
-                }
-                DState::Done => return Op::Done,
-            }
-        }
+impl EpisodeAlgo for Dissemination {
+    /// Step `2r` notifies round `r`'s peer, step `2r + 1` waits for round
+    /// `r`'s notification. One writer per flag: conventional mechanisms
+    /// store, AMO pushes.
+    fn arrive(&mut self, e: u32, step: u32, _: Word) -> Option<Sub> {
+        let (s, round) = (&self.spec, step / 2);
+        let mine = *s.flags[self.me as usize].get(round as usize)?;
+        Some(if step.is_multiple_of(2) {
+            let peer = s.notify_target(self.me, round);
+            let flag = s.flags[peer as usize][round as usize];
+            Sub::once(release(s.mech, flag, e as Word))
+        } else {
+            Sub::spin(mine, SpinPred::Ge(e as Word))
+        })
     }
 }
 

@@ -10,7 +10,7 @@
 //! (episode `e` completes a group of size `s` at `e × s`), so no resets
 //! are needed.
 //!
-//! Two shapes are built from the one state machine. The paper's
+//! Two shapes are built from the one algorithm. The paper's
 //! evaluated configuration ([`KTreeSpec::build_two_level`]) has groups
 //! of `B` leaves under one root of fan-in `⌈P/B⌉`. The generalization
 //! the paper leaves as future work — "determining whether or not
@@ -18,11 +18,10 @@
 //! large-scale systems" — is [`KTreeSpec::build`]: a uniform fan-in at
 //! every level, as deep as the processor count requires.
 
-use crate::barrier::BarrierSpec;
+use crate::frame::{EpisodeAlgo, EpisodeKernel};
 use crate::layout::cumulative_target;
-use crate::mechanism::{FetchAddSub, Mechanism, ReleaseSub, SpinSub, Step};
+use crate::mechanism::{release, Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::{Kernel, Op, Outcome};
 use amo_types::{Addr, Cycle, NodeId, SpinPred, Word};
 use std::rc::Rc;
 
@@ -162,157 +161,72 @@ impl KTreeSpec {
     }
 }
 
-#[derive(Debug)]
-enum KState {
-    StartEpisode,
-    WorkWait,
-    EnterMarkWait,
-    /// Climbing: increment level `l`'s group counter.
-    Climb(FetchAddSub),
-    /// Not last at the stop level: wait for its release.
-    WaitRelease(SpinSub),
-    /// Downward wave: release the group at `descend_level`.
-    Descend(ReleaseSub),
-    ExitMarkWait,
-    Done,
+/// The combining tree's algorithm: climb while last to arrive, wait
+/// where not, and release every group climbed out of on the way down.
+pub struct KTree {
+    spec: Rc<KTreeSpec>,
+    me: u16,
+    /// Level being climbed.
+    level: usize,
+    /// Once the climb is over, the levels below this one are still to be
+    /// released, top-down.
+    release_below: Option<usize>,
 }
 
 /// One participant's tree-barrier kernel.
-pub struct KTreeKernel {
-    spec: Rc<KTreeSpec>,
-    me: u16,
-    work: Vec<Cycle>,
-    e: u32,
-    /// Level currently being climbed.
-    level: usize,
-    /// Level the downward wave is currently releasing.
-    descend_level: usize,
-    state: KState,
-}
+pub type KTreeKernel = EpisodeKernel<KTree>;
 
 impl KTreeKernel {
     /// Build the kernel for participant `me`. The participants of one
     /// barrier can share one `Rc` of its description.
     pub fn new(spec: impl Into<Rc<KTreeSpec>>, me: u16, work: Vec<Cycle>) -> Self {
         let spec = spec.into();
-        assert_eq!(work.len(), spec.episodes as usize);
-        KTreeKernel {
+        let episodes = spec.episodes;
+        let algo = KTree {
             spec,
             me,
-            work,
-            e: 1,
             level: 0,
-            descend_level: 0,
-            state: KState::StartEpisode,
-        }
-    }
-
-    fn group(&self, l: usize) -> &KGroup {
-        &self.spec.levels[l][self.spec.group_at(self.me, l) as usize]
-    }
-
-    fn climb_sub(&self, l: usize) -> FetchAddSub {
-        let g = self.group(l);
-        FetchAddSub::new(self.spec.mech, g.counter, 1, g.ctr_id)
-    }
-
-    fn release_sub(&self, l: usize) -> ReleaseSub {
-        let g = self.group(l);
-        // Tree release words are coherent even under MAO (optimized
-        // spin-variable discipline), so MAO releases are plain stores.
-        if self.spec.mech == Mechanism::Mao {
-            ReleaseSub::coherent_store(g.release, self.e as Word)
-        } else {
-            ReleaseSub::new(self.spec.mech, g.release, self.e as Word)
-        }
-    }
-
-    fn wait_sub(&self, l: usize) -> SpinSub {
-        SpinSub::coherent(self.group(l).release, SpinPred::Ge(self.e as Word))
+            release_below: None,
+        };
+        EpisodeKernel::frame(algo, episodes, work)
     }
 }
 
-impl Kernel for KTreeKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        loop {
-            match &mut self.state {
-                KState::StartEpisode => {
-                    if self.e > self.spec.episodes {
-                        self.state = KState::Done;
-                        continue;
-                    }
-                    self.state = KState::WorkWait;
-                    return Op::Delay {
-                        cycles: self.work[(self.e - 1) as usize],
-                    };
-                }
-                KState::WorkWait => {
-                    self.state = KState::EnterMarkWait;
-                    return Op::Mark {
-                        id: BarrierSpec::enter_mark(self.e),
-                    };
-                }
-                KState::EnterMarkWait => {
-                    self.level = 0;
-                    self.state = KState::Climb(self.climb_sub(0));
-                    last = None;
-                }
-                KState::Climb(fa) => match fa.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(old) => {
-                        let size = self.group(self.level).size;
-                        let target = cumulative_target(self.e, size);
-                        let is_last = old + 1 == target;
-                        let is_root = self.level + 1 == self.spec.depth();
-                        if is_last && !is_root {
-                            self.level += 1;
-                            self.state = KState::Climb(self.climb_sub(self.level));
-                        } else if is_last && is_root {
-                            // Root completion: start the downward wave
-                            // from the root itself.
-                            self.descend_level = self.level;
-                            self.state = KState::Descend(self.release_sub(self.level));
-                        } else {
-                            self.state = KState::WaitRelease(self.wait_sub(self.level));
-                        }
-                    }
-                },
-                KState::WaitRelease(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        if self.level == 0 {
-                            self.state = KState::ExitMarkWait;
-                            return Op::Mark {
-                                id: BarrierSpec::exit_mark(self.e),
-                            };
-                        }
-                        // We climbed out of levels 0..self.level; release
-                        // them top-down.
-                        self.descend_level = self.level - 1;
-                        self.state = KState::Descend(self.release_sub(self.level - 1));
-                    }
-                },
-                KState::Descend(rel) => match rel.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        if self.descend_level == 0 {
-                            self.state = KState::ExitMarkWait;
-                            return Op::Mark {
-                                id: BarrierSpec::exit_mark(self.e),
-                            };
-                        }
-                        self.descend_level -= 1;
-                        self.state = KState::Descend(self.release_sub(self.descend_level));
-                    }
-                },
-                KState::ExitMarkWait => {
-                    self.e += 1;
-                    self.state = KState::StartEpisode;
-                    last = None;
-                }
-                KState::Done => return Op::Done,
+impl KTree {
+    fn group(&self, l: usize) -> &KGroup {
+        &self.spec.levels[l][self.spec.group_at(self.me, l) as usize]
+    }
+}
+
+impl EpisodeAlgo for KTree {
+    fn arrive(&mut self, e: u32, step: u32, ready: Word) -> Option<Sub> {
+        if step == 0 {
+            (self.level, self.release_below) = (0, None);
+        } else if self.release_below.is_none() {
+            let g = *self.group(self.level);
+            if ready + 1 != cumulative_target(e, g.size) {
+                // Not last: wait for this group's release, then release
+                // the groups climbed out of.
+                self.release_below = Some(self.level);
+                return Some(Sub::spin(g.release, SpinPred::Ge(e as Word)));
+            }
+            if self.level + 1 == self.spec.depth() {
+                // Root completion: the downward wave starts at the root.
+                self.release_below = Some(self.level + 1);
+            } else {
+                self.level += 1;
             }
         }
+        let Some(below) = self.release_below else {
+            let g = self.group(self.level);
+            return Some(Sub::fetch_inc(self.spec.mech, g.counter, g.ctr_id));
+        };
+        // Release words are coherent under every mechanism (MAO's
+        // optimized spin-variable discipline).
+        let l = below.checked_sub(1)?;
+        self.release_below = Some(l);
+        let word = self.group(l).release;
+        Some(Sub::once(release(self.spec.mech, word, e as Word)))
     }
 }
 

@@ -8,9 +8,15 @@
 //! |---|---|---|---|
 //! | `LlSc` | LL/SC retry loop | coherent store | cached, invalidate-wakes |
 //! | `Atomic` | processor RMW (GetX) | coherent store | cached |
-//! | `ActMsg` | handler on home CPU | coherent store (handler publish for barriers) | cached |
-//! | `Mao` | uncached AMU op | uncached AMU fetch-add | remote uncached + backoff (locks), coherent (optimized barrier) |
+//! | `ActMsg` | handler on home CPU | coherent store (handler publish for barriers, release message for the ticket lock) | cached (the ticket lock's grant is the acquire message's ack) |
+//! | `Mao` | uncached AMU op | coherent store | cached (uncached + backoff only on the naive and eager centralized barriers' counter) |
 //! | `Amo` | AMU op w/ fine-grained get | AMU fetch-add w/ immediate put | cached, word-update-wakes |
+//!
+//! Each column is spelled once, in [`mechanism`]: one sub-machine,
+//! [`mechanism::Sub`], is an op, an atomic read-modify-write or a spin,
+//! and [`mechanism::release`] is the release rule. Each kernel is one of
+//! two frames from [`frame`] — the passage frame for locks, the episode
+//! frame for barriers — around an algorithm that only names its next sub.
 //!
 //! The algorithms themselves are the paper's: centralized barriers
 //! (naive and spin-variable, Fig. 3), software combining-tree barriers
@@ -34,6 +40,7 @@
 
 pub mod barrier;
 pub mod dissemination;
+pub mod frame;
 pub mod install;
 pub mod ktree;
 pub mod layout;

@@ -18,11 +18,11 @@
 //! slower than the ticket lock on small machines; the AMO recoding drops
 //! the reset ("using AMOs makes it a moot point", paper Sec. 3.3.2).
 
-use crate::mechanism::{FetchAddSub, Mechanism, MsgOpSub, ReleaseSub, SpinSub, Step};
+use crate::frame::{PassageAlgo, PassageKernel};
+use crate::mechanism::{release, Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::{Kernel, Op, Outcome};
-use amo_types::HandlerKind;
-use amo_types::{Addr, Cycle, NodeId, SpinPred, Word};
+use amo_cpu::Op;
+use amo_types::{Addr, Cycle, HandlerKind, NodeId, SpinPred, Word};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -92,84 +92,16 @@ impl TicketLockSpec {
     }
 }
 
-#[derive(Debug)]
-enum LockPhase {
-    StartRound,
-    ThinkWait,
-    Acquire(AcqSub),
-    Waiting(WaitSub),
-    AcqMarkWait,
-    ScribbleWait,
-    CsWait,
-    VerifyWait,
-    ResetWait,
-    Release(RelSub),
-    RelMarkWait,
-    Done,
-}
-
-/// How a ticket is obtained: a mechanism fetch-add, or a home-mediated
-/// acquire message whose ack is the deferred grant (ActMsg ticket lock).
-#[derive(Debug)]
-enum AcqSub {
-    Fa(FetchAddSub),
-    Msg(MsgOpSub),
-}
-
-impl AcqSub {
-    fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match self {
-            AcqSub::Fa(f) => f.poll(last),
-            AcqSub::Msg(m) => m.poll(last),
-        }
-    }
-}
-
-/// How a waiter waits: a cached spin — or nothing at all, when the
-/// acquire's ack already was the grant (ActMsg ticket lock).
-#[derive(Debug)]
-enum WaitSub {
-    Spin(SpinSub),
-    Granted,
-}
-
-impl WaitSub {
-    fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match self {
-            WaitSub::Spin(s) => s.poll(last),
-            WaitSub::Granted => Step::Ready(0),
-        }
-    }
-}
-
-/// How a release happens: a release write, or a home-mediated release
-/// message (ActMsg ticket lock).
-#[derive(Debug)]
-enum RelSub {
-    Rel(ReleaseSub),
-    Msg(MsgOpSub),
-}
-
-impl RelSub {
-    fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match self {
-            RelSub::Rel(r) => r.poll(last),
-            RelSub::Msg(m) => m.poll(last),
-        }
-    }
-}
-
-/// One participant's ticket-lock benchmark kernel: `rounds` iterations
-/// of think → acquire → critical section → release.
-pub struct TicketLockKernel {
+/// The ticket lock's algorithm: take a ticket, wait until it is served,
+/// serve the next one.
+pub struct TicketLock {
     spec: TicketLockSpec,
-    think: Vec<Cycle>,
-    tag: Word,
-    check: Option<ExclusionCheck>,
-    r: u32,
-    my_ticket: Word,
-    state: LockPhase,
+    ticket: Word,
 }
+
+/// One participant's ticket-lock benchmark kernel: `rounds` passages of
+/// think → acquire → critical section → release.
+pub type TicketLockKernel = PassageKernel<TicketLock>;
 
 impl TicketLockKernel {
     /// Build the kernel. `think[i]` is the local delay before round
@@ -181,168 +113,46 @@ impl TicketLockKernel {
         tag: Word,
         check: Option<ExclusionCheck>,
     ) -> Self {
-        assert_eq!(think.len(), spec.rounds as usize);
-        TicketLockKernel {
-            spec,
-            think,
-            tag,
-            check,
-            r: 1,
-            my_ticket: 0,
-            state: LockPhase::StartRound,
-        }
+        let algo = TicketLock { spec, ticket: 0 };
+        PassageKernel::frame(algo, spec.rounds, spec.cs_cycles, think, tag, check)
     }
+}
 
-    fn acquire_sub(&self) -> AcqSub {
-        match self.spec.mech {
+impl PassageAlgo for TicketLock {
+    fn entry(&mut self, step: u32, ready: Word) -> Option<Sub> {
+        let s = &self.spec;
+        let lock = s.ctr_serving;
+        match (step, s.mech) {
             // Home-mediated: the ack is the deferred grant. Waiting
             // happens inside this one message exchange; long waits make
             // the requester's timer retransmit, and every duplicate
             // invocation burns home-CPU time — the paper's
             // heavy-contention interference and traffic blow-up.
-            Mechanism::ActMsg => AcqSub::Msg(MsgOpSub::new(
-                self.spec.now_serving.home(),
-                HandlerKind::LockAcquire {
-                    lock: self.spec.ctr_serving,
-                },
-            )),
-            _ => AcqSub::Fa(FetchAddSub::new(
-                self.spec.mech,
-                self.spec.next_ticket,
-                1,
-                self.spec.ctr_id,
-            )),
-        }
-    }
-
-    fn wait_sub(&self) -> WaitSub {
-        match self.spec.mech {
-            // The grant already arrived with the acquire's ack.
-            Mechanism::ActMsg => WaitSub::Granted,
-            _ => WaitSub::Spin(SpinSub::coherent(
-                self.spec.now_serving,
-                SpinPred::Ge(self.my_ticket),
-            )),
-        }
-    }
-
-    fn release_sub(&self) -> RelSub {
-        let new_value = self.my_ticket + 1;
-        match self.spec.mech {
-            Mechanism::ActMsg => RelSub::Msg(MsgOpSub::new(
-                self.spec.now_serving.home(),
-                HandlerKind::LockRelease {
-                    lock: self.spec.ctr_serving,
-                },
-            )),
-            // The grant counter is coherent; MAO releases it with an
-            // ordinary store.
-            Mechanism::Mao => {
-                RelSub::Rel(ReleaseSub::coherent_store(self.spec.now_serving, new_value))
+            (0, Mechanism::ActMsg) => Some(Sub::once(Op::ActiveMsg {
+                home: s.now_serving.home(),
+                handler: HandlerKind::LockAcquire { lock },
+            })),
+            (0, mech) => Some(Sub::fetch_inc(mech, s.next_ticket, s.ctr_id)),
+            (1, mech) if mech != Mechanism::ActMsg => {
+                self.ticket = ready;
+                Some(Sub::spin(s.now_serving, SpinPred::Ge(ready)))
             }
-            _ => RelSub::Rel(ReleaseSub::new(
-                self.spec.mech,
-                self.spec.now_serving,
-                new_value,
-            )),
+            _ => None,
         }
     }
-}
 
-impl Kernel for TicketLockKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        loop {
-            match &mut self.state {
-                LockPhase::StartRound => {
-                    if self.r > self.spec.rounds {
-                        self.state = LockPhase::Done;
-                        continue;
-                    }
-                    self.state = LockPhase::ThinkWait;
-                    return Op::Delay {
-                        cycles: self.think[(self.r - 1) as usize],
-                    };
-                }
-                LockPhase::ThinkWait => {
-                    self.state = LockPhase::Acquire(self.acquire_sub());
-                    last = None;
-                }
-                LockPhase::Acquire(fa) => match fa.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(ticket) => {
-                        self.my_ticket = ticket;
-                        self.state = LockPhase::Waiting(self.wait_sub());
-                    }
-                },
-                LockPhase::Waiting(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.state = LockPhase::AcqMarkWait;
-                        return Op::Mark {
-                            id: acquire_mark(self.r),
-                        };
-                    }
-                },
-                LockPhase::AcqMarkWait => {
-                    if let Some(c) = &self.check {
-                        self.state = LockPhase::ScribbleWait;
-                        return Op::Store {
-                            addr: c.addr,
-                            value: self.tag,
-                        };
-                    }
-                    self.state = LockPhase::CsWait;
-                    return Op::Delay {
-                        cycles: self.spec.cs_cycles,
-                    };
-                }
-                LockPhase::ScribbleWait => {
-                    self.state = LockPhase::CsWait;
-                    return Op::Delay {
-                        cycles: self.spec.cs_cycles,
-                    };
-                }
-                LockPhase::CsWait => {
-                    if let Some(c) = &self.check {
-                        self.state = LockPhase::VerifyWait;
-                        return Op::Load { addr: c.addr };
-                    }
-                    // Release marks record *initiation*: the grant becomes
-                    // visible to the next holder while the releaser's own
-                    // completion (reply/ack) is still in flight.
-                    self.state = LockPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                LockPhase::VerifyWait => {
-                    if let Some(Outcome::Value(v)) = last.take() {
-                        let c = self.check.as_ref().expect("verify without check");
-                        if v != self.tag {
-                            c.violations.set(c.violations.get() + 1);
-                        }
-                    }
-                    self.state = LockPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                LockPhase::ResetWait => unreachable!("ticket locks have no reset write"),
-                LockPhase::RelMarkWait => {
-                    self.state = LockPhase::Release(self.release_sub());
-                    last = None;
-                }
-                LockPhase::Release(rel) => match rel.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.r += 1;
-                        self.state = LockPhase::StartRound;
-                        last = None;
-                    }
-                },
-                LockPhase::Done => return Op::Done,
-            }
-        }
+    fn exit(&mut self, step: u32, _: Word) -> Option<Sub> {
+        let s = &self.spec;
+        let lock = s.ctr_serving;
+        let op = match s.mech {
+            // The home processor hands the grant to the next waiter.
+            Mechanism::ActMsg => Op::ActiveMsg {
+                home: s.now_serving.home(),
+                handler: HandlerKind::LockRelease { lock },
+            },
+            mech => release(mech, s.now_serving, self.ticket + 1),
+        };
+        (step == 0).then(|| Sub::once(op))
     }
 }
 
@@ -405,16 +215,15 @@ impl ArrayLockSpec {
     }
 }
 
-/// One participant's array-lock benchmark kernel.
-pub struct ArrayLockKernel {
+/// The array lock's algorithm: take a slot, wait for its flag, grant
+/// the next slot's.
+pub struct ArrayLock {
     spec: ArrayLockSpec,
-    think: Vec<Cycle>,
-    tag: Word,
-    check: Option<ExclusionCheck>,
-    r: u32,
-    my_ticket: Word,
-    state: LockPhase,
+    ticket: Word,
 }
+
+/// One participant's array-lock benchmark kernel.
+pub type ArrayLockKernel = PassageKernel<ArrayLock>;
 
 impl ArrayLockKernel {
     /// Build the kernel (see [`TicketLockKernel::new`]).
@@ -424,41 +233,33 @@ impl ArrayLockKernel {
         tag: Word,
         check: Option<ExclusionCheck>,
     ) -> Self {
-        assert_eq!(think.len(), spec.rounds as usize);
-        ArrayLockKernel {
-            spec,
-            think,
-            tag,
-            check,
-            r: 1,
-            my_ticket: 0,
-            state: LockPhase::StartRound,
-        }
+        let (rounds, cs_cycles) = (spec.rounds, spec.cs_cycles);
+        let algo = ArrayLock { spec, ticket: 0 };
+        PassageKernel::frame(algo, rounds, cs_cycles, think, tag, check)
     }
+}
 
-    fn wait_sub(&self) -> WaitSub {
-        let slot = self.spec.slot(self.my_ticket);
-        let grant = self.spec.grant(self.my_ticket);
-        WaitSub::Spin(SpinSub::coherent(
-            self.spec.flags[slot],
-            SpinPred::Ge(grant),
-        ))
-    }
-
-    fn release_sub(&self) -> RelSub {
-        let next = self.my_ticket + 1;
-        let slot = self.spec.slot(next);
-        let addr = self.spec.flags[slot];
-        let grant = self.spec.grant(next);
-        // Flags are coherent for every mechanism (the array lock's whole
-        // point is local spinning); MAO and ActMsg release with ordinary
-        // stores, AMO pushes.
-        match self.spec.mech {
-            Mechanism::Mao | Mechanism::ActMsg => {
-                RelSub::Rel(ReleaseSub::coherent_store(addr, grant))
+impl PassageAlgo for ArrayLock {
+    fn entry(&mut self, step: u32, ready: Word) -> Option<Sub> {
+        let s = &self.spec;
+        match step {
+            0 => Some(Sub::fetch_inc(s.mech, s.sequencer, s.ctr_id)),
+            1 => {
+                self.ticket = ready;
+                let flag = s.flags[s.slot(ready)];
+                Some(Sub::spin(flag, SpinPred::Ge(s.grant(ready))))
             }
-            _ => RelSub::Rel(ReleaseSub::new(self.spec.mech, addr, grant)),
+            _ => None,
         }
+    }
+
+    /// Flags are coherent for every mechanism (the array lock's whole
+    /// point is local spinning): AMO pushes the next grant, the rest
+    /// store it.
+    fn exit(&mut self, step: u32, _: Word) -> Option<Sub> {
+        let (s, next) = (&self.spec, self.ticket + 1);
+        let op = release(s.mech, s.flags[s.slot(next)], s.grant(next));
+        (step == 0).then(|| Sub::once(op))
     }
 
     /// Anderson's release performs a second write: reset your own slot
@@ -466,124 +267,12 @@ impl ArrayLockKernel {
     /// counts the value is semantically inert, but the coherence traffic
     /// and latency it costs are exactly the original algorithm's. AMO
     /// recodings drop it.
-    fn reset_op(&self) -> Op {
-        let slot = self.spec.slot(self.my_ticket);
-        Op::Store {
-            addr: self.spec.flags[slot],
-            value: self.spec.grant(self.my_ticket),
-        }
-    }
-}
-
-impl Kernel for ArrayLockKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        loop {
-            match &mut self.state {
-                LockPhase::StartRound => {
-                    if self.r > self.spec.rounds {
-                        self.state = LockPhase::Done;
-                        continue;
-                    }
-                    self.state = LockPhase::ThinkWait;
-                    return Op::Delay {
-                        cycles: self.think[(self.r - 1) as usize],
-                    };
-                }
-                LockPhase::ThinkWait => {
-                    self.state = LockPhase::Acquire(AcqSub::Fa(FetchAddSub::new(
-                        self.spec.mech,
-                        self.spec.sequencer,
-                        1,
-                        self.spec.ctr_id,
-                    )));
-                    last = None;
-                }
-                LockPhase::Acquire(fa) => match fa.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(ticket) => {
-                        self.my_ticket = ticket;
-                        self.state = LockPhase::Waiting(self.wait_sub());
-                    }
-                },
-                LockPhase::Waiting(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.state = LockPhase::AcqMarkWait;
-                        return Op::Mark {
-                            id: acquire_mark(self.r),
-                        };
-                    }
-                },
-                LockPhase::AcqMarkWait => {
-                    if let Some(c) = &self.check {
-                        self.state = LockPhase::ScribbleWait;
-                        return Op::Store {
-                            addr: c.addr,
-                            value: self.tag,
-                        };
-                    }
-                    self.state = LockPhase::CsWait;
-                    return Op::Delay {
-                        cycles: self.spec.cs_cycles,
-                    };
-                }
-                LockPhase::ScribbleWait => {
-                    self.state = LockPhase::CsWait;
-                    return Op::Delay {
-                        cycles: self.spec.cs_cycles,
-                    };
-                }
-                LockPhase::CsWait => {
-                    if let Some(c) = &self.check {
-                        self.state = LockPhase::VerifyWait;
-                        return Op::Load { addr: c.addr };
-                    }
-                    if self.spec.mech != Mechanism::Amo {
-                        self.state = LockPhase::ResetWait;
-                        return self.reset_op();
-                    }
-                    self.state = LockPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                LockPhase::VerifyWait => {
-                    if let Some(Outcome::Value(v)) = last.take() {
-                        let c = self.check.as_ref().expect("verify without check");
-                        if v != self.tag {
-                            c.violations.set(c.violations.get() + 1);
-                        }
-                    }
-                    if self.spec.mech != Mechanism::Amo {
-                        self.state = LockPhase::ResetWait;
-                        return self.reset_op();
-                    }
-                    self.state = LockPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                LockPhase::ResetWait => {
-                    self.state = LockPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                LockPhase::RelMarkWait => {
-                    self.state = LockPhase::Release(self.release_sub());
-                    last = None;
-                }
-                LockPhase::Release(rel) => match rel.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.r += 1;
-                        self.state = LockPhase::StartRound;
-                        last = None;
-                    }
-                },
-                LockPhase::Done => return Op::Done,
-            }
-        }
+    fn reset(&self) -> Option<Op> {
+        let s = &self.spec;
+        (s.mech != Mechanism::Amo).then(|| Op::Store {
+            addr: s.flags[s.slot(self.ticket)],
+            value: s.grant(self.ticket),
+        })
     }
 }
 

@@ -17,10 +17,11 @@
 //! flag resets exist. The `next` link is cleared by its owner before
 //! each tail swap, exactly as in the original algorithm.
 
-use crate::lock::{acquire_mark, release_mark, ExclusionCheck};
-use crate::mechanism::{Mechanism, RmwSub, SpinSub, Step};
+use crate::frame::{PassageAlgo, PassageKernel};
+use crate::lock::ExclusionCheck;
+use crate::mechanism::{Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::{Kernel, Op, Outcome};
+use amo_cpu::Op;
 use amo_types::{Addr, AmoKind, Cycle, NodeId, ProcId, SpinPred, Word};
 
 /// Shared description of an MCS lock.
@@ -71,44 +72,18 @@ impl McsLockSpec {
     }
 }
 
-#[derive(Debug)]
-enum McsPhase {
-    StartRound,
-    ThinkWait,
-    /// Clear our own `next` link before publishing ourselves.
-    ClearNext,
-    /// `swap(tail, me+1)` — the enqueue.
-    Swap(RmwSub),
-    /// Link ourselves behind the predecessor: `next[pred] = me+1`.
-    LinkPred,
-    /// Contended: wait for the grant counter to reach our wait count.
-    WaitGrant(SpinSub),
-    AcqMarkWait,
-    ScribbleWait,
-    CsWait,
-    VerifyWait,
-    RelMarkWait,
-    /// `cas(tail, me+1, 0)` — uncontended release attempt.
-    ReleaseCas(RmwSub),
-    /// CAS failed: a successor exists; wait for it to link itself.
-    WaitNext(SpinSub),
-    /// Bump the successor's grant counter.
-    GrantSucc(RmwSub),
-    Done,
+/// The MCS lock's algorithm: enqueue on the tail, wait for the
+/// predecessor's grant, hand the lock to the successor.
+pub struct McsLock {
+    spec: McsLockSpec,
+    /// Participant index; `me + 1` is its id in the tail and links.
+    me: u16,
+    /// Contended acquires so far (the spin target for `granted[me]`).
+    waits: Word,
 }
 
 /// One participant's MCS-lock benchmark kernel.
-pub struct McsLockKernel {
-    spec: McsLockSpec,
-    me: u16,
-    think: Vec<Cycle>,
-    tag: Word,
-    check: Option<ExclusionCheck>,
-    r: u32,
-    /// Contended acquires so far (the spin target for `granted[me]`).
-    waits: Word,
-    state: McsPhase,
-}
+pub type McsLockKernel = PassageKernel<McsLock>;
 
 impl McsLockKernel {
     /// Build the kernel for participant `me`.
@@ -119,196 +94,63 @@ impl McsLockKernel {
         tag: Word,
         check: Option<ExclusionCheck>,
     ) -> Self {
-        assert_eq!(think.len(), spec.rounds as usize);
         assert!((me as usize) < spec.next.len());
-        McsLockKernel {
-            spec,
-            me,
-            think,
-            tag,
-            check,
-            r: 1,
-            waits: 0,
-            state: McsPhase::StartRound,
-        }
-    }
-
-    fn my_id(&self) -> Word {
-        self.me as Word + 1
-    }
-
-    fn grant_sub(&self, succ: u16) -> RmwSub {
-        let addr = self.spec.granted[succ as usize];
-        match self.spec.mech {
-            // amo.fetchadd: the put pushes the new count into the
-            // waiter's cache — a one-way wake-up.
-            Mechanism::Amo => RmwSub::new(Mechanism::Amo, AmoKind::FetchAdd, addr, 1),
-            // MAO's grant counters are coherent (only the tail needs the
-            // AMU); the cumulative count is unknown to the releaser, so
-            // it uses a processor-side fetch-add like Atomic. LL/SC uses
-            // its retry pair.
-            Mechanism::Mao | Mechanism::Atomic => {
-                RmwSub::new(Mechanism::Atomic, AmoKind::FetchAdd, addr, 1)
-            }
-            Mechanism::LlSc => RmwSub::new(Mechanism::LlSc, AmoKind::FetchAdd, addr, 1),
-            Mechanism::ActMsg => unreachable!("rejected at build"),
-        }
+        let (rounds, cs_cycles) = (spec.rounds, spec.cs_cycles);
+        let algo = McsLock { spec, me, waits: 0 };
+        PassageKernel::frame(algo, rounds, cs_cycles, think, tag, check)
     }
 }
 
-impl Kernel for McsLockKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        loop {
-            match &mut self.state {
-                McsPhase::StartRound => {
-                    if self.r > self.spec.rounds {
-                        self.state = McsPhase::Done;
-                        continue;
-                    }
-                    self.state = McsPhase::ThinkWait;
-                    return Op::Delay {
-                        cycles: self.think[(self.r - 1) as usize],
-                    };
-                }
-                McsPhase::ThinkWait => {
-                    self.state = McsPhase::ClearNext;
-                    return Op::Store {
-                        addr: self.spec.next[self.me as usize],
-                        value: 0,
-                    };
-                }
-                McsPhase::ClearNext => {
-                    self.state = McsPhase::Swap(RmwSub::new(
-                        self.spec.mech,
-                        AmoKind::Swap,
-                        self.spec.tail,
-                        self.my_id(),
-                    ));
-                    last = None;
-                }
-                McsPhase::Swap(sub) => match sub.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(pred) => {
-                        if pred == 0 {
-                            // Queue was empty: lock acquired outright.
-                            self.state = McsPhase::AcqMarkWait;
-                            return Op::Mark {
-                                id: acquire_mark(self.r),
-                            };
-                        }
-                        self.waits += 1;
-                        self.state = McsPhase::LinkPred;
-                        return Op::Store {
-                            addr: self.spec.next[(pred - 1) as usize],
-                            value: self.my_id(),
-                        };
-                    }
-                },
-                McsPhase::LinkPred => {
-                    self.state = McsPhase::WaitGrant(SpinSub::coherent(
-                        self.spec.granted[self.me as usize],
-                        SpinPred::Ge(self.waits),
-                    ));
-                    last = None;
-                }
-                McsPhase::WaitGrant(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.state = McsPhase::AcqMarkWait;
-                        return Op::Mark {
-                            id: acquire_mark(self.r),
-                        };
-                    }
-                },
-                McsPhase::AcqMarkWait => {
-                    if let Some(c) = &self.check {
-                        self.state = McsPhase::ScribbleWait;
-                        return Op::Store {
-                            addr: c.addr,
-                            value: self.tag,
-                        };
-                    }
-                    self.state = McsPhase::CsWait;
-                    return Op::Delay {
-                        cycles: self.spec.cs_cycles,
-                    };
-                }
-                McsPhase::ScribbleWait => {
-                    self.state = McsPhase::CsWait;
-                    return Op::Delay {
-                        cycles: self.spec.cs_cycles,
-                    };
-                }
-                McsPhase::CsWait => {
-                    if let Some(c) = &self.check {
-                        self.state = McsPhase::VerifyWait;
-                        return Op::Load { addr: c.addr };
-                    }
-                    self.state = McsPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                McsPhase::VerifyWait => {
-                    if let Some(Outcome::Value(v)) = last.take() {
-                        let c = self.check.as_ref().expect("verify without check");
-                        if v != self.tag {
-                            c.violations.set(c.violations.get() + 1);
-                        }
-                    }
-                    self.state = McsPhase::RelMarkWait;
-                    return Op::Mark {
-                        id: release_mark(self.r),
-                    };
-                }
-                McsPhase::RelMarkWait => {
-                    self.state = McsPhase::ReleaseCas(RmwSub::new(
-                        self.spec.mech,
-                        AmoKind::Cas {
-                            expected: self.my_id(),
-                        },
-                        self.spec.tail,
-                        0,
-                    ));
-                    last = None;
-                }
-                McsPhase::ReleaseCas(sub) => match sub.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(old) => {
-                        if old == self.my_id() {
-                            // No successor: the lock is free again.
-                            self.r += 1;
-                            self.state = McsPhase::StartRound;
-                            last = None;
-                        } else {
-                            // A successor swapped in; wait for its link.
-                            self.state = McsPhase::WaitNext(SpinSub::coherent(
-                                self.spec.next[self.me as usize],
-                                SpinPred::Ne(0),
-                            ));
-                            last = None;
-                        }
-                    }
-                },
-                McsPhase::WaitNext(sp) => match sp.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(succ_id) => {
-                        let succ = (succ_id - 1) as u16;
-                        self.state = McsPhase::GrantSucc(self.grant_sub(succ));
-                        last = None;
-                    }
-                },
-                McsPhase::GrantSucc(sub) => match sub.poll(last.take()) {
-                    Step::Issue(op) => return op,
-                    Step::Ready(_) => {
-                        self.r += 1;
-                        self.state = McsPhase::StartRound;
-                        last = None;
-                    }
-                },
-                McsPhase::Done => return Op::Done,
+impl PassageAlgo for McsLock {
+    fn entry(&mut self, step: u32, ready: Word) -> Option<Sub> {
+        let (s, me, id) = (&self.spec, self.me as usize, self.me as Word + 1);
+        Some(match step {
+            // Clear our own `next` link before publishing ourselves.
+            0 => Sub::once(Op::Store {
+                addr: s.next[me],
+                value: 0,
+            }),
+            // The enqueue.
+            1 => Sub::rmw(s.mech, AmoKind::Swap, s.tail, id),
+            // Queue was empty: lock acquired outright.
+            2 if ready == 0 => return None,
+            // Link ourselves behind the predecessor, then wait for its
+            // grant.
+            2 => {
+                self.waits += 1;
+                Sub::once(Op::Store {
+                    addr: s.next[(ready - 1) as usize],
+                    value: id,
+                })
             }
-        }
+            3 => Sub::spin(s.granted[me], SpinPred::Ge(self.waits)),
+            _ => return None,
+        })
+    }
+
+    fn exit(&mut self, step: u32, ready: Word) -> Option<Sub> {
+        let (s, me, id) = (&self.spec, self.me as usize, self.me as Word + 1);
+        Some(match step {
+            // Uncontended release attempt.
+            0 => Sub::rmw(s.mech, AmoKind::Cas { expected: id }, s.tail, 0),
+            // No successor: the lock is free again.
+            1 if ready == id => return None,
+            // A successor swapped in; wait for its link.
+            1 => Sub::spin(s.next[me], SpinPred::Ne(0)),
+            // Bump the successor's grant counter. Under AMO the put
+            // pushes the new count into the waiter's cache — a one-way
+            // wake-up. MAO's grant counters are coherent (only the tail
+            // needs the AMU); the cumulative count is unknown to the
+            // releaser, so it uses a processor-side fetch-add like Atomic.
+            2 => {
+                let mech = match s.mech {
+                    Mechanism::Mao => Mechanism::Atomic,
+                    mech => mech,
+                };
+                Sub::rmw(mech, AmoKind::FetchAdd, s.granted[(ready - 1) as usize], 1)
+            }
+            _ => return None,
+        })
     }
 }
 

@@ -1,7 +1,8 @@
-//! The five synchronization mechanisms and their reusable sub-state
-//! machines (fetch-and-add, release write, spin).
+//! The five synchronization mechanisms, the one sub-machine every kernel
+//! is written in, and the one release rule.
 //!
-//! Kernels compose these: a sub-machine's `poll` either asks the
+//! A [`Sub`] has three shapes: one op that completes on its reply, an
+//! atomic read-modify-write, and a spin. Its `poll` either asks the
 //! processor to perform an [`Op`] or reports completion with a value.
 
 use amo_cpu::{Op, Outcome};
@@ -66,30 +67,50 @@ impl Mechanism {
     }
 }
 
+/// The one release rule: make `value` visible to the processors spinning
+/// on `addr`. Release words are coherent under every mechanism (MAO keeps
+/// only its atomically updated counters uncached) and have one writer,
+/// so `value` is always one more than the word holds. AMO pushes it with
+/// an `amo.fetchadd` of one, whose immediate put lands the new value in
+/// every spinner's cache; every other mechanism stores it, invalidating
+/// the spinners, who reload.
+pub fn release(mech: Mechanism, addr: Addr, value: Word) -> Op {
+    match mech {
+        Mechanism::Amo => Op::Amo {
+            kind: AmoKind::FetchAdd,
+            addr,
+            operand: 1,
+            test: None,
+        },
+        _ => Op::Store { addr, value },
+    }
+}
+
 /// One step of a sub-machine: either an operation for the processor to
 /// perform, or completion with a result value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Perform this op; feed the outcome back into `poll`.
     Issue(Op),
-    /// Sub-machine complete; the carried value is mechanism-specific
-    /// (old value for fetch-adds, satisfying value for spins, 0 for
-    /// releases).
+    /// Sub-machine complete with the value its last reply carried: the
+    /// old value of an atomic, the satisfying value of a spin, 0 for a
+    /// store or a delay.
     Ready(Word),
 }
 
-/// Mechanism-generic atomic fetch-and-add on `addr`, returning the old
-/// value.
+/// The sub-machine kernels are written in: one op, an atomic
+/// read-modify-write, or a spin. A fresh sub ignores the outcome it is
+/// first polled with.
 ///
 /// ```
-/// use amo_sync::mechanism::{FetchAddSub, Mechanism, Step};
+/// use amo_sync::mechanism::{Mechanism, Step, Sub};
 /// use amo_cpu::{Op, Outcome};
 /// use amo_types::{Addr, NodeId};
 ///
-/// // An LL/SC fetch-add is a retry loop: the sub-machine re-issues the
-/// // pair until the conditional store lands.
+/// // An LL/SC fetch-add is a retry loop: the sub re-issues the pair
+/// // until the conditional store lands.
 /// let addr = Addr::on_node(NodeId(0), 0x1000);
-/// let mut fa = FetchAddSub::new(Mechanism::LlSc, addr, 1, 0);
+/// let mut fa = Sub::fetch_inc(Mechanism::LlSc, addr, 0);
 /// assert_eq!(fa.poll(None), Step::Issue(Op::LoadLinked { addr }));
 /// assert_eq!(
 ///     fa.poll(Some(Outcome::Value(6))),
@@ -97,523 +118,209 @@ pub enum Step {
 /// );
 /// assert_eq!(fa.poll(Some(Outcome::ScResult(true))), Step::Ready(6));
 /// ```
-#[derive(Clone, Debug)]
-pub struct FetchAddSub {
-    mech: Mechanism,
-    addr: Addr,
-    operand: Word,
-    /// AMO delayed-put test value (`amo.inc` barriers).
-    test: Option<Word>,
-    /// Force `amo.inc` (silent accumulation, no eager put) even without
-    /// a test value — sense-reversing counters want this.
-    force_inc: bool,
-    /// Active-message handler parameters: service counter id and
-    /// optional publish side effect (barriers).
-    actmsg_ctr: u16,
-    publish: Option<Publish>,
-    state: FaState,
+#[derive(Clone, Copy, Debug)]
+pub struct Sub {
+    shape: Shape,
+    state: State,
 }
 
 #[derive(Clone, Copy, Debug)]
-enum FaState {
-    Init,
-    LlWait,
-    ScWait { old: Word },
-    ReplyWait,
+enum Shape {
+    /// Issue the op, complete on its reply.
+    Once(Op),
+    /// LL, then SC of `kind.apply(old, operand)`, from the LL again until
+    /// the SC lands.
+    LlSc {
+        kind: AmoKind,
+        addr: Addr,
+        operand: Word,
+    },
+    /// Uncached loads of `addr` until `pred` holds, each miss backing off
+    /// in proportion to the distance from `target`.
+    Poll {
+        addr: Addr,
+        pred: SpinPred,
+        target: Word,
+    },
 }
 
-impl FetchAddSub {
-    /// Plain fetch-add (locks, tree counters).
-    pub fn new(mech: Mechanism, addr: Addr, operand: Word, actmsg_ctr: u16) -> Self {
-        FetchAddSub {
-            mech,
-            addr,
-            operand,
-            test: None,
-            force_inc: false,
-            actmsg_ctr,
-            publish: None,
-            state: FaState::Init,
+#[derive(Clone, Copy, Debug)]
+enum State {
+    /// Nothing in flight (or, polling, only a backoff delay).
+    Fresh,
+    /// The op, the LL or the uncached load is in flight.
+    Waiting,
+    /// The SC is in flight; the LL read `old`.
+    Conditional { old: Word },
+}
+
+/// Uncached polling's delay per unit of distance from the target, and its
+/// cap: waiting behind k arrivals waits ~k× longer.
+const BACKOFF_BASE: Cycle = 400;
+const BACKOFF_CAP: Cycle = 20_000;
+
+impl Sub {
+    fn new(shape: Shape) -> Sub {
+        Sub {
+            shape,
+            state: State::Fresh,
         }
     }
 
-    /// Fetch-add with an AMO test value (delayed put).
-    pub fn with_test(mut self, test: Word) -> Self {
-        self.test = Some(test);
-        self
+    /// Issue `op`; ready with the value its reply carries.
+    pub fn once(op: Op) -> Sub {
+        Sub::new(Shape::Once(op))
     }
 
-    /// Use `amo.inc` under AMO even without a test value, so the count
-    /// accumulates silently in the AMU cache (no eager puts). Requires
-    /// operand 1.
-    pub fn as_inc(mut self) -> Self {
-        assert_eq!(self.operand, 1, "amo.inc increments by one");
-        self.force_inc = true;
-        self
+    /// Coherent spin: sleep on the cached word until `pred` holds; ready
+    /// with the satisfying value.
+    pub fn spin(addr: Addr, pred: SpinPred) -> Sub {
+        Sub::once(Op::SpinUntil { addr, pred })
     }
 
-    /// Fetch-add whose active-message handler publishes on a count.
-    pub fn with_publish(mut self, publish: Publish) -> Self {
-        self.publish = Some(publish);
-        self
+    /// Uncached spin: load `addr` from its home node until `pred` holds,
+    /// backing off in proportion to the distance from `target` between
+    /// loads (MCS-style proportional backoff). Only the naive and eager
+    /// centralized MAO barriers spin this way: on their uncached counter.
+    pub fn uncached(addr: Addr, pred: SpinPred, target: Word) -> Sub {
+        Sub::new(Shape::Poll { addr, pred, target })
     }
 
-    /// Advance; `last` is the outcome of the previously issued op.
-    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match (self.state, last) {
-            (FaState::Init, _) => match self.mech {
-                Mechanism::LlSc => {
-                    self.state = FaState::LlWait;
-                    Step::Issue(Op::LoadLinked { addr: self.addr })
-                }
-                Mechanism::Atomic => {
-                    self.state = FaState::ReplyWait;
-                    Step::Issue(Op::AtomicRmw {
-                        kind: AmoKind::FetchAdd,
-                        addr: self.addr,
-                        operand: self.operand,
-                    })
-                }
-                Mechanism::ActMsg => {
-                    self.state = FaState::ReplyWait;
-                    Step::Issue(Op::ActiveMsg {
-                        home: self.addr.home(),
-                        handler: HandlerKind::FetchAdd {
-                            ctr: self.actmsg_ctr,
-                            operand: self.operand,
-                            publish: self.publish,
-                        },
-                    })
-                }
-                Mechanism::Mao => {
-                    self.state = FaState::ReplyWait;
-                    Step::Issue(Op::Mao {
-                        kind: AmoKind::FetchAdd,
-                        addr: self.addr,
-                        operand: self.operand,
-                    })
-                }
-                Mechanism::Amo => {
-                    self.state = FaState::ReplyWait;
-                    let kind = if self.operand == 1 && (self.test.is_some() || self.force_inc) {
-                        AmoKind::Inc
-                    } else {
-                        AmoKind::FetchAdd
-                    };
-                    Step::Issue(Op::Amo {
-                        kind,
-                        addr: self.addr,
-                        operand: self.operand,
-                        test: self.test,
-                    })
-                }
-            },
-            (FaState::LlWait, Some(Outcome::Value(old))) => {
-                self.state = FaState::ScWait { old };
-                Step::Issue(Op::StoreConditional {
-                    addr: self.addr,
-                    value: old.wrapping_add(self.operand),
+    /// An atomic `kind` of `operand` on `addr` under `mech`; ready with
+    /// the old value. LL/SC loops, skipping the SC where it would store
+    /// the old value back (a failed CAS, an unchanged max); every other
+    /// mechanism is one op. Active messages have no generic RMW: their
+    /// counters are the home processor's ([`Sub::fetch_inc`]).
+    pub fn rmw(mech: Mechanism, kind: AmoKind, addr: Addr, operand: Word) -> Sub {
+        Sub::once(match mech {
+            Mechanism::LlSc => {
+                return Sub::new(Shape::LlSc {
+                    kind,
+                    addr,
+                    operand,
                 })
             }
-            (FaState::ScWait { old }, Some(Outcome::ScResult(true))) => Step::Ready(old),
-            (FaState::ScWait { .. }, Some(Outcome::ScResult(false))) => {
-                // Retry the whole LL/SC pair.
-                self.state = FaState::LlWait;
-                Step::Issue(Op::LoadLinked { addr: self.addr })
+            Mechanism::Atomic => Op::AtomicRmw {
+                kind,
+                addr,
+                operand,
+            },
+            Mechanism::Mao => Op::Mao {
+                kind,
+                addr,
+                operand,
+            },
+            Mechanism::Amo => Op::Amo {
+                kind,
+                addr,
+                operand,
+                test: None,
+            },
+            Mechanism::ActMsg => {
+                panic!("active messages have no generic RMW; use home-mediated handlers")
             }
-            (FaState::ReplyWait, Some(Outcome::Value(old) | Outcome::Acked(old))) => {
-                Step::Ready(old)
+        })
+    }
+
+    /// Fetch-and-add of one on `addr`; ready with the old value. Under
+    /// active messages the home processor's service counter `ctr` is the
+    /// count, and the ack of its `FetchAdd` handler the reply.
+    pub fn fetch_inc(mech: Mechanism, addr: Addr, ctr: u16) -> Sub {
+        match mech {
+            Mechanism::ActMsg => Sub::once(Op::ActiveMsg {
+                home: addr.home(),
+                handler: HandlerKind::FetchAdd {
+                    ctr,
+                    operand: 1,
+                    publish: None,
+                },
+            }),
+            _ => Sub::rmw(mech, AmoKind::FetchAdd, addr, 1),
+        }
+    }
+
+    /// An AMO fetch-and-add of one becomes `amo.inc` with the delayed-put
+    /// test value `test` — or, with `None`, with no put at all, the count
+    /// accumulating silently in the AMU cache. Other subs are unchanged.
+    pub fn amo_inc(mut self, test: Option<Word>) -> Sub {
+        if let Shape::Once(Op::Amo {
+            kind: kind @ AmoKind::FetchAdd,
+            operand: 1,
+            test: t,
+            ..
+        }) = &mut self.shape
+        {
+            (*kind, *t) = (AmoKind::Inc, test);
+        }
+        self
+    }
+
+    /// An active-message fetch-and-add whose handler also publishes
+    /// `publish`. Other subs are unchanged.
+    pub fn publishing(mut self, publish: Publish) -> Sub {
+        if let Shape::Once(Op::ActiveMsg {
+            handler: HandlerKind::FetchAdd { publish: p, .. },
+            ..
+        }) = &mut self.shape
+        {
+            *p = Some(publish);
+        }
+        self
+    }
+
+    /// Advance; `last` is the outcome of the previously issued op.
+    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
+        match (self.shape, self.state, last) {
+            (Shape::Once(op), State::Fresh, _) => {
+                self.state = State::Waiting;
+                Step::Issue(op)
             }
-            (s, l) => panic!("FetchAddSub: unexpected ({s:?}, {l:?})"),
-        }
-    }
-}
-
-/// How a release write reaches the spinners.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RelMode {
-    /// Coherent store: invalidates every spinner, who then reloads (the
-    /// conventional wake-up storm).
-    Store,
-    /// Uncached AMU fetch-add: spinners must poll the home node (MAO
-    /// locks).
-    MaoInc,
-    /// AMU fetch-add with an immediate put: one-way word updates land in
-    /// every spinner's cache (AMO).
-    AmoPush,
-}
-
-/// Mechanism-generic release: make a +1 increment of the release word
-/// visible to spinners. The caller supplies the post-increment value
-/// (releases have a single writer, so it is always known).
-#[derive(Clone, Debug)]
-pub struct ReleaseSub {
-    mode: RelMode,
-    addr: Addr,
-    new_value: Word,
-    issued: bool,
-}
-
-impl ReleaseSub {
-    /// Default release for a mechanism whose *release word lives where
-    /// its spinners look*: coherent store for LL/SC, Atomic, and ActMsg;
-    /// uncached increment for MAO (whose lock words are uncached);
-    /// pushing fetch-add for AMO.
-    ///
-    /// Algorithms that keep a **coherent** spin variable under MAO (the
-    /// paper's optimized MAO barrier) must use
-    /// [`ReleaseSub::coherent_store`] instead.
-    pub fn new(mech: Mechanism, addr: Addr, new_value: Word) -> Self {
-        let mode = match mech {
-            Mechanism::LlSc | Mechanism::Atomic | Mechanism::ActMsg => RelMode::Store,
-            Mechanism::Mao => RelMode::MaoInc,
-            Mechanism::Amo => RelMode::AmoPush,
-        };
-        ReleaseSub {
-            mode,
-            addr,
-            new_value,
-            issued: false,
-        }
-    }
-
-    /// A plain coherent-store release regardless of mechanism.
-    pub fn coherent_store(addr: Addr, new_value: Word) -> Self {
-        ReleaseSub {
-            mode: RelMode::Store,
-            addr,
-            new_value,
-            issued: false,
-        }
-    }
-
-    /// Advance; `last` is the outcome of the previously issued op.
-    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        if !self.issued {
-            self.issued = true;
-            return Step::Issue(match self.mode {
-                RelMode::Store => Op::Store {
-                    addr: self.addr,
-                    value: self.new_value,
+            (Shape::Once(_), State::Waiting, Some(Outcome::Stored | Outcome::Delayed)) => {
+                Step::Ready(0)
+            }
+            (Shape::Once(_), State::Waiting, Some(o)) => Step::Ready(o.value()),
+            (Shape::LlSc { addr, .. }, State::Fresh, _)
+            | (
+                Shape::LlSc { addr, .. },
+                State::Conditional { .. },
+                Some(Outcome::ScResult(false)),
+            ) => {
+                self.state = State::Waiting;
+                Step::Issue(Op::LoadLinked { addr })
+            }
+            (
+                Shape::LlSc {
+                    kind,
+                    addr,
+                    operand,
                 },
-                RelMode::MaoInc => Op::Mao {
-                    kind: AmoKind::FetchAdd,
-                    addr: self.addr,
-                    operand: 1,
-                },
-                RelMode::AmoPush => Op::Amo {
-                    kind: AmoKind::FetchAdd,
-                    addr: self.addr,
-                    operand: 1,
-                    test: None,
-                },
-            });
-        }
-        match last {
-            Some(Outcome::Stored | Outcome::Value(_)) => Step::Ready(0),
-            l => panic!("ReleaseSub: unexpected {l:?}"),
-        }
-    }
-}
-
-/// Mechanism-generic spin until a word satisfies a predicate. Coherent
-/// spins sleep in the cache; the MAO variant polls the home node with
-/// MCS-style proportional backoff.
-#[derive(Clone, Debug)]
-pub struct SpinSub {
-    addr: Addr,
-    pred: SpinPred,
-    uncached: Option<BackoffCfg>,
-    state: SpinState,
-}
-
-/// Backoff parameters for uncached (MAO) spinning.
-#[derive(Clone, Copy, Debug)]
-pub struct BackoffCfg {
-    /// Base delay per unit of distance from the target (proportional
-    /// backoff: waiting behind k holders waits ~k× longer).
-    pub base: Cycle,
-    /// Cap on a single backoff delay.
-    pub cap: Cycle,
-    /// Target value used to compute the distance.
-    pub target: Word,
-}
-
-impl Default for BackoffCfg {
-    fn default() -> Self {
-        BackoffCfg {
-            base: 400,
-            cap: 20_000,
-            target: 0,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum SpinState {
-    Init,
-    Waiting,
-    Backoff,
-}
-
-impl SpinSub {
-    /// Coherent cached spin (LL/SC, Atomic, ActMsg, AMO — and the
-    /// optimized MAO barrier's separate spin variable).
-    pub fn coherent(addr: Addr, pred: SpinPred) -> Self {
-        SpinSub {
-            addr,
-            pred,
-            uncached: None,
-            state: SpinState::Init,
-        }
-    }
-
-    /// Uncached remote spin with proportional backoff (MAO locks).
-    pub fn uncached(addr: Addr, pred: SpinPred, backoff: BackoffCfg) -> Self {
-        SpinSub {
-            addr,
-            pred,
-            uncached: Some(backoff),
-            state: SpinState::Init,
-        }
-    }
-
-    /// Advance; `last` is the outcome of the previously issued op.
-    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match self.uncached {
-            None => match (self.state, last) {
-                (SpinState::Init, _) => {
-                    self.state = SpinState::Waiting;
-                    Step::Issue(Op::SpinUntil {
-                        addr: self.addr,
-                        pred: self.pred,
-                    })
-                }
-                (SpinState::Waiting, Some(Outcome::SpinDone(v))) => Step::Ready(v),
-                (s, l) => panic!("SpinSub: unexpected ({s:?}, {l:?})"),
-            },
-            Some(cfg) => match (self.state, last) {
-                (SpinState::Init | SpinState::Backoff, _) => {
-                    self.state = SpinState::Waiting;
-                    Step::Issue(Op::UncachedLoad { addr: self.addr })
-                }
-                (SpinState::Waiting, Some(Outcome::Value(v))) => {
-                    if self.pred.eval(v) {
-                        Step::Ready(v)
-                    } else {
-                        self.state = SpinState::Backoff;
-                        let dist = cfg.target.saturating_sub(v).max(1);
-                        let wait = (cfg.base * dist).min(cfg.cap).max(cfg.base);
-                        Step::Issue(Op::Delay { cycles: wait })
-                    }
-                }
-                (s, l) => panic!("SpinSub(uncached): unexpected ({s:?}, {l:?})"),
-            },
-        }
-    }
-}
-
-/// Mechanism-generic atomic read-modify-write of arbitrary
-/// [`AmoKind`] — the generalization of [`FetchAddSub`] that queue locks
-/// need (`swap` on the tail pointer, `cas` on release). Supported for
-/// LL/SC, Atomic, MAO, and AMO; active messages have no generic RMW
-/// handler (their locks are home-mediated instead).
-#[derive(Clone, Debug)]
-pub struct RmwSub {
-    mech: Mechanism,
-    kind: AmoKind,
-    addr: Addr,
-    operand: Word,
-    state: FaState,
-}
-
-impl RmwSub {
-    /// An atomic `kind` on `addr` with `operand`, returning the old value.
-    pub fn new(mech: Mechanism, kind: AmoKind, addr: Addr, operand: Word) -> Self {
-        assert!(
-            mech != Mechanism::ActMsg,
-            "active messages have no generic RMW; use home-mediated handlers"
-        );
-        RmwSub {
-            mech,
-            kind,
-            addr,
-            operand,
-            state: FaState::Init,
-        }
-    }
-
-    /// Advance; `last` is the outcome of the previously issued op.
-    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match (self.state, last) {
-            (FaState::Init, _) => match self.mech {
-                Mechanism::LlSc => {
-                    self.state = FaState::LlWait;
-                    Step::Issue(Op::LoadLinked { addr: self.addr })
-                }
-                Mechanism::Atomic => {
-                    self.state = FaState::ReplyWait;
-                    Step::Issue(Op::AtomicRmw {
-                        kind: self.kind,
-                        addr: self.addr,
-                        operand: self.operand,
-                    })
-                }
-                Mechanism::Mao => {
-                    self.state = FaState::ReplyWait;
-                    Step::Issue(Op::Mao {
-                        kind: self.kind,
-                        addr: self.addr,
-                        operand: self.operand,
-                    })
-                }
-                Mechanism::Amo => {
-                    self.state = FaState::ReplyWait;
-                    Step::Issue(Op::Amo {
-                        kind: self.kind,
-                        addr: self.addr,
-                        operand: self.operand,
-                        test: None,
-                    })
-                }
-                Mechanism::ActMsg => unreachable!("rejected in new()"),
-            },
-            (FaState::LlWait, Some(Outcome::Value(old))) => {
-                let new = self.kind.apply(old, self.operand);
-                if new == old {
-                    // Failed CAS / no-change max: classic LL/SC skips the
-                    // store entirely.
+                State::Waiting,
+                Some(Outcome::Value(old)),
+            ) => {
+                let value = kind.apply(old, operand);
+                if value == old {
                     return Step::Ready(old);
                 }
-                self.state = FaState::ScWait { old };
-                Step::Issue(Op::StoreConditional {
-                    addr: self.addr,
-                    value: new,
-                })
+                self.state = State::Conditional { old };
+                Step::Issue(Op::StoreConditional { addr, value })
             }
-            (FaState::ScWait { old }, Some(Outcome::ScResult(true))) => Step::Ready(old),
-            (FaState::ScWait { .. }, Some(Outcome::ScResult(false))) => {
-                self.state = FaState::LlWait;
-                Step::Issue(Op::LoadLinked { addr: self.addr })
+            (Shape::LlSc { .. }, State::Conditional { old }, Some(Outcome::ScResult(true))) => {
+                Step::Ready(old)
             }
-            (FaState::ReplyWait, Some(Outcome::Value(old))) => Step::Ready(old),
-            (s, l) => panic!("RmwSub: unexpected ({s:?}, {l:?})"),
-        }
-    }
-}
-
-/// One-shot active message: issue and wait for the ack. Used for
-/// home-mediated lock acquire (where the ack is the deferred grant) and
-/// release.
-#[derive(Clone, Debug)]
-pub struct MsgOpSub {
-    home: amo_types::NodeId,
-    handler: HandlerKind,
-    issued: bool,
-}
-
-impl MsgOpSub {
-    /// Send `handler` to `home` and complete on the ack.
-    pub fn new(home: amo_types::NodeId, handler: HandlerKind) -> Self {
-        MsgOpSub {
-            home,
-            handler,
-            issued: false,
-        }
-    }
-
-    /// Advance; `last` is the outcome of the previously issued op.
-    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        if !self.issued {
-            self.issued = true;
-            return Step::Issue(Op::ActiveMsg {
-                home: self.home,
-                handler: self.handler,
-            });
-        }
-        match last {
-            Some(Outcome::Acked(v)) => Step::Ready(v),
-            l => panic!("MsgOpSub: unexpected {l:?}"),
-        }
-    }
-}
-
-/// Active-message polling wait: repeatedly ask the home processor for a
-/// service counter's value (a zero-operand fetch-add) until it reaches
-/// the target, with proportional backoff between polls.
-///
-/// This is how an active-message ticket lock waits: the grant state
-/// lives at the home processor, not in coherent memory, so waiting
-/// costs messages — and under contention the home CPU saturates,
-/// acks outrun their timeouts, and retransmissions multiply (the
-/// paper's Figure 7 ActMsg traffic blow-up).
-#[derive(Clone, Debug)]
-pub struct MsgPollSub {
-    home: amo_types::NodeId,
-    ctr: u16,
-    target: Word,
-    backoff: BackoffCfg,
-    state: SpinState,
-    polls: u64,
-}
-
-impl MsgPollSub {
-    /// Poll `ctr` at `home` until its value reaches `target`.
-    pub fn new(home: amo_types::NodeId, ctr: u16, target: Word, backoff: BackoffCfg) -> Self {
-        MsgPollSub {
-            home,
-            ctr,
-            target,
-            backoff,
-            state: SpinState::Init,
-            polls: 0,
-        }
-    }
-
-    /// Deterministic jitter: desynchronizes poll bursts across waiters
-    /// (real schedulers and networks do this for free; a lock-step
-    /// discrete-event model must do it explicitly).
-    fn jitter(&self) -> Cycle {
-        let mut x = (self.target << 17) ^ (self.ctr as u64) << 9 ^ self.polls;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-        x ^= x >> 27;
-        x % self.backoff.base.max(1)
-    }
-
-    fn poll_op(&self) -> Op {
-        Op::ActiveMsg {
-            home: self.home,
-            handler: HandlerKind::FetchAdd {
-                ctr: self.ctr,
-                operand: 0,
-                publish: None,
-            },
-        }
-    }
-
-    /// Advance; `last` is the outcome of the previously issued op.
-    pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match (self.state, last) {
-            (SpinState::Init | SpinState::Backoff, _) => {
-                self.state = SpinState::Waiting;
-                Step::Issue(self.poll_op())
+            (Shape::Poll { addr, .. }, State::Fresh, _) => {
+                self.state = State::Waiting;
+                Step::Issue(Op::UncachedLoad { addr })
             }
-            (SpinState::Waiting, Some(Outcome::Acked(v))) => {
-                self.polls += 1;
-                if v >= self.target {
-                    Step::Ready(v)
-                } else {
-                    self.state = SpinState::Backoff;
-                    let dist = self.target.saturating_sub(v).max(1);
-                    let wait = (self.backoff.base * dist)
-                        .min(self.backoff.cap)
-                        .max(self.backoff.base)
-                        + self.jitter();
-                    Step::Issue(Op::Delay { cycles: wait })
+            (Shape::Poll { pred, target, .. }, State::Waiting, Some(Outcome::Value(v))) => {
+                if pred.eval(v) {
+                    return Step::Ready(v);
                 }
+                self.state = State::Fresh;
+                let distance = target.saturating_sub(v).max(1);
+                let cycles = (BACKOFF_BASE * distance).clamp(BACKOFF_BASE, BACKOFF_CAP);
+                Step::Issue(Op::Delay { cycles })
             }
-            (s, l) => panic!("MsgPollSub: unexpected ({s:?}, {l:?})"),
+            (shape, state, l) => panic!("Sub: unexpected {l:?} in {state:?} of {shape:?}"),
         }
     }
 }
@@ -645,7 +352,7 @@ mod tests {
 
     #[test]
     fn llsc_retries_until_sc_succeeds() {
-        let mut fa = FetchAddSub::new(Mechanism::LlSc, a(), 1, 0);
+        let mut fa = Sub::fetch_inc(Mechanism::LlSc, a(), 0);
         assert_eq!(fa.poll(None), Step::Issue(Op::LoadLinked { addr: a() }));
         assert_eq!(
             fa.poll(Some(Outcome::Value(5))),
@@ -671,7 +378,7 @@ mod tests {
 
     #[test]
     fn atomic_is_single_op() {
-        let mut fa = FetchAddSub::new(Mechanism::Atomic, a(), 2, 0);
+        let mut fa = Sub::rmw(Mechanism::Atomic, AmoKind::FetchAdd, a(), 2);
         assert_eq!(
             fa.poll(None),
             Step::Issue(Op::AtomicRmw {
@@ -685,7 +392,7 @@ mod tests {
 
     #[test]
     fn amo_inc_used_for_tested_increments() {
-        let mut fa = FetchAddSub::new(Mechanism::Amo, a(), 1, 0).with_test(8);
+        let mut fa = Sub::fetch_inc(Mechanism::Amo, a(), 0).amo_inc(Some(8));
         match fa.poll(None) {
             Step::Issue(Op::Amo {
                 kind: AmoKind::Inc,
@@ -695,11 +402,26 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(fa.poll(Some(Outcome::Value(7))), Step::Ready(7));
+        // Only an AMO fetch-and-add of one becomes `amo.inc`.
+        let plain = Sub::fetch_inc(Mechanism::Mao, a(), 0).amo_inc(Some(8));
+        let swap = Sub::rmw(Mechanism::Amo, AmoKind::Swap, a(), 1).amo_inc(None);
+        for (mut sub, mut want) in [
+            (plain, Sub::fetch_inc(Mechanism::Mao, a(), 0)),
+            (swap, Sub::rmw(Mechanism::Amo, AmoKind::Swap, a(), 1)),
+        ] {
+            assert_eq!(sub.poll(None), want.poll(None));
+        }
     }
 
     #[test]
     fn actmsg_carries_handler() {
-        let mut fa = FetchAddSub::new(Mechanism::ActMsg, a(), 1, 3);
+        let publish = Publish {
+            addr: a(),
+            when_count: Some(4),
+            value: Some(1),
+            reset: false,
+        };
+        let mut fa = Sub::fetch_inc(Mechanism::ActMsg, a(), 3).publishing(publish);
         match fa.poll(None) {
             Step::Issue(Op::ActiveMsg {
                 home,
@@ -707,9 +429,9 @@ mod tests {
                     HandlerKind::FetchAdd {
                         ctr: 3,
                         operand: 1,
-                        publish: None,
+                        publish: Some(p),
                     },
-            }) => assert_eq!(home, NodeId(0)),
+            }) => assert_eq!((home, p), (NodeId(0), publish)),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(fa.poll(Some(Outcome::Acked(9))), Step::Ready(9));
@@ -717,42 +439,32 @@ mod tests {
 
     #[test]
     fn release_variants() {
-        let mut r = ReleaseSub::new(Mechanism::Atomic, a(), 3);
+        let store = Op::Store {
+            addr: a(),
+            value: 3,
+        };
+        for mech in [Mechanism::LlSc, Mechanism::Atomic, Mechanism::ActMsg] {
+            assert_eq!(release(mech, a(), 3), store);
+        }
+        // MAO's release words are coherent: it stores too.
+        assert_eq!(release(Mechanism::Mao, a(), 3), store);
         assert_eq!(
-            r.poll(None),
-            Step::Issue(Op::Store {
-                addr: a(),
-                value: 3
-            })
-        );
-        assert_eq!(r.poll(Some(Outcome::Stored)), Step::Ready(0));
-
-        let mut r = ReleaseSub::new(Mechanism::Amo, a(), 3);
-        match r.poll(None) {
-            Step::Issue(Op::Amo {
+            release(Mechanism::Amo, a(), 3),
+            Op::Amo {
                 kind: AmoKind::FetchAdd,
+                addr: a(),
                 operand: 1,
                 test: None,
-                ..
-            }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(r.poll(Some(Outcome::Value(2))), Step::Ready(0));
-
-        let mut r = ReleaseSub::new(Mechanism::Mao, a(), 3);
-        match r.poll(None) {
-            Step::Issue(Op::Mao {
-                kind: AmoKind::FetchAdd,
-                operand: 1,
-                ..
-            }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
+            }
+        );
+        let mut r = Sub::once(release(Mechanism::Atomic, a(), 3));
+        assert_eq!(r.poll(None), Step::Issue(store));
+        assert_eq!(r.poll(Some(Outcome::Stored)), Step::Ready(0));
     }
 
     #[test]
     fn coherent_spin_is_one_op() {
-        let mut s = SpinSub::coherent(a(), SpinPred::Ge(4));
+        let mut s = Sub::spin(a(), SpinPred::Ge(4));
         assert_eq!(
             s.poll(None),
             Step::Issue(Op::SpinUntil {
@@ -765,7 +477,7 @@ mod tests {
 
     #[test]
     fn rmw_swap_and_cas_via_llsc() {
-        let mut s = RmwSub::new(Mechanism::LlSc, AmoKind::Swap, a(), 7);
+        let mut s = Sub::rmw(Mechanism::LlSc, AmoKind::Swap, a(), 7);
         assert_eq!(s.poll(None), Step::Issue(Op::LoadLinked { addr: a() }));
         assert_eq!(
             s.poll(Some(Outcome::Value(3))),
@@ -777,12 +489,12 @@ mod tests {
         assert_eq!(s.poll(Some(Outcome::ScResult(true))), Step::Ready(3));
 
         // Failed CAS returns without storing.
-        let mut c = RmwSub::new(Mechanism::LlSc, AmoKind::Cas { expected: 9 }, a(), 1);
+        let mut c = Sub::rmw(Mechanism::LlSc, AmoKind::Cas { expected: 9 }, a(), 1);
         c.poll(None);
         assert_eq!(c.poll(Some(Outcome::Value(3))), Step::Ready(3));
 
         // Successful CAS stores.
-        let mut c = RmwSub::new(Mechanism::LlSc, AmoKind::Cas { expected: 3 }, a(), 1);
+        let mut c = Sub::rmw(Mechanism::LlSc, AmoKind::Cas { expected: 3 }, a(), 1);
         c.poll(None);
         assert_eq!(
             c.poll(Some(Outcome::Value(3))),
@@ -795,7 +507,7 @@ mod tests {
 
     #[test]
     fn rmw_amo_issues_untested_amo() {
-        let mut s = RmwSub::new(Mechanism::Amo, AmoKind::Swap, a(), 7);
+        let mut s = Sub::rmw(Mechanism::Amo, AmoKind::Swap, a(), 7);
         match s.poll(None) {
             Step::Issue(Op::Amo {
                 kind: AmoKind::Swap,
@@ -811,61 +523,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "no generic RMW")]
     fn rmw_rejects_actmsg() {
-        let _ = RmwSub::new(Mechanism::ActMsg, AmoKind::Swap, a(), 1);
-    }
-
-    #[test]
-    fn msg_poll_backs_off_and_completes() {
-        let cfg = BackoffCfg {
-            base: 500,
-            cap: 10_000,
-            target: 3,
-        };
-        let mut m = MsgPollSub::new(NodeId(1), 2, 3, cfg);
-        match m.poll(None) {
-            Step::Issue(Op::ActiveMsg {
-                home,
-                handler:
-                    HandlerKind::FetchAdd {
-                        ctr: 2,
-                        operand: 0,
-                        publish: None,
-                    },
-            }) => assert_eq!(home, NodeId(1)),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Value 1: two away → 1000-cycle proportional backoff plus
-        // deterministic jitter below one base unit.
-        match m.poll(Some(Outcome::Acked(1))) {
-            Step::Issue(Op::Delay { cycles }) => {
-                assert!((1000..1500).contains(&cycles), "{cycles}")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(
-            m.poll(Some(Outcome::Delayed)),
-            Step::Issue(Op::ActiveMsg { .. })
-        ));
-        assert_eq!(m.poll(Some(Outcome::Acked(3))), Step::Ready(3));
+        let _ = Sub::rmw(Mechanism::ActMsg, AmoKind::Swap, a(), 1);
     }
 
     #[test]
     fn uncached_spin_backs_off_proportionally() {
-        let cfg = BackoffCfg {
-            base: 100,
-            cap: 10_000,
-            target: 10,
-        };
-        let mut s = SpinSub::uncached(a(), SpinPred::Ge(10), cfg);
+        let mut s = Sub::uncached(a(), SpinPred::Ge(10), 10);
         assert_eq!(s.poll(None), Step::Issue(Op::UncachedLoad { addr: a() }));
-        // Value 4: six away from the target → 600-cycle backoff.
+        // Value 4: six away from the target → six base delays.
         assert_eq!(
             s.poll(Some(Outcome::Value(4))),
-            Step::Issue(Op::Delay { cycles: 600 })
+            Step::Issue(Op::Delay { cycles: 2_400 })
         );
         assert_eq!(
             s.poll(Some(Outcome::Delayed)),
             Step::Issue(Op::UncachedLoad { addr: a() })
+        );
+        // Far behind: the delay is capped.
+        let mut far = Sub::uncached(a(), SpinPred::Ge(100), 100);
+        far.poll(None);
+        assert_eq!(
+            far.poll(Some(Outcome::Value(0))),
+            Step::Issue(Op::Delay { cycles: 20_000 })
         );
         assert_eq!(s.poll(Some(Outcome::Value(10))), Step::Ready(10));
     }

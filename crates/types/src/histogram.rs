@@ -157,10 +157,10 @@ impl LatHist {
         w.end_obj();
     }
 
-    /// Reconstruct a histogram from the object [`write_json`]
-    /// (Self::write_json) emits. The trimmed tail of the bucket array is
-    /// zero-filled; the derived `p50`/`p95`/`p99` members are ignored
-    /// (they are recomputed on demand). Exact round trip:
+    /// Reconstruct a histogram from the object
+    /// [`write_json`](Self::write_json) emits. The trimmed tail of the
+    /// bucket array is zero-filled; the derived `p50`/`p95`/`p99` members
+    /// are ignored (they are recomputed on demand). Exact round trip:
     /// `from_json(parse(write_json(h))) == h`.
     pub fn from_json(v: &Json) -> Result<LatHist, String> {
         let field = |k: &str| {

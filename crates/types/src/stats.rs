@@ -185,9 +185,9 @@ pub trait StatField {
     fn fill_distinct(&mut self, next: &mut dyn FnMut() -> u64);
     /// Emit this field as a JSON value.
     fn write_json(&self, w: &mut JsonWriter);
-    /// Overwrite this field from the JSON value [`write_json`]
-    /// (Self::write_json) emitted — the exact inverse, so counters cached
-    /// on disk decode bit-identically.
+    /// Overwrite this field from the JSON value
+    /// [`write_json`](Self::write_json) emitted — the exact inverse, so
+    /// counters cached on disk decode bit-identically.
     fn read_json(&mut self, v: &Json) -> Result<(), String>;
 }
 

@@ -11,7 +11,7 @@
 //!   are pure observers riding the existing `Tracer` hooks: a
 //!   monitored run is timing-identical to an unmonitored one, and the
 //!   default `NopTracer` build compiles every hook away.
-//! * [`explore`] — a bounded DFS over **choice tapes**
+//! * [`explore`](mod@explore) — a bounded DFS over **choice tapes**
 //!   (`amo_types::tape`): every implicit delivery/retry decision
 //!   becomes an explicit, enumerable choice, so the explorer
 //!   systematically visits arrival skews, reorder permutations, and

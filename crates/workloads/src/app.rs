@@ -25,10 +25,10 @@ use crate::runner::{check_machine, check_measured, BarrierAlgo, BarrierBench, Fi
 use amo_cpu::{Kernel, Op, Outcome};
 use amo_obs::{HostProf, Tracer};
 use amo_sim::Machine;
-use amo_sync::mechanism::{FetchAddSub, Step};
+use amo_sync::mechanism::{release, Step, Sub};
 use amo_sync::{Mechanism, ProcPlan, VarAlloc};
 use amo_types::seed::run_seed;
-use amo_types::{Addr, AmoKind, Cycle, NodeId, ProcId, SpinPred, SystemConfig, Word};
+use amo_types::{Addr, Cycle, NodeId, ProcId, SpinPred, SystemConfig, Word};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,24 +143,6 @@ struct PingPong {
     phase: u8,
 }
 
-impl PingPong {
-    fn release_op(&self) -> Op {
-        // Same discipline as ReleaseSub: AMO pushes, the rest store.
-        match self.mech {
-            Mechanism::Amo => Op::Amo {
-                kind: AmoKind::FetchAdd,
-                addr: self.out,
-                operand: 1,
-                test: None,
-            },
-            _ => Op::Store {
-                addr: self.out,
-                value: self.r as Word + 1,
-            },
-        }
-    }
-}
-
 impl Kernel for PingPong {
     fn next(&mut self, _l: Option<Outcome>) -> Op {
         if self.r >= self.rounds {
@@ -173,12 +155,12 @@ impl Kernel for PingPong {
         let op = match (self.initiator, self.phase) {
             // Initiator: mark, signal, await the echo.
             (true, 0) => Op::Mark { id: self.r * 2 + 2 },
-            (true, 1) => self.release_op(),
+            (true, 1) => release(self.mech, self.out, self.r as Word + 1),
             (true, 2) => await_peer,
             // Responder: await the signal, mark, echo.
             (false, 0) => await_peer,
             (false, 1) => Op::Mark { id: self.r * 2 + 3 },
-            (false, 2) => self.release_op(),
+            (false, 2) => release(self.mech, self.out, self.r as Word + 1),
             _ => unreachable!(),
         };
         self.phase += 1;
@@ -286,33 +268,23 @@ pub struct SelfSched {
 
 /// One [`SelfSched`] participant.
 struct Worker {
-    mech: Mechanism,
-    index: Addr,
-    ctr_id: u16,
+    /// The fetch-and-add that grabs the next task index.
+    grab: Sub,
+    /// The grab in flight, or a fresh one while a task computes.
+    fa: Sub,
     tasks: Word,
     grain: Cycle,
-    fa: Option<FetchAddSub>,
-    computing: bool,
 }
 
 impl Kernel for Worker {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        if self.computing {
-            // Finished a task's compute; grab the next.
-            self.computing = false;
-            last = None;
-        }
-        let fa = self
-            .fa
-            .get_or_insert_with(|| FetchAddSub::new(self.mech, self.index, 1, self.ctr_id));
-        match fa.poll(last.take()) {
+    fn next(&mut self, last: Option<Outcome>) -> Op {
+        match self.fa.poll(last) {
             Step::Issue(op) => op,
             Step::Ready(idx) => {
-                self.fa = None;
+                self.fa = self.grab;
                 if idx >= self.tasks {
                     return Op::Done;
                 }
-                self.computing = true;
                 Op::Delay { cycles: self.grain }
             }
         }
@@ -336,14 +308,12 @@ impl Scenario for SelfSched {
         let index = alloc.counter_for(self.mech, NodeId(0));
         let ctr_id = alloc.ctr(NodeId(0));
         for p in 0..self.procs {
+            let grab = Sub::fetch_inc(self.mech, index, ctr_id);
             let worker = Worker {
-                mech: self.mech,
-                index,
-                ctr_id,
+                grab,
+                fa: grab,
                 tasks: self.tasks as Word,
                 grain: self.grain,
-                fa: None,
-                computing: false,
             };
             // Slight stagger.
             machine.install_kernel(ProcId(p), Box::new(worker), (p as Cycle) * 7);

@@ -344,8 +344,8 @@ mod fetch_add_linearizability {
 
     impl amo::cpu::Kernel for Adder {
         fn next(&mut self, last: Option<Outcome>) -> Op {
-            // LL/SC needs a retry loop: re-drive via FetchAddSub-like
-            // logic is overkill here; use a simple retry.
+            // LL/SC needs a retry loop: driving `amo_sync`'s `Sub` is
+            // overkill here; use a simple retry.
             if let Some(Outcome::Value(old)) = last {
                 if !self.delaying {
                     if let Some(&(2, operand, _)) = self.ops.get(self.at) {
