@@ -270,8 +270,8 @@ impl Sub {
 
     /// Advance; `last` is the outcome of the previously issued op.
     pub fn poll(&mut self, last: Option<Outcome>) -> Step {
-        match (self.shape, self.state, last) {
-            (Shape::Once(op), State::Fresh, _) => {
+        match (&self.shape, self.state, last) {
+            (&Shape::Once(op), State::Fresh, _) => {
                 self.state = State::Waiting;
                 Step::Issue(op)
             }
@@ -279,9 +279,9 @@ impl Sub {
                 Step::Ready(0)
             }
             (Shape::Once(_), State::Waiting, Some(o)) => Step::Ready(o.value()),
-            (Shape::LlSc { addr, .. }, State::Fresh, _)
+            (&Shape::LlSc { addr, .. }, State::Fresh, _)
             | (
-                Shape::LlSc { addr, .. },
+                &Shape::LlSc { addr, .. },
                 State::Conditional { .. },
                 Some(Outcome::ScResult(false)),
             ) => {
@@ -289,7 +289,7 @@ impl Sub {
                 Step::Issue(Op::LoadLinked { addr })
             }
             (
-                Shape::LlSc {
+                &Shape::LlSc {
                     kind,
                     addr,
                     operand,
@@ -307,11 +307,11 @@ impl Sub {
             (Shape::LlSc { .. }, State::Conditional { old }, Some(Outcome::ScResult(true))) => {
                 Step::Ready(old)
             }
-            (Shape::Poll { addr, .. }, State::Fresh, _) => {
+            (&Shape::Poll { addr, .. }, State::Fresh, _) => {
                 self.state = State::Waiting;
                 Step::Issue(Op::UncachedLoad { addr })
             }
-            (Shape::Poll { pred, target, .. }, State::Waiting, Some(Outcome::Value(v))) => {
+            (&Shape::Poll { pred, target, .. }, State::Waiting, Some(Outcome::Value(v))) => {
                 if pred.eval(v) {
                     return Step::Ready(v);
                 }
