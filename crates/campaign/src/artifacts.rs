@@ -10,7 +10,7 @@
 //! nothing known (every answer NaN or 0) to record what it asks for,
 //! hands the recorded runs — deduplicated by content key, in
 //! first-asked order — to the [`Campaign`] scheduler as **one batch**
-//! (work-stealing pool + result cache), and calls the function again
+//! (sweep pool + result cache), and calls the function again
 //! with the results, until a call asks for nothing new. Every candidate
 //! of a "best branching" tree search is its own cell, so the search
 //! parallelizes and caches per run.

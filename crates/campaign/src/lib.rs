@@ -7,9 +7,10 @@
 //!   describes one simulator invocation, hashes to a stable 128-bit
 //!   content key, and executes to [`run::RunArtifacts`].
 //! * [`sched`] — the [`sched::Campaign`] scheduler: dedups a batch by
-//!   content key, serves what the cache holds, shards the cold runs
-//!   across the `amo-workloads` work-stealing pool, and reassembles
-//!   results in index order, bit-identically.
+//!   content key, serves what the cache holds, runs the cold ones on
+//!   the `amo-workloads` sweep pool largest machine first (writing each
+//!   cache entry as its run finishes), and reassembles results in index
+//!   order, bit-identically.
 //! * [`cache`] — [`cache::ResultCache`], the content-addressed on-disk
 //!   store (checksummed entries; corruption is detected and recomputed,
 //!   staleness is impossible by construction because inputs are the

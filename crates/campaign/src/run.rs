@@ -205,6 +205,11 @@ impl RunSpec {
         amo_types::seed::stable_hash128(self.canonical_doc().as_bytes())
     }
 
+    /// Processors in the cell's machine, the scheduler's cost key.
+    pub(crate) fn procs(&self) -> u16 {
+        self.cell().config().num_procs
+    }
+
     /// The scenario this cell runs.
     fn cell(&self) -> &dyn Cell {
         match self {

@@ -1,18 +1,23 @@
-//! Campaign scheduler: shard a run list across the work-stealing pool,
-//! consult the result cache, and reassemble results in index order.
+//! Campaign scheduler: run a batch on the sweep pool, consult the
+//! result cache, and reassemble results in index order.
 //!
 //! The contract mirrors `amo_workloads::executor::par_run`: the caller
 //! hands over a slice of [`RunSpec`]s and gets a `Vec` of outcomes in
 //! the same order, bit-identical whether the runs executed serially, in
 //! parallel, or came out of the cache. Duplicate specs (same content
 //! key) simulate once and fan their result out to every requesting
-//! index. Cache lookups and writes happen on the scheduler thread;
-//! only the simulations themselves run on the pool.
+//! index. The cells to simulate go to the pool's one cursor largest
+//! machine first, so a batch ends when its work does rather than
+//! behind its costliest cells. Cache lookups and writes happen on the
+//! scheduler thread — each entry written as its cell finishes, while
+//! the others still run; only the simulations themselves run on the
+//! pool.
 
 use crate::cache::ResultCache;
 use crate::run::{RunArtifacts, RunSpec};
 use amo_types::Stats;
-use amo_workloads::executor::par_run;
+use amo_workloads::executor::{par_run, sweep_workers};
+use std::cmp::Reverse;
 
 /// Cumulative counters of one [`Campaign`]'s scheduling activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,15 +104,25 @@ impl Campaign {
         }
         self.counters.cache_misses += cold.len() as u64;
 
-        // Shard the cold runs across the work-stealing pool; results
-        // come back in `cold` order regardless of worker scheduling.
-        let fresh = par_run(cold.len(), |j| specs[unique[cold[j]].1].execute());
-        for (&slot, outcome) in cold.iter().zip(fresh) {
-            if let Some(cache) = &self.cache {
-                if let Err(e) = cache.put(unique[slot].0, &outcome) {
-                    eprintln!("campaign cache: write failed: {e}");
+        // Start the largest machines first (ties in slot order) from
+        // the pool's one cursor, and write each cache entry as its run
+        // finishes; results still come back in `cold` order.
+        let mut order: Vec<usize> = (0..cold.len()).collect();
+        order.sort_by_key(|&j| Reverse(specs[unique[cold[j]].1].procs()));
+        let cache = self.cache.as_ref();
+        let fresh = par_run(
+            sweep_workers(),
+            &order,
+            |j| specs[unique[cold[j]].1].execute(),
+            |j, outcome| {
+                if let Some(cache) = cache {
+                    if let Err(e) = cache.put(unique[cold[j]].0, outcome) {
+                        eprintln!("campaign cache: write failed: {e}");
+                    }
                 }
-            }
+            },
+        );
+        for (&slot, outcome) in cold.iter().zip(fresh) {
             outcomes[slot] = Some(outcome);
         }
 

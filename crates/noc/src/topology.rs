@@ -145,24 +145,6 @@ impl Topology {
             self.hops(NodeId(0), NodeId(self.num_nodes - 1))
         }
     }
-
-    /// Average one-way hop count over all ordered pairs of distinct nodes.
-    /// Used to report effective remote-access latency in experiments.
-    pub fn mean_hops(&self) -> f64 {
-        let n = self.num_nodes as u64;
-        if n <= 1 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        for s in 0..self.num_nodes {
-            for d in 0..self.num_nodes {
-                if s != d {
-                    total += self.hops(NodeId(s), NodeId(d));
-                }
-            }
-        }
-        total as f64 / (n * (n - 1)) as f64
-    }
 }
 
 #[cfg(test)]
@@ -206,14 +188,6 @@ mod tests {
         assert_eq!(t.levels(), 1);
         assert_eq!(t.hops(NodeId(0), NodeId(1)), 2);
         assert_eq!(t.diameter(), 2);
-    }
-
-    #[test]
-    fn mean_hops_monotonic_in_size() {
-        let small = Topology::new(8, 8).mean_hops();
-        let big = Topology::new(128, 8).mean_hops();
-        assert!(big > small);
-        assert!(small > 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! through the `amo_sync::install` installers — and its reduction).
 //! The barrier and lock benchmarks and the application studies in
 //! [`app`] are its scenarios; [`measure`] holds the reducers and
-//! [`executor`] the work-stealing pool. Whole tables and figures are
+//! [`executor`] the sweep pool. Whole tables and figures are
 //! expanded, scheduled, cached, and rendered one level up, in the
 //! `amo-campaign` crate.
 

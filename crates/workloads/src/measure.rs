@@ -96,33 +96,6 @@ pub struct LockMeasurement {
     pub cycles_per_acquisition: f64,
 }
 
-impl LockMeasurement {
-    /// Per-handoff intervals: gaps between consecutive acquire marks in
-    /// time order. The mean approximates `cycles_per_acquisition` under
-    /// saturation; the tail (p95 ≫ median) exposes jitter sources such
-    /// as active-message retransmission stalls.
-    pub fn handoff_intervals(marks: &[(ProcId, u32, Cycle)]) -> Vec<Cycle> {
-        let mut acquires: Vec<Cycle> = marks
-            .iter()
-            .filter(|(_, id, _)| id % 2 == 0 && *id >= 2)
-            .map(|&(_, _, t)| t)
-            .collect();
-        acquires.sort_unstable();
-        acquires.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
-    /// Nearest-rank quantile of a sample (shared helper for interval
-    /// analysis).
-    pub fn quantile_of(sample: &[Cycle], q: f64) -> Cycle {
-        assert!(!sample.is_empty());
-        assert!((0.0..=1.0).contains(&q));
-        let mut sorted = sample.to_vec();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-}
-
 /// Reduce a lock benchmark: wall time from first start to the last
 /// release mark.
 pub fn lock_measurement(
@@ -223,15 +196,6 @@ mod tests {
         assert_eq!(m.acquisitions, 4);
         assert_eq!(m.total_cycles, 200);
         assert!((m.cycles_per_acquisition - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn handoff_intervals_from_sorted_acquires() {
-        let marks = vec![mk(0, 2, 100), mk(1, 2, 160), mk(0, 4, 210), mk(1, 4, 260)];
-        let gaps = LockMeasurement::handoff_intervals(&marks);
-        assert_eq!(gaps, vec![60, 50, 50]);
-        assert_eq!(LockMeasurement::quantile_of(&gaps, 0.5), 50);
-        assert_eq!(LockMeasurement::quantile_of(&gaps, 1.0), 60);
     }
 
     #[test]
