@@ -79,21 +79,20 @@ for line in open(runs):
 print("pair side   " + " ".join(f"{n:>12}" for n, _ in metrics))
 for pair in sorted(table):
     for side in ("parent", "change"):
-        vals = table[pair].get(side, {})
-        cells = (f"{v:12.6g}" if v is not None else f"{'-':>12}" for v in map(vals.get, (n for n, _ in metrics)))
+        vals = [table[pair].get(side, {}).get(n) for n, _ in metrics]
+        cells = (f"{'-':>12}" if v is None else f"{v:12.6g}" for v in vals)
         print(f"{pair:>4} {side:6} " + " ".join(cells))
 
 print()
 print(f"{'metric':12} {'parent med':>12} {'change med':>12} {'change/par':>10} {'parent q1-q3':>25} {'wins':>6}")
 for name, better in metrics:
-    par, chg, wins, n = [], [], 0, 0
+    par, chg, wins = [], [], 0
     for sides in table.values():
         p, c = sides.get("parent", {}).get(name), sides.get("change", {}).get(name)
         if p is None or c is None:
             continue
         par.append(p)
         chg.append(c)
-        n += 1
         wins += (c < p) if better == "lower" else (c > p)
     if not par:
         print(f"{name:12} no complete pairs")
@@ -101,6 +100,6 @@ for name, better in metrics:
     q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive") if len(par) > 1 else (par[0],) * 3
     pm, cm = statistics.median(par), statistics.median(chg)
     ratio = f"{cm / pm:10.3f}" if pm else f"{'-':>10}"
-    print(f"{name:12} {pm:12.6g} {cm:12.6g} {ratio} {f'{q1:.6g}-{q3:.6g}':>25} {f'{wins}/{n}':>6}")
+    print(f"{name:12} {pm:12.6g} {cm:12.6g} {ratio} {f'{q1:.6g}-{q3:.6g}':>25} {f'{wins}/{len(par)}':>6}")
 sys.exit(1 if bad else 0)
 EOF
