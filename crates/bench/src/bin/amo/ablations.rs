@@ -9,7 +9,7 @@ use amo_sync::{BarrierKernel, BarrierSpec, BarrierStyle, Mechanism, VarAlloc};
 use amo_types::{NodeId, ProcId, Stats, SystemConfig};
 use amo_workloads::{run_barrier, BarrierBench};
 
-pub const ABLATIONS: Command = Command {
+pub(crate) const ABLATIONS: Command = Command {
     name: "ablations",
     synopsis: "",
     about: "Print the design-choice ablation studies (simulated cycle counts at 32
@@ -99,7 +99,7 @@ fn amu_cache_pressure() {
     }
 }
 
-pub fn run(_: &Args) -> Result<i32, Stop> {
+pub(crate) fn run(_: &Args) -> Result<i32, Stop> {
     study(
         &format!("AMU cache size (AMO barrier, {PROCS} CPUs)"),
         [1usize, 8, 64].map(|words| {

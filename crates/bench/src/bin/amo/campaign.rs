@@ -11,7 +11,7 @@ use amo_campaign::{
 };
 use amo_obs::{campaign_metrics_json, CampaignSummary};
 
-pub const TABLES: Command = Command {
+pub(crate) const TABLES: Command = Command {
     name: "tables",
     synopsis: "[ARTEFACT...] [--quick] [--csv]",
     about: "Regenerate the paper's tables and figures, simulating every cell.
@@ -21,7 +21,7 @@ pub const TABLES: Command = Command {
         artefact as `table,row,column,value`, one line per cell.",
 };
 
-pub const CAMPAIGN: Command = Command {
+pub(crate) const CAMPAIGN: Command = Command {
     name: "campaign",
     synopsis: "[paper|quick] [--spec FILE] [--out FILE] [--csv] [--no-cache]
         [--cache-dir DIR] [--metrics-json FILE]",
@@ -33,7 +33,7 @@ pub const CAMPAIGN: Command = Command {
         campaign's aggregate amo-metrics-v1 report.",
 };
 
-pub fn tables(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn tables(args: &Args) -> Result<i32, Stop> {
     artifacts::check_artifact_names(&args.errors)?;
     let profile = if args.has("quick") {
         ArtifactProfile::quick()
@@ -47,7 +47,7 @@ pub fn tables(args: &Args) -> Result<i32, Stop> {
     execute("tables", &plan, None, args)
 }
 
-pub fn campaign(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn campaign(args: &Args) -> Result<i32, Stop> {
     let (name, plan) = match (args.get("spec"), args.errors.first()) {
         (Some(_), Some(profile)) => {
             return Err(Stop::Usage(format!(

@@ -15,7 +15,7 @@ use amo_types::Stats;
 use amo_types::SystemConfig;
 use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, RunInfo, Scenario};
 
-pub const CHAOS: Command = Command {
+pub(crate) const CHAOS: Command = Command {
     name: "chaos",
     synopsis: "[--procs N] [--episodes N] [--quick] [--seed N] [--watchdog CYC]
         [--rate PPM] [--jitter CYC] [--brownout] [--unrecoverable]
@@ -37,7 +37,7 @@ pub const CHAOS: Command = Command {
         reproduces the recorded outcome.",
 };
 
-pub const CHAOS_SEARCH: Command = Command {
+pub(crate) const CHAOS_SEARCH: Command = Command {
     name: "chaos_search",
     synopsis: "[--samples N] [--seed N] [--procs N] [--episodes N]
         [--watchdog CYC] [--max-failures N] [--drops a,b,..] [--dups a,b,..]
@@ -160,7 +160,7 @@ fn replay_plan(path: &str) -> Result<i32, Stop> {
     Ok(0)
 }
 
-pub fn chaos(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn chaos(args: &Args) -> Result<i32, Stop> {
     if let Some(path) = args.get("plan-in") {
         return replay_plan(path);
     }
@@ -239,7 +239,7 @@ fn fmt_list<T: std::fmt::Display>(v: &[T]) -> String {
         .join(",")
 }
 
-pub fn chaos_search(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn chaos_search(args: &Args) -> Result<i32, Stop> {
     let g = ChaosGrid::default();
     let spec = ChaosSpec {
         samples: args.num("samples", 16)?,

@@ -23,7 +23,7 @@ macro_rules! obs_flags {
     };
 }
 
-pub const BARRIER: Command = Command {
+pub(crate) const BARRIER: Command = Command {
     name: "experiment barrier",
     synopsis: concat!(
         "--mech MECH --procs N [--episodes N] [--warmup N]
@@ -38,7 +38,7 @@ pub const BARRIER: Command = Command {
         amo-hostprof-v1 host self-profile of this (cold) run.",
 };
 
-pub const LOCK: Command = Command {
+pub(crate) const LOCK: Command = Command {
     name: "experiment lock",
     synopsis: concat!(
         "--mech MECH --kind KIND --procs N [--rounds N]
@@ -50,7 +50,7 @@ pub const LOCK: Command = Command {
 };
 
 /// Where [`emit_obs`] writes each document; `None` skips it.
-pub struct ObsPaths<'a> {
+pub(crate) struct ObsPaths<'a> {
     pub trace: Option<&'a str>,
     pub critpath: Option<&'a str>,
     pub metrics: Option<&'a str>,
@@ -88,7 +88,7 @@ fn parse_obs(args: &Args) -> Result<(ObsSpec, ObsPaths<'_>), String> {
 /// documents of one finished run — the only code that writes them,
 /// whatever launched the run. `meta` is stamped on the metrics and
 /// hostprof documents, and its first value names the hostprof section.
-pub fn emit_obs(
+pub(crate) fn emit_obs(
     paths: &ObsPaths,
     cfg: &SystemConfig,
     stats: &Stats,
@@ -202,7 +202,7 @@ fn run_observed<S: Scenario + Clone>(
     Ok(r)
 }
 
-pub fn barrier(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn barrier(args: &Args) -> Result<i32, Stop> {
     let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
     let procs = procs(args, 0, 2)?;
     let bench = BarrierBench {
@@ -247,7 +247,7 @@ pub fn barrier(args: &Args) -> Result<i32, Stop> {
     Ok(0)
 }
 
-pub fn lock(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn lock(args: &Args) -> Result<i32, Stop> {
     let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
     let kind = LockKind::parse(args.get("kind").expect("required by the synopsis"))?;
     let procs = procs(args, 0, 2)?;

@@ -20,7 +20,7 @@ use amo_campaign::ResultCache;
 use amo_types::SystemConfig;
 
 /// Why a subcommand stopped before producing its result.
-pub enum Stop {
+pub(crate) enum Stop {
     /// The command line is malformed: exit 2, with the usage text.
     Usage(String),
     /// The run could not be carried out: exit 1.
@@ -37,7 +37,7 @@ impl From<String> for Stop {
 
 /// The cache `[--no-cache] [--cache-dir DIR]` select: none, the given
 /// directory, or the default `target/campaign-cache`.
-pub fn cache(args: &Args) -> Option<ResultCache> {
+pub(crate) fn cache(args: &Args) -> Option<ResultCache> {
     if args.has("no-cache") {
         return None;
     }
@@ -49,7 +49,7 @@ pub fn cache(args: &Args) -> Option<ResultCache> {
 
 /// `--procs N` for a machine of `per_node` processors per node: the
 /// library's own geometry check, worded in terms of the flag.
-pub fn procs(args: &Args, default: u16, per_node: u16) -> Result<u16, String> {
+pub(crate) fn procs(args: &Args, default: u16, per_node: u16) -> Result<u16, String> {
     let machine = SystemConfig {
         num_procs: args.num("procs", default)?,
         procs_per_node: per_node,
@@ -60,17 +60,17 @@ pub fn procs(args: &Args, default: u16, per_node: u16) -> Result<u16, String> {
 }
 
 /// Read an input document.
-pub fn read(path: &str) -> Result<String, Stop> {
+pub(crate) fn read(path: &str) -> Result<String, Stop> {
     std::fs::read_to_string(path).map_err(|e| Stop::Failed(format!("cannot read {path}: {e}")))
 }
 
 /// Write an output document.
-pub fn write(path: &str, doc: &str) -> Result<(), Stop> {
+pub(crate) fn write(path: &str, doc: &str) -> Result<(), Stop> {
     std::fs::write(path, doc).map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))
 }
 
 /// Send a subcommand's main document to `--out FILE`, or to stdout.
-pub fn emit(out: Option<&str>, doc: &str) -> Result<(), Stop> {
+pub(crate) fn emit(out: Option<&str>, doc: &str) -> Result<(), Stop> {
     match out {
         None => print!("{doc}"),
         Some(path) => {

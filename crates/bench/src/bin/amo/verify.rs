@@ -10,7 +10,7 @@ use amo_verify::{
     VerifyMatrix, VerifyModel, VerifyWorkload,
 };
 
-pub const VERIFY: Command = Command {
+pub(crate) const VERIFY: Command = Command {
     name: "verify",
     synopsis: "[--explore] [--matrix FILE] [--replay FILE] [--passivity]
         [--mech MECH] [--workload barrier|ticket-lock] [--procs N]
@@ -184,7 +184,7 @@ fn run_passivity(args: &Args) -> Result<i32, Stop> {
     Ok(status)
 }
 
-pub fn run(args: &Args) -> Result<i32, Stop> {
+pub(crate) fn run(args: &Args) -> Result<i32, Stop> {
     if let Some(path) = args.get("matrix") {
         run_matrix_mode(args, path)
     } else if let Some(path) = args.get("replay") {

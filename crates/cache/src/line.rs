@@ -28,7 +28,7 @@ impl LineState {
 
     /// True for any valid (readable) state.
     #[inline]
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         !matches!(self, LineState::Invalid)
     }
 }

@@ -2,10 +2,10 @@
 //! function*: code that builds [`Table`]s and asks for each number by
 //! describing the run that produces it.
 //!
-//! A table function receives a [`Cells`] handle and is written as if
+//! A table function receives a `Cells` handle and is written as if
 //! every cell were simulated on demand:
 //! `base / cells.num(RunSpec::Barrier(p.barrier(mech, procs)), "avg_cycles")`.
-//! It never builds a run list and never indexes into one. [`evaluate`]
+//! It never builds a run list and never indexes into one. `evaluate`
 //! is the one planner behind that illusion: it calls the function with
 //! nothing known (every answer NaN or 0) to record what it asks for,
 //! hands the recorded runs — deduplicated by content key, in
@@ -20,7 +20,7 @@
 //! Figure 6) share a function, and each function's cells are one batch.
 //! [`tables`] evaluates the selected ones and [`render_artifacts`]
 //! formats what it returns. Ten artefacts are grids and print through
-//! [`Table::text`]; four are not — two numbers per cell, a ragged list,
+//! `Table::text`; four are not — two numbers per cell, a ragged list,
 //! a transposed list, a sentence — and keep a short layout function
 //! beside their table function instead of bending the grid around
 //! them. Their numbers are a [`Table`] all the same, so CSV output and
@@ -43,11 +43,11 @@ use std::collections::HashMap;
 /// Processor counts used by the paper for non-tree experiments.
 pub const PAPER_SIZES: [u16; 7] = [4, 8, 16, 32, 64, 128, 256];
 /// Processor counts used by the paper for tree experiments.
-pub const TREE_SIZES: [u16; 5] = [16, 32, 64, 128, 256];
+pub(crate) const TREE_SIZES: [u16; 5] = [16, 32, 64, 128, 256];
 
 /// Mechanisms in the column order of Table 2 (every one but the LL/SC
 /// baseline).
-pub const TABLE_MECHS: [Mechanism; 4] = [
+pub(crate) const TABLE_MECHS: [Mechanism; 4] = [
     Mechanism::ActMsg,
     Mechanism::Atomic,
     Mechanism::Mao,
@@ -55,7 +55,7 @@ pub const TABLE_MECHS: [Mechanism; 4] = [
 ];
 
 /// Mechanisms that support the MCS lock (everything with swap/cas).
-pub const MCS_MECHS: [Mechanism; 4] = [
+pub(crate) const MCS_MECHS: [Mechanism; 4] = [
     Mechanism::LlSc,
     Mechanism::Atomic,
     Mechanism::Mao,
@@ -66,7 +66,7 @@ pub const MCS_MECHS: [Mechanism; 4] = [
 /// does ("we try all possible tree branching factors and use the one
 /// that delivers the best performance"). Candidates at or above the
 /// machine size are skipped.
-pub const TREE_CANDIDATES: [u16; 6] = [2, 4, 8, 16, 32, 64];
+pub(crate) const TREE_CANDIDATES: [u16; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Fan-ins the deep-tree study tries.
 const KTREE_BRANCHINGS: [u16; 4] = [2, 4, 8, 16];
@@ -79,7 +79,7 @@ const KTREE_BRANCHINGS: [u16; 4] = [2, 4, 8, 16];
 /// run that answers it; the same run asked twice — even through two
 /// `RunSpec` values that canonicalize to one document — is one cell.
 #[derive(Default)]
-pub struct Cells {
+pub(crate) struct Cells {
     /// Content key → position in `known` followed by `asked`.
     index: HashMap<(u64, u64), usize>,
     /// Results of the batches run so far, in the order they were asked.
@@ -100,13 +100,13 @@ impl Cells {
 
     /// The named scalar of the run `spec` describes; NaN while the run
     /// is only planned.
-    pub fn num(&mut self, spec: RunSpec, name: &str) -> f64 {
+    pub(crate) fn num(&mut self, spec: RunSpec, name: &str) -> f64 {
         self.find(spec).map_or(f64::NAN, |art| art.num(name))
     }
 
     /// A counter of the run's machine statistics; 0 while the run is
     /// only planned.
-    pub fn stat(&mut self, spec: RunSpec, of: fn(&Stats) -> u64) -> u64 {
+    pub(crate) fn stat(&mut self, spec: RunSpec, of: fn(&Stats) -> u64) -> u64 {
         self.find(spec).map_or(0, |art| of(&art.stats))
     }
 }
@@ -115,7 +115,7 @@ impl Cells {
 /// per round of questions, until it has every answer. A function whose
 /// questions do not depend on earlier answers — all of this module's —
 /// costs exactly one batch.
-pub fn evaluate<T>(c: &mut Campaign, table: impl Fn(&mut Cells) -> T) -> T {
+pub(crate) fn evaluate<T>(c: &mut Campaign, table: impl Fn(&mut Cells) -> T) -> T {
     let mut cells = Cells::default();
     loop {
         let out = table(&mut cells);
@@ -699,7 +699,7 @@ pub(crate) fn layout(t: &Table) -> String {
 /// rendered document — the exact bytes of the committed
 /// `tables_output.txt` when run with the paper profile and every
 /// artifact selected. `csv` switches every artefact to the one CSV form:
-/// [`CSV_HEADER`], then a line per cell.
+/// `CSV_HEADER`, then a line per cell.
 pub fn render_artifacts(
     c: &mut Campaign,
     profile: &ArtifactProfile,

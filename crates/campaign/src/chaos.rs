@@ -33,7 +33,7 @@ use amo_types::{Cycle, JsonWriter, SystemConfig};
 use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, Scenario, SkewMode};
 
 /// Schema tag of a serialized fault plan.
-pub const PLAN_SCHEMA: &str = "amo-fault-plan-v1";
+pub(crate) const PLAN_SCHEMA: &str = "amo-fault-plan-v1";
 
 /// One delivery-fault plan: the three fault dimensions, the oracle
 /// seed that fixes *which* messages they bite, and the end-to-end
@@ -56,12 +56,12 @@ pub struct DeliveryPlan {
 
 impl DeliveryPlan {
     /// True if no fault dimension is armed (such a plan cannot fail).
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.drop_ppm == 0 && self.dup_ppm == 0 && self.reorder_window == 0
     }
 
     /// Write this plan into a machine configuration.
-    pub fn apply(&self, cfg: &mut SystemConfig) {
+    pub(crate) fn apply(&self, cfg: &mut SystemConfig) {
         cfg.faults.link_drop_ppm = self.drop_ppm;
         cfg.faults.link_dup_ppm = self.dup_ppm;
         cfg.faults.link_reorder_window = self.reorder_window;
@@ -162,7 +162,7 @@ impl ChaosSpec {
     /// Sample `i`'s plan: each dimension choice is an independent
     /// keyed-hash draw from `run_seed(seed, i)`, so inserting a value
     /// into one grid list does not reshuffle the other dimensions.
-    pub fn sample(&self, i: u32) -> DeliveryPlan {
+    pub(crate) fn sample(&self, i: u32) -> DeliveryPlan {
         let base = run_seed(self.seed, i as u64);
         let pick = |salt: u64, len: usize| (splitmix64(base ^ salt) % len as u64) as usize;
         DeliveryPlan {
@@ -178,7 +178,7 @@ impl ChaosSpec {
 
 /// Stable name of a typed fault's discriminant — the shrinker's
 /// failure-equivalence class, and the `kind` a plan document records.
-pub fn kind_name(kind: &SimErrorKind) -> &'static str {
+pub(crate) fn kind_name(kind: &SimErrorKind) -> &'static str {
     match kind {
         SimErrorKind::LinkFailed { .. } => "LinkFailed",
         SimErrorKind::ActMsgStarved { .. } => "ActMsgStarved",
@@ -205,7 +205,7 @@ pub fn failure_kind(f: &RunFailure) -> &'static str {
 
 /// Run one plan to completion or abort. `Some(kind)` is the failure's
 /// [`failure_kind`]; `None` means the barrier finished.
-pub fn probe(spec: &ChaosSpec, plan: &DeliveryPlan) -> Option<&'static str> {
+pub(crate) fn probe(spec: &ChaosSpec, plan: &DeliveryPlan) -> Option<&'static str> {
     try_run_barrier(spec.bench(plan))
         .err()
         .map(|f| failure_kind(&f))
@@ -227,7 +227,7 @@ const MAX_SHRINK_PROBES: u32 = 64;
 ///    window that still fails.
 ///
 /// Returns the shrunk plan and the number of probes spent.
-pub fn shrink(spec: &ChaosSpec, plan: DeliveryPlan, kind: &str) -> (DeliveryPlan, u32) {
+pub(crate) fn shrink(spec: &ChaosSpec, plan: DeliveryPlan, kind: &str) -> (DeliveryPlan, u32) {
     let mut best = plan;
     let mut probes = 0u32;
     let still_fails = |candidate: &DeliveryPlan, probes: &mut u32| {
@@ -404,7 +404,7 @@ impl PlanDoc {
     /// *now*: the content key of the exact run it describes. Folds in
     /// the machine configuration and the campaign code fingerprint, so
     /// any drift in either breaks the match.
-    pub fn current_fingerprint(&self) -> String {
+    pub(crate) fn current_fingerprint(&self) -> String {
         key_hex(RunSpec::Barrier(self.spec().bench(&self.plan)).key())
     }
 

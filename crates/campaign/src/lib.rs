@@ -21,9 +21,9 @@
 //!   columns and keyed rows of numbers with one paper layout, one CSV
 //!   form, and lookup by row key and column label.
 //! * [`artifacts`] — every table/figure of the paper's evaluation as a
-//!   *table function* that asks an [`artifacts::Cells`] handle for each
+//!   *table function* that asks an `artifacts::Cells` handle for each
 //!   number by describing the run that produces it;
-//!   [`artifacts::evaluate`], the planner that turns what a function
+//!   `artifacts::evaluate`, the planner that turns what a function
 //!   asks for into one campaign batch per generator;
 //!   [`artifacts::tables`], and [`artifacts::render_artifacts`] which
 //!   regenerates the committed `tables_output.txt` byte-for-byte.

@@ -1,5 +1,5 @@
 //! Plain-text rendering of a grid campaign's outcomes. (The paper's
-//! tables and figures lay themselves out: [`crate::table::Table::text`].)
+//! tables and figures lay themselves out: `crate::table::Table::text`.)
 
 /// Render the outcomes of a grid campaign, one line per cell:
 /// `label: name=value ...` for successful runs (the run's artifact

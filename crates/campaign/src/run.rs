@@ -2,7 +2,7 @@
 //!
 //! A [`RunSpec`] fully describes one simulator invocation — workload,
 //! mechanism, sizes, seeds, fault plan, config overrides. It canonicalizes
-//! to a JSON document ([`RunSpec::canonical_doc`]) whose stable 128-bit
+//! to a JSON document (`RunSpec::canonical_doc`) whose stable 128-bit
 //! hash ([`RunSpec::key`]) is the run's content address: two specs with
 //! the same key are the same experiment, no matter which campaign, bin,
 //! or session asks for them. Executing a spec yields a
@@ -18,7 +18,7 @@ use amo_workloads::runner::{run_scenario, BarrierBench, LockBench, ObsSpec, Scen
 use amo_workloads::{BarrierMeasurement, LockMeasurement};
 
 /// Schema tag of a serialized run outcome.
-pub const ARTIFACTS_SCHEMA: &str = "amo-run-artifacts-v1";
+pub(crate) const ARTIFACTS_SCHEMA: &str = "amo-run-artifacts-v1";
 
 /// Code fingerprint folded into every cache key. Bump the trailing
 /// model tag whenever a change alters simulated timing or statistics
@@ -137,7 +137,7 @@ impl RunSpec {
     /// config override canonicalizes to the same document as an explicit
     /// paper-default config — same machine, same key), and the
     /// [`CODE_FINGERPRINT`].
-    pub fn canonical_doc(&self) -> String {
+    pub(crate) fn canonical_doc(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.kv_str("code", CODE_FINGERPRINT);
@@ -223,14 +223,14 @@ impl RunSpec {
 
     /// Can this cell run at all? Decoders call this on every cell they
     /// build, so a bad one is refused before the campaign starts.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         self.cell().check()
     }
 
     /// Execute the run. A rejected, faulted or stalled cell comes back
     /// as `Err(message)` — never a panic — so a campaign grid keeps its
     /// other cells.
-    pub fn execute(&self) -> Result<RunArtifacts, String> {
+    pub(crate) fn execute(&self) -> Result<RunArtifacts, String> {
         self.cell().execute()
     }
 }
@@ -250,7 +250,7 @@ pub struct RunArtifacts {
 impl RunArtifacts {
     /// Look up a named scalar; panics with the available names on a
     /// miss (a reducer asking for the wrong workload's number is a bug).
-    pub fn num(&self, name: &str) -> f64 {
+    pub(crate) fn num(&self, name: &str) -> f64 {
         self.numbers
             .iter()
             .find(|(n, _)| n == name)

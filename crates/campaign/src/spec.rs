@@ -39,7 +39,7 @@ use amo_types::SystemConfig;
 use amo_workloads::runner::{BarrierAlgo, BarrierBench, LockBench, LockKind, SkewMode};
 
 /// Schema tag a campaign spec must carry.
-pub const SPEC_SCHEMA: &str = "amo-campaign-v1";
+pub(crate) const SPEC_SCHEMA: &str = "amo-campaign-v1";
 
 /// One expanded grid cell: a human-readable label plus the run it
 /// schedules.

@@ -102,7 +102,7 @@ pub enum Workload {
 
 impl Workload {
     /// Stable label used in reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Workload::Barrier => "barrier",
             Workload::Lock => "lock",

@@ -62,7 +62,7 @@ pub enum Metric {
 
 impl Metric {
     /// Label used in headers and JSON keys.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Metric::DirQueue => "dir_queue",
             Metric::AmuQueue => "amu_queue",
@@ -73,7 +73,7 @@ impl Metric {
     }
 
     /// Extract this metric from a sample.
-    pub fn of(self, s: &NodeSample) -> u32 {
+    pub(crate) fn of(self, s: &NodeSample) -> u32 {
         match self {
             Metric::DirQueue => s.dir_queue,
             Metric::AmuQueue => s.amu_queue,
@@ -102,7 +102,7 @@ impl TimeSeries {
     }
 
     /// Peak value of a metric across all ticks and nodes.
-    pub fn peak(&self, metric: Metric) -> u32 {
+    pub(crate) fn peak(&self, metric: Metric) -> u32 {
         self.ticks
             .iter()
             .flat_map(|t| t.per_node.iter().map(|s| metric.of(s)))
@@ -111,7 +111,7 @@ impl TimeSeries {
     }
 
     /// Emit as a JSON object into an open writer.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_obj();
         w.kv_u64("interval", self.interval);
         w.kv_u64("nodes", self.nodes as u64);

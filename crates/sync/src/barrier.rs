@@ -82,7 +82,7 @@ impl BarrierSpec {
     }
 
     /// Allocate a barrier with an explicit style (ablations).
-    pub fn build_styled(
+    pub(crate) fn build_styled(
         alloc: &mut VarAlloc,
         mech: Mechanism,
         style: BarrierStyle,

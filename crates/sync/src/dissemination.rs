@@ -36,7 +36,7 @@ pub struct DisseminationSpec {
 
 impl DisseminationSpec {
     /// Number of rounds for `participants`.
-    pub fn rounds_for(participants: u16) -> u32 {
+    pub(crate) fn rounds_for(participants: u16) -> u32 {
         assert!(participants >= 2);
         (participants as f64).log2().ceil() as u32
     }
@@ -65,7 +65,7 @@ impl DisseminationSpec {
     }
 
     /// The peer processor `i` notifies in round `r`.
-    pub fn notify_target(&self, i: u16, r: u32) -> u16 {
+    pub(crate) fn notify_target(&self, i: u16, r: u32) -> u16 {
         ((i as u32 + (1 << r)) % self.participants as u32) as u16
     }
 }

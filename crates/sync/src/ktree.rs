@@ -11,7 +11,7 @@
 //! are needed.
 //!
 //! Two shapes are built from the one algorithm. The paper's
-//! evaluated configuration ([`KTreeSpec::build_two_level`]) has groups
+//! evaluated configuration (`KTreeSpec::build_two_level`) has groups
 //! of `B` leaves under one root of fan-in `⌈P/B⌉`. The generalization
 //! the paper leaves as future work — "determining whether or not
 //! tree-based AMO barriers can provide extra benefits on very
@@ -81,7 +81,7 @@ impl KTreeSpec {
     /// Build the paper's two-level tree: groups of `branching` leaves,
     /// homed round-robin across the nodes, under one root on node 0
     /// whose fan-in is the number of groups.
-    pub fn build_two_level(
+    pub(crate) fn build_two_level(
         alloc: &mut VarAlloc,
         mech: Mechanism,
         participants: u16,
@@ -150,13 +150,13 @@ impl KTreeSpec {
     }
 
     /// Tree depth (number of levels).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.levels.len()
     }
 
     /// The group index of member `m` at level `l` (member = processor at
     /// level 0, child-group index above).
-    pub fn group_at(&self, m: u16, l: usize) -> u16 {
+    pub(crate) fn group_at(&self, m: u16, l: usize) -> u16 {
         self.fanins[..=l].iter().fold(m, |m, fanin| m / fanin)
     }
 }

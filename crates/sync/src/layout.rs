@@ -40,7 +40,7 @@ impl VarAlloc {
     }
 
     /// Allocate an uncached (MAO) word homed on `node`.
-    pub fn uncached_word(&mut self, node: NodeId) -> Addr {
+    pub(crate) fn uncached_word(&mut self, node: NodeId) -> Addr {
         let next = self.uncached_next.entry(node.0).or_insert(UNCACHED_BASE);
         let a = Addr::on_node(node, *next);
         *next += SPACING;
@@ -69,7 +69,7 @@ impl VarAlloc {
 
 /// Convenience: the cumulative target count for episode `e` (1-based)
 /// with `n` participants.
-pub fn cumulative_target(episode: u32, n: u16) -> Word {
+pub(crate) fn cumulative_target(episode: u32, n: u16) -> Word {
     episode as Word * n as Word
 }
 

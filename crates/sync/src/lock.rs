@@ -28,12 +28,12 @@ use std::rc::Rc;
 
 /// Marker ids recorded by lock kernels: round `r` (1-based) acquires at
 /// mark `2r` and releases at mark `2r + 1`.
-pub fn acquire_mark(round: u32) -> u32 {
+pub(crate) fn acquire_mark(round: u32) -> u32 {
     round * 2
 }
 
 /// See [`acquire_mark`].
-pub fn release_mark(round: u32) -> u32 {
+pub(crate) fn release_mark(round: u32) -> u32 {
     round * 2 + 1
 }
 

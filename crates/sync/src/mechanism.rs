@@ -62,7 +62,7 @@ impl Mechanism {
 
     /// Whether this mechanism's synchronization variables live in
     /// uncached (IO) space rather than the coherent domain.
-    pub fn uses_uncached_vars(self) -> bool {
+    pub(crate) fn uses_uncached_vars(self) -> bool {
         matches!(self, Mechanism::Mao)
     }
 }
@@ -168,13 +168,13 @@ impl Sub {
     }
 
     /// Issue `op`; ready with the value its reply carries.
-    pub fn once(op: Op) -> Sub {
+    pub(crate) fn once(op: Op) -> Sub {
         Sub::new(Shape::Once(op))
     }
 
     /// Coherent spin: sleep on the cached word until `pred` holds; ready
     /// with the satisfying value.
-    pub fn spin(addr: Addr, pred: SpinPred) -> Sub {
+    pub(crate) fn spin(addr: Addr, pred: SpinPred) -> Sub {
         Sub::once(Op::SpinUntil { addr, pred })
     }
 
@@ -182,7 +182,7 @@ impl Sub {
     /// backing off in proportion to the distance from `target` between
     /// loads (MCS-style proportional backoff). Only the naive and eager
     /// centralized MAO barriers spin this way: on their uncached counter.
-    pub fn uncached(addr: Addr, pred: SpinPred, target: Word) -> Sub {
+    pub(crate) fn uncached(addr: Addr, pred: SpinPred, target: Word) -> Sub {
         Sub::new(Shape::Poll { addr, pred, target })
     }
 
@@ -191,7 +191,7 @@ impl Sub {
     /// the old value back (a failed CAS, an unchanged max); every other
     /// mechanism is one op. Active messages have no generic RMW: their
     /// counters are the home processor's ([`Sub::fetch_inc`]).
-    pub fn rmw(mech: Mechanism, kind: AmoKind, addr: Addr, operand: Word) -> Sub {
+    pub(crate) fn rmw(mech: Mechanism, kind: AmoKind, addr: Addr, operand: Word) -> Sub {
         Sub::once(match mech {
             Mechanism::LlSc => {
                 return Sub::new(Shape::LlSc {
@@ -242,7 +242,7 @@ impl Sub {
     /// An AMO fetch-and-add of one becomes `amo.inc` with the delayed-put
     /// test value `test` — or, with `None`, with no put at all, the count
     /// accumulating silently in the AMU cache. Other subs are unchanged.
-    pub fn amo_inc(mut self, test: Option<Word>) -> Sub {
+    pub(crate) fn amo_inc(mut self, test: Option<Word>) -> Sub {
         if let Shape::Once(Op::Amo {
             kind: kind @ AmoKind::FetchAdd,
             operand: 1,
@@ -257,7 +257,7 @@ impl Sub {
 
     /// An active-message fetch-and-add whose handler also publishes
     /// `publish`. Other subs are unchanged.
-    pub fn publishing(mut self, publish: Publish) -> Sub {
+    pub(crate) fn publishing(mut self, publish: Publish) -> Sub {
         if let Shape::Once(Op::ActiveMsg {
             handler: HandlerKind::FetchAdd { publish: p, .. },
             ..

@@ -43,13 +43,13 @@ pub const fn run_seed(base: u64, index: u64) -> u64 {
 }
 
 /// FNV-1a offset basis (the standard 64-bit constant).
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// 64-bit FNV-1a over `bytes`, starting from `state` — chainable, so a
 /// hash can cover several buffers, and re-seedable, so two independent
 /// 64-bit hashes make a 128-bit key.
 #[inline]
-pub const fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
+pub(crate) const fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
     let mut i = 0;
     while i < bytes.len() {
         state ^= bytes[i] as u64;

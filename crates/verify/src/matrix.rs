@@ -19,11 +19,11 @@ use amo_types::seed::stable_hash128;
 use amo_types::JsonWriter;
 
 /// Schema tag of a matrix spec.
-pub const MATRIX_SCHEMA: &str = "amo-verify-matrix-v1";
+pub(crate) const MATRIX_SCHEMA: &str = "amo-verify-matrix-v1";
 /// Schema tag of a cached cell summary.
-pub const CELL_SCHEMA: &str = "amo-verify-cell-v1";
+pub(crate) const CELL_SCHEMA: &str = "amo-verify-cell-v1";
 /// Blob kind cells are cached under.
-pub const CACHE_KIND: &str = "verify";
+pub(crate) const CACHE_KIND: &str = "verify";
 
 /// One matrix cell: a model and its search limits.
 #[derive(Clone, Debug)]
@@ -36,7 +36,7 @@ pub struct MatrixCell {
 
 impl MatrixCell {
     /// The cell's content address: model canonical doc + limits.
-    pub fn key(&self) -> (u64, u64) {
+    pub(crate) fn key(&self) -> (u64, u64) {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.key("model");

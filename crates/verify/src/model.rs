@@ -118,7 +118,7 @@ impl VerifyModel {
     /// duplicates with a zero window, a nominal duplication rate arms
     /// it instead — the taped oracle never consults the rate, only
     /// `delivery_enabled()` does.
-    pub fn config(&self) -> SystemConfig {
+    pub(crate) fn config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::with_procs(self.procs);
         // One processor per node: on the paper's two-per-node machine a
         // 2-proc model would be a single node, every message would be
@@ -146,7 +146,7 @@ impl VerifyModel {
     /// Write every field as members of the currently open JSON object:
     /// the one model writer, shared by [`canonical_doc`](Self::canonical_doc)
     /// (keys, fingerprints) and schedule documents.
-    pub fn write_fields(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
         w.kv_str("mech", self.mech.label());
         w.kv_str("workload", self.workload.tag());
         match self.workload {
@@ -174,7 +174,7 @@ impl VerifyModel {
     /// member is an error naming it, and so is a model that fails
     /// [`check`](Self::check) — a verifier must not quietly check
     /// something narrower than it was asked to.
-    pub fn from_json(obj: &Json, also: &[&str]) -> Result<VerifyModel, String> {
+    pub(crate) fn from_json(obj: &Json, also: &[&str]) -> Result<VerifyModel, String> {
         let Json::Obj(members) = obj else {
             return Err("a model must be an object".into());
         };
@@ -235,7 +235,7 @@ impl VerifyModel {
     /// Canonical JSON document: every field that can change a run's
     /// outcome, the normalized machine configuration, and the campaign
     /// code fingerprint.
-    pub fn canonical_doc(&self) -> String {
+    pub(crate) fn canonical_doc(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.kv_str("code", CODE_FINGERPRINT);
@@ -247,7 +247,7 @@ impl VerifyModel {
     }
 
     /// The model's content key (`stable_hash128` of the canonical doc).
-    pub fn key(&self) -> (u64, u64) {
+    pub(crate) fn key(&self) -> (u64, u64) {
         stable_hash128(self.canonical_doc().as_bytes())
     }
 
@@ -443,12 +443,12 @@ pub struct Outcome {
 
 impl Outcome {
     /// The choices this run actually took, position by position.
-    pub fn chosen(&self) -> Vec<u16> {
+    pub(crate) fn chosen(&self) -> Vec<u16> {
         self.log.iter().map(|c| c.chosen).collect()
     }
 
     /// Outcome kind as a document string (`"ok"` for a clean finish).
-    pub fn kind_str(&self) -> &'static str {
+    pub(crate) fn kind_str(&self) -> &'static str {
         self.kind.unwrap_or("ok")
     }
 }

@@ -49,7 +49,7 @@ pub struct MonitorTracer {
 
 impl MonitorTracer {
     /// Monitor stack over a ring of `cap` retained events.
-    pub fn new(cap: usize, monitors: Vec<Box<dyn Monitor>>) -> Self {
+    pub(crate) fn new(cap: usize, monitors: Vec<Box<dyn Monitor>>) -> Self {
         MonitorTracer {
             ring: RingTracer::new(cap),
             monitors,
@@ -60,7 +60,7 @@ impl MonitorTracer {
     /// Add a monitor that could only be built once the workload was on
     /// the machine (it watches an address the installer chose). Checked
     /// after every monitor already on the stack.
-    pub fn push(&mut self, monitor: Box<dyn Monitor>) {
+    pub(crate) fn push(&mut self, monitor: Box<dyn Monitor>) {
         self.monitors.push(monitor);
     }
 }
@@ -114,7 +114,7 @@ pub struct MutualExclusion {
 
 impl MutualExclusion {
     /// Fresh monitor (no holder).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -172,7 +172,7 @@ pub struct TicketFifo {
 
 impl TicketFifo {
     /// Monitor FIFO order on the ticket sequencer at `ticket_addr`.
-    pub fn new(ticket_addr: u64) -> Self {
+    pub(crate) fn new(ticket_addr: u64) -> Self {
         TicketFifo {
             ticket_addr,
             grants: Vec::new(),
@@ -228,7 +228,7 @@ pub struct BarrierEpoch {
 
 impl BarrierEpoch {
     /// Monitor a barrier over `procs` participants.
-    pub fn new(procs: u16) -> Self {
+    pub(crate) fn new(procs: u16) -> Self {
         BarrierEpoch {
             procs: procs as u64,
             entered: Vec::new(),
@@ -280,7 +280,7 @@ pub struct AtMostOnce {
 
 impl AtMostOnce {
     /// Fresh monitor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -312,7 +312,7 @@ pub struct DirSanity;
 
 impl DirSanity {
     /// Fresh monitor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 }
