@@ -1,12 +1,10 @@
 //! Shared helpers for the `amo` command and `amo-benchmark`: the
-//! dependency-free CLI parser, wall-clock timing and steady-state host
-//! profiling. The experiment profiles live in
-//! `amo_campaign::ArtifactProfile`.
+//! dependency-free CLI parser and wall-clock timing. The experiment
+//! profiles live in `amo_campaign::ArtifactProfile`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hostprof;
 pub mod timing;
 
 pub use timing::timed;

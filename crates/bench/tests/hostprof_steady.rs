@@ -5,13 +5,18 @@
 //! pending-event bound when it is built, effect buffers are pooled, and
 //! L1 fills are tag-only — and building a machine does not allocate per
 //! cache set. (The queue's own bound is `amo-engine`'s
-//! `tests/allocations.rs`: a third test here would have the harness
-//! start its thread while another test counts.)
+//! `tests/allocations.rs`: it has no retry or slack to absorb the
+//! harness starting a thread while it counts.)
+//!
+//! The steady-state profile is taken in two passes over the same
+//! machine, because the first run pays one-time container growth (the
+//! event queue's node arena, mark sinks, effect pools): a warm-up run
+//! that sizes every container, then a reset of the profiler's counters
+//! and an identical re-run whose profile is the steady state.
 
-use amo_bench::hostprof::{profile_steady, ProfiledRun};
 use amo_obs::{
-    alloc_counters, hostprof_json, validate_hostprof, CountingAlloc, HostProfSection, HostProfiler,
-    NopTracer,
+    alloc_counters, hostprof_json, validate_hostprof, CountingAlloc, HostProfReport,
+    HostProfSection, HostProfiler, NopTracer,
 };
 use amo_sim::{Machine, QueueKind};
 use amo_sync::{BarrierKernel, BarrierSpec, Mechanism, TicketLockKernel, TicketLockSpec, VarAlloc};
@@ -25,6 +30,42 @@ const PROCS: u16 = 64;
 /// The allocation counters are process-wide, so the tests that read
 /// them take turns.
 static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// A steady-state profile of one workload.
+struct ProfiledRun {
+    /// The steady pass's host profile (the warm-up pass is discarded).
+    report: HostProfReport,
+    /// Simulated events dispatched by the steady pass.
+    events: u64,
+}
+
+/// Profile one workload's steady state.
+///
+/// `install` must program the machine for one complete run starting at
+/// the given cycle; it is called twice — once at cycle 0 for the
+/// warm-up pass and once just past the warm-up's end cycle for the
+/// profiled pass — and must install the same work both times.
+fn profile_steady(
+    cfg: SystemConfig,
+    kind: QueueKind,
+    max_cycles: Cycle,
+    install: impl Fn(&mut Machine<NopTracer, HostProfiler>, Cycle),
+) -> ProfiledRun {
+    let mut m = Machine::with_parts(cfg, kind, NopTracer, HostProfiler::new());
+    install(&mut m, 0);
+    let warm = m.run(max_cycles);
+    assert!(warm.all_finished, "hostprof warm-up pass must complete");
+    m.clear_marks();
+    m.profiler_mut().reset();
+    install(&mut m, warm.end + 1);
+    let res = m.run(max_cycles);
+    assert!(res.all_finished, "hostprof steady pass must complete");
+    let report = m.take_hostprof().expect("profiler attached");
+    ProfiledRun {
+        report,
+        events: res.events,
+    }
+}
 
 /// The steady-state profile of `install`'s kernels, taken a second time
 /// if dispatch allocated in the first: the counters are process-wide,
@@ -133,5 +174,48 @@ fn machine_construction_does_not_allocate_per_cache_set() {
         after_bytes - before_bytes < 2 << 20,
         "Machine::new allocated {} bytes",
         after_bytes - before_bytes
+    );
+}
+
+#[test]
+fn steady_profile_covers_the_run_and_reruns_cleanly() {
+    // Takes its turn too, so its allocations never land in another
+    // test's count.
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let procs: u16 = 8;
+    let episodes = 4usize;
+    let mut alloc = VarAlloc::new();
+    let spec = BarrierSpec::build(
+        &mut alloc,
+        Mechanism::Amo,
+        NodeId(0),
+        procs,
+        episodes as u32,
+    );
+    let run = profile_steady(
+        SystemConfig::with_procs(procs),
+        QueueKind::Calendar,
+        1_000_000_000,
+        |m, start| {
+            for p in 0..procs {
+                m.install_kernel(
+                    ProcId(p),
+                    Box::new(BarrierKernel::new(spec, vec![200; episodes])),
+                    start,
+                );
+            }
+        },
+    );
+    assert!(run.events > 0, "steady pass dispatched events");
+    let dispatched: u64 = run
+        .report
+        .scopes
+        .iter()
+        .filter(|s| s.scope.is_dispatch())
+        .map(|s| s.count)
+        .sum();
+    assert_eq!(
+        dispatched, run.events,
+        "every steady event passed through a dispatch scope"
     );
 }

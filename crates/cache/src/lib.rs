@@ -5,8 +5,7 @@
 //! sub-blocks of L2 lines. Word updates pushed by the home directory (the
 //! AMO "put" fanout) are applied in place to both levels without changing
 //! coherence state — that is precisely the paper's fine-grained update
-//! semantics. A small per-node remote access cache ([`rac::Rac`]) catches
-//! updates so they can be absorbed "without processor modifications".
+//! semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,11 +14,9 @@ pub mod cache;
 pub mod hierarchy;
 pub mod line;
 pub mod llsc;
-pub mod rac;
 mod runs;
 
 pub use cache::{Evicted, SetAssocCache, WAY_SIZE};
 pub use hierarchy::{CacheHierarchy, Probe};
 pub use line::LineState;
 pub use llsc::LlReservation;
-pub use rac::Rac;

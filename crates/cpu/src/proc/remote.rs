@@ -295,16 +295,4 @@ impl Processor {
         let pick = t.choose(ChoiceKind::RetryJitter, arity) as Cycle;
         backoff + pick * ((backoff / 2) / arity as Cycle).max(1)
     }
-
-    /// The end-to-end retransmission schedule a request walks before a
-    /// `RequestTimedOut` escalation under the hashed (untaped) jitter:
-    /// the backoff delay of the initial arm (attempt 0) and of every
-    /// retransmission `1..=attempts`. Diagnostics only — the machine
-    /// attaches this to the timeout's error bundle so counterexamples
-    /// are self-describing.
-    pub fn e2e_retx_schedule(req: ReqId, attempts: u32, timeout: Cycle) -> Vec<Cycle> {
-        (0..=attempts)
-            .map(|a| Self::retry_delay(req, a, timeout))
-            .collect()
-    }
 }

@@ -40,12 +40,6 @@ pub struct DiagBundle {
     /// `IncompleteDag` refusal fired — a partial attribution would
     /// mis-blame stages.
     pub critpath: Option<String>,
-    /// For `RequestTimedOut` aborts: the full end-to-end retransmission
-    /// schedule the requester executed before giving up — attempt count
-    /// plus the per-attempt backoff delay in cycles — so a timeout
-    /// counterexample is self-describing without re-deriving the backoff
-    /// policy.
-    pub retx_schedule: Option<String>,
     /// For `MonitorViolation` aborts: the monitor's full account of the
     /// violated invariant with the witnessing values.
     pub violation: Option<String>,

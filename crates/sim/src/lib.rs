@@ -1,7 +1,7 @@
 //! The machine: the complete simulated CC-NUMA multiprocessor.
 //!
 //! A [`Machine`] assembles processors ([`amo_cpu::Processor`]), hubs
-//! (directory + memory controller + DRAM + AMU + RAC, one per node), and
+//! (directory + memory controller + DRAM + AMU, one per node), and
 //! the fat-tree fabric, and drives them with a deterministic
 //! discrete-event loop. Workloads install a [`amo_cpu::Kernel`] on each
 //! processor and call [`Machine::run`]; the result carries timing,
@@ -13,8 +13,7 @@
 //! processor ──bus──► local hub ──fabric──► home hub
 //!                                           ├─ directory (serialized, occupancy)
 //!                                           ├─ DRAM (channels, 60 cycles)
-//!                                           ├─ AMU (queue + 8-word cache, 2-hub-cycle ops)
-//!                                           └─ RAC (word-update sink)
+//!                                           └─ AMU (queue + 8-word cache, 2-hub-cycle ops)
 //! ```
 
 #![forbid(unsafe_code)]

@@ -39,8 +39,7 @@ pub use ids::{NodeId, ProcId, ReqId};
 pub use json::JsonWriter;
 pub use jsonv::Json;
 pub use msg::{
-    AmoKind, BlockData, HandlerKind, InterventionKind, InterventionResp, Packet, Payload, Publish,
-    SpinPred,
+    AmoKind, BlockData, HandlerKind, InterventionKind, InterventionResp, Payload, Publish, SpinPred,
 };
 pub use slab::{Slab, SlotId};
 pub use stats::{MsgClass, MsgEndpoint, OpClass, Stats};

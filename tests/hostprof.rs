@@ -73,11 +73,9 @@ fn hostprof_doc_validates_and_reports_render() {
     assert_eq!(summaries[0].phase, "cold");
     assert!(summaries[0].wall_ns > 0);
 
-    // Human-facing renderings cover the hot path.
+    // The human-facing table covers the hot path.
     let table = report.self_time_table();
     assert!(table.contains("dispatch:"), "table lists dispatch scopes");
-    let flame = report.flame();
-    assert!(flame.contains("run"), "flame is rooted at the run scope");
 }
 
 #[test]
