@@ -43,17 +43,6 @@ pub enum AmuOp {
         /// Target word.
         addr: Addr,
     },
-    /// Uncached word write.
-    UncachedWrite {
-        /// Request tag for the ack.
-        req: ReqId,
-        /// Requesting processor.
-        requester: ProcId,
-        /// Target word.
-        addr: Addr,
-        /// Value to store.
-        value: Word,
-    },
 }
 
 /// Side effects the hub must execute. Timestamped effects are scheduled;
@@ -201,8 +190,7 @@ fn op_tag(op: &AmuOp) -> (ReqId, ProcId) {
     match *op {
         AmuOp::Amo { req, requester, .. }
         | AmuOp::Mao { req, requester, .. }
-        | AmuOp::UncachedRead { req, requester, .. }
-        | AmuOp::UncachedWrite { req, requester, .. } => (req, requester),
+        | AmuOp::UncachedRead { req, requester, .. } => (req, requester),
     }
 }
 
@@ -319,8 +307,7 @@ impl Amu {
         let req = match *payload {
             Payload::AmoReply { req, .. }
             | Payload::MaoReply { req, .. }
-            | Payload::UncachedReadReply { req, .. }
-            | Payload::UncachedWriteAck { req } => req,
+            | Payload::UncachedReadReply { req, .. } => req,
             _ => return,
         };
         if let Some(idx) = self.served.iter().position(|(p, ..)| *p == proc) {
@@ -427,8 +414,7 @@ impl Amu {
                         let addr = match op {
                             AmuOp::Amo { addr, .. }
                             | AmuOp::Mao { addr, .. }
-                            | AmuOp::UncachedRead { addr, .. }
-                            | AmuOp::UncachedWrite { addr, .. } => addr,
+                            | AmuOp::UncachedRead { addr, .. } => addr,
                         };
                         self.log_apply(req, requester, addr, 0);
                     }
@@ -584,22 +570,6 @@ impl Amu {
                     effects.push(AmuEffect::ReadMemWord { token, addr });
                 }
             },
-            AmuOp::UncachedWrite {
-                req,
-                requester,
-                addr,
-                value,
-            } => {
-                if let Some(idx) = self.lookup(addr) {
-                    self.cache[idx].value = value;
-                    self.cache[idx].dirty = false;
-                }
-                let done = now + self.op_latency;
-                effects.push(AmuEffect::WriteMemWord { addr, value });
-                self.reply_at(done, requester, Payload::UncachedWriteAck { req }, effects);
-                self.state = State::Busy(done);
-                effects.push(AmuEffect::WakeAt { when: done });
-            }
         }
     }
 

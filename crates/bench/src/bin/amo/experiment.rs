@@ -70,7 +70,10 @@ fn parse_obs(args: &Args) -> Result<(ObsSpec, ObsPaths<'_>), String> {
     let sampling = paths.metrics.is_some() || args.has("sample-interval");
     let spec = ObsSpec {
         trace_cap: if tracing {
-            args.num("trace-cap", 1 << 20)?
+            match args.num("trace-cap", 1 << 20)? {
+                0 => return Err("--trace-cap 0: a traced run keeps at least one event".into()),
+                cap => cap,
+            }
         } else {
             0
         },

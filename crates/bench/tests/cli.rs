@@ -250,6 +250,25 @@ fn malformed_command_lines_exit_2_naming_the_offending_token() {
             "episodes = 0",
         ),
         ("chaos --quick --procs 8 --drop 1000000".into(), "1000000"),
+        // A window or a delay near `u64::MAX` used to overflow the
+        // simulator's arithmetic, and a zero-event trace to be exported.
+        (
+            "chaos --quick --procs 8 --jitter 18446744073709551615".into(),
+            "faults.jitter_max",
+        ),
+        (
+            "chaos --quick --procs 8 --reorder 18446744073709551615".into(),
+            "faults.link_reorder_window",
+        ),
+        (
+            "experiment lock --mech amo --kind ticket --procs 8 --cs 18446744073709551615 --rounds 1"
+                .into(),
+            "cs_cycles",
+        ),
+        (
+            format!("{barrier} --trace-cap 0 --trace-out {}", tmp("cap0.json")),
+            "--trace-cap 0",
+        ),
         ("chaos_search --samples 2 --drops 1000000".into(), "1000000"),
         (
             "verify --explore --rounds 0 --workload ticket-lock".into(),
@@ -308,6 +327,14 @@ fn malformed_command_lines_exit_2_naming_the_offending_token() {
         (grid("g5.json", "lock", array_of_one), "array"),
         // Used to run as a 4-processor machine.
         (grid("g15.json", "barrier", r#""procs": 65540"#), "65540"),
+        (
+            grid(
+                "g16.json",
+                "barrier",
+                r#""procs": 8, "config.faults.link_reorder_window": 18446744073709551615"#,
+            ),
+            "faults.link_reorder_window",
+        ),
         // Used to be reported as `AMO ticket-lock x2`.
         (matrix("m1.json", "65538"), "65538"),
         // Used to explore the model without its unknown — and three of

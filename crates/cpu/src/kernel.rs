@@ -67,13 +67,6 @@ pub enum Op {
         /// Word to read.
         addr: Addr,
     },
-    /// Uncached remote store; [`Outcome::Stored`].
-    UncachedStore {
-        /// Word to write.
-        addr: Addr,
-        /// Value.
-        value: Word,
-    },
     /// Send an active message to (the first processor of) `home` and wait
     /// for the ack; completes with [`Outcome::Acked`] carrying the
     /// handler's result. Retransmitted on timeout.
@@ -156,66 +149,6 @@ impl<F: FnMut(Option<Outcome>) -> Op> Kernel for F {
     }
 }
 
-/// Run a list of kernels back to back on one processor.
-///
-/// Each phase sees a fresh `None` first call; its [`Op::Done`] hands
-/// control to the next phase within the same dispatch, so no cycles are
-/// lost at the boundary. Useful for composing benchmark phases — e.g. a
-/// contended lock phase followed by a barrier — without writing a
-/// bespoke product state machine.
-///
-/// ```
-/// use amo_cpu::{Kernel, Op, Outcome, SeqKernel};
-///
-/// let phase = |n: u64| {
-///     let mut fired = false;
-///     move |_last: Option<Outcome>| {
-///         if fired {
-///             Op::Done
-///         } else {
-///             fired = true;
-///             Op::Delay { cycles: n }
-///         }
-///     }
-/// };
-/// let mut seq = SeqKernel::new(vec![Box::new(phase(10)), Box::new(phase(20))]);
-/// assert_eq!(seq.next(None), Op::Delay { cycles: 10 });
-/// assert_eq!(seq.next(Some(Outcome::Delayed)), Op::Delay { cycles: 20 });
-/// assert_eq!(seq.next(Some(Outcome::Delayed)), Op::Done);
-/// ```
-pub struct SeqKernel {
-    phases: Vec<Box<dyn Kernel>>,
-    at: usize,
-    fresh: bool,
-}
-
-impl SeqKernel {
-    /// Compose `phases`, run in order.
-    pub fn new(phases: Vec<Box<dyn Kernel>>) -> Self {
-        SeqKernel {
-            phases,
-            at: 0,
-            fresh: true,
-        }
-    }
-}
-
-impl Kernel for SeqKernel {
-    fn next(&mut self, mut last: Option<Outcome>) -> Op {
-        while self.at < self.phases.len() {
-            let arg = if self.fresh { None } else { last.take() };
-            self.fresh = false;
-            let op = self.phases[self.at].next(arg);
-            if !matches!(op, Op::Done) {
-                return op;
-            }
-            self.at += 1;
-            self.fresh = true;
-        }
-        Op::Done
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,43 +176,5 @@ mod tests {
         assert_eq!(Kernel::next(&mut k, None), Op::Done);
         let _ = k;
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn seq_hands_each_phase_a_fresh_first_call() {
-        // Each phase asserts its first call carries None, then issues
-        // one op and finishes.
-        let phase = |cycles: u64| {
-            let mut step = 0u32;
-            move |last: Option<Outcome>| {
-                step += 1;
-                match step {
-                    1 => {
-                        assert!(last.is_none(), "phase must start fresh");
-                        Op::Delay { cycles }
-                    }
-                    _ => {
-                        assert_eq!(last, Some(Outcome::Delayed));
-                        Op::Done
-                    }
-                }
-            }
-        };
-        let mut seq = SeqKernel::new(vec![
-            Box::new(phase(1)),
-            Box::new(phase(2)),
-            Box::new(phase(3)),
-        ]);
-        assert_eq!(seq.next(None), Op::Delay { cycles: 1 });
-        assert_eq!(seq.next(Some(Outcome::Delayed)), Op::Delay { cycles: 2 });
-        assert_eq!(seq.next(Some(Outcome::Delayed)), Op::Delay { cycles: 3 });
-        assert_eq!(seq.next(Some(Outcome::Delayed)), Op::Done);
-        assert_eq!(seq.next(None), Op::Done, "exhausted seq stays done");
-    }
-
-    #[test]
-    fn empty_seq_is_immediately_done() {
-        let mut seq = SeqKernel::new(Vec::new());
-        assert_eq!(seq.next(None), Op::Done);
     }
 }

@@ -27,5 +27,5 @@
 pub mod kernel;
 pub mod proc;
 
-pub use kernel::{Kernel, Op, Outcome, SeqKernel};
+pub use kernel::{Kernel, Op, Outcome};
 pub use proc::{ProcEffect, ProcFault, Processor, TimerKind};

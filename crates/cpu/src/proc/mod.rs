@@ -593,9 +593,7 @@ impl Processor {
             Op::Store { .. } | Op::StoreConditional { .. } => Some(OpClass::Store),
             Op::AtomicRmw { .. } => Some(OpClass::Atomic),
             Op::Amo { .. } => Some(OpClass::Amo),
-            Op::Mao { .. } | Op::UncachedLoad { .. } | Op::UncachedStore { .. } => {
-                Some(OpClass::Mao)
-            }
+            Op::Mao { .. } | Op::UncachedLoad { .. } => Some(OpClass::Mao),
             Op::ActiveMsg { .. } => Some(OpClass::ActMsg),
             Op::SpinUntil { .. } => Some(OpClass::Spin),
             Op::Delay { .. } | Op::Mark { .. } | Op::Done => None,
@@ -702,11 +700,9 @@ impl Processor {
                     self.complete_owned(op, self.caches.l2_block(addr), when, stats, eff);
                 }
             },
-            Op::Amo { .. }
-            | Op::Mao { .. }
-            | Op::UncachedLoad { .. }
-            | Op::UncachedStore { .. }
-            | Op::ActiveMsg { .. } => self.issue_remote(op, now, eff),
+            Op::Amo { .. } | Op::Mao { .. } | Op::UncachedLoad { .. } | Op::ActiveMsg { .. } => {
+                self.issue_remote(op, now, eff)
+            }
         }
     }
 
@@ -869,9 +865,6 @@ impl Processor {
             }
             Payload::UncachedReadReply { req, value } => {
                 self.on_simple_reply(req, Outcome::Value(value), now, stats, eff)
-            }
-            Payload::UncachedWriteAck { req } => {
-                self.on_simple_reply(req, Outcome::Stored, now, stats, eff)
             }
             Payload::ActMsgAck { req, result } => self.on_actmsg_ack(req, result, now, stats, eff),
             Payload::AmuNack { req, .. } => self.on_amu_nack(req, now, eff),

@@ -15,7 +15,7 @@ use amo_types::{Cycle, Payload, ReqId, Stats, Word};
 fn amu_bound(op: &Op) -> bool {
     matches!(
         op,
-        Op::Amo { .. } | Op::Mao { .. } | Op::UncachedLoad { .. } | Op::UncachedStore { .. }
+        Op::Amo { .. } | Op::Mao { .. } | Op::UncachedLoad { .. }
     )
 }
 
@@ -62,15 +62,6 @@ impl Processor {
                     req,
                     requester,
                     addr,
-                },
-            ),
-            Op::UncachedStore { addr, value } => (
-                addr.home(),
-                Payload::UncachedWrite {
-                    req,
-                    requester,
-                    addr,
-                    value,
                 },
             ),
             Op::ActiveMsg { home, handler } => (

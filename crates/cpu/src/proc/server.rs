@@ -206,11 +206,8 @@ impl HandlerServer {
                 self.service_counters[idx] = new;
                 // Ack with the pre-add value (fetch-and-add semantics).
                 self.ack(msg.requester, msg.req, old, eff);
-                if let Some(p) = publish.filter(|p| p.when_count.is_none_or(|c| c == new)) {
-                    if p.reset {
-                        self.service_counters[idx] = 0;
-                    }
-                    return Some((p.addr, p.value.unwrap_or(new)));
+                if let Some(p) = publish.filter(|p| p.when_count == new) {
+                    return Some((p.addr, p.value));
                 }
             }
             HandlerKind::LockAcquire { lock } => {

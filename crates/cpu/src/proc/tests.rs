@@ -444,9 +444,8 @@ fn publish_fires_only_at_count() {
         operand: 1,
         publish: Some(amo_types::Publish {
             addr: spin,
-            when_count: Some(2),
-            value: Some(77),
-            reset: true,
+            when_count: 2,
+            value: 77,
         }),
     };
     // First message: count 1, no publish.
@@ -858,7 +857,6 @@ fn every_resend_repeats_the_first_send() {
             operand: 1,
         },
         Op::UncachedLoad { addr },
-        Op::UncachedStore { addr, value: 9 },
     ] {
         let mut p = hardened0();
         let mut s = Stats::new();
@@ -1189,4 +1187,64 @@ fn every_ack_is_recorded_as_served() {
     reack(&mut p, &mut s, msg(3, 1, acquire, 1), (3, 1));
     assert_eq!(p.lock_srv_state(0), Some((2, 1, vec![])));
     assert_eq!(s.handlers_run, 4);
+}
+
+/// The reply to an intervention of `kind`, delivered well after any
+/// residence window.
+fn intervention_reply(p: &mut Processor, kind: InterventionKind, block: BlockAddr) -> Payload {
+    let mut s = Stats::new();
+    let eff = p.handle(Payload::Intervention { kind, block }, 1_000_000, &mut s);
+    match &sends(&eff)[..] {
+        [(NodeId(1), reply @ Payload::InterventionReply { .. })] => reply.clone(),
+        other => panic!("{kind:?}: {other:?}"),
+    }
+}
+
+/// An owner whose copy is clean answers `Clean`: a load-linked fetches
+/// its block exclusively, and until a store-conditional writes it the
+/// copy is clean.
+#[test]
+fn clean_owner_answers_an_intervention_clean() {
+    let a = addr_on(1, 0x80);
+    let block = a.block(128);
+    for kind in [InterventionKind::Shared, InterventionKind::Exclusive] {
+        let mut p = proc0();
+        let mut s = Stats::new();
+        p.load_kernel(Box::new(move |_l: Option<Outcome>| Op::LoadLinked {
+            addr: a,
+        }));
+        let req = match &sends(&p.step(0, &mut s))[..] {
+            [(_, Payload::GetX { req, .. })] => *req,
+            other => panic!("LL miss: {other:?}"),
+        };
+        let data = data16(&[]);
+        p.handle(Payload::DataX { req, block, data }, 100, &mut s);
+        assert_eq!(p.caches().state_of(a), Some(LineState::Exclusive));
+        match intervention_reply(&mut p, kind, block) {
+            Payload::InterventionReply {
+                resp: InterventionResp::Clean,
+                from: ProcId(0),
+                ..
+            } => {}
+            other => panic!("{kind:?}: {other:?}"),
+        }
+    }
+}
+
+/// A former owner whose writeback crossed the intervention in flight no
+/// longer holds the block: it answers `Gone`, whatever the kind.
+#[test]
+fn absent_owner_answers_an_intervention_gone() {
+    let block = addr_on(1, 0x80).block(128);
+    for kind in [InterventionKind::Shared, InterventionKind::Exclusive] {
+        let mut p = proc0();
+        match intervention_reply(&mut p, kind, block) {
+            Payload::InterventionReply {
+                resp: InterventionResp::Gone,
+                from: ProcId(0),
+                ..
+            } => {}
+            other => panic!("{kind:?}: {other:?}"),
+        }
+    }
 }

@@ -222,11 +222,6 @@ pub struct Directory {
     index: FxHashMap<u64, SlotId>,
     /// Most recently touched block and its slot.
     mru: Option<(u64, SlotId)>,
-    /// Suppress re-received requests whose `(req, requester)` already
-    /// has an open transaction or a queue slot on the block. Off by
-    /// default: under reliable delivery a duplicate can only be a
-    /// protocol bug, and silently eating it would mask the bug.
-    dup_guard: bool,
     /// When [`Self::set_log_reclaims`] is on, every entry removal is
     /// recorded here as `(block, was_idle)` for the machine to drain
     /// into the trace stream. The idle flag is recomputed at the
@@ -235,29 +230,6 @@ pub struct Directory {
     /// tautology. Off by default: untraced runs pay one branch.
     reclaim_log: Vec<(BlockAddr, bool)>,
     log_reclaims: bool,
-}
-
-/// Identity of a processor-originated request for duplicate
-/// suppression. AMU-originated fine traffic is home-local (never
-/// crosses the faulted fabric) and has no requester tag.
-fn req_tag(req: &DirRequest) -> Option<(ReqId, ProcId)> {
-    match *req {
-        DirRequest::GetS { req, requester }
-        | DirRequest::GetX { req, requester }
-        | DirRequest::Upgrade { req, requester } => Some((req, requester)),
-        DirRequest::FineGet { .. } | DirRequest::FinePut { .. } => None,
-    }
-}
-
-impl TxnKind {
-    fn tag(&self) -> Option<(ReqId, ProcId)> {
-        match *self {
-            TxnKind::Read { req, requester }
-            | TxnKind::Write { req, requester }
-            | TxnKind::UpgradeWait { req, requester } => Some((req, requester)),
-            TxnKind::FineGet { .. } => None,
-        }
-    }
 }
 
 impl Directory {
@@ -269,7 +241,6 @@ impl Directory {
             entries: Slab::new(),
             index: FxHashMap::default(),
             mru: None,
-            dup_guard: false,
             reclaim_log: Vec::new(),
             log_reclaims: false,
         }
@@ -285,16 +256,6 @@ impl Directory {
     /// `(block, was_idle_at_removal)`.
     pub fn drain_reclaims_into(&mut self, out: &mut Vec<(BlockAddr, bool)>) {
         out.append(&mut self.reclaim_log);
-    }
-
-    /// Enable idempotent duplicate suppression at the request ingress:
-    /// a re-received `(req, requester)` whose transaction is already
-    /// open or queued is dropped (counted in `Stats::dup_suppressed`)
-    /// instead of opening a second transaction for the same miss. Used
-    /// when delivery faults can duplicate messages in flight.
-    pub fn with_dup_guard(mut self, on: bool) -> Self {
-        self.dup_guard = on;
-        self
     }
 
     fn slot(&mut self, block: BlockAddr) -> SlotId {
@@ -366,21 +327,7 @@ impl Directory {
         actions: &mut Vec<DirAction>,
     ) {
         debug_assert_eq!(block.home(), self.node, "request routed to wrong home");
-        let dup_guard = self.dup_guard;
         let entry = self.entry(block);
-        if dup_guard {
-            if let Some(tag) = req_tag(&req) {
-                let dup_of_txn = entry
-                    .txn
-                    .as_ref()
-                    .is_some_and(|t| t.kind.tag() == Some(tag));
-                let dup_queued = entry.queue.iter().any(|q| req_tag(q) == Some(tag));
-                if dup_of_txn || dup_queued {
-                    stats.dup_suppressed += 1;
-                    return;
-                }
-            }
-        }
         if entry.txn.is_some() {
             entry.queue.push_back(req);
             stats.dir_queued += 1;
@@ -1728,84 +1675,37 @@ mod tests {
         }
     }
 
+    /// The read form of the race above: an owner that evicted the block
+    /// and reads it again before its writeback lands is served the
+    /// written-back data, not a stale memory copy.
     #[test]
-    fn dup_guard_suppresses_retransmitted_request_while_txn_open() {
-        let (d, mut s) = dir();
-        let mut d = d.with_dup_guard(true);
-        // P0's GetX opens a transaction (memory read pending).
+    fn owner_reread_waits_for_its_own_writeback() {
+        let (mut d, mut s) = dir();
         d.request(
             blk(),
             DirRequest::GetX {
-                req: ReqId(1),
+                req: ReqId(0),
                 requester: ProcId(0),
             },
             &mut s,
         );
-        // A duplicated copy of the same request arrives: suppressed, no
-        // second transaction, no queue slot.
+        d.dram_done(blk(), data(&[]), &mut s);
         let a = d.request(
             blk(),
-            DirRequest::GetX {
+            DirRequest::GetS {
                 req: ReqId(1),
                 requester: ProcId(0),
             },
             &mut s,
         );
-        assert!(a.is_empty());
-        assert_eq!(s.dup_suppressed, 1);
-        assert_eq!(d.queue_len(blk()), 0);
-        // The single open transaction completes normally.
-        let a = d.dram_done(blk(), data(&[]), &mut s);
-        assert!(to_proc(&a)
-            .iter()
-            .any(|(p, pl)| *p == ProcId(0) && matches!(pl, Payload::DataX { .. })));
+        assert!(a.is_empty(), "must wait for the writeback");
+        assert_eq!(s.dram_reads, 1, "no memory read for a stale copy");
+        let a = d.writeback(blk(), ProcId(0), data(&[(0, 8)]), &mut s);
+        match to_proc(&a)[..] {
+            [(ProcId(0), Payload::DataS { data, .. })] => assert_eq!(data.word(0), 8),
+            ref other => panic!("unexpected {other:?}"),
+        }
         assert!(!d.is_busy(blk()));
-    }
-
-    #[test]
-    fn dup_guard_suppresses_duplicate_of_queued_request() {
-        let (d, mut s) = dir();
-        let mut d = d.with_dup_guard(true);
-        // P0 opens a txn; P1's GetS queues behind it.
-        d.request(
-            blk(),
-            DirRequest::GetX {
-                req: ReqId(1),
-                requester: ProcId(0),
-            },
-            &mut s,
-        );
-        d.request(
-            blk(),
-            DirRequest::GetS {
-                req: ReqId(2),
-                requester: ProcId(1),
-            },
-            &mut s,
-        );
-        assert_eq!(d.queue_len(blk()), 1);
-        // A duplicate of the queued GetS must not take a second slot...
-        d.request(
-            blk(),
-            DirRequest::GetS {
-                req: ReqId(2),
-                requester: ProcId(1),
-            },
-            &mut s,
-        );
-        assert_eq!(d.queue_len(blk()), 1);
-        assert_eq!(s.dup_suppressed, 1);
-        // ...but a distinct request from the same processor still queues.
-        d.request(
-            blk(),
-            DirRequest::GetS {
-                req: ReqId(3),
-                requester: ProcId(1),
-            },
-            &mut s,
-        );
-        assert_eq!(d.queue_len(blk()), 2);
-        assert_eq!(s.dup_suppressed, 1);
     }
 
     #[test]
@@ -1819,9 +1719,9 @@ mod tests {
             },
             &mut s,
         );
-        // Without the guard a re-received request queues like any other
-        // (under reliable delivery this is a protocol bug the run should
-        // surface, not swallow).
+        // A re-received request queues like any other: coherence
+        // requests ride the reliable channel, so a duplicate is a
+        // protocol bug the run should surface, not swallow.
         d.request(
             blk(),
             DirRequest::GetX {

@@ -721,4 +721,73 @@ mod tests {
         let t = f.send(0, NodeId(0), NodeId(1), &data, MsgEndpoint::Proc, &mut s);
         assert_eq!(t, 20 + 200 + 20);
     }
+
+    /// Only the AMO layer (AMO, MAO, active messages) is healed end to
+    /// end, so only it is dropped, duplicated or skewed. Every coherence
+    /// class reaches its handler exactly once, when an unfaulted fabric
+    /// delivers it, under a hashed plan that duplicates every faultable
+    /// delivery (and drops and reorders too) and under a tape that picks
+    /// "duplicate" at every choice point.
+    #[test]
+    fn only_the_amo_layer_is_delivery_faulted() {
+        use amo_types::stats::ALL_MSG_CLASSES;
+        use amo_types::tape::{TapeConfig, TapeState};
+        use amo_types::{Addr, BlockData, InterventionKind};
+        let (req, block) = (ReqId(1), BlockAddr(64));
+        let payloads = [
+            gets(),
+            Payload::DataS {
+                req,
+                block,
+                data: BlockData::zeroed(16),
+            },
+            Payload::UpgradeAck { req, block },
+            Payload::Inv { block },
+            Payload::InvAck {
+                block,
+                from: ProcId(2),
+            },
+            Payload::Intervention {
+                kind: InterventionKind::Exclusive,
+                block,
+            },
+            Payload::WordUpdate {
+                addr: Addr(8),
+                value: 1,
+            },
+            Payload::AmoReply { req, old: 0 },
+            Payload::MaoReply { req, old: 0 },
+            Payload::ActMsgAck { req, result: 0 },
+        ];
+        assert_eq!(payloads.clone().map(|p| p.class()), ALL_MSG_CLASSES);
+        let mut fc = amo_types::FaultConfig::none();
+        fc.link_dup_ppm = 1_000_000;
+        fc.link_drop_ppm = 500_000;
+        fc.link_reorder_window = 64;
+        let net = SystemConfig::default().network;
+        let hashed = Fabric::with_faults(16, net, FaultPlan::new(fc));
+        let mut taped = Fabric::with_faults(16, net, FaultPlan::new(fc));
+        let dups = TapeConfig {
+            explore_dups: true,
+            ..TapeConfig::default()
+        };
+        taped.set_schedule_tape(TapeState::with_prefix(dups, vec![1; 64]).shared());
+        for mut faulted in [hashed, taped] {
+            let mut plain = Fabric::new(16, net);
+            let mut s = Stats::new();
+            for round in 0..8 {
+                for payload in &payloads {
+                    let (src, dst) = (NodeId(round), NodeId(15 - round));
+                    let want = plain.send(0, src, dst, payload, MsgEndpoint::Hub, &mut s);
+                    let got = faulted.send_delivery(0, src, dst, payload, MsgEndpoint::Hub, &mut s);
+                    let class = payload.class();
+                    if matches!(class, MsgClass::Amo | MsgClass::Mao | MsgClass::ActMsg) {
+                        assert!(!matches!(got, Delivery::One(_)), "{class:?}: {got:?}");
+                    } else {
+                        assert_eq!(got, Delivery::One(want), "{class:?}");
+                    }
+                }
+            }
+        }
+    }
 }

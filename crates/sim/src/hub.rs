@@ -24,8 +24,7 @@ impl Hub {
     /// Build the hub for `node`.
     pub(crate) fn new(node: NodeId, cfg: &SystemConfig) -> Self {
         Hub {
-            directory: Directory::new(node, cfg.procs_per_node)
-                .with_dup_guard(cfg.faults.delivery_enabled()),
+            directory: Directory::new(node, cfg.procs_per_node),
             amu: Amu::new(
                 cfg.amu.cache_words,
                 cfg.amu.op_hub_cycles * cfg.hub_cycle,

@@ -987,20 +987,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 };
                 self.submit_amu(node, req, requester, class, op, now);
             }
-            Payload::UncachedWrite {
-                req,
-                requester,
-                addr,
-                value,
-            } => {
-                let op = amo_amu::AmuOp::UncachedWrite {
-                    req,
-                    requester,
-                    addr,
-                    value,
-                };
-                self.submit_amu(node, req, requester, class, op, now);
-            }
             // Processor-bound traffic crossing this hub.
             Payload::ActiveMsg { target_proc, .. } => {
                 assert_eq!(self.node_of(target_proc), node, "active message misrouted");
@@ -1740,9 +1726,8 @@ mod tests {
                         operand: 1,
                         publish: Some(amo_types::Publish {
                             addr: spin,
-                            when_count: Some(4),
-                            value: Some(1),
-                            reset: true,
+                            when_count: 4,
+                            value: 1,
                         }),
                     },
                 },
@@ -1842,7 +1827,11 @@ mod tests {
     fn uncached_ops_roundtrip_through_home_memory() {
         let mut m = Machine::new(SystemConfig::with_procs(4));
         let a = var(1, 0x8000_0000);
-        let (w, _) = Script::new(vec![Op::UncachedStore { addr: a, value: 5 }]);
+        let (w, _) = Script::new(vec![Op::Mao {
+            kind: AmoKind::Swap,
+            addr: a,
+            operand: 5,
+        }]);
         let (r, out) = Script::new(vec![
             Op::Delay { cycles: 5_000 },
             Op::UncachedLoad { addr: a },

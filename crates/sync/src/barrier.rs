@@ -20,7 +20,6 @@ use crate::frame::{EpisodeAlgo, EpisodeKernel};
 use crate::layout::cumulative_target;
 use crate::mechanism::{release, Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::Op;
 use amo_types::{Addr, Cycle, NodeId, Publish, SpinPred, Word};
 
 /// Which word the processors spin on.
@@ -36,13 +35,6 @@ pub enum BarrierStyle {
     /// target count. Quantifies what the test-value mechanism buys.
     /// Non-AMO mechanisms treat this exactly like `Naive`.
     EagerUpdates,
-    /// The textbook sense-reversing formulation: the counter is *reset*
-    /// by the last arriver each episode (instead of counting
-    /// cumulatively) before the release flag advances. Functionally
-    /// equivalent to `SpinVariable`; the reset costs one more coherent
-    /// store per episode — and under AMO it exercises the
-    /// exclusive-grant path that flushes the AMU's dirty count.
-    SenseReversing,
 }
 
 /// Shared description of one centralized barrier.
@@ -116,9 +108,6 @@ impl BarrierSpec {
 /// for the release — or, last to arrive, give it.
 pub struct CentralBarrier {
     spec: BarrierSpec,
-    /// Sense-reversing only: this participant arrived last and zeroes the
-    /// counter before releasing.
-    resets: bool,
 }
 
 /// One participant's barrier kernel.
@@ -144,11 +133,7 @@ impl BarrierKernel {
     /// Build the kernel for one participant. `work[i]` is the local
     /// computation time before episode `i+1`.
     pub fn new(spec: BarrierSpec, work: Vec<Cycle>) -> Self {
-        let algo = CentralBarrier {
-            spec,
-            resets: false,
-        };
-        EpisodeKernel::frame(algo, spec.episodes, work)
+        EpisodeKernel::frame(CentralBarrier { spec }, spec.episodes, work)
     }
 }
 
@@ -156,28 +141,17 @@ impl CentralBarrier {
     fn increment(&self, e: u32) -> Sub {
         let s = &self.spec;
         let target = cumulative_target(e, s.participants);
-        let publish = |when_count, reset| Publish {
-            addr: s.spin,
-            when_count: Some(when_count),
-            value: Some(e as Word),
-            reset,
-        };
         let fa = Sub::fetch_inc(s.mech, s.counter, s.ctr_id);
         match (s.mech, s.style) {
             // The AMO barrier's delayed put fires at the target count.
             (Mechanism::Amo, BarrierStyle::Naive) => fa.amo_inc(Some(target)),
-            // Sense-reversing counters reset each episode; the AMU cache
-            // just accumulates (dirty) until the reset flushes it.
-            (Mechanism::Amo, BarrierStyle::SenseReversing) => fa.amo_inc(None),
-            // The handler publishes the release at the per-episode
-            // target and resets its service counter itself — the
-            // closest active-message analogue.
-            (Mechanism::ActMsg, BarrierStyle::SenseReversing) => {
-                fa.publishing(publish(s.participants as Word, true))
-            }
             // The active-message handler publishes the release when the
             // count reaches the target.
-            (Mechanism::ActMsg, _) => fa.publishing(publish(target, false)),
+            (Mechanism::ActMsg, _) => fa.publishing(Publish {
+                addr: s.spin,
+                when_count: target,
+                value: e as Word,
+            }),
             // Eager ablation: `amo.fetchadd` without a test value puts
             // after every increment. An AMO driving a separate spin
             // variable doesn't test either; its release pushes instead.
@@ -185,7 +159,7 @@ impl CentralBarrier {
         }
     }
 
-    fn after_increment(&mut self, e: u32, old: Word) -> Sub {
+    fn after_increment(&self, e: u32, old: Word) -> Sub {
         let s = &self.spec;
         let target = cumulative_target(e, s.participants);
         let release_val = e as Word;
@@ -206,27 +180,13 @@ impl CentralBarrier {
             BarrierStyle::Naive | BarrierStyle::EagerUpdates => {
                 Sub::spin(s.counter, SpinPred::Ge(target))
             }
-            // Per-episode (non-cumulative) target: the counter was reset
-            // to zero by the previous episode's last arriver. Zero it
-            // before releasing: MAO counters live in uncached space;
-            // coherent ones are reset with an ordinary store whose
-            // exclusive grant flushes any dirty AMU copy.
-            BarrierStyle::SenseReversing if old + 1 == s.participants as Word => {
-                self.resets = true;
-                let (addr, value) = (s.counter, 0);
-                Sub::once(if s.mech == Mechanism::Mao {
-                    Op::UncachedStore { addr, value }
-                } else {
-                    Op::Store { addr, value }
-                })
-            }
             // The spin variable is always coherent — under MAO this is
             // the paper's "optimized" variant: the MC counts arrivals,
             // the release is an ordinary store.
             BarrierStyle::SpinVariable if old + 1 == target => {
                 Sub::once(release(s.mech, s.spin, release_val))
             }
-            BarrierStyle::SenseReversing | BarrierStyle::SpinVariable => wait,
+            BarrierStyle::SpinVariable => wait,
         }
     }
 }
@@ -236,11 +196,6 @@ impl EpisodeAlgo for CentralBarrier {
         match step {
             0 => Some(self.increment(e)),
             1 => Some(self.after_increment(e, ready)),
-            2 if self.resets => {
-                self.resets = false;
-                let s = &self.spec;
-                Some(Sub::once(release(s.mech, s.spin, e as Word)))
-            }
             _ => None,
         }
     }
@@ -323,39 +278,11 @@ mod tests {
             BarrierStyle::Naive,
             BarrierStyle::SpinVariable,
             BarrierStyle::EagerUpdates,
-            BarrierStyle::SenseReversing,
         ] {
             for mech in Mechanism::ALL {
                 run_styled(mech, style, 2);
             }
         }
-    }
-
-    #[test]
-    fn sense_reversing_synchronizes_all_mechanisms() {
-        for mech in Mechanism::ALL {
-            // Completing episodes 2 and 3 *is* the reset working: with a
-            // stale counter the per-episode target P would never be hit
-            // again. (Home memory may lag the reset — the zero lives in
-            // the resetter's Modified line.)
-            run_styled(mech, BarrierStyle::SenseReversing, 3);
-        }
-    }
-
-    #[test]
-    fn sense_reversing_amo_flushes_the_dirty_amu_count() {
-        // The AMO sense-reversing barrier's counter accumulates dirty in
-        // the AMU; the reset's exclusive grant must flush it. Episode 2
-        // would count wrong otherwise, so finishing IS the proof; check
-        // the flush-visible effect explicitly too.
-        let (machine, _) = run_styled(Mechanism::Amo, BarrierStyle::SenseReversing, 2);
-        // 8 increments plus 2 pushing releases of the spin variable.
-        assert_eq!(machine.stats().amo_ops, 10);
-        assert_eq!(machine.stats().puts, 2, "only the releases push");
-        // Each episode's reset store grabbed exclusive ownership of the
-        // counter block, which must have flushed the AMU's dirty count.
-        assert_eq!(machine.stats().amu_evictions, 0);
-        assert!(machine.stats().amu_misses >= 2, "post-flush AMOs re-fetch");
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! of each spec with its kernel (and the array lock's initialization),
 //! and [`BarrierAlgo::check`] / [`LockKind::check`] say beforehand
 //! whether the request can run. The spec and kernel types stay public
-//! for code that composes kernels itself (`SeqKernel` phases, several
-//! locks on one machine).
+//! for code that composes kernels itself (one phase after another,
+//! several locks on one machine).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -417,9 +417,8 @@ mod tests {
     fn actmsg_carries_handler() {
         let publish = Publish {
             addr: a(),
-            when_count: Some(4),
-            value: Some(1),
-            reset: false,
+            when_count: 4,
+            value: 1,
         };
         let mut fa = Sub::fetch_inc(Mechanism::ActMsg, a(), 3).publishing(publish);
         match fa.poll(None) {

@@ -159,6 +159,11 @@ pub struct FaultConfig {
     pub seed: u64,
 }
 
+/// Widest jitter or reorder window a configuration may ask for. It is
+/// far beyond any run's horizon, and it keeps a packet's delay
+/// (`0..=window`) and its delivery time clear of `u64` overflow.
+const MAX_FAULT_WINDOW: Cycle = 1 << 40;
+
 impl FaultConfig {
     /// The no-fault plan: all rates zero, recovery knobs at defaults.
     pub const fn none() -> Self {
@@ -384,6 +389,16 @@ impl SystemConfig {
             f.burst_multiplier >= 1,
             "burst multiplier of 0 would disable errors inside bursts"
         );
+        for (name, window) in [
+            ("jitter_max", f.jitter_max),
+            ("link_reorder_window", f.link_reorder_window),
+        ] {
+            ensure!(
+                window <= MAX_FAULT_WINDOW,
+                "faults.{name} = {window}: a delay window may span at most \
+                 {MAX_FAULT_WINDOW} cycles"
+            );
+        }
         if f.delivery_enabled() {
             ensure!(
                 f.e2e_timeout > 0,
@@ -640,6 +655,14 @@ mod tests {
             (
                 bad(|c| c.faults.link_drop_ppm = 1_000_000),
                 "link_drop_ppm = 1000000",
+            ),
+            (
+                bad(|c| c.faults.jitter_max = u64::MAX),
+                "faults.jitter_max = 18446744073709551615",
+            ),
+            (
+                bad(|c| c.faults.link_reorder_window = u64::MAX),
+                "faults.link_reorder_window = 18446744073709551615",
             ),
         ] {
             assert!(why.contains(needle), "{why:?} lacks {needle:?}");

@@ -157,13 +157,10 @@ impl SpinPred {
 pub struct Publish {
     /// Coherent address the home processor stores to.
     pub addr: Addr,
-    /// Publish only when the post-add counter equals this; `None` means
-    /// publish on every invocation.
-    pub when_count: Option<Word>,
-    /// Value to store; `None` means store the new counter value.
-    pub value: Option<Word>,
-    /// Reset the service counter to zero after publishing (barrier reuse).
-    pub reset: bool,
+    /// Publish when the post-add counter equals this.
+    pub when_count: Word,
+    /// Value to store.
+    pub value: Word,
 }
 
 /// The user-level handler an active message names. Handlers run on the
@@ -373,22 +370,6 @@ pub enum Payload {
         /// Current value.
         value: Word,
     },
-    /// Uncached word write.
-    UncachedWrite {
-        /// Request tag.
-        req: ReqId,
-        /// Requesting processor.
-        requester: ProcId,
-        /// Target word.
-        addr: Addr,
-        /// Value to store.
-        value: Word,
-    },
-    /// Ack for an uncached write.
-    UncachedWriteAck {
-        /// Matches the originating request.
-        req: ReqId,
-    },
 
     // ----- active messages -----
     /// User-level message executed by the target node's processor.
@@ -468,9 +449,7 @@ impl Payload {
             Payload::MaoReq { .. }
             | Payload::MaoReply { .. }
             | Payload::UncachedRead { .. }
-            | Payload::UncachedReadReply { .. }
-            | Payload::UncachedWrite { .. }
-            | Payload::UncachedWriteAck { .. } => MsgClass::Mao,
+            | Payload::UncachedReadReply { .. } => MsgClass::Mao,
             Payload::ActiveMsg { .. } | Payload::ActMsgAck { .. } => MsgClass::ActMsg,
             Payload::AmuNack { class, .. } => *class,
         }
@@ -491,8 +470,6 @@ impl Payload {
             | Payload::MaoReply { req, .. }
             | Payload::UncachedRead { req, .. }
             | Payload::UncachedReadReply { req, .. }
-            | Payload::UncachedWrite { req, .. }
-            | Payload::UncachedWriteAck { req, .. }
             | Payload::ActiveMsg { req, .. }
             | Payload::ActMsgAck { req, .. }
             | Payload::AmuNack { req, .. } => Some(*req),

@@ -214,28 +214,28 @@ impl StatField for u64 {
     }
 }
 
-impl<const N: usize> StatField for [u64; N] {
+impl<T: StatField, const N: usize> StatField for [T; N] {
     fn merge_field(&mut self, other: &Self) {
-        for (a, b) in self.iter_mut().zip(other.iter()) {
-            *a += *b;
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge_field(b);
         }
     }
     #[cfg(test)]
     fn visit_counters(&self, path: &str, f: &mut dyn FnMut(&str, u64)) {
         for (i, v) in self.iter().enumerate() {
-            f(&format!("{path}[{i}]"), *v);
+            v.visit_counters(&format!("{path}[{i}]"), f);
         }
     }
     #[cfg(test)]
     fn fill_distinct(&mut self, next: &mut dyn FnMut() -> u64) {
         for v in self.iter_mut() {
-            *v = next();
+            v.fill_distinct(next);
         }
     }
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_arr();
-        for v in self.iter() {
-            w.u64_val(*v);
+        for v in self {
+            v.write_json(w);
         }
         w.end_arr();
     }
@@ -251,12 +251,13 @@ impl<const N: usize> StatField for [u64; N] {
     }
 }
 
-impl StatField for Vec<[u64; MSG_CLASSES]> {
+/// A per-node table: as long as the largest node index counted into it.
+impl<T: StatField + Clone + Default> StatField for Vec<T> {
     fn merge_field(&mut self, other: &Self) {
         if self.len() < other.len() {
-            self.resize(other.len(), [0; MSG_CLASSES]);
+            self.resize(other.len(), T::default());
         }
-        for (a, b) in self.iter_mut().zip(other.iter()) {
+        for (a, b) in self.iter_mut().zip(other) {
             a.merge_field(b);
         }
     }
@@ -269,7 +270,7 @@ impl StatField for Vec<[u64; MSG_CLASSES]> {
     #[cfg(test)]
     fn fill_distinct(&mut self, next: &mut dyn FnMut() -> u64) {
         if self.is_empty() {
-            self.resize(2, [0; MSG_CLASSES]);
+            self.resize(2, T::default());
         }
         for row in self.iter_mut() {
             row.fill_distinct(next);
@@ -277,7 +278,7 @@ impl StatField for Vec<[u64; MSG_CLASSES]> {
     }
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_arr();
-        for row in self.iter() {
+        for row in self {
             row.write_json(w);
         }
         w.end_arr();
@@ -285,7 +286,7 @@ impl StatField for Vec<[u64; MSG_CLASSES]> {
     fn read_json(&mut self, v: &Json) -> Result<(), String> {
         let arr = v.as_arr().ok_or("expected an array")?;
         self.clear();
-        self.resize(arr.len(), [0; MSG_CLASSES]);
+        self.resize(arr.len(), T::default());
         for (row, e) in self.iter_mut().zip(arr) {
             row.read_json(e)?;
         }
@@ -320,43 +321,6 @@ impl StatField for LatHist {
     }
     fn read_json(&mut self, v: &Json) -> Result<(), String> {
         *self = LatHist::from_json(v)?;
-        Ok(())
-    }
-}
-
-impl<const N: usize> StatField for [LatHist; N] {
-    fn merge_field(&mut self, other: &Self) {
-        for (a, b) in self.iter_mut().zip(other.iter()) {
-            a.merge(b);
-        }
-    }
-    #[cfg(test)]
-    fn visit_counters(&self, path: &str, f: &mut dyn FnMut(&str, u64)) {
-        for (i, h) in self.iter().enumerate() {
-            h.visit_counters(&format!("{path}[{i}]"), f);
-        }
-    }
-    #[cfg(test)]
-    fn fill_distinct(&mut self, next: &mut dyn FnMut() -> u64) {
-        for h in self.iter_mut() {
-            h.fill_distinct(next);
-        }
-    }
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_arr();
-        for h in self.iter() {
-            h.write_json(w);
-        }
-        w.end_arr();
-    }
-    fn read_json(&mut self, v: &Json) -> Result<(), String> {
-        let arr = v.as_arr().ok_or("expected an array")?;
-        if arr.len() != N {
-            return Err(format!("expected {N} histograms, got {}", arr.len()));
-        }
-        for (h, e) in self.iter_mut().zip(arr) {
-            h.read_json(e)?;
-        }
         Ok(())
     }
 }
@@ -553,8 +517,8 @@ define_stats! {
         /// be overtaken by a later packet).
         pub msgs_reordered: u64,
         /// Duplicate requests/replies suppressed by a dedup window
-        /// (AMU served-window hits, directory same-txn re-requests,
-        /// stale replies ignored at the requester).
+        /// (AMU served-window hits, stale replies ignored at the
+        /// requester).
         pub dup_suppressed: u64,
         /// Requester-side end-to-end timeouts that fired on a still
         /// outstanding AMO/MAO/uncached request.

@@ -286,6 +286,18 @@ pub(crate) fn check_measured(what: &str, total: u32, warmup: u32) -> Result<(), 
     ))
 }
 
+/// Refuse a per-processor delay beyond the run's cycle limit: the run
+/// could never finish, and a delay near `u64::MAX` would wrap its end
+/// time.
+fn check_delay(what: &str, cycles: Cycle) -> Result<(), String> {
+    if cycles <= MAX_CYCLES {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} = {cycles}: above the run's cycle limit of {MAX_CYCLES}"
+    ))
+}
+
 /// Run one scenario: reject it if it cannot run, otherwise simulate it
 /// on the machine `obs` asks for. A zero `trace_cap` without `hostprof`
 /// keeps the `NopTracer` machine, so an unobserved run pays nothing for
@@ -485,6 +497,7 @@ impl Scenario for BarrierBench {
     fn check(&self) -> Result<(), String> {
         check_machine(self.procs, self.config)?;
         check_measured("episodes", self.episodes, self.warmup)?;
+        check_delay("max_skew", self.max_skew)?;
         self.algo.check(self.procs)
     }
 
@@ -622,6 +635,8 @@ impl Scenario for LockBench {
         if self.rounds == 0 {
             return Err("rounds = 0: need at least one acquisition per processor".into());
         }
+        check_delay("cs_cycles", self.cs_cycles)?;
+        check_delay("max_think", self.max_think)?;
         self.kind.check(self.mech, self.procs)
     }
 
@@ -858,11 +873,27 @@ mod tests {
             config: Some(SystemConfig::with_procs(16)),
             ..barrier
         };
+        let skew = BarrierBench {
+            max_skew: MAX_CYCLES + 1,
+            ..barrier
+        };
+        let lock = LockBench::paper(mech, LockKind::Ticket, procs);
+        let cs = LockBench {
+            cs_cycles: Cycle::MAX,
+            ..lock
+        };
+        let think = LockBench {
+            max_think: Cycle::MAX,
+            ..lock
+        };
         for (why, needle) in [
             (why(tax), "warmup = 3 leaves none of steps = 3"),
             (why(no_pairs), "pairs = 0"),
             (why(no_rounds), "rounds = 0"),
             (why(override_16), "config.num_procs = 16, procs = 8"),
+            (why(skew), "max_skew = 40000000001"),
+            (why(cs), "cs_cycles = 18446744073709551615"),
+            (why(think), "max_think = 18446744073709551615"),
             (why(barrier.with_tree(8)), "tree:8"),
             (why(barrier.with_ktree(1)), "ktree:1"),
         ] {

@@ -3,7 +3,7 @@
 //! running concurrently without cross-talk, array-lock exclusion under
 //! random think times, and lock→barrier kernel composition.
 
-use amo::cpu::{Kernel, Op, Outcome, SeqKernel};
+use amo::cpu::{Kernel, Op, Outcome};
 use amo::prelude::*;
 use amo::sync::barrier::BarrierSpec;
 use amo::sync::lock::{ArrayLockSpec, ExclusionCheck, TicketLockSpec};
@@ -641,19 +641,22 @@ fn lock_then_barrier_composition_runs_clean() {
             for p in 0..procs {
                 let think = vec![40 + 11 * p as Cycle; rounds as usize];
                 let work = vec![30; episodes as usize];
-                machine.install_kernel(
-                    ProcId(p),
-                    Box::new(SeqKernel::new(vec![
-                        Box::new(TicketLockKernel::new(
-                            lock,
-                            think,
-                            p as Word + 1,
-                            Some(check.clone()),
-                        )),
-                        Box::new(BarrierKernel::new(barrier, work)),
-                    ])),
-                    0,
-                );
+                let mut lock =
+                    TicketLockKernel::new(lock, think, p as Word + 1, Some(check.clone()));
+                let mut barrier = BarrierKernel::new(barrier, work);
+                let mut locking = true;
+                // The barrier phase starts fresh in the call where the
+                // lock phase finishes, so no cycle is lost in between.
+                let phases = move |mut last: Option<Outcome>| {
+                    if locking {
+                        match lock.next(last) {
+                            Op::Done => (locking, last) = (false, None),
+                            op => return op,
+                        }
+                    }
+                    barrier.next(last)
+                };
+                machine.install_kernel(ProcId(p), Box::new(phases), 0);
             }
             let res = machine.run(5_000_000_000);
             assert!(
