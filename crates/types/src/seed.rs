@@ -134,6 +134,20 @@ mod tests {
         );
     }
 
+    /// Every cache key, entry checksum and document fingerprint is a
+    /// `stable_hash128`: these literals pin both lanes.
+    #[test]
+    fn stable_hash128_is_pinned() {
+        assert_eq!(
+            stable_hash128(b""),
+            (0xCBF2_9CE4_8422_2325, 0xC381_7C01_6BA4_FF30)
+        );
+        assert_eq!(
+            stable_hash128(b"campaign"),
+            (0x7E69_A0A2_884C_5B53, 0x935F_7610_90F7_1B1A)
+        );
+    }
+
     #[test]
     fn arithmetic_skew_matches_formula() {
         assert_eq!(arithmetic_skew(0, 0, 800), 100);
