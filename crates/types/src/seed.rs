@@ -43,32 +43,24 @@ pub const fn run_seed(base: u64, index: u64) -> u64 {
 }
 
 /// FNV-1a offset basis (the standard 64-bit constant).
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// 64-bit FNV-1a over `bytes`, starting from `state` — chainable, so a
-/// hash can cover several buffers, and re-seedable, so two independent
-/// 64-bit hashes make a 128-bit key.
-#[inline]
-pub(crate) const fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
-    let mut i = 0;
-    while i < bytes.len() {
-        state ^= bytes[i] as u64;
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-        i += 1;
-    }
-    state
-}
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// A 128-bit content hash of `bytes` as two independent FNV-1a streams
-/// (the second seeded by mixing the offset basis). Used by the campaign
-/// result cache: 128 bits makes accidental key collisions across a
-/// campaign grid negligible, while staying dependency-free and stable
-/// across platforms and compiler versions.
+/// A 128-bit content hash of `bytes` as two independent FNV-1a streams,
+/// the first seeded with the offset basis and the second with its
+/// splitmix64 mix, carried through one pass over the bytes. Used by the
+/// campaign result cache: 128 bits makes accidental key collisions
+/// across a campaign grid negligible, while staying dependency-free and
+/// stable across platforms and compiler versions.
 pub fn stable_hash128(bytes: &[u8]) -> (u64, u64) {
-    (
-        fnv1a64(bytes, FNV_OFFSET),
-        fnv1a64(bytes, splitmix64(FNV_OFFSET)),
-    )
+    let (mut a, mut b) = (FNV_OFFSET, splitmix64(FNV_OFFSET));
+    for &byte in bytes {
+        a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+        b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+    }
+    (a, b)
 }
 
 /// Render a 128-bit content key as 32 lowercase hex digits — the one
@@ -88,6 +80,16 @@ pub const fn arithmetic_skew(p: u64, episode: u64, spread: Cycle) -> Cycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 64-bit FNV-1a over `bytes`, starting from `state`: the reference
+    /// each lane of [`stable_hash128`] must equal.
+    fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
+        for &byte in bytes {
+            state ^= byte as u64;
+            state = state.wrapping_mul(FNV_PRIME);
+        }
+        state
+    }
 
     /// The derivation is frozen: these literals pin the exact stream.
     /// If this test fails, every committed artifact is stale.
@@ -145,6 +147,30 @@ mod tests {
         assert_eq!(
             stable_hash128(b"campaign"),
             (0x7E69_A0A2_884C_5B53, 0x935F_7610_90F7_1B1A)
+        );
+    }
+
+    /// The one-pass loop equals two separate FNV-1a passes, lane by
+    /// lane: at every length up to 300 of a splitmix byte stream, and on
+    /// a cache payload the paper campaign writes.
+    #[test]
+    fn stable_hash128_equals_two_fnv_passes() {
+        let two_passes = |bytes: &[u8]| {
+            (
+                fnv1a64(bytes, FNV_OFFSET),
+                fnv1a64(bytes, splitmix64(FNV_OFFSET)),
+            )
+        };
+        let stream: Vec<u8> = (0..=300u64).map(|i| splitmix64(i) as u8).collect();
+        for len in 0..=stream.len() {
+            let bytes = &stream[..len];
+            assert_eq!(stable_hash128(bytes), two_passes(bytes), "length {len}");
+        }
+        let payload = include_str!("testdata/cache-payload.json");
+        assert!(payload.starts_with(r#"{"schema":"amo-run-artifacts-v1""#));
+        assert_eq!(
+            stable_hash128(payload.as_bytes()),
+            two_passes(payload.as_bytes())
         );
     }
 
