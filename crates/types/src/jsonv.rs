@@ -30,6 +30,7 @@ impl Json {
     /// Parse a complete JSON document.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
+            s,
             b: s.as_bytes(),
             i: 0,
         };
@@ -109,7 +110,12 @@ pub fn narrow<T: TryFrom<u64>>(field: &str, value: u64) -> Result<T, String> {
     })
 }
 
+/// Reads `s` through its bytes `b`. Every token starts and ends at an
+/// ASCII delimiter, so a token's text is a slice of `s` on character
+/// boundaries: the input was checked as UTF-8 once, when it became a
+/// `&str`, and is not checked again.
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -169,9 +175,9 @@ impl<'a> Parser<'a> {
         ) {
             self.i += 1;
         }
-        std::str::from_utf8(&self.b[start..self.i])
+        self.s[start..self.i]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
@@ -182,14 +188,14 @@ impl<'a> Parser<'a> {
         let mut out = String::new();
         loop {
             // Everything up to the next quote or backslash is copied as
-            // one run. Both delimiters are ASCII and the input was a
-            // `&str`, so a run is whole characters.
+            // one run. It starts after a quote or a complete escape and
+            // ends at an ASCII delimiter, so it is whole characters.
             let rest = &self.b[self.i..];
             let run = rest
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .ok_or("unterminated string")?;
-            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8")?);
+            out.push_str(&self.s[self.i..self.i + run]);
             self.i += run + 1;
             if rest[run] == b'"' {
                 return Ok(out);
@@ -228,9 +234,8 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let s = self
-            .b
+            .s
             .get(self.i..self.i + 4)
-            .and_then(|s| std::str::from_utf8(s).ok())
             .ok_or("truncated \\u escape")?;
         self.i += 4;
         u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".into())
@@ -339,6 +344,30 @@ mod tests {
         // A string is the whole document: it ends where the input does.
         assert_eq!(Json::parse("\"é\"").unwrap().as_str(), Some("é"));
         assert_eq!(Json::parse("\"\"").unwrap().as_str(), Some(""));
+    }
+
+    /// Tokens are slices of the input: a multi-byte character in a key,
+    /// beside an escape, or where an escape's hex digits should be is
+    /// read or refused, never split.
+    #[test]
+    fn multibyte_keys_and_escapes_slice_whole_characters() {
+        let v = Json::parse(r#"{"ké\t😀":"\"é","日本":[1.5,"日本"],"é\\":-2e3}"#).unwrap();
+        assert_eq!(v.keys().collect::<Vec<_>>(), ["ké\t😀", "日本", "é\\"]);
+        assert_eq!(v.get("ké\t😀").unwrap().as_str(), Some("\"é"));
+        let arr = v.get("日本").unwrap().as_arr().unwrap();
+        assert_eq!(arr[0].as_f64(), Some(1.5));
+        assert_eq!(arr[1].as_str(), Some("日本"));
+        assert_eq!(v.get("é\\").unwrap().as_f64(), Some(-2000.0));
+        assert_eq!(
+            Json::parse(r#""\u000é""#),
+            Err("truncated \\u escape".into())
+        );
+        assert_eq!(Json::parse(r#""\u0é0""#), Err("bad \\u escape".into()));
+        assert_eq!(Json::parse(r#""\é""#), Err("bad escape `\\Ã`".into()));
+        assert_eq!(
+            Json::parse("[1é]"),
+            Err("expected `,` or `]` at byte 2".into())
+        );
     }
 
     #[test]
