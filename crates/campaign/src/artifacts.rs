@@ -31,7 +31,7 @@
 //! approximate factors, and crossover points (see EXPERIMENTS.md, and
 //! `tests/campaign.rs` where each is a checked predicate).
 
-use crate::run::{RunArtifacts, RunSpec};
+use crate::run::{number, RunSpec};
 use crate::sched::Campaign;
 use crate::table::{Table, CSV_HEADER};
 use amo_sync::{KTreeSpec, Mechanism};
@@ -82,32 +82,60 @@ const KTREE_BRANCHINGS: [u16; 4] = [2, 4, 8, 16];
 pub(crate) struct Cells {
     /// Content key → position in `known` followed by `asked`.
     index: HashMap<(u64, u64), usize>,
-    /// Results of the batches run so far, in the order they were asked.
-    known: Vec<RunArtifacts>,
+    /// Answers of the batches run so far, in the order they were asked.
+    known: Vec<Answer>,
     /// Runs asked for since the last batch, first-asked order.
     asked: Vec<RunSpec>,
+    /// Beside `asked`: whether a `stat` question reads the run's
+    /// statistics.
+    asked_stats: Vec<bool>,
+}
+
+/// What a table function reads of one run: its named scalars, and its
+/// statistics only if a `stat` question asked for them — at 2.7 KB and
+/// up a run, a batch's statistics would otherwise be most of a warm
+/// render's memory.
+#[derive(Default)]
+struct Answer {
+    numbers: Vec<(String, f64)>,
+    stats: Option<Box<Stats>>,
 }
 
 impl Cells {
-    fn find(&mut self, spec: RunSpec) -> Option<&RunArtifacts> {
+    /// Position of the run `spec` describes, asking for it if it is new.
+    fn at(&mut self, spec: RunSpec) -> usize {
         let next = self.known.len() + self.asked.len();
         let at = *self.index.entry(spec.key()).or_insert(next);
         if at == next {
             self.asked.push(spec);
+            self.asked_stats.push(false);
         }
-        self.known.get(at)
+        at
     }
 
     /// The named scalar of the run `spec` describes; NaN while the run
     /// is only planned.
     pub(crate) fn num(&mut self, spec: RunSpec, name: &str) -> f64 {
-        self.find(spec).map_or(f64::NAN, |art| art.num(name))
+        let at = self.at(spec);
+        self.known
+            .get(at)
+            .map_or(f64::NAN, |a| number(&a.numbers, name))
     }
 
     /// A counter of the run's machine statistics; 0 while the run is
     /// only planned.
     pub(crate) fn stat(&mut self, spec: RunSpec, of: fn(&Stats) -> u64) -> u64 {
-        self.find(spec).map_or(0, |art| of(&art.stats))
+        let at = self.at(spec);
+        match self.known.get(at) {
+            Some(a) => of(a
+                .stats
+                .as_deref()
+                .expect("a run's statistics are asked for while planning")),
+            None => {
+                self.asked_stats[at - self.known.len()] = true;
+                0
+            }
+        }
     }
 }
 
@@ -123,15 +151,18 @@ pub(crate) fn evaluate<T>(c: &mut Campaign, table: impl Fn(&mut Cells) -> T) -> 
             return out;
         }
         let batch = std::mem::take(&mut cells.asked);
-        let fresh = c.run_ok(&batch);
-        // Keep the first batch — the only one, for this module's
-        // functions — as the campaign returned it: at 2.7 KB a result,
-        // copying it into place shows in the warm render's peak memory.
-        if cells.known.is_empty() {
-            cells.known = fresh;
-        } else {
-            cells.known.extend(fresh);
-        }
+        let keep_stats = std::mem::take(&mut cells.asked_stats);
+        let first = cells.known.len();
+        cells
+            .known
+            .resize_with(first + batch.len(), Answer::default);
+        c.run_each(&batch, |i, outcome| {
+            let art = outcome.unwrap_or_else(|e| panic!("campaign cell failed: {e}"));
+            cells.known[first + i] = Answer {
+                numbers: art.numbers,
+                stats: keep_stats[i].then(|| Box::new(art.stats)),
+            };
+        });
     }
 }
 

@@ -171,11 +171,46 @@ mod tests {
         assert!(cache.get(key).is_none(), "cold cache misses");
         cache.put(key, &art(42.5)).unwrap();
         let got = cache.get(key).expect("hit").expect("ok");
-        assert_eq!(got.num("x"), 42.5);
+        assert_eq!(got.numbers, [("x".to_string(), 42.5)]);
         // Error outcomes cache too (a known-bad cell must not re-simulate).
         let ekey = (0x9999, 0x1111);
         cache.put(ekey, &Err("boom".into())).unwrap();
         assert_eq!(cache.get(ekey).unwrap().unwrap_err(), "boom");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Entries written before the payload dropped the `derived` view
+    /// still hit: they decode to the same artifacts, and re-encoding
+    /// them gives the counters-only payload.
+    #[test]
+    fn entries_with_the_derived_view_still_hit() {
+        use crate::run::RunSpec;
+        use amo_sync::Mechanism;
+        use amo_workloads::runner::BarrierBench;
+
+        let outcome = RunSpec::Barrier(BarrierBench {
+            episodes: 3,
+            warmup: 1,
+            ..BarrierBench::paper(Mechanism::Amo, 4)
+        })
+        .execute();
+        let stats = outcome.as_ref().expect("runs").stats.to_json();
+        let payload = outcome_to_json(&outcome);
+        assert!(!payload.contains(r#""derived""#), "{payload}");
+        // The payload as earlier versions wrote it: the full report
+        // document in place of the counters-only one.
+        let at = payload.find(r#""stats":"#).unwrap() + r#""stats":"#.len();
+        let old = format!("{}{stats}}}", &payload[..at]);
+        assert!(old.contains(r#""derived":{"#));
+
+        let cache = ResultCache::new(tmpdir("derived"));
+        let key = (0xD1, 0xD2);
+        write_entry(&cache.entry_path(key), key, &old).unwrap();
+        let got = cache.get(key).expect("hit").expect("ok");
+        let want = outcome.unwrap();
+        assert_eq!(got.numbers, want.numbers);
+        assert_eq!(got.stats.to_json(), stats);
+        assert_eq!(outcome_to_json(&Ok(got)), payload);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

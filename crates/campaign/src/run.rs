@@ -247,31 +247,31 @@ pub struct RunArtifacts {
     pub stats: Stats,
 }
 
-impl RunArtifacts {
-    /// Look up a named scalar; panics with the available names on a
-    /// miss (a reducer asking for the wrong workload's number is a bug).
-    pub(crate) fn num(&self, name: &str) -> f64 {
-        self.numbers
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| {
-                panic!(
-                    "no artifact number '{name}' (have: {})",
-                    self.numbers
-                        .iter()
-                        .map(|(n, _)| n.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })
-            .1
-    }
+/// Look up a named scalar of a run; panics with the available names on
+/// a miss (a reducer asking for the wrong workload's number is a bug).
+pub(crate) fn number(numbers: &[(String, f64)], name: &str) -> f64 {
+    numbers
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| {
+            panic!(
+                "no artifact number '{name}' (have: {})",
+                numbers
+                    .iter()
+                    .map(|(n, _)| n.as_str())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        })
+        .1
 }
 
 /// Serialize a run outcome (success or failure) as one
 /// `amo-run-artifacts-v1` JSON document. Floats use Rust's shortest
 /// round-trip `Display`, so a decode–encode cycle is byte-identical —
-/// the property the warm-cache bit-identity guarantee rests on.
+/// the property the warm-cache bit-identity guarantee rests on. The
+/// statistics are stored as counters only: the decoder reads nothing
+/// else, and reports recompute the `derived` view from them.
 pub fn outcome_to_json(outcome: &Result<RunArtifacts, String>) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
@@ -289,7 +289,7 @@ pub fn outcome_to_json(outcome: &Result<RunArtifacts, String>) -> String {
             }
             w.end_arr();
             w.key("stats");
-            a.stats.write_json(&mut w);
+            a.stats.write_counters_json(&mut w);
         }
         Err(msg) => {
             w.kv_str("status", "error");
@@ -425,7 +425,7 @@ mod tests {
             "decode∘encode must be identity"
         );
         let art = back.unwrap();
-        assert!(art.num("avg_cycles") > 0.0);
+        assert!(number(&art.numbers, "avg_cycles") > 0.0);
         assert!(art.stats.total_msgs() > 0);
     }
 

@@ -68,7 +68,29 @@ impl Campaign {
     /// Execute one batch of runs and return their outcomes in spec
     /// order.
     pub fn run(&mut self, specs: &[RunSpec]) -> Vec<Result<RunArtifacts, String>> {
-        self.counters.requested += specs.len() as u64;
+        let mut outcomes: Vec<Option<Result<RunArtifacts, String>>> = vec![None; specs.len()];
+        self.run_each(specs, |i, outcome| outcomes[i] = Some(outcome));
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every spec answered"))
+            .collect()
+    }
+
+    /// Execute one batch of runs and hand each outcome to `each` with
+    /// the index of the spec it answers: the cache hits as they are
+    /// read, then the runs the pool simulated. A caller that keeps only
+    /// what it reads of an outcome never holds the whole batch.
+    pub fn run_each(
+        &mut self,
+        specs: &[RunSpec],
+        mut each: impl FnMut(usize, Result<RunArtifacts, String>),
+    ) {
+        let Campaign {
+            cache,
+            counters,
+            aggregate,
+        } = self;
+        counters.requested += specs.len() as u64;
 
         // Dedup by content key, preserving first-appearance order so
         // scheduling stays deterministic.
@@ -84,32 +106,43 @@ impl Campaign {
                 }
             }
         }
-        self.counters.unique += unique.len() as u64;
+        counters.unique += unique.len() as u64;
+
+        // Count and merge each distinct outcome once, then hand it to
+        // every spec that asked for it: a copy to each but the last.
+        let (mut hits, mut errors) = (0, 0);
+        let mut settle = |slot: usize, outcome: Result<RunArtifacts, String>| {
+            match &outcome {
+                Ok(art) => aggregate.merge(&art.stats),
+                Err(_) => errors += 1,
+            }
+            let first = unique[slot].1;
+            let mut askers = (first..specs.len()).filter(|&i| slot_of[i] == slot);
+            let mut at = askers.next().expect("the first asker");
+            for next in askers {
+                each(at, outcome.clone());
+                at = next;
+            }
+            each(at, outcome);
+        };
 
         // Serve what the cache has; collect the rest for the pool.
-        let mut outcomes: Vec<Option<Result<RunArtifacts, String>>> = vec![None; unique.len()];
         let mut cold: Vec<usize> = Vec::new(); // slots to simulate
-        if let Some(cache) = &self.cache {
-            for (slot, &(key, _)) in unique.iter().enumerate() {
-                match cache.get(key) {
-                    Some(outcome) => {
-                        self.counters.cache_hits += 1;
-                        outcomes[slot] = Some(outcome);
-                    }
-                    None => cold.push(slot),
+        for (slot, &(key, _)) in unique.iter().enumerate() {
+            match cache.as_ref().and_then(|c| c.get(key)) {
+                Some(outcome) => {
+                    hits += 1;
+                    settle(slot, outcome);
                 }
+                None => cold.push(slot),
             }
-        } else {
-            cold.extend(0..unique.len());
         }
-        self.counters.cache_misses += cold.len() as u64;
 
         // Start the largest machines first (ties in slot order) from
         // the pool's one cursor, and write each cache entry as its run
         // finishes; results still come back in `cold` order.
         let mut order: Vec<usize> = (0..cold.len()).collect();
         order.sort_by_key(|&j| Reverse(specs[unique[cold[j]].1].procs()));
-        let cache = self.cache.as_ref();
         let fresh = par_run(
             sweep_workers(),
             &order,
@@ -123,42 +156,18 @@ impl Campaign {
             },
         );
         for (&slot, outcome) in cold.iter().zip(fresh) {
-            outcomes[slot] = Some(outcome);
+            settle(slot, outcome);
         }
-
-        let outcomes: Vec<Result<RunArtifacts, String>> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect();
-        self.counters.errors += outcomes.iter().filter(|o| o.is_err()).count() as u64;
-        for outcome in outcomes.iter().flatten() {
-            self.aggregate.merge(&outcome.stats);
-        }
-
-        // Fan unique outcomes back out to every requesting index. A
-        // batch without duplicates (every `artifacts::evaluate` batch) is
-        // already in request order: hand it over rather than copy it,
-        // which would hold the batch in memory twice.
-        if unique.len() == specs.len() {
-            return outcomes;
-        }
-        slot_of.iter().map(|&slot| outcomes[slot].clone()).collect()
-    }
-
-    /// Execute a batch where every run is expected to succeed (table
-    /// regeneration on a fault-free machine): unwraps each outcome with
-    /// the run's own error message.
-    pub fn run_ok(&mut self, specs: &[RunSpec]) -> Vec<RunArtifacts> {
-        self.run(specs)
-            .into_iter()
-            .map(|o| o.unwrap_or_else(|e| panic!("campaign cell failed: {e}")))
-            .collect()
+        counters.cache_hits += hits;
+        counters.cache_misses += cold.len() as u64;
+        counters.errors += errors;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::number;
     use amo_sync::Mechanism;
     use amo_workloads::runner::BarrierBench;
 
@@ -185,9 +194,9 @@ mod tests {
         assert_eq!(c.counters.requested, 3);
         assert_eq!(c.counters.unique, 2, "duplicate AMO spec deduped");
         assert_eq!(c.counters.cache_misses, 2);
-        let amo0 = out[0].as_ref().unwrap().num("avg_cycles");
-        let llsc = out[1].as_ref().unwrap().num("avg_cycles");
-        let amo2 = out[2].as_ref().unwrap().num("avg_cycles");
+        let amo0 = number(&out[0].as_ref().unwrap().numbers, "avg_cycles");
+        let llsc = number(&out[1].as_ref().unwrap().numbers, "avg_cycles");
+        let amo2 = number(&out[2].as_ref().unwrap().numbers, "avg_cycles");
         assert_eq!(amo0, amo2, "same key, same result");
         assert!(llsc > amo0, "order preserved: slot 1 is the LL/SC run");
 
@@ -197,11 +206,25 @@ mod tests {
         assert_eq!(warm.counters.cache_hits, 2);
         assert_eq!(warm.counters.cache_misses, 0);
         for (a, b) in out.iter().zip(&again) {
-            assert_eq!(
-                a.as_ref().unwrap().num("avg_cycles"),
-                b.as_ref().unwrap().num("avg_cycles")
-            );
+            assert_eq!(a.as_ref().unwrap().numbers, b.as_ref().unwrap().numbers);
         }
+
+        // Hits and a simulated run in one batch: each outcome still
+        // lands at the index that asked for it, duplicates included.
+        let mixed = [
+            spec(Mechanism::Atomic),
+            spec(Mechanism::Amo),
+            spec(Mechanism::Atomic),
+            spec(Mechanism::LlSc),
+        ];
+        let mut warm = Campaign::new(Some(ResultCache::new(&dir)));
+        let got = warm.run(&mixed);
+        let counters = warm.counters;
+        assert_eq!((counters.cache_hits, counters.cache_misses), (2, 1));
+        let cycles = |i: usize| number(&got[i].as_ref().unwrap().numbers, "avg_cycles");
+        assert_eq!((cycles(1), cycles(3)), (amo0, llsc));
+        assert_eq!(cycles(0), cycles(2));
+        assert!(cycles(0) != amo0 && cycles(0) != llsc);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

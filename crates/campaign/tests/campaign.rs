@@ -70,7 +70,7 @@ fn corrupted_entry_is_recomputed_and_repaired() {
     });
 
     let mut c = Campaign::new(Some(ResultCache::new(&dir)));
-    let first = c.run_ok(std::slice::from_ref(&spec));
+    let first = c.run(std::slice::from_ref(&spec));
 
     // Flip a payload byte in the entry file.
     let cache = ResultCache::new(&dir);
@@ -81,14 +81,17 @@ fn corrupted_entry_is_recomputed_and_repaired() {
     std::fs::write(&path, &bytes).unwrap();
 
     let mut again = Campaign::new(Some(ResultCache::new(&dir)));
-    let second = again.run_ok(std::slice::from_ref(&spec));
+    let second = again.run(std::slice::from_ref(&spec));
     assert_eq!(again.counters.cache_hits, 0, "corrupt entry must miss");
     assert_eq!(again.counters.cache_misses, 1);
-    assert_eq!(first[0].numbers, second[0].numbers);
+    assert_eq!(
+        first[0].as_ref().unwrap().numbers,
+        second[0].as_ref().unwrap().numbers
+    );
 
     // The recompute rewrote a valid entry.
     let mut third = Campaign::new(Some(ResultCache::new(&dir)));
-    third.run_ok(&[spec]);
+    third.run(&[spec]);
     assert_eq!(third.counters.cache_hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -116,9 +119,9 @@ fn config_change_invalidates_the_key() {
     );
 
     let mut c = Campaign::new(Some(ResultCache::new(&dir)));
-    c.run_ok(&[RunSpec::Barrier(base)]);
+    c.run(&[RunSpec::Barrier(base)]);
     let mut c2 = Campaign::new(Some(ResultCache::new(&dir)));
-    c2.run_ok(&[RunSpec::Barrier(changed)]);
+    c2.run(&[RunSpec::Barrier(changed)]);
     assert_eq!(c2.counters.cache_hits, 0, "changed config must not hit");
     assert_eq!(c2.counters.cache_misses, 1);
     let _ = std::fs::remove_dir_all(&dir);

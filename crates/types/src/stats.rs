@@ -373,8 +373,11 @@ macro_rules! define_stats {
             }
 
             /// Reconstruct counters from a document produced by
-            /// [`Stats::to_json`] / [`Stats::write_json`]. Exact inverse
-            /// for every field — the campaign result cache relies on
+            /// [`Stats::write_counters_json`], the campaign cache codec,
+            /// or by [`Stats::to_json`] / [`Stats::write_json`]: only
+            /// `schema` and `counters` are read, and `derived` is
+            /// recomputable from them. Exact inverse for every field —
+            /// the campaign result cache relies on
             /// `from_json(parse(to_json(s))).to_json() == s.to_json()`.
             /// Every declared field must be present; unknown members of
             /// `counters` are rejected so schema drift is caught, not
@@ -620,15 +623,12 @@ impl Stats {
     }
 
     /// Like [`to_json`](Self::to_json), but writes into an open writer so
-    /// the document can embed inside a larger report.
+    /// the document can embed inside a larger report. This is the report
+    /// view; the campaign cache stores
+    /// [`write_counters_json`](Self::write_counters_json) instead.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_obj();
-        w.kv_str("schema", "amo-stats-v1");
-
-        w.key("counters");
-        w.begin_obj();
-        self.write_fields_json(w);
-        w.end_obj();
+        self.write_schema_and_counters(w);
 
         w.key("derived");
         w.begin_obj();
@@ -695,6 +695,25 @@ impl Stats {
         w.end_obj();
 
         w.end_obj(); // derived
+        w.end_obj();
+    }
+
+    /// Write `{"schema":"amo-stats-v1","counters":{…}}`: everything
+    /// [`from_json`](Self::from_json) reads and nothing it would drop.
+    /// The campaign cache codec; [`write_json`](Self::write_json) adds
+    /// the `derived` view for reports.
+    pub fn write_counters_json(&self, w: &mut JsonWriter) {
+        w.begin_obj();
+        self.write_schema_and_counters(w);
+        w.end_obj();
+    }
+
+    /// The `schema` and `counters` members both documents open with.
+    fn write_schema_and_counters(&self, w: &mut JsonWriter) {
+        w.kv_str("schema", "amo-stats-v1");
+        w.key("counters");
+        w.begin_obj();
+        self.write_fields_json(w);
         w.end_obj();
     }
 }
@@ -912,6 +931,17 @@ mod tests {
         let j = s.to_json();
         let back = Stats::from_json(&Json::parse(&j).unwrap()).unwrap();
         assert_eq!(back.to_json(), j, "round trip changed the document");
+
+        // The counters-only document decodes to the same counters and
+        // is the full one with exactly its `derived` member removed.
+        let mut w = JsonWriter::new();
+        s.write_counters_json(&mut w);
+        let counters = w.finish();
+        let back = Stats::from_json(&Json::parse(&counters).unwrap()).unwrap();
+        assert_eq!(back.to_json(), j);
+        let cut = j.find(r#","derived":"#).unwrap();
+        assert_eq!(counters, format!("{}}}", &j[..cut]));
+        assert!(!counters.contains("derived"));
 
         // Schema drift is rejected, not silently dropped.
         let tampered = j.replacen(r#""msgs":"#, r#""msgsX":"#, 1);
