@@ -123,14 +123,15 @@ impl Cells {
     }
 
     /// A counter of the run's machine statistics; 0 while the run is
-    /// only planned.
+    /// only planned. Only the round that first asks for a run can ask
+    /// for its statistics: a run first asked for by `num` keeps its
+    /// numbers alone, and a later `stat` question on it panics.
     pub(crate) fn stat(&mut self, spec: RunSpec, of: fn(&Stats) -> u64) -> u64 {
         let at = self.at(spec);
         match self.known.get(at) {
-            Some(a) => of(a
-                .stats
-                .as_deref()
-                .expect("a run's statistics are asked for while planning")),
+            Some(a) => of(a.stats.as_deref().expect(
+                "a run's statistics are asked for in the round that first asks for the run",
+            )),
             None => {
                 self.asked_stats[at - self.known.len()] = true;
                 0
@@ -142,7 +143,10 @@ impl Cells {
 /// Evaluate a table function: run what it asks for, one campaign batch
 /// per round of questions, until it has every answer. A function whose
 /// questions do not depend on earlier answers — all of this module's —
-/// costs exactly one batch.
+/// costs exactly one batch. Which runs a later round asks for may depend
+/// on answers, but whether a run's statistics are read may not: `stat`
+/// must be asked in the same round as the run's first question (see
+/// [`Cells::stat`]).
 pub(crate) fn evaluate<T>(c: &mut Campaign, table: impl Fn(&mut Cells) -> T) -> T {
     let mut cells = Cells::default();
     loop {

@@ -80,7 +80,7 @@ impl Campaign {
     /// the index of the spec it answers: the cache hits as they are
     /// read, then the runs the pool simulated. A caller that keeps only
     /// what it reads of an outcome never holds the whole batch.
-    pub fn run_each(
+    pub(crate) fn run_each(
         &mut self,
         specs: &[RunSpec],
         mut each: impl FnMut(usize, Result<RunArtifacts, String>),

@@ -4,6 +4,7 @@
 //! `tables_output.txt`, and the shape claims EXPERIMENTS.md makes about
 //! it, each as a checked predicate.
 
+use amo_campaign::run::RunArtifacts;
 use amo_campaign::table::Table;
 use amo_campaign::{
     artifacts, ArtifactProfile, Campaign, CampaignPlan, CampaignSpec, ResultCache, RunSpec,
@@ -17,6 +18,15 @@ fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("amo-campaign-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// Run a batch whose every run must succeed, unwrapping each outcome
+/// with the run's own error message.
+fn run_ok(c: &mut Campaign, specs: &[RunSpec]) -> Vec<RunArtifacts> {
+    c.run(specs)
+        .into_iter()
+        .map(|o| o.unwrap_or_else(|e| panic!("campaign cell failed: {e}")))
+        .collect()
 }
 
 fn small_profile() -> ArtifactProfile {
@@ -70,7 +80,7 @@ fn corrupted_entry_is_recomputed_and_repaired() {
     });
 
     let mut c = Campaign::new(Some(ResultCache::new(&dir)));
-    let first = c.run(std::slice::from_ref(&spec));
+    let first = run_ok(&mut c, std::slice::from_ref(&spec));
 
     // Flip a payload byte in the entry file.
     let cache = ResultCache::new(&dir);
@@ -81,17 +91,14 @@ fn corrupted_entry_is_recomputed_and_repaired() {
     std::fs::write(&path, &bytes).unwrap();
 
     let mut again = Campaign::new(Some(ResultCache::new(&dir)));
-    let second = again.run(std::slice::from_ref(&spec));
+    let second = run_ok(&mut again, std::slice::from_ref(&spec));
     assert_eq!(again.counters.cache_hits, 0, "corrupt entry must miss");
     assert_eq!(again.counters.cache_misses, 1);
-    assert_eq!(
-        first[0].as_ref().unwrap().numbers,
-        second[0].as_ref().unwrap().numbers
-    );
+    assert_eq!(first[0].numbers, second[0].numbers);
 
     // The recompute rewrote a valid entry.
     let mut third = Campaign::new(Some(ResultCache::new(&dir)));
-    third.run(&[spec]);
+    run_ok(&mut third, &[spec]);
     assert_eq!(third.counters.cache_hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -119,9 +126,9 @@ fn config_change_invalidates_the_key() {
     );
 
     let mut c = Campaign::new(Some(ResultCache::new(&dir)));
-    c.run(&[RunSpec::Barrier(base)]);
+    run_ok(&mut c, &[RunSpec::Barrier(base)]);
     let mut c2 = Campaign::new(Some(ResultCache::new(&dir)));
-    c2.run(&[RunSpec::Barrier(changed)]);
+    run_ok(&mut c2, &[RunSpec::Barrier(changed)]);
     assert_eq!(c2.counters.cache_hits, 0, "changed config must not hit");
     assert_eq!(c2.counters.cache_misses, 1);
     let _ = std::fs::remove_dir_all(&dir);
