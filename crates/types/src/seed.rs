@@ -9,7 +9,9 @@
 //! and a run index through two rounds of it.
 //!
 //! All seeded components route through here: the workload runners
-//! derive their `StdRng` seeds via [`run_seed`], the fault oracle
+//! draw arrival skew and think times from a [`SplitMix`] seeded with
+//! [`run_seed`], the property tests draw their cases from one through
+//! [`property`], the fault oracle
 //! (`amo-faults`) uses [`splitmix64`] as its keyed hash, and the
 //! campaign engine derives per-replica seeds with
 //! `run_seed(spec_seed, replica_index)`. The exact output values are
@@ -19,12 +21,15 @@
 
 use crate::Cycle;
 
+/// SplitMix's state increment (the 64-bit golden ratio).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// splitmix64 finalizer: a cheap, high-quality 64-bit mixer
 /// (Steele, Lea & Flood's SplitMix, the `nextSeed`+`mix64` step).
 /// Bijective on `u64`, so distinct inputs never collide.
 #[inline]
 pub const fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_add(GOLDEN);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
@@ -40,6 +45,67 @@ pub const fn splitmix64(mut x: u64) -> u64 {
 #[inline]
 pub const fn run_seed(base: u64, index: u64) -> u64 {
     splitmix64(base.wrapping_add(splitmix64(index)))
+}
+
+/// The one random stream: SplitMix64 from a 64-bit state. Each draw is
+/// [`splitmix64`] of the state, which then advances by the golden
+/// ratio. Deterministic for a given seed on every platform; quality
+/// enough for arrival skew, think times and property-test inputs, not
+/// for cryptography. The runs' skew and think-time streams are pinned by
+/// tests below: changing this type moves every committed artifact.
+#[derive(Clone, Debug)]
+pub struct SplitMix {
+    state: u64,
+}
+
+impl SplitMix {
+    /// A stream fully determined by `seed`.
+    pub const fn new(seed: u64) -> Self {
+        SplitMix { state: seed }
+    }
+
+    /// The next 64 random bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let x = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN);
+        x
+    }
+
+    /// A draw in `0..n` (`n > 0`): `next_u64() % n`, with the modulo
+    /// bias that implies (negligible for the small `n` drawn here).
+    #[inline]
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// A draw in `range` (non-empty): `start + below(end - start)`.
+    #[inline]
+    pub fn range(&mut self, range: std::ops::Range<u64>) -> u64 {
+        range.start + self.below(range.end - range.start)
+    }
+}
+
+/// Run property `name` for `cases` cases, each on a fresh stream seeded
+/// `stable_hash128(name).0 ^ (case << 32)`; `name` is the property's
+/// path, `concat!(module_path!(), "::", fn_name)`, so every property
+/// draws its own stable cases. A case that panics names the property
+/// and its index on stderr; rerunning replays it exactly.
+pub fn property(name: &str, cases: u32, mut case: impl FnMut(&mut SplitMix)) {
+    /// Reports the case in flight if its body unwinds.
+    struct Report<'a>(&'a str, u32);
+    impl Drop for Report<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property `{}` failed at case {}", self.0, self.1);
+            }
+        }
+    }
+    let base = stable_hash128(name.as_bytes()).0;
+    for i in 0..cases {
+        let _report = Report(name, i);
+        case(&mut SplitMix::new(base ^ (u64::from(i) << 32)));
+    }
 }
 
 /// FNV-1a offset basis (the standard 64-bit constant).
@@ -172,6 +238,105 @@ mod tests {
             stable_hash128(payload.as_bytes()),
             two_passes(payload.as_bytes())
         );
+    }
+
+    /// The runs' streams are frozen: the first draws of the barrier
+    /// skew (`0..800`) and lock think-time (`0..1000`) streams at 64
+    /// processors, and the first draw of one property's case 0. If this
+    /// test fails, every committed artifact is stale.
+    #[test]
+    fn split_mix_is_pinned() {
+        let draws = |seed, n| {
+            let mut rng = SplitMix::new(seed);
+            [(); 4].map(|()| rng.below(n))
+        };
+        assert_eq!(draws(run_seed(0xA40_5EED, 64), 800), [14, 576, 682, 586]);
+        assert_eq!(draws(run_seed(0x10C_5EED, 64), 1000), [248, 390, 992, 540]);
+        let name = b"amo_types::histogram::tests::quantile_order_holds";
+        assert_eq!(
+            SplitMix::new(stable_hash128(name).0).next_u64(),
+            0x500f_b2db_a205_de6e
+        );
+    }
+
+    /// `SplitMix` draws what the `rand` and `proptest` stand-ins drew:
+    /// `StdRng::seed_from_u64` + `gen_range` over both range forms at
+    /// every run seed the runners and the sync-tax study derive, and
+    /// `TestRng::deterministic` for 300 cases of three property names.
+    #[test]
+    fn split_mix_equals_the_stand_in_streams() {
+        use rand::{Rng, SeedableRng};
+        let mut draws = 0;
+        for base in [0xA40_5EED, 0x10C_5EED, 0x7_AEED, 1] {
+            for index in 2..256u64 {
+                let seed = run_seed(base, index);
+                let (mut old, mut new) =
+                    (rand::rngs::StdRng::seed_from_u64(seed), SplitMix::new(seed));
+                for n in [1u64, 2, 3, 7, 100, 800, 1000, 1 << 40] {
+                    for _ in 0..50 {
+                        assert_eq!(old.gen_range(0..n), new.below(n));
+                        assert_eq!(old.gen_range(0..=n), new.below(n + 1));
+                        draws += 2;
+                    }
+                }
+            }
+        }
+        assert!(draws >= 400_000);
+        for tag in [
+            "amo_types::histogram::tests::quantile_order_holds",
+            "invariants::barrier_synchronizes_under_random_skew",
+            "t",
+        ] {
+            for case in 0..300u32 {
+                let mut old = proptest::test_runner::TestRng::deterministic(tag, case);
+                let mut new =
+                    SplitMix::new(stable_hash128(tag.as_bytes()).0 ^ (u64::from(case) << 32));
+                for _ in 0..64 {
+                    assert_eq!(old.next_u64(), new.next_u64());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_seed_same_stream() {
+        let (mut a, mut b) = (SplitMix::new(42), SplitMix::new(42));
+        for _ in 0..100 {
+            assert_eq!(a.below(1000), b.below(1000));
+        }
+    }
+
+    #[test]
+    fn draws_stay_in_bounds() {
+        let mut rng = SplitMix::new(7);
+        for _ in 0..1000 {
+            assert!((10..20).contains(&rng.range(10..20)));
+            assert!(rng.below(6) <= 5);
+            assert_eq!(rng.range(3..4), 3);
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let (mut a, mut b) = (SplitMix::new(1), SplitMix::new(2));
+        let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
+        let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
+        assert_ne!(va, vb);
+    }
+
+    /// Every case of a property gets its own stream: the seeds of
+    /// `property`'s cases are distinct and the bodies run in order.
+    #[test]
+    fn property_runs_every_case_on_its_own_stream() {
+        let mut firsts = Vec::new();
+        property("amo_types::seed::tests::p", 32, |rng| {
+            firsts.push(rng.next_u64())
+        });
+        let base = stable_hash128(b"amo_types::seed::tests::p").0;
+        let want: Vec<u64> = (0..32u64)
+            .map(|i| SplitMix::new(base ^ (i << 32)).next_u64())
+            .collect();
+        assert_eq!(firsts, want);
     }
 
     #[test]
