@@ -701,12 +701,7 @@ pub fn run_lock_obs(bench: LockBench, obs: ObsSpec) -> LockResult {
     try_run_lock_obs(bench, obs).unwrap_or_else(|f| panic!("{f}"))
 }
 
-/// Fallible lock run; see [`try_run_barrier`].
-pub fn try_run_lock(bench: LockBench) -> Result<LockResult, Box<RunFailure>> {
-    try_run_lock_obs(bench, ObsSpec::default())
-}
-
-/// Fallible lock run with observation; see [`try_run_lock`].
+/// Fallible lock run with observation; see [`try_run_barrier`].
 pub fn try_run_lock_obs(bench: LockBench, obs: ObsSpec) -> Result<LockResult, Box<RunFailure>> {
     run_scenario(&bench, obs)
 }
