@@ -4,8 +4,8 @@
 //! evictions, and flushes.
 
 use amo_amu::{Amu, AmuEffect, AmuOp};
+use amo_types::seed::{cases, SplitMix};
 use amo_types::{Addr, AmoKind, NodeId, ProcId, ReqId, Stats, Word};
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn word(i: u8) -> Addr {
@@ -13,15 +13,17 @@ fn word(i: u8) -> Addr {
     Addr::on_node(NodeId(0), 0x9000 + i as u64 * 256)
 }
 
-fn arb_kind() -> impl Strategy<Value = AmoKind> {
-    prop_oneof![
-        Just(AmoKind::Inc),
-        Just(AmoKind::FetchAdd),
-        Just(AmoKind::Swap),
-        (0u64..20).prop_map(|expected| AmoKind::Cas { expected }),
-        Just(AmoKind::Max),
-        Just(AmoKind::Min),
-    ]
+fn arb_kind(rng: &mut SplitMix) -> AmoKind {
+    match rng.below(6) {
+        0 => AmoKind::Inc,
+        1 => AmoKind::FetchAdd,
+        2 => AmoKind::Swap,
+        3 => AmoKind::Cas {
+            expected: rng.below(20),
+        },
+        4 => AmoKind::Max,
+        _ => AmoKind::Min,
+    }
 }
 
 /// Drive one AMO to completion through the AMU, resolving fine-gets
@@ -79,17 +81,16 @@ fn drive_amo(
     reply.expect("every AMO replies")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    /// With a tiny 2-word AMU cache and 5 hot words, operations
-    /// constantly evict each other — and every reply must still match
-    /// the scalar reference exactly, with memory + cache together always
-    /// holding the up-to-date value.
-    #[test]
-    fn amu_replies_match_scalar_reference(
-        ops in proptest::collection::vec((arb_kind(), 0u8..5, 0u64..20), 1..60),
-    ) {
+/// With a tiny 2-word AMU cache and 5 hot words, operations
+/// constantly evict each other — and every reply must still match
+/// the scalar reference exactly, with memory + cache together always
+/// holding the up-to-date value.
+#[test]
+fn amu_replies_match_scalar_reference() {
+    for mut rng in cases(module_path!(), "amu_replies_match_scalar_reference", 256) {
+        let ops: Vec<(AmoKind, u8, u64)> = (0..rng.range(1..60))
+            .map(|_| (arb_kind(&mut rng), rng.below(5) as u8, rng.below(20)))
+            .collect();
         let mut amu = Amu::new(2, 8, 64, 128);
         let mut memory: HashMap<u64, Word> = HashMap::new();
         let mut reference: HashMap<u64, Word> = HashMap::new();
@@ -97,9 +98,17 @@ proptest! {
         let mut now = 0u64;
         for (kind, w, operand) in ops {
             let addr = word(w);
-            let old = drive_amo(&mut amu, &mut memory, &mut now, kind, addr, operand, &mut stats);
+            let old = drive_amo(
+                &mut amu,
+                &mut memory,
+                &mut now,
+                kind,
+                addr,
+                operand,
+                &mut stats,
+            );
             let expect_old = reference.get(&addr.0).copied().unwrap_or(0);
-            prop_assert_eq!(old, expect_old, "{:?} on word {}", kind, w);
+            assert_eq!(old, expect_old, "{:?} on word {}", kind, w);
             reference.insert(addr.0, kind.apply(expect_old, operand));
         }
         // Flush everything; cache + memory must equal the reference.
@@ -109,15 +118,22 @@ proptest! {
                 memory.insert(a.0, v);
             }
             let expect = reference.get(&addr.0).copied().unwrap_or(0);
-            prop_assert_eq!(memory.get(&addr.0).copied().unwrap_or(0), expect,
-                "word {} after flush", w);
+            assert_eq!(
+                memory.get(&addr.0).copied().unwrap_or(0),
+                expect,
+                "word {} after flush",
+                w
+            );
         }
     }
+}
 
-    /// The delayed put fires exactly when the running value reaches the
-    /// test target, never before, never after.
-    #[test]
-    fn delayed_put_fires_exactly_at_test(target in 2u64..12) {
+/// The delayed put fires exactly when the running value reaches the
+/// test target, never before, never after.
+#[test]
+fn delayed_put_fires_exactly_at_test() {
+    for mut rng in cases(module_path!(), "delayed_put_fires_exactly_at_test", 256) {
+        let target = rng.range(2..12);
         let mut amu = Amu::new(8, 8, 64, 128);
         let mut stats = Stats::new();
         let addr = word(0);
@@ -133,21 +149,24 @@ proptest! {
                 test: Some(target),
             };
             let mut effects = Vec::new();
-            prop_assert!(amu.submit_into(op, now, &mut stats, &mut effects));
+            assert!(amu.submit_into(op, now, &mut stats, &mut effects));
             while let Some(e) = effects.pop() {
                 match e {
                     AmuEffect::FineGet { token, addr, .. } => {
-                        amu.fine_value_into(token, addr, 0, now + 5, &mut stats, &mut effects).unwrap();
+                        amu.fine_value_into(token, addr, 0, now + 5, &mut stats, &mut effects)
+                            .unwrap();
                     }
                     AmuEffect::FinePut { value, .. } => {
                         puts += 1;
-                        prop_assert_eq!(value, target, "put value is the target");
-                        prop_assert_eq!(i, target - 1, "put only at the last increment");
+                        assert_eq!(value, target, "put value is the target");
+                        assert_eq!(i, target - 1, "put only at the last increment");
                     }
-                    AmuEffect::FineComplete { put: Some((_, v)), .. } => {
+                    AmuEffect::FineComplete {
+                        put: Some((_, v)), ..
+                    } => {
                         puts += 1;
-                        prop_assert_eq!(v, target);
-                        prop_assert_eq!(i, target - 1);
+                        assert_eq!(v, target);
+                        assert_eq!(i, target - 1);
                     }
                     AmuEffect::WakeAt { when } => {
                         now = now.max(when);
@@ -159,6 +178,6 @@ proptest! {
             }
             now += 1;
         }
-        prop_assert_eq!(puts, 1, "exactly one delayed put");
+        assert_eq!(puts, 1, "exactly one delayed put");
     }
 }

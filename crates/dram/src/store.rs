@@ -85,8 +85,8 @@ impl MemoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_types::seed::{cases, SplitMix};
     use amo_types::NodeId;
-    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn a(off: u64) -> Addr {
@@ -149,27 +149,37 @@ mod tests {
     /// 64-, 128- and 256-byte blocks overlap all the time.
     const WINDOW: u64 = 128;
 
-    fn arb_op() -> impl Strategy<Value = MemOp> {
-        let len = || (0u32..3).prop_map(|k| 8usize << k);
-        prop_oneof![
-            (0..WINDOW, 0u64..3).prop_map(|(w, value)| MemOp::Word { w, value }),
-            (len(), 0..WINDOW, 0u64..100).prop_map(|(len, b, seed)| MemOp::Block {
-                b: b % (WINDOW / len as u64),
-                len,
-                seed
-            }),
-            (len(), 0..WINDOW).prop_map(|(len, b)| MemOp::Read {
-                b: b % (WINDOW / len as u64),
-                len
-            }),
-        ]
+    fn arb_op(rng: &mut SplitMix) -> MemOp {
+        let len = |rng: &mut SplitMix| 8usize << rng.below(3);
+        match rng.below(3) {
+            0 => MemOp::Word {
+                w: rng.below(WINDOW),
+                value: rng.below(3),
+            },
+            1 => {
+                let (len, b) = (len(rng), rng.below(WINDOW));
+                MemOp::Block {
+                    b: b % (WINDOW / len as u64),
+                    len,
+                    seed: rng.below(100),
+                }
+            }
+            _ => {
+                let (len, b) = (len(rng), rng.below(WINDOW));
+                MemOp::Read {
+                    b: b % (WINDOW / len as u64),
+                    len,
+                }
+            }
+        }
     }
 
-    proptest! {
-        /// The chunked store reads, counts and deletes exactly like a
-        /// word-granular map holding only nonzero words.
-        #[test]
-        fn chunks_match_a_word_map(ops in proptest::collection::vec(arb_op(), 1..200)) {
+    /// The chunked store reads, counts and deletes exactly like a
+    /// word-granular map holding only nonzero words.
+    #[test]
+    fn chunks_match_a_word_map() {
+        for mut rng in cases(module_path!(), "chunks_match_a_word_map", 64) {
+            let ops: Vec<MemOp> = (0..rng.range(1..200)).map(|_| arb_op(&mut rng)).collect();
             let mut m = MemoryStore::new();
             let mut model: HashMap<u64, Word> = HashMap::new();
             let block = |b: u64, len: usize| a(b * len as u64 * 8).block(len as u64 * 8);
@@ -191,15 +201,18 @@ mod tests {
                         let got = m.read_block(block(b, len), len);
                         for i in 0..len {
                             let want = model.get(&block(b, len).word_addr(i).0);
-                            prop_assert_eq!(got.word(i), want.copied().unwrap_or(0));
+                            assert_eq!(got.word(i), want.copied().unwrap_or(0));
                         }
                     }
                 }
                 model.retain(|_, v| *v != 0);
-                prop_assert_eq!(m.nonzero_words(), model.len());
+                assert_eq!(m.nonzero_words(), model.len());
             }
             for w in 0..WINDOW {
-                prop_assert_eq!(m.read_word(a(w * 8)), model.get(&a(w * 8).0).copied().unwrap_or(0));
+                assert_eq!(
+                    m.read_word(a(w * 8)),
+                    model.get(&a(w * 8).0).copied().unwrap_or(0)
+                );
             }
         }
     }

@@ -554,7 +554,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use amo_types::seed::cases;
 
     fn kinds() -> [QueueKind; 2] {
         [QueueKind::Calendar, QueueKind::Heap]
@@ -818,12 +818,13 @@ mod tests {
         assert_eq!(b.nodes.len(), 64);
     }
 
-    proptest! {
-        /// Batch draining must yield the identical event sequence to
-        /// per-event popping, batch boundaries must coincide with time
-        /// changes, and both implementations must agree.
-        #[test]
-        fn batch_matches_pop_sequence(times in proptest::collection::vec(0u64..50, 1..200)) {
+    /// Batch draining must yield the identical event sequence to
+    /// per-event popping, batch boundaries must coincide with time
+    /// changes, and both implementations must agree.
+    #[test]
+    fn batch_matches_pop_sequence() {
+        for mut rng in cases(module_path!(), "batch_matches_pop_sequence", 64) {
+            let times: Vec<u64> = (0..rng.range(1..200)).map(|_| rng.below(50)).collect();
             for kind in kinds() {
                 let mut by_pop = EventQueue::with_kind(kind);
                 let mut by_batch = EventQueue::with_kind(kind);
@@ -833,23 +834,26 @@ mod tests {
                 }
                 let mut batch = Vec::new();
                 while let Some(when) = by_batch.pop_batch_into(&mut batch) {
-                    prop_assert!(!batch.is_empty());
+                    assert!(!batch.is_empty());
                     for &i in &batch {
-                        prop_assert_eq!(by_pop.pop(), Some((when, i)));
+                        assert_eq!(by_pop.pop(), Some((when, i)));
                     }
                     // The next pending time must differ — the batch took
                     // the whole tied run.
-                    prop_assert_ne!(by_batch.peek_time(), Some(when));
+                    assert_ne!(by_batch.peek_time(), Some(when));
                     batch.clear();
                 }
-                prop_assert_eq!(by_pop.pop(), None);
+                assert_eq!(by_pop.pop(), None);
             }
         }
+    }
 
-        /// Popping must always yield non-decreasing times, and equal times
-        /// must preserve scheduling order.
-        #[test]
-        fn pops_sorted_stable(times in proptest::collection::vec(0u64..50, 1..200)) {
+    /// Popping must always yield non-decreasing times, and equal times
+    /// must preserve scheduling order.
+    #[test]
+    fn pops_sorted_stable() {
+        for mut rng in cases(module_path!(), "pops_sorted_stable", 64) {
+            let times: Vec<u64> = (0..rng.range(1..200)).map(|_| rng.below(50)).collect();
             for kind in kinds() {
                 let mut q = EventQueue::with_kind(kind);
                 for (i, &t) in times.iter().enumerate() {
@@ -858,30 +862,35 @@ mod tests {
                 let mut last: Option<(u64, usize)> = None;
                 while let Some((t, i)) = q.pop() {
                     if let Some((lt, li)) = last {
-                        prop_assert!(t > lt || (t == lt && i > li),
-                            "out of order: ({lt},{li}) then ({t},{i})");
+                        assert!(
+                            t > lt || (t == lt && i > li),
+                            "out of order: ({lt},{li}) then ({t},{i})"
+                        );
                     }
                     last = Some((t, i));
                 }
             }
         }
+    }
 
-        /// Differential test: the bucket list and the reference heap must
-        /// agree on every output across randomized interleavings of
-        /// `schedule`, `pop`, `pop_until` (with and without a limit),
-        /// appending `pop_batch_into`, `peek_time` and `len_at`, at the
-        /// smallest and the largest window. Times are drawn relative to
-        /// the last cycle taken out: that very cycle (behind its
-        /// remaining events, or reopening it once its last event left),
-        /// near, the window's last cycle and the first one beyond it
-        /// (the window starts at the cycle taken, so only the second
-        /// overflows), further beyond (the overflow moves in while
-        /// direct schedules keep arriving), far future, and behind.
-        #[test]
-        fn calendar_matches_heap_differentially(
-            largest in any::<bool>(),
-            ops in proptest::collection::vec((0u8..10, 0u8..8, 0u64..100_000), 1..400),
-        ) {
+    /// Differential test: the bucket list and the reference heap must
+    /// agree on every output across randomized interleavings of
+    /// `schedule`, `pop`, `pop_until` (with and without a limit),
+    /// appending `pop_batch_into`, `peek_time` and `len_at`, at the
+    /// smallest and the largest window. Times are drawn relative to
+    /// the last cycle taken out: that very cycle (behind its
+    /// remaining events, or reopening it once its last event left),
+    /// near, the window's last cycle and the first one beyond it
+    /// (the window starts at the cycle taken, so only the second
+    /// overflows), further beyond (the overflow moves in while
+    /// direct schedules keep arriving), far future, and behind.
+    #[test]
+    fn calendar_matches_heap_differentially() {
+        for mut rng in cases(module_path!(), "calendar_matches_heap_differentially", 64) {
+            let largest = rng.next_u64() & 1 == 1;
+            let ops: Vec<(u8, u8, u64)> = (0..rng.range(1..400))
+                .map(|_| (rng.below(10) as u8, rng.below(8) as u8, rng.below(100_000)))
+                .collect();
             let window: u64 = if largest { 8192 } else { 1024 };
             let mut cal = EventQueue::with_capacity_and_kind(window as usize, QueueKind::Calendar);
             let mut heap = EventQueue::with_kind(QueueKind::Heap);
@@ -907,12 +916,12 @@ mod tests {
                         cal.schedule(when, tag);
                         heap.schedule(when, tag);
                         if class == 2 && !moved_back {
-                            prop_assert_eq!(cal.overflowed(), overflowed, "the window's last cycle");
+                            assert_eq!(cal.overflowed(), overflowed, "the window's last cycle");
                         }
                     }
                     4 | 5 => {
                         let (a, b) = (cal.pop(), heap.pop());
-                        prop_assert_eq!(a, b);
+                        assert_eq!(a, b);
                         if let Some((t, _)) = a {
                             (now, moved_back) = (t, false);
                         }
@@ -924,7 +933,7 @@ mod tests {
                             _ => Cycle::MAX,
                         };
                         let (a, b) = (cal.pop_until(until), heap.pop_until(until));
-                        prop_assert_eq!(a, b);
+                        assert_eq!(a, b);
                         if let Some((t, _)) = a {
                             (now, moved_back) = (t, false);
                         }
@@ -932,41 +941,48 @@ mod tests {
                     7 => {
                         let (mut a, mut b) = (vec![0], vec![0]);
                         let t = cal.pop_batch_into(&mut a);
-                        prop_assert_eq!(t, heap.pop_batch_into(&mut b));
-                        prop_assert_eq!(&a, &b);
+                        assert_eq!(t, heap.pop_batch_into(&mut b));
+                        assert_eq!(&a, &b);
                         if let Some(t) = t {
                             (now, moved_back) = (t, false);
                         }
                     }
                     8 => {
-                        let when = if class == 0 { now + off % 4 } else { now + window };
-                        prop_assert_eq!(cal.len_at(when), heap.len_at(when));
+                        let when = if class == 0 {
+                            now + off % 4
+                        } else {
+                            now + window
+                        };
+                        assert_eq!(cal.len_at(when), heap.len_at(when));
                     }
-                    _ => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
+                    _ => assert_eq!(cal.peek_time(), heap.peek_time()),
                 }
-                prop_assert_eq!(cal.len(), heap.len());
+                assert_eq!(cal.len(), heap.len());
             }
             // Drain both: every remaining event must match too.
             loop {
                 let (a, b) = (cal.pop(), heap.pop());
                 let done = a.is_none();
-                prop_assert_eq!(a, b);
+                assert_eq!(a, b);
                 if done {
                     break;
                 }
             }
         }
+    }
 
-        /// The run loop's pattern: pop one event, schedule its
-        /// successors — at its own cycle, nearby, across the window's
-        /// end, and beyond it — and pop the next. The bucket list must
-        /// pop exactly the heap's events, and a successor at the popped
-        /// cycle must keep that cycle earliest.
-        #[test]
-        fn dispatch_loop_batches_match_heap(
-            largest in any::<bool>(),
-            fanout in proptest::collection::vec((0u8..5, 0u64..10_000), 8..64),
-        ) {
+    /// The run loop's pattern: pop one event, schedule its
+    /// successors — at its own cycle, nearby, across the window's
+    /// end, and beyond it — and pop the next. The bucket list must
+    /// pop exactly the heap's events, and a successor at the popped
+    /// cycle must keep that cycle earliest.
+    #[test]
+    fn dispatch_loop_batches_match_heap() {
+        for mut rng in cases(module_path!(), "dispatch_loop_batches_match_heap", 64) {
+            let largest = rng.next_u64() & 1 == 1;
+            let fanout: Vec<(u8, u64)> = (0..rng.range(8..64))
+                .map(|_| (rng.below(5) as u8, rng.below(10_000)))
+                .collect();
             let window: u64 = if largest { 8192 } else { 1024 };
             let mut cal = EventQueue::with_capacity_and_kind(window as usize, QueueKind::Calendar);
             let mut heap = EventQueue::with_kind(QueueKind::Heap);
@@ -976,26 +992,27 @@ mod tests {
             }
             let mut budget = 4_000u64;
             while let Some((now, ev)) = cal.pop_until(Cycle::MAX) {
-                prop_assert_eq!(heap.pop_until(Cycle::MAX), Some((now, ev)));
+                assert_eq!(heap.pop_until(Cycle::MAX), Some((now, ev)));
                 if budget == 0 {
                     continue;
                 }
                 budget -= 1;
                 let (class, off) = fanout[(ev as usize) % fanout.len()];
-                let when = now + match class {
-                    0 => 0,
-                    1 => off % 300,
-                    2 => window - 2 + off % 4,
-                    3 => window + off,
-                    _ => 100 * (off % 3),
-                };
+                let when = now
+                    + match class {
+                        0 => 0,
+                        1 => off % 300,
+                        2 => window - 2 + off % 4,
+                        3 => window + off,
+                        _ => 100 * (off % 3),
+                    };
                 cal.schedule(when, ev + 1);
                 heap.schedule(when, ev + 1);
                 if when == now {
-                    prop_assert_eq!(cal.peek_time(), Some(now));
+                    assert_eq!(cal.peek_time(), Some(now));
                 }
             }
-            prop_assert!(heap.is_empty());
+            assert!(heap.is_empty());
         }
     }
 }

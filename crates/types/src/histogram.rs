@@ -258,55 +258,69 @@ mod tests {
         );
     }
 
-    use proptest::prelude::*;
+    use crate::seed::cases;
 
-    proptest! {
-        /// Quantiles are monotone and never exceed the exact maximum.
-        #[test]
-        fn quantile_order_holds(samples in proptest::collection::vec(0u64..1 << 40, 1..300)) {
+    /// Quantiles are monotone and never exceed the exact maximum.
+    #[test]
+    fn quantile_order_holds() {
+        for mut rng in cases(module_path!(), "quantile_order_holds", 64) {
+            let samples: Vec<u64> = (0..rng.range(1..300)).map(|_| rng.below(1 << 40)).collect();
             let mut h = LatHist::new();
             for &v in &samples {
                 h.record(v);
             }
             let (p50, p95, p99) = (h.p50(), h.p95(), h.p99());
-            prop_assert!(p50 <= p95, "p50 {p50} > p95 {p95}");
-            prop_assert!(p95 <= p99, "p95 {p95} > p99 {p99}");
-            prop_assert!(p99 <= h.max, "p99 {p99} > max {}", h.max);
-            prop_assert_eq!(h.max, *samples.iter().max().unwrap());
+            assert!(p50 <= p95, "p50 {p50} > p95 {p95}");
+            assert!(p95 <= p99, "p95 {p95} > p99 {p99}");
+            assert!(p99 <= h.max, "p99 {p99} > max {}", h.max);
+            assert_eq!(h.max, *samples.iter().max().unwrap());
         }
+    }
 
-        /// Every recorded value lands in the bucket whose power-of-two
-        /// bounds contain it.
-        #[test]
-        fn buckets_are_exact_powers_of_two(v in 0u64..u64::MAX) {
+    /// Every recorded value lands in the bucket whose power-of-two
+    /// bounds contain it.
+    #[test]
+    fn buckets_are_exact_powers_of_two() {
+        for mut rng in cases(module_path!(), "buckets_are_exact_powers_of_two", 64) {
+            let v = rng.below(u64::MAX);
             let b = LatHist::bucket_of(v);
             let (lo, hi) = LatHist::bucket_bounds(b);
-            prop_assert!(lo <= v, "{v} below bucket {b} lower bound {lo}");
-            prop_assert!(v < hi || b == LAT_BUCKETS - 1, "{v} at/above bucket {b} upper bound {hi}");
+            assert!(lo <= v, "{v} below bucket {b} lower bound {lo}");
+            assert!(
+                v < hi || b == LAT_BUCKETS - 1,
+                "{v} at/above bucket {b} upper bound {hi}"
+            );
             if b > 1 {
-                prop_assert!(lo.is_power_of_two());
+                assert!(lo.is_power_of_two());
             }
             if (1..LAT_BUCKETS - 1).contains(&b) {
-                prop_assert!(hi.is_power_of_two());
+                assert!(hi.is_power_of_two());
             }
         }
+    }
 
-        /// Merging conserves per-bucket counts, totals, sums, and max.
-        #[test]
-        fn merge_conserves(
-            xs in proptest::collection::vec(0u64..1 << 36, 0..200),
-            ys in proptest::collection::vec(0u64..1 << 36, 0..200),
-        ) {
+    /// Merging conserves per-bucket counts, totals, sums, and max.
+    #[test]
+    fn merge_conserves() {
+        for mut rng in cases(module_path!(), "merge_conserves", 64) {
+            let xs: Vec<u64> = (0..rng.below(200)).map(|_| rng.below(1 << 36)).collect();
+            let ys: Vec<u64> = (0..rng.below(200)).map(|_| rng.below(1 << 36)).collect();
             let mut a = LatHist::new();
             let mut b = LatHist::new();
             let mut all = LatHist::new();
-            for &v in &xs { a.record(v); all.record(v); }
-            for &v in &ys { b.record(v); all.record(v); }
+            for &v in &xs {
+                a.record(v);
+                all.record(v);
+            }
+            for &v in &ys {
+                b.record(v);
+                all.record(v);
+            }
             let mut m = a.clone();
             m.merge(&b);
-            prop_assert_eq!(&m, &all, "merge differs from recording the union");
-            prop_assert_eq!(m.count, (xs.len() + ys.len()) as u64);
-            prop_assert_eq!(m.buckets.iter().sum::<u64>(), m.count);
+            assert_eq!(&m, &all, "merge differs from recording the union");
+            assert_eq!(m.count, (xs.len() + ys.len()) as u64);
+            assert_eq!(m.buckets.iter().sum::<u64>(), m.count);
         }
     }
 

@@ -1,7 +1,7 @@
 //! A minimal JSON writer.
 //!
-//! crates.io is unreachable in the build environment (see `shims/`), so
-//! the observability layer cannot use serde. Every machine-readable
+//! The workspace depends on no crates.io package, so the observability
+//! layer cannot use serde. Every machine-readable
 //! artifact the workspace emits — `Stats::to_json`, Perfetto traces,
 //! time-series dumps, `--metrics-json` reports — is produced through this
 //! writer instead. It handles the only hard parts of JSON by hand:

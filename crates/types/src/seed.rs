@@ -10,10 +10,9 @@
 //!
 //! All seeded components route through here: the workload runners
 //! draw arrival skew and think times from a [`SplitMix`] seeded with
-//! [`run_seed`], the property tests draw their cases from one through
-//! [`property`], the fault oracle
-//! (`amo-faults`) uses [`splitmix64`] as its keyed hash, and the
-//! campaign engine derives per-replica seeds with
+//! [`run_seed`], the property tests draw their [`cases`] from one, the
+//! fault oracle (`amo-faults`) uses [`splitmix64`] as its keyed hash,
+//! and the campaign engine derives per-replica seeds with
 //! `run_seed(spec_seed, replica_index)`. The exact output values are
 //! pinned by tests below: changing this function invalidates every
 //! committed artifact (`tables_output.txt`, cache entries), so treat
@@ -86,25 +85,51 @@ impl SplitMix {
     }
 }
 
-/// Run property `name` for `cases` cases, each on a fresh stream seeded
-/// `stable_hash128(name).0 ^ (case << 32)`; `name` is the property's
-/// path, `concat!(module_path!(), "::", fn_name)`, so every property
-/// draws its own stable cases. A case that panics names the property
-/// and its index on stderr; rerunning replays it exactly.
-pub fn property(name: &str, cases: u32, mut case: impl FnMut(&mut SplitMix)) {
-    /// Reports the case in flight if its body unwinds.
-    struct Report<'a>(&'a str, u32);
-    impl Drop for Report<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!("property `{}` failed at case {}", self.0, self.1);
-            }
-        }
+/// The cases of property `name` of `module` (pass `module_path!()`):
+/// `count` streams, case `i` seeded
+/// `stable_hash128("{module}::{name}").0 ^ (i << 32)`, so every property
+/// draws its own stable cases. Iterate it with `for mut rng in cases(…)`:
+/// if the loop panics, the failing case is named on stderr, and a rerun
+/// replays it exactly.
+pub fn cases(module: &str, name: &str, count: u32) -> Cases {
+    let path = format!("{module}::{name}");
+    let base = stable_hash128(path.as_bytes()).0;
+    Cases {
+        path,
+        base,
+        next: 0,
+        count,
     }
-    let base = stable_hash128(name.as_bytes()).0;
-    for i in 0..cases {
-        let _report = Report(name, i);
-        case(&mut SplitMix::new(base ^ (u64::from(i) << 32)));
+}
+
+/// The case streams of one property; see [`cases`].
+#[derive(Debug)]
+pub struct Cases {
+    path: String,
+    base: u64,
+    next: u32,
+    count: u32,
+}
+
+impl Iterator for Cases {
+    type Item = SplitMix;
+
+    fn next(&mut self) -> Option<SplitMix> {
+        let case = self.next;
+        (case < self.count).then(|| {
+            self.next += 1;
+            SplitMix::new(self.base ^ (u64::from(case) << 32))
+        })
+    }
+}
+
+/// A panic unwinding out of the loop drops the iterator mid-case: name
+/// the case it last handed out.
+impl Drop for Cases {
+    fn drop(&mut self) {
+        if std::thread::panicking() && self.next > 0 {
+            eprintln!("property `{}` failed at case {}", self.path, self.next - 1);
+        }
     }
 }
 
@@ -259,45 +284,6 @@ mod tests {
         );
     }
 
-    /// `SplitMix` draws what the `rand` and `proptest` stand-ins drew:
-    /// `StdRng::seed_from_u64` + `gen_range` over both range forms at
-    /// every run seed the runners and the sync-tax study derive, and
-    /// `TestRng::deterministic` for 300 cases of three property names.
-    #[test]
-    fn split_mix_equals_the_stand_in_streams() {
-        use rand::{Rng, SeedableRng};
-        let mut draws = 0;
-        for base in [0xA40_5EED, 0x10C_5EED, 0x7_AEED, 1] {
-            for index in 2..256u64 {
-                let seed = run_seed(base, index);
-                let (mut old, mut new) =
-                    (rand::rngs::StdRng::seed_from_u64(seed), SplitMix::new(seed));
-                for n in [1u64, 2, 3, 7, 100, 800, 1000, 1 << 40] {
-                    for _ in 0..50 {
-                        assert_eq!(old.gen_range(0..n), new.below(n));
-                        assert_eq!(old.gen_range(0..=n), new.below(n + 1));
-                        draws += 2;
-                    }
-                }
-            }
-        }
-        assert!(draws >= 400_000);
-        for tag in [
-            "amo_types::histogram::tests::quantile_order_holds",
-            "invariants::barrier_synchronizes_under_random_skew",
-            "t",
-        ] {
-            for case in 0..300u32 {
-                let mut old = proptest::test_runner::TestRng::deterministic(tag, case);
-                let mut new =
-                    SplitMix::new(stable_hash128(tag.as_bytes()).0 ^ (u64::from(case) << 32));
-                for _ in 0..64 {
-                    assert_eq!(old.next_u64(), new.next_u64());
-                }
-            }
-        }
-    }
-
     #[test]
     fn same_seed_same_stream() {
         let (mut a, mut b) = (SplitMix::new(42), SplitMix::new(42));
@@ -324,19 +310,28 @@ mod tests {
         assert_ne!(va, vb);
     }
 
-    /// Every case of a property gets its own stream: the seeds of
-    /// `property`'s cases are distinct and the bodies run in order.
+    /// Every case of a property gets its own stream, seeded from the
+    /// property's path and the case index.
     #[test]
-    fn property_runs_every_case_on_its_own_stream() {
-        let mut firsts = Vec::new();
-        property("amo_types::seed::tests::p", 32, |rng| {
-            firsts.push(rng.next_u64())
-        });
-        let base = stable_hash128(b"amo_types::seed::tests::p").0;
+    fn cases_are_seeded_from_path_and_index() {
+        let firsts: Vec<u64> = cases("amo_types::seed", "p", 32)
+            .map(|mut rng| rng.next_u64())
+            .collect();
+        let base = stable_hash128(b"amo_types::seed::p").0;
         let want: Vec<u64> = (0..32u64)
             .map(|i| SplitMix::new(base ^ (i << 32)).next_u64())
             .collect();
         assert_eq!(firsts, want);
+    }
+
+    /// A panicking case fails the property: the loop does not swallow
+    /// it (the iterator's drop names the case on the way out).
+    #[test]
+    #[should_panic(expected = "case 5 failed")]
+    fn a_failing_case_fails_the_property() {
+        for (i, _rng) in cases("amo_types::seed", "q", 8).enumerate() {
+            assert!(i != 5, "case {i} failed");
+        }
     }
 
     #[test]

@@ -27,10 +27,8 @@ use amo_obs::{HostProf, Tracer};
 use amo_sim::Machine;
 use amo_sync::mechanism::{release, Step, Sub};
 use amo_sync::{Mechanism, ProcPlan, VarAlloc};
-use amo_types::seed::run_seed;
+use amo_types::seed::{run_seed, SplitMix};
 use amo_types::{Addr, Cycle, NodeId, ProcId, SpinPred, SystemConfig, Word};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Base seed of the sync-tax work-jitter stream; the per-grain stream is
 /// `run_seed(SYNC_TAX_SEED, grain)`.
@@ -82,11 +80,11 @@ impl Scenario for SyncTax {
 
     fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
         let (grain, steps) = (self.grain, self.steps);
-        let mut rng = StdRng::seed_from_u64(run_seed(SYNC_TAX_SEED, grain));
+        let mut rng = SplitMix::new(run_seed(SYNC_TAX_SEED, grain));
         // Work with ±5% jitter: realistic imbalance.
         let plan = |_| ProcPlan {
             work: (0..steps)
-                .map(|_| grain - grain / 20 + rng.gen_range(0..=grain / 10))
+                .map(|_| grain - grain / 20 + rng.below(grain / 10 + 1))
                 .collect(),
             start: 0,
         };

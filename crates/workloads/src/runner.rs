@@ -28,10 +28,8 @@ use amo_obs::hostprof::{HostProf, HostProfReport, HostProfiler};
 use amo_obs::{NopTracer, RingTracer, TimeSeries, TraceBuf, Tracer};
 use amo_sim::{Machine, QueueKind, RunResult, SimError};
 use amo_sync::{BarrierStyle, LockInstalled, Mechanism, ProcPlan};
-use amo_types::seed::{arithmetic_skew, run_seed};
+use amo_types::seed::{arithmetic_skew, run_seed, SplitMix};
 use amo_types::{Cycle, ProcId, Stats, SystemConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 pub use amo_sync::{BarrierAlgo, LockKind};
 
@@ -419,7 +417,7 @@ pub struct BarrierBench {
     pub skew: SkewMode,
     /// RNG seed for the skew pattern (same seed ⇒ identical arrival
     /// pattern across mechanisms — that is what makes speedups fair).
-    /// The actual `StdRng` seed is derived as
+    /// The stream is a `SplitMix` seeded
     /// `amo_types::seed::run_seed(seed, procs)`.
     pub seed: u64,
     /// Arm the progress watchdog with this window (cycles); 0 leaves it
@@ -475,14 +473,14 @@ impl BarrierBench {
 /// order); `Arithmetic` ignores the RNG entirely.
 fn skew_plan(
     mode: SkewMode,
-    rng: &mut StdRng,
+    rng: &mut SplitMix,
     p: u16,
     episodes: u32,
     max_skew: Cycle,
 ) -> Vec<Cycle> {
     match mode {
         SkewMode::Random => (0..episodes)
-            .map(|_| 100 + rng.gen_range(0..max_skew.max(1)))
+            .map(|_| 100 + rng.below(max_skew.max(1)))
             .collect(),
         SkewMode::Arithmetic => (0..episodes)
             .map(|e| arithmetic_skew(p as u64, e as u64, max_skew.max(1)))
@@ -514,7 +512,7 @@ impl Scenario for BarrierBench {
     }
 
     fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
-        let mut rng = StdRng::seed_from_u64(run_seed(self.seed, self.procs as u64));
+        let mut rng = SplitMix::new(run_seed(self.seed, self.procs as u64));
         let plan = |p| ProcPlan {
             work: skew_plan(self.skew, &mut rng, p, self.episodes, self.max_skew),
             start: 0,
@@ -596,8 +594,8 @@ pub struct LockBench {
     pub cs_cycles: Cycle,
     /// Maximum random think time between acquisitions.
     pub max_think: Cycle,
-    /// RNG seed (shared across mechanisms for fairness). The actual
-    /// `StdRng` seed is `amo_types::seed::run_seed(seed, procs)`.
+    /// RNG seed (shared across mechanisms for fairness). The stream is
+    /// a `SplitMix` seeded `amo_types::seed::run_seed(seed, procs)`.
     pub seed: u64,
     /// Arm the progress watchdog with this window (cycles); 0 = off.
     pub watchdog: Cycle,
@@ -660,10 +658,10 @@ impl Scenario for LockBench {
     }
 
     fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) -> LockInstalled {
-        let mut rng = StdRng::seed_from_u64(run_seed(self.seed, self.procs as u64));
+        let mut rng = SplitMix::new(run_seed(self.seed, self.procs as u64));
         let plan = |_| ProcPlan {
             work: (0..self.rounds)
-                .map(|_| 100 + rng.gen_range(0..self.max_think.max(1)))
+                .map(|_| 100 + rng.below(self.max_think.max(1)))
                 .collect(),
             start: 0,
         };

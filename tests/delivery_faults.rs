@@ -150,71 +150,83 @@ fn fault_abort_with_complete_trace_attaches_critpath_breakdown() {
 
 mod idempotency {
     use super::*;
-    use proptest::prelude::*;
+    use amo::types::seed::cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-        /// Idempotency: any duplicated/reordered — but lossless — delivery
-        /// schedule, with the dedup windows enabled, yields the same
-        /// synchronization outcomes as the clean run: every processor
-        /// completes every barrier episode, nothing double-applies.
-        #[test]
-        fn lossless_dup_reorder_schedules_preserve_barrier_outcomes(
-            procs in prop_oneof![Just(8u16), Just(16)],
-            dup_ppm in 5_000u32..80_000,
-            reorder in 0u64..96,
-            seed in 1u64..u64::MAX,
+    /// Idempotency: any duplicated/reordered — but lossless — delivery
+    /// schedule, with the dedup windows enabled, yields the same
+    /// synchronization outcomes as the clean run: every processor
+    /// completes every barrier episode, nothing double-applies.
+    #[test]
+    fn lossless_dup_reorder_schedules_preserve_barrier_outcomes() {
+        for mut rng in cases(
+            module_path!(),
+            "lossless_dup_reorder_schedules_preserve_barrier_outcomes",
+            12,
         ) {
+            let procs = [8u16, 16][rng.below(2) as usize];
+            let dup_ppm = rng.range(5_000..80_000) as u32;
+            let reorder = rng.below(96);
+            let seed = rng.range(1..u64::MAX);
             let clean = run_barrier(bench(procs, None));
             let faulted = run_barrier(bench(
                 procs,
                 Some(delivery_cfg(procs, 0, dup_ppm, reorder, seed)),
             ));
-            prop_assert!(faulted.info.all_finished);
+            assert!(faulted.info.all_finished);
             // Same episode structure as the clean run (timing may differ;
             // completion must not).
-            prop_assert_eq!(
+            assert_eq!(
                 clean.timing.per_episode.len(),
                 faulted.timing.per_episode.len()
             );
             // A double-applied fetch-add would wedge a later episode or
             // leave dup_suppressed == 0 while duplicates flowed.
             if faulted.stats.msgs_duplicated > 0 {
-                prop_assert!(
-                    faulted.stats.dup_suppressed > 0
-                        || faulted.stats.e2e_timeouts > 0,
+                assert!(
+                    faulted.stats.dup_suppressed > 0 || faulted.stats.e2e_timeouts > 0,
                     "duplicates flowed but nothing absorbed them"
                 );
             }
         }
+    }
 
-        /// Same property for the ticket lock: mutual exclusion and full
-        /// handoff under lossless duplication/reordering.
-        #[test]
-        fn lossless_dup_reorder_schedules_preserve_lock_outcomes(
-            dup_ppm in 5_000u32..80_000,
-            reorder in 0u64..96,
-            seed in 1u64..u64::MAX,
+    /// Same property for the ticket lock: mutual exclusion and full
+    /// handoff under lossless duplication/reordering.
+    #[test]
+    fn lossless_dup_reorder_schedules_preserve_lock_outcomes() {
+        for mut rng in cases(
+            module_path!(),
+            "lossless_dup_reorder_schedules_preserve_lock_outcomes",
+            12,
         ) {
+            let dup_ppm = rng.range(5_000..80_000) as u32;
+            let reorder = rng.below(96);
+            let seed = rng.range(1..u64::MAX);
             let r = run_lock(LockBench {
                 watchdog: 2_000_000,
                 config: Some(delivery_cfg(16, 0, dup_ppm, reorder, seed)),
                 ..LockBench::paper(Mechanism::Amo, LockKind::Ticket, 16)
             });
-            prop_assert!(r.bench.check_exclusion && r.info.all_finished);
+            assert!(r.bench.check_exclusion && r.info.all_finished);
         }
+    }
 
-        /// Zero-rate delivery config is bit-identical to the unfaulted
-        /// engine for any seed: arming the oracle must cost nothing.
-        #[test]
-        fn zero_rates_are_bit_identical_for_any_seed(seed in 1u64..u64::MAX) {
+    /// Zero-rate delivery config is bit-identical to the unfaulted
+    /// engine for any seed: arming the oracle must cost nothing.
+    #[test]
+    fn zero_rates_are_bit_identical_for_any_seed() {
+        for mut rng in cases(
+            module_path!(),
+            "zero_rates_are_bit_identical_for_any_seed",
+            12,
+        ) {
+            let seed = rng.range(1..u64::MAX);
             let plain = run_barrier(bench(8, None));
             let mut cfg = SystemConfig::with_procs(8);
             cfg.faults.seed = seed;
             let zeroed = run_barrier(bench(8, Some(cfg)));
-            prop_assert_eq!(plain.timing.per_episode, zeroed.timing.per_episode);
-            prop_assert_eq!(plain.stats.to_json(), zeroed.stats.to_json());
+            assert_eq!(plain.timing.per_episode, zeroed.timing.per_episode);
+            assert_eq!(plain.stats.to_json(), zeroed.stats.to_json());
         }
     }
 }

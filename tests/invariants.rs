@@ -1,4 +1,4 @@
-//! Property-based invariants of the whole stack, driven by proptest:
+//! Property-based invariants of the whole stack, on seeded random cases:
 //! whatever the arrival skew, think times, mechanism, and machine size,
 //! barriers must synchronize, locks must exclude and hand off in FIFO
 //! order, and runs must be deterministic.
@@ -7,30 +7,27 @@ use amo::prelude::*;
 use amo::sync::barrier::BarrierSpec as BSpec;
 use amo::sync::lock::{ExclusionCheck, TicketLockSpec};
 use amo::sync::{BarrierKernel, Mechanism, TicketLockKernel, VarAlloc};
-use proptest::prelude::*;
+use amo::types::seed::{cases, SplitMix};
 
-fn arb_mechanism() -> impl Strategy<Value = Mechanism> {
-    prop_oneof![
-        Just(Mechanism::LlSc),
-        Just(Mechanism::Atomic),
-        Just(Mechanism::ActMsg),
-        Just(Mechanism::Mao),
-        Just(Mechanism::Amo),
-    ]
+fn arb_mechanism(rng: &mut SplitMix) -> Mechanism {
+    [
+        Mechanism::LlSc,
+        Mechanism::Atomic,
+        Mechanism::ActMsg,
+        Mechanism::Mao,
+        Mechanism::Amo,
+    ][rng.below(5) as usize]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Barrier safety: for every episode, no participant exits before the
-    /// last one enters — regardless of mechanism, size, or skew pattern.
-    #[test]
-    fn barrier_synchronizes_under_random_skew(
-        mech in arb_mechanism(),
-        procs in prop_oneof![Just(4u16), Just(6), Just(8)],
-        episodes in 1u32..4,
-        skews in proptest::collection::vec(0u64..3_000, 8 * 4),
-    ) {
+/// Barrier safety: for every episode, no participant exits before the
+/// last one enters — regardless of mechanism, size, or skew pattern.
+#[test]
+fn barrier_synchronizes_under_random_skew() {
+    for mut rng in cases(module_path!(), "barrier_synchronizes_under_random_skew", 24) {
+        let mech = arb_mechanism(&mut rng);
+        let procs = [4u16, 6, 8][rng.below(3) as usize];
+        let episodes = rng.range(1..4) as u32;
+        let skews: Vec<u64> = (0..8 * 4).map(|_| rng.below(3_000)).collect();
         let cfg = SystemConfig::with_procs(procs);
         let mut machine = Machine::new(cfg);
         let mut alloc = VarAlloc::new();
@@ -42,36 +39,54 @@ proptest! {
             machine.install_kernel(ProcId(p), Box::new(BarrierKernel::new(spec, work)), 0);
         }
         let res = machine.run(5_000_000_000);
-        prop_assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
+        assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
         for e in 1..=episodes {
-            let last_enter = machine.marks().iter()
+            let last_enter = machine
+                .marks()
+                .iter()
                 .filter(|(_, id, _)| *id == BSpec::enter_mark(e))
-                .map(|&(_, _, t)| t).max().unwrap();
-            let first_exit = machine.marks().iter()
+                .map(|&(_, _, t)| t)
+                .max()
+                .unwrap();
+            let first_exit = machine
+                .marks()
+                .iter()
                 .filter(|(_, id, _)| *id == BSpec::exit_mark(e))
-                .map(|&(_, _, t)| t).min().unwrap();
-            prop_assert!(first_exit >= last_enter,
-                "{mech:?} episode {e}: exit {first_exit} before last enter {last_enter}");
+                .map(|&(_, _, t)| t)
+                .min()
+                .unwrap();
+            assert!(
+                first_exit >= last_enter,
+                "{mech:?} episode {e}: exit {first_exit} before last enter {last_enter}"
+            );
         }
         // Functional postcondition: the barrier counter reached
         // episodes × procs (visible in home memory or the AMU's flushed
         // state; for coherent mechanisms the last owner's cache may hold
         // it, so check marks instead: every proc recorded every exit).
-        let exits = machine.marks().iter()
-            .filter(|(_, id, _)| *id == BSpec::exit_mark(episodes)).count();
-        prop_assert_eq!(exits, procs as usize);
+        let exits = machine
+            .marks()
+            .iter()
+            .filter(|(_, id, _)| *id == BSpec::exit_mark(episodes))
+            .count();
+        assert_eq!(exits, procs as usize);
     }
+}
 
-    /// Lock safety and fairness: the scribble check sees no violation and
-    /// ticket handoffs never overlap.
-    #[test]
-    fn ticket_lock_excludes_under_random_think(
-        mech in arb_mechanism(),
-        procs in prop_oneof![Just(4u16), Just(8)],
-        rounds in 1u32..4,
-        thinks in proptest::collection::vec(0u64..2_000, 8 * 4),
-        cs in 20u64..600,
+/// Lock safety and fairness: the scribble check sees no violation and
+/// ticket handoffs never overlap.
+#[test]
+fn ticket_lock_excludes_under_random_think() {
+    for mut rng in cases(
+        module_path!(),
+        "ticket_lock_excludes_under_random_think",
+        24,
     ) {
+        let mech = arb_mechanism(&mut rng);
+        let procs = [4u16, 8][rng.below(2) as usize];
+        let rounds = rng.range(1..4) as u32;
+        let thinks: Vec<u64> = (0..8 * 4).map(|_| rng.below(2_000)).collect();
+        let cs = rng.range(20..600);
         let cfg = SystemConfig::with_procs(procs);
         let mut machine = Machine::new(cfg);
         let mut alloc = VarAlloc::new();
@@ -86,51 +101,79 @@ proptest! {
                 .collect();
             machine.install_kernel(
                 ProcId(p),
-                Box::new(TicketLockKernel::new(spec, think, p as Word + 1, Some(check.clone()))),
+                Box::new(TicketLockKernel::new(
+                    spec,
+                    think,
+                    p as Word + 1,
+                    Some(check.clone()),
+                )),
                 0,
             );
         }
         let res = machine.run(5_000_000_000);
-        prop_assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
-        prop_assert_eq!(check.violations.get(), 0, "{:?} violated mutual exclusion", mech);
+        assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
+        assert_eq!(
+            check.violations.get(),
+            0,
+            "{:?} violated mutual exclusion",
+            mech
+        );
 
         // No two holders overlap: sort acquire marks and compare with
         // releases.
-        let mut acquires: Vec<Cycle> = machine.marks().iter()
-            .filter(|(_, id, _)| id % 2 == 0 && *id >= 2).map(|&(_, _, t)| t).collect();
-        let mut releases: Vec<Cycle> = machine.marks().iter()
-            .filter(|(_, id, _)| id % 2 == 1 && *id >= 3).map(|&(_, _, t)| t).collect();
+        let mut acquires: Vec<Cycle> = machine
+            .marks()
+            .iter()
+            .filter(|(_, id, _)| id % 2 == 0 && *id >= 2)
+            .map(|&(_, _, t)| t)
+            .collect();
+        let mut releases: Vec<Cycle> = machine
+            .marks()
+            .iter()
+            .filter(|(_, id, _)| id % 2 == 1 && *id >= 3)
+            .map(|&(_, _, t)| t)
+            .collect();
         acquires.sort_unstable();
         releases.sort_unstable();
-        prop_assert_eq!(acquires.len(), releases.len());
+        assert_eq!(acquires.len(), releases.len());
         for k in 1..acquires.len() {
-            prop_assert!(acquires[k] >= releases[k - 1],
+            assert!(
+                acquires[k] >= releases[k - 1],
                 "{mech:?}: acquire {} overlaps previous holder (released {})",
-                acquires[k], releases[k - 1]);
+                acquires[k],
+                releases[k - 1]
+            );
         }
     }
+}
 
-    /// MCS lock safety under random think times, for every mechanism
-    /// that supports it.
-    #[test]
-    fn mcs_lock_excludes_under_random_think(
-        mech in prop_oneof![
-            Just(Mechanism::LlSc),
-            Just(Mechanism::Atomic),
-            Just(Mechanism::Mao),
-            Just(Mechanism::Amo),
-        ],
-        procs in prop_oneof![Just(4u16), Just(8)],
-        rounds in 1u32..4,
-        thinks in proptest::collection::vec(0u64..2_000, 8 * 4),
-        cs in 20u64..600,
-    ) {
+/// MCS lock safety under random think times, for every mechanism
+/// that supports it.
+#[test]
+fn mcs_lock_excludes_under_random_think() {
+    for mut rng in cases(module_path!(), "mcs_lock_excludes_under_random_think", 24) {
+        let mech = [
+            Mechanism::LlSc,
+            Mechanism::Atomic,
+            Mechanism::Mao,
+            Mechanism::Amo,
+        ][rng.below(4) as usize];
+        let procs = [4u16, 8][rng.below(2) as usize];
+        let rounds = rng.range(1..4) as u32;
+        let thinks: Vec<u64> = (0..8 * 4).map(|_| rng.below(2_000)).collect();
+        let cs = rng.range(20..600);
         use amo::sync::{McsLockKernel, McsLockSpec};
         let cfg = SystemConfig::with_procs(procs);
         let mut machine = Machine::new(cfg);
         let mut alloc = VarAlloc::new();
         let spec = McsLockSpec::build(
-            &mut alloc, mech, NodeId(0), procs, cfg.procs_per_node, rounds, cs,
+            &mut alloc,
+            mech,
+            NodeId(0),
+            procs,
+            cfg.procs_per_node,
+            rounds,
+            cs,
         );
         let check = ExclusionCheck {
             addr: alloc.word(NodeId(0)),
@@ -143,26 +186,36 @@ proptest! {
             machine.install_kernel(
                 ProcId(p),
                 Box::new(McsLockKernel::new(
-                    spec.clone(), p, think, p as Word + 1, Some(check.clone()),
+                    spec.clone(),
+                    p,
+                    think,
+                    p as Word + 1,
+                    Some(check.clone()),
                 )),
                 0,
             );
         }
         let res = machine.run(5_000_000_000);
-        prop_assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
-        prop_assert_eq!(check.violations.get(), 0, "{:?} MCS violated exclusion", mech);
+        assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
+        assert_eq!(
+            check.violations.get(),
+            0,
+            "{:?} MCS violated exclusion",
+            mech
+        );
     }
+}
 
-    /// Dissemination and k-tree barriers synchronize under random skew
-    /// for every mechanism.
-    #[test]
-    fn log_depth_barriers_synchronize(
-        mech in arb_mechanism(),
-        dissemination in any::<bool>(),
-        procs in prop_oneof![Just(4u16), Just(6), Just(8)],
-        episodes in 1u32..3,
-        skews in proptest::collection::vec(0u64..2_000, 8 * 3),
-    ) {
+/// Dissemination and k-tree barriers synchronize under random skew
+/// for every mechanism.
+#[test]
+fn log_depth_barriers_synchronize() {
+    for mut rng in cases(module_path!(), "log_depth_barriers_synchronize", 24) {
+        let mech = arb_mechanism(&mut rng);
+        let dissemination = rng.next_u64() & 1 == 1;
+        let procs = [4u16, 6, 8][rng.below(3) as usize];
+        let episodes = rng.range(1..3) as u32;
+        let skews: Vec<u64> = (0..8 * 3).map(|_| rng.below(2_000)).collect();
         use amo::sync::{DisseminationKernel, DisseminationSpec, KTreeKernel, KTreeSpec};
         let cfg = SystemConfig::with_procs(procs);
         let mut machine = Machine::new(cfg);
@@ -173,9 +226,8 @@ proptest! {
                 .collect()
         };
         if dissemination {
-            let spec = DisseminationSpec::build(
-                &mut alloc, mech, procs, cfg.procs_per_node, episodes,
-            );
+            let spec =
+                DisseminationSpec::build(&mut alloc, mech, procs, cfg.procs_per_node, episodes);
             for p in 0..procs {
                 machine.install_kernel(
                     ProcId(p),
@@ -184,9 +236,7 @@ proptest! {
                 );
             }
         } else {
-            let spec = KTreeSpec::build(
-                &mut alloc, mech, procs, episodes, 2, cfg.num_nodes(),
-            );
+            let spec = KTreeSpec::build(&mut alloc, mech, procs, episodes, 2, cfg.num_nodes());
             for p in 0..procs {
                 machine.install_kernel(
                     ProcId(p),
@@ -196,34 +246,49 @@ proptest! {
             }
         }
         let res = machine.run(5_000_000_000);
-        prop_assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
+        assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
         for e in 1..=episodes {
-            let last_enter = machine.marks().iter()
+            let last_enter = machine
+                .marks()
+                .iter()
                 .filter(|(_, id, _)| *id == BSpec::enter_mark(e))
-                .map(|&(_, _, t)| t).max().unwrap();
-            let first_exit = machine.marks().iter()
+                .map(|&(_, _, t)| t)
+                .max()
+                .unwrap();
+            let first_exit = machine
+                .marks()
+                .iter()
                 .filter(|(_, id, _)| *id == BSpec::exit_mark(e))
-                .map(|&(_, _, t)| t).min().unwrap();
-            prop_assert!(first_exit >= last_enter,
-                "{mech:?} dissem={dissemination} episode {e} violated");
+                .map(|&(_, _, t)| t)
+                .min()
+                .unwrap();
+            assert!(
+                first_exit >= last_enter,
+                "{mech:?} dissem={dissemination} episode {e} violated"
+            );
         }
     }
+}
 
-    /// Determinism: identical inputs give identical timing and traffic.
-    #[test]
-    fn runs_are_deterministic(
-        mech in arb_mechanism(),
-        episodes in 1u32..3,
-    ) {
+/// Determinism: identical inputs give identical timing and traffic.
+#[test]
+fn runs_are_deterministic() {
+    for mut rng in cases(module_path!(), "runs_are_deterministic", 24) {
+        let mech = arb_mechanism(&mut rng);
+        let episodes = rng.range(1..3) as u32;
         let go = || {
             let r = run_barrier(BarrierBench {
                 episodes: episodes + 1,
                 warmup: 1,
                 ..BarrierBench::paper(mech, 8)
             });
-            (r.timing.per_episode.clone(), r.stats.total_msgs(), r.stats.byte_hops)
+            (
+                r.timing.per_episode.clone(),
+                r.stats.total_msgs(),
+                r.stats.byte_hops,
+            )
         };
-        prop_assert_eq!(go(), go());
+        assert_eq!(go(), go());
     }
 }
 
@@ -423,20 +488,24 @@ mod fetch_add_linearizability {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-        /// Whatever interleaving of Atomic / AMO / LL-SC fetch-adds on a
-        /// single word, the total must be the exact sum — no lost or
-        /// duplicated updates, across mechanism boundaries (AMU flushes
-        /// on exclusive grants included).
-        #[test]
-        fn mixed_mechanism_fetch_adds_never_lose_updates(
-            plans in proptest::collection::vec(
-                proptest::collection::vec((0u8..3, 1u64..10, 0u64..2_000), 1..6),
-                2..6,
-            ),
+    /// Whatever interleaving of Atomic / AMO / LL-SC fetch-adds on a
+    /// single word, the total must be the exact sum — no lost or
+    /// duplicated updates, across mechanism boundaries (AMU flushes
+    /// on exclusive grants included).
+    #[test]
+    fn mixed_mechanism_fetch_adds_never_lose_updates() {
+        for mut rng in cases(
+            module_path!(),
+            "mixed_mechanism_fetch_adds_never_lose_updates",
+            16,
         ) {
+            let plans: Vec<Vec<(u8, u64, u64)>> = (0..rng.range(2..6))
+                .map(|_| {
+                    (0..rng.range(1..6))
+                        .map(|_| (rng.below(3) as u8, rng.range(1..10), rng.below(2_000)))
+                        .collect()
+                })
+                .collect();
             let procs = plans.len() as u16;
             // Round up to an even processor count (2 per node).
             let machine_procs = procs.div_ceil(2) * 2;
@@ -447,23 +516,32 @@ mod fetch_add_linearizability {
             for (p, plan) in plans.iter().enumerate() {
                 machine.install_kernel(
                     ProcId(p as u16),
-                    Box::new(Adder { ops: plan.clone(), addr, at: 0, delaying: false }),
+                    Box::new(Adder {
+                        ops: plan.clone(),
+                        addr,
+                        at: 0,
+                        delaying: false,
+                    }),
                     0,
                 );
             }
             let res = machine.run(2_000_000_000);
-            prop_assert!(res.all_finished, "adders stalled: {:?}", res.finished);
+            assert!(res.all_finished, "adders stalled: {:?}", res.finished);
 
             // Phase 2: a flushing reader observes the final value.
             let out = std::rc::Rc::new(std::cell::Cell::new(u64::MAX));
             machine.install_kernel(
                 ProcId(0),
-                Box::new(Reader { addr, out: out.clone(), step: 0 }),
+                Box::new(Reader {
+                    addr,
+                    out: out.clone(),
+                    step: 0,
+                }),
                 res.end + 1,
             );
             let res2 = machine.run(4_000_000_000);
-            prop_assert!(res2.all_finished, "reader stalled");
-            prop_assert_eq!(out.get(), expected, "lost/duplicated updates");
+            assert!(res2.all_finished, "reader stalled");
+            assert_eq!(out.get(), expected, "lost/duplicated updates");
         }
     }
 }

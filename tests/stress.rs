@@ -8,8 +8,8 @@ use amo::prelude::*;
 use amo::sync::barrier::BarrierSpec;
 use amo::sync::lock::{ArrayLockSpec, ExclusionCheck, TicketLockSpec};
 use amo::sync::{ArrayLockKernel, BarrierKernel, Mechanism, TicketLockKernel, VarAlloc};
+use amo::types::seed::cases;
 use amo::types::AmoKind;
-use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -295,7 +295,7 @@ mod single_writer_histories {
         }
     }
 
-    /// One writer operation, decoded from proptest entropy.
+    /// One writer operation, decoded from random draws.
     fn decode(sel: u8, a: Word, b: Word, addr: Addr) -> (Op, bool) {
         match sel {
             0 => (
@@ -377,29 +377,38 @@ mod single_writer_histories {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-        /// Each word has exactly one writer mixing AMOs, coherent
-        /// atomics, and plain stores, while reader processors churn the
-        /// protocol with loads (GetS, allowed to be stale) and
-        /// exclusive-fetching interrogations (GetX/Upgrade, which flush
-        /// the AMU). Whatever the interleaving: the writer's returned
-        /// old values follow its program-order fold exactly, every value
-        /// any reader ever observes is a genuine history value of that
-        /// word (no torn, lost, or invented updates), and final memory
-        /// is the last fold.
-        #[test]
-        fn single_writer_histories_stay_linear(
-            plans in proptest::collection::vec(
-                proptest::collection::vec((0u8..8, 0u64..8, 0u64..8), 1..16),
-                4,
-            ),
-            reads in proptest::collection::vec(
-                proptest::collection::vec((0usize..4, any::<bool>(), 0u64..600), 0..16),
-                2,
-            ),
-        ) {
+    /// Each word has exactly one writer mixing AMOs, coherent
+    /// atomics, and plain stores, while reader processors churn the
+    /// protocol with loads (GetS, allowed to be stale) and
+    /// exclusive-fetching interrogations (GetX/Upgrade, which flush
+    /// the AMU). Whatever the interleaving: the writer's returned
+    /// old values follow its program-order fold exactly, every value
+    /// any reader ever observes is a genuine history value of that
+    /// word (no torn, lost, or invented updates), and final memory
+    /// is the last fold.
+    #[test]
+    fn single_writer_histories_stay_linear() {
+        for mut rng in cases(module_path!(), "single_writer_histories_stay_linear", 12) {
+            let plans: Vec<Vec<(u8, u64, u64)>> = (0..4)
+                .map(|_| {
+                    (0..rng.range(1..16))
+                        .map(|_| (rng.below(8) as u8, rng.below(8), rng.below(8)))
+                        .collect()
+                })
+                .collect();
+            let reads: Vec<Vec<(usize, bool, u64)>> = (0..2)
+                .map(|_| {
+                    (0..rng.below(16))
+                        .map(|_| {
+                            (
+                                rng.below(4) as usize,
+                                rng.next_u64() & 1 == 1,
+                                rng.below(600),
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
             const WORDS: usize = 4;
             let mut machine = Machine::new(SystemConfig::with_procs(4));
             let mut alloc = VarAlloc::new();
@@ -415,7 +424,9 @@ mod single_writer_histories {
             let max_len = plans.iter().map(Vec::len).max().unwrap_or(0);
             for k in 0..max_len {
                 for (w, plan) in plans.iter().enumerate() {
-                    let Some(&(sel, a, b)) = plan.get(k) else { continue };
+                    let Some(&(sel, a, b)) = plan.get(k) else {
+                        continue;
+                    };
                     let writer = w % 2;
                     let cur = *history[w].last().unwrap();
                     let (op, carries) = decode(sel, a, b, words[w]);
@@ -462,11 +473,11 @@ mod single_writer_histories {
             }
 
             let res = machine.run(5_000_000_000);
-            prop_assert!(res.all_finished, "stalled: {:?}", res.finished);
+            assert!(res.all_finished, "stalled: {:?}", res.finished);
 
             // Writers saw exactly their program-order folds.
             for (writer, expected) in writer_expected.iter().enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     &*outs[writer].borrow(),
                     expected,
                     "writer {} diverged from its fold",
@@ -480,17 +491,19 @@ mod single_writer_histories {
                 .collect();
             for reader in &outs[2..] {
                 for &(w, v) in reader.borrow().iter() {
-                    prop_assert!(
+                    assert!(
                         sets[w].contains(&v),
                         "reader observed {} on word {}, not in history {:?}",
-                        v, w, history[w]
+                        v,
+                        w,
+                        history[w]
                     );
                 }
             }
             // Final memory is the last fold of every word.
             let finals = flush_read(&mut machine, &words, res.end + 1);
             for (w, &f) in finals.iter().enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     f,
                     *history[w].last().unwrap(),
                     "word {} final value diverged",
@@ -571,26 +584,23 @@ fn independent_locks_do_not_cross_talk() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Array-lock safety under random think times and critical-section
-    /// lengths, for every mechanism (the ticket and MCS analogues live
-    /// in `invariants.rs`).
-    #[test]
-    fn array_lock_excludes_under_random_think(
-        mech in prop_oneof![
-            Just(Mechanism::LlSc),
-            Just(Mechanism::Atomic),
-            Just(Mechanism::ActMsg),
-            Just(Mechanism::Mao),
-            Just(Mechanism::Amo),
-        ],
-        procs in prop_oneof![Just(4u16), Just(8)],
-        rounds in 1u32..4,
-        thinks in proptest::collection::vec(0u64..2_000, 8 * 4),
-        cs in 20u64..600,
-    ) {
+/// Array-lock safety under random think times and critical-section
+/// lengths, for every mechanism (the ticket and MCS analogues live
+/// in `invariants.rs`).
+#[test]
+fn array_lock_excludes_under_random_think() {
+    for mut rng in cases(module_path!(), "array_lock_excludes_under_random_think", 16) {
+        let mech = [
+            Mechanism::LlSc,
+            Mechanism::Atomic,
+            Mechanism::ActMsg,
+            Mechanism::Mao,
+            Mechanism::Amo,
+        ][rng.below(5) as usize];
+        let procs = [4u16, 8][rng.below(2) as usize];
+        let rounds = rng.range(1..4) as u32;
+        let thinks: Vec<u64> = (0..8 * 4).map(|_| rng.below(2_000)).collect();
+        let cs = rng.range(20..600);
         let cfg = SystemConfig::with_procs(procs);
         let mut machine = Machine::new(cfg);
         let mut alloc = VarAlloc::new();
@@ -607,14 +617,22 @@ proptest! {
             machine.install_kernel(
                 ProcId(p),
                 Box::new(ArrayLockKernel::new(
-                    spec.clone(), think, p as Word + 1, Some(check.clone()),
+                    spec.clone(),
+                    think,
+                    p as Word + 1,
+                    Some(check.clone()),
                 )),
                 0,
             );
         }
         let res = machine.run(5_000_000_000);
-        prop_assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
-        prop_assert_eq!(check.violations.get(), 0, "{:?} array lock violated exclusion", mech);
+        assert!(res.all_finished, "{mech:?} stalled: {:?}", res.finished);
+        assert_eq!(
+            check.violations.get(),
+            0,
+            "{:?} array lock violated exclusion",
+            mech
+        );
     }
 }
 

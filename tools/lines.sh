@@ -7,22 +7,22 @@
 # a `tests/` directory and `crates/cpu/src/proc/tests.rs` (a
 # `#[cfg(test)]`-included module) are test throughout.
 #
-#   tools/lines.sh                    # crates shims tests examples
+#   tools/lines.sh                    # crates tests examples
 #   tools/lines.sh crates/sync/src    # one crate's sources
 #
 # Columns: non-test, test, then the file, the group (`crates/NAME`,
-# `shims/NAME`, `tests`, `examples`) or `total`.
+# `tests`, `examples`) or `total`.
 set -eu
 
 cd "$(dirname "$0")/.." || exit 2
-[ $# -gt 0 ] || set -- crates shims tests examples
+[ $# -gt 0 ] || set -- crates tests examples
 
 find "$@" -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort | xargs awk '
 FNR == 1 {
     files[++n] = FILENAME
     cut = FILENAME ~ /(^|\/)tests\// || FILENAME ~ /cpu\/src\/proc\/tests\.rs$/
     split(FILENAME, part, "/")
-    group[FILENAME] = part[1] ~ /^(crates|shims)$/ ? part[1] "/" part[2] : part[1]
+    group[FILENAME] = part[1] == "crates" ? part[1] "/" part[2] : part[1]
 }
 /^#\[cfg\(test\)\]/ { cut = 1 }
 { if (cut) test[FILENAME]++; else code[FILENAME]++ }
