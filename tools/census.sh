@@ -1,15 +1,17 @@
 #!/bin/sh
 # tools/census.sh [WORKDIR]
 #
-# Transition census of the model crates: which function bodies, match
-# arms and if / else / loop bodies anything the tooling ships reaches,
-# which only `cargo test` reaches, and which nothing reaches.
+# Transition census of every crate but the benchmark's: which function
+# bodies, match arms and if / else / loop bodies anything the tooling
+# ships reaches, which only `cargo test` reaches, and which nothing
+# reaches.
 #
 # A copy of the working tree (tracked and untracked, not ignored) goes to
 # WORKDIR (default: a fresh `mktemp -d`); the working tree itself is never
-# edited. In the copy, the non-test code of amo-{directory,cpu,amu,sim,
-# cache,noc,dram,faults,sync,engine} gets a first-hit probe at every
-# site: the first time a process enters it, it appends the site's key to
+# edited. In the copy, the non-test code of the model crates
+# amo-{directory,cpu,amu,sim,cache,noc,dram,faults,sync,engine} and the
+# tooling crates amo-{types,obs,workloads,campaign,verify,bench} gets a
+# first-hit probe at every site: the first time a process enters it, it appends the site's key to
 # the file `$AMO_CENSUS_OUT` names. Code inside macro invocations,
 # `const` / `static` initializers and `#[cfg(test)]` items is left alone.
 # Then three sets of runs are counted:
@@ -23,7 +25,8 @@
 #
 # Output: one line per site, `shipped|test-only|none  KEY`, where KEY is
 # `crate:file:line:col kind [fn name]` of the original source, then the
-# per-crate table `sites shipped test-only none`. The lists stay under
+# per-crate table `sites shipped test-only none`, with subtotals for the
+# model and the tooling crates. The lists stay under
 # WORKDIR/census. Keys are line-based, so two censuses of different
 # commits compare per crate, not per line. Takes ~7 min on 2 cores.
 set -eu
@@ -37,13 +40,15 @@ copy=$work/copy
 out=$work/census
 rm -rf "$copy" "$out"
 mkdir -p "$copy" "$out"
-(cd "$repo" && git ls-files -z -co --exclude-standard | xargs -0 tar -cf - --) | (cd "$copy" && tar -xf -)
+(cd "$repo" && git ls-files -z -co --exclude-standard | xargs -0 tar --ignore-failed-read -cf - --) | (cd "$copy" && tar -xf -)
 
-python3 - "$copy" "$out/sites" <<'PY'
+model="directory cpu amu sim cache noc dram faults sync engine"
+tooling="types obs workloads campaign verify bench"
+
+python3 - "$copy" "$out/sites" "$model $tooling" <<'PY'
 import os, re, sys
 
-root, sites_out = sys.argv[1], sys.argv[2]
-CRATES = "directory cpu amu sim cache noc dram faults sync engine".split()
+root, sites_out, crates = sys.argv[1], sys.argv[2], sys.argv[3].split()
 PUNCT3 = ("..=", "<<=", ">>=")
 PUNCT2 = ("=>", "==", "!=", "<=", ">=", "&&", "||", "::", "->", "..",
           "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>")
@@ -155,6 +160,15 @@ def instrument(path, rel, crate):
             k = close[k] + 1 if k in close else k + 1
         return k
 
+    def after_generics(j):
+        """Index past the turbofish generics opening at `<` (t[j])."""
+        depth = 0
+        while True:
+            depth += {"<": 1, ">": -1, ">>": -2}.get(t[j], 0)
+            j = close[j] + 1 if j in close else j + 1
+            if depth <= 0:
+                return j
+
     def arms(lo, hi):
         k = lo + 1
         while k < hi:
@@ -170,6 +184,9 @@ def instrument(path, rel, crate):
                     if j >= hi or t[j] == ",":
                         end = j - 1
                         break
+                    if t[j] == "::" and t[j + 1] == "<":  # `,` inside `::<A, B>`
+                        j = after_generics(j + 1)
+                        continue
                     if t[j] == "{" and j in close:
                         j = close[j] + 1
                         if j < hi and t[j] not in BINOP and t[j] != ",":
@@ -240,7 +257,7 @@ def instrument(path, rel, crate):
 
 
 all_sites = []
-for crate in CRATES:
+for crate in crates:
     base = os.path.join(root, "crates", crate, "src")
     for dirpath, _, files in sorted(os.walk(base)):
         for f in sorted(files):
@@ -274,7 +291,7 @@ AMO_CENSUS_OUT=$out/test.raw cargo test -q --workspace --no-fail-fast > "$out/te
 touch "$out/shipped.raw" "$out/test.raw"
 sort -u "$out/shipped.raw" > "$out/shipped"
 sort -u "$out/test.raw" > "$out/test"
-awk -v out="$out" '
+awk -v out="$out" -v tooling="$tooling" '
 FILENAME == out "/shipped" { shipped[$0] = 1; next }
 FILENAME == out "/test" { tested[$0] = 1; next }
 {
@@ -289,11 +306,19 @@ FILENAME == out "/test" { tested[$0] = 1; next }
 END {
     print ""
     printf "%-10s %6s %8s %10s %6s\n", "crate", "sites", "shipped", "test-only", "none"
+    split(tooling, tl, " ")
+    for (i in tl) tool[tl[i]] = 1
     for (i = 1; i <= m; i++) {
         c = order[i]
         printf "%-10s %6d %8d %10d %6d\n", c, sites[c], ns[c], nt[c], nn[c]
-        T += sites[c]; S += ns[c]; O += nt[c]; N += nn[c]
+        g = c in tool ? "tooling" : "model"
+        T[g] += sites[c]; S[g] += ns[c]; O[g] += nt[c]; N[g] += nn[c]
     }
-    printf "%-10s %6d %8d %10d %6d\n", "total", T, S, O, N
+    T["total"] = T["model"] + T["tooling"]; S["total"] = S["model"] + S["tooling"]
+    O["total"] = O["model"] + O["tooling"]; N["total"] = N["model"] + N["tooling"]
+    for (i = 1; i <= 3; i++) {
+        g = i == 1 ? "model" : i == 2 ? "tooling" : "total"
+        printf "%-10s %6d %8d %10d %6d\n", g, T[g], S[g], O[g], N[g]
+    }
 }' "$out/shipped" "$out/test" "$out/sites" | tee "$out/census.txt"
 echo "census: lists under $out" >&2
