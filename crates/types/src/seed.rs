@@ -19,6 +19,7 @@
 //! the constants as frozen.
 
 use crate::Cycle;
+use std::io::Write;
 
 /// SplitMix's state increment (the 64-bit golden ratio).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -124,11 +125,13 @@ impl Iterator for Cases {
 }
 
 /// A panic unwinding out of the loop drops the iterator mid-case: name
-/// the case it last handed out.
+/// the case it last handed out. (A write error is ignored: a panic
+/// here, during unwinding, would abort.)
 impl Drop for Cases {
     fn drop(&mut self) {
         if std::thread::panicking() && self.next > 0 {
-            eprintln!("property `{}` failed at case {}", self.path, self.next - 1);
+            let (path, case) = (&self.path, self.next - 1);
+            let _ = writeln!(std::io::stderr(), "property `{path}` failed at case {case}");
         }
     }
 }
