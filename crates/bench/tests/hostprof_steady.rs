@@ -154,27 +154,30 @@ fn steady_state_dispatch_allocates_nothing() {
 
 #[test]
 fn machine_construction_does_not_allocate_per_cache_set() {
-    // A 64-processor machine has 64 x (4096 L2 + 512 L1) cache sets and
-    // a run fills a handful of them. Eager per-set storage was ~295k
-    // allocations here; an empty `Vec` header per set was still 7.5 MB;
-    // sets indexed on first touch leave a few hundred allocations and
-    // ≈ 1.3 MB. The bounds leave room for whatever the test harness
-    // allocates meanwhile.
+    // Each processor has 4096 L2 + 512 L1 cache sets and a run fills a
+    // handful of them. At 64 processors, eager per-set storage was ~295k
+    // allocations; an empty `Vec` header per set was still 7.5 MB; a
+    // dense 4-byte index slot per set, 1.6 MB (6.4 MB at 256). Indexing
+    // 64-set pages on first touch leaves a few hundred allocations and
+    // ≈ 0.47 MB (1.8 MB at 256). The bounds leave room for whatever the
+    // test harness allocates meanwhile.
     let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    let (before, before_bytes) = alloc_counters();
-    let m = Machine::new(SystemConfig::with_procs(PROCS));
-    let (after, after_bytes) = alloc_counters();
-    drop(m);
-    assert!(
-        after - before < 20_000,
-        "Machine::new performed {} allocations",
-        after - before
-    );
-    assert!(
-        after_bytes - before_bytes < 2 << 20,
-        "Machine::new allocated {} bytes",
-        after_bytes - before_bytes
-    );
+    for (procs, max_bytes) in [(PROCS, 768 << 10), (256, 5 << 19)] {
+        let (before, before_bytes) = alloc_counters();
+        let m = Machine::new(SystemConfig::with_procs(procs));
+        let (after, after_bytes) = alloc_counters();
+        drop(m);
+        assert!(
+            after - before < 20_000,
+            "{procs} processors: Machine::new performed {} allocations",
+            after - before
+        );
+        assert!(
+            after_bytes - before_bytes < max_bytes,
+            "{procs} processors: Machine::new allocated {} bytes",
+            after_bytes - before_bytes
+        );
+    }
 }
 
 #[test]

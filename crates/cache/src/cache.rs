@@ -4,6 +4,7 @@
 use crate::line::LineState;
 use crate::runs::{Runs, NONE};
 use amo_types::{BlockData, CacheConfig, Word};
+use std::cell::Cell;
 
 /// One way of a touched set.
 #[derive(Clone, Copy, Debug)]
@@ -28,6 +29,9 @@ const EMPTY: Way = Way {
     run: NONE,
 };
 
+/// Set indices per page of the set index.
+const PAGE: usize = 64;
+
 /// Size in bytes of one way record; referenced by the layout-guard tests.
 pub const WAY_SIZE: usize = std::mem::size_of::<Way>();
 
@@ -51,14 +55,22 @@ pub struct Evicted {
 /// hierarchy wires two of these together.
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    /// log2 of the line size: a block's set is `block >> shift`, masked.
+    /// log2 of the line size: a block's set is `(block >> shift) & mask`.
     shift: u32,
-    /// Per set index: 0 = never touched, else 1 + its chunk. A run
-    /// touches a handful of the thousands of sets, so only those get
-    /// storage — building and dropping a cache writes one zeroed array.
+    mask: usize,
+    /// Per [`PAGE`] set indices: 0 = never touched, else 1 + its page of
+    /// `set_of`. A run touches a handful of the thousands of sets, so a
+    /// 4,096-set cache starts with 256 bytes of index and no ways.
+    pages: Vec<u32>,
+    /// Page `p`'s slots are `set_of[p * PAGE..][..PAGE]`, one per set
+    /// index: 0 = never touched, else 1 + its chunk.
     set_of: Vec<u32>,
     /// Chunk `c`'s ways are `ways[c * cfg.ways..][..cfg.ways]`.
     ways: Vec<Way>,
+    /// Position in `ways` of the last way [`Self::find`] walked to. A
+    /// block is resident in at most one way and a vacated way is
+    /// [`FREE`], so a stale hint can only miss.
+    hint: Cell<usize>,
     /// The words of the lines inserted with data (a tag-only cache has
     /// none).
     runs: Runs,
@@ -77,10 +89,13 @@ impl SetAssocCache {
         );
         SetAssocCache {
             shift: cfg.line_bytes.trailing_zeros(),
+            mask: sets - 1,
             runs: Runs::new(cfg.line_words()),
             cfg,
-            set_of: vec![0; sets],
+            pages: vec![0; sets.div_ceil(PAGE)],
+            set_of: Vec::new(),
             ways: Vec::new(),
+            hint: Cell::new(0),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -94,16 +109,25 @@ impl SetAssocCache {
 
     #[inline]
     fn set_index(&self, block: u64) -> usize {
-        (block >> self.shift) as usize & (self.set_of.len() - 1)
+        (block >> self.shift) as usize & self.mask
     }
 
-    /// Position in `ways` of `block`'s way, if it is resident.
+    /// Position in `ways` of `block`'s way, if it is resident: the last
+    /// way found first, then its set through the index.
     #[inline]
     fn find(&self, block: u64) -> Option<usize> {
+        let hint = self.hint.get();
+        if self.ways.get(hint).is_some_and(|w| w.block == block) {
+            return Some(hint);
+        }
+        let idx = self.set_index(block);
+        let page = (self.pages[idx / PAGE] as usize).checked_sub(1)?;
         let n = self.cfg.ways;
-        let base = (self.set_of[self.set_index(block)] as usize).checked_sub(1)? * n;
+        let base = (self.set_of[page * PAGE + idx % PAGE] as usize).checked_sub(1)? * n;
         let set = &self.ways[base..base + n];
-        set.iter().position(|w| w.block == block).map(|i| base + i)
+        let i = base + set.iter().position(|w| w.block == block)?;
+        self.hint.set(i);
+        Some(i)
     }
 
     /// Look up a block, updating LRU and hit statistics. Returns its state.
@@ -204,14 +228,21 @@ impl SetAssocCache {
         })
     }
 
-    /// The chunk of `block`'s set, giving the set its ways on first touch.
+    /// The chunk of `block`'s set, giving its page slots and then the
+    /// set its ways on first touch.
     fn touch(&mut self, block: u64) -> usize {
         let idx = self.set_index(block);
-        if self.set_of[idx] == 0 {
-            self.ways.resize(self.ways.len() + self.cfg.ways, EMPTY);
-            self.set_of[idx] = (self.ways.len() / self.cfg.ways) as u32;
+        let page = &mut self.pages[idx / PAGE];
+        if *page == 0 {
+            self.set_of.resize(self.set_of.len() + PAGE, 0);
+            *page = (self.set_of.len() / PAGE) as u32;
         }
-        self.set_of[idx] as usize - 1
+        let slot = (*page as usize - 1) * PAGE + idx % PAGE;
+        if self.set_of[slot] == 0 {
+            self.ways.resize(self.ways.len() + self.cfg.ways, EMPTY);
+            self.set_of[slot] = (self.ways.len() / self.cfg.ways) as u32;
+        }
+        self.set_of[slot] as usize - 1
     }
 
     /// The line `way` left the cache: vacate its run, if it has one, and
@@ -408,6 +439,138 @@ mod tests {
             !c.apply_word_update(128, 0, 1),
             "absent block ignores updates"
         );
+    }
+
+    /// A line of the dense reference.
+    #[derive(Clone, Debug)]
+    struct RefLine {
+        block: u64,
+        lru: u64,
+        state: LineState,
+        words: Vec<Word>,
+    }
+
+    #[test]
+    fn paged_index_and_hint_match_a_dense_reference() {
+        // 256 sets x 4 ways x 128 B lines. Sets 63 and 64 straddle the
+        // first page boundary, sets 1, 65 and 129 take the same slot of
+        // three pages, and six blocks alias each set, so full sets evict
+        // and the hinted way is often the one evicted or vacated.
+        let cfg = CacheConfig {
+            size_bytes: 256 * 4 * 128,
+            line_bytes: 128,
+            ways: 4,
+            hit_latency: 1,
+        };
+        let blocks: Vec<u64> = [1, 63, 64, 65, 129]
+            .iter()
+            .flat_map(|&set| (0..6).map(move |tag| (tag * 256 + set) * 128))
+            .collect();
+        let name = "paged_index_and_hint_match_a_dense_reference";
+        for mut rng in amo_types::seed::cases(module_path!(), name, 128) {
+            let mut c = SetAssocCache::new(cfg);
+            let mut sets: Vec<Vec<RefLine>> = vec![Vec::new(); 256];
+            let mut tick = 0;
+            for _ in 0..rng.range(1..300) {
+                let drawn = rng.below(blocks.len() as u64) as usize;
+                let block = blocks[drawn];
+                let set = &mut sets[(block / 128 % 256) as usize];
+                let at = set.iter().position(|l| l.block == block);
+                match rng.below(6) {
+                    0 => {
+                        let state = [LineState::Shared, LineState::Exclusive, LineState::Modified]
+                            [rng.below(3) as usize];
+                        let seed = rng.range(1..1000);
+                        let words: Vec<Word> = (seed..seed + 16).collect();
+                        tick += 1;
+                        let line = RefLine {
+                            block,
+                            lru: tick,
+                            state,
+                            words: words.clone(),
+                        };
+                        let victim = match at {
+                            Some(i) => {
+                                set[i] = line;
+                                None
+                            }
+                            None if set.len() < 4 => {
+                                set.push(line);
+                                None
+                            }
+                            None => {
+                                let i = (0..4).min_by_key(|&i| set[i].lru).expect("full set");
+                                Some(std::mem::replace(&mut set[i], line))
+                            }
+                        };
+                        let got = c.insert(block, state, BlockData(words.into()));
+                        assert_eq!(
+                            got.as_ref().map(|e| e.block),
+                            victim.as_ref().map(|v| v.block)
+                        );
+                        if let (Some(got), Some(victim)) = (got, victim) {
+                            assert_eq!(got.state, victim.state);
+                            let surrendered = victim.state.can_write().then_some(victim.words);
+                            assert_eq!(got.data.map(|d| d.0.to_vec()), surrendered);
+                        }
+                    }
+                    1 => {
+                        tick += 1;
+                        if let Some(i) = at {
+                            set[i].lru = tick;
+                        }
+                        assert_eq!(c.probe(block), at.map(|i| set[i].state));
+                    }
+                    2 => {
+                        let (w, v) = (rng.below(16) as usize, rng.range(1..1000));
+                        let writable = at.filter(|&i| set[i].state.can_write());
+                        if let Some(i) = writable {
+                            set[i].words[w] = v;
+                            set[i].state = LineState::Modified;
+                        }
+                        assert_eq!(c.write_word(block, w, v), writable.is_some());
+                    }
+                    3 => {
+                        let line = at.map(|i| set.remove(i));
+                        let want = line.map(|l| {
+                            let dirty = l.state == LineState::Modified;
+                            (l.state, dirty.then_some(l.words))
+                        });
+                        let got = c.invalidate(block);
+                        assert_eq!(got.map(|(s, d)| (s, d.map(|d| d.0.to_vec()))), want);
+                    }
+                    4 => {
+                        let want = at.map(|i| {
+                            let dirty = set[i].state == LineState::Modified;
+                            set[i].state = LineState::Shared;
+                            dirty.then(|| set[i].words.clone())
+                        });
+                        let got = c.downgrade(block);
+                        assert_eq!(got.map(|d| d.map(|d| d.0.to_vec())), want);
+                    }
+                    _ => {
+                        let (w, v) = (rng.below(16) as usize, rng.range(1..1000));
+                        if let Some(i) = at {
+                            set[i].words[w] = v;
+                        }
+                        assert_eq!(c.apply_word_update(block, w, v), at.is_some());
+                    }
+                }
+                // Every block, resident or not, reads as the reference:
+                // the drawn one first, with the hint the step left, then
+                // the rest from it on, so the next step starts with the
+                // hint on a random line.
+                for k in 0..blocks.len() {
+                    let b = blocks[(drawn + k) % blocks.len()];
+                    let line = sets[(b / 128 % 256) as usize].iter().find(|l| l.block == b);
+                    assert_eq!(c.peek_state(b), line.map(|l| l.state), "block {b:#x}");
+                    for w in 0..16 {
+                        assert_eq!(c.read_word(b, w), line.map(|l| l.words[w]), "block {b:#x}");
+                    }
+                }
+                assert_eq!(c.resident(), sets.iter().map(Vec::len).sum::<usize>());
+            }
+        }
     }
 
     #[test]

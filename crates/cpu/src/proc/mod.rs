@@ -577,11 +577,11 @@ impl Processor {
                 }
             }
         }
-        // Deferred injected stores for this block re-issue.
-        let (ready, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.deferred_injected)
-            .into_iter()
-            .partition(|(a, _)| self.caches.l2_block(*a) == block);
-        self.deferred_injected = rest;
+        // Deferred injected stores for this block re-issue, in order;
+        // the rest stay where they are.
+        let ready: Vec<_> = (self.deferred_injected)
+            .extract_if(.., |(a, _)| self.caches.l2_block(*a) == block)
+            .collect();
         for (addr, value) in ready {
             self.start_injected_store(addr, value, now, stats, eff);
         }

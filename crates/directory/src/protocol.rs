@@ -292,11 +292,9 @@ impl Directory {
     /// uncached workloads) keep the arena dense instead of accreting
     /// dead `Uncached` entries.
     fn release_if_idle(&mut self, block: BlockAddr) {
-        let Some(&id) = self.index.get(&block.0) else {
-            return;
-        };
-        let idle = self.entries.get(id).is_some_and(Entry::is_idle);
-        if idle {
+        let mru = self.mru.filter(|&(b, _)| b == block.0).map(|(_, id)| id);
+        let id = mru.or_else(|| self.index.get(&block.0).copied());
+        if let Some(id) = id.filter(|&id| self.entries.get(id).is_some_and(Entry::is_idle)) {
             self.reclaim(block, id);
         }
     }

@@ -6,9 +6,10 @@
 # SECONDS` (default 10) runs, the parent first in odd pairs and the
 # change first in even ones. Prints each pair's five end-to-end metrics,
 # then per metric the parent's and the change's medians, the parent's
-# q1–q3 and how many pairs the change won (the direction of "better" is
-# read from BENCHMARK.json). Exits 1 if any run is not `"correct":true`
-# with `"failed":0`.
+# q1–q3 and how many pairs the change won (the direction of "better" and
+# the bound are read from BENCHMARK.json); a metric whose change median is
+# worse than the parent's by more than its bound is marked OVER BOUND.
+# Exits 1 if any run is not `"correct":true` with `"failed":0`.
 #
 #   tools/ab.sh ../parent/target/release/amo-benchmark \
 #       ./target/release/amo-benchmark paper_cold 10 10
@@ -63,6 +64,7 @@ import json, statistics, sys
 
 runs, bench = sys.argv[1], json.load(open(sys.argv[2]))
 metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 table, bad = {}, 0
 for line in open(runs):
     pair, side, doc = line.rstrip("\n").split(" ", 2)
@@ -100,6 +102,8 @@ for name, better in metrics:
     q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive") if len(par) > 1 else (par[0],) * 3
     pm, cm = statistics.median(par), statistics.median(chg)
     ratio = f"{cm / pm:10.3f}" if pm else f"{'-':>10}"
-    print(f"{name:12} {pm:12.6g} {cm:12.6g} {ratio} {f'{q1:.6g}-{q3:.6g}':>25} {f'{wins}/{len(par)}':>6}")
+    worse = (cm - pm) if better == "lower" else (pm - cm)
+    flag = "  OVER BOUND" if pm and worse / abs(pm) > bounds[name] else ""
+    print(f"{name:12} {pm:12.6g} {cm:12.6g} {ratio} {f'{q1:.6g}-{q3:.6g}':>25} {f'{wins}/{len(par)}':>6}{flag}")
 sys.exit(1 if bad else 0)
 EOF
