@@ -4,8 +4,8 @@
 //! — the event queue's node arena is reserved for the machine's
 //! pending-event bound when it is built, effect buffers are pooled, and
 //! L1 fills are tag-only — and building a machine does not allocate per
-//! cache set. (The queue's own bound is `amo-engine`'s
-//! `tests/allocations.rs`: it has no retry or slack to absorb the
+//! cache set. (The queue's own bound is `amo-sim`'s
+//! `tests/queue_allocations.rs`: it has no retry or slack to absorb the
 //! harness starting a thread while it counts.)
 //!
 //! The steady-state profile is taken in two passes over the same

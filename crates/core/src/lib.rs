@@ -24,16 +24,18 @@
 //!
 //! ## Crate map
 //!
-//! | layer | crate | contents |
+//! The simulated machine is one crate, [`sim`]; its model modules are
+//! re-exported here under their own names.
+//!
+//! | layer | path | contents |
 //! |---|---|---|
 //! | experiments | [`workloads`] | the one run driver and its scenarios: barrier and lock benchmarks, application studies |
 //! | observability | [`obs`] | event tracing, Perfetto export, occupancy time series |
 //! | algorithms | [`sync`] | barriers (centralized, combining tree, dissemination), ticket, array & MCS locks, and the installers that put them on a machine |
-//! | machine | [`sim`] | the `Machine`: hubs, fabric, event loop |
+//! | machine | [`sim`] | the `Machine`: hubs, fabric, event loop, seeded fault plans |
 //! | processor | [`cpu`] | kernels, memory ops, LL/SC, spinning, handlers |
 //! | home node | [`directory`], [`amu`], [`dram`] | coherence protocol, AMU, memory |
 //! | fabric | [`noc`] | fat-tree topology, endpoint serialization, link-level replay |
-//! | robustness | [`faults`] | deterministic fault plans: link errors, jitter, AMU brown-outs |
 //! | substrate | [`types`], [`engine`], [`cache`] | vocabulary, events, caches |
 //!
 //! The architectural parameters default to the paper's Table 1
@@ -44,16 +46,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use amo_amu as amu;
-pub use amo_cache as cache;
-pub use amo_cpu as cpu;
-pub use amo_directory as directory;
-pub use amo_dram as dram;
-pub use amo_engine as engine;
-pub use amo_faults as faults;
-pub use amo_noc as noc;
 pub use amo_obs as obs;
 pub use amo_sim as sim;
+pub use amo_sim::{amu, cache, cpu, directory, dram, engine, noc};
 pub use amo_sync as sync;
 pub use amo_types as types;
 pub use amo_workloads as workloads;

@@ -89,7 +89,7 @@ pub enum AmuEffect {
         flow: u64,
     },
     /// Read a word from (uncached) home memory; feed the result to
-    /// [`Amu::mem_value_into`].
+    /// `Amu::mem_value_into`.
     ReadMemWord {
         /// Token to echo.
         token: u64,
@@ -263,19 +263,19 @@ impl Amu {
     }
 
     /// Record true applies for the trace stream (see `apply_log`).
-    pub fn set_log_applies(&mut self, on: bool) {
+    pub(crate) fn set_log_applies(&mut self, on: bool) {
         self.log_applies = on;
     }
 
     /// Plant the observation-stream double-apply bug (test hook; see
     /// `planted_double_apply`).
-    pub fn plant_double_apply(&mut self) {
+    pub(crate) fn plant_double_apply(&mut self) {
         self.planted_double_apply = true;
     }
 
     /// Drain recorded applies (request, requester, address, pre-apply
     /// value) into `out`, oldest first.
-    pub fn drain_applies_into(&mut self, out: &mut Vec<(ReqId, ProcId, Addr, Word)>) {
+    pub(crate) fn drain_applies_into(&mut self, out: &mut Vec<(ReqId, ProcId, Addr, Word)>) {
         out.append(&mut self.apply_log);
     }
 
@@ -293,7 +293,7 @@ impl Amu {
     /// faults (drop/dup/reorder) are enabled; a window of 0 disables
     /// dedup. Suppression is exact while `window` covers every
     /// processor that can issue faultable requests to this node.
-    pub fn with_dedup(mut self, window: u32) -> Self {
+    pub(crate) fn with_dedup(mut self, window: u32) -> Self {
         self.served_cap = window as usize;
         self
     }
@@ -644,7 +644,7 @@ impl Amu {
 
     /// An uncached memory read completed (MAO / uncached-read miss path).
     /// Effects are appended to `effects`.
-    pub fn mem_value_into(
+    pub(crate) fn mem_value_into(
         &mut self,
         token: u64,
         value: Word,
@@ -720,7 +720,7 @@ impl Amu {
 
     /// Operations waiting in the input queue, excluding the one in
     /// flight (observability sampling).
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 

@@ -5,8 +5,8 @@
 //! whether a word is "in the L1" decides the access latency, but the data
 //! is always read from the L2 copy, so the two levels can never disagree.
 
-use crate::cache::{Evicted, SetAssocCache};
-use crate::line::LineState;
+use super::line::LineState;
+use super::set::{Evicted, SetAssocCache};
 use amo_types::{Addr, BlockAddr, BlockData, CacheConfig, Word};
 
 /// Which level satisfied a probe.
@@ -96,7 +96,7 @@ impl CacheHierarchy {
     /// store is performed. Returns the probe result *before* any upgrade:
     /// `L1`/`L2` with a non-writable state means "present Shared — issue
     /// an Upgrade".
-    pub fn probe_store(&mut self, addr: Addr, value: Word) -> Probe {
+    pub(crate) fn probe_store(&mut self, addr: Addr, value: Word) -> Probe {
         let l2b = self.l2_block(addr);
         let word = addr.word_in_block(self.l2_line);
         let Some(state) = self.l2.probe(l2b.0) else {
@@ -176,7 +176,7 @@ impl CacheHierarchy {
     }
 
     /// Promote a Shared block to Exclusive (UpgradeAck arrived).
-    pub fn grant_exclusive(&mut self, block: BlockAddr) -> bool {
+    pub(crate) fn grant_exclusive(&mut self, block: BlockAddr) -> bool {
         self.l2.set_state(block.0, LineState::Exclusive)
     }
 
@@ -209,7 +209,7 @@ impl CacheHierarchy {
     }
 
     /// (l1_hits, l1_misses, l2_hits, l2_misses).
-    pub fn hit_stats(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn hit_stats(&self) -> (u64, u64, u64, u64) {
         let (h1, m1) = self.l1.hit_stats();
         let (h2, m2) = self.l2.hit_stats();
         (h1, m1, h2, m2)

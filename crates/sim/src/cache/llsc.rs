@@ -9,29 +9,29 @@ use amo_types::BlockAddr;
 
 /// A processor's (single) LL reservation.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct LlReservation {
+pub(crate) struct LlReservation {
     block: Option<BlockAddr>,
 }
 
 impl LlReservation {
     /// No reservation held.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// An LL to `block` replaces any previous reservation.
-    pub fn set(&mut self, block: BlockAddr) {
+    pub(crate) fn set(&mut self, block: BlockAddr) {
         self.block = Some(block);
     }
 
     /// True if a reservation on `block` is currently held.
-    pub fn holds(&self, block: BlockAddr) -> bool {
+    pub(crate) fn holds(&self, block: BlockAddr) -> bool {
         self.block == Some(block)
     }
 
     /// The block was lost (invalidated / downgraded / evicted): clear the
     /// reservation if it matches. Returns true if a reservation was lost.
-    pub fn lose(&mut self, block: BlockAddr) -> bool {
+    pub(crate) fn lose(&mut self, block: BlockAddr) -> bool {
         if self.block == Some(block) {
             self.block = None;
             true
@@ -42,7 +42,7 @@ impl LlReservation {
 
     /// Consume the reservation at SC time. Returns true (SC may proceed)
     /// only if the reservation on `block` was still intact.
-    pub fn consume(&mut self, block: BlockAddr) -> bool {
+    pub(crate) fn consume(&mut self, block: BlockAddr) -> bool {
         let ok = self.holds(block);
         self.block = None;
         ok

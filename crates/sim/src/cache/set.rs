@@ -1,8 +1,8 @@
 //! A generic set-associative cache with LRU replacement, block data, and
 //! coherence-state bookkeeping.
 
-use crate::line::LineState;
-use crate::runs::{Runs, NONE};
+use super::line::LineState;
+use super::runs::{Runs, NONE};
 use amo_types::{BlockData, CacheConfig, Word};
 use std::cell::Cell;
 

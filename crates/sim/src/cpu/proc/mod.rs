@@ -9,8 +9,8 @@
 mod remote;
 mod server;
 
+use crate::cache::{CacheHierarchy, Evicted, LineState, LlReservation, Probe};
 use crate::kernel::{Kernel, Op, Outcome};
-use amo_cache::{CacheHierarchy, Evicted, LineState, LlReservation, Probe};
 use amo_types::stats::OpClass;
 use amo_types::{
     Addr, BlockAddr, BlockData, Cycle, InterventionKind, InterventionResp, NodeId, Payload, ProcId,
@@ -34,12 +34,12 @@ pub enum ProcEffect {
         /// Wake-up time.
         when: Cycle,
     },
-    /// Call [`Processor::handler_done_into`] at `when`.
+    /// Call `Processor::handler_done_into` at `when`.
     HandlerWake {
         /// Handler completion time.
         when: Cycle,
     },
-    /// Call [`Processor::timeout_into`] with `req` at `when` (active-message
+    /// Call `Processor::timeout_into` with `req` at `when` (active-message
     /// retransmission, AMU NACK backoff, or end-to-end delivery timer —
     /// `kind` says which, because their expiry actions differ).
     TimeoutAt {
@@ -63,7 +63,7 @@ pub enum ProcEffect {
         when: Cycle,
     },
     /// A kernel operation's completion span, for tracing. Emitted only
-    /// when [`Processor::set_op_tracing`] enabled it (the machine turns
+    /// when `Processor::set_op_tracing` enabled it (the machine turns
     /// it on when a real tracer is attached), because completion times
     /// are known here and nowhere else.
     OpDone {
@@ -279,34 +279,34 @@ impl Processor {
 
     /// Attach a schedule-explorer choice tape: retry-jitter picks become
     /// explicit tape choices (see `amo_types::tape`).
-    pub fn set_schedule_tape(&mut self, tape: SharedTape) {
+    pub(crate) fn set_schedule_tape(&mut self, tape: SharedTape) {
         self.tape = Some(tape);
     }
 
     /// Completion time of the kernel, if it finished.
-    pub fn finished_at(&self) -> Option<Cycle> {
+    pub(crate) fn finished_at(&self) -> Option<Cycle> {
         self.finished_at
     }
 
     /// True once a kernel was loaded.
-    pub fn has_kernel(&self) -> bool {
+    pub(crate) fn has_kernel(&self) -> bool {
         self.kernel.is_some()
     }
 
     /// Emit [`ProcEffect::OpDone`] spans for completed kernel operations
     /// (tracing support; off by default).
-    pub fn set_op_tracing(&mut self, on: bool) {
+    pub(crate) fn set_op_tracing(&mut self, on: bool) {
         self.trace_ops = on;
     }
 
     /// In-flight coherence requests from this processor (occupied MSHRs;
     /// observability sampling).
-    pub fn outstanding_misses(&self) -> usize {
+    pub(crate) fn outstanding_misses(&self) -> usize {
         self.outstanding.len()
     }
 
     /// Read-only view of the cache hierarchy (tests/diagnostics).
-    pub fn caches(&self) -> &CacheHierarchy {
+    pub(crate) fn caches(&self) -> &CacheHierarchy {
         &self.caches
     }
 
@@ -341,7 +341,7 @@ impl Processor {
     /// request of that op (an SC after its LL, a retry under a fresh
     /// tag), else 0. The tracer stores it on the send event so the
     /// causal DAG can stitch multi-request ops together.
-    pub fn flow_parent(&self, payload: &Payload) -> u64 {
+    pub(crate) fn flow_parent(&self, payload: &Payload) -> u64 {
         if self.op_root == 0 {
             return 0;
         }
@@ -1039,7 +1039,12 @@ impl Processor {
 
     /// A handler finished executing: apply its semantics, ack, publish.
     /// Effects are appended to `eff`.
-    pub fn handler_done_into(&mut self, now: Cycle, stats: &mut Stats, eff: &mut Vec<ProcEffect>) {
+    pub(crate) fn handler_done_into(
+        &mut self,
+        now: Cycle,
+        stats: &mut Stats,
+        eff: &mut Vec<ProcEffect>,
+    ) {
         if let Some((addr, value)) = self.server.done(stats, eff) {
             self.start_injected_store(addr, value, now, stats, eff);
         }

@@ -194,7 +194,7 @@ impl Processor {
     /// A retransmission timer fired. Nothing happens unless `req` is
     /// still the outstanding request.
     /// Effects are appended to `eff`.
-    pub fn timeout_into(
+    pub(crate) fn timeout_into(
         &mut self,
         req: ReqId,
         kind: TimerKind,

@@ -110,7 +110,7 @@ pub enum DirAction {
         block: BlockAddr,
     },
     /// Deliver a fine-grained-get value to the AMU. The block transaction
-    /// stays open until [`Directory::fine_complete_into`] is called.
+    /// stays open until `Directory::fine_complete_into` is called.
     FineValue {
         /// Token from the originating [`DirRequest::FineGet`].
         token: u64,
@@ -248,13 +248,13 @@ impl Directory {
 
     /// Record idle-entry reclaims for the trace stream (see
     /// `reclaim_log`).
-    pub fn set_log_reclaims(&mut self, on: bool) {
+    pub(crate) fn set_log_reclaims(&mut self, on: bool) {
         self.log_reclaims = on;
     }
 
     /// Drain recorded reclaims into `out`, oldest first. Each record is
     /// `(block, was_idle_at_removal)`.
-    pub fn drain_reclaims_into(&mut self, out: &mut Vec<(BlockAddr, bool)>) {
+    pub(crate) fn drain_reclaims_into(&mut self, out: &mut Vec<(BlockAddr, bool)>) {
         out.append(&mut self.reclaim_log);
     }
 
@@ -594,7 +594,7 @@ impl Directory {
 
     /// The (former) owner answered an intervention.
     /// Actions are appended to `actions`.
-    pub fn intervention_reply_into(
+    pub(crate) fn intervention_reply_into(
         &mut self,
         block: BlockAddr,
         from: ProcId,
@@ -696,7 +696,7 @@ impl Directory {
     /// whose test value matched). `flow` is the causal flow of the AMU
     /// operation, echoed on any word-update fanout.
     /// Actions are appended to `actions`.
-    pub fn fine_complete_into(
+    pub(crate) fn fine_complete_into(
         &mut self,
         block: BlockAddr,
         put: Option<(Addr, Word)>,
@@ -827,7 +827,7 @@ impl Directory {
     /// Total requests queued across every block of this directory
     /// (observability sampling). Idle entries are released eagerly, so
     /// this walks only blocks with live protocol state.
-    pub fn queued_requests(&self) -> usize {
+    pub(crate) fn queued_requests(&self) -> usize {
         self.entries.iter().map(|(_, e)| e.queue.len()).sum()
     }
 

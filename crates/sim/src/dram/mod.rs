@@ -8,11 +8,5 @@
 //! target the same home node — the contention that matters for the
 //! synchronization storms the paper studies.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod store;
-pub mod timing;
-
-pub use store::MemoryStore;
-pub use timing::DramTimer;
+pub use crate::store::MemoryStore;
+pub(crate) use crate::timing::DramTimer;

@@ -29,7 +29,7 @@ fn split(addr: Addr) -> (u64, usize) {
 
 impl MemoryStore {
     /// An empty (all-zero) memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -41,7 +41,7 @@ impl MemoryStore {
 
     /// Write one word. Writing zero takes no space where the chunk holds
     /// nothing yet; a chunk once written stays, zeros and all.
-    pub fn write_word(&mut self, addr: Addr, value: Word) {
+    pub(crate) fn write_word(&mut self, addr: Addr, value: Word) {
         self.put(addr, &[value]);
     }
 
@@ -57,7 +57,7 @@ impl MemoryStore {
 
     /// Read a whole block of `words` words (blocks are aligned to their
     /// size): one lookup per chunk it spans or lies in.
-    pub fn read_block(&self, block: BlockAddr, words: usize) -> BlockData {
+    pub(crate) fn read_block(&self, block: BlockAddr, words: usize) -> BlockData {
         let mut data = BlockData::zeroed(words);
         for (k, part) in data.0.chunks_mut(CHUNK_WORDS).enumerate() {
             let (base, i) = split(block.word_addr(k * CHUNK_WORDS));
@@ -69,7 +69,7 @@ impl MemoryStore {
     }
 
     /// Write a whole block back (writeback landing).
-    pub fn write_block(&mut self, block: BlockAddr, data: &BlockData) {
+    pub(crate) fn write_block(&mut self, block: BlockAddr, data: &BlockData) {
         for (k, part) in data.0.chunks(CHUNK_WORDS).enumerate() {
             self.put(block.word_addr(k * CHUNK_WORDS), part);
         }

@@ -7,7 +7,7 @@ use amo_types::{BlockAddr, Cycle};
 /// Blocks interleave across channels by block number. An access waits for
 /// its channel to become free, occupies it for `occupancy` cycles, and
 /// returns data `latency` cycles after it starts.
-pub struct DramTimer {
+pub(crate) struct DramTimer {
     channel_free: Vec<Cycle>,
     latency: Cycle,
     occupancy: Cycle,
@@ -16,7 +16,7 @@ pub struct DramTimer {
 
 impl DramTimer {
     /// Build a backend with `channels` channels.
-    pub fn new(channels: usize, latency: Cycle, occupancy: Cycle, line_bytes: u64) -> Self {
+    pub(crate) fn new(channels: usize, latency: Cycle, occupancy: Cycle, line_bytes: u64) -> Self {
         assert!(channels >= 1);
         assert!(line_bytes.is_power_of_two());
         DramTimer {
@@ -34,7 +34,7 @@ impl DramTimer {
 
     /// Schedule an access to `block` at time `now`; returns the cycle the
     /// data is available (read) or durable (write).
-    pub fn access(&mut self, now: Cycle, block: BlockAddr) -> Cycle {
+    pub(crate) fn access(&mut self, now: Cycle, block: BlockAddr) -> Cycle {
         let ch = self.channel_of(block);
         let start = now.max(self.channel_free[ch]);
         self.channel_free[ch] = start + self.occupancy;

@@ -412,7 +412,7 @@ enum Imp<E> {
 /// A deterministic future-event list.
 ///
 /// ```
-/// use amo_engine::EventQueue;
+/// use amo_sim::engine::EventQueue;
 /// let mut q = EventQueue::new();
 /// q.schedule(10, "b");
 /// q.schedule(5, "a");
@@ -454,7 +454,7 @@ impl<E> EventQueue<E> {
     /// pending, and its window is `cap` cycles rounded up to a power of
     /// two, clamped to 1,024 ..= 8,192: a machine with more pending
     /// events schedules further ahead.
-    pub fn with_capacity_and_kind(cap: usize, kind: QueueKind) -> Self {
+    pub(crate) fn with_capacity_and_kind(cap: usize, kind: QueueKind) -> Self {
         let imp = match kind {
             QueueKind::Calendar => Imp::Bucket(BucketQueue::with_window(
                 cap.next_power_of_two().clamp(MIN_WINDOW, MAX_WINDOW),
@@ -486,7 +486,7 @@ impl<E> EventQueue<E> {
     /// scheduled at the time just popped comes out after every event
     /// already pending at that time.
     #[inline(always)]
-    pub fn pop_until(&mut self, until: Cycle) -> Option<(Cycle, E)> {
+    pub(crate) fn pop_until(&mut self, until: Cycle) -> Option<(Cycle, E)> {
         match &mut self.imp {
             Imp::Bucket(q) => q.pop_until(until),
             Imp::Heap(q) => {
@@ -519,7 +519,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.imp {
             Imp::Bucket(q) => q.len,
             Imp::Heap(q) => q.len(),
@@ -528,7 +528,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events that fire at `when`. It walks a chain or
     /// scans a heap: meant for occasional use, such as sampling.
-    pub fn len_at(&self, when: Cycle) -> usize {
+    pub(crate) fn len_at(&self, when: Cycle) -> usize {
         match &self.imp {
             Imp::Bucket(q) => q.len_at(when),
             Imp::Heap(q) => q.count_at(when),
@@ -536,7 +536,7 @@ impl<E> EventQueue<E> {
     }
 
     /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

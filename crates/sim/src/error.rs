@@ -6,7 +6,7 @@
 //! enough state — the stall report, per-node queue depths, the tail of
 //! the ring trace — to diagnose the run post-mortem.
 
-use amo_amu::AmuError;
+use crate::amu::AmuError;
 use amo_obs::TraceBuf;
 use amo_types::{Cycle, NodeId, ProcId};
 

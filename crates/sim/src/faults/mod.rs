@@ -11,10 +11,7 @@
 //!
 //! The plan is pure data derived from [`FaultConfig`]; the recovery
 //! machinery (link replay, NACK backoff, watchdog) lives with the
-//! components it protects (`amo-noc`, `amo-cpu`, `amo-sim`).
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! components it protects (`noc`, `cpu`, the machine).
 
 use amo_types::seed::splitmix64 as mix;
 use amo_types::tape::ChoiceKind;
@@ -26,18 +23,18 @@ const PPM: u64 = 1_000_000;
 /// The runtime fault oracle. Cheap to copy; construct once per machine
 /// from the [`SystemConfig`](amo_types::SystemConfig)'s `faults` field.
 #[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     cfg: FaultConfig,
 }
 
 impl FaultPlan {
     /// Plan implementing `cfg`.
-    pub fn new(cfg: FaultConfig) -> Self {
+    pub(crate) fn new(cfg: FaultConfig) -> Self {
         FaultPlan { cfg }
     }
 
     /// The no-fault plan: every query answers "no fault, zero cycles".
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultPlan {
             cfg: FaultConfig::none(),
         }
@@ -52,13 +49,13 @@ impl FaultPlan {
     /// to skip the fault path entirely — the zero-rate plan must add
     /// literally zero cycles.
     #[inline]
-    pub fn link_faults_enabled(&self) -> bool {
+    pub(crate) fn link_faults_enabled(&self) -> bool {
         self.cfg.link_error_ppm > 0 || self.cfg.jitter_max > 0
     }
 
     /// True if AMU brown-out windows are configured.
     #[inline]
-    pub fn brownouts_enabled(&self) -> bool {
+    pub(crate) fn brownouts_enabled(&self) -> bool {
         self.cfg.amu_brownout_period > 0 && self.cfg.amu_brownout_len > 0
     }
 
@@ -74,7 +71,7 @@ impl FaultPlan {
 
     /// Link replay budget before a packet's link is declared failed.
     #[inline]
-    pub fn max_link_retries(&self) -> u32 {
+    pub(crate) fn max_link_retries(&self) -> u32 {
         self.cfg.max_link_retries
     }
 
@@ -92,7 +89,7 @@ impl FaultPlan {
     /// Is transmission `attempt` of packet (`src` → `dst`, sequence
     /// `seq`, departing at `now`) corrupted on the wire?
     #[inline]
-    pub fn corrupts(&self, src: u16, dst: u16, now: Cycle, seq: u64, attempt: u32) -> bool {
+    pub(crate) fn corrupts(&self, src: u16, dst: u16, now: Cycle, seq: u64, attempt: u32) -> bool {
         let rate = self.rate_ppm(now);
         if rate == 0 {
             return false;
@@ -108,7 +105,7 @@ impl FaultPlan {
 
     /// Delay jitter (cycles) this packet picks up in flight; 0..=jitter_max.
     #[inline]
-    pub fn jitter(&self, src: u16, dst: u16, seq: u64) -> Cycle {
+    pub(crate) fn jitter(&self, src: u16, dst: u16, seq: u64) -> Cycle {
         if self.cfg.jitter_max == 0 {
             return 0;
         }
@@ -199,13 +196,13 @@ impl FaultPlan {
     /// Cycles one link-level replay costs: a full retransmission delay
     /// plus exponential backoff — base × 2^attempt, capped at 16× base.
     #[inline]
-    pub fn replay_backoff(&self, attempt: u32) -> Cycle {
+    pub(crate) fn replay_backoff(&self, attempt: u32) -> Cycle {
         self.cfg.link_retry_backoff << attempt.min(4)
     }
 
     /// Is `node`'s AMU browned out (refusing dispatches) at `now`?
     #[inline]
-    pub fn amu_browned_out(&self, node: u16, now: Cycle) -> bool {
+    pub(crate) fn amu_browned_out(&self, node: u16, now: Cycle) -> bool {
         if !self.brownouts_enabled() {
             return false;
         }
@@ -223,7 +220,7 @@ impl FaultPlan {
 /// this oracle instead of the plan directly, so "which interleaving are
 /// we in?" has exactly one answer site that enumeration can take over.
 #[derive(Clone, Debug, Default)]
-pub enum ScheduleOracle {
+pub(crate) enum ScheduleOracle {
     /// Implicit choices from the fault plan's keyed hash.
     #[default]
     Hashed,
@@ -236,7 +233,7 @@ impl ScheduleOracle {
     /// the plan's rates; taped mode always engages it (the tape decides
     /// per message, even with every rate at zero).
     #[inline]
-    pub fn delivery_active(&self, plan: &FaultPlan) -> bool {
+    pub(crate) fn delivery_active(&self, plan: &FaultPlan) -> bool {
         match self {
             ScheduleOracle::Hashed => plan.delivery_faults_enabled(),
             ScheduleOracle::Taped(_) => true,
@@ -246,7 +243,7 @@ impl ScheduleOracle {
     /// Reorder skew for this delivery: hashed draw, or a tape choice in
     /// `0..=link_reorder_window`.
     #[inline]
-    pub fn reorder_skew(&self, plan: &FaultPlan, src: u16, dst: u16, seq: u64) -> Cycle {
+    pub(crate) fn reorder_skew(&self, plan: &FaultPlan, src: u16, dst: u16, seq: u64) -> Cycle {
         match self {
             ScheduleOracle::Hashed => plan.reorder_skew(src, dst, seq),
             ScheduleOracle::Taped(tape) => {
@@ -262,7 +259,7 @@ impl ScheduleOracle {
     /// already probes, so the explorer leaves it out of the choice space
     /// (documented soundness boundary).
     #[inline]
-    pub fn drops(&self, plan: &FaultPlan, src: u16, dst: u16, now: Cycle, seq: u64) -> bool {
+    pub(crate) fn drops(&self, plan: &FaultPlan, src: u16, dst: u16, now: Cycle, seq: u64) -> bool {
         match self {
             ScheduleOracle::Hashed => plan.drops(src, dst, now, seq, 0),
             ScheduleOracle::Taped(_) => false,
@@ -273,7 +270,14 @@ impl ScheduleOracle {
     /// choice point when the tape's config explores duplicates, else
     /// never.
     #[inline]
-    pub fn duplicates(&self, plan: &FaultPlan, src: u16, dst: u16, now: Cycle, seq: u64) -> bool {
+    pub(crate) fn duplicates(
+        &self,
+        plan: &FaultPlan,
+        src: u16,
+        dst: u16,
+        now: Cycle,
+        seq: u64,
+    ) -> bool {
         match self {
             ScheduleOracle::Hashed => plan.duplicates(src, dst, now, seq, 0),
             ScheduleOracle::Taped(tape) => {

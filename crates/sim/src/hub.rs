@@ -1,9 +1,9 @@
 //! One node's hub: directory controller, memory controller (DRAM timing +
 //! backing store) and Active Memory Unit.
 
-use amo_amu::Amu;
-use amo_directory::Directory;
-use amo_dram::{DramTimer, MemoryStore};
+use crate::amu::Amu;
+use crate::directory::Directory;
+use crate::dram::{DramTimer, MemoryStore};
 use amo_types::{Cycle, NodeId, SystemConfig};
 
 /// Everything that lives on one node besides its processors.

@@ -1,13 +1,13 @@
 //! The machine: event loop and component glue.
 
+use crate::amu::{AmuEffect, AmuError};
+use crate::cpu::{Kernel, ProcEffect, ProcFault, Processor, TimerKind};
+use crate::directory::{DirAction, DirRequest, Directory};
+use crate::engine::{Clock, EventQueue, QueueKind};
 use crate::error::{DiagBundle, NodeDepths, SimError, SimErrorKind};
+use crate::faults::FaultPlan;
 use crate::hub::Hub;
-use amo_amu::{AmuEffect, AmuError};
-use amo_cpu::{Kernel, ProcEffect, ProcFault, Processor, TimerKind};
-use amo_directory::{DirAction, DirRequest, Directory};
-use amo_engine::{Clock, EventQueue, QueueKind};
-use amo_faults::FaultPlan;
-use amo_noc::{Delivery, Fabric};
+use crate::noc::{Delivery, Fabric};
 use amo_obs::hostprof::{HostProf, HostProfReport, NopHostProf, Scope};
 use amo_obs::timeseries::{NodeSample, Tick, TimeSeries};
 use amo_obs::{NopTracer, TraceBuf, TraceEvent, TraceKind, Tracer};
@@ -120,7 +120,7 @@ impl RunResult {
 ///
 /// ```
 /// use amo_sim::Machine;
-/// use amo_cpu::{Kernel, Op, Outcome};
+/// use amo_sim::cpu::{Kernel, Op, Outcome};
 /// use amo_types::{Addr, NodeId, ProcId, SystemConfig};
 ///
 /// // One processor stores 7 to a remote word, another reads it back.
@@ -266,7 +266,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             fabric: Fabric::with_faults(nodes, cfg.network, FaultPlan::new(cfg.faults)),
             procs,
             hubs,
-            clock: Clock::new(),
+            clock: Clock::default(),
             queue: EventQueue::with_capacity_and_kind(queue_capacity(&cfg), kind),
             stats: Stats::new(),
             marks: Vec::new(),
@@ -449,7 +449,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     }
 
     /// A node's memory backing store (for asserting final values).
-    pub fn memory(&self, node: NodeId) -> &amo_dram::MemoryStore {
+    pub fn memory(&self, node: NodeId) -> &crate::dram::MemoryStore {
         &self.hubs[node.index()].memory
     }
 
@@ -891,7 +891,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         req: ReqId,
         requester: ProcId,
         class: MsgClass,
-        op: amo_amu::AmuOp,
+        op: crate::amu::AmuOp,
         now: Cycle,
     ) {
         let browned = self.faults.brownouts_enabled() && self.faults.amu_browned_out(node.0, now);
@@ -949,7 +949,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 operand,
                 test,
             } => {
-                let op = amo_amu::AmuOp::Amo {
+                let op = crate::amu::AmuOp::Amo {
                     req,
                     requester,
                     kind,
@@ -966,7 +966,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 addr,
                 operand,
             } => {
-                let op = amo_amu::AmuOp::Mao {
+                let op = crate::amu::AmuOp::Mao {
                     req,
                     requester,
                     kind,
@@ -980,7 +980,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 requester,
                 addr,
             } => {
-                let op = amo_amu::AmuOp::UncachedRead {
+                let op = crate::amu::AmuOp::UncachedRead {
                     req,
                     requester,
                     addr,
@@ -1362,7 +1362,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amo_cpu::{Op, Outcome};
+    use crate::cpu::{Op, Outcome};
     use amo_types::{AmoKind, SpinPred};
 
     fn var(node: u16, off: u64) -> Addr {

@@ -16,13 +16,13 @@
 //! cycles, so an unfaulted configuration is timing-identical to a
 //! machine built without fault support.
 
-use crate::topology::Topology;
-use amo_faults::{FaultPlan, ScheduleOracle};
+use super::topology::Topology;
+use crate::faults::{FaultPlan, ScheduleOracle};
 use amo_types::{Cycle, MsgClass, MsgEndpoint, NetworkConfig, NodeId, Payload, SharedTape, Stats};
 
 /// An unrecoverable link fault: one packet exhausted its replay budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkFailure {
+pub(crate) struct LinkFailure {
     /// Sending node.
     pub src: NodeId,
     /// Destination node.
@@ -39,7 +39,7 @@ pub struct LinkFailure {
 /// interface, which is why they are invisible to link replay and must
 /// be healed end to end by the protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Delivery {
+pub(crate) enum Delivery {
     /// The message reaches its handler once, at this cycle (the only
     /// outcome when delivery faults are off or the class is exempt).
     One(Cycle),
@@ -53,7 +53,7 @@ pub enum Delivery {
 
 impl Delivery {
     /// The primary delivery cycle (or would-be cycle, for a drop).
-    pub fn primary(self) -> Cycle {
+    pub(crate) fn primary(self) -> Cycle {
         match self {
             Delivery::One(t) | Delivery::Dropped(t) | Delivery::Dup(t, _) => t,
         }
@@ -126,7 +126,7 @@ impl Fabric {
 
     /// Build a fabric whose remote transmissions consult `faults` for
     /// CRC errors and delay jitter.
-    pub fn with_faults(num_nodes: u16, cfg: NetworkConfig, faults: FaultPlan) -> Self {
+    pub(crate) fn with_faults(num_nodes: u16, cfg: NetworkConfig, faults: FaultPlan) -> Self {
         let topo = Topology::new(num_nodes, cfg.router_radix);
         let link_free = if cfg.model_router_contention {
             vec![0; topo.num_links()]
@@ -180,7 +180,7 @@ impl Fabric {
     /// active for every eligible class even with all fault rates at
     /// zero: the tape decides reorder skew (and, when its config says
     /// so, duplication) per message. Drops are never taped.
-    pub fn set_schedule_tape(&mut self, tape: SharedTape) {
+    pub(crate) fn set_schedule_tape(&mut self, tape: SharedTape) {
         self.oracle = ScheduleOracle::Taped(tape);
     }
 
@@ -196,7 +196,7 @@ impl Fabric {
     /// per send so the critical-path engine can split a send span into
     /// serialization vs contention; router-contention mode has the same
     /// zero-load latency by construction (see the tests).
-    pub fn zero_load_latency(&self, src: NodeId, dst: NodeId, bytes: u64) -> Cycle {
+    pub(crate) fn zero_load_latency(&self, src: NodeId, dst: NodeId, bytes: u64) -> Cycle {
         let ser = self.serialize(bytes);
         if src == dst {
             // Loopback: crossbar in + out.
@@ -328,7 +328,7 @@ impl Fabric {
     /// `link_reorder_window` cycles. Node-local loopback is exempt
     /// (it never crosses a network interface), as is every class the
     /// protocol cannot heal end to end (see `delivery_faultable`).
-    pub fn send_delivery(
+    pub(crate) fn send_delivery(
         &mut self,
         now: Cycle,
         src: NodeId,
@@ -365,13 +365,13 @@ impl Fabric {
 
     /// Cycles until `node`'s egress link is free (0 when idle) — the
     /// observability sampler's view of outbound congestion.
-    pub fn egress_backlog(&self, node: NodeId, now: Cycle) -> Cycle {
+    pub(crate) fn egress_backlog(&self, node: NodeId, now: Cycle) -> Cycle {
         self.ifaces[node.index()].egress_free.saturating_sub(now)
     }
 
     /// Cycles until `node`'s ingress link is free (0 when idle); under a
     /// sync storm this is the home-node serialization queue.
-    pub fn ingress_backlog(&self, node: NodeId, now: Cycle) -> Cycle {
+    pub(crate) fn ingress_backlog(&self, node: NodeId, now: Cycle) -> Cycle {
         self.ifaces[node.index()].ingress_free.saturating_sub(now)
     }
 
@@ -379,12 +379,12 @@ impl Fabric {
     /// by the machine after every dispatched event; kept `#[inline]` and
     /// branch-predictable so the fault-free hot path pays one load.
     #[inline]
-    pub fn has_failure(&self) -> bool {
+    pub(crate) fn has_failure(&self) -> bool {
         self.pending_failure.is_some()
     }
 
     /// Consume the recorded unrecoverable link fault, if any.
-    pub fn take_failure(&mut self) -> Option<LinkFailure> {
+    pub(crate) fn take_failure(&mut self) -> Option<LinkFailure> {
         self.pending_failure.take()
     }
 }

@@ -6,7 +6,7 @@ use amo_types::NodeId;
 /// Nodes attach to leaf routers in groups of `radix`; every level above
 /// groups `radix` routers under one parent.
 #[derive(Clone, Debug)]
-pub struct Topology {
+pub(crate) struct Topology {
     num_nodes: u16,
     radix: usize,
     /// Dense directed-link id space: `level_offsets[k]` is the first id

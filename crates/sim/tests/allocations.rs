@@ -5,8 +5,8 @@
 //! its fill arrived in touch no allocator. One test, because the
 //! counters are process-wide.
 
-use amo_cache::{CacheHierarchy, LineState, SetAssocCache};
 use amo_obs::{alloc_counters, CountingAlloc};
+use amo_sim::cache::{CacheHierarchy, LineState, SetAssocCache};
 use amo_types::{Addr, BlockData, NodeId, SystemConfig};
 
 #[global_allocator]

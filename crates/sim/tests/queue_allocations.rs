@@ -4,8 +4,8 @@
 //! is built and never after. One test, because the counters are
 //! process-wide.
 
-use amo_engine::EventQueue;
 use amo_obs::{alloc_counters, CountingAlloc};
+use amo_sim::engine::EventQueue;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;

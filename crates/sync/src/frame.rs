@@ -11,7 +11,7 @@
 use crate::lock::{acquire_mark, release_mark, ExclusionCheck};
 use crate::mechanism::{Step, Sub};
 use crate::BarrierSpec;
-use amo_cpu::{Kernel, Op, Outcome};
+use amo_sim::cpu::{Kernel, Op, Outcome};
 use amo_types::{Cycle, Word};
 
 /// One section of a round: the algorithm's subs, run back to back.

@@ -22,8 +22,8 @@ use crate::{
     DisseminationSpec, KTreeKernel, KTreeSpec, McsLockKernel, McsLockSpec, Mechanism,
     TicketLockKernel, TicketLockSpec, VarAlloc,
 };
-use amo_cpu::Kernel;
 use amo_obs::{HostProf, Tracer};
+use amo_sim::cpu::Kernel;
 use amo_sim::Machine;
 use amo_types::{Addr, Cycle, NodeId, ProcId, Word};
 use std::cell::Cell;

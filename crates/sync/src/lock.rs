@@ -21,7 +21,7 @@
 use crate::frame::{PassageAlgo, PassageKernel};
 use crate::mechanism::{release, Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::Op;
+use amo_sim::cpu::Op;
 use amo_types::{Addr, Cycle, HandlerKind, NodeId, SpinPred, Word};
 use std::cell::Cell;
 use std::rc::Rc;

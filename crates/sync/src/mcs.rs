@@ -21,7 +21,7 @@ use crate::frame::{PassageAlgo, PassageKernel};
 use crate::lock::ExclusionCheck;
 use crate::mechanism::{Mechanism, Sub};
 use crate::VarAlloc;
-use amo_cpu::Op;
+use amo_sim::cpu::Op;
 use amo_types::{Addr, AmoKind, Cycle, NodeId, ProcId, SpinPred, Word};
 
 /// Shared description of an MCS lock.

@@ -5,7 +5,7 @@
 //! atomic read-modify-write, and a spin. Its `poll` either asks the
 //! processor to perform an [`Op`] or reports completion with a value.
 
-use amo_cpu::{Op, Outcome};
+use amo_sim::cpu::{Op, Outcome};
 use amo_types::{Addr, AmoKind, Cycle, HandlerKind, Publish, SpinPred, Word};
 
 /// Which hardware/software mechanism implements the atomic operations.
@@ -104,7 +104,7 @@ pub enum Step {
 ///
 /// ```
 /// use amo_sync::mechanism::{Mechanism, Step, Sub};
-/// use amo_cpu::{Op, Outcome};
+/// use amo_sim::cpu::{Op, Outcome};
 /// use amo_types::{Addr, NodeId};
 ///
 /// // An LL/SC fetch-add is a retry loop: the sub re-issues the pair

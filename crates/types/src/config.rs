@@ -19,9 +19,13 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets implied by the geometry.
+    /// Number of sets implied by the geometry; 0 when a set of `ways`
+    /// lines is empty or does not fit in `u64`.
     pub fn sets(&self) -> usize {
-        (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
+        self.line_bytes
+            .checked_mul(self.ways as u64)
+            .and_then(|set_bytes| self.size_bytes.checked_div(set_bytes))
+            .unwrap_or(0) as usize
     }
 
     /// Words per line.
@@ -96,7 +100,7 @@ pub struct ActMsgConfig {
 
 /// Deterministic fault-injection parameters. Plain `Copy` data so it can
 /// live inside [`SystemConfig`]; the runtime machinery (keyed hashing,
-/// burst windows) lives in the `amo-faults` crate. The default is
+/// burst windows) lives in `amo-sim`'s `faults` module. The default is
 /// [`FaultConfig::none`]: every rate zero, recovery knobs at their
 /// hardware-plausible values, and — crucially — a zero-rate plan leaves
 /// the simulated timing bit-identical to an unfaulted machine.
@@ -163,6 +167,15 @@ pub struct FaultConfig {
 /// far beyond any run's horizon, and it keeps a packet's delay
 /// (`0..=window`) and its delivery time clear of `u64` overflow.
 const MAX_FAULT_WINDOW: Cycle = 1 << 40;
+
+/// Largest cache level a configuration may ask for: 8× the paper's
+/// 2 MB L2, the largest in any experiment. Each cache indexes all its
+/// sets when it is built, so an unbounded size aborts on allocation.
+const MAX_CACHE_BYTES: u64 = 16 << 20;
+
+/// Most words an AMU cache may hold: 64× the largest in any experiment.
+/// Every hub allocates its AMU cache up front.
+const MAX_AMU_CACHE_WORDS: usize = 4096;
 
 impl FaultConfig {
     /// The no-fault plan: all rates zero, recovery knobs at defaults.
@@ -355,8 +368,21 @@ impl SystemConfig {
                 cache.line_bytes
             );
             ensure!(
-                cache.ways > 0 && cache.sets() > 0,
-                "{name} must hold at least one set of at least one way"
+                cache.size_bytes <= MAX_CACHE_BYTES,
+                "{name}.size_bytes = {}: a cache level may hold at most {MAX_CACHE_BYTES} bytes",
+                cache.size_bytes
+            );
+            let (size, line, ways, sets) =
+                (cache.size_bytes, cache.line_bytes, cache.ways, cache.sets());
+            ensure!(
+                ways > 0 && sets > 0,
+                "{name} must hold at least one set of at least one way: \
+                 {name}.size_bytes = {size}, {name}.line_bytes = {line}, {name}.ways = {ways}"
+            );
+            ensure!(
+                sets.is_power_of_two(),
+                "{name}.size_bytes = {size} / ({name}.line_bytes = {line} × {name}.ways = {ways}) \
+                 = {sets} sets: the set count must be a power of two"
             );
         }
         ensure!(
@@ -369,8 +395,9 @@ impl SystemConfig {
             self.network.router_radix
         );
         ensure!(
-            self.amu.cache_words >= 1,
-            "amu.cache_words must be at least 1"
+            (1..=MAX_AMU_CACHE_WORDS).contains(&self.amu.cache_words),
+            "amu.cache_words = {} must be at least 1 and at most {MAX_AMU_CACHE_WORDS}",
+            self.amu.cache_words
         );
         ensure!(
             f.burst_period == 0 || f.burst_len <= f.burst_period,
@@ -668,6 +695,62 @@ mod tests {
             assert!(why.contains(needle), "{why:?} lacks {needle:?}");
         }
         assert_eq!(SystemConfig::with_procs(256).check(), Ok(()));
+    }
+
+    /// Cache and AMU geometries that once reached the simulator and
+    /// crashed it: a set-count assert, a division by a wrapped zero, an
+    /// allocation abort or a capacity overflow.
+    #[test]
+    fn check_refuses_geometries_the_machine_cannot_build() {
+        let bad = |edit: &dyn Fn(&mut SystemConfig)| {
+            let mut c = SystemConfig::with_procs(8);
+            edit(&mut c);
+            c.check().unwrap_err()
+        };
+        let (big, max) = (1u64 << 63, u64::MAX);
+        for (why, needle) in [
+            (bad(&|c| c.l2.ways = 3), "l2.ways = 3"),
+            (
+                bad(&|c| c.l2.ways = big as usize),
+                "l2.ways = 9223372036854775808",
+            ),
+            (
+                bad(&|c| c.l1.size_bytes = max),
+                "l1.size_bytes = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.l2.size_bytes = max),
+                "l2.size_bytes = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.l1.size_bytes = big),
+                "l1.size_bytes = 9223372036854775808",
+            ),
+            (
+                bad(&|c| c.l2.size_bytes = big),
+                "l2.size_bytes = 9223372036854775808",
+            ),
+            (
+                bad(&|c| c.amu.cache_words = 1 << 32),
+                "amu.cache_words = 4294967296",
+            ),
+            (
+                bad(&|c| c.amu.cache_words = big as usize),
+                "amu.cache_words = 9223372036854775808",
+            ),
+            (
+                bad(&|c| c.amu.cache_words = max as usize),
+                "amu.cache_words = 18446744073709551615",
+            ),
+            (bad(&|c| c.amu.cache_words = 0), "amu.cache_words = 0"),
+        ] {
+            assert!(why.contains(needle), "{why:?} lacks {needle:?}");
+        }
+        // The limits sit well above every geometry the experiments use.
+        let mut c = SystemConfig::with_procs(8);
+        c.l2.size_bytes = MAX_CACHE_BYTES;
+        c.amu.cache_words = MAX_AMU_CACHE_WORDS;
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]

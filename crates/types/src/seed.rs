@@ -11,7 +11,7 @@
 //! All seeded components route through here: the workload runners
 //! draw arrival skew and think times from a [`SplitMix`] seeded with
 //! [`run_seed`], the property tests draw their [`cases`] from one, the
-//! fault oracle (`amo-faults`) uses [`splitmix64`] as its keyed hash,
+//! fault oracle (`amo-sim`'s `faults`) uses [`splitmix64`] as its keyed hash,
 //! and the campaign engine derives per-replica seeds with
 //! `run_seed(spec_seed, replica_index)`. The exact output values are
 //! pinned by tests below: changing this function invalidates every

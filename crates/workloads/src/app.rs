@@ -22,8 +22,8 @@
 
 use crate::measure::barrier_measurement;
 use crate::runner::{check_machine, check_measured, BarrierAlgo, Finished, Scenario};
-use amo_cpu::{Kernel, Op, Outcome};
 use amo_obs::{HostProf, Tracer};
+use amo_sim::cpu::{Kernel, Op, Outcome};
 use amo_sim::Machine;
 use amo_sync::mechanism::{release, Step, Sub};
 use amo_sync::{Mechanism, ProcPlan, VarAlloc};

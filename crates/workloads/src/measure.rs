@@ -65,8 +65,6 @@ pub(crate) fn barrier_measurement(
     }
 }
 
-impl BarrierMeasurement {}
-
 /// Timing of a lock benchmark run.
 #[derive(Clone, Debug)]
 pub struct LockMeasurement {

@@ -53,8 +53,6 @@ pub struct ObsSpec {
     pub hostprof: bool,
 }
 
-impl ObsSpec {}
-
 /// What a run observed (all fields `None` under the default
 /// [`ObsSpec`]).
 #[derive(Clone, Default, Debug)]

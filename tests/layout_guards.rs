@@ -26,12 +26,12 @@ const _: () = assert!(amo_sim::EVENT_SIZE <= 24);
 /// One way record of a set-associative cache: tag, LRU tick, state and
 /// the index of the line's run of words. A set's ways are contiguous, so
 /// a lookup scans `ways` of these.
-const _: () = assert!(amo_cache::WAY_SIZE <= 24);
+const _: () = assert!(amo_sim::cache::WAY_SIZE <= 24);
 
 /// A directory-entry slab slot: protocol state + sharer bitmap +
 /// optional open transaction (the `Txn` dominates: block data handle,
 /// ack counts, flags) + request queue + generation tag.
-const _: () = assert!(amo_directory::ENTRY_SLOT_SIZE <= 144);
+const _: () = assert!(amo_sim::directory::ENTRY_SLOT_SIZE <= 144);
 
 /// Slab bookkeeping overhead: a slot stores the value, its generation
 /// tag, and the `Option` presence bit. For a word-sized payload that
@@ -63,10 +63,10 @@ fn report_layout_sizes() {
         Slab::<Payload>::slot_size()
     );
     println!("sim Event          = {:>3} bytes", amo_sim::EVENT_SIZE);
-    println!("cache way          = {:>3} bytes", amo_cache::WAY_SIZE);
+    println!("cache way          = {:>3} bytes", amo_sim::cache::WAY_SIZE);
     println!(
         "dir Entry slot     = {:>3} bytes",
-        amo_directory::ENTRY_SLOT_SIZE
+        amo_sim::directory::ENTRY_SLOT_SIZE
     );
     println!("Slab<u64> slot     = {:>3} bytes", Slab::<u64>::slot_size());
     println!(

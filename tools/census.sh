@@ -8,27 +8,31 @@
 #
 # A copy of the working tree (tracked and untracked, not ignored) goes to
 # WORKDIR (default: a fresh `mktemp -d`); the working tree itself is never
-# edited. In the copy, the non-test code of the model crates
-# amo-{directory,cpu,amu,sim,cache,noc,dram,faults,sync,engine} and the
-# tooling crates amo-{types,obs,workloads,campaign,verify,bench} gets a
-# first-hit probe at every site: the first time a process enters it, it appends the site's key to
-# the file `$AMO_CENSUS_OUT` names. Code inside macro invocations,
-# `const` / `static` initializers and `#[cfg(test)]` items is left alone.
-# Then three sets of runs are counted:
+# edited. In the copy, the non-test code of the model crates amo-sim and
+# amo-sync and of the tooling crates
+# amo-{types,obs,workloads,campaign,verify,bench} gets a first-hit probe
+# at every site: the first time a process enters it, it appends the
+# site's key to the file `$AMO_CENSUS_OUT` names. Code inside macro
+# invocations, `const` / `static` initializers and `#[cfg(test)]` items
+# is left alone. Then three sets of runs are counted:
 #
 #   shipped  `tools/same-bytes.sh` (every `amo` invocation it makes), two
 #            `amo chaos_search` runs and every BENCHMARK.json workload at
 #            `--quick --trace 0` and `--trace 1`;
-#   test     `cargo test --workspace --no-fail-fast`. The two `allocations`
-#            gates fail under the probes (a first hit allocates); the
-#            sites their runs reach still count.
+#   test     `cargo test --workspace --no-fail-fast`. The two allocation
+#            gates of amo-sim fail under the probes (a first hit
+#            allocates); the sites their runs reach still count.
 #
 # Output: one line per site, `shipped|test-only|none  KEY`, where KEY is
-# `crate:file:line:col kind [fn name]` of the original source, then the
-# per-crate table `sites shipped test-only none`, with subtotals for the
-# model and the tooling crates. The lists stay under
+# `row:file:line:col kind [fn name]` of the original source, then the
+# per-row table `sites shipped test-only none`, with subtotals for the
+# model and the tooling crates. A row is a crate, except that a site in
+# one of amo-sim's model modules (`crates/sim/src/MODULE/`: directory,
+# cpu, amu, cache, noc, dram, faults, engine) is keyed by that module and
+# its path inside it, so the rows stay those of the crates the modules
+# once were; the rest of amo-sim is the `sim` row. The lists stay under
 # WORKDIR/census. Keys are line-based, so two censuses of different
-# commits compare per crate, not per line. Takes ~7 min on 2 cores.
+# commits compare per row, not per line. Takes ~9 min on 2 cores.
 set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -42,13 +46,13 @@ rm -rf "$copy" "$out"
 mkdir -p "$copy" "$out"
 (cd "$repo" && git ls-files -z -co --exclude-standard | xargs -0 tar --ignore-failed-read -cf - --) | (cd "$copy" && tar -xf -)
 
-model="directory cpu amu sim cache noc dram faults sync engine"
 tooling="types obs workloads campaign verify bench"
 
-python3 - "$copy" "$out/sites" "$model $tooling" <<'PY'
+python3 - "$copy" "$out/sites" "sim sync $tooling" <<'PY'
 import os, re, sys
 
 root, sites_out, crates = sys.argv[1], sys.argv[2], sys.argv[3].split()
+MODULES = {"directory", "cpu", "amu", "cache", "noc", "dram", "faults", "engine"}
 PUNCT3 = ("..=", "<<=", ">>=")
 PUNCT2 = ("=>", "==", "!=", "<=", ">=", "&&", "||", "::", "->", "..",
           "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>")
@@ -263,8 +267,11 @@ for crate in crates:
         for f in sorted(files):
             path = os.path.join(dirpath, f)
             rel = os.path.relpath(path, base)
-            if f.endswith(".rs") and rel != "proc/tests.rs":
-                all_sites += instrument(path, rel, crate)
+            row, head = crate, rel.split(os.sep)[0]
+            if crate == "sim" and head in MODULES:
+                row, rel = head, os.path.relpath(rel, head)
+            if f.endswith(".rs") and (row, rel) != ("cpu", os.path.join("proc", "tests.rs")):
+                all_sites += instrument(path, rel, row)
 with open(sites_out, "w") as fh:
     fh.write("".join(k + "\n" for k in all_sites))
 print("census: %d sites instrumented" % len(all_sites), file=sys.stderr)

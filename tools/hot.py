@@ -13,8 +13,8 @@ instruction came from) and per innermost inlined frame together with
 its `file:line`, which tells two hot spots inside one function apart.
 `--match REGEX` also prints the share of samples with any frame, inlined
 or not, whose function name or source file matches REGEX — e.g.
-`--match engine/src/queue.rs` for the event queue's share (an inlined
-frame is named without its module path, so `amo_engine::queue` would
+`--match sim/src/engine/queue.rs` for the event queue's share (an inlined
+frame is named without its module path, so `amo_sim::queue` would
 miss the queue code inlined into its callers).
 
 An object without a `.symtab` (a stripped library, such as a glibc that
@@ -24,7 +24,7 @@ sample there is printed as `<object>+0x<offset> (after <export>)`
 instead: in the symbol views the offset is that export's, so samples
 group per gap between exports; in the line view it is the sample's own.
 
-    tools/hot.py --match engine/src/queue.rs -- \\
+    tools/hot.py --match sim/src/engine/queue.rs -- \\
         ./target/release/amo-benchmark --workload barrier_amo_64 --seconds 3
 """
 import argparse, bisect, collections, ctypes, os, re, struct, subprocess, sys, time

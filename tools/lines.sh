@@ -4,7 +4,7 @@
 # Non-test / test line split of the workspace's Rust sources, per file,
 # per crate and in total. A file's non-test lines are those before its
 # first `#[cfg(test)]` line; everything from there on is test. Files under
-# a `tests/` directory and `crates/cpu/src/proc/tests.rs` (a
+# a `tests/` directory and `crates/sim/src/cpu/proc/tests.rs` (a
 # `#[cfg(test)]`-included module) are test throughout.
 #
 #   tools/lines.sh                    # crates tests examples
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.." || exit 2
 find "$@" -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort | xargs awk '
 FNR == 1 {
     files[++n] = FILENAME
-    cut = FILENAME ~ /(^|\/)tests\// || FILENAME ~ /cpu\/src\/proc\/tests\.rs$/
+    cut = FILENAME ~ /(^|\/)tests\// || FILENAME ~ /cpu\/proc\/tests\.rs$/
     split(FILENAME, part, "/")
     group[FILENAME] = part[1] == "crates" ? part[1] "/" part[2] : part[1]
 }
