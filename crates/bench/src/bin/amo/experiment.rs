@@ -35,7 +35,11 @@ pub(crate) const BARRIER: Command = Command {
         ALGO: central (the default), tree:B, ktree:B, dissem.
         --trace-out: Perfetto trace; --critpath-out: amo-critpath-v1 report;
         --metrics-json: amo-metrics-v1 run bundle; --hostprof-out:
-        amo-hostprof-v1 host self-profile of this (cold) run.",
+        amo-hostprof-v1 host self-profile of this (cold) run.
+        --metrics-json samples every node each --sample-interval cycles
+        (default 500), and those ticks are almost all of the document: a
+        64-CPU LL/SC ticket lock writes 24 MB, a 256-CPU one over 600 MB.
+        Raise the interval for long runs.",
 };
 
 pub(crate) const LOCK: Command = Command {

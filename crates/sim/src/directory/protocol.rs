@@ -72,10 +72,11 @@ pub enum DirAction {
         /// Message.
         payload: Payload,
     },
-    /// Push one word update to a node holding a copy of the block.
-    WordUpdateToNode {
-        /// Destination node.
-        node: NodeId,
+    /// Push one word update to every node holding a copy of the block,
+    /// in ascending node order ([`ProcSet::nodes`]).
+    WordUpdate {
+        /// The block's sharers when the put was applied.
+        sharers: ProcSet,
         /// Updated word.
         addr: Addr,
         /// New value.
@@ -549,20 +550,13 @@ impl Directory {
         stats.puts += 1;
         // One update per *node* holding a copy; the hub fans it out to its
         // local processors' caches.
-        let mut last: Option<NodeId> = None;
-        for p in entry.sharers.iter() {
-            let n = p.node(procs_per_node);
-            if last != Some(n) {
-                actions.push(DirAction::WordUpdateToNode {
-                    node: n,
-                    addr,
-                    value,
-                    flow,
-                });
-                stats.word_updates_sent += 1;
-                last = Some(n);
-            }
-        }
+        stats.word_updates_sent += entry.sharers.nodes(procs_per_node).count() as u64;
+        actions.push(DirAction::WordUpdate {
+            sharers: entry.sharers,
+            addr,
+            value,
+            flow,
+        });
         stats.dir_transactions += 1;
     }
 
@@ -1337,17 +1331,19 @@ mod tests {
         d.request(blk(), DirRequest::FineGet { token: 1, addr: w }, &mut s);
         d.dram_done(blk(), data(&[]), &mut s);
         let a = d.fine_complete(blk(), Some((w, 3)), 0, &mut s);
-        let updates: Vec<NodeId> = a
+        let updates: Vec<Vec<NodeId>> = a
             .iter()
             .filter_map(|x| match x {
-                DirAction::WordUpdateToNode { node, value: 3, .. } => Some(*node),
+                DirAction::WordUpdate {
+                    sharers, value: 3, ..
+                } => Some(sharers.nodes(2).collect()),
                 _ => None,
             })
             .collect();
         assert_eq!(
             updates,
-            vec![NodeId(0), NodeId(1)],
-            "one update per node, deduped"
+            vec![vec![NodeId(0), NodeId(1)]],
+            "one action per put, one update per node"
         );
         assert_eq!(s.word_updates_sent, 2);
         // Sharers keep their copies: no invalidations.

@@ -19,29 +19,34 @@ use amo_types::{
 /// Declares the event enum together with a fieldless mirror enum whose
 /// discriminants give every variant a dense index, so `Event::COUNT`,
 /// `Event::NAMES`, and `Event::index` all derive from the one variant
-/// list — adding a variant can never desynchronize the counters.
+/// list — adding a variant can never desynchronize the counters. A
+/// variant listed under `counted as` takes the index of the variant it
+/// names: it is counted, profiled and named as that one.
 macro_rules! define_events {
     (
         $(#[$em:meta])*
         enum $ename:ident / $kname:ident {
             $( $(#[$vm:meta])* $vname:ident ( $($vty:ty),* $(,)? ) ),+ $(,)?
         }
+        counted as { $( $(#[$am:meta])* $aname:ident ( $($aty:ty),* ) => $akind:ident ),* $(,)? }
     ) => {
         $(#[$em])*
-        enum $ename { $( $(#[$vm])* $vname ( $($vty),* ) ),+ }
+        enum $ename { $( $(#[$vm])* $vname($($vty),*), )+ $( $(#[$am])* $aname($($aty),*), )* }
 
         #[derive(Clone, Copy)]
         enum $kname { $( $vname ),+ }
 
         impl $ename {
-            /// Number of event variants.
+            /// Number of event kinds (a `counted as` variant adds none).
             const COUNT: usize = [$( $kname::$vname ),+].len();
             /// Variant names, in declaration order.
             const NAMES: [&'static str; Self::COUNT] = [$( stringify!($vname) ),+];
             /// Dense index of this event's variant.
             #[inline]
             fn index(&self) -> usize {
-                (match self { $( Self::$vname(..) => $kname::$vname ),+ }) as usize
+                (match self {
+                    $(Self::$vname(..) => $kname::$vname,)+ $(Self::$aname(..) => $kname::$akind,)*
+                }) as usize
             }
         }
     };
@@ -50,7 +55,8 @@ macro_rules! define_events {
 define_events! {
     /// Everything that can happen. Events are moved (never cloned) from
     /// the queue through dispatch; a message's payload is parked in the
-    /// machine's payload slab and the event carries its slot.
+    /// machine's payload slab and the event carries its slot (a word
+    /// update's few words ride in the event itself).
     #[derive(Debug)]
     enum Event / EventKind {
         /// Call `Processor::step_into`.
@@ -75,6 +81,12 @@ define_events! {
         AmuSend(NodeId, ProcId, SlotId),
         /// A message is delivered to a processor (bus latency included).
         ToProc(ProcId, SlotId),
+    }
+    counted as {
+        /// A word update arrived at a hub's network interface. It rides
+        /// in the event instead of the payload slab: word updates are
+        /// never delivery-faulted, so each arrives exactly once.
+        WordUpdateToHub(NodeId, Addr, Word) => ToHub,
     }
 }
 
@@ -665,6 +677,7 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
         // instant (with the node's remaining open-transaction count).
         let ev_node = match &ev {
             Event::ToHub(n, _)
+            | Event::WordUpdateToHub(n, _, _)
             | Event::DirProcess(n, _)
             | Event::DramDone(n, _)
             | Event::AmuWake(n)
@@ -720,12 +733,15 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
     }
 
     /// Call one `Processor` entry point of `p` with a pooled effect buffer,
-    /// then execute the effects it appended.
+    /// then execute the effects it appended, if any: most word updates
+    /// wake no one and leave none.
     #[inline(always)]
     fn on_proc(&mut self, p: ProcId, now: Cycle, f: impl FnOnce(&mut Self, &mut Vec<ProcEffect>)) {
         let mut eff = self.proc_eff_pool.pop().unwrap_or_default();
         f(self, &mut eff);
-        self.run_proc_effects(p, &mut eff, now);
+        if !eff.is_empty() {
+            self.run_proc_effects(p, &mut eff, now);
+        }
         self.proc_eff_pool.push(eff);
     }
 
@@ -834,6 +850,20 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                     );
                 }
                 self.hub_receive(node, payload, now)
+            }
+            Event::WordUpdateToHub(node, addr, value) => {
+                if T::ENABLED {
+                    self.tracer.record(
+                        TraceEvent::instant(TraceKind::MsgRecv, node.0, now)
+                            .class(MsgClass::WordUpdate.index()),
+                    );
+                }
+                // The hub fans the update out to its processors' caches.
+                let when = now + self.cfg.bus_latency;
+                for p in node.procs(self.cfg.procs_per_node) {
+                    self.queue
+                        .schedule(when, Event::ProcWordUpdate(p, addr, value));
+                }
             }
             Event::DirProcess(node, id) => {
                 let payload = self.unpark(id);
@@ -1000,15 +1030,6 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 let when = now + self.cfg.bus_latency;
                 self.park(when, payload, |id| Event::ToProc(proc, id));
             }
-            // Fine-grained update fanout landing on this node.
-            Payload::WordUpdate { addr, value } => {
-                for p in node.procs(self.cfg.procs_per_node) {
-                    self.queue.schedule(
-                        now + self.cfg.bus_latency,
-                        Event::ProcWordUpdate(p, addr, value),
-                    );
-                }
-            }
             _ => {
                 self.pending_fault
                     .get_or_insert((SimErrorKind::UnexpectedPayload { at: "hub", node }, now));
@@ -1084,14 +1105,16 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
                 DirAction::ToProc { proc, payload } => {
                     self.send_to_proc(node, proc, payload, now);
                 }
-                DirAction::WordUpdateToNode {
-                    node: dst,
+                DirAction::WordUpdate {
+                    sharers,
                     addr,
                     value,
                     flow,
                 } => {
-                    let payload = Payload::WordUpdate { addr, value };
-                    self.inject(now, node, dst, payload, None, None, flow);
+                    for dst in sharers.nodes(self.cfg.procs_per_node) {
+                        let payload = Payload::WordUpdate { addr, value };
+                        self.inject(now, node, dst, payload, None, None, flow);
+                    }
                 }
                 DirAction::ReadDram { block } => {
                     let done = self.hubs[node.index()].dram.access(now, block);
@@ -1242,9 +1265,12 @@ impl<T: Tracer, P: HostProf> Machine<T, P> {
             }
             self.tracer.record(span);
         }
-        let arrive = |m: &mut Self, when: Cycle, payload: Payload| match to {
-            Some(p) => m.park(when + m.cfg.bus_latency, payload, |id| Event::ToProc(p, id)),
-            None => m.park(when, payload, |id| Event::ToHub(dst, id)),
+        let arrive = |m: &mut Self, when: Cycle, payload: Payload| match (to, &payload) {
+            (Some(p), _) => m.park(when + m.cfg.bus_latency, payload, |id| Event::ToProc(p, id)),
+            (None, &Payload::WordUpdate { addr, value }) => m
+                .queue
+                .schedule(when, Event::WordUpdateToHub(dst, addr, value)),
+            (None, _) => m.park(when, payload, |id| Event::ToHub(dst, id)),
         };
         let fault = |kind: TraceKind, when: Cycle| {
             TraceEvent::instant(kind, dst.0, when)
@@ -1519,6 +1545,16 @@ mod tests {
         for class in [MsgClass::WordUpdate, MsgClass::Request, MsgClass::Data] {
             assert!(m.stats().msgs[class.index()] > 0, "{class:?} never sent");
         }
+        // Each put's word updates, one per sharing node, arrive once each.
+        let updates = m.stats().msgs[MsgClass::WordUpdate.index()];
+        assert!(m.stats().puts > 0);
+        assert_eq!(m.stats().word_updates_sent, updates);
+        assert_eq!(
+            of_kind(TraceKind::MsgRecv)
+                .filter(|e| e.class as usize == MsgClass::WordUpdate.index())
+                .count() as u64,
+            updates
+        );
     }
 
     #[test]
@@ -1795,6 +1831,141 @@ mod tests {
         m.install_kernel(ProcId(0), Box::new(k), 0);
         assert!(m.run(1_000_000).all_finished);
         assert_eq!(out.borrow()[0], Outcome::Value(99));
+    }
+
+    /// A ticket lock under AMO: take a ticket with `amo.fetchadd`, spin
+    /// on `now_serving` until it comes up, release with an
+    /// `amo.fetchadd` whose put pushes the new value to every spinner.
+    struct TicketLock {
+        next: Addr,
+        serving: Addr,
+        rounds: u32,
+        step: u8,
+    }
+
+    impl Kernel for TicketLock {
+        fn next(&mut self, last: Option<Outcome>) -> Op {
+            let fetch_add = |addr| Op::Amo {
+                kind: AmoKind::FetchAdd,
+                addr,
+                operand: 1,
+                test: None,
+            };
+            self.step += 1;
+            match self.step {
+                1 if self.rounds == 0 => Op::Done,
+                1 => fetch_add(self.next),
+                2 => Op::SpinUntil {
+                    addr: self.serving,
+                    pred: SpinPred::Eq(last.expect("a ticket").value()),
+                },
+                _ => {
+                    (self.step, self.rounds) = (0, self.rounds - 1);
+                    fetch_add(self.serving)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ticket_lock_event_counts_are_pinned() {
+        // Each release's put reaches every spinning node as one `ToHub`
+        // arrival and every spinner as one `ProcWordUpdate`; the counts
+        // pin the fan-out's events whatever carries them.
+        let mut m = Machine::new(SystemConfig::with_procs(16));
+        for p in 0..16u16 {
+            let lock = TicketLock {
+                next: var(0, 0x100),
+                serving: var(0, 0x200),
+                rounds: 2,
+                step: 0,
+            };
+            m.install_kernel(ProcId(p), Box::new(lock), p as u64 * 20);
+        }
+        let res = m.run(10_000_000);
+        assert!(res.all_finished && res.error.is_none(), "{:?}", res.error);
+        assert_eq!(m.memory(NodeId(0)).read_word(var(0, 0x200)), 32);
+        let hist = m.event_histogram();
+        let get = |name: &str| hist.iter().find(|(n, _)| *n == name).unwrap().1;
+        assert_eq!(
+            (get("ToHub"), get("ProcWordUpdate"), res.events, res.end),
+            (336, 512, 1202, 14570)
+        );
+    }
+
+    #[test]
+    fn a_put_injects_one_word_update_per_sharer_node_in_ascending_order() {
+        use amo_obs::RingTracer;
+        use amo_types::{seed::cases, BlockData, ProcSet};
+        let name = "a_put_injects_one_word_update_per_sharer_node";
+        for mut rng in cases(module_path!(), name, 64) {
+            let ppn = [1u16, 2, 4][rng.below(3) as usize];
+            let procs = ppn * (1 + rng.below(u64::from(256 / ppn)) as u16);
+            let density = 1 + rng.below(8);
+            let sharers: ProcSet = (0..procs)
+                .filter(|_| rng.below(8) < density)
+                .map(ProcId)
+                .collect();
+            // The reference: one divide per sharer, one update per run of
+            // sharers on the same node.
+            let mut want: Vec<NodeId> = Vec::new();
+            for p in sharers.iter() {
+                let n = p.node(ppn);
+                if want.last() != Some(&n) {
+                    want.push(n);
+                }
+            }
+            let cfg = SystemConfig {
+                procs_per_node: ppn,
+                ..SystemConfig::with_procs(procs)
+            };
+            let mut m = Machine::with_tracer(cfg, QueueKind::Calendar, RingTracer::new(1 << 12));
+            // Every sharer reads the block, the AMU joins it, and its put
+            // completes the fine-grained transaction.
+            let (addr, home) = (var(0, 0x1000), NodeId(0));
+            let block = addr.block(cfg.l2.line_bytes);
+            let data = || BlockData::zeroed(cfg.l2.line_words());
+            let mut actions = Vec::new();
+            let dir = &mut m.hubs[home.index()].directory;
+            for p in sharers.iter() {
+                let get = DirRequest::GetS {
+                    req: ReqId(p.0 as u64),
+                    requester: p,
+                };
+                dir.request_into(block, get, &mut m.stats, &mut actions);
+                dir.dram_done_into(block, data(), &mut m.stats, &mut actions);
+            }
+            let get = DirRequest::FineGet { token: 1, addr };
+            dir.request_into(block, get, &mut m.stats, &mut actions);
+            dir.dram_done_into(block, data(), &mut m.stats, &mut actions);
+            actions.clear();
+            dir.fine_complete_into(block, Some((addr, 9)), 0, &mut m.stats, &mut actions);
+            let puts = actions
+                .iter()
+                .filter(|a| matches!(a, DirAction::WordUpdate { .. }))
+                .count();
+            assert_eq!(puts, 1, "one action per put");
+            m.run_dir_actions(home, &mut actions, 0);
+            let buf = m.take_trace_buf().expect("ring tracer keeps a buffer");
+            let sent: Vec<NodeId> = buf
+                .events
+                .iter()
+                .filter(|e| e.kind == TraceKind::MsgSend)
+                .filter(|e| e.class as usize == MsgClass::WordUpdate.index())
+                .map(|e| NodeId(e.a as u16))
+                .collect();
+            assert_eq!(
+                sent,
+                want,
+                "ppn {ppn}, sharers {:?}",
+                sharers.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(m.stats().word_updates_sent, want.len() as u64);
+            assert_eq!(
+                m.stats().msgs[MsgClass::WordUpdate.index()],
+                want.len() as u64
+            );
+        }
     }
 
     #[test]

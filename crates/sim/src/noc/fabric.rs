@@ -86,6 +86,8 @@ struct NodeIface {
 pub struct Fabric {
     topo: Topology,
     cfg: NetworkConfig,
+    /// `serialize(cfg.min_packet_bytes)`: every control packet's cost.
+    ctl_ser: Cycle,
     ifaces: Vec<NodeIface>,
     /// Per-directed-link reservations, indexed by dense link id
     /// (router-contention mode only; empty otherwise).
@@ -161,6 +163,7 @@ impl Fabric {
         };
         Fabric {
             topo,
+            ctl_ser: cfg.min_packet_bytes.div_ceil(cfg.ni_bytes_per_cycle).max(1),
             cfg,
             ifaces: vec![NodeIface::default(); num_nodes as usize],
             link_free,
@@ -186,6 +189,9 @@ impl Fabric {
 
     /// Cycles needed to serialize `bytes` through one endpoint link.
     fn serialize(&self, bytes: u64) -> Cycle {
+        if bytes == self.cfg.min_packet_bytes {
+            return self.ctl_ser;
+        }
         bytes.div_ceil(self.cfg.ni_bytes_per_cycle).max(1)
     }
 

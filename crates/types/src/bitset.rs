@@ -4,7 +4,7 @@
 //! (Sec. 4.2.1), so four 64-bit limbs suffice and the set is `Copy`-cheap
 //! enough to live inline in every directory entry.
 
-use crate::ids::ProcId;
+use crate::ids::{NodeId, ProcId};
 
 /// Number of 64-bit limbs in a [`ProcSet`].
 const LIMBS: usize = 4;
@@ -71,6 +71,30 @@ impl ProcSet {
             .flat_map(|(li, &limb)| BitIter { limb }.map(move |b| ProcId((li * 64 + b) as u16)))
     }
 
+    /// The nodes holding a member, in ascending order, given
+    /// `procs_per_node`: the walk skips the rest of a node's members by
+    /// comparing against the node's boundary, and never divides per
+    /// member or per node.
+    #[inline]
+    pub fn nodes(&self, procs_per_node: u16) -> impl Iterator<Item = NodeId> + '_ {
+        let per = u32::from(procs_per_node);
+        // With `magic = ⌈2^16 / per⌉`, `p * magic / 2^16` overshoots
+        // `p / per` by less than `p / 2^16 < 1/256 <= 1/per`, the least
+        // gap to the next whole quotient, so the shift below is `p / per`
+        // for every `p < MAX_PROCS = 256` (the tests check them all).
+        let magic = (1u32 << 16).div_ceil(per);
+        let mut boundary = 0;
+        self.iter().filter_map(move |p| {
+            let p = u32::from(p.0);
+            if p < boundary {
+                return None;
+            }
+            let node = (p * magic) >> 16;
+            boundary = (node + 1) * per;
+            Some(NodeId(node as u16))
+        })
+    }
+
     #[inline]
     fn split(p: ProcId) -> (usize, u32) {
         let i = p.0 as usize;
@@ -130,6 +154,24 @@ mod tests {
         let out: Vec<u16> = s.iter().map(|p| p.0).collect();
         assert_eq!(out, ids);
         assert_eq!(s.len(), ids.len());
+    }
+
+    #[test]
+    fn nodes_are_the_distinct_member_nodes_in_order() {
+        let ids = [0u16, 1, 5, 63, 64, 65, 127, 128, 200, 255];
+        let s: ProcSet = ids.iter().map(|&i| ProcId(i)).collect();
+        let nodes = |per| s.nodes(per).map(|n| n.0).collect::<Vec<_>>();
+        assert_eq!(nodes(1), ids);
+        assert_eq!(nodes(2), [0, 2, 31, 32, 63, 64, 100, 127]);
+        assert_eq!(nodes(4), [0, 1, 15, 16, 31, 32, 50, 63]);
+        assert_eq!(ProcSet::new().nodes(2).count(), 0);
+        // Every processor lands on its node at every node size.
+        for per in 1..=MAX_PROCS as u16 {
+            for p in 0..MAX_PROCS as u16 {
+                let one: ProcSet = [ProcId(p)].into_iter().collect();
+                assert_eq!(one.nodes(per).collect::<Vec<_>>(), [ProcId(p).node(per)]);
+            }
+        }
     }
 
     #[test]

@@ -168,6 +168,15 @@ pub struct FaultConfig {
 /// (`0..=window`) and its delivery time clear of `u64` overflow.
 const MAX_FAULT_WINDOW: Cycle = 1 << 40;
 
+/// Longest latency, delay or timeout a configuration may ask for, in
+/// cycles (hub-cycle counts included): about 8 ms of the 2 GHz machine,
+/// over 800 times the longest default (the 20,000-cycle end-to-end
+/// timeout). Sums and backed-off
+/// multiples of these, and a hub-cycle count times `hub_cycle`, then
+/// stay far inside a `Cycle` over any run's horizon, so the clock
+/// cannot wrap.
+const MAX_LATENCY: Cycle = 1 << 24;
+
 /// Largest cache level a configuration may ask for: 8× the paper's
 /// 2 MB L2, the largest in any experiment. Each cache indexes all its
 /// sets when it is built, so an unbounded size aborts on allocation.
@@ -394,6 +403,35 @@ impl SystemConfig {
             "network.router_radix = {} must be at least 2",
             self.network.router_radix
         );
+        ensure!(
+            self.network.ni_bytes_per_cycle > 0,
+            "network.ni_bytes_per_cycle = 0: a network interface must move at least one byte \
+             per cycle"
+        );
+        for (name, cycles) in [
+            ("l1.hit_latency", self.l1.hit_latency),
+            ("l2.hit_latency", self.l2.hit_latency),
+            ("llsc_pair_overhead", self.llsc_pair_overhead),
+            ("min_residence", self.min_residence),
+            ("bus_latency", self.bus_latency),
+            ("hub_cycle", self.hub_cycle),
+            ("dir_occupancy_hub_cycles", self.dir_occupancy_hub_cycles),
+            ("dram_latency", self.dram_latency),
+            ("dram_occupancy", self.dram_occupancy),
+            ("network.hop_latency", self.network.hop_latency),
+            ("amu.op_hub_cycles", self.amu.op_hub_cycles),
+            ("amu.nack_backoff", self.amu.nack_backoff),
+            ("actmsg.invoke_cycles", self.actmsg.invoke_cycles),
+            ("actmsg.handler_cycles", self.actmsg.handler_cycles),
+            ("actmsg.timeout", self.actmsg.timeout),
+            ("faults.link_retry_backoff", f.link_retry_backoff),
+            ("faults.e2e_timeout", f.e2e_timeout),
+        ] {
+            ensure!(
+                cycles <= MAX_LATENCY,
+                "{name} = {cycles}: a latency may be at most {MAX_LATENCY} cycles"
+            );
+        }
         ensure!(
             (1..=MAX_AMU_CACHE_WORDS).contains(&self.amu.cache_words),
             "amu.cache_words = {} must be at least 1 and at most {MAX_AMU_CACHE_WORDS}",
@@ -743,6 +781,30 @@ mod tests {
                 "amu.cache_words = 18446744073709551615",
             ),
             (bad(&|c| c.amu.cache_words = 0), "amu.cache_words = 0"),
+            (
+                bad(&|c| c.network.ni_bytes_per_cycle = 0),
+                "network.ni_bytes_per_cycle = 0",
+            ),
+            (
+                bad(&|c| c.dram_latency = max),
+                "dram_latency = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.bus_latency = max),
+                "bus_latency = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.hub_cycle = max),
+                "hub_cycle = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.network.hop_latency = max),
+                "network.hop_latency = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.faults.e2e_timeout = MAX_LATENCY + 1),
+                "faults.e2e_timeout = 16777217",
+            ),
         ] {
             assert!(why.contains(needle), "{why:?} lacks {needle:?}");
         }
@@ -750,6 +812,8 @@ mod tests {
         let mut c = SystemConfig::with_procs(8);
         c.l2.size_bytes = MAX_CACHE_BYTES;
         c.amu.cache_words = MAX_AMU_CACHE_WORDS;
+        (c.dram_latency, c.hub_cycle, c.dir_occupancy_hub_cycles) =
+            (MAX_LATENCY, MAX_LATENCY, MAX_LATENCY);
         assert_eq!(c.check(), Ok(()));
     }
 

@@ -20,7 +20,8 @@ const _: () = assert!(std::mem::size_of::<Payload>() <= 64);
 /// The machine's event type: tag + ids, with a message's payload behind
 /// a `SlotId`. One event is one write into a queue node and one read at
 /// its pop; the widest variants (`ProcTimeout`, `ProcWordUpdate`,
-/// `AmuMemValue`) set this number.
+/// `WordUpdateToHub`, which carries a word update's node, address and
+/// value instead of a parked payload, and `AmuMemValue`) set this number.
 const _: () = assert!(amo_sim::EVENT_SIZE <= 24);
 
 /// One way record of a set-associative cache: tag, LRU tick, state and
@@ -32,6 +33,12 @@ const _: () = assert!(amo_sim::cache::WAY_SIZE <= 24);
 /// optional open transaction (the `Txn` dominates: block data handle,
 /// ack counts, flags) + request queue + generation tag.
 const _: () = assert!(amo_sim::directory::ENTRY_SLOT_SIZE <= 144);
+
+/// One directory action, written into the machine's pooled action
+/// buffer per side effect. `ToProc` (a processor id beside a `Payload`)
+/// sets this number; a put's word-update fan-out is one action carrying
+/// the sharer set, not one per destination node.
+const _: () = assert!(std::mem::size_of::<amo_sim::directory::DirAction>() <= 72);
 
 /// Slab bookkeeping overhead: a slot stores the value, its generation
 /// tag, and the `Option` presence bit. For a word-sized payload that
@@ -64,6 +71,10 @@ fn report_layout_sizes() {
     );
     println!("sim Event          = {:>3} bytes", amo_sim::EVENT_SIZE);
     println!("cache way          = {:>3} bytes", amo_sim::cache::WAY_SIZE);
+    println!(
+        "DirAction          = {:>3} bytes",
+        std::mem::size_of::<amo_sim::directory::DirAction>()
+    );
     println!(
         "dir Entry slot     = {:>3} bytes",
         amo_sim::directory::ENTRY_SLOT_SIZE

@@ -6,9 +6,13 @@
 # SECONDS` (default 10) runs, the parent first in odd pairs and the
 # change first in even ones. Prints each pair's five end-to-end metrics,
 # then per metric the parent's and the change's medians, the parent's
-# q1–q3 and how many pairs the change won (the direction of "better" and
-# the bound are read from BENCHMARK.json); a metric whose change median is
-# worse than the parent's by more than its bound is marked OVER BOUND.
+# q1–q3, the median and q1–q3 of the per-pair change/parent ratios and
+# how many pairs the change won (the direction of "better" and the bound
+# are read from BENCHMARK.json); a metric whose change median is worse
+# than the parent's by more than its bound is marked OVER BOUND. The
+# paired ratio is the steadier reading: a host phase shift (the CPU's
+# speed mode changing for seconds to minutes) moves both runs of a pair
+# together, and so the two medians, but barely their ratio.
 # Exits 1 if any run is not `"correct":true` with `"failed":0`.
 #
 #   tools/ab.sh ../parent/target/release/amo-benchmark \
@@ -86,24 +90,31 @@ for pair in sorted(table):
         print(f"{pair:>4} {side:6} " + " ".join(cells))
 
 print()
-print(f"{'metric':12} {'parent med':>12} {'change med':>12} {'change/par':>10} {'parent q1-q3':>25} {'wins':>6}")
+print(f"{'metric':12} {'parent med':>12} {'change med':>12} {'change/par':>10} {'parent q1-q3':>25} "
+      f"{'pair ratio':>10} {'ratio q1-q3':>13} {'wins':>6}")
+quartiles = lambda xs: statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
 for name, better in metrics:
-    par, chg, wins = [], [], 0
+    par, chg, ratios, wins = [], [], [], 0
     for sides in table.values():
         p, c = sides.get("parent", {}).get(name), sides.get("change", {}).get(name)
         if p is None or c is None:
             continue
         par.append(p)
         chg.append(c)
+        if p:
+            ratios.append(c / p)
         wins += (c < p) if better == "lower" else (c > p)
     if not par:
         print(f"{name:12} no complete pairs")
         continue
-    q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive") if len(par) > 1 else (par[0],) * 3
+    q1, _, q3 = quartiles(par)
+    r1, rm, r3 = quartiles(ratios) if ratios else (None,) * 3
+    paired = f"{rm:10.3f} {f'{r1:.3f}-{r3:.3f}':>13}" if ratios else f"{'-':>10} {'-':>13}"
     pm, cm = statistics.median(par), statistics.median(chg)
     ratio = f"{cm / pm:10.3f}" if pm else f"{'-':>10}"
     worse = (cm - pm) if better == "lower" else (pm - cm)
     flag = "  OVER BOUND" if pm and worse / abs(pm) > bounds[name] else ""
-    print(f"{name:12} {pm:12.6g} {cm:12.6g} {ratio} {f'{q1:.6g}-{q3:.6g}':>25} {f'{wins}/{len(par)}':>6}{flag}")
+    print(f"{name:12} {pm:12.6g} {cm:12.6g} {ratio} {f'{q1:.6g}-{q3:.6g}':>25} {paired} "
+          f"{f'{wins}/{len(par)}':>6}{flag}")
 sys.exit(1 if bad else 0)
 EOF
