@@ -581,6 +581,31 @@ mod tests {
         assert!(err.contains("fingerprint mismatch"), "{err}");
     }
 
+    /// A plan document's bytes: member order, decimal counts and the
+    /// hex seed.
+    #[test]
+    fn plan_documents_pin_every_member() {
+        let doc = PlanDoc {
+            plan: DeliveryPlan {
+                drop_ppm: 400_000,
+                dup_ppm: 20_000,
+                reorder_window: 32,
+                e2e_timeout: 5_000,
+                max_e2e_retries: 1,
+                seed: 0xDEAD_BEEF_0123_4567,
+            },
+            procs: 16,
+            episodes: 3,
+            watchdog: 2_000_000,
+            kind: "RequestTimedOut".into(),
+            fingerprint: "0123456789abcdef0123456789abcdef".into(),
+        };
+        assert_eq!(
+            doc.to_json(),
+            r#"{"schema":"amo-fault-plan-v1","fingerprint":"0123456789abcdef0123456789abcdef","kind":"RequestTimedOut","procs":16,"episodes":3,"watchdog":2000000,"faults":{"link_drop_ppm":400000,"link_dup_ppm":20000,"link_reorder_window":32,"e2e_timeout":5000,"max_e2e_retries":1,"seed":"0xdeadbeef01234567"}}"#
+        );
+    }
+
     #[test]
     fn benign_plans_are_skipped_without_probing() {
         let spec = ChaosSpec {

@@ -396,6 +396,49 @@ mod tests {
         );
     }
 
+    /// Every member of a barrier and a lock cell, each off its default,
+    /// in the bytes the cache keys hash.
+    #[test]
+    fn canonical_docs_pin_every_member() {
+        let mut cfg = SystemConfig::with_procs(8);
+        cfg.network.hop_latency = 20;
+        let config = cfg.canonical_json();
+        let barrier = RunSpec::Barrier(BarrierBench {
+            episodes: 7,
+            warmup: 3,
+            algo: BarrierAlgo::Tree(4),
+            style: Some(amo_sync::BarrierStyle::EagerUpdates),
+            max_skew: 123,
+            skew: SkewMode::Arithmetic,
+            seed: 0xBEEF,
+            watchdog: 4_567,
+            config: Some(cfg),
+            ..BarrierBench::paper(Mechanism::Mao, 8)
+        });
+        assert_eq!(
+            barrier.canonical_doc(),
+            format!(
+                r#"{{"code":"{CODE_FINGERPRINT}","workload":"barrier","mech":"MAO","procs":8,"episodes":7,"warmup":3,"algo":"tree:4","style":"EagerUpdates","max_skew":123,"skew":"arithmetic","seed":48879,"watchdog":4567,"config":{config}}}"#
+            )
+        );
+        let lock = RunSpec::Lock(LockBench {
+            rounds: 5,
+            cs_cycles: 77,
+            max_think: 99,
+            seed: 0xF00D,
+            watchdog: 8_910,
+            check_exclusion: false,
+            config: Some(cfg),
+            ..LockBench::paper(Mechanism::Atomic, LockKind::Mcs, 8)
+        });
+        assert_eq!(
+            lock.canonical_doc(),
+            format!(
+                r#"{{"code":"{CODE_FINGERPRINT}","workload":"lock","mech":"Atomic","kind":"mcs","procs":8,"rounds":5,"cs_cycles":77,"max_think":99,"seed":61453,"watchdog":8910,"check_exclusion":false,"config":{config}}}"#
+            )
+        );
+    }
+
     #[test]
     fn distinct_specs_get_distinct_keys() {
         let a = barrier_spec();

@@ -513,6 +513,41 @@ mod tests {
         }
     }
 
+    /// Every knob of a model, each off its default, in the bytes its
+    /// key and every schedule fingerprint hash.
+    #[test]
+    fn canonical_doc_pins_every_knob() {
+        let m = VerifyModel {
+            mech: Mechanism::LlSc,
+            workload: VerifyWorkload::Barrier { episodes: 3 },
+            procs: 4,
+            skew_choices: 3,
+            skew_step: 17,
+            reorder_window: 5,
+            explore_dups: true,
+            jitter_choices: 2,
+            max_choice_points: 7,
+            watchdog: 12_345,
+            planted_double_apply: true,
+        };
+        assert_eq!(
+            m.canonical_doc(),
+            format!(
+                r#"{{"code":"{CODE_FINGERPRINT}","mech":"LL/SC","workload":"barrier","episodes":3,"procs":4,"skew_choices":3,"skew_step":17,"reorder_window":5,"explore_dups":true,"jitter_choices":2,"max_choice_points":7,"watchdog":12345,"planted_double_apply":true,"config":{}}}"#,
+                m.config().canonical_json()
+            )
+        );
+        let lock = VerifyModel {
+            workload: VerifyWorkload::TicketLock { rounds: 4 },
+            explore_dups: false,
+            ..m
+        };
+        let doc = lock.canonical_doc();
+        let want = r#""workload":"ticket-lock","rounds":4,"procs":4,"#;
+        assert!(doc.contains(want), "{doc}");
+        assert!(doc.contains(r#""explore_dups":false,"#), "{doc}");
+    }
+
     #[test]
     fn model_key_pins_every_knob() {
         let m = lock_model();
