@@ -11,8 +11,7 @@ use amo_sync::Mechanism;
 use amo_types::stats::ALL_OP_CLASSES;
 use amo_types::{Stats, SystemConfig};
 use amo_workloads::{
-    run_scenario, BarrierAlgo, BarrierBench, LockBench, LockKind, ObsReport, ObsSpec, Run,
-    Scenario, SkewMode,
+    run_scenario, BarrierAlgo, BarrierBench, LockBench, LockKind, ObsReport, ObsSpec, Run, Scenario,
 };
 
 /// The flags [`parse_obs`] reads, shared by both commands.
@@ -212,20 +211,17 @@ fn run_observed<S: Scenario + Clone>(
 pub(crate) fn barrier(args: &Args) -> Result<i32, Stop> {
     let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
     let procs = procs(args, 0, 2)?;
+    let paper = BarrierBench::paper(mech, procs);
     let bench = BarrierBench {
-        mech,
-        procs,
-        episodes: args.num("episodes", 10)?,
-        warmup: args.num("warmup", 2)?,
+        episodes: args.num("episodes", paper.episodes)?,
+        warmup: args.num("warmup", paper.warmup)?,
         algo: args
             .get("algo")
-            .map_or(Ok(BarrierAlgo::Central), BarrierAlgo::parse)?,
-        style: None,
-        max_skew: args.num("skew", 800)?,
-        skew: SkewMode::Random,
-        seed: args.num("seed", 0xA40_5EEDu64)?,
-        watchdog: args.num("watchdog", 0)?,
-        config: None,
+            .map_or(Ok(paper.algo), BarrierAlgo::parse)?,
+        max_skew: args.num("skew", paper.max_skew)?,
+        seed: args.num("seed", paper.seed)?,
+        watchdog: args.num("watchdog", paper.watchdog)?,
+        ..paper
     };
     let (mech, algo) = (mech.label(), bench.algo);
     let meta = [
@@ -258,17 +254,14 @@ pub(crate) fn lock(args: &Args) -> Result<i32, Stop> {
     let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
     let kind = LockKind::parse(args.get("kind").expect("required by the synopsis"))?;
     let procs = procs(args, 0, 2)?;
+    let paper = LockBench::paper(mech, kind, procs);
     let bench = LockBench {
-        mech,
-        kind,
-        procs,
-        rounds: args.num("rounds", 8)?,
-        cs_cycles: args.num("cs", 250)?,
-        max_think: args.num("think", 1000)?,
-        seed: args.num("seed", 0x10C_5EEDu64)?,
-        watchdog: args.num("watchdog", 0)?,
-        check_exclusion: true,
-        config: None,
+        rounds: args.num("rounds", paper.rounds)?,
+        cs_cycles: args.num("cs", paper.cs_cycles)?,
+        max_think: args.num("think", paper.max_think)?,
+        seed: args.num("seed", paper.seed)?,
+        watchdog: args.num("watchdog", paper.watchdog)?,
+        ..paper
     };
     let mech = mech.label();
     let meta = [

@@ -27,7 +27,7 @@
 use crate::run::RunSpec;
 use amo_sim::SimErrorKind;
 use amo_sync::Mechanism;
-use amo_types::jsonv::{narrow, Json};
+use amo_types::jsonv::{document, read_object};
 use amo_types::seed::{key_hex, run_seed, splitmix64};
 use amo_types::{Cycle, JsonWriter, SystemConfig};
 use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, Scenario, SkewMode};
@@ -38,7 +38,7 @@ pub(crate) const PLAN_SCHEMA: &str = "amo-fault-plan-v1";
 /// One delivery-fault plan: the three fault dimensions, the oracle
 /// seed that fixes *which* messages they bite, and the end-to-end
 /// recovery budget they race against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeliveryPlan {
     /// Per-message drop probability, parts per million.
     pub drop_ppm: u32,
@@ -354,7 +354,7 @@ pub fn search(spec: &ChaosSpec) -> ChaosReport {
 /// reproduces against, the failure kind it is expected to reproduce,
 /// and the config fingerprint pinning the exact simulator + machine
 /// configuration the plan was minimized under.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanDoc {
     /// The delivery-fault plan.
     pub plan: DeliveryPlan,
@@ -430,23 +430,7 @@ impl PlanDoc {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.kv_str("schema", PLAN_SCHEMA);
-        w.kv_str("fingerprint", &self.fingerprint);
-        w.kv_str("kind", &self.kind);
-        w.kv_u64("procs", self.procs as u64);
-        w.kv_u64("episodes", self.episodes as u64);
-        w.kv_u64("watchdog", self.watchdog);
-        w.key("faults");
-        w.begin_obj();
-        w.kv_u64("link_drop_ppm", self.plan.drop_ppm as u64);
-        w.kv_u64("link_dup_ppm", self.plan.dup_ppm as u64);
-        w.kv_u64("link_reorder_window", self.plan.reorder_window);
-        w.kv_u64("e2e_timeout", self.plan.e2e_timeout);
-        w.kv_u64("max_e2e_retries", self.plan.max_e2e_retries as u64);
-        // Full-width u64 seeds don't survive the f64-backed JSON number
-        // path; hex strings do (and read better), matching the campaign
-        // spec convention.
-        w.kv_str("seed", &format!("{:#x}", self.plan.seed));
-        w.end_obj();
+        plan_doc::write(self, &mut w);
         w.end_obj();
         w.finish()
     }
@@ -456,49 +440,43 @@ impl PlanDoc {
     /// [`PlanDoc::check_fingerprint`] before trusting the plan as a
     /// reproducer.
     pub fn from_json(doc: &str) -> Result<PlanDoc, String> {
-        let v = Json::parse(doc).map_err(|e| format!("plan: {e}"))?;
-        match v.get("schema").and_then(|s| s.as_str()) {
-            Some(PLAN_SCHEMA) => {}
-            other => return Err(format!("plan: bad schema {other:?}, want {PLAN_SCHEMA:?}")),
-        }
-        let str_field = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(|s| s.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("plan: missing {k}"))
-        };
-        /// Field `k` of `o` (named `at` + `k` in messages), narrowed to
-        /// its type.
-        fn num<T: TryFrom<u64>>(o: &Json, at: &str, k: &str) -> Result<T, String> {
-            let n = o.get(k).and_then(|n| n.as_u64());
-            let n = n.ok_or_else(|| format!("plan: missing {at}{k}"))?;
-            narrow(k, n).map_err(|e| format!("plan: {at}{e}"))
-        }
-        let f = v.get("faults").ok_or("plan: missing faults")?;
-        let seed = f
-            .get("seed")
-            .and_then(|s| s.as_str())
-            .and_then(|s| s.strip_prefix("0x"))
-            .and_then(|hex| u64::from_str_radix(&hex.replace('_', ""), 16).ok())
-            .ok_or("plan: missing or malformed faults.seed (want \"0x…\")")?;
-        let doc = PlanDoc {
-            plan: DeliveryPlan {
-                drop_ppm: num(f, "faults.", "link_drop_ppm")?,
-                dup_ppm: num(f, "faults.", "link_dup_ppm")?,
-                reorder_window: num(f, "faults.", "link_reorder_window")?,
-                e2e_timeout: num(f, "faults.", "e2e_timeout")?,
-                max_e2e_retries: num(f, "faults.", "max_e2e_retries")?,
-                seed,
-            },
-            procs: num(&v, "", "procs")?,
-            episodes: num(&v, "", "episodes")?,
-            watchdog: num(&v, "", "watchdog")?,
-            kind: str_field("kind")?,
-            fingerprint: str_field("fingerprint")?,
-        };
-        let bench = doc.spec().bench(&doc.plan);
-        bench.check().map_err(|e| format!("plan: {e}"))?;
+        Self::decode(doc).map_err(|e| format!("plan: {e}"))
+    }
+
+    fn decode(doc: &str) -> Result<PlanDoc, String> {
+        let v = document(doc, PLAN_SCHEMA)?;
+        let mut doc = PlanDoc::default();
+        read_object(&v, "", plan_doc::REQUIRED, |k, x| {
+            plan_doc::read(&mut doc, k, x)
+        })?;
+        doc.spec().bench(&doc.plan).check()?;
         Ok(doc)
+    }
+}
+
+amo_types::members! {
+    /// A plan document's members: the barrier a plan replays against,
+    /// the outcome it expects and the fingerprint it was minted under.
+    mod plan_doc(d: PlanDoc) {
+        "fingerprint" required: text(d.fingerprint),
+        "kind" required: text(d.kind),
+        "procs" required: num(d.procs),
+        "episodes" required: num(d.episodes),
+        "watchdog" required: num(d.watchdog),
+        "faults" required: nested(d.plan, faults),
+    }
+}
+
+amo_types::members! {
+    /// A plan's `faults` object. A full-width seed does not survive the
+    /// f64-backed JSON number, so it is written as a hex string.
+    mod faults(p: DeliveryPlan) {
+        "link_drop_ppm" required: num(p.drop_ppm),
+        "link_dup_ppm" required: num(p.dup_ppm),
+        "link_reorder_window" required: num(p.reorder_window),
+        "e2e_timeout" required: num(p.e2e_timeout),
+        "max_e2e_retries" required: num(p.max_e2e_retries),
+        "seed" required: hex(p.seed),
     }
 }
 
@@ -604,6 +582,43 @@ mod tests {
             doc.to_json(),
             r#"{"schema":"amo-fault-plan-v1","fingerprint":"0123456789abcdef0123456789abcdef","kind":"RequestTimedOut","procs":16,"episodes":3,"watchdog":2000000,"faults":{"link_drop_ppm":400000,"link_dup_ppm":20000,"link_reorder_window":32,"e2e_timeout":5000,"max_e2e_retries":1,"seed":"0xdeadbeef01234567"}}"#
         );
+    }
+
+    /// A member no list holds is refused at either level, a missing
+    /// one is named by its path, and the seed reads in either form.
+    #[test]
+    fn plan_members_are_checked_by_path() {
+        let spec = planted_spec();
+        let json = PlanDoc::new(&spec, spec.sample(0), "RequestTimedOut").to_json();
+        for (from, to, why) in [
+            (
+                "\"procs\"",
+                "\"bogus\":1,\"procs\"",
+                "plan: unknown member \"bogus\"",
+            ),
+            (
+                "\"link_dup_ppm\"",
+                "\"link_dupe\":1,\"link_dup_ppm\"",
+                "plan: unknown member \"faults.link_dupe\"",
+            ),
+            (
+                "\"link_drop_ppm\"",
+                "\"link_drop\"",
+                "plan: missing faults.link_drop_ppm",
+            ),
+            ("\"kind\"", "\"kinds\"", "plan: missing kind"),
+            (
+                "\"link_drop_ppm\":",
+                "\"link_drop_ppm\":4294967296,\"x\":",
+                "plan: faults.link_drop_ppm: 4294967296 does not fit u32",
+            ),
+        ] {
+            let err = PlanDoc::from_json(&json.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err, why);
+        }
+        let seed = PlanDoc::from_json(&json).unwrap().plan.seed;
+        let decimal = json.replace(&format!("\"{seed:#x}\""), "7");
+        assert_eq!(PlanDoc::from_json(&decimal).unwrap().plan.seed, 7);
     }
 
     #[test]

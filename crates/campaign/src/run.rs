@@ -11,10 +11,12 @@
 //! string; both outcomes serialize (`amo-run-artifacts-v1`) so the
 //! result cache can replay them without simulating.
 
+use amo_sync::Mechanism;
 use amo_types::jsonv::Json;
 use amo_types::{JsonWriter, Stats, SystemConfig};
 use amo_workloads::app::{SelfSched, SelfSchedCell, Signal, SignalResult, SyncTax, SyncTaxCell};
 use amo_workloads::runner::{run_scenario, BarrierBench, LockBench, ObsSpec, Scenario};
+use amo_workloads::runner::{BarrierAlgo, LockKind, SkewMode};
 use amo_workloads::{BarrierMeasurement, LockMeasurement};
 
 /// Schema tag of a serialized run outcome.
@@ -43,6 +45,39 @@ pub enum RunSpec {
     Signal(Signal),
     /// One self-scheduling-loop cell.
     SelfSched(SelfSched),
+}
+
+amo_types::members! {
+    /// A barrier cell's grid parameters and, in this order, its
+    /// canonical document. Only the paper's ablations set `style`.
+    pub(crate) mod barrier(b: BarrierBench) {
+        "mech" required: tag(b.mech, Mechanism, label),
+        "procs" required: num(b.procs),
+        "episodes": num(b.episodes),
+        "warmup": num(b.warmup),
+        "algo": tag(b.algo, BarrierAlgo, tag),
+        "style": out(text(b.style.map_or("default".into(), |s| format!("{s:?}")))),
+        "max_skew": num(b.max_skew),
+        "skew": tag(b.skew, SkewMode, tag),
+        "seed": num(b.seed),
+        "watchdog": num(b.watchdog),
+    }
+}
+
+amo_types::members! {
+    /// A lock cell's members, as for [`barrier`]. No grid turns off
+    /// `check_exclusion`, but the key records it.
+    pub(crate) mod lock(b: LockBench) {
+        "mech" required: tag(b.mech, Mechanism, label),
+        "kind": tag(b.kind, LockKind, tag),
+        "procs" required: num(b.procs),
+        "rounds": num(b.rounds),
+        "cs_cycles": num(b.cs_cycles),
+        "max_think": num(b.max_think),
+        "seed": num(b.seed),
+        "watchdog": num(b.watchdog),
+        "check_exclusion": out(flag(b.check_exclusion)),
+    }
 }
 
 /// What a cell's payload records of a scenario's output.
@@ -144,32 +179,11 @@ impl RunSpec {
         match self {
             RunSpec::Barrier(b) => {
                 w.kv_str("workload", "barrier");
-                w.kv_str("mech", b.mech.label());
-                w.kv_u64("procs", b.procs as u64);
-                w.kv_u64("episodes", b.episodes as u64);
-                w.kv_u64("warmup", b.warmup as u64);
-                w.kv_str("algo", &b.algo.tag());
-                w.kv_str(
-                    "style",
-                    &b.style.map_or("default".into(), |s| format!("{s:?}")),
-                );
-                w.kv_u64("max_skew", b.max_skew);
-                w.kv_str("skew", b.skew.tag());
-                w.kv_u64("seed", b.seed);
-                w.kv_u64("watchdog", b.watchdog);
+                barrier::write(b, &mut w);
             }
             RunSpec::Lock(b) => {
                 w.kv_str("workload", "lock");
-                w.kv_str("mech", b.mech.label());
-                w.kv_str("kind", b.kind.tag());
-                w.kv_u64("procs", b.procs as u64);
-                w.kv_u64("rounds", b.rounds as u64);
-                w.kv_u64("cs_cycles", b.cs_cycles);
-                w.kv_u64("max_think", b.max_think);
-                w.kv_u64("seed", b.seed);
-                w.kv_u64("watchdog", b.watchdog);
-                w.key("check_exclusion");
-                w.bool_val(b.check_exclusion);
+                lock::write(b, &mut w);
             }
             RunSpec::SyncTax(s) => {
                 w.kv_str("workload", "sync_tax");
@@ -345,8 +359,6 @@ pub fn outcome_from_json(doc: &str) -> Result<Result<RunArtifacts, String>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amo_sync::Mechanism;
-    use amo_workloads::runner::{BarrierAlgo, LockKind, SkewMode};
 
     fn barrier_spec() -> RunSpec {
         RunSpec::Barrier(BarrierBench {

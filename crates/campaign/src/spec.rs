@@ -31,15 +31,20 @@
 //! ```
 
 use crate::artifacts::{check_artifact_names, ArtifactProfile};
-use crate::run::RunSpec;
+use crate::run::{barrier, lock, RunSpec};
 use amo_sync::Mechanism;
-use amo_types::jsonv::{narrow, Json};
+use amo_types::jsonv::{array, document, object, read_object, text, unsigned, Json};
 use amo_types::seed::run_seed;
 use amo_types::SystemConfig;
-use amo_workloads::runner::{BarrierAlgo, BarrierBench, LockBench, LockKind, SkewMode};
+use amo_workloads::runner::{BarrierBench, LockBench, LockKind};
 
 /// Schema tag a campaign spec must carry.
 pub(crate) const SPEC_SCHEMA: &str = "amo-campaign-v1";
+
+/// The most runs a grid may expand to, replicas included: each costs a
+/// label and a description before anything runs, and no grid anyone has
+/// asked for comes near (the paper's whole campaign is 405 cells).
+const MAX_GRID_RUNS: u64 = 1 << 16;
 
 /// One expanded grid cell: a human-readable label plus the run it
 /// schedules.
@@ -83,53 +88,16 @@ impl CampaignSpec {
     }
 
     fn decode(doc: &str) -> Result<CampaignSpec, String> {
-        let v = Json::parse(doc)?;
-        match v.get("schema").and_then(|s| s.as_str()) {
-            Some(SPEC_SCHEMA) => {}
-            other => return Err(format!("bad schema {other:?}, want {SPEC_SCHEMA:?}")),
-        }
-        let name = v
-            .get("name")
-            .and_then(|s| s.as_str())
-            .ok_or("missing name")?
-            .to_string();
-        let plan = match v.get("kind").and_then(|s| s.as_str()) {
-            Some("grid") => CampaignPlan::Grid(expand_grid(&name, &v)?),
+        let v = document(doc, SPEC_SCHEMA)?;
+        let name = v.get("name").and_then(Json::as_str).ok_or("missing name")?;
+        let plan = match v.get("kind").and_then(Json::as_str) {
+            Some("grid") => CampaignPlan::Grid(expand_grid(name, &v)?),
             Some("artifacts") => parse_artifacts(&v)?,
             other => return Err(format!("bad kind {other:?}")),
         };
+        let name = name.to_string();
         Ok(CampaignSpec { name, plan })
     }
-}
-
-fn obj_entries<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match v {
-        Json::Obj(m) => Ok(m),
-        _ => Err(format!("{what} must be an object")),
-    }
-}
-
-/// Decode an unsigned integer field of type `T`, range-checked.
-fn parse_num<T: TryFrom<u64>>(v: &Json, what: &str) -> Result<T, String> {
-    if let Some(n) = v.as_u64() {
-        return narrow(what, n);
-    }
-    // Seeds read better in hex; accept "0x..." strings too.
-    if let Some(s) = v.as_str() {
-        if let Some(hex) = s.strip_prefix("0x") {
-            let n = u64::from_str_radix(&hex.replace('_', ""), 16);
-            return narrow(what, n.map_err(|e| format!("{what}: {e}"))?);
-        }
-    }
-    Err(format!("{what} must be an unsigned integer"))
-}
-
-/// Decode a string-tagged enum field through the type's own `parse`.
-fn parse_tag<T>(v: &Json, what: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| format!("{what} must be a string"))?;
-    parse(s)
 }
 
 /// Find the last assignment of `key` (axis values come after `base`, so
@@ -142,137 +110,126 @@ fn lookup<'a>(assignments: &'a [(&'a str, &'a Json)], key: &str) -> Option<&'a J
         .map(|(_, v)| *v)
 }
 
+/// A barrier or lock cell at the paper's defaults, before its
+/// parameters are assigned, and the parameters it must be given.
+fn blank(workload: &str) -> Result<(RunSpec, &'static [&'static str]), String> {
+    let (amo, ticket) = (Mechanism::Amo, LockKind::Ticket);
+    Ok(match workload {
+        "barrier" => (
+            RunSpec::Barrier(BarrierBench::paper(amo, 0)),
+            barrier::REQUIRED,
+        ),
+        "lock" => (
+            RunSpec::Lock(LockBench::paper(amo, ticket, 0)),
+            lock::REQUIRED,
+        ),
+        other => return Err(format!("unknown workload {other:?} (barrier, lock)")),
+    })
+}
+
+/// Assign one grid parameter: a member of the cell's list, or a
+/// `config.` path of its machine, which starts as the paper's at the
+/// cell's processor count. Any other name is refused.
+fn assign(workload: &str, spec: &mut RunSpec, key: &str, v: &Json) -> Result<(), String> {
+    let known = match (spec, key.strip_prefix("config.")) {
+        (RunSpec::Barrier(b), None) => barrier::read(b, key, v)?,
+        (RunSpec::Lock(b), None) => lock::read(b, key, v)?,
+        (
+            RunSpec::Barrier(BarrierBench { procs, config, .. })
+            | RunSpec::Lock(LockBench { procs, config, .. }),
+            Some(path),
+        ) => {
+            let cfg = config.get_or_insert_with(|| SystemConfig::with_procs(*procs));
+            cfg.set_field(path, unsigned(v, key)?).map(|()| true)?
+        }
+        _ => unreachable!("grid workloads are barrier|lock"),
+    };
+    known
+        .then_some(())
+        .ok_or_else(|| format!("unknown {workload} parameter {key:?}"))
+}
+
 /// Build one run from an assignment list (`base` entries first, then
-/// the axis point's).
+/// the axis point's). The cell's own parameters go first, so the
+/// machine its `config.` paths edit has the cell's processor count.
 fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, String> {
-    let procs = parse_num(
-        lookup(assignments, "procs").ok_or("grid cell missing procs")?,
-        "procs",
-    )?;
-    let mech = parse_tag(
-        lookup(assignments, "mech").ok_or("grid cell missing mech")?,
-        "mech",
-        Mechanism::parse,
-    )?;
-    let mut cfg = SystemConfig::with_procs(procs);
-    let mut cfg_touched = false;
-    match workload {
-        "barrier" => {
-            let mut b = BarrierBench::paper(mech, procs);
-            for &(key, v) in assignments {
-                match key {
-                    "mech" | "procs" => {}
-                    "episodes" => b.episodes = parse_num(v, key)?,
-                    "warmup" => b.warmup = parse_num(v, key)?,
-                    "algo" => b.algo = parse_tag(v, key, BarrierAlgo::parse)?,
-                    "max_skew" => b.max_skew = parse_num(v, key)?,
-                    "skew" => b.skew = parse_tag(v, key, SkewMode::parse)?,
-                    "seed" => b.seed = parse_num(v, key)?,
-                    "watchdog" => b.watchdog = parse_num(v, key)?,
-                    _ if key.starts_with("config.") => {
-                        cfg.set_field(&key["config.".len()..], parse_num(v, key)?)?;
-                        cfg_touched = true;
-                    }
-                    _ => return Err(format!("unknown barrier parameter {key:?}")),
-                }
-            }
-            if cfg_touched {
-                b.config = Some(cfg);
-            }
-            Ok(RunSpec::Barrier(b))
-        }
-        "lock" => {
-            let kind = match lookup(assignments, "kind") {
-                Some(v) => parse_tag(v, "kind", LockKind::parse)?,
-                None => LockKind::Ticket,
-            };
-            let mut b = LockBench::paper(mech, kind, procs);
-            for &(key, v) in assignments {
-                match key {
-                    "mech" | "procs" | "kind" => {}
-                    "rounds" => b.rounds = parse_num(v, key)?,
-                    "cs_cycles" => b.cs_cycles = parse_num(v, key)?,
-                    "max_think" => b.max_think = parse_num(v, key)?,
-                    "seed" => b.seed = parse_num(v, key)?,
-                    "watchdog" => b.watchdog = parse_num(v, key)?,
-                    _ if key.starts_with("config.") => {
-                        cfg.set_field(&key["config.".len()..], parse_num(v, key)?)?;
-                        cfg_touched = true;
-                    }
-                    _ => return Err(format!("unknown lock parameter {key:?}")),
-                }
-            }
-            if cfg_touched {
-                b.config = Some(cfg);
-            }
-            Ok(RunSpec::Lock(b))
-        }
-        other => Err(format!("unknown workload {other:?} (barrier, lock)")),
+    let (mut spec, required) = blank(workload)?;
+    if let Some(r) = required.iter().find(|r| lookup(assignments, r).is_none()) {
+        return Err(format!("grid cell missing {r}"));
     }
+    for config in [false, true] {
+        for &(key, v) in assignments {
+            if key.starts_with("config.") == config {
+                assign(workload, &mut spec, key, v)?;
+            }
+        }
+    }
+    Ok(spec)
 }
 
 fn scalar_label(v: &Json) -> String {
     match v {
         Json::Str(s) => s.clone(),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Json::Bool(b) => format!("{b}"),
+        Json::Num(n) => n.to_string(),
+        Json::Bool(b) => b.to_string(),
         other => format!("{other:?}"),
     }
 }
 
-/// Does `cell` satisfy `filter` (every filter key equal to the cell's
+/// Does the cell satisfy `filter` (every filter key equal to the cell's
 /// effective assignment)?
-fn matches(filter: &Json, assignments: &[(&str, &Json)]) -> Result<bool, String> {
-    for (k, want) in obj_entries(filter, "filter entry")? {
-        match lookup(assignments, k) {
-            Some(have) if have == want => {}
-            _ => return Ok(false),
-        }
-    }
-    Ok(true)
+fn matches(filter: &Json, assignments: &[(&str, &Json)]) -> bool {
+    filter
+        .keys()
+        .all(|k| lookup(assignments, k) == filter.get(k))
 }
 
+/// Read a grid spec's members and expand it.
 fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
-    let workload = v
-        .get("workload")
-        .and_then(|s| s.as_str())
-        .ok_or("grid missing workload")?;
-    let empty = Json::Obj(Vec::new());
-    let base = obj_entries(v.get("base").unwrap_or(&empty), "base")?;
-    let axes = obj_entries(v.get("axes").unwrap_or(&empty), "axes")?;
-    let include = match v.get("include") {
-        Some(f) => Some(f.as_arr().ok_or("include must be an array")?),
-        None => None,
-    };
-    let exclude = match v.get("exclude") {
-        Some(f) => f.as_arr().ok_or("exclude must be an array")?,
-        None => &[],
-    };
-    let replicas = match v.get("replicas") {
-        Some(r) => parse_num::<u64>(r, "replicas")?.max(1),
-        None => 1,
-    };
+    let (mut workload, mut base, mut axes) = ("", &[][..], &[][..]);
+    let (mut include, mut exclude, mut replicas) = (None, &[][..], 1);
+    read_object(v, "", &["workload"], |k, x| {
+        match k {
+            "name" | "kind" => {}
+            "workload" => workload = text(x, k)?,
+            "base" => base = object(x, k)?,
+            "axes" => axes = object(x, k)?,
+            "include" => include = Some(array(x, k)?),
+            "exclude" => exclude = array(x, k)?,
+            "replicas" => replicas = unsigned::<u64>(x, k)?.max(1),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    // A filter key must name a parameter a cell can be assigned, with a
+    // value it can hold: a filter that can never match is a typo.
+    for f in include.unwrap_or(&[]).iter().chain(exclude) {
+        let (mut cell, _) = blank(workload)?;
+        let mut set = |k, v| assign(workload, &mut cell, k, v).map(|()| true);
+        read_object(f, "", &[], &mut set).map_err(|e| format!("filter: {e}"))?;
+    }
 
     // Axis value lists, validated up front.
     let mut axis_values: Vec<(&str, &[Json])> = Vec::new();
     for (k, vals) in axes {
-        let vals = vals
-            .as_arr()
-            .ok_or_else(|| format!("axis {k:?} must be an array"))?;
+        let vals = (vals.as_arr()).ok_or_else(|| format!("axis {k:?} must be an array"))?;
         if vals.is_empty() {
             return Err(format!("axis {k:?} is empty"));
         }
         axis_values.push((k, vals));
     }
 
-    // Cartesian product, first axis slowest.
-    let cells: u64 = axis_values.iter().map(|(_, v)| v.len() as u64).product();
+    // Cartesian product, first axis slowest, bounded before a run is
+    // expanded.
+    let cells = (axis_values.iter()).try_fold(1u64, |n, (_, v)| n.checked_mul(v.len() as u64));
+    let runs = cells.and_then(|c| c.checked_mul(replicas));
+    let (Some(cells), Some(..=MAX_GRID_RUNS)) = (cells, runs) else {
+        let runs = runs.map_or("more than 2^64".into(), |n| n.to_string());
+        return Err(format!(
+            "the grid expands to {runs} runs ({replicas} replicas of each cell), \
+             more than the {MAX_GRID_RUNS} a grid may expand to"
+        ));
+    };
     let mut runs = Vec::new();
     for i in 0..cells {
         let mut point: Vec<(&str, &Json)> = Vec::with_capacity(axis_values.len());
@@ -287,26 +244,8 @@ fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
             base.iter().map(|(k, v)| (k.as_str(), v)).collect();
         assignments.extend(point.iter().copied());
 
-        if let Some(filters) = include {
-            let mut keep = false;
-            for f in filters {
-                if matches(f, &assignments)? {
-                    keep = true;
-                    break;
-                }
-            }
-            if !keep {
-                continue;
-            }
-        }
-        let mut dropped = false;
-        for f in exclude {
-            if matches(f, &assignments)? {
-                dropped = true;
-                break;
-            }
-        }
-        if dropped {
+        let kept = include.is_none_or(|fs| fs.iter().any(|f| matches(f, &assignments)));
+        if !kept || exclude.iter().any(|f| matches(f, &assignments)) {
             continue;
         }
 
@@ -343,52 +282,49 @@ fn expand_grid(name: &str, v: &Json) -> Result<Vec<GridRun>, String> {
     Ok(runs)
 }
 
+/// Read an artifacts spec's members.
 fn parse_artifacts(v: &Json) -> Result<CampaignPlan, String> {
-    let artifacts = match v.get("artifacts") {
-        Some(a) => a
-            .as_arr()
-            .ok_or("artifacts must be an array")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "artifact names must be strings".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
-    check_artifact_names(&artifacts)?;
-    let profile = match v.get("profile") {
-        None => ArtifactProfile::paper(),
-        Some(p) => match p.as_str() {
-            Some(name) => ArtifactProfile::named(name)?,
-            None => {
-                // An object overrides individual fields of the paper
-                // profile.
-                let mut profile = ArtifactProfile::paper();
-                for (k, val) in obj_entries(p, "profile")? {
-                    let sizes = |v: &Json| -> Result<Vec<u16>, String> {
-                        v.as_arr()
-                            .ok_or_else(|| format!("profile {k} must be an array"))?
-                            .iter()
-                            .map(|n| parse_num(n, k))
-                            .collect()
-                    };
-                    match k.as_str() {
-                        "sizes" => profile.sizes = sizes(val)?,
-                        "tree_sizes" => profile.tree_sizes = sizes(val)?,
-                        "traffic_sizes" => profile.traffic_sizes = sizes(val)?,
-                        "episodes" => profile.episodes = parse_num(val, k)?,
-                        "warmup" => profile.warmup = parse_num(val, k)?,
-                        "rounds" => profile.rounds = parse_num(val, k)?,
-                        other => return Err(format!("unknown profile field {other:?}")),
-                    }
-                }
-                profile
+    let (mut artifacts, mut profile) = (Vec::new(), None);
+    read_object(v, "", &[], |k, x| {
+        match k {
+            "name" | "kind" => {}
+            "artifacts" => {
+                let names = array(x, k)?.iter().map(|s| text(s, "an artefact name"));
+                artifacts = names
+                    .map(|n| n.map(str::to_string))
+                    .collect::<Result<_, _>>()?;
             }
-        },
-    };
+            "profile" => profile = Some(parse_profile(x)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    check_artifact_names(&artifacts)?;
+    let profile = profile.unwrap_or_else(ArtifactProfile::paper);
     Ok(CampaignPlan::Artifacts { artifacts, profile })
+}
+
+/// A profile's name, or an object overriding the paper profile's fields.
+fn parse_profile(p: &Json) -> Result<ArtifactProfile, String> {
+    if let Some(name) = p.as_str() {
+        return ArtifactProfile::named(name);
+    }
+    let mut profile = ArtifactProfile::paper();
+    read_object(p, "profile.", &[], |k, x| {
+        let sizes =
+            || -> Result<Vec<u16>, _> { array(x, k)?.iter().map(|n| unsigned(n, k)).collect() };
+        match k {
+            "sizes" => profile.sizes = sizes()?,
+            "tree_sizes" => profile.tree_sizes = sizes()?,
+            "traffic_sizes" => profile.traffic_sizes = sizes()?,
+            "episodes" => profile.episodes = unsigned(x, k)?,
+            "warmup" => profile.warmup = unsigned(x, k)?,
+            "rounds" => profile.rounds = unsigned(x, k)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(profile)
 }
 
 #[cfg(test)]
@@ -606,5 +542,71 @@ mod tests {
             assert!(err.starts_with("spec: x[mech=AMO]: "), "{err}");
             assert!(err.contains(why), "{err} lacks {why:?}");
         }
+    }
+
+    /// A misspelt member is refused by name wherever it stands, and a
+    /// grid that would expand past its bound is refused before it is.
+    #[test]
+    fn misspelt_members_and_oversized_grids_are_refused() {
+        for (from, to, why) in [
+            (
+                "\"axes\"",
+                "\"replica\": 3, \"axes\"",
+                "unknown member \"replica\"",
+            ),
+            (
+                "\"axes\"",
+                "\"profile\": \"quick\", \"axes\"",
+                "unknown member \"profile\"",
+            ),
+            (
+                "\"axes\"",
+                "\"exclude\": [{\"episode\": 2}], \"axes\"",
+                "filter: unknown barrier parameter \"episode\"",
+            ),
+            (
+                "\"axes\"",
+                "\"include\": [{\"config.faults.link_error\": 2}], \"axes\"",
+                "unknown SystemConfig field `faults.link_error`",
+            ),
+            (
+                "\"axes\"",
+                "\"replicas\": 1099511627776, \"axes\"",
+                "expands to 4398046511104 runs (1099511627776 replicas of each cell), \
+                 more than the 65536",
+            ),
+            (
+                "\"axes\"",
+                "\"replicas\": 9223372036854775808, \"axes\"",
+                "expands to more than 2^64 runs",
+            ),
+            (
+                "\"warmup\": 1",
+                "\"warmup\": 1, \"style\": \"Naive\"",
+                "unknown barrier parameter \"style\"",
+            ),
+        ] {
+            let doc = SWEEP.replace(from, to);
+            let err = CampaignSpec::parse(&doc).unwrap_err();
+            assert!(err.contains(why), "{err} lacks {why:?}");
+        }
+        let doc = SWEEP.replace("\"axes\"", "\"replicas\": 16384, \"axes\"");
+        assert!(
+            CampaignSpec::parse(&doc).is_ok(),
+            "4 × 16384 runs is the bound"
+        );
+        // Both number forms read everywhere; a lock grid names its own
+        // members and a barrier's are unknown to it.
+        let lock = r#"{"schema": "amo-campaign-v1", "name": "l", "kind": "grid", "workload": "lock",
+            "base": {"mech": "AMO", "procs": "0x8", "cs_cycles": "0x1_0", "max_think": 7}}"#;
+        let CampaignPlan::Grid(runs) = CampaignSpec::parse(lock).unwrap().plan else {
+            panic!()
+        };
+        let RunSpec::Lock(b) = &runs[0].spec else {
+            panic!()
+        };
+        assert_eq!((b.procs, b.cs_cycles, b.max_think), (8, 16, 7));
+        let err = CampaignSpec::parse(&lock.replace("max_think", "max_skew")).unwrap_err();
+        assert!(err.contains("unknown lock parameter \"max_skew\""), "{err}");
     }
 }

@@ -186,6 +186,20 @@ const MAX_CACHE_BYTES: u64 = 16 << 20;
 /// Every hub allocates its AMU cache up front.
 const MAX_AMU_CACHE_WORDS: usize = 4096;
 
+/// Most DRAM channels a node may have: 64× the paper's 16. Each node's
+/// memory keeps a free time per channel, built with the machine.
+const MAX_DRAM_CHANNELS: usize = 1024;
+
+/// Most misses a processor may have outstanding: 64× the paper's 16.
+/// The event queue, its node arena and the payload slab are sized as
+/// processors × this when a machine is built.
+const MAX_OUTSTANDING_MISSES: usize = 1024;
+
+/// Largest packet header or minimum packet, in bytes: 2,048× the
+/// paper's 32. A packet's bytes are its serialization time at one byte
+/// per cycle, so they stay far inside a `Cycle` as latencies do.
+const MAX_PACKET_BYTES: u64 = 1 << 16;
+
 impl FaultConfig {
     /// The no-fault plan: all rates zero, recovery knobs at defaults.
     pub const fn none() -> Self {
@@ -430,6 +444,26 @@ impl SystemConfig {
             ensure!(
                 cycles <= MAX_LATENCY,
                 "{name} = {cycles}: a latency may be at most {MAX_LATENCY} cycles"
+            );
+        }
+        ensure!(
+            (1..=MAX_DRAM_CHANNELS).contains(&self.dram_channels),
+            "dram_channels = {} must be at least 1 and at most {MAX_DRAM_CHANNELS}",
+            self.dram_channels
+        );
+        ensure!(
+            self.max_outstanding_misses <= MAX_OUTSTANDING_MISSES,
+            "max_outstanding_misses = {}: a processor may have at most \
+             {MAX_OUTSTANDING_MISSES} misses outstanding",
+            self.max_outstanding_misses
+        );
+        for (name, bytes) in [
+            ("network.min_packet_bytes", self.network.min_packet_bytes),
+            ("network.header_bytes", self.network.header_bytes),
+        ] {
+            ensure!(
+                bytes <= MAX_PACKET_BYTES,
+                "{name} = {bytes}: a packet size may be at most {MAX_PACKET_BYTES} bytes"
             );
         }
         ensure!(
@@ -805,6 +839,31 @@ mod tests {
                 bad(&|c| c.faults.e2e_timeout = MAX_LATENCY + 1),
                 "faults.e2e_timeout = 16777217",
             ),
+            (bad(&|c| c.dram_channels = 0), "dram_channels = 0"),
+            (
+                bad(&|c| c.dram_channels = big as usize),
+                "dram_channels = 9223372036854775808",
+            ),
+            (
+                bad(&|c| c.max_outstanding_misses = 1 << 24),
+                "max_outstanding_misses = 16777216",
+            ),
+            (
+                bad(&|c| c.max_outstanding_misses = 1 << 32),
+                "max_outstanding_misses = 4294967296",
+            ),
+            (
+                bad(&|c| c.max_outstanding_misses = big as usize),
+                "max_outstanding_misses = 9223372036854775808",
+            ),
+            (
+                bad(&|c| c.network.min_packet_bytes = max),
+                "network.min_packet_bytes = 18446744073709551615",
+            ),
+            (
+                bad(&|c| c.network.header_bytes = max),
+                "network.header_bytes = 18446744073709551615",
+            ),
         ] {
             assert!(why.contains(needle), "{why:?} lacks {needle:?}");
         }
@@ -812,6 +871,8 @@ mod tests {
         let mut c = SystemConfig::with_procs(8);
         c.l2.size_bytes = MAX_CACHE_BYTES;
         c.amu.cache_words = MAX_AMU_CACHE_WORDS;
+        (c.dram_channels, c.max_outstanding_misses) = (MAX_DRAM_CHANNELS, MAX_OUTSTANDING_MISSES);
+        (c.network.min_packet_bytes, c.network.header_bytes) = (MAX_PACKET_BYTES, MAX_PACKET_BYTES);
         (c.dram_latency, c.hub_cycle, c.dir_occupancy_hub_cycles) =
             (MAX_LATENCY, MAX_LATENCY, MAX_LATENCY);
         assert_eq!(c.check(), Ok(()));

@@ -1,13 +1,18 @@
-//! A small JSON value parser.
+//! A small JSON value parser, and the one reader of input documents.
 //!
 //! The workspace *emits* JSON through [`crate::JsonWriter`]; this is
 //! the matching read side, used by the campaign result cache to decode
 //! stored run artifacts, by tests and the CI traced-smoke step to
-//! prove the emitted artifacts actually parse, and by tooling (the
-//! campaign spec parser) to read committed JSON records. Recursive descent, strict (no trailing
+//! prove the emitted artifacts actually parse, and by the decoders of
+//! the four input formats (campaign specs, verify matrices, schedules
+//! and fault plans). Recursive descent, strict (no trailing
 //! garbage, no NaN/Infinity), and deliberately simple — numbers all
 //! become `f64` (exact for integers below 2^53, which covers every
 //! counter the simulator emits in practice).
+//!
+//! An input document is read through [`document`] and [`read_object`],
+//! which hands each member to a member list ([`members!`](crate::members))
+//! and refuses one no list holds by its path.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,14 +105,157 @@ impl Json {
     }
 }
 
-/// Narrow an integer decoded by [`Json::as_u64`] to the type of the
-/// field it is for. A decoder must not cast instead: `65540 as u16` is
-/// a 4-processor machine nobody asked for.
-pub fn narrow<T: TryFrom<u64>>(field: &str, value: u64) -> Result<T, String> {
-    T::try_from(value).map_err(|_| {
-        let ty = std::any::type_name::<T>();
-        format!("{field}: {value} does not fit {ty}")
-    })
+/// Parse an input document, check its `schema` tag and drop that
+/// member: what is left are the document's own members.
+pub fn document(doc: &str, schema: &str) -> Result<Json, String> {
+    let mut v = Json::parse(doc)?;
+    let found = v.get("schema").and_then(Json::as_str);
+    if found != Some(schema) {
+        return Err(format!("bad schema {found:?}, want {schema:?}"));
+    }
+    if let Json::Obj(members) = &mut v {
+        members.retain(|(k, _)| k != "schema");
+    }
+    Ok(v)
+}
+
+/// Read the object `v` through `set`, one description's member list,
+/// which returns `Ok(false)` for a name it does not hold: that member
+/// is refused by its path, `at` (empty or ending in `.`) and the name.
+/// Every name in `required` must be present.
+pub fn read_object<'a>(
+    v: &'a Json,
+    at: &str,
+    required: &[&str],
+    mut set: impl FnMut(&'a str, &'a Json) -> Result<bool, String>,
+) -> Result<(), String> {
+    let members = object(v, at.strip_suffix('.').unwrap_or("the value"))?;
+    let has = |r: &&&str| members.iter().any(|(k, _)| k == **r);
+    if let Some(r) = required.iter().find(|r| !has(r)) {
+        return Err(format!("missing {at}{r}"));
+    }
+    for (k, v) in members {
+        if !set(k, v).map_err(|e| format!("{at}{e}"))? {
+            return Err(format!("unknown member \"{at}{k}\""));
+        }
+    }
+    Ok(())
+}
+
+/// The one number rule of every input document: a JSON integer, or a
+/// `"0x…"` string (`_` may separate its digits), narrowed to the
+/// member's type — a cast would make `65540` a 4-processor machine.
+pub fn unsigned<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    let n = match v.as_str().and_then(|s| s.strip_prefix("0x")) {
+        Some(digits) => u64::from_str_radix(&digits.replace('_', ""), 16).ok(),
+        None => v.as_u64(),
+    };
+    let n = n.ok_or_else(|| format!("{key} must be an unsigned integer or a \"0x…\" string"))?;
+    let ty = std::any::type_name::<T>();
+    T::try_from(n).map_err(|_| format!("{key}: {n} does not fit {ty}"))
+}
+
+/// A string member; a tag is one, read by its type's `parse`.
+pub fn text<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+    v.as_str().ok_or_else(|| format!("{key} must be a string"))
+}
+
+/// An array member.
+pub fn array<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    v.as_arr().ok_or_else(|| format!("{key} must be an array"))
+}
+
+/// An object member, as its members.
+pub fn object<'a>(v: &'a Json, key: &str) -> Result<&'a [(String, Json)], String> {
+    match v {
+        Json::Obj(members) => Ok(members),
+        _ => Err(format!("{key} must be an object")),
+    }
+}
+
+/// One description's member list, in the order its documents write
+/// them. Like `config_fields!` for `SystemConfig`, the one list
+/// generates both the writer and the reader, as straight-line code in
+/// `mod $name`: `REQUIRED`, `write(s, w)` (every member into the open
+/// object) and `read(s, key, v)` (`Ok(false)` for a name the list does
+/// not hold). A member is `"name" [required]: codec(place, …)`, and the
+/// codecs are `num` ([`unsigned`]); `hex` (the same, written `"0x…"`);
+/// `nums` (an array of them); `flag`; `text`; `tag(place, Type, method)`
+/// (read by `Type::parse`, written as `place.method()`);
+/// `variant(place, Enum::Variant, field)` (a number only that variant
+/// holds); `nested(place, list[, read])` (an object of another list,
+/// read by `read(v)` if given); `out(codec(…))` (written only) and
+/// `given(expr)` (a string the caller reads before the others, since it
+/// picks the variant they fill).
+#[macro_export]
+macro_rules! members {
+    ($(#[$doc:meta])* $vis:vis mod $name:ident($s:ident: $T:ty) {
+        $($key:literal $($req:ident)?: $codec:ident($($arg:tt)*)),* $(,)?
+    }) => {
+        $(#[$doc])*
+        $vis mod $name {
+            #[allow(unused_imports)]
+            use {super::*, $crate::jsonv::{self, Json}};
+            pub(crate) const REQUIRED: &[&str] = &[$($($crate::members!(@req $req $key),)?)*];
+            pub(crate) fn write($s: &$T, w: &mut $crate::JsonWriter) {
+                $($crate::members!(@w w $key $codec($($arg)*));)*
+            }
+            pub(crate) fn read($s: &mut $T, key: &str, v: &Json) -> Result<bool, String> {
+                match key {
+                    $($key => $crate::members!(@r v $key $codec($($arg)*)),)*
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            }
+        }
+    };
+    (@req required $k:literal) => { $k };
+    (@w $w:ident $k:literal num($p:expr)) => { $w.kv_u64($k, $p as u64) };
+    (@w $w:ident $k:literal hex($p:expr)) => { $w.kv_str($k, &format!("{:#x}", $p)) };
+    (@w $w:ident $k:literal flag($p:expr)) => {{ $w.key($k); $w.bool_val($p) }};
+    (@w $w:ident $k:literal text($p:expr)) => { $w.kv_str($k, &$p) };
+    (@w $w:ident $k:literal tag($p:expr, $t:ty, $m:ident)) => { $w.kv_str($k, &$p.$m()) };
+    (@w $w:ident $k:literal variant($p:expr, $v:path, $f:ident)) => {
+        if let $v { $f: n } = $p { $w.kv_u64($k, n as u64) }
+    };
+    (@w $w:ident $k:literal nums($p:expr)) => {{
+        $w.key($k);
+        $w.begin_arr();
+        $p.iter().for_each(|&n| $w.u64_val(n as u64));
+        $w.end_arr()
+    }};
+    (@w $w:ident $k:literal nested($p:expr, $l:ident $(, $rd:expr)?)) => {{
+        $w.key($k);
+        $w.begin_obj();
+        $l::write(&$p, $w);
+        $w.end_obj()
+    }};
+    (@w $w:ident $k:literal out($c:ident($($a:tt)*))) => { $crate::members!(@w $w $k $c($($a)*)) };
+    (@w $w:ident $k:literal given($e:expr)) => { $w.kv_str($k, $e) };
+    (@r $v:ident $k:literal num($p:expr)) => { $p = jsonv::unsigned($v, $k)? };
+    (@r $v:ident $k:literal hex($p:expr)) => { $p = jsonv::unsigned($v, $k)? };
+    (@r $v:ident $k:literal flag($p:expr)) => {
+        $p = $v.as_bool().ok_or(concat!($k, " must be true or false"))?
+    };
+    (@r $v:ident $k:literal text($p:expr)) => { $p = jsonv::text($v, $k)?.into() };
+    (@r $v:ident $k:literal tag($p:expr, $t:ty, $m:ident)) => {
+        $p = <$t>::parse(jsonv::text($v, $k)?)?
+    };
+    (@r $v:ident $k:literal variant($p:expr, $var:path, $f:ident)) => {
+        match &mut $p {
+            $var { $f: n } => *n = jsonv::unsigned($v, $k)?,
+            _ => return Ok(false),
+        }
+    };
+    (@r $v:ident $k:literal nums($p:expr)) => {
+        $p = jsonv::array($v, $k)?.iter().map(|n| jsonv::unsigned(n, $k)).collect::<Result<_, _>>()?
+    };
+    (@r $v:ident $k:literal nested($p:expr, $l:ident, $rd:expr)) => { $p = $rd($v)? };
+    (@r $v:ident $k:literal nested($p:expr, $l:ident)) => {
+        jsonv::read_object($v, concat!($k, "."), $l::REQUIRED, |k, x| $l::read(&mut $p, k, x))?
+    };
+    (@r $v:ident $k:literal out($($c:tt)*)) => { return Ok(false) };
+    (@r $v:ident $k:literal given($e:expr)) => { jsonv::text($v, $k).map(drop)? };
 }
 
 /// Reads `s` through its bytes `b`. Every token starts and ends at an
@@ -312,8 +460,8 @@ mod tests {
         );
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[3], Json::Null);
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(narrow::<u16>("procs", 65_535), Ok(65_535));
-        let wide = narrow::<u16>("procs", 65_540).unwrap_err();
+        assert_eq!(unsigned::<u16>(&Json::Num(65_535.0), "procs"), Ok(65_535));
+        let wide = unsigned::<u16>(&Json::Num(65_540.0), "procs").unwrap_err();
         assert_eq!(wide, "procs: 65540 does not fit u16");
     }
 

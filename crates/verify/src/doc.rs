@@ -11,8 +11,8 @@
 //! silently "reproducing" something else, exactly like the chaos
 //! subsystem's `amo-fault-plan-v1`.
 
-use crate::model::{Outcome, VerifyModel};
-use amo_types::jsonv::{narrow, Json};
+use crate::model::{fields, Outcome, VerifyModel};
+use amo_types::jsonv::{document, read_object, Json};
 use amo_types::seed::key_hex;
 use amo_types::tape::ChoiceKind;
 use amo_types::JsonWriter;
@@ -22,7 +22,7 @@ pub const SCHEDULE_SCHEMA: &str = "amo-schedule-v1";
 
 /// A replayable schedule: model + tape + expected outcome +
 /// fingerprint.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScheduleDoc {
     /// The model the tape drives.
     pub model: VerifyModel,
@@ -115,20 +115,7 @@ impl ScheduleDoc {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.kv_str("schema", SCHEDULE_SCHEMA);
-        w.kv_str("fingerprint", &self.fingerprint);
-        w.kv_str("kind", &self.kind);
-        w.kv_str("monitor", &self.monitor);
-        w.key("model");
-        w.begin_obj();
-        self.model.write_fields(&mut w);
-        w.end_obj();
-        w.kv_str("tape_kinds", &self.kinds);
-        w.key("tape");
-        w.begin_arr();
-        for &v in &self.tape {
-            w.u64_val(v as u64);
-        }
-        w.end_arr();
+        schedule::write(self, &mut w);
         w.end_obj();
         w.finish()
     }
@@ -138,50 +125,42 @@ impl ScheduleDoc {
     /// fingerprint — call `ScheduleDoc::check_fingerprint` (or just
     /// [`ScheduleDoc::replay`], which does) before trusting it.
     pub fn from_json(doc: &str) -> Result<ScheduleDoc, String> {
-        let v = Json::parse(doc).map_err(|e| format!("schedule: {e}"))?;
-        match v.get("schema").and_then(|s| s.as_str()) {
-            Some(SCHEDULE_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "schedule: bad schema {other:?}, want {SCHEDULE_SCHEMA:?}"
-                ))
-            }
-        }
-        let str_field = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(|s| s.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("schedule: missing {k}"))
-        };
-        let m = v.get("model").ok_or("schedule: missing model")?;
-        let model = VerifyModel::from_json(m, &[]).map_err(|e| format!("schedule: model: {e}"))?;
-        let tape = v
-            .get("tape")
-            .and_then(|t| t.as_arr())
-            .ok_or("schedule: missing tape")?
-            .iter()
-            .map(|e| {
-                let n = e.as_u64().ok_or("schedule: tape entries must be numbers")?;
-                narrow("tape entry", n).map_err(|e| format!("schedule: {e}"))
-            })
-            .collect::<Result<Vec<u16>, String>>()?;
-        let kinds = str_field("tape_kinds")?;
-        let tags = parse_kinds(&kinds)?.len();
-        if tags != tape.len() {
+        Self::decode(doc).map_err(|e| format!("schedule: {e}"))
+    }
+
+    fn decode(doc: &str) -> Result<ScheduleDoc, String> {
+        let v = document(doc, SCHEDULE_SCHEMA)?;
+        let mut d = ScheduleDoc::default();
+        read_object(&v, "", schedule::REQUIRED, |k, x| {
+            schedule::read(&mut d, k, x)
+        })?;
+        let tags = parse_kinds(&d.kinds)?.len();
+        if tags != d.tape.len() {
             return Err(format!(
-                "schedule: tape_kinds has {tags} tags for {} tape entries",
-                tape.len()
+                "tape_kinds has {tags} tags for {} tape entries",
+                d.tape.len()
             ));
         }
-        Ok(ScheduleDoc {
-            model,
-            tape,
-            kinds,
-            kind: str_field("kind")?,
-            monitor: str_field("monitor")?,
-            fingerprint: str_field("fingerprint")?,
-        })
+        Ok(d)
     }
+}
+
+amo_types::members! {
+    /// A schedule document's members: what it expects, the model it
+    /// drives and the tape, with one tag per entry.
+    mod schedule(d: ScheduleDoc) {
+        "fingerprint" required: text(d.fingerprint),
+        "kind" required: text(d.kind),
+        "monitor" required: text(d.monitor),
+        "model" required: nested(d.model, fields, read_model),
+        "tape_kinds" required: text(d.kinds),
+        "tape" required: nums(d.tape),
+    }
+}
+
+/// A schedule's model, through the one model reader.
+fn read_model(v: &Json) -> Result<VerifyModel, String> {
+    VerifyModel::from_json(v, None, |_, _| Ok(false)).map_err(|e| format!("model: {e}"))
 }
 
 /// Tag-string → [`ChoiceKind`] sequence (the inverse of
@@ -193,7 +172,7 @@ fn parse_kinds(tags: &str) -> Result<Vec<ChoiceKind>, String> {
             'r' => Ok(ChoiceKind::ReorderSkew),
             'd' => Ok(ChoiceKind::Duplicate),
             'j' => Ok(ChoiceKind::RetryJitter),
-            other => Err(format!("schedule: unknown choice tag {other:?}")),
+            other => Err(format!("unknown choice tag {other:?}")),
         })
         .collect()
 }

@@ -14,7 +14,7 @@
 use crate::explore::{explore, ExploreLimits, ExploreReport};
 use crate::model::VerifyModel;
 use amo_campaign::ResultCache;
-use amo_types::jsonv::{narrow, Json};
+use amo_types::jsonv::{array, document, read_object, unsigned, Json};
 use amo_types::seed::stable_hash128;
 use amo_types::JsonWriter;
 
@@ -72,51 +72,38 @@ pub struct VerifyMatrix {
 impl VerifyMatrix {
     /// Parse an `amo-verify-matrix-v1` spec. Top-level `max_runs` /
     /// `max_choice_points` apply to every cell unless the cell
-    /// overrides them.
+    /// overrides them. A cell is a model ([`VerifyModel`]'s own reader)
+    /// plus `max_runs`.
     pub fn from_json(doc: &str) -> Result<VerifyMatrix, String> {
-        let v = Json::parse(doc).map_err(|e| format!("matrix: {e}"))?;
-        match v.get("schema").and_then(|s| s.as_str()) {
-            Some(MATRIX_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "matrix: bad schema {other:?}, want {MATRIX_SCHEMA:?}"
-                ))
+        let v = document(doc, MATRIX_SCHEMA).map_err(|e| format!("matrix: {e}"))?;
+        let (mut runs, mut horizon, mut cells) = (None, None, None);
+        read_object(&v, "", &["cells"], |k, x| {
+            match k {
+                "max_runs" => runs = Some(unsigned(x, k)?),
+                "max_choice_points" => horizon = Some(unsigned(x, k)?),
+                "cells" => cells = Some(array(x, k)?),
+                _ => return Ok(false),
             }
-        }
-        let top_runs = v.get("max_runs").and_then(|n| n.as_u64());
-        let top_horizon = v.get("max_choice_points").and_then(|n| n.as_u64());
-        let cells = v
-            .get("cells")
-            .and_then(|c| c.as_arr())
-            .ok_or("matrix: missing cells")?;
+            Ok(true)
+        })
+        .map_err(|e| format!("matrix: {e}"))?;
+        let cells = cells.unwrap_or_default();
         let mut out = Vec::with_capacity(cells.len());
         for (i, c) in cells.iter().enumerate() {
-            out.push(parse_cell(c, top_runs, top_horizon).map_err(|e| format!("cell {i}: {e}"))?);
+            let mut limits = ExploreLimits::default();
+            limits.max_runs = runs.unwrap_or(limits.max_runs);
+            let model = VerifyModel::from_json(c, horizon, |k, x| {
+                let ours = k == "max_runs";
+                if ours {
+                    limits.max_runs = unsigned(x, k)?;
+                }
+                Ok(ours)
+            });
+            let model = model.map_err(|e| format!("cell {i}: {e}"))?;
+            out.push(MatrixCell { model, limits });
         }
         Ok(VerifyMatrix { cells: out })
     }
-}
-
-/// One cell: every [`VerifyModel`] field (through the model's own
-/// reader, so an unknown key is an error) plus `max_runs`.
-fn parse_cell(
-    c: &Json,
-    top_runs: Option<u64>,
-    top_horizon: Option<u64>,
-) -> Result<MatrixCell, String> {
-    let mut model = VerifyModel::from_json(c, &["max_runs"])?;
-    if let (None, Some(n)) = (c.get("max_choice_points"), top_horizon) {
-        model.max_choice_points = narrow("max_choice_points", n)?;
-    }
-    let mut limits = ExploreLimits::default();
-    if let Some(runs) = c.get("max_runs") {
-        limits.max_runs = runs
-            .as_u64()
-            .ok_or("max_runs must be an unsigned integer")?;
-    } else if let Some(n) = top_runs {
-        limits.max_runs = n;
-    }
-    Ok(MatrixCell { model, limits })
 }
 
 /// One cell's result, possibly served from the cache.
@@ -294,6 +281,21 @@ mod tests {
             r#"{"schema":"amo-verify-matrix-v1","cells":[{"mech":"AMO","workload":"barrier","procs":65538}]}"#,
         );
         assert!(wide.unwrap_err().contains("procs: 65538 does not fit u16"));
+    }
+
+    /// A misspelt top-level member is refused, not ignored, and every
+    /// number reads in either form.
+    #[test]
+    fn top_level_members_are_checked_and_numbers_read_as_hex() {
+        let doc = r#"{"schema":"amo-verify-matrix-v1","max_run":1,"cells":[]}"#;
+        let err = VerifyMatrix::from_json(doc).unwrap_err();
+        assert_eq!(err, "matrix: unknown member \"max_run\"");
+        let cell = &matrix(r#","watchdog":"0x10","max_runs":"0x20""#)
+            .unwrap()
+            .cells[0];
+        assert_eq!((cell.model.watchdog, cell.limits.max_runs), (16, 32));
+        let err = VerifyMatrix::from_json(r#"{"schema":"amo-verify-matrix-v1"}"#).unwrap_err();
+        assert_eq!(err, "matrix: missing cells");
     }
 
     /// The soundness bug: a planted double apply used to be parsed away

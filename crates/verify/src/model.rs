@@ -23,7 +23,7 @@ use amo_obs::critpath::Workload;
 use amo_obs::{HostProf, Tracer};
 use amo_sim::{Machine, QueueKind, SimErrorKind};
 use amo_sync::{BarrierAlgo, LockKind, Mechanism, ProcPlan};
-use amo_types::jsonv::{narrow, Json};
+use amo_types::jsonv::{read_object, Json};
 use amo_types::seed::stable_hash128;
 use amo_types::tape::{ChoiceKind, ChoiceRec, SharedTape, TapeConfig, TapeState};
 use amo_types::{Addr, Cycle, JsonWriter, ProcId, SystemConfig};
@@ -93,6 +93,33 @@ pub struct VerifyModel {
     pub planted_double_apply: bool,
 }
 
+amo_types::members! {
+    /// A model's members, in the order its canonical document and
+    /// schedule documents write them: the one model writer and reader.
+    pub(crate) mod fields(m: VerifyModel) {
+        "mech" required: tag(m.mech, Mechanism, label),
+        "workload" required: given(m.workload.tag()),
+        "episodes": variant(m.workload, VerifyWorkload::Barrier, episodes),
+        "rounds": variant(m.workload, VerifyWorkload::TicketLock, rounds),
+        "procs" required: num(m.procs),
+        "skew_choices": num(m.skew_choices),
+        "skew_step": num(m.skew_step),
+        "reorder_window": num(m.reorder_window),
+        "explore_dups": flag(m.explore_dups),
+        "jitter_choices": num(m.jitter_choices),
+        "max_choice_points": num(m.max_choice_points),
+        "watchdog": num(m.watchdog),
+        "planted_double_apply": flag(m.planted_double_apply),
+    }
+}
+
+impl Default for VerifyModel {
+    /// The two-processor AMO barrier of two episodes.
+    fn default() -> Self {
+        VerifyModel::new(Mechanism::Amo, VerifyWorkload::Barrier { episodes: 2 }, 2)
+    }
+}
+
 impl VerifyModel {
     /// A model with the default bounded choice structure: two arrival
     /// offsets per proc, reorder window 2, a 10-choice horizon.
@@ -143,81 +170,31 @@ impl VerifyModel {
         }
     }
 
-    /// Write every field as members of the currently open JSON object:
-    /// the one model writer, shared by [`canonical_doc`](Self::canonical_doc)
-    /// (keys, fingerprints) and schedule documents.
-    pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
-        w.kv_str("mech", self.mech.label());
-        w.kv_str("workload", self.workload.tag());
-        match self.workload {
-            VerifyWorkload::Barrier { episodes } => w.kv_u64("episodes", episodes as u64),
-            VerifyWorkload::TicketLock { rounds } => w.kv_u64("rounds", rounds as u64),
-        }
-        w.kv_u64("procs", self.procs as u64);
-        w.kv_u64("skew_choices", self.skew_choices as u64);
-        w.kv_u64("skew_step", self.skew_step);
-        w.kv_u64("reorder_window", self.reorder_window);
-        w.key("explore_dups");
-        w.bool_val(self.explore_dups);
-        w.kv_u64("jitter_choices", self.jitter_choices as u64);
-        w.kv_u64("max_choice_points", self.max_choice_points as u64);
-        w.kv_u64("watchdog", self.watchdog);
-        w.key("planted_double_apply");
-        w.bool_val(self.planted_double_apply);
-    }
-
-    /// The one model reader, inverse of [`write_fields`](Self::write_fields):
-    /// decode a model from the members of `obj`. `mech`, `workload` and
-    /// `procs` are required; every other field defaults as in
-    /// [`VerifyModel::new`] (two barrier episodes, one lock round).
-    /// Members named in `also` belong to the caller; any other unknown
-    /// member is an error naming it, and so is a model that fails
-    /// [`check`](Self::check) — a verifier must not quietly check
+    /// The one model reader, through [`fields`]. Unset fields default
+    /// as in [`VerifyModel::new`] (two barrier episodes, one lock
+    /// round; `max_choice_points` to `horizon` if given). A member no
+    /// list holds goes to `also`, the caller's own; one neither takes is
+    /// refused by name, and so is a model that fails
+    /// [`check`](Self::check): a verifier must not quietly check
     /// something narrower than it was asked to.
-    pub(crate) fn from_json(obj: &Json, also: &[&str]) -> Result<VerifyModel, String> {
-        let Json::Obj(members) = obj else {
-            return Err("a model must be an object".into());
-        };
-        let text = |k: &str| {
-            let v = obj.get(k).and_then(Json::as_str);
-            v.ok_or_else(|| format!("missing {k}"))
-        };
-        let mech = Mechanism::parse(text("mech")?)?;
-        let workload = match text("workload")? {
-            "barrier" => VerifyWorkload::Barrier { episodes: 2 },
-            "ticket-lock" => VerifyWorkload::TicketLock { rounds: 1 },
-            other => return Err(format!("unknown workload {other:?} (barrier, ticket-lock)")),
-        };
-        obj.get("procs").ok_or("missing procs")?;
-        let mut m = VerifyModel::new(mech, workload, 0);
-        for (key, v) in members {
-            let num = || {
-                let n = v.as_u64();
-                n.ok_or_else(|| format!("{key} must be an unsigned integer"))
-            };
-            let flag = || {
-                let b = v.as_bool();
-                b.ok_or_else(|| format!("{key} must be true or false"))
-            };
-            match (key.as_str(), &mut m.workload) {
-                ("mech" | "workload", _) => {}
-                ("episodes", VerifyWorkload::Barrier { episodes }) => {
-                    *episodes = narrow(key, num()?)?
-                }
-                ("rounds", VerifyWorkload::TicketLock { rounds }) => *rounds = narrow(key, num()?)?,
-                ("procs", _) => m.procs = narrow(key, num()?)?,
-                ("skew_choices", _) => m.skew_choices = narrow(key, num()?)?,
-                ("skew_step", _) => m.skew_step = num()?,
-                ("reorder_window", _) => m.reorder_window = num()?,
-                ("explore_dups", _) => m.explore_dups = flag()?,
-                ("jitter_choices", _) => m.jitter_choices = narrow(key, num()?)?,
-                ("max_choice_points", _) => m.max_choice_points = narrow(key, num()?)?,
-                ("watchdog", _) => m.watchdog = num()?,
-                ("planted_double_apply", _) => m.planted_double_apply = flag()?,
-                (k, _) if also.contains(&k) => {}
-                (k, w) => return Err(format!("unknown field {k:?} for a {} model", w.tag())),
+    pub(crate) fn from_json(
+        obj: &Json,
+        horizon: Option<u32>,
+        mut also: impl FnMut(&str, &Json) -> Result<bool, String>,
+    ) -> Result<VerifyModel, String> {
+        let mut m = VerifyModel::default();
+        m.max_choice_points = horizon.unwrap_or(m.max_choice_points);
+        // The workload tag picks the variant a size member fills.
+        match obj.get("workload").and_then(Json::as_str) {
+            Some("ticket-lock") => m.workload = VerifyWorkload::TicketLock { rounds: 1 },
+            Some("barrier") | None => {}
+            Some(other) => {
+                return Err(format!("unknown workload {other:?} (barrier, ticket-lock)"))
             }
         }
+        read_object(obj, "", fields::REQUIRED, |k, v| {
+            Ok(fields::read(&mut m, k, v)? || also(k, v)?)
+        })?;
         m.check()?;
         Ok(m)
     }
@@ -239,7 +216,7 @@ impl VerifyModel {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.kv_str("code", CODE_FINGERPRINT);
-        self.write_fields(&mut w);
+        fields::write(self, &mut w);
         w.key("config");
         w.raw_val(&self.config().canonical_json());
         w.end_obj();
