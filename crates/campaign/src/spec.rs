@@ -170,8 +170,14 @@ fn build_run(workload: &str, assignments: &[(&str, &Json)]) -> Result<RunSpec, S
 fn scalar_label(v: &Json) -> String {
     match v {
         Json::Str(s) => s.clone(),
-        Json::Num(n) => n.to_string(),
-        Json::Bool(b) => b.to_string(),
+        Json::Num(n) => {
+            if n.fract() == 0.0 && n.abs() < 1e15 {
+                format!("{}", *n as i64)
+            } else {
+                format!("{n}")
+            }
+        }
+        Json::Bool(b) => format!("{b}"),
         other => format!("{other:?}"),
     }
 }

@@ -212,7 +212,7 @@ macro_rules! members {
     (@req required $k:literal) => { $k };
     (@w $w:ident $k:literal num($p:expr)) => { $w.kv_u64($k, $p as u64) };
     (@w $w:ident $k:literal hex($p:expr)) => { $w.kv_str($k, &format!("{:#x}", $p)) };
-    (@w $w:ident $k:literal flag($p:expr)) => {{ $w.key($k); $w.bool_val($p) }};
+    (@w $w:ident $k:literal flag($p:expr)) => { $w.kv_bool($k, $p) };
     (@w $w:ident $k:literal text($p:expr)) => { $w.kv_str($k, &$p) };
     (@w $w:ident $k:literal tag($p:expr, $t:ty, $m:ident)) => { $w.kv_str($k, &$p.$m()) };
     (@w $w:ident $k:literal variant($p:expr, $v:path, $f:ident)) => {
@@ -247,9 +247,10 @@ macro_rules! members {
             _ => return Ok(false),
         }
     };
-    (@r $v:ident $k:literal nums($p:expr)) => {
-        $p = jsonv::array($v, $k)?.iter().map(|n| jsonv::unsigned(n, $k)).collect::<Result<_, _>>()?
-    };
+    (@r $v:ident $k:literal nums($p:expr)) => {{
+        let all = jsonv::array($v, $k)?.iter().map(|n| jsonv::unsigned(n, $k));
+        $p = all.collect::<Result<_, _>>()?
+    }};
     (@r $v:ident $k:literal nested($p:expr, $l:ident, $rd:expr)) => { $p = $rd($v)? };
     (@r $v:ident $k:literal nested($p:expr, $l:ident)) => {
         jsonv::read_object($v, concat!($k, "."), $l::REQUIRED, |k, x| $l::read(&mut $p, k, x))?
