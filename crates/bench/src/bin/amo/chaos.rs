@@ -5,15 +5,14 @@
 //! no wall clock — so CI runs the same command twice and diffs the
 //! output byte-for-byte to prove fault injection, search and shrinking
 //! are deterministic. The runs go through the same fallible runner
-//! (`try_run_barrier`, arithmetic skew mode) that campaign grid cells
-//! use.
+//! (`run_scenario`, arithmetic skew mode) that campaign grid cells use.
 
-use crate::{procs, read, write, Stop};
+use crate::{read, run_flags, write, Stop};
 use amo_bench::cli::{Args, Command};
-use amo_campaign::chaos::{failure_kind, search, ChaosGrid, ChaosSpec, DeliveryPlan, PlanDoc};
+use amo_campaign::chaos::{chaos_bench, failure_kind, search, ChaosGrid, ChaosSpec};
+use amo_campaign::chaos::{DeliveryPlan, PlanDoc};
 use amo_types::Stats;
-use amo_types::SystemConfig;
-use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, RunInfo, Scenario};
+use amo_workloads::runner::{run_scenario, BarrierBench, ObsSpec, RunFailure, RunInfo, Scenario};
 
 pub(crate) const CHAOS: Command = Command {
     name: "chaos",
@@ -109,7 +108,7 @@ fn print_abort(f: &RunFailure) {
 /// the observed outcome as a plan document records it: `ok`, `Stall`,
 /// or the typed error's kind name.
 fn run_and_report(bench: BarrierBench) -> &'static str {
-    match try_run_barrier(bench) {
+    match run_scenario(&bench, ObsSpec::default()) {
         Ok(r) => {
             print_fault_counters(&r.info, &r.stats);
             println!(
@@ -139,17 +138,19 @@ fn write_plan(path: &str, doc: &PlanDoc) -> Result<(), Stop> {
 /// Replay an `amo-fault-plan-v1` document; status 0 only on an exact
 /// reproduction of its recorded outcome.
 fn replay_plan(path: &str) -> Result<i32, Stop> {
-    let doc = PlanDoc::from_json(&read(path)?).map_err(Stop::Failed)?;
-    doc.check_fingerprint().map_err(Stop::Failed)?;
+    let doc = PlanDoc::from_json(&read(path)?)
+        .and_then(|doc| doc.check_fingerprint().map(|()| doc))
+        .map_err(|e| Stop::Failed(format!("{path}: {e}")))?;
+    let bench = doc.bench;
     println!(
         "chaos: replay plan={path} expect={} procs={} episodes={} watchdog={} {}",
         doc.kind,
-        doc.procs,
-        doc.episodes,
-        doc.watchdog,
+        bench.procs,
+        bench.episodes,
+        bench.watchdog,
         fmt_plan(&doc.plan)
     );
-    let observed = run_and_report(doc.spec().bench(&doc.plan));
+    let observed = run_and_report(doc.run());
     if observed != doc.kind {
         return Err(Stop::Failed(format!(
             "plan did not reproduce: expected {} but observed {observed}",
@@ -165,13 +166,16 @@ pub(crate) fn chaos(args: &Args) -> Result<i32, Stop> {
         return replay_plan(path);
     }
     let unrecoverable = args.has("unrecoverable");
-    let procs = procs(args, 64, 2)?;
+    // The barrier `--plan-in` replays: the plan and nothing else.
+    let mut cell = BarrierBench {
+        episodes: if args.has("quick") { 4 } else { 10 },
+        ..chaos_bench()
+    };
+    run_flags(args, &mut cell, 2)?;
     let seed: u64 = args.num("seed", 0xC4A0_5EED)?;
-    let watchdog = args.num("watchdog", 10_000_000)?;
-    let episodes = args.num("episodes", if args.has("quick") { 4 } else { 10 })?;
     let plan_out = args.get("plan-out");
 
-    let defaults = SystemConfig::with_procs(procs).faults;
+    let defaults = cell.config().faults;
     let plan = DeliveryPlan {
         drop_ppm: args.num("drop", 0)?,
         dup_ppm: args.num("dup", 0)?,
@@ -180,14 +184,7 @@ pub(crate) fn chaos(args: &Args) -> Result<i32, Stop> {
         max_e2e_retries: args.num("retries", defaults.max_e2e_retries)?,
         seed,
     };
-    // The barrier `--plan-in` replays: the plan and nothing else.
-    let spec = ChaosSpec {
-        procs,
-        episodes,
-        watchdog,
-        ..ChaosSpec::new(0)
-    };
-    let mut bench = spec.bench(&plan);
+    let mut bench = plan.on(&cell);
     let faults = &mut bench.config.as_mut().expect("the plan's machine").faults;
     // The classic lossy-fabric dimensions are parsed either way, but
     // plan-out mode does not apply them, so the written plan replays
@@ -208,10 +205,13 @@ pub(crate) fn chaos(args: &Args) -> Result<i32, Stop> {
     let faults = *faults;
     bench.check()?;
     println!(
-        "chaos: procs={procs} rate_ppm={} seed={seed:#x} watchdog={watchdog} \
-         jitter={} episodes={episodes} unrecoverable={unrecoverable} {}",
+        "chaos: procs={} rate_ppm={} seed={seed:#x} watchdog={} \
+         jitter={} episodes={} unrecoverable={unrecoverable} {}",
+        cell.procs,
         faults.link_error_ppm,
+        cell.watchdog,
         faults.jitter_max,
+        cell.episodes,
         fmt_knobs(&plan)
     );
 
@@ -227,7 +227,7 @@ pub(crate) fn chaos(args: &Args) -> Result<i32, Stop> {
     }
 
     if let Some(path) = plan_out {
-        write_plan(path, &PlanDoc::new(&spec, plan, observed))?;
+        write_plan(path, &PlanDoc::new(&cell, plan, observed))?;
     }
     Ok(status)
 }
@@ -241,12 +241,12 @@ fn fmt_list<T: std::fmt::Display>(v: &[T]) -> String {
 
 pub(crate) fn chaos_search(args: &Args) -> Result<i32, Stop> {
     let g = ChaosGrid::default();
+    let mut bench = chaos_bench();
+    run_flags(args, &mut bench, 2)?;
     let spec = ChaosSpec {
         samples: args.num("samples", 16)?,
         seed: args.num("seed", 0xC4A0_5EED)?,
-        procs: procs(args, 64, 2)?,
-        episodes: args.num("episodes", 4)?,
-        watchdog: args.num("watchdog", 10_000_000)?,
+        bench,
         max_failures: args.num("max-failures", 4)?,
         grid: ChaosGrid {
             drop_ppm: args.list("drops", g.drop_ppm)?,
@@ -260,7 +260,7 @@ pub(crate) fn chaos_search(args: &Args) -> Result<i32, Stop> {
 
     println!(
         "chaos-search: samples={} seed={:#x} procs={} episodes={} watchdog={} max_failures={}",
-        spec.samples, spec.seed, spec.procs, spec.episodes, spec.watchdog, spec.max_failures
+        spec.samples, spec.seed, bench.procs, bench.episodes, bench.watchdog, spec.max_failures
     );
     println!(
         "grid: drops=[{}] dups=[{}] reorders=[{}] timeouts=[{}] retries=[{}]",
@@ -301,7 +301,7 @@ pub(crate) fn chaos_search(args: &Args) -> Result<i32, Stop> {
                 spec.samples
             )));
         };
-        write_plan(path, &PlanDoc::new(&spec, f.minimal, &f.kind))?;
+        write_plan(path, &PlanDoc::new(&bench, f.minimal, &f.kind))?;
     }
     Ok(0)
 }

@@ -1,7 +1,7 @@
 //! `amo experiment barrier|lock`: run a single custom experiment and,
 //! on request, export what the run's observers saw.
 
-use crate::{procs, write, Stop};
+use crate::{run_flags, write, Stop};
 use amo_bench::cli::{Args, Command};
 use amo_obs::{
     analyze, hostprof_json, metrics_json, perfetto_json, validate_hostprof, validate_perfetto,
@@ -209,21 +209,18 @@ fn run_observed<S: Scenario + Clone>(
 }
 
 pub(crate) fn barrier(args: &Args) -> Result<i32, Stop> {
-    let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
-    let procs = procs(args, 0, 2)?;
-    let paper = BarrierBench::paper(mech, procs);
+    let mut paper = BarrierBench::paper(Mechanism::Amo, 0);
+    run_flags(args, &mut paper, 2)?;
     let bench = BarrierBench {
-        episodes: args.num("episodes", paper.episodes)?,
         warmup: args.num("warmup", paper.warmup)?,
         algo: args
             .get("algo")
             .map_or(Ok(paper.algo), BarrierAlgo::parse)?,
         max_skew: args.num("skew", paper.max_skew)?,
         seed: args.num("seed", paper.seed)?,
-        watchdog: args.num("watchdog", paper.watchdog)?,
         ..paper
     };
-    let (mech, algo) = (mech.label(), bench.algo);
+    let (mech, procs, algo) = (bench.mech.label(), bench.procs, bench.algo);
     let meta = [
         ("workload", "barrier".into()),
         ("mech", mech.into()),
@@ -251,19 +248,16 @@ pub(crate) fn barrier(args: &Args) -> Result<i32, Stop> {
 }
 
 pub(crate) fn lock(args: &Args) -> Result<i32, Stop> {
-    let mech = Mechanism::parse(args.get("mech").expect("required by the synopsis"))?;
-    let kind = LockKind::parse(args.get("kind").expect("required by the synopsis"))?;
-    let procs = procs(args, 0, 2)?;
-    let paper = LockBench::paper(mech, kind, procs);
+    let mut paper = LockBench::paper(Mechanism::Amo, LockKind::Ticket, 0);
+    run_flags(args, &mut paper, 2)?;
     let bench = LockBench {
-        rounds: args.num("rounds", paper.rounds)?,
+        kind: LockKind::parse(args.get("kind").expect("required by the synopsis"))?,
         cs_cycles: args.num("cs", paper.cs_cycles)?,
         max_think: args.num("think", paper.max_think)?,
         seed: args.num("seed", paper.seed)?,
-        watchdog: args.num("watchdog", paper.watchdog)?,
         ..paper
     };
-    let mech = mech.label();
+    let (mech, kind, procs) = (bench.mech.label(), bench.kind, bench.procs);
     let meta = [
         ("workload", "lock".into()),
         ("mech", mech.into()),

@@ -17,7 +17,9 @@ mod verify;
 
 use amo_bench::cli::{Args, Command};
 use amo_campaign::ResultCache;
-use amo_types::SystemConfig;
+use amo_sync::Mechanism;
+use amo_types::{Cycle, SystemConfig};
+use amo_workloads::{BarrierBench, LockBench};
 
 /// Why a subcommand stopped before producing its result.
 pub(crate) enum Stop {
@@ -47,16 +49,54 @@ pub(crate) fn cache(args: &Args) -> Option<ResultCache> {
     Some(ResultCache::new(dir))
 }
 
-/// `--procs N` for a machine of `per_node` processors per node: the
-/// library's own geometry check, worded in terms of the flag.
-pub(crate) fn procs(args: &Args, default: u16, per_node: u16) -> Result<u16, String> {
+/// A cell's members the shared run flags set: its mechanism, processor
+/// count, size (the flag naming it, and its value) and watchdog.
+type RunMembers<'a> = (
+    &'a mut Mechanism,
+    &'a mut u16,
+    (&'a str, &'a mut u32),
+    &'a mut Cycle,
+);
+
+/// A cell the shared run flags read onto.
+pub(crate) trait RunCell {
+    fn members(&mut self) -> RunMembers<'_>;
+}
+
+impl RunCell for BarrierBench {
+    fn members(&mut self) -> RunMembers<'_> {
+        let size = ("episodes", &mut self.episodes);
+        (&mut self.mech, &mut self.procs, size, &mut self.watchdog)
+    }
+}
+
+impl RunCell for LockBench {
+    fn members(&mut self) -> RunMembers<'_> {
+        let size = ("rounds", &mut self.rounds);
+        (&mut self.mech, &mut self.procs, size, &mut self.watchdog)
+    }
+}
+
+/// Read the run flags `experiment`, `verify` and `chaos` share —
+/// `--mech`, `--procs`, `--episodes` or `--rounds`, and `--watchdog` —
+/// onto the cell each starts from; a flag left out keeps the cell's
+/// value. `--procs` gets the library's own geometry check for a machine
+/// of `per_node` processors per node, worded in terms of the flag.
+pub(crate) fn run_flags(args: &Args, cell: &mut impl RunCell, per_node: u16) -> Result<(), String> {
+    let (mech, procs, (size_flag, size), watchdog) = cell.members();
+    if let Some(name) = args.get("mech") {
+        *mech = Mechanism::parse(name)?;
+    }
     let machine = SystemConfig {
-        num_procs: args.num("procs", default)?,
+        num_procs: args.num("procs", *procs)?,
         procs_per_node: per_node,
         ..SystemConfig::default()
     };
     machine.check().map_err(|e| format!("--procs: {e}"))?;
-    Ok(machine.num_procs)
+    *procs = machine.num_procs;
+    *size = args.num(size_flag, *size)?;
+    *watchdog = args.num("watchdog", *watchdog)?;
+    Ok(())
 }
 
 /// Read an input document.

@@ -1,13 +1,13 @@
 //! `amo verify`: monitored schedule explorations, verification
 //! matrices, passivity checks, and schedule-document replays.
 
-use crate::{cache, emit, procs, read, write, Stop};
+use crate::{cache, emit, read, run_flags, write, Stop};
 use amo_bench::cli::{Args, Command};
 use amo_sync::Mechanism;
 use amo_types::JsonWriter;
 use amo_verify::{
-    explore, render_matrix_report, run_matrix, ExploreLimits, ExploreReport, ScheduleDoc,
-    VerifyMatrix, VerifyModel, VerifyWorkload,
+    explore, render_matrix_report, run_matrix, ExploreLimits, ExploreReport, ModelCell,
+    ScheduleDoc, VerifyMatrix, VerifyModel,
 };
 
 pub(crate) const VERIFY: Command = Command {
@@ -32,26 +32,16 @@ pub(crate) const VERIFY: Command = Command {
         --out redirects the JSON report.",
 };
 
-/// The model `--mech`, `--procs` and the sizing flags describe, running
-/// `workload`.
+/// The model the shared run flags describe, from the AMO `workload`
+/// cell of `default_procs` processors.
 fn model(args: &Args, workload: &str, default_procs: u16) -> Result<VerifyModel, String> {
-    let mech = args
-        .get("mech")
-        .map_or(Ok(Mechanism::Amo), Mechanism::parse)?;
-    let workload = match workload {
-        "barrier" => VerifyWorkload::Barrier {
-            episodes: args.num("episodes", 2)?,
-        },
-        "ticket-lock" => VerifyWorkload::TicketLock {
-            rounds: args.num("rounds", 1)?,
-        },
-        other => {
-            return Err(format!(
-                "--workload: unknown workload '{other}' (barrier, ticket-lock)"
-            ))
-        }
-    };
-    let model = VerifyModel::new(mech, workload, procs(args, default_procs, 1)?);
+    let mut cell = ModelCell::new(workload, Mechanism::Amo, default_procs)
+        .map_err(|_| format!("--workload: unknown workload '{workload}' (barrier, ticket-lock)"))?;
+    match &mut cell {
+        ModelCell::Barrier(b) => run_flags(args, b, 1)?,
+        ModelCell::Lock(l) => run_flags(args, l, 1)?,
+    }
+    let model = VerifyModel::new(cell);
     model.check()?;
     Ok(model)
 }
@@ -60,9 +50,9 @@ fn explore_report_json(model: &VerifyModel, report: &ExploreReport) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.kv_str("schema", "amo-verify-explore-v1");
-    w.kv_str("mech", model.mech.label());
-    w.kv_str("workload", model.workload.tag());
-    w.kv_u64("procs", model.procs as u64);
+    w.kv_str("mech", model.cell.mech().label());
+    w.kv_str("workload", model.cell.tag());
+    w.kv_u64("procs", model.cell.procs() as u64);
     w.kv_u64("schedules", report.schedules);
     w.kv_u64("distinct", report.distinct);
     w.kv_u64("pruned", report.pruned);
@@ -98,7 +88,6 @@ fn run_explore(args: &Args) -> Result<i32, Stop> {
     model.skew_step = args.num("skew-step", model.skew_step)?;
     model.reorder_window = args.num("reorder-window", model.reorder_window)?;
     model.max_choice_points = args.num("max-choice-points", model.max_choice_points)?;
-    model.watchdog = args.num("watchdog", model.watchdog)?;
     model.explore_dups = args.has("dups");
     model.planted_double_apply = args.has("planted-double-apply");
     let mut limits = ExploreLimits::default();
@@ -165,18 +154,15 @@ fn run_replay(path: &str) -> Result<i32, Stop> {
 fn run_passivity(args: &Args) -> Result<i32, Stop> {
     let mut status = 0;
     for model in [model(args, "barrier", 64)?, model(args, "ticket-lock", 64)?] {
-        let workload = model.workload.tag();
+        let (workload, procs) = (model.cell.tag(), model.cell.procs());
         let monitored = model.run_once(&[]);
         let (end, fingerprint) = model.run_unmonitored(&[]);
         if monitored.end == end && monitored.fingerprint == fingerprint {
-            println!(
-                "passivity: ok workload={workload} procs={} end={end}",
-                model.procs
-            );
+            println!("passivity: ok workload={workload} procs={procs} end={end}");
         } else {
             eprintln!(
-                "passivity: VIOLATED workload={workload} procs={} monitored_end={} unmonitored_end={end}",
-                model.procs, monitored.end
+                "passivity: VIOLATED workload={workload} procs={procs} monitored_end={} unmonitored_end={end}",
+                monitored.end
             );
             status = 1;
         }

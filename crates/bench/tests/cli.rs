@@ -171,6 +171,28 @@ fn chaos_is_deterministic_and_plans_replay() {
     assert_eq!(diverged.status, 1);
     let why = "expected Stall but observed ok";
     assert!(diverged.stderr.contains(why), "{}", diverged.stderr);
+
+    // A plan that does not decode, or was minted under another machine,
+    // is refused naming its file.
+    for (from, to, why) in [
+        (
+            "\"kind\"",
+            "\"bogus\":1,\"kind\"",
+            "plan: unknown member \"bogus\"",
+        ),
+        (
+            "\"procs\":8",
+            "\"procs\":16",
+            "fault plan fingerprint mismatch",
+        ),
+    ] {
+        std::fs::write(&plan, doc.replacen(from, to, 1)).unwrap();
+        let refused = amo(&format!("chaos --plan-in {plan}"));
+        assert_eq!(refused.status, 1, "{}", refused.stderr);
+        let first = refused.stderr.lines().next().unwrap_or_default();
+        let named = format!("amo chaos: {plan}: {why}");
+        assert!(first.starts_with(&named), "{first}");
+    }
 }
 
 #[test]

@@ -29,8 +29,8 @@ use amo_sim::SimErrorKind;
 use amo_sync::Mechanism;
 use amo_types::jsonv::{document, read_object};
 use amo_types::seed::{key_hex, run_seed, splitmix64};
-use amo_types::{Cycle, JsonWriter, SystemConfig};
-use amo_workloads::runner::{try_run_barrier, BarrierBench, RunFailure, Scenario, SkewMode};
+use amo_types::{Cycle, JsonWriter};
+use amo_workloads::runner::{run_scenario, BarrierBench, ObsSpec, RunFailure, Scenario, SkewMode};
 
 /// Schema tag of a serialized fault plan.
 pub(crate) const PLAN_SCHEMA: &str = "amo-fault-plan-v1";
@@ -60,14 +60,20 @@ impl DeliveryPlan {
         self.drop_ppm == 0 && self.dup_ppm == 0 && self.reorder_window == 0
     }
 
-    /// Write this plan into a machine configuration.
-    pub(crate) fn apply(&self, cfg: &mut SystemConfig) {
+    /// The unfaulted `bench` with this plan written into its machine
+    /// configuration.
+    pub fn on(&self, bench: &BarrierBench) -> BarrierBench {
+        let mut cfg = bench.config();
         cfg.faults.link_drop_ppm = self.drop_ppm;
         cfg.faults.link_dup_ppm = self.dup_ppm;
         cfg.faults.link_reorder_window = self.reorder_window;
         cfg.faults.e2e_timeout = self.e2e_timeout;
         cfg.faults.max_e2e_retries = self.max_e2e_retries;
         cfg.faults.seed = self.seed;
+        BarrierBench {
+            config: Some(cfg),
+            ..*bench
+        }
     }
 }
 
@@ -109,46 +115,37 @@ pub struct ChaosSpec {
     pub samples: u32,
     /// Search seed; drives sampling and per-plan oracle seeds.
     pub seed: u64,
-    /// Processor count of the barrier under test.
-    pub procs: u16,
-    /// Barrier episodes per probe.
-    pub episodes: u32,
-    /// Progress-watchdog window (cycles) per probe.
-    pub watchdog: Cycle,
+    /// The barrier every plan probes, unfaulted.
+    pub bench: BarrierBench,
     /// Stop searching after this many distinct failures are shrunk.
     pub max_failures: usize,
     /// The fault-dimension grid.
     pub grid: ChaosGrid,
 }
 
+/// The barrier `amo chaos` drives: the paper's 64-processor AMO barrier
+/// of four arithmetic-skew episodes, none of them warm-up, with the
+/// watchdog armed.
+pub fn chaos_bench() -> BarrierBench {
+    BarrierBench {
+        episodes: 4,
+        warmup: 0,
+        skew: SkewMode::Arithmetic,
+        watchdog: 10_000_000,
+        ..BarrierBench::paper(Mechanism::Amo, 64)
+    }
+}
+
 impl ChaosSpec {
     /// A small, deterministic default: 16 samples over the default
-    /// grid against the paper's 64-processor AMO barrier.
+    /// grid against [`chaos_bench`].
     pub fn new(seed: u64) -> Self {
         ChaosSpec {
             samples: 16,
             seed,
-            procs: 64,
-            episodes: 4,
-            watchdog: 10_000_000,
+            bench: chaos_bench(),
             max_failures: 4,
             grid: ChaosGrid::default(),
-        }
-    }
-
-    /// The benchmark a plan probes: the same arithmetic-skew barrier
-    /// `amo chaos` drives, with the plan written into the
-    /// machine configuration.
-    pub fn bench(&self, plan: &DeliveryPlan) -> BarrierBench {
-        let mut cfg = SystemConfig::with_procs(self.procs);
-        plan.apply(&mut cfg);
-        BarrierBench {
-            episodes: self.episodes,
-            warmup: 0,
-            skew: SkewMode::Arithmetic,
-            watchdog: self.watchdog,
-            config: Some(cfg),
-            ..BarrierBench::paper(Mechanism::Amo, self.procs)
         }
     }
 
@@ -156,7 +153,7 @@ impl ChaosSpec {
     /// plan only lowers rates and windows, so it can run if its
     /// original can.)
     pub fn check(&self) -> Result<(), String> {
-        (0..self.samples).try_for_each(|i| self.bench(&self.sample(i)).check())
+        (0..self.samples).try_for_each(|i| self.sample(i).on(&self.bench).check())
     }
 
     /// Sample `i`'s plan: each dimension choice is an independent
@@ -206,7 +203,7 @@ pub fn failure_kind(f: &RunFailure) -> &'static str {
 /// Run one plan to completion or abort. `Some(kind)` is the failure's
 /// [`failure_kind`]; `None` means the barrier finished.
 pub(crate) fn probe(spec: &ChaosSpec, plan: &DeliveryPlan) -> Option<&'static str> {
-    try_run_barrier(spec.bench(plan))
+    run_scenario(&plan.on(&spec.bench), ObsSpec::default())
         .err()
         .map(|f| failure_kind(&f))
 }
@@ -354,16 +351,13 @@ pub fn search(spec: &ChaosSpec) -> ChaosReport {
 /// reproduces against, the failure kind it is expected to reproduce,
 /// and the config fingerprint pinning the exact simulator + machine
 /// configuration the plan was minimized under.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanDoc {
     /// The delivery-fault plan.
     pub plan: DeliveryPlan,
-    /// Barrier processor count.
-    pub procs: u16,
-    /// Barrier episodes.
-    pub episodes: u32,
-    /// Watchdog window, cycles.
-    pub watchdog: Cycle,
+    /// The barrier it replays against, unfaulted: [`chaos_bench`] with
+    /// the document's `procs`, `episodes` and `watchdog`.
+    pub bench: BarrierBench,
     /// Expected outcome: a failure-kind name, or `"ok"` for a plan the
     /// run is expected to survive.
     pub kind: String,
@@ -372,14 +366,12 @@ pub struct PlanDoc {
 }
 
 impl PlanDoc {
-    /// Build the document for a plan against `spec`'s workload,
+    /// Build the document for a plan against the unfaulted `bench`,
     /// stamping the current config fingerprint.
-    pub fn new(spec: &ChaosSpec, plan: DeliveryPlan, kind: &str) -> PlanDoc {
+    pub fn new(bench: &BarrierBench, plan: DeliveryPlan, kind: &str) -> PlanDoc {
         let mut doc = PlanDoc {
             plan,
-            procs: spec.procs,
-            episodes: spec.episodes,
-            watchdog: spec.watchdog,
+            bench: *bench,
             kind: kind.to_string(),
             fingerprint: String::new(),
         };
@@ -387,17 +379,9 @@ impl PlanDoc {
         doc
     }
 
-    /// The chaos-search spec that replays this document's workload.
-    pub fn spec(&self) -> ChaosSpec {
-        ChaosSpec {
-            samples: 0,
-            seed: 0,
-            procs: self.procs,
-            episodes: self.episodes,
-            watchdog: self.watchdog,
-            max_failures: 0,
-            grid: ChaosGrid::default(),
-        }
+    /// The run this document describes: its barrier under its plan.
+    pub fn run(&self) -> BarrierBench {
+        self.plan.on(&self.bench)
     }
 
     /// The config fingerprint this simulator would stamp on this plan
@@ -405,7 +389,7 @@ impl PlanDoc {
     /// the machine configuration and the campaign code fingerprint, so
     /// any drift in either breaks the match.
     pub(crate) fn current_fingerprint(&self) -> String {
-        key_hex(RunSpec::Barrier(self.spec().bench(&self.plan)).key())
+        key_hex(RunSpec::Barrier(self.run()).key())
     }
 
     /// `Err` describes the drift if this plan was minted by a
@@ -445,11 +429,16 @@ impl PlanDoc {
 
     fn decode(doc: &str) -> Result<PlanDoc, String> {
         let v = document(doc, PLAN_SCHEMA)?;
-        let mut doc = PlanDoc::default();
+        let mut doc = PlanDoc {
+            plan: DeliveryPlan::default(),
+            bench: chaos_bench(),
+            kind: String::new(),
+            fingerprint: String::new(),
+        };
         read_object(&v, "", plan_doc::REQUIRED, |k, x| {
             plan_doc::read(&mut doc, k, x)
         })?;
-        doc.spec().bench(&doc.plan).check()?;
+        doc.run().check()?;
         Ok(doc)
     }
 }
@@ -460,9 +449,9 @@ amo_types::members! {
     mod plan_doc(d: PlanDoc) {
         "fingerprint" required: text(d.fingerprint),
         "kind" required: text(d.kind),
-        "procs" required: num(d.procs),
-        "episodes" required: num(d.episodes),
-        "watchdog" required: num(d.watchdog),
+        "procs" required: num(d.bench.procs),
+        "episodes" required: num(d.bench.episodes),
+        "watchdog" required: num(d.bench.watchdog),
         "faults" required: nested(d.plan, faults),
     }
 }
@@ -490,9 +479,12 @@ mod tests {
         ChaosSpec {
             samples: 4,
             seed: 7,
-            procs: 16,
-            episodes: 3,
-            watchdog: 2_000_000,
+            bench: BarrierBench {
+                procs: 16,
+                episodes: 3,
+                watchdog: 2_000_000,
+                ..chaos_bench()
+            },
             max_failures: 1,
             grid: ChaosGrid {
                 drop_ppm: vec![400_000],
@@ -544,7 +536,7 @@ mod tests {
     fn plan_documents_round_trip_and_pin_the_config() {
         let spec = planted_spec();
         let plan = spec.sample(0);
-        let doc = PlanDoc::new(&spec, plan, "RequestTimedOut");
+        let doc = PlanDoc::new(&spec.bench, plan, "RequestTimedOut");
         let json = doc.to_json();
         let back = PlanDoc::from_json(&json).expect("decodes");
         assert_eq!(back, doc);
@@ -554,7 +546,7 @@ mod tests {
         // A plan minted under a different machine configuration is
         // refused loudly.
         let mut drifted = back.clone();
-        drifted.procs = 32;
+        drifted.bench.procs = 32;
         let err = drifted.check_fingerprint().expect_err("drift detected");
         assert!(err.contains("fingerprint mismatch"), "{err}");
     }
@@ -572,9 +564,7 @@ mod tests {
                 max_e2e_retries: 1,
                 seed: 0xDEAD_BEEF_0123_4567,
             },
-            procs: 16,
-            episodes: 3,
-            watchdog: 2_000_000,
+            bench: planted_spec().bench,
             kind: "RequestTimedOut".into(),
             fingerprint: "0123456789abcdef0123456789abcdef".into(),
         };
@@ -589,7 +579,7 @@ mod tests {
     #[test]
     fn plan_members_are_checked_by_path() {
         let spec = planted_spec();
-        let json = PlanDoc::new(&spec, spec.sample(0), "RequestTimedOut").to_json();
+        let json = PlanDoc::new(&spec.bench, spec.sample(0), "RequestTimedOut").to_json();
         for (from, to, why) in [
             (
                 "\"procs\"",

@@ -63,8 +63,7 @@ pub mod prelude {
     };
     pub use amo_types::{Addr, Cycle, FaultConfig, NodeId, ProcId, SystemConfig, Word};
     pub use amo_workloads::{
-        run_barrier, run_barrier_obs, run_lock, run_lock_obs, run_scenario, try_run_barrier,
-        try_run_barrier_obs, try_run_lock_obs, BarrierAlgo, BarrierBench, BarrierResult, LockBench,
+        run_barrier, run_lock, run_scenario, BarrierAlgo, BarrierBench, BarrierResult, LockBench,
         LockKind, LockResult, ObsReport, ObsSpec, RunFailure, Scenario, SkewMode,
     };
 }

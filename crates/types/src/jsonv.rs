@@ -182,8 +182,9 @@ pub fn object<'a>(v: &'a Json, key: &str) -> Result<&'a [(String, Json)], String
 /// codecs are `num` ([`unsigned`]); `hex` (the same, written `"0x…"`);
 /// `nums` (an array of them); `flag`; `text`; `tag(place, Type, method)`
 /// (read by `Type::parse`, written as `place.method()`);
-/// `variant(place, Enum::Variant, field)` (a number only that variant
-/// holds); `nested(place, list[, read])` (an object of another list,
+/// `arm(place, x in Enum::A | Enum::B => codec(…x…))` (a member of
+/// whatever the listed one-field variants hold, bound to `x`; absent
+/// from any other variant); `nested(place, list[, read])` (an object of another list,
 /// read by `read(v)` if given); `out(codec(…))` (written only) and
 /// `given(expr)` (a string the caller reads before the others, since it
 /// picks the variant they fill).
@@ -215,8 +216,8 @@ macro_rules! members {
     (@w $w:ident $k:literal flag($p:expr)) => { $w.kv_bool($k, $p) };
     (@w $w:ident $k:literal text($p:expr)) => { $w.kv_str($k, &$p) };
     (@w $w:ident $k:literal tag($p:expr, $t:ty, $m:ident)) => { $w.kv_str($k, &$p.$m()) };
-    (@w $w:ident $k:literal variant($p:expr, $v:path, $f:ident)) => {
-        if let $v { $f: n } = $p { $w.kv_u64($k, n as u64) }
+    (@w $w:ident $k:literal arm($p:expr, $x:ident in $($v:path)|+ => $c:ident $a:tt)) => {
+        $(if let $v($x) = &$p { $crate::members!(@w $w $k $c $a) })else+
     };
     (@w $w:ident $k:literal nums($p:expr)) => {{
         $w.key($k);
@@ -241,10 +242,9 @@ macro_rules! members {
     (@r $v:ident $k:literal tag($p:expr, $t:ty, $m:ident)) => {
         $p = <$t>::parse(jsonv::text($v, $k)?)?
     };
-    (@r $v:ident $k:literal variant($p:expr, $var:path, $f:ident)) => {
-        match &mut $p {
-            $var { $f: n } => *n = jsonv::unsigned($v, $k)?,
-            _ => return Ok(false),
+    (@r $v:ident $k:literal arm($p:expr, $x:ident in $($var:path)|+ => $c:ident $a:tt)) => {
+        $(if let $var($x) = &mut $p { $crate::members!(@r $v $k $c $a) })else+ else {
+            return Ok(false)
         }
     };
     (@r $v:ident $k:literal nums($p:expr)) => {{

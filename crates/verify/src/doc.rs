@@ -180,11 +180,11 @@ fn parse_kinds(tags: &str) -> Result<Vec<ChoiceKind>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VerifyWorkload;
+    use crate::model::ModelCell;
     use amo_sync::Mechanism;
 
     fn model() -> VerifyModel {
-        VerifyModel::new(Mechanism::Amo, VerifyWorkload::TicketLock { rounds: 1 }, 2)
+        VerifyModel::new(ModelCell::new("ticket-lock", Mechanism::Amo, 2).unwrap())
     }
 
     #[test]
@@ -199,7 +199,7 @@ mod tests {
         back.check_fingerprint().expect("fresh doc matches");
 
         let mut drifted = back.clone();
-        drifted.model.procs = 4;
+        drifted.model.cell = ModelCell::new("ticket-lock", Mechanism::Amo, 4).unwrap();
         let err = drifted.check_fingerprint().expect_err("drift detected");
         assert!(err.contains("fingerprint mismatch"), "{err}");
     }
@@ -208,19 +208,19 @@ mod tests {
     /// unknown, misplaced and out-of-range members are refused by name.
     #[test]
     fn every_model_knob_round_trips_and_bad_members_are_named() {
-        let m = VerifyModel {
-            mech: Mechanism::Mao,
-            workload: VerifyWorkload::Barrier { episodes: 3 },
-            procs: 4,
+        let mut m = VerifyModel {
             skew_choices: 3,
             skew_step: 17,
             reorder_window: 5,
             explore_dups: true,
             jitter_choices: 2,
             max_choice_points: 7,
-            watchdog: 12_345,
             planted_double_apply: true,
+            ..VerifyModel::new(ModelCell::new("barrier", Mechanism::Mao, 4).unwrap())
         };
+        if let ModelCell::Barrier(b) = &mut m.cell {
+            (b.episodes, b.watchdog) = (3, 12_345);
+        }
         let json = ScheduleDoc::new(m, vec![2, 1], &m.run_once(&[2, 1])).to_json();
         assert_eq!(ScheduleDoc::from_json(&json).expect("decodes").model, m);
 

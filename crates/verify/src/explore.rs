@@ -194,13 +194,17 @@ fn shrink(
 mod tests {
     use super::*;
     use crate::doc::ScheduleDoc;
-    use crate::model::VerifyWorkload;
+    use crate::model::ModelCell;
     use amo_sync::Mechanism;
 
+    fn model(workload: &str) -> VerifyModel {
+        VerifyModel::new(ModelCell::new(workload, Mechanism::Amo, 2).unwrap())
+    }
+
     fn lock_model() -> VerifyModel {
-        // The pinned exhaustiveness workload from the issue: 2-proc AMO
-        // ticket lock, arrival skew ∈ {0, 1} per proc, reorder window 2.
-        VerifyModel::new(Mechanism::Amo, VerifyWorkload::TicketLock { rounds: 1 }, 2)
+        // The pinned exhaustiveness workload: 2-proc AMO ticket lock,
+        // arrival skew ∈ {0, 1} per proc, reorder window 2.
+        model("ticket-lock")
     }
 
     #[test]
@@ -223,8 +227,7 @@ mod tests {
 
     #[test]
     fn barrier_exploration_finds_no_violations() {
-        let model = VerifyModel::new(Mechanism::Amo, VerifyWorkload::Barrier { episodes: 2 }, 2);
-        let report = explore(&model, &ExploreLimits::default());
+        let report = explore(&model("barrier"), &ExploreLimits::default());
         assert_eq!(report.schedules, 168);
         assert_eq!(report.distinct, 162);
         assert!(!report.truncated);

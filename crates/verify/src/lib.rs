@@ -37,7 +37,7 @@ pub mod monitor;
 pub use doc::{ScheduleDoc, SCHEDULE_SCHEMA};
 pub use explore::{explore, Counterexample, ExploreLimits, ExploreReport};
 pub use matrix::{render_matrix_report, run_matrix, CellOutcome, MatrixCell, VerifyMatrix};
-pub use model::{Outcome, VerifyModel, VerifyWorkload};
+pub use model::{ModelCell, Outcome, VerifyModel};
 pub use monitor::{
     AtMostOnce, BarrierEpoch, DirSanity, Monitor, MonitorTracer, MutualExclusion, TicketFifo,
 };

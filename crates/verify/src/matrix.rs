@@ -53,12 +53,8 @@ impl MatrixCell {
 
     /// Human-readable cell label for reports.
     pub fn label(&self) -> String {
-        format!(
-            "{} {} x{}",
-            self.model.mech.label(),
-            self.model.workload.tag(),
-            self.model.procs
-        )
+        let cell = &self.model.cell;
+        format!("{} {} x{}", cell.mech().label(), cell.tag(), cell.procs())
     }
 }
 
@@ -157,10 +153,9 @@ pub fn run_matrix(matrix: &VerifyMatrix, cache: Option<&ResultCache>) -> Vec<Cel
         .cells
         .iter()
         .map(|cell| {
-            let key = cell.key();
             if let Some(c) = cache {
                 if let Some((schedules, distinct, violations, truncated)) = c
-                    .get_blob(CACHE_KIND, key)
+                    .get_blob(CACHE_KIND, cell.key())
                     .as_deref()
                     .and_then(parse_cell_summary)
                 {
@@ -177,7 +172,7 @@ pub fn run_matrix(matrix: &VerifyMatrix, cache: Option<&ResultCache>) -> Vec<Cel
             let report = explore(&cell.model, &cell.limits);
             if let Some(c) = cache {
                 // Cache-store failures degrade to a cold cell next time.
-                let _ = c.put_blob(CACHE_KIND, key, &cell_summary_json(&report));
+                let _ = c.put_blob(CACHE_KIND, cell.key(), &cell_summary_json(&report));
             }
             CellOutcome {
                 label: cell.label(),
@@ -225,7 +220,11 @@ pub fn render_matrix_report(outcomes: &[CellOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelCell;
+    use amo_campaign::chaos::chaos_bench;
+    use amo_campaign::{DeliveryPlan, PlanDoc};
     use amo_sync::Mechanism;
+    use amo_types::seed::key_hex;
 
     fn matrix(cell: &str) -> Result<VerifyMatrix, String> {
         VerifyMatrix::from_json(&format!(
@@ -251,19 +250,19 @@ mod tests {
         )
         .unwrap()
         .cells[0];
-        let want = VerifyModel {
-            mech: Mechanism::Amo,
-            workload: crate::VerifyWorkload::TicketLock { rounds: 2 },
-            procs: 2,
+        let mut want = VerifyModel {
             skew_choices: 3,
             skew_step: 9,
             reorder_window: 1,
             explore_dups: true,
             jitter_choices: 2,
             max_choice_points: 4,
-            watchdog: 99_999,
             planted_double_apply: true,
+            ..VerifyModel::new(ModelCell::new("ticket-lock", Mechanism::Amo, 2).unwrap())
         };
+        if let ModelCell::Lock(l) = &mut want.cell {
+            (l.rounds, l.watchdog) = (2, 99_999);
+        }
         assert_eq!((cell.model, cell.limits.max_runs), (want, 7));
 
         for (cell, needle) in [
@@ -293,7 +292,8 @@ mod tests {
         let cell = &matrix(r#","watchdog":"0x10","max_runs":"0x20""#)
             .unwrap()
             .cells[0];
-        assert_eq!((cell.model.watchdog, cell.limits.max_runs), (16, 32));
+        assert!(matches!(cell.model.cell, ModelCell::Lock(l) if l.watchdog == 16));
+        assert_eq!(cell.limits.max_runs, 32);
         let err = VerifyMatrix::from_json(r#"{"schema":"amo-verify-matrix-v1"}"#).unwrap_err();
         assert_eq!(err, "matrix: missing cells");
     }
@@ -305,5 +305,48 @@ mod tests {
         let m = matrix(r#","rounds":1,"explore_dups":true,"planted_double_apply":true"#).unwrap();
         let outcomes = run_matrix(&m, None);
         assert_eq!(outcomes[0].violations, 1, "{outcomes:?}");
+    }
+
+    /// The content keys every cache entry, schedule document and fault
+    /// plan is filed under, as the committed matrix, the default model
+    /// and one plan read before their descriptions became campaign
+    /// cells: a change that moves one orphans what was stored under it.
+    #[test]
+    fn content_keys_are_pinned() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../specs/verify-matrix.json"
+        );
+        let spec = std::fs::read_to_string(path).unwrap();
+        let keys: Vec<_> = VerifyMatrix::from_json(&spec)
+            .unwrap()
+            .cells
+            .iter()
+            .map(|c| (c.label(), key_hex(c.key())))
+            .collect();
+        let want = [
+            ("AMO barrier x2", "c3d310464427b0c94e86a534b4fd10b6"),
+            ("AMO ticket-lock x2", "76f2440cee4f28125acdf1ce1f8a2c09"),
+            ("MAO barrier x2", "a0aa5b52d7c9f2c16c75189e7ca6f45e"),
+            ("MAO ticket-lock x2", "233bd1a7ba89b6da2e7d69d938afd3c1"),
+            ("LL/SC barrier x2", "c50731662f467b855f785bd040857c3e"),
+            ("LL/SC ticket-lock x2", "9d63b3b2005f9b26ffb93ac35f750ba1"),
+        ];
+        let want: Vec<_> = want.map(|(l, k)| (l.to_string(), k.to_string())).into();
+        assert_eq!(keys, want);
+        assert_eq!(
+            key_hex(VerifyModel::default().key()),
+            "66ef122b0816fb0d04255f9a25049ce8"
+        );
+        let plan = DeliveryPlan {
+            drop_ppm: 400_000,
+            dup_ppm: 20_000,
+            reorder_window: 32,
+            e2e_timeout: 5_000,
+            max_e2e_retries: 1,
+            seed: 0xDEAD_BEEF_0123_4567,
+        };
+        let doc = PlanDoc::new(&chaos_bench(), plan, "RequestTimedOut");
+        assert_eq!(doc.fingerprint, "1a5506ad4d31c1625978bbcdee5149bd");
     }
 }

@@ -1,13 +1,14 @@
 //! The small models the schedule explorer enumerates.
 //!
 //! A [`VerifyModel`] describes one bounded verification workload: a
-//! mechanism, a barrier or ticket-lock kernel at a small processor
-//! count, and the choice structure the explorer may vary — per-proc
-//! arrival skew, per-delivery reorder skew, optional duplication, and
-//! retry jitter. [`VerifyModel::run_once`] executes the model under a
-//! forced choice-tape prefix with the full monitor stack attached and
-//! reduces the run to a deterministic [`Outcome`] whose fingerprint
-//! the explorer dedups on.
+//! campaign cell (a barrier or ticket-lock [`ModelCell`] at a small
+//! processor count, run by its own installer) and the choice structure
+//! the explorer may vary around it — per-proc arrival skew, per-delivery
+//! reorder skew, optional duplication, and retry jitter.
+//! [`VerifyModel::run_once`] executes the model under a forced
+//! choice-tape prefix with the full monitor stack attached and reduces
+//! the run to a deterministic [`Outcome`] whose fingerprint the
+//! explorer dedups on.
 //!
 //! The model's canonical JSON document (and its 128-bit key) folds in
 //! the complete machine configuration plus the campaign
@@ -22,53 +23,83 @@ use amo_campaign::run::CODE_FINGERPRINT;
 use amo_obs::critpath::Workload;
 use amo_obs::{HostProf, Tracer};
 use amo_sim::{Machine, QueueKind, SimErrorKind};
-use amo_sync::{BarrierAlgo, LockKind, Mechanism, ProcPlan};
+use amo_sync::{Mechanism, ProcPlan};
 use amo_types::jsonv::{read_object, Json};
 use amo_types::seed::stable_hash128;
 use amo_types::tape::{ChoiceKind, ChoiceRec, SharedTape, TapeConfig, TapeState};
 use amo_types::{Addr, Cycle, JsonWriter, ProcId, SystemConfig};
-use amo_workloads::runner::{run_on, Finished, RunFailure, Scenario};
+use amo_workloads::runner::{
+    run_on, BarrierBench, Finished, LockBench, LockKind, RunFailure, Scenario,
+};
 
 /// Retained trace events per run (diagnostic bundles only; the
 /// monitors themselves are streaming and unbounded-safe).
 const TRACE_CAP: usize = 4096;
 
-/// Which kernel a model runs.
+/// The campaign cell a model explores: its mechanism, kernel, size and
+/// watchdog. The explorer replaces only its arrival plan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VerifyWorkload {
-    /// Centralized barrier, `episodes` episodes per participant.
-    Barrier {
-        /// Barrier episodes each participant executes.
-        episodes: u32,
-    },
-    /// Ticket lock, `rounds` acquisitions per participant.
-    TicketLock {
-        /// Acquisitions each participant performs.
-        rounds: u32,
-    },
+pub enum ModelCell {
+    /// A centralized barrier, no episode of it warm-up.
+    Barrier(BarrierBench),
+    /// A ticket lock of 50-cycle critical sections.
+    Lock(LockBench),
 }
 
-impl VerifyWorkload {
+impl ModelCell {
+    /// The cell a model of `workload` starts from: two barrier episodes
+    /// or one lock round, under a 2,000,000-cycle watchdog.
+    pub fn new(workload: &str, mech: Mechanism, procs: u16) -> Result<ModelCell, String> {
+        let watchdog = 2_000_000;
+        Ok(match workload {
+            "barrier" => ModelCell::Barrier(BarrierBench {
+                episodes: 2,
+                warmup: 0,
+                watchdog,
+                ..BarrierBench::paper(mech, procs)
+            }),
+            "ticket-lock" => ModelCell::Lock(LockBench {
+                rounds: 1,
+                cs_cycles: 50,
+                watchdog,
+                check_exclusion: false,
+                ..LockBench::paper(mech, LockKind::Ticket, procs)
+            }),
+            other => return Err(format!("unknown workload {other:?} (barrier, ticket-lock)")),
+        })
+    }
+
     /// Stable workload tag for documents and specs.
     pub fn tag(&self) -> &'static str {
         match self {
-            VerifyWorkload::Barrier { .. } => "barrier",
-            VerifyWorkload::TicketLock { .. } => "ticket-lock",
+            ModelCell::Barrier(_) => "barrier",
+            ModelCell::Lock(_) => "ticket-lock",
+        }
+    }
+
+    /// Synchronization mechanism under test.
+    pub fn mech(&self) -> Mechanism {
+        match self {
+            ModelCell::Barrier(b) => b.mech,
+            ModelCell::Lock(l) => l.mech,
+        }
+    }
+
+    /// Participating processors.
+    pub fn procs(&self) -> u16 {
+        match self {
+            ModelCell::Barrier(b) => b.procs,
+            ModelCell::Lock(l) => l.procs,
         }
     }
 }
 
-/// One bounded verification model: workload, mechanism, and the choice
-/// structure the explorer enumerates.
+/// One bounded verification model: a cell and the choice structure the
+/// explorer enumerates around it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VerifyModel {
-    /// Synchronization mechanism under test.
-    pub mech: Mechanism,
-    /// Kernel and its size.
-    pub workload: VerifyWorkload,
-    /// Participating processors (must be a multiple of the config's
-    /// procs-per-node, i.e. even for the paper machine).
-    pub procs: u16,
+    /// What runs.
+    pub cell: ModelCell,
     /// Alternatives for each per-proc arrival-skew choice (1 = all
     /// kernels start at cycle 0).
     pub skew_choices: u16,
@@ -86,8 +117,6 @@ pub struct VerifyModel {
     /// Choice-point horizon: beyond this many consumed choices the tape
     /// stops branching (the *bound* of the bounded explorer).
     pub max_choice_points: u32,
-    /// No-progress watchdog window per probe, cycles.
-    pub watchdog: Cycle,
     /// Arm the test-only planted bug: dedup-suppressed AMU replays log
     /// a second apply record for the at-most-once monitor to catch.
     pub planted_double_apply: bool,
@@ -97,18 +126,18 @@ amo_types::members! {
     /// A model's members, in the order its canonical document and
     /// schedule documents write them: the one model writer and reader.
     pub(crate) mod fields(m: VerifyModel) {
-        "mech" required: tag(m.mech, Mechanism, label),
-        "workload" required: given(m.workload.tag()),
-        "episodes": variant(m.workload, VerifyWorkload::Barrier, episodes),
-        "rounds": variant(m.workload, VerifyWorkload::TicketLock, rounds),
-        "procs" required: num(m.procs),
+        "mech" required: arm(m.cell, c in ModelCell::Barrier | ModelCell::Lock => tag(c.mech, Mechanism, label)),
+        "workload" required: given(m.cell.tag()),
+        "episodes": arm(m.cell, c in ModelCell::Barrier => num(c.episodes)),
+        "rounds": arm(m.cell, c in ModelCell::Lock => num(c.rounds)),
+        "procs" required: arm(m.cell, c in ModelCell::Barrier | ModelCell::Lock => num(c.procs)),
         "skew_choices": num(m.skew_choices),
         "skew_step": num(m.skew_step),
         "reorder_window": num(m.reorder_window),
         "explore_dups": flag(m.explore_dups),
         "jitter_choices": num(m.jitter_choices),
         "max_choice_points": num(m.max_choice_points),
-        "watchdog": num(m.watchdog),
+        "watchdog": arm(m.cell, c in ModelCell::Barrier | ModelCell::Lock => num(c.watchdog)),
         "planted_double_apply": flag(m.planted_double_apply),
     }
 }
@@ -116,25 +145,22 @@ amo_types::members! {
 impl Default for VerifyModel {
     /// The two-processor AMO barrier of two episodes.
     fn default() -> Self {
-        VerifyModel::new(Mechanism::Amo, VerifyWorkload::Barrier { episodes: 2 }, 2)
+        VerifyModel::new(ModelCell::new("barrier", Mechanism::Amo, 2).expect("a known workload"))
     }
 }
 
 impl VerifyModel {
-    /// A model with the default bounded choice structure: two arrival
-    /// offsets per proc, reorder window 2, a 10-choice horizon.
-    pub fn new(mech: Mechanism, workload: VerifyWorkload, procs: u16) -> Self {
+    /// A model of `cell` with the default bounded choice structure: two
+    /// arrival offsets per proc, reorder window 2, a 10-choice horizon.
+    pub fn new(cell: ModelCell) -> Self {
         VerifyModel {
-            mech,
-            workload,
-            procs,
+            cell,
             skew_choices: 2,
             skew_step: 40,
             reorder_window: 2,
             explore_dups: false,
             jitter_choices: 1,
             max_choice_points: 10,
-            watchdog: 2_000_000,
             planted_double_apply: false,
         }
     }
@@ -146,7 +172,10 @@ impl VerifyModel {
     /// it instead — the taped oracle never consults the rate, only
     /// `delivery_enabled()` does.
     pub(crate) fn config(&self) -> SystemConfig {
-        let mut cfg = SystemConfig::with_procs(self.procs);
+        let mut cfg = match &self.cell {
+            ModelCell::Barrier(b) => b.config(),
+            ModelCell::Lock(l) => l.config(),
+        };
         // One processor per node: on the paper's two-per-node machine a
         // 2-proc model would be a single node, every message would be
         // hub-local, and the delivery layer (where the interesting
@@ -157,7 +186,7 @@ impl VerifyModel {
             cfg.faults.link_dup_ppm = 1;
         }
         if cfg.faults.delivery_enabled() {
-            cfg.faults.dedup_window = cfg.faults.dedup_window.max(self.procs as u32);
+            cfg.faults.dedup_window = cfg.faults.dedup_window.max(self.cell.procs() as u32);
         }
         cfg
     }
@@ -171,27 +200,21 @@ impl VerifyModel {
     }
 
     /// The one model reader, through [`fields`]. Unset fields default
-    /// as in [`VerifyModel::new`] (two barrier episodes, one lock
-    /// round; `max_choice_points` to `horizon` if given). A member no
-    /// list holds goes to `also`, the caller's own; one neither takes is
-    /// refused by name, and so is a model that fails
-    /// [`check`](Self::check): a verifier must not quietly check
+    /// as in [`VerifyModel::new`] and [`ModelCell::new`] (two barrier
+    /// episodes, one lock round; `max_choice_points` to `horizon` if
+    /// given). A member no list holds goes to `also`, the caller's own;
+    /// one neither takes is refused by name, and so is a model that
+    /// fails [`check`](Self::check): a verifier must not quietly check
     /// something narrower than it was asked to.
     pub(crate) fn from_json(
         obj: &Json,
         horizon: Option<u32>,
         mut also: impl FnMut(&str, &Json) -> Result<bool, String>,
     ) -> Result<VerifyModel, String> {
-        let mut m = VerifyModel::default();
+        // The workload tag picks the cell a size member fills.
+        let tag = obj.get("workload").and_then(Json::as_str);
+        let mut m = VerifyModel::new(ModelCell::new(tag.unwrap_or("barrier"), Mechanism::Amo, 2)?);
         m.max_choice_points = horizon.unwrap_or(m.max_choice_points);
-        // The workload tag picks the variant a size member fills.
-        match obj.get("workload").and_then(Json::as_str) {
-            Some("ticket-lock") => m.workload = VerifyWorkload::TicketLock { rounds: 1 },
-            Some("barrier") | None => {}
-            Some(other) => {
-                return Err(format!("unknown workload {other:?} (barrier, ticket-lock)"))
-            }
-        }
         read_object(obj, "", fields::REQUIRED, |k, v| {
             Ok(fields::read(&mut m, k, v)? || also(k, v)?)
         })?;
@@ -199,14 +222,18 @@ impl VerifyModel {
         Ok(m)
     }
 
-    /// Can this model run? `Err` names the offending value.
+    /// Can this model run: is its cell, on the model's machine, one the
+    /// campaign could run? `Err` names the offending value.
     pub fn check(&self) -> Result<(), String> {
-        match self.workload {
-            VerifyWorkload::Barrier { episodes: 0 } => Err("episodes = 0: need at least one"),
-            VerifyWorkload::TicketLock { rounds: 0 } => Err("rounds = 0: need at least one"),
-            _ => Ok(()),
-        }?;
-        self.config().check()
+        let config = Some(self.config());
+        match &self.cell {
+            ModelCell::Barrier(b) if b.episodes == 0 => {
+                Err("episodes = 0: need at least one".into())
+            }
+            ModelCell::Lock(l) if l.rounds == 0 => Err("rounds = 0: need at least one".into()),
+            ModelCell::Barrier(b) => BarrierBench { config, ..*b }.check(),
+            ModelCell::Lock(l) => LockBench { config, ..*l }.check(),
+        }
     }
 
     /// Canonical JSON document: every field that can change a run's
@@ -235,9 +262,9 @@ impl VerifyModel {
         let tape = TapeState::with_prefix(self.tape_config(), prefix.to_vec()).shared();
         let mut monitors: Vec<Box<dyn Monitor>> =
             vec![Box::new(AtMostOnce::new()), Box::new(DirSanity::new())];
-        monitors.push(match self.workload {
-            VerifyWorkload::Barrier { .. } => Box::new(BarrierEpoch::new(self.procs)),
-            VerifyWorkload::TicketLock { .. } => Box::new(MutualExclusion::new()),
+        monitors.push(match &self.cell {
+            ModelCell::Barrier(b) => Box::new(BarrierEpoch::new(b.procs)),
+            ModelCell::Lock(_) => Box::new(MutualExclusion::new()),
         });
         let mut machine = Machine::with_tracer(
             self.config(),
@@ -249,7 +276,7 @@ impl VerifyModel {
             // LL/SC and plain atomics grab tickets coherently — no
             // AMU applies to order against (soundness boundary,
             // DESIGN.md §12).
-            if let (Some(ticket), Mechanism::Amo | Mechanism::Mao) = (sequencer, self.mech) {
+            if let (Some(ticket), Mechanism::Amo | Mechanism::Mao) = (sequencer, self.cell.mech()) {
                 tracer.push(Box::new(TicketFifo::new(ticket.0)));
             }
         });
@@ -289,7 +316,7 @@ impl VerifyModel {
 
 /// One execution of a model under one tape: what the shared driver
 /// runs. The tape, the planted bug and the tape-chosen arrival skew are
-/// the model's extra set-up around the ordinary installers.
+/// the model's extra set-up around its cell's own installer.
 #[derive(Debug)]
 struct Probe<'a> {
     model: &'a VerifyModel,
@@ -331,19 +358,29 @@ impl Scenario for Probe<'_> {
     }
 
     fn watchdog(&self) -> Cycle {
-        self.model.watchdog
-    }
-
-    fn workload(&self) -> Workload {
-        match self.model.workload {
-            VerifyWorkload::Barrier { .. } => Workload::Barrier,
-            VerifyWorkload::TicketLock { .. } => Workload::Lock,
+        match &self.model.cell {
+            ModelCell::Barrier(b) => b.watchdog(),
+            ModelCell::Lock(l) => l.watchdog(),
         }
     }
 
-    /// Attach the tape, arm the planted bug, and install one kernel
-    /// per proc — arrival skew is one tape choice per proc, consumed
-    /// here in proc order before the run starts.
+    fn label(&self) -> String {
+        match &self.model.cell {
+            ModelCell::Barrier(b) => b.label(),
+            ModelCell::Lock(l) => l.label(),
+        }
+    }
+
+    fn workload(&self) -> Workload {
+        match &self.model.cell {
+            ModelCell::Barrier(b) => b.workload(),
+            ModelCell::Lock(l) => l.workload(),
+        }
+    }
+
+    /// Attach the tape, arm the planted bug, and install the cell with
+    /// the tape's arrival plan — one skew choice per proc, consumed here
+    /// in proc order before the run starts — in place of its own draw.
     fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) -> Option<Addr> {
         let m = self.model;
         machine.set_schedule_tape(self.tape.clone());
@@ -355,16 +392,12 @@ impl Scenario for Probe<'_> {
             work: vec![100; len as usize],
             start: tape.choose(ChoiceKind::ArrivalSkew, m.skew_choices) as Cycle * m.skew_step,
         };
-        match m.workload {
-            VerifyWorkload::Barrier { episodes } => {
-                BarrierAlgo::Central.install(machine, m.mech, None, episodes, |_| plan(episodes));
+        match &m.cell {
+            ModelCell::Barrier(b) => {
+                b.install_with(machine, |_| plan(b.episodes));
                 None
             }
-            VerifyWorkload::TicketLock { rounds } => {
-                let lock =
-                    LockKind::Ticket.install(machine, m.mech, rounds, 50, false, |_| plan(rounds));
-                Some(lock.sequencer)
-            }
+            ModelCell::Lock(l) => Some(l.install_with(machine, |_| plan(l.rounds)).sequencer),
         }
     }
 
@@ -434,8 +467,12 @@ impl Outcome {
 mod tests {
     use super::*;
 
+    fn model(workload: &str, procs: u16) -> VerifyModel {
+        VerifyModel::new(ModelCell::new(workload, Mechanism::Amo, procs).unwrap())
+    }
+
     fn lock_model() -> VerifyModel {
-        VerifyModel::new(Mechanism::Amo, VerifyWorkload::TicketLock { rounds: 1 }, 2)
+        model("ticket-lock", 2)
     }
 
     #[test]
@@ -464,8 +501,7 @@ mod tests {
 
     #[test]
     fn barrier_model_runs_clean_under_default_tape() {
-        let m = VerifyModel::new(Mechanism::Amo, VerifyWorkload::Barrier { episodes: 2 }, 2);
-        let out = m.run_once(&[]);
+        let out = model("barrier", 2).run_once(&[]);
         assert_eq!(out.kind, None, "detail: {:?}", out.detail);
     }
 
@@ -474,10 +510,7 @@ mod tests {
         // Passivity: the monitor stack observes the trace stream and
         // never schedules anything, so a monitored run must match the
         // NopTracer build cycle for cycle — end time, marks, outcome.
-        for model in [
-            lock_model(),
-            VerifyModel::new(Mechanism::Amo, VerifyWorkload::Barrier { episodes: 2 }, 4),
-        ] {
+        for model in [lock_model(), model("barrier", 4)] {
             for prefix in [&[][..], &[1, 1, 0, 2][..]] {
                 let monitored = model.run_once(prefix);
                 let (end, fingerprint) = model.run_unmonitored(prefix);
@@ -494,19 +527,19 @@ mod tests {
     /// key and every schedule fingerprint hash.
     #[test]
     fn canonical_doc_pins_every_knob() {
-        let m = VerifyModel {
-            mech: Mechanism::LlSc,
-            workload: VerifyWorkload::Barrier { episodes: 3 },
-            procs: 4,
+        let mut m = VerifyModel {
             skew_choices: 3,
             skew_step: 17,
             reorder_window: 5,
             explore_dups: true,
             jitter_choices: 2,
             max_choice_points: 7,
-            watchdog: 12_345,
             planted_double_apply: true,
+            ..VerifyModel::new(ModelCell::new("barrier", Mechanism::LlSc, 4).unwrap())
         };
+        if let ModelCell::Barrier(b) = &mut m.cell {
+            (b.episodes, b.watchdog) = (3, 12_345);
+        }
         assert_eq!(
             m.canonical_doc(),
             format!(
@@ -514,11 +547,14 @@ mod tests {
                 m.config().canonical_json()
             )
         );
-        let lock = VerifyModel {
-            workload: VerifyWorkload::TicketLock { rounds: 4 },
+        let mut lock = VerifyModel {
+            cell: ModelCell::new("ticket-lock", Mechanism::LlSc, 4).unwrap(),
             explore_dups: false,
             ..m
         };
+        if let ModelCell::Lock(l) = &mut lock.cell {
+            l.rounds = 4;
+        }
         let doc = lock.canonical_doc();
         let want = r#""workload":"ticket-lock","rounds":4,"procs":4,"#;
         assert!(doc.contains(want), "{doc}");

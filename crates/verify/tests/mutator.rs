@@ -16,7 +16,7 @@ use amo_campaign::{CampaignSpec, ChaosSpec, DeliveryPlan, PlanDoc};
 use amo_sim::Machine;
 use amo_sync::Mechanism;
 use amo_types::{Json, JsonWriter, SystemConfig};
-use amo_verify::{ScheduleDoc, VerifyMatrix, VerifyModel, VerifyWorkload};
+use amo_verify::{ModelCell, ScheduleDoc, VerifyMatrix, VerifyModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The values every number is set to.
@@ -163,10 +163,12 @@ fn every_document_variant_is_read_or_refused_without_a_panic() {
         max_e2e_retries: 1,
         seed: 0xDEAD_BEEF_0123_4567,
     };
-    let plan = PlanDoc::new(&ChaosSpec::new(7), faults, "RequestTimedOut");
+    let plan = PlanDoc::new(&ChaosSpec::new(7).bench, faults, "RequestTimedOut");
     docs.push(("a written plan".into(), plan.to_json()));
-    let lock = VerifyWorkload::TicketLock { rounds: 2 };
-    let model = VerifyModel::new(Mechanism::Mao, lock, 2);
+    let mut model = VerifyModel::new(ModelCell::new("ticket-lock", Mechanism::Mao, 2).unwrap());
+    if let ModelCell::Lock(l) = &mut model.cell {
+        l.rounds = 2;
+    }
     let schedule = ScheduleDoc {
         model,
         tape: vec![1, 0, 2],

@@ -70,7 +70,7 @@ impl Scenario for SyncTax {
     type Output = SyncTaxCell;
 
     fn check(&self) -> Result<(), String> {
-        check_machine(self.procs, None)?;
+        check_machine(self.procs, &None)?;
         check_measured("steps", self.steps, self.warmup)
     }
 
@@ -294,7 +294,7 @@ impl Scenario for SelfSched {
     type Output = SelfSchedCell;
 
     fn check(&self) -> Result<(), String> {
-        check_machine(self.procs, None)
+        check_machine(self.procs, &None)
     }
 
     fn config(&self) -> SystemConfig {

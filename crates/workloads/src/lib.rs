@@ -25,8 +25,7 @@ pub mod runner;
 
 pub use measure::{BarrierMeasurement, LockMeasurement};
 pub use runner::{
-    run_barrier, run_barrier_obs, run_lock, run_lock_obs, run_on, run_scenario, try_run_barrier,
-    try_run_barrier_obs, try_run_lock_obs, BarrierAlgo, BarrierBench, BarrierResult, Finished,
-    LockBench, LockKind, LockResult, ObsReport, ObsSpec, Run, RunFailure, RunInfo, Scenario,
-    SkewMode,
+    run_barrier, run_lock, run_on, run_scenario, BarrierAlgo, BarrierBench, BarrierResult,
+    Finished, LockBench, LockKind, LockResult, ObsReport, ObsSpec, Run, RunFailure, RunInfo,
+    Scenario, SkewMode,
 };

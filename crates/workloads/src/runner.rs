@@ -13,12 +13,13 @@
 //! a traced abort attached). [`BarrierBench`], [`LockBench`] and the
 //! application studies in [`crate::app`] are its scenarios; the
 //! schedule explorer runs its models through the inner half,
-//! [`run_on`], on machines it builds itself.
+//! [`run_on`], on machines it builds itself, with the benches' own
+//! installers and the arrival plan its schedule tape picks.
 //!
-//! The `run_*` / `try_run_*` families are the barrier and lock
-//! shorthands over it: the infallible forms panic on a rejected,
-//! stalled or faulted run (right for paper-table generation, where an
-//! abort is a bug), the fallible forms return the [`RunFailure`] (right
+//! [`run_barrier`] and [`run_lock`] are the quick-start shorthands: they
+//! panic on a rejected, stalled or faulted run (right for paper-table
+//! generation, where an abort is a bug). Everything else calls
+//! [`run_scenario`] and gets the [`RunFailure`] back as a value (right
 //! for campaign grids and chaos studies, where one bad cell must not
 //! kill the sweep).
 
@@ -260,9 +261,12 @@ fn machine_for(procs: u16, config: Option<SystemConfig>) -> SystemConfig {
     config.unwrap_or_else(|| SystemConfig::with_procs(procs))
 }
 
-/// The conditions on [`machine_for`]'s machine.
-pub(crate) fn check_machine(procs: u16, config: Option<SystemConfig>) -> Result<(), String> {
-    let cfg = machine_for(procs, config);
+/// The conditions on [`machine_for`]'s machine. Takes the override by
+/// reference: a schedule explorer checks every model it reads.
+pub(crate) fn check_machine(procs: u16, config: &Option<SystemConfig>) -> Result<(), String> {
+    let Some(cfg) = config else {
+        return SystemConfig::with_procs(procs).check();
+    };
     if cfg.num_procs != procs {
         return Err(format!(
             "config override must match procs: config.num_procs = {}, procs = {procs}",
@@ -394,7 +398,7 @@ pub fn run_on<S: Scenario, T: Tracer, P: HostProf>(
 }
 
 /// A barrier benchmark description.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BarrierBench {
     /// Mechanism under test.
     pub mech: Mechanism,
@@ -464,6 +468,17 @@ impl BarrierBench {
         self.algo = BarrierAlgo::Dissemination;
         self
     }
+
+    /// Put the barrier on `machine`, processor `p` arriving as `plan(p)`
+    /// says: the bench's own skew draw, or a schedule explorer's.
+    pub fn install_with<T: Tracer, P: HostProf>(
+        &self,
+        machine: &mut Machine<T, P>,
+        plan: impl FnMut(u16) -> ProcPlan,
+    ) {
+        self.algo
+            .install(machine, self.mech, self.style, self.episodes, plan);
+    }
 }
 
 /// One processor's per-episode arrival-skew plan. `Random` draws come
@@ -491,7 +506,7 @@ impl Scenario for BarrierBench {
     type Output = BarrierMeasurement;
 
     fn check(&self) -> Result<(), String> {
-        check_machine(self.procs, self.config)?;
+        check_machine(self.procs, &self.config)?;
         check_measured("episodes", self.episodes, self.warmup)?;
         check_delay("max_skew", self.max_skew)?;
         self.algo.check(self.procs)
@@ -511,12 +526,10 @@ impl Scenario for BarrierBench {
 
     fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) {
         let mut rng = SplitMix::new(run_seed(self.seed, self.procs as u64));
-        let plan = |p| ProcPlan {
+        self.install_with(machine, |p| ProcPlan {
             work: skew_plan(self.skew, &mut rng, p, self.episodes, self.max_skew),
             start: 0,
-        };
-        self.algo
-            .install(machine, self.mech, self.style, self.episodes, plan);
+        });
     }
 
     fn reduce(&self, (): (), run: &Finished) -> BarrierMeasurement {
@@ -527,27 +540,7 @@ impl Scenario for BarrierBench {
 /// Run one barrier benchmark to completion; panics on a rejected,
 /// stalled or faulted run.
 pub fn run_barrier(bench: BarrierBench) -> BarrierResult {
-    run_barrier_obs(bench, ObsSpec::default())
-}
-
-/// Run one barrier benchmark, optionally tracing and sampling.
-pub fn run_barrier_obs(bench: BarrierBench, obs: ObsSpec) -> BarrierResult {
-    try_run_barrier_obs(bench, obs).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible barrier run: a rejected description or a stalled or faulted
-/// machine comes back as a [`RunFailure`] instead of a panic, so a
-/// campaign grid cell can fail alone.
-pub fn try_run_barrier(bench: BarrierBench) -> Result<BarrierResult, Box<RunFailure>> {
-    try_run_barrier_obs(bench, ObsSpec::default())
-}
-
-/// Fallible barrier run with observation; see [`try_run_barrier`].
-pub fn try_run_barrier_obs(
-    bench: BarrierBench,
-    obs: ObsSpec,
-) -> Result<BarrierResult, Box<RunFailure>> {
-    run_scenario(&bench, obs)
+    run_scenario(&bench, ObsSpec::default()).unwrap_or_else(|f| panic!("{f}"))
 }
 
 /// Search tree branching factors and return the best-performing result,
@@ -578,7 +571,7 @@ pub fn best_tree_barrier(base: BarrierBench) -> (u16, BarrierResult) {
 }
 
 /// A lock benchmark description.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LockBench {
     /// Mechanism under test.
     pub mech: Mechanism,
@@ -620,6 +613,23 @@ impl LockBench {
             config: None,
         }
     }
+
+    /// Put the lock on `machine`, processor `p` thinking as `plan(p)`
+    /// says: the bench's own draw, or a schedule explorer's.
+    pub fn install_with<T: Tracer, P: HostProf>(
+        &self,
+        machine: &mut Machine<T, P>,
+        plan: impl FnMut(u16) -> ProcPlan,
+    ) -> LockInstalled {
+        self.kind.install(
+            machine,
+            self.mech,
+            self.rounds,
+            self.cs_cycles,
+            self.check_exclusion,
+            plan,
+        )
+    }
 }
 
 impl Scenario for LockBench {
@@ -627,7 +637,7 @@ impl Scenario for LockBench {
     type Output = LockMeasurement;
 
     fn check(&self) -> Result<(), String> {
-        check_machine(self.procs, self.config)?;
+        check_machine(self.procs, &self.config)?;
         if self.rounds == 0 {
             return Err("rounds = 0: need at least one acquisition per processor".into());
         }
@@ -657,20 +667,12 @@ impl Scenario for LockBench {
 
     fn install<T: Tracer, P: HostProf>(&self, machine: &mut Machine<T, P>) -> LockInstalled {
         let mut rng = SplitMix::new(run_seed(self.seed, self.procs as u64));
-        let plan = |_| ProcPlan {
+        self.install_with(machine, |_| ProcPlan {
             work: (0..self.rounds)
                 .map(|_| 100 + rng.below(self.max_think.max(1)))
                 .collect(),
             start: 0,
-        };
-        self.kind.install(
-            machine,
-            self.mech,
-            self.rounds,
-            self.cs_cycles,
-            self.check_exclusion,
-            plan,
-        )
+        })
     }
 
     /// A mutual-exclusion violation is a simulator bug, not a result.
@@ -689,17 +691,7 @@ impl Scenario for LockBench {
 /// Run one lock benchmark to completion; panics on a rejected, stalled
 /// or faulted run.
 pub fn run_lock(bench: LockBench) -> LockResult {
-    run_lock_obs(bench, ObsSpec::default())
-}
-
-/// Run one lock benchmark, optionally tracing and sampling.
-pub fn run_lock_obs(bench: LockBench, obs: ObsSpec) -> LockResult {
-    try_run_lock_obs(bench, obs).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible lock run with observation; see [`try_run_barrier`].
-pub fn try_run_lock_obs(bench: LockBench, obs: ObsSpec) -> Result<LockResult, Box<RunFailure>> {
-    run_scenario(&bench, obs)
+    run_scenario(&bench, ObsSpec::default()).unwrap_or_else(|f| panic!("{f}"))
 }
 
 #[cfg(test)]
@@ -789,14 +781,12 @@ mod tests {
             ..BarrierBench::paper(Mechanism::Amo, 8)
         };
         let plain = run_barrier(b);
-        let observed = run_barrier_obs(
-            b,
-            ObsSpec {
-                trace_cap: 1 << 16,
-                sample_interval: 200,
-                hostprof: false,
-            },
-        );
+        let obs = ObsSpec {
+            trace_cap: 1 << 16,
+            sample_interval: 200,
+            hostprof: false,
+        };
+        let observed = run_scenario(&b, obs).unwrap();
         assert_eq!(
             plain.timing.per_episode, observed.timing.per_episode,
             "observation must not perturb timing"
@@ -815,13 +805,13 @@ mod tests {
         cfg.faults.link_error_ppm = 1_000_000;
         cfg.faults.max_link_retries = 1;
         cfg.faults.seed = 7;
-        let err = try_run_barrier(BarrierBench {
+        let bench = BarrierBench {
             episodes: 2,
             warmup: 1,
             config: Some(cfg),
             ..BarrierBench::paper(Mechanism::Amo, 4)
-        })
-        .unwrap_err();
+        };
+        let err = run_scenario(&bench, ObsSpec::default()).unwrap_err();
         assert!(err.error.is_some(), "expected a typed SimError");
         assert!(err.stats.link_crc_errors > 0, "fault counters must survive");
         assert!(err.to_string().contains("aborted"), "{err}");

@@ -16,8 +16,8 @@ use amo::prelude::*;
 
 fn timeline(mech: Mechanism) {
     let procs = 32;
-    let r = run_lock_obs(
-        LockBench {
+    let r = run_scenario(
+        &LockBench {
             rounds: 6,
             cs_cycles: 400,
             max_think: 200, // short think time = high contention
@@ -28,7 +28,8 @@ fn timeline(mech: Mechanism) {
             sample_interval: 2_000,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     let ts = r.obs.timeseries.expect("sampling was enabled");
     println!(
         "== {} ticket lock, {procs} CPUs: {} cycles total, {:.0} cycles/acquisition",

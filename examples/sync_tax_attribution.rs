@@ -16,8 +16,8 @@ use amo::obs::{analyze, CritPathReport, Workload, ALL_STAGES};
 use amo::prelude::*;
 
 fn attribute(mech: Mechanism, procs: u16) -> CritPathReport {
-    let r = run_barrier_obs(
-        BarrierBench {
+    let r = run_scenario(
+        &BarrierBench {
             episodes: 6,
             warmup: 1,
             ..BarrierBench::paper(mech, procs)
@@ -27,7 +27,8 @@ fn attribute(mech: Mechanism, procs: u16) -> CritPathReport {
             sample_interval: 0,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     let buf = r.obs.trace.as_ref().expect("tracing was requested");
     assert_eq!(buf.dropped, 0, "ring must hold the whole run");
     analyze(buf, Workload::Barrier).expect("barrier trace has episodes")

@@ -11,8 +11,8 @@ use amo::obs::{
 use amo::prelude::*;
 
 fn traced_barrier(mech: Mechanism, procs: u16, trace_cap: usize) -> BarrierResult {
-    run_barrier_obs(
-        BarrierBench {
+    run_scenario(
+        &BarrierBench {
             episodes: 6,
             warmup: 1,
             ..BarrierBench::paper(mech, procs)
@@ -23,6 +23,7 @@ fn traced_barrier(mech: Mechanism, procs: u16, trace_cap: usize) -> BarrierResul
             hostprof: false,
         },
     )
+    .unwrap()
 }
 
 #[test]
@@ -79,8 +80,8 @@ fn llsc_barrier_attributes_cycles_to_the_directory() {
 
 #[test]
 fn lock_workload_extracts_handoff_episodes() {
-    let r = run_lock_obs(
-        LockBench {
+    let r = run_scenario(
+        &LockBench {
             rounds: 4,
             ..LockBench::paper(Mechanism::Amo, LockKind::Ticket, 16)
         },
@@ -89,7 +90,8 @@ fn lock_workload_extracts_handoff_episodes() {
             sample_interval: 0,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     let rep = analyze(r.obs.trace.as_ref().unwrap(), Workload::Lock).unwrap();
     assert!(!rep.episodes.is_empty(), "handoffs extracted");
     assert!(rep.conserved());

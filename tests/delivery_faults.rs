@@ -101,7 +101,8 @@ fn exhausted_e2e_budget_escalates_to_typed_request_timeout() {
     let mut cfg = delivery_cfg(32, 400_000, 0, 0, 0xBAD_D12A);
     cfg.faults.max_e2e_retries = 1;
     cfg.faults.e2e_timeout = 5_000;
-    let fail = try_run_barrier(bench(32, Some(cfg))).expect_err("40% drop must kill the run");
+    let fail = run_scenario(&bench(32, Some(cfg)), ObsSpec::default())
+        .expect_err("40% drop must kill the run");
     let err = fail.error.as_ref().expect("typed error, not a stall");
     assert!(
         matches!(err.kind, SimErrorKind::RequestTimedOut { attempts: 1, .. }),
@@ -121,8 +122,8 @@ fn fault_abort_with_complete_trace_attaches_critpath_breakdown() {
     let mut cfg = delivery_cfg(32, 200_000, 0, 0, 0xBAD_D12A);
     cfg.faults.max_e2e_retries = 1;
     cfg.faults.e2e_timeout = 5_000;
-    let fail = amo::workloads::try_run_barrier_obs(
-        bench(32, Some(cfg)),
+    let fail = run_scenario(
+        &bench(32, Some(cfg)),
         ObsSpec {
             trace_cap: 1 << 22,
             sample_interval: 0,
@@ -144,7 +145,8 @@ fn fault_abort_with_complete_trace_attaches_critpath_breakdown() {
     assert!(cp.contains("critical-path attribution"), "{cp}");
     // An untraced abort of the same run carries no attribution (and no
     // fabricated partial one).
-    let fail = try_run_barrier(bench(32, Some(cfg))).expect_err("same plan, untraced");
+    let fail =
+        run_scenario(&bench(32, Some(cfg)), ObsSpec::default()).expect_err("same plan, untraced");
     assert!(fail.error.as_ref().unwrap().bundle.critpath.is_none());
 }
 

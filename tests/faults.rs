@@ -27,14 +27,15 @@ fn bench(procs: u16, cfg: Option<SystemConfig>) -> BarrierBench {
 #[test]
 fn amo_barrier_64_procs_survives_link_errors() {
     let cfg = faulted(64, 10_000, 0xFA117ED);
-    let r = run_barrier_obs(
-        bench(64, Some(cfg)),
+    let r = run_scenario(
+        &bench(64, Some(cfg)),
         ObsSpec {
             trace_cap: 1 << 20,
             sample_interval: 0,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     // run_barrier asserts completion; the faults must have bitten and
     // been fully absorbed by link-level replay.
     let s = &r.stats;

@@ -27,7 +27,7 @@ fn profiled() -> ObsSpec {
 #[test]
 fn profiling_does_not_change_simulated_time() {
     let plain = run_barrier(bench(32));
-    let prof = run_barrier_obs(bench(32), profiled());
+    let prof = run_scenario(&bench(32), profiled()).unwrap();
     assert_eq!(plain.timing.per_episode, prof.timing.per_episode);
     assert_eq!(plain.stats.total_msgs(), prof.stats.total_msgs());
     assert_eq!(plain.stats.total_bytes(), prof.stats.total_bytes());
@@ -36,7 +36,7 @@ fn profiling_does_not_change_simulated_time() {
 
 #[test]
 fn dispatch_scopes_cover_every_simulated_event() {
-    let r = run_barrier_obs(bench(64), profiled());
+    let r = run_scenario(&bench(64), profiled()).unwrap();
     let report = r.obs.hostprof.as_ref().expect("profiling enabled");
     let dispatched: u64 = report
         .scopes
@@ -53,7 +53,7 @@ fn dispatch_scopes_cover_every_simulated_event() {
 
 #[test]
 fn hostprof_doc_validates_and_reports_render() {
-    let r = run_barrier_obs(bench(64), profiled());
+    let r = run_scenario(&bench(64), profiled()).unwrap();
     let report = r.obs.hostprof.as_ref().expect("profiling enabled");
     let doc = hostprof_json(
         &[("workload", "barrier".into()), ("mech", "amo".into())],
@@ -80,13 +80,14 @@ fn hostprof_doc_validates_and_reports_render() {
 
 #[test]
 fn unprofiled_run_carries_no_report() {
-    let r = run_barrier_obs(
-        bench(16),
+    let r = run_scenario(
+        &bench(16),
         ObsSpec {
             trace_cap: 0,
             sample_interval: 0,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     assert!(r.obs.hostprof.is_none());
 }

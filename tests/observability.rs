@@ -8,8 +8,8 @@ use amo::prelude::*;
 use amo::types::SystemConfig;
 
 fn traced_barrier(procs: u16) -> (BarrierResult, SystemConfig) {
-    let r = run_barrier_obs(
-        BarrierBench {
+    let r = run_scenario(
+        &BarrierBench {
             episodes: 6,
             warmup: 1,
             ..BarrierBench::paper(Mechanism::Amo, procs)
@@ -19,7 +19,8 @@ fn traced_barrier(procs: u16) -> (BarrierResult, SystemConfig) {
             sample_interval: 500,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     (r, SystemConfig::with_procs(procs))
 }
 
@@ -180,14 +181,14 @@ fn perfetto_export_stays_valid_under_ring_truncation() {
         sample_interval: 0,
         hostprof: false,
     };
-    let r = run_barrier_obs(bench, spec(cap));
+    let r = run_scenario(&bench, spec(cap)).unwrap();
     let buf = r.obs.trace.as_ref().expect("trace requested");
     assert_eq!(buf.events.len(), cap, "ring keeps exactly its capacity");
     assert!(buf.dropped > 0, "this run must overflow the ring");
 
     // The drop count is exactly the events lost, pinned against an
     // identical run whose ring holds everything.
-    let full = run_barrier_obs(bench, spec(1 << 20));
+    let full = run_scenario(&bench, spec(1 << 20)).unwrap();
     let full_buf = full.obs.trace.as_ref().unwrap();
     assert_eq!(full_buf.dropped, 0, "1M-event ring holds the full run");
     assert_eq!(
@@ -227,14 +228,15 @@ fn observation_does_not_change_simulated_time() {
         ..BarrierBench::paper(Mechanism::LlSc, 32)
     };
     let plain = run_barrier(bench);
-    let observed = run_barrier_obs(
-        bench,
+    let observed = run_scenario(
+        &bench,
         ObsSpec {
             trace_cap: 1 << 18,
             sample_interval: 1_000,
             hostprof: false,
         },
-    );
+    )
+    .unwrap();
     assert_eq!(plain.timing.per_episode, observed.timing.per_episode);
     assert_eq!(plain.stats.total_msgs(), observed.stats.total_msgs());
     assert_eq!(plain.stats.total_bytes(), observed.stats.total_bytes());
