@@ -184,10 +184,10 @@ pub fn object<'a>(v: &'a Json, key: &str) -> Result<&'a [(String, Json)], String
 /// (read by `Type::parse`, written as `place.method()`);
 /// `arm(place, x in Enum::A | Enum::B => codec(…x…))` (a member of
 /// whatever the listed one-field variants hold, bound to `x`; absent
-/// from any other variant); `nested(place, list[, read])` (an object of another list,
-/// read by `read(v)` if given); `out(codec(…))` (written only) and
-/// `given(expr)` (a string the caller reads before the others, since it
-/// picks the variant they fill).
+/// from any other variant); `nested(place, list[, read])` (an object of
+/// another list, read by `read(v)` if given); `out(codec(…))` (written
+/// only) and `given(expr)` (a string the caller reads before the
+/// others, since it picks the variant they fill).
 #[macro_export]
 macro_rules! members {
     ($(#[$doc:meta])* $vis:vis mod $name:ident($s:ident: $T:ty) {

@@ -153,9 +153,11 @@ pub fn run_matrix(matrix: &VerifyMatrix, cache: Option<&ResultCache>) -> Vec<Cel
         .cells
         .iter()
         .map(|cell| {
-            if let Some(c) = cache {
+            // Only a cached run needs the cell's key.
+            let cached = cache.map(|c| (c, cell.key()));
+            if let Some((c, key)) = cached {
                 if let Some((schedules, distinct, violations, truncated)) = c
-                    .get_blob(CACHE_KIND, cell.key())
+                    .get_blob(CACHE_KIND, key)
                     .as_deref()
                     .and_then(parse_cell_summary)
                 {
@@ -170,9 +172,9 @@ pub fn run_matrix(matrix: &VerifyMatrix, cache: Option<&ResultCache>) -> Vec<Cel
                 }
             }
             let report = explore(&cell.model, &cell.limits);
-            if let Some(c) = cache {
+            if let Some((c, key)) = cached {
                 // Cache-store failures degrade to a cold cell next time.
-                let _ = c.put_blob(CACHE_KIND, cell.key(), &cell_summary_json(&report));
+                let _ = c.put_blob(CACHE_KIND, key, &cell_summary_json(&report));
             }
             CellOutcome {
                 label: cell.label(),
