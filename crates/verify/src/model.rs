@@ -37,18 +37,23 @@ use amo_workloads::runner::{
 const TRACE_CAP: usize = 4096;
 
 /// The campaign cell a model explores: its mechanism, kernel, size and
-/// watchdog. The explorer replaces only its arrival plan.
+/// watchdog. The explorer replaces only its arrival plan. A model's
+/// documents and key spell only `mech`, `procs`, `episodes` / `rounds`
+/// and `watchdog`, so every other member must stay as [`ModelCell::new`]
+/// sets it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ModelCell {
-    /// A centralized barrier, no episode of it warm-up.
+    /// A barrier cell.
     Barrier(BarrierBench),
-    /// A ticket lock of 50-cycle critical sections.
+    /// A lock cell.
     Lock(LockBench),
 }
 
 impl ModelCell {
-    /// The cell a model of `workload` starts from: two barrier episodes
-    /// or one lock round, under a 2,000,000-cycle watchdog.
+    /// The cell a model of `workload` starts from: the centralized
+    /// barrier of two episodes, none of them warm-up, or one round of
+    /// the ticket lock with 50-cycle critical sections; either under a
+    /// 2,000,000-cycle watchdog.
     pub fn new(workload: &str, mech: Mechanism, procs: u16) -> Result<ModelCell, String> {
         let watchdog = 2_000_000;
         Ok(match workload {
