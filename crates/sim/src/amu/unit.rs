@@ -1290,4 +1290,101 @@ mod tests {
             "queue full"
         );
     }
+
+    /// A miss is a fetch followed by a hit: for every op class the reply,
+    /// the apply record and the word left behind are the same whether the
+    /// word was cached or fetched. The effects differ only in the fetch
+    /// and in how a put leaves: a `FinePut` on a hit, inside the
+    /// `FineComplete` after a fine get.
+    #[test]
+    fn a_miss_is_a_fetch_followed_by_a_hit() {
+        let (req, requester, addr) = (ReqId(5), ProcId(1), w(0));
+        let fetch_add = AmuOp::Amo {
+            req,
+            requester,
+            kind: AmoKind::FetchAdd,
+            addr,
+            operand: 5,
+            test: None,
+        };
+        let mao = AmuOp::Mao {
+            req,
+            requester,
+            kind: AmoKind::FetchAdd,
+            addr,
+            operand: 2,
+        };
+        let read = AmuOp::UncachedRead {
+            req,
+            requester,
+            addr,
+        };
+        let cases = [
+            (amo_inc(5, 1, addr, Some(3)), 0), // short of the test: dirty
+            (amo_inc(5, 1, addr, Some(3)), 2), // reaches the test: put
+            (amo_inc(5, 1, addr, None), 4),    // amo.inc accumulates silently
+            (fetch_add, 7),                    // publishes every change
+            (mao, 4),
+            (read, 9),
+        ];
+        let put_of = |e: &AmuEffect| match *e {
+            AmuEffect::FinePut { addr, value, flow } => Some((Some((addr, value)), flow)),
+            AmuEffect::FineComplete { block, put, flow } => {
+                assert_eq!(block, addr.block(128));
+                Some((put, flow))
+            }
+            _ => None,
+        };
+        for (op, word) in cases {
+            let (mut miss, mut ms) = amu();
+            miss.set_log_applies(true);
+            let (_, fetch) = miss.submit(op, 100, &mut ms);
+            let miss_eff = match fetch.as_slice() {
+                &[AmuEffect::FineGet { token, addr, .. }] => {
+                    miss.fine_value(token, addr, word, 100, &mut ms)
+                }
+                &[AmuEffect::ReadMemWord { token, .. }] => {
+                    miss.mem_value(token, word, 100, &mut ms)
+                }
+                other => panic!("{op:?}: fetch {other:?}"),
+            }
+            .expect("the fetched value is awaited");
+
+            let (mut hit, mut hs) = amu();
+            hit.set_log_applies(true);
+            hit.install(addr, word, &mut hs, &mut Vec::new());
+            let (_, hit_eff) = hit.submit(op, 100, &mut hs);
+
+            let puts = |eff: &[AmuEffect]| eff.iter().filter_map(put_of).collect::<Vec<_>>();
+            let rest = |eff: &[AmuEffect]| {
+                let rest = eff.iter().filter(|e| put_of(e).is_none());
+                rest.cloned().collect::<Vec<_>>()
+            };
+            let (miss_put, hit_put) = (puts(&miss_eff), puts(&hit_eff));
+            if matches!(op, AmuOp::Amo { .. }) {
+                assert_eq!(miss_put.len(), 1, "{op:?}: one FineComplete");
+                // A hit without a put emits no `FinePut` at all.
+                let put = miss_put[0].0.map(|_| miss_put[0]);
+                assert_eq!(hit_put, Vec::from_iter(put), "{op:?}");
+            } else {
+                assert!(miss_put.is_empty() && hit_put.is_empty(), "{op:?}");
+            }
+            assert_eq!(rest(&miss_eff), rest(&hit_eff), "{op:?}");
+
+            let (mut miss_log, mut hit_log) = (Vec::new(), Vec::new());
+            miss.drain_applies_into(&mut miss_log);
+            hit.drain_applies_into(&mut hit_log);
+            assert_eq!(miss_log, hit_log, "{op:?}");
+            if matches!(op, AmuOp::UncachedRead { .. }) {
+                // An uncached-read miss allocates no entry.
+                assert_eq!((miss.peek(addr), hit.peek(addr)), (None, Some(word)));
+            } else {
+                assert_eq!(miss.peek(addr), hit.peek(addr), "{op:?}");
+            }
+            let block = addr.block(128);
+            assert_eq!(miss.flush_block(block), hit.flush_block(block), "{op:?}");
+            assert_eq!((ms.amo_ops, ms.mao_ops), (hs.amo_ops, hs.mao_ops));
+            assert_eq!((ms.amu_misses, ms.amu_hits), (hs.amu_hits, hs.amu_misses));
+        }
+    }
 }

@@ -1727,4 +1727,126 @@ mod tests {
         assert_eq!(d.queue_len(blk()), 1);
         assert_eq!(s.dup_suppressed, 0);
     }
+
+    /// What opening a transaction emits, per request (rows) and block
+    /// state (columns): the exact actions, then the `dram_reads`,
+    /// `invalidations_sent` and `interventions_sent` deltas. P1 is the
+    /// requester of `GetS`, `GetX` and `Upgrade`; `FineGet` comes from
+    /// the home AMU.
+    #[test]
+    fn opening_a_transaction_is_pinned_per_request_and_state() {
+        const COLUMNS: [&str; 6] = [
+            "uncached",
+            "shared by P0 P1",
+            "shared by P0 P2",
+            "shared by P0 P1 + AMU",
+            "exclusive at P1",
+            "exclusive at P0",
+        ];
+        const PINNED: [[(&str, [u64; 3]); 6]; 4] = [
+            [
+                ("ReadDram", [1, 0, 0]),
+                ("ReadDram", [1, 0, 0]),
+                ("ReadDram", [1, 0, 0]),
+                ("ReadDram", [1, 0, 0]),
+                ("", [0, 0, 0]),
+                ("Intervention(Shared)>P0", [0, 0, 1]),
+            ],
+            [
+                ("ReadDram", [1, 0, 0]),
+                ("Inv>P0 ReadDram", [1, 1, 0]),
+                ("Inv>P0 Inv>P2 ReadDram", [1, 2, 0]),
+                ("FlushAmu Inv>P0 ReadDram", [1, 1, 0]),
+                ("", [0, 0, 0]),
+                ("Intervention(Exclusive)>P0", [0, 0, 1]),
+            ],
+            [
+                ("ReadDram", [1, 0, 0]),
+                ("Inv>P0", [0, 1, 0]),
+                ("Inv>P0 Inv>P2 ReadDram", [1, 2, 0]),
+                ("FlushAmu Inv>P0 ReadDram", [1, 1, 0]),
+                ("", [0, 0, 0]),
+                ("Intervention(Exclusive)>P0", [0, 0, 1]),
+            ],
+            [
+                ("ReadDram", [1, 0, 0]),
+                ("ReadDram", [1, 0, 0]),
+                ("ReadDram", [1, 0, 0]),
+                ("ReadDram", [1, 0, 0]),
+                ("Intervention(Shared)>P1", [0, 0, 1]),
+                ("Intervention(Shared)>P0", [0, 0, 1]),
+            ],
+        ];
+        let addr = Addr::on_node(HOME, 0x1000);
+        let (req, requester) = (ReqId(9), ProcId(1));
+        let rows = [
+            DirRequest::GetS { req, requester },
+            DirRequest::GetX { req, requester },
+            DirRequest::Upgrade { req, requester },
+            DirRequest::FineGet { token: 7, addr },
+        ];
+        let shared = |p: u16| DirRequest::GetS {
+            req: ReqId(p.into()),
+            requester: ProcId(p),
+        };
+        let owned = |p: u16| DirRequest::GetX {
+            req: ReqId(p.into()),
+            requester: ProcId(p),
+        };
+        let setup = |column: usize| {
+            let (mut d, mut s) = dir();
+            let gets = match column {
+                0 => vec![],
+                1 | 3 => vec![shared(0), shared(1)],
+                2 => vec![shared(0), shared(2)],
+                4 => vec![owned(1)],
+                _ => vec![owned(0)],
+            };
+            for r in gets {
+                d.request(blk(), r, &mut s);
+                d.dram_done(blk(), data(&[]), &mut s);
+            }
+            if column == 3 {
+                d.request(blk(), DirRequest::FineGet { token: 0, addr }, &mut s);
+                d.dram_done(blk(), data(&[]), &mut s);
+                d.fine_complete(blk(), None, 0, &mut s);
+                assert!(d.amu_shares(blk()));
+            }
+            assert!(!d.is_busy(blk()), "{}", COLUMNS[column]);
+            (d, s)
+        };
+        let show = |a: &DirAction| match a {
+            DirAction::ReadDram { block } if *block == blk() => "ReadDram".to_string(),
+            DirAction::FlushAmu { block } if *block == blk() => "FlushAmu".to_string(),
+            DirAction::ToProc { proc, payload } => match payload {
+                Payload::Inv { block } if *block == blk() => format!("Inv>P{}", proc.0),
+                Payload::Intervention { kind, block } if *block == blk() => {
+                    format!("Intervention({kind:?})>P{}", proc.0)
+                }
+                other => format!("{other:?}>P{}", proc.0),
+            },
+            other => format!("{other:?}"),
+        };
+        let table: Vec<Vec<(String, [u64; 3])>> = rows
+            .iter()
+            .map(|request| {
+                (0..COLUMNS.len())
+                    .map(|column| {
+                        let (mut d, mut s) = setup(column);
+                        let before = [s.dram_reads, s.invalidations_sent, s.interventions_sent];
+                        let actions = d.request(blk(), request.clone(), &mut s);
+                        let shown: Vec<String> = actions.iter().map(show).collect();
+                        let after = [s.dram_reads, s.invalidations_sent, s.interventions_sent];
+                        (shown.join(" "), [0, 1, 2].map(|i| after[i] - before[i]))
+                    })
+                    .collect()
+            })
+            .collect();
+        let same = table.iter().zip(&PINNED).all(|(got, want)| {
+            got.iter()
+                .zip(want)
+                .all(|((a, n), (b, m))| a == b && n == m)
+        });
+        assert!(same, "columns {COLUMNS:?}; table now reads:\n{table:#?}");
+    }
 }
