@@ -469,11 +469,62 @@ impl Amu {
         }
     }
 
+    /// Start the next queued command: run it on a cached word, or fetch
+    /// the word (a fine get for an AMO, a memory read otherwise) and run
+    /// it when the value arrives.
     fn try_start(&mut self, now: Cycle, stats: &mut Stats, effects: &mut Vec<AmuEffect>) {
         let Some(op) = self.queue.pop_front() else {
             return;
         };
-        match op {
+        let (addr, counted) = match op {
+            AmuOp::Amo { addr, .. } => {
+                stats.amo_ops += 1;
+                (addr, true)
+            }
+            AmuOp::Mao { addr, .. } => {
+                stats.mao_ops += 1;
+                (addr, true)
+            }
+            AmuOp::UncachedRead { addr, .. } => (addr, false),
+        };
+        match self.lookup(addr) {
+            Some(idx) => {
+                stats.amu_hits += counted as u64;
+                self.execute(op, Some(idx), self.cache[idx].value, false, now, effects);
+            }
+            None => {
+                stats.amu_misses += counted as u64;
+                let token = self.next_token;
+                self.next_token += 1;
+                self.state = State::Waiting { token, op };
+                effects.push(match op {
+                    AmuOp::Amo { req, .. } => AmuEffect::FineGet {
+                        token,
+                        addr,
+                        flow: req.flow(),
+                    },
+                    _ => AmuEffect::ReadMemWord { token, addr },
+                });
+            }
+        }
+    }
+
+    /// Run `op` on `old`, the word at cache entry `idx` (`None` only for
+    /// an uncached-read miss, which allocates no entry); `fetched` says a
+    /// fine get brought it in, so an AMO's put closes that transaction.
+    /// Emits the put or write-through, the reply and the wake, and keeps
+    /// the function unit busy for the operation latency.
+    fn execute(
+        &mut self,
+        op: AmuOp,
+        idx: Option<usize>,
+        old: Word,
+        fetched: bool,
+        now: Cycle,
+        effects: &mut Vec<AmuEffect>,
+    ) {
+        let done = now + self.op_latency;
+        let (requester, payload) = match op {
             AmuOp::Amo {
                 req,
                 requester,
@@ -482,37 +533,27 @@ impl Amu {
                 operand,
                 test,
             } => {
-                stats.amo_ops += 1;
-                match self.lookup(addr) {
-                    Some(idx) => {
-                        stats.amu_hits += 1;
-                        let old = self.cache[idx].value;
-                        let new = kind.apply(old, operand);
-                        let put = Self::should_put(kind, test, old, new);
-                        self.cache[idx].value = new;
-                        self.cache[idx].dirty = !put;
-                        self.log_apply(req, requester, addr, old);
-                        let done = now + self.op_latency;
-                        if put {
-                            effects.push(AmuEffect::FinePut {
-                                addr,
-                                value: new,
-                                flow: req.flow(),
-                            });
-                        }
-                        self.reply_at(done, requester, Payload::AmoReply { req, old }, effects);
-                        self.state = State::Busy(done);
-                        effects.push(AmuEffect::WakeAt { when: done });
-                    }
-                    None => {
-                        stats.amu_misses += 1;
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        let flow = req.flow();
-                        self.state = State::Waiting { token, op };
-                        effects.push(AmuEffect::FineGet { token, addr, flow });
-                    }
+                let new = kind.apply(old, operand);
+                let put = Self::should_put(kind, test, old, new);
+                let entry = &mut self.cache[idx.expect("an AMO runs on a cached word")];
+                entry.value = new;
+                entry.dirty = !put;
+                self.log_apply(req, requester, addr, old);
+                let flow = req.flow();
+                if fetched {
+                    effects.push(AmuEffect::FineComplete {
+                        block: addr.block(self.line_bytes),
+                        put: put.then_some((addr, new)),
+                        flow,
+                    });
+                } else if put {
+                    effects.push(AmuEffect::FinePut {
+                        addr,
+                        value: new,
+                        flow,
+                    });
                 }
+                (requester, Payload::AmoReply { req, old })
             }
             AmuOp::Mao {
                 req,
@@ -521,56 +562,21 @@ impl Amu {
                 addr,
                 operand,
             } => {
-                stats.mao_ops += 1;
-                match self.lookup(addr) {
-                    Some(idx) => {
-                        stats.amu_hits += 1;
-                        let old = self.cache[idx].value;
-                        let new = kind.apply(old, operand);
-                        self.cache[idx].value = new;
-                        self.log_apply(req, requester, addr, old);
-                        // MAO is non-coherent: write through to memory,
-                        // nobody is updated or invalidated.
-                        let done = now + self.op_latency;
-                        effects.push(AmuEffect::WriteMemWord { addr, value: new });
-                        self.reply_at(done, requester, Payload::MaoReply { req, old }, effects);
-                        self.state = State::Busy(done);
-                        effects.push(AmuEffect::WakeAt { when: done });
-                    }
-                    None => {
-                        stats.amu_misses += 1;
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        self.state = State::Waiting { token, op };
-                        effects.push(AmuEffect::ReadMemWord { token, addr });
-                    }
-                }
+                let new = kind.apply(old, operand);
+                self.cache[idx.expect("a MAO runs on a cached word")].value = new;
+                self.log_apply(req, requester, addr, old);
+                // MAO is non-coherent: write through to memory, nobody is
+                // updated or invalidated.
+                effects.push(AmuEffect::WriteMemWord { addr, value: new });
+                (requester, Payload::MaoReply { req, old })
             }
-            AmuOp::UncachedRead {
-                req,
-                requester,
-                addr,
-            } => match self.lookup(addr) {
-                Some(idx) => {
-                    let value = self.cache[idx].value;
-                    let done = now + self.op_latency;
-                    self.reply_at(
-                        done,
-                        requester,
-                        Payload::UncachedReadReply { req, value },
-                        effects,
-                    );
-                    self.state = State::Busy(done);
-                    effects.push(AmuEffect::WakeAt { when: done });
-                }
-                None => {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.state = State::Waiting { token, op };
-                    effects.push(AmuEffect::ReadMemWord { token, addr });
-                }
-            },
-        }
+            AmuOp::UncachedRead { req, requester, .. } => {
+                (requester, Payload::UncachedReadReply { req, value: old })
+            }
+        };
+        self.reply_at(done, requester, payload, effects);
+        self.state = State::Busy(done);
+        effects.push(AmuEffect::WakeAt { when: done });
     }
 
     fn should_put(kind: AmoKind, test: Option<Word>, old: Word, new: Word) -> bool {
@@ -582,6 +588,18 @@ impl Amu {
             // accumulates silently, everything else publishes any change
             // immediately (the paper's amo.fetchadd behaviour).
             None => kind.eager_put(old, new),
+        }
+    }
+
+    /// The operation waiting on `token`'s value.
+    fn waiting(&self, token: u64) -> Result<AmuOp, AmuError> {
+        match self.state {
+            State::Waiting { token: t, op } if t == token => Ok(op),
+            State::Waiting { token: t, .. } => Err(AmuError::TokenMismatch {
+                expected: t,
+                got: token,
+            }),
+            _ => Err(AmuError::NotWaiting { token }),
         }
     }
 
@@ -597,48 +615,18 @@ impl Amu {
         stats: &mut Stats,
         effects: &mut Vec<AmuEffect>,
     ) -> Result<(), AmuError> {
-        let State::Waiting { token: t, op } = self.state else {
-            return Err(AmuError::NotWaiting { token });
-        };
-        if t != token {
-            return Err(AmuError::TokenMismatch {
-                expected: t,
-                got: token,
-            });
-        }
-        let AmuOp::Amo {
-            req,
-            requester,
-            kind,
-            addr: op_addr,
-            operand,
-            test,
-        } = op
-        else {
+        let op = self.waiting(token)?;
+        let AmuOp::Amo { addr: expected, .. } = op else {
             return Err(AmuError::WrongOp { token });
         };
-        if addr != op_addr {
+        if addr != expected {
             return Err(AmuError::AddrMismatch {
-                expected: op_addr,
+                expected,
                 got: addr,
             });
         }
         let idx = self.install(addr, value, stats, effects);
-        let old = value;
-        let new = kind.apply(old, operand);
-        let put = Self::should_put(kind, test, old, new);
-        self.cache[idx].value = new;
-        self.cache[idx].dirty = !put;
-        self.log_apply(req, requester, addr, old);
-        let done = now + self.op_latency;
-        effects.push(AmuEffect::FineComplete {
-            block: addr.block(self.line_bytes),
-            put: put.then_some((addr, new)),
-            flow: req.flow(),
-        });
-        self.reply_at(done, requester, Payload::AmoReply { req, old }, effects);
-        self.state = State::Busy(done);
-        effects.push(AmuEffect::WakeAt { when: done });
+        self.execute(op, Some(idx), value, true, now, effects);
         Ok(())
     }
 
@@ -652,44 +640,13 @@ impl Amu {
         stats: &mut Stats,
         effects: &mut Vec<AmuEffect>,
     ) -> Result<(), AmuError> {
-        let State::Waiting { token: t, op } = self.state else {
-            return Err(AmuError::NotWaiting { token });
+        let op = self.waiting(token)?;
+        let idx = match op {
+            AmuOp::Amo { .. } => return Err(AmuError::WrongOp { token }),
+            AmuOp::Mao { addr, .. } => Some(self.install(addr, value, stats, effects)),
+            AmuOp::UncachedRead { .. } => None,
         };
-        if t != token {
-            return Err(AmuError::TokenMismatch {
-                expected: t,
-                got: token,
-            });
-        }
-        let done = now + self.op_latency;
-        match op {
-            AmuOp::Mao {
-                req,
-                requester,
-                kind,
-                addr,
-                operand,
-            } => {
-                let idx = self.install(addr, value, stats, effects);
-                let old = value;
-                let new = kind.apply(old, operand);
-                self.cache[idx].value = new;
-                self.log_apply(req, requester, addr, old);
-                effects.push(AmuEffect::WriteMemWord { addr, value: new });
-                self.reply_at(done, requester, Payload::MaoReply { req, old }, effects);
-            }
-            AmuOp::UncachedRead { req, requester, .. } => {
-                self.reply_at(
-                    done,
-                    requester,
-                    Payload::UncachedReadReply { req, value },
-                    effects,
-                );
-            }
-            _ => return Err(AmuError::WrongOp { token }),
-        }
-        self.state = State::Busy(done);
-        effects.push(AmuEffect::WakeAt { when: done });
+        self.execute(op, idx, value, true, now, effects);
         Ok(())
     }
 

@@ -171,6 +171,13 @@ impl Txn {
             && (!self.needs_data() || self.data.is_some())
             && !self.fine_open
     }
+
+    /// Start this transaction's memory read of `block`.
+    fn read_memory(&mut self, block: BlockAddr, stats: &mut Stats, actions: &mut Vec<DirAction>) {
+        self.mem_pending = true;
+        actions.push(DirAction::ReadDram { block });
+        stats.dram_reads += 1;
+    }
 }
 
 #[derive(Debug)]
@@ -343,13 +350,9 @@ impl Directory {
         stats: &mut Stats,
         actions: &mut Vec<DirAction>,
     ) {
-        match req {
-            DirRequest::GetS { req, requester } => {
-                self.start_read(block, req, requester, stats, actions);
-            }
-            DirRequest::GetX { req, requester } => {
-                self.start_write(block, req, requester, stats, actions);
-            }
+        let kind = match req {
+            DirRequest::GetS { req, requester } => TxnKind::Read { req, requester },
+            DirRequest::GetX { req, requester } => TxnKind::Write { req, requester },
             DirRequest::Upgrade { req, requester } => {
                 let entry = self.entry(block);
                 let holds =
@@ -361,169 +364,79 @@ impl Directory {
                 // its stale copy; degrade to a full GetX so it refetches
                 // post-flush data.
                 if holds && !entry.amu_shared {
-                    self.start_upgrade(block, req, requester, stats, actions);
+                    TxnKind::UpgradeWait { req, requester }
                 } else {
                     // The requester lost its copy while the upgrade was in
                     // flight (or the block is AMU-shared): treat as a full
                     // GetX (it will get DataX and know its SC must fail if
                     // its reservation was lost).
-                    self.start_write(block, req, requester, stats, actions);
+                    TxnKind::Write { req, requester }
                 }
             }
-            DirRequest::FineGet { token, addr } => {
-                self.start_fine_get(block, token, addr, stats, actions);
-            }
+            DirRequest::FineGet { token, addr } => TxnKind::FineGet { token, addr },
             DirRequest::FinePut { addr, value, flow } => {
-                self.do_fine_put(block, addr, value, flow, stats, actions);
+                return self.do_fine_put(block, addr, value, flow, stats, actions);
             }
-        }
+        };
+        self.open(block, kind, stats, actions);
     }
 
-    fn start_read(
+    /// Open a transaction of `kind` on an idle block: flush the AMU's
+    /// words before an exclusive grant, invalidate every other sharer of
+    /// a `Shared` block, then read memory, wait for the requester's own
+    /// in-flight writeback, or intervene at the owner.
+    fn open(
         &mut self,
         block: BlockAddr,
-        req: ReqId,
-        requester: ProcId,
+        kind: TxnKind,
         stats: &mut Stats,
         actions: &mut Vec<DirAction>,
     ) {
-        let entry = self.entry(block);
-        let mut txn = Txn::new(TxnKind::Read { req, requester });
-        match entry.state {
-            DirState::Uncached | DirState::Shared => {
-                txn.mem_pending = true;
-                actions.push(DirAction::ReadDram { block });
-                stats.dram_reads += 1;
+        let (requester, exclusive) = match kind {
+            TxnKind::Read { requester, .. } => (Some(requester), false),
+            TxnKind::Write { requester, .. } | TxnKind::UpgradeWait { requester, .. } => {
+                (Some(requester), true)
             }
-            DirState::Exclusive(owner) if owner == requester => {
-                // Owner re-requests: its writeback must be in flight.
-                txn.waiting_writeback = true;
-            }
-            DirState::Exclusive(owner) => {
-                txn.owner_pending = true;
-                actions.push(DirAction::ToProc {
-                    proc: owner,
-                    payload: Payload::Intervention {
-                        kind: InterventionKind::Shared,
-                        block,
-                    },
-                });
-                stats.interventions_sent += 1;
-            }
+            TxnKind::FineGet { .. } => (None, false),
+        };
+        if exclusive {
+            // Exclusive ownership is incompatible with an AMU copy: flush
+            // the AMU's (possibly dirty) words into memory first.
+            self.flush_amu_if_shared(block, actions);
         }
-        entry.txn = Some(txn);
-        self.try_complete(block, stats, actions);
-    }
-
-    fn start_write(
-        &mut self,
-        block: BlockAddr,
-        req: ReqId,
-        requester: ProcId,
-        stats: &mut Stats,
-        actions: &mut Vec<DirAction>,
-    ) {
-        // Exclusive ownership is incompatible with an AMU copy: flush the
-        // AMU's (possibly dirty) words into memory first.
-        self.flush_amu_if_shared(block, actions);
         let entry = self.entry(block);
-        let mut txn = Txn::new(TxnKind::Write { req, requester });
-        match entry.state {
-            DirState::Uncached => {
-                txn.mem_pending = true;
-                actions.push(DirAction::ReadDram { block });
-                stats.dram_reads += 1;
-            }
-            DirState::Shared => {
-                let mut acks = 0;
-                for p in entry.sharers.iter() {
-                    if p != requester {
-                        actions.push(DirAction::ToProc {
-                            proc: p,
-                            payload: Payload::Inv { block },
-                        });
-                        acks += 1;
-                    }
-                }
-                stats.invalidations_sent += acks as u64;
-                txn.pending_acks = acks;
-                txn.mem_pending = true;
-                actions.push(DirAction::ReadDram { block });
-                stats.dram_reads += 1;
-            }
-            DirState::Exclusive(owner) if owner == requester => {
-                txn.waiting_writeback = true;
-            }
-            DirState::Exclusive(owner) => {
-                txn.owner_pending = true;
-                actions.push(DirAction::ToProc {
-                    proc: owner,
-                    payload: Payload::Intervention {
-                        kind: InterventionKind::Exclusive,
-                        block,
-                    },
-                });
-                stats.interventions_sent += 1;
-            }
-        }
-        self.entry(block).txn = Some(txn);
-        self.try_complete(block, stats, actions);
-    }
-
-    fn start_upgrade(
-        &mut self,
-        block: BlockAddr,
-        req: ReqId,
-        requester: ProcId,
-        stats: &mut Stats,
-        actions: &mut Vec<DirAction>,
-    ) {
-        self.flush_amu_if_shared(block, actions);
-        let entry = self.entry(block);
-        let mut acks = 0;
-        for p in entry.sharers.iter() {
-            if p != requester {
+        let mut txn = Txn::new(kind);
+        if exclusive && entry.state == DirState::Shared {
+            for p in entry.sharers.iter().filter(|&p| Some(p) != requester) {
                 actions.push(DirAction::ToProc {
                     proc: p,
                     payload: Payload::Inv { block },
                 });
-                acks += 1;
+                txn.pending_acks += 1;
             }
+            stats.invalidations_sent += txn.pending_acks as u64;
         }
-        stats.invalidations_sent += acks as u64;
-        let mut txn = Txn::new(TxnKind::UpgradeWait { req, requester });
-        txn.pending_acks = acks;
-        entry.txn = Some(txn);
-        self.try_complete(block, stats, actions);
-    }
-
-    fn start_fine_get(
-        &mut self,
-        block: BlockAddr,
-        token: u64,
-        addr: Addr,
-        stats: &mut Stats,
-        actions: &mut Vec<DirAction>,
-    ) {
-        let entry = self.entry(block);
-        let mut txn = Txn::new(TxnKind::FineGet { token, addr });
         match entry.state {
-            DirState::Uncached | DirState::Shared => {
-                txn.mem_pending = true;
-                actions.push(DirAction::ReadDram { block });
-                stats.dram_reads += 1;
+            // Owner re-requests: its writeback must be in flight.
+            DirState::Exclusive(owner) if Some(owner) == requester => {
+                txn.waiting_writeback = true;
             }
             DirState::Exclusive(owner) => {
                 txn.owner_pending = true;
+                let kind = if exclusive {
+                    InterventionKind::Exclusive
+                } else {
+                    InterventionKind::Shared
+                };
                 actions.push(DirAction::ToProc {
                     proc: owner,
-                    payload: Payload::Intervention {
-                        kind: InterventionKind::Shared,
-                        block,
-                    },
+                    payload: Payload::Intervention { kind, block },
                 });
                 stats.interventions_sent += 1;
             }
+            _ if txn.needs_data() => txn.read_memory(block, stats, actions),
+            // An in-place upgrade keeps the requester's own copy.
+            _ => {}
         }
         entry.txn = Some(txn);
         self.try_complete(block, stats, actions);
@@ -618,9 +531,7 @@ impl Directory {
                     txn.downgraded_owner = Some(from);
                 }
                 if txn.data.is_none() && !txn.mem_pending {
-                    txn.mem_pending = true;
-                    actions.push(DirAction::ReadDram { block });
-                    stats.dram_reads += 1;
+                    txn.read_memory(block, stats, actions);
                 }
             }
             InterventionResp::Gone => {
