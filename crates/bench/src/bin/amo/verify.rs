@@ -128,16 +128,17 @@ fn run_matrix_mode(args: &Args, path: &str) -> Result<i32, Stop> {
 
 fn run_replay(path: &str) -> Result<i32, Stop> {
     let raw = read(path)?;
-    let doc = ScheduleDoc::from_json(&raw).map_err(|e| Stop::Failed(format!("{path}: {e}")))?;
+    let named = |e: String| Stop::Failed(format!("{path}: {e}"));
+    let doc = ScheduleDoc::from_json(&raw).map_err(named)?;
     // The committed document must be exactly what this simulator would
     // mint: decode∘encode is byte-identity (modulo one trailing
     // newline), so stale hand-edits cannot hide behind a lenient parse.
-    if doc.to_json() != raw.trim_end_matches('\n') {
+    if doc.to_json() != raw.strip_suffix('\n').unwrap_or(&raw) {
         return Err(Stop::Failed(format!(
             "{path} is not byte-identical to its re-encoding — regenerate it"
         )));
     }
-    let out = doc.replay().map_err(Stop::Failed)?;
+    let out = doc.replay().map_err(named)?;
     println!(
         "replay: ok kind={} monitor={} end={} schedule={path}",
         doc.kind,

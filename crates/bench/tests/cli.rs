@@ -64,7 +64,7 @@ fn help_is_the_one_usage_text() {
     let help = ok("help");
     let subs = "tables campaign experiment ablations chaos chaos_search verify";
     assert_eq!(subcommands(), subs.split(' ').collect::<Vec<_>>());
-    for name in amo_campaign::artifacts::ARTIFACT_NAMES {
+    for name in amo_campaign::artifacts::artifact_names() {
         assert!(help.contains(name), "help must name artefact {name}");
     }
     assert!(help.lines().all(|l| l.len() <= 80), "help wraps at 80");
@@ -86,7 +86,7 @@ fn tables_is_campaign_with_the_cache_off() {
     assert!(csv.starts_with("table,row,column,value\ntable2,4,") && csv.contains("\ntable4,"));
     // Every artefact has the one CSV form, and nothing else is printed.
     let csv = ok("tables --quick --csv");
-    for name in amo_campaign::artifacts::ARTIFACT_NAMES {
+    for name in amo_campaign::artifacts::artifact_names() {
         assert!(csv.contains(&format!("\n{name},")), "{name} missing");
     }
     for line in csv.lines() {
@@ -207,6 +207,33 @@ fn verify_modes_run_and_violations_are_exit_status_1() {
     assert!(matrix.contains("\"violations\":0"), "{matrix}");
     let replay = ok(&format!("verify --replay {specs}/verify-known-good.json"));
     assert!(replay.starts_with("replay: ok kind=ok"), "{replay}");
+
+    // A schedule minted under another model, or whose recorded outcome
+    // the run does not reproduce, is refused naming its file; so is one
+    // that differs from its re-encoding by more than one final newline.
+    let good = read(&format!("{specs}/verify-known-good.json"));
+    let schedule = tmp("schedule.json");
+    for (from, to, why) in [
+        (
+            "\"skew_step\":40",
+            "\"skew_step\":41",
+            "schedule fingerprint mismatch",
+        ),
+        (
+            "\"kind\":\"ok\"",
+            "\"kind\":\"Stall\"",
+            "schedule replay diverged",
+        ),
+        ("}\n", "}\n\n\n", "is not byte-identical to its re-encoding"),
+    ] {
+        assert!(good.contains(from), "{from}");
+        std::fs::write(&schedule, good.replacen(from, to, 1)).unwrap();
+        let refused = amo(&format!("verify --replay {schedule}"));
+        assert_eq!(refused.status, 1, "{}", refused.stderr);
+        let named = format!("amo verify: {schedule}");
+        assert!(refused.stderr.starts_with(&named), "{}", refused.stderr);
+        assert!(refused.stderr.contains(why), "{}", refused.stderr);
+    }
     let passive = ok("verify --passivity --procs 8");
     assert_eq!(passive.matches("passivity: ok").count(), 2, "{passive}");
 
