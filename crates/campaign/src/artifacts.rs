@@ -646,34 +646,23 @@ impl ArtifactProfile {
 
 /// Every artifact name [`render_artifacts`] understands, in document
 /// order.
-pub const ARTIFACT_NAMES: [&str; 14] = [
-    "table2",
-    "figure5",
-    "table3",
-    "figure6",
-    "table4",
-    "figure7",
-    "ext-locks",
-    "ext-barriers",
-    "ext-ktree",
-    "ext-app",
-    "ext-cs",
-    "ext-signal",
-    "ext-selfsched",
-    "figure1",
-];
+pub fn artifact_names() -> impl Iterator<Item = &'static str> {
+    GENERATORS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+}
 
-/// Reject a selection naming anything but [`ARTIFACT_NAMES`] or `all`:
+/// Reject a selection naming anything but [`artifact_names`] or `all`:
 /// [`render_artifacts`] would silently render nothing for it.
 pub fn check_artifact_names(names: &[String]) -> Result<(), String> {
     match names
         .iter()
-        .find(|n| *n != "all" && !ARTIFACT_NAMES.contains(&n.as_str()))
+        .find(|n| *n != "all" && !artifact_names().any(|a| a == n.as_str()))
     {
         None => Ok(()),
         Some(bad) => Err(format!(
             "unknown artifact {bad:?} (all, {})",
-            ARTIFACT_NAMES.join(", ")
+            artifact_names().collect::<Vec<_>>().join(", ")
         )),
     }
 }
@@ -790,7 +779,7 @@ mod tests {
             false,
         );
         assert_eq!(doc, "", "nothing wanted, nothing rendered");
-        assert_eq!(*asked.borrow(), ARTIFACT_NAMES);
+        assert_eq!(*asked.borrow(), artifact_names().collect::<Vec<_>>());
         assert!(check_artifact_names(&["all".into(), "figure1".into()]).is_ok());
         let err = check_artifact_names(&["tabel2".into()]).unwrap_err();
         assert!(

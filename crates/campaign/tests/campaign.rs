@@ -657,7 +657,7 @@ fn experiments_md_quotes_the_golden_and_states_every_claim() {
         .collect();
     assert_eq!(
         measured.len(),
-        artifacts::ARTIFACT_NAMES.len(),
+        artifacts::artifact_names().count(),
         "one block per artefact"
     );
     for block in measured {

@@ -35,14 +35,23 @@ pub enum ChoiceKind {
 }
 
 impl ChoiceKind {
+    /// Every kind, in declaration order, with its stable one-letter tag
+    /// in schedule documents.
+    const TAGS: [(ChoiceKind, char); 4] = [
+        (ChoiceKind::ArrivalSkew, 's'),
+        (ChoiceKind::ReorderSkew, 'r'),
+        (ChoiceKind::Duplicate, 'd'),
+        (ChoiceKind::RetryJitter, 'j'),
+    ];
+
     /// Stable one-letter tag used in schedule documents.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ChoiceKind::ArrivalSkew => "s",
-            ChoiceKind::ReorderSkew => "r",
-            ChoiceKind::Duplicate => "d",
-            ChoiceKind::RetryJitter => "j",
-        }
+    pub fn tag(self) -> char {
+        Self::TAGS[self as usize].1
+    }
+
+    /// The kind `tag` names, if any (the inverse of [`Self::tag`]).
+    pub fn from_tag(tag: char) -> Option<ChoiceKind> {
+        Self::TAGS.iter().find(|(_, t)| *t == tag).map(|(k, _)| *k)
     }
 }
 

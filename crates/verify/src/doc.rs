@@ -167,13 +167,7 @@ fn read_model(v: &Json) -> Result<VerifyModel, String> {
 /// [`ChoiceKind::tag`]); an unknown tag is an error naming it.
 fn parse_kinds(tags: &str) -> Result<Vec<ChoiceKind>, String> {
     tags.chars()
-        .map(|c| match c {
-            's' => Ok(ChoiceKind::ArrivalSkew),
-            'r' => Ok(ChoiceKind::ReorderSkew),
-            'd' => Ok(ChoiceKind::Duplicate),
-            'j' => Ok(ChoiceKind::RetryJitter),
-            other => Err(format!("unknown choice tag {other:?}")),
-        })
+        .map(|c| ChoiceKind::from_tag(c).ok_or_else(|| format!("unknown choice tag {c:?}")))
         .collect()
 }
 
@@ -277,6 +271,7 @@ mod tests {
                 ChoiceKind::RetryJitter,
             ]
         );
+        assert_eq!(kinds.iter().map(|k| k.tag()).collect::<String>(), "srdj");
         assert!(parse_kinds("x").is_err());
     }
 
