@@ -163,8 +163,8 @@ fn read_model(v: &Json) -> Result<VerifyModel, String> {
     VerifyModel::from_json(v, None, |_, _| Ok(false)).map_err(|e| format!("model: {e}"))
 }
 
-/// Tag-string → [`ChoiceKind`] sequence (the inverse of
-/// [`ChoiceKind::tag`]); an unknown tag is an error naming it.
+/// Tag-string → [`ChoiceKind`] sequence, one [`ChoiceKind::from_tag`]
+/// per character; an unknown tag is an error naming it.
 fn parse_kinds(tags: &str) -> Result<Vec<ChoiceKind>, String> {
     tags.chars()
         .map(|c| ChoiceKind::from_tag(c).ok_or_else(|| format!("unknown choice tag {c:?}")))
